@@ -1,11 +1,14 @@
 """Monte Carlo campaign driver: sweeps, coverage maps, exports.
 
-Work units (realizations or grid cells) are dispatched to a process pool
-and collected in submission order, so results are byte-identical for any
-worker count.  All randomness comes from per-unit substreams keyed by
-(seed, realization, link), never from execution order.  Processes rather
-than threads: one unit is a burst of small numpy calls that never release
-the interpreter lock long enough for threads to overlap.
+Work units are dispatched to a process pool and collected in submission
+order, so results are byte-identical for any worker count.  A campaign's
+unit is one realization; a coverage map's unit is a fixed block of cells
+with all its realizations.  All randomness comes from per-unit substreams
+keyed by (seed, realization, link), never from execution order or receiver
+position, so a coverage block draws each realization once and places the
+receiver-side legs for all of its cells together.  Processes rather than
+threads: one unit is a burst of small numpy calls that never release the
+interpreter lock long enough for threads to overlap.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import RealizationChannels, composite_multi, realize_channels
+from .channel import (RealizationChannels, composite_multi, realize_channels,
+                      surface_cascade)
 from .config import SimConfig, ValidatedConfig, validate_config
 from .control import (PhaseAlgorithm, baseline_phases, pinv_phases,
                       rate_from_singular_values, select_ris, siso_optimal_phases)
@@ -111,48 +115,79 @@ def default_grid(vc: ValidatedConfig, cell: float = 1.0) -> GridSpec:
                     z=vc.config.rx.position[2])
 
 
+# Cells per coverage work unit.  Fixed, so a map's blocks (and its bytes) do
+# not depend on the worker count.  Each realization's receiver-free work
+# (Tx-side leg, its pinv, the variate draws) is shared by a block's cells;
+# the placement memory is bounded separately (channel.PLACEMENT_BUDGET).
+COVERAGE_BLOCK = 32
+
+
+def serving_surface(vc: ValidatedConfig, rx_position) -> int:
+    """Index of the surface a receiver position is served by."""
+    ris = vc.config.ris
+    return select_ris(rx_position, ris) if len(ris) > 1 else 0
+
+
+def _realized_surfaces(vc: ValidatedConfig, selected: np.ndarray) -> dict:
+    """Surface -> cells whose rates its legs enter (None = all cells).
+
+    With absent idle surfaces a surface enters only the cells it serves.
+    """
+    if vc.config.idle_ris == "absent":
+        return {k: np.flatnonzero(selected == k) for k in sorted(set(selected.tolist()))}
+    return dict.fromkeys(range(len(vc.config.ris)))
+
+
+def _idle_phases(vc: ValidatedConfig, realization: int, k: int):
+    """Phases of a surface that does not serve the receiver (None = absent)."""
+    cfg = vc.config
+    if cfg.idle_ris == "random":
+        return baseline_phases("random", cfg.ris[k].count,
+                               spawn_rng(cfg.seed, realization, LinkTag.PHASES, k))
+    return None
+
+
+def _serving_phases(vc: ValidatedConfig, algorithm: PhaseAlgorithm, realization: int,
+                    k: int, tx_ris: np.ndarray, ris_rx: np.ndarray) -> np.ndarray:
+    """The campaign algorithm's phases for serving surface k.
+
+    `ris_rx` may be a (K, Nr, N) stack of receiver positions; the phases are
+    then (K, N), or (N,) when they do not depend on the receiver.
+    """
+    cfg = vc.config
+    if algorithm.kind == "pinv":
+        return pinv_phases(tx_ris, ris_rx, bits=algorithm.bits,
+                           fallback_rng=spawn_rng(cfg.seed, realization, LinkTag.PHASES, k))
+    if algorithm.kind == "siso":
+        if cfg.tx.count != 1 or cfg.rx.count != 1:
+            raise DimensionMismatch("the siso algorithm requires Nt = Nr = 1")
+        return siso_optimal_phases(tx_ris[:, 0], ris_rx[..., 0, :], bits=algorithm.bits)
+    if algorithm.kind in ("random", "zero"):
+        return baseline_phases(algorithm.kind, tx_ris.shape[0],
+                               spawn_rng(cfg.seed, realization, LinkTag.PHASES, k),
+                               bits=algorithm.bits)
+    raise ConfigError(f"unknown phase algorithm {algorithm.kind!r}")
+
+
 def compute_phase_sets(vc: ValidatedConfig, channels: RealizationChannels,
                        algorithm: PhaseAlgorithm, realization: int,
                        rx_position=None) -> list:
     """Phases per surface: the one nearest the receiver is controlled by the
     campaign algorithm, the others follow the idle-surface policy."""
-    cfg = vc.config
-    rx_pos = cfg.rx.position if rx_position is None else rx_position
-    selected = select_ris(rx_pos, cfg.ris) if len(cfg.ris) > 1 else 0
-    phase_sets = []
-    for k, (tx_ris, ris_rx) in enumerate(zip(channels.tx_ris, channels.ris_rx)):
-        n = tx_ris.shape[0]
-        if k != selected:
-            if cfg.idle_ris == "random":
-                phase_sets.append(baseline_phases(
-                    "random", n, spawn_rng(cfg.seed, realization, LinkTag.PHASES, k)))
-            else:
-                phase_sets.append(None)
-            continue
-        if algorithm.kind == "pinv":
-            phase_sets.append(pinv_phases(
-                tx_ris, ris_rx, channels.direct, bits=algorithm.bits,
-                fallback_rng=spawn_rng(cfg.seed, realization, LinkTag.PHASES, k)))
-        elif algorithm.kind == "siso":
-            if cfg.tx.count != 1 or cfg.rx.count != 1:
-                raise DimensionMismatch("the siso algorithm requires Nt = Nr = 1")
-            phase_sets.append(siso_optimal_phases(tx_ris[:, 0], ris_rx[0, :],
-                                                  bits=algorithm.bits))
-        elif algorithm.kind in ("random", "zero"):
-            phase_sets.append(baseline_phases(
-                algorithm.kind, n,
-                spawn_rng(cfg.seed, realization, LinkTag.PHASES, k),
-                bits=algorithm.bits))
-        else:
-            raise ConfigError(f"unknown phase algorithm {algorithm.kind!r}")
-    return phase_sets
+    rx_pos = vc.config.rx.position if rx_position is None else rx_position
+    selected = serving_surface(vc, rx_pos)
+    return [_serving_phases(vc, algorithm, realization, k, tx_ris, ris_rx) if k == selected
+            else _idle_phases(vc, realization, k)
+            for k, (tx_ris, ris_rx) in enumerate(zip(channels.tx_ris, channels.ris_rx))]
 
 
 def composite_singular_values(vc: ValidatedConfig, realization: int,
                               algorithm: PhaseAlgorithm,
                               rx_position=None) -> np.ndarray:
     """Singular values of the end-to-end channel of one realization."""
-    channels = realize_channels(vc, realization, rx_position=rx_position)
+    rx_pos = vc.config.rx.position if rx_position is None else rx_position
+    surfaces = None if vc.config.idle_ris == "random" else (serving_surface(vc, rx_pos),)
+    channels = realize_channels(vc, realization, rx_position=rx_position, surfaces=surfaces)
     phases = compute_phase_sets(vc, channels, algorithm, realization, rx_position)
     composite = composite_multi(channels, phases)
     return np.linalg.svd(composite, compute_uv=False)
@@ -199,13 +234,33 @@ def _rates_over_powers(args) -> np.ndarray:
     return rate_from_singular_values(s, pt_watts, vc.noise_watts)
 
 
-def _cell_mean_rate(args) -> float:
-    vc, algorithm, position, realizations, pt = args
-    total = 0.0
+def _block_mean_rates(args) -> np.ndarray:
+    """Mean rate of each cell of one coverage block.
+
+    Each realization is drawn once for the whole block: the receiver-free
+    legs (and the pseudoinverse of the Tx-side leg) once, the receiver-side
+    legs placed for every cell as stacks, each surface's only at the cells
+    it enters.  Rates are summed per cell in realization order.
+    """
+    vc, algorithm, positions, selected, realizations, pt = args
+    surfaces = _realized_surfaces(vc, selected)
+    totals = np.zeros(len(positions))
     for r in range(realizations):
-        s = composite_singular_values(vc, r, algorithm, rx_position=position)
-        total += rate_from_singular_values(s, pt, vc.noise_watts)
-    return total / realizations
+        channels = realize_channels(vc, r, rx_position=positions, surfaces=surfaces)
+        composite = channels.direct.copy()
+        for k, cells in surfaces.items():
+            tx_ris, ris_rx = channels.tx_ris[k], channels.ris_rx[k]
+            phases = _serving_phases(vc, algorithm, r, k, tx_ris, ris_rx)
+            if cells is None:   # every cell, served or idle
+                served = selected == k
+                if not served.all():
+                    phases = np.where(served[:, None], phases, _idle_phases(vc, r, k))
+                composite += surface_cascade(tx_ris, ris_rx, phases)
+            else:
+                composite[cells] += surface_cascade(tx_ris, ris_rx, phases)
+        s = np.linalg.svd(composite, compute_uv=False)
+        totals += rate_from_singular_values(s, pt, vc.noise_watts)
+    return totals / realizations
 
 
 def _realize_for_dump(args) -> RealizationChannels:
@@ -248,7 +303,9 @@ def coverage_map(campaign: Campaign, grid: GridSpec | None = None) -> CoverageGr
 
     Realization substreams do not depend on the receiver position, so all
     cells see the same environment draws per realization and maps from
-    scenes sharing a seed are paired cell by cell.
+    scenes sharing a seed are paired cell by cell.  Cells are evaluated in
+    fixed blocks of `COVERAGE_BLOCK` (row-major order) that share each
+    realization's draws; the serving surface of each cell is chosen once.
     """
     vc = campaign.config
     cfg = vc.config
@@ -257,16 +314,16 @@ def coverage_map(campaign: Campaign, grid: GridSpec | None = None) -> CoverageGr
     algorithm = campaign.resolved_algorithm()
     x, y = grid.centers()
     z = cfg.rx.position[2] if grid.z is None else grid.z
-    positions = [(float(x[ix]), float(y[iy]), float(z))
-                 for iy in range(len(y)) for ix in range(len(x))]
-    payloads = [(vc, algorithm, pos, cfg.realizations, vc.pt_watts[0])
-                for pos in positions]
-    means = _parallel_map(_cell_mean_rate, payloads, campaign.workers)
-    selected = [select_ris(pos, cfg.ris) if len(cfg.ris) > 1 else 0
-                for pos in positions]
-    mean_rate = np.asarray(means).reshape(len(y), len(x))
-    ris_index = np.asarray(selected, dtype=int).reshape(len(y), len(x))
-    return CoverageGrid(x=x, y=y, z=float(z), mean_rate=mean_rate, ris_index=ris_index)
+    positions = np.array([(x[ix], y[iy], z) for iy in range(len(y)) for ix in range(len(x))],
+                         dtype=float)
+    selected = np.array([serving_surface(vc, pos) for pos in positions], dtype=int)
+    payloads = [(vc, algorithm, positions[i:i + COVERAGE_BLOCK],
+                 selected[i:i + COVERAGE_BLOCK], cfg.realizations, vc.pt_watts[0])
+                for i in range(0, len(positions), COVERAGE_BLOCK)]
+    means = _parallel_map(_block_mean_rates, payloads, campaign.workers)
+    mean_rate = np.concatenate(means).reshape(len(y), len(x))
+    return CoverageGrid(x=x, y=y, z=float(z), mean_rate=mean_rate,
+                        ris_index=selected.reshape(len(y), len(x)))
 
 
 # ---------------------------------------------------------------------------

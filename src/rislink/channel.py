@@ -10,6 +10,8 @@ than raising an error.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -19,7 +21,9 @@ from .config import ValidatedConfig
 from .errors import DimensionMismatch
 from .geometry import (azimuth_rotation_frame, element_gain_from_cos,
                        local_directions, steering_matrix)
-from .propagation import ClusterSet, LinkState, draw_clusters, draw_link_state
+from .propagation import (ClusterSet, LinkState, draw_cluster_variates, draw_clusters,
+                          draw_link_state, draw_los_variates, los_probability,
+                          place_clusters, place_los)
 from .rng import LinkTag, spawn_rng
 
 
@@ -93,32 +97,38 @@ def _link_matrix(row: DeviceView, col: DeviceView, gain_side: str | None,
 
     `gain_side` names the device ("row"/"col"/None) whose element pattern
     weights each path; directions are always evaluated from each device
-    towards the path point in that device's own frame.
+    towards the path point in that device's own frame.  `row.position` may
+    be a stack of K positions (K, 3), with `clusters` and `link` placed for
+    each of them (`place_clusters`, `place_los`); the result is then a
+    (K, row.count, col.count) stack.
     """
-    matrix = np.zeros((row.count, col.count), dtype=complex)
+    stack = row.position.shape[:-1]
+    matrix = np.zeros(stack + (row.count, col.count), dtype=complex)
 
     def pattern(u_row: np.ndarray, u_col: np.ndarray) -> np.ndarray:
         if gain_side is None:
-            return np.ones(len(u_row))
+            return np.ones(u_row.shape[:-1])
         device, u = (row, u_row) if gain_side == "row" else (col, u_col)
-        return element_gain_from_cos(u[:, 0], device.gain_exponent)
+        return element_gain_from_cos(u[..., 0], device.gain_exponent)
 
     if clusters.total_paths:
-        u_row, _ = local_directions(row.position, clusters.positions, row.frame)
+        u_row, _ = local_directions(row.position[..., None, :], clusters.positions, row.frame)
         u_col, _ = local_directions(col.position, clusters.positions, col.frame)
         weights = clusters.gains * np.sqrt(pattern(u_row, u_col) * clusters.attenuations)
         a_row = steering_matrix(row.elements, u_row, wavelength)
         a_col = steering_matrix(col.elements, u_col, wavelength)
         # normalization keeps total scattered power independent of the path count
-        matrix += (a_row * weights) @ a_col.T / np.sqrt(clusters.total_paths)
+        matrix += ((a_row * weights[..., None, :]) @ a_col.swapaxes(-1, -2)
+                   / np.sqrt(clusters.total_paths))
 
     if link.los:
-        u_row, _ = local_directions(row.position, col.position[None, :], row.frame)
-        u_col, _ = local_directions(col.position, row.position[None, :], col.frame)
-        a_row = steering_matrix(row.elements, u_row, wavelength)[:, 0]
-        a_col = steering_matrix(col.elements, u_col, wavelength)[:, 0]
-        amp = np.sqrt(pattern(u_row, u_col)[0] * link.attenuation)
-        matrix += amp * np.exp(1j * link.phase) * np.outer(a_row, a_col)
+        u_row, _ = local_directions(row.position[..., None, :], col.position, row.frame)
+        u_col, _ = local_directions(col.position, row.position[..., None, :], col.frame)
+        a_row = steering_matrix(row.elements, u_row, wavelength)[..., 0]
+        a_col = steering_matrix(col.elements, u_col, wavelength)[..., 0]
+        amp = np.sqrt(pattern(u_row, u_col)[..., 0] * link.attenuation)
+        matrix += ((amp * np.exp(1j * link.phase))[..., None, None]
+                   * (a_row[..., :, None] * a_col[..., None, :]))
 
     return matrix
 
@@ -156,15 +166,20 @@ def composite_channel(triple: ChannelTriple, phases: PhaseVector | np.ndarray) -
     if triple.ris_rx.shape[1] != n or len(phases) != n:
         raise DimensionMismatch(
             f"phase vector of length {len(phases)} does not match the {n}-element surface")
-    return (triple.ris_rx * np.exp(1j * phases)) @ triple.tx_ris + triple.direct
+    return surface_cascade(triple.tx_ris, triple.ris_rx, phases) + triple.direct
 
 
 @dataclass(frozen=True)
 class RealizationChannels:
-    """All channel matrices of one realization, possibly with several surfaces."""
+    """All channel matrices of one realization, possibly with several surfaces.
 
-    tx_ris: tuple[np.ndarray, ...]   # per surface, (N_k, Nt)
-    ris_rx: tuple[np.ndarray, ...]   # per surface, (Nr, N_k)
+    Realized for a stack of K receiver positions, `ris_rx` and `direct`
+    carry a leading K axis.  Surfaces left out of the realization have None
+    matrices.
+    """
+
+    tx_ris: tuple[np.ndarray | None, ...]   # per surface, (N_k, Nt)
+    ris_rx: tuple[np.ndarray | None, ...]   # per surface, (Nr, N_k)
     direct: np.ndarray               # (Nr, Nt)
     realization: int
     los: dict = field(default_factory=dict)
@@ -176,6 +191,16 @@ class RealizationChannels:
                                                 "los": dict(self.los)})
 
 
+def surface_cascade(tx_ris: np.ndarray, ris_rx: np.ndarray, phases) -> np.ndarray:
+    """One surface's term ris_rx @ diag(exp(j*phases)) @ tx_ris of the composite.
+
+    `ris_rx` (..., Nr, N) and `phases` (..., N) may carry leading stack axes.
+    """
+    if isinstance(phases, PhaseVector):
+        phases = phases.phases
+    return (ris_rx * np.exp(1j * np.asarray(phases, float))[..., None, :]) @ tx_ris
+
+
 def composite_multi(channels: RealizationChannels,
                     phase_sets: list[Optional[np.ndarray]]) -> np.ndarray:
     """Sum the cascades of all active surfaces plus the direct term.
@@ -185,26 +210,106 @@ def composite_multi(channels: RealizationChannels,
     """
     total = channels.direct.astype(complex, copy=True)
     for tx_ris, ris_rx, phases in zip(channels.tx_ris, channels.ris_rx, phase_sets):
-        if phases is None:
-            continue
-        if isinstance(phases, PhaseVector):
-            phases = phases.phases
-        total += (ris_rx * np.exp(1j * np.asarray(phases, float))) @ tx_ris
+        if phases is not None:
+            total += surface_cascade(tx_ris, ris_rx, phases)
     return total
 
 
-def realize_channels(vc: ValidatedConfig, realization: int,
-                     rx_position=None) -> RealizationChannels:
+# Receiver-side legs are placed and assembled for at most this many
+# (position, element, path) entries at a time.  The stacked steering
+# arrays take about 24 bytes per entry, so this bounds their memory
+# whatever the number of positions.
+PLACEMENT_BUDGET = 16384
+
+
+def _draw_leg(rng: np.random.Generator, near: DeviceView, far: np.ndarray,
+              vc: ValidatedConfig, force_los: bool | None,
+              geometry_from: ClusterSet | None = None) -> tuple[LinkState, ClusterSet]:
+    """LOS state and clusters of the link from device `near` to the point `far`."""
+    cfg = vc.config
+    env, f_hz = cfg.environment, cfg.frequency_hz
+    link = draw_link_state(float(np.linalg.norm(far - near.position)), f_hz, env, rng,
+                           force_los)
+    clusters = (draw_clusters(near.position, far, env, f_hz, rng, near_frame=near.frame,
+                              geometry_from=geometry_from)
+                if cfg.scatter_paths else ClusterSet.empty())
+    return link, clusters
+
+
+def _receiver_leg(rng: np.random.Generator, near: DeviceView, scene: Scene,
+                  vc: ValidatedConfig, force_los: bool | None, assemble,
+                  geometry_from: ClusterSet | None = None):
+    """Draw and assemble the leg from `near` to the receiver.
+
+    Returns the matrix and, for a single receiver position, its
+    (LinkState, ClusterSet).  For a stack of positions every variate is
+    drawn once and placed for each position, in chunks of at most
+    `PLACEMENT_BUDGET` entries.  A live LOS coin can split the stack in
+    two, since the substream branches at the coin: NLOS positions draw
+    their clusters right after it, LOS ones after the LOS draws.  Each
+    position thus sees exactly the draws it would see alone.
+    """
+    far = scene.rx.position
+    if far.ndim == 1:
+        link, clusters = _draw_leg(rng, near, far, vc, force_los, geometry_from)
+        return assemble(clusters, link, scene), (link, clusters)
+
+    cfg = vc.config
+    env, f_hz = cfg.environment, cfg.frequency_hz
+    d = np.linalg.norm(far - near.position, axis=-1)
+    if force_los is None:
+        coin = rng.uniform()
+        los = np.array([coin < los_probability(x, env) for x in d])
+    else:
+        los = np.full(len(d), force_los)
+    shared = None if geometry_from is None else geometry_from.total_paths
+    matrix = np.empty(far.shape[:-1] + (scene.rx.count, near.count), dtype=complex)
+    for branch in (False, True):
+        index = np.flatnonzero(los == branch)
+        if not len(index):
+            continue
+        # the NLOS branch reads on from the coin, ahead of the LOS draws
+        stream = copy.deepcopy(rng) if not branch and los.any() else rng
+        los_variates = draw_los_variates(stream) if branch else None
+        variates = draw_cluster_variates(env, stream, shared) if cfg.scatter_paths else None
+        paths = 0 if variates is None else len(variates.gains)
+        step = max(1, PLACEMENT_BUDGET // max(1, max(near.count, scene.rx.count) * paths))
+        for start in range(0, len(index), step):
+            sub = index[start:start + step]
+            link = (place_los(los_variates, d[sub], f_hz, env) if branch
+                    else LinkState(False, 0.0, 0.0))
+            clusters = (ClusterSet.empty() if variates is None else
+                        place_clusters(variates, near.position, far[sub], env, f_hz,
+                                       near.frame, geometry_from))
+            matrix[sub] = assemble(clusters, link, _receiver_at(scene, sub))
+    return matrix, None
+
+
+def _receiver_at(scene: Scene, index) -> Scene:
+    """The scene with its receiver stack cut down to the positions `index`."""
+    return dataclasses.replace(scene, rx=dataclasses.replace(
+        scene.rx, position=scene.rx.position[index]))
+
+
+def realize_channels(vc: ValidatedConfig, realization: int, rx_position=None,
+                     surfaces=None) -> RealizationChannels:
     """Draw one full channel realization from the config's seeded substreams.
 
     The receiver's random orientation (when enabled) is drawn once and
     shared by every link that arrives at it.  Each surface gets its own
     link substreams so scenes with different surface counts stay paired
     on the surfaces they share.
+
+    `rx_position` may be a stack of receiver positions (K, 3): every
+    position then sees the same draws, as it would alone, and the
+    receiver-side matrices carry a leading K axis.  `surfaces` lists the
+    surfaces to realize (default: all); the others get None matrices.  For
+    a stack it may instead map each surface to the positions (indices into
+    the stack, None = all) its receiver-side leg is placed at, one `ris_rx`
+    row each.
+    The `los` and `clusters` records are kept for a single position only.
     """
     cfg = vc.config
-    env = cfg.environment
-    f_hz = cfg.frequency_hz
     seed = cfg.seed
 
     rx_frame = None
@@ -212,51 +317,43 @@ def realize_channels(vc: ValidatedConfig, realization: int,
         rng = spawn_rng(seed, realization, LinkTag.RX_FRAME)
         rx_frame = azimuth_rotation_frame(rng.uniform(0.0, 2.0 * np.pi))
     scene = build_scene(vc, rx_position=rx_position, rx_frame=rx_frame)
+    tx, rx = scene.tx, scene.rx
+    los_meta, cluster_meta = {}, {}
+
+    def record(key: str, drawn) -> None:
+        if drawn is not None:
+            los_meta[key], cluster_meta[key] = drawn[0].los, drawn[1]
 
     force = True if cfg.ris_links == "los" else None
-    tx_ris, ris_rx, los_meta, cluster_meta = [], [], {}, {}
-    for k, surface in enumerate(scene.ris):
+    tx_ris, ris_rx = [None] * len(scene.ris), [None] * len(scene.ris)
+    if surfaces is None:
+        surfaces = range(len(scene.ris))
+    for k in surfaces:
+        surface = scene.ris[k]
+        index = surfaces[k] if isinstance(surfaces, dict) else None
+        leg_scene = scene if index is None else _receiver_at(scene, index)
         rng_h = spawn_rng(seed, realization, LinkTag.TX_RIS, k)
-        d1 = float(np.linalg.norm(surface.position - scene.tx.position))
-        link_h = draw_link_state(d1, f_hz, env, rng_h, force_los=force)
-        clusters_h = (draw_clusters(scene.tx.position, surface.position, env, f_hz,
-                                    rng_h, near_frame=scene.tx.frame)
-                      if cfg.scatter_paths else ClusterSet.empty())
-        tx_ris.append(assemble_link_channel("tx-ris", clusters_h, link_h, scene, k))
+        link_h, clusters_h = _draw_leg(rng_h, tx, surface.position, vc, force)
+        tx_ris[k] = assemble_link_channel("tx-ris", clusters_h, link_h, scene, k)
+        record(f"tx_ris_{k}", (link_h, clusters_h))
 
         rng_g = spawn_rng(seed, realization, LinkTag.RIS_RX, k)
-        d2 = float(np.linalg.norm(scene.rx.position - surface.position))
-        link_g = draw_link_state(d2, f_hz, env, rng_g, force_los=force)
-        if not cfg.scatter_paths:
-            clusters_g = ClusterSet.empty()
-        else:
-            clusters_g = draw_clusters(surface.position, scene.rx.position, env, f_hz,
-                                       rng_g, near_frame=surface.frame,
-                                       geometry_from=clusters_h if cfg.shared_clusters else None)
-        ris_rx.append(assemble_link_channel("ris-rx", clusters_g, link_g, scene, k))
-        los_meta[f"tx_ris_{k}"] = link_h.los
-        los_meta[f"ris_rx_{k}"] = link_g.los
-        cluster_meta[f"tx_ris_{k}"] = clusters_h
-        cluster_meta[f"ris_rx_{k}"] = clusters_g
+        ris_rx[k], drawn = _receiver_leg(
+            rng_g, surface, leg_scene, vc, force,
+            lambda clusters, link, sc, k=k: assemble_link_channel("ris-rx", clusters, link,
+                                                                  sc, k),
+            geometry_from=clusters_h if cfg.shared_clusters else None)
+        record(f"ris_rx_{k}", drawn)
 
-    nr, nt = scene.rx.count, scene.tx.count
     if cfg.direct_mode == "blocked" and not cfg.blocked_keeps_scatter:
-        direct = np.zeros((nr, nt), dtype=complex)
+        direct = np.zeros(rx.position.shape[:-1] + (rx.count, tx.count), dtype=complex)
         los_meta["direct"] = False
     else:
         rng_d = spawn_rng(seed, realization, LinkTag.DIRECT)
-        d_direct = float(np.linalg.norm(scene.rx.position - scene.tx.position))
-        if cfg.direct_mode == "blocked":
-            link_d = LinkState(False, 0.0, 0.0)
-        else:
-            force_d = True if cfg.direct_mode == "present" else None
-            link_d = draw_link_state(d_direct, f_hz, env, rng_d, force_los=force_d)
-        clusters_d = (draw_clusters(scene.tx.position, scene.rx.position, env, f_hz,
-                                    rng_d, near_frame=scene.tx.frame)
-                      if cfg.scatter_paths else ClusterSet.empty())
-        direct = assemble_direct_channel(clusters_d, link_d, scene)
-        los_meta["direct"] = link_d.los
-        cluster_meta["direct"] = clusters_d
+        force_d = {"blocked": False, "present": True}.get(cfg.direct_mode)
+        direct, drawn = _receiver_leg(rng_d, tx, scene, vc, force_d,
+                                      assemble_direct_channel)
+        record("direct", drawn)
 
     return RealizationChannels(tx_ris=tuple(tx_ris), ris_rx=tuple(ris_rx),
                                direct=direct, realization=realization, los=los_meta,

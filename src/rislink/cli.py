@@ -21,7 +21,7 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override any config key (repeatable)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker threads (results are identical for any count)")
+                        help="worker processes (results are identical for any count)")
 
 
 def _build_config(args) -> SimConfig:
@@ -72,7 +72,10 @@ def _parse_sweep(text: str | None):
             return "pt", ()
         raise ConfigError(f"--sweep expects 'pt' or 'axis=v1,v2,...', got {text!r}")
     axis, raw = text.split("=", 1)
-    values = tuple(int(v) for v in raw.split(","))
+    try:
+        values = tuple(int(v) for v in raw.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"--sweep values must be integers, got {raw!r}") from exc
     return axis.strip().lower(), values
 
 
@@ -96,7 +99,10 @@ def _cmd_coverage(args) -> int:
     vc = validate_config(_build_config(args))
     campaign = Campaign(vc, workers=args.workers)
     if args.extent:
-        parts = [float(v) for v in args.extent.split(",")]
+        try:
+            parts = [float(v) for v in args.extent.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"--extent values must be numbers, got {args.extent!r}") from exc
         if len(parts) != 4:
             raise ConfigError("--extent expects 'x_min,x_max,y_min,y_max'")
         grid = GridSpec(*parts, cell=args.cell, z=args.z)

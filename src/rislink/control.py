@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass
 
@@ -53,11 +54,12 @@ def siso_optimal_phases(h: np.ndarray, g: np.ndarray,
     """Phases that co-phase every element's cascade for a SISO link.
 
     With theta_n = -(arg h_n + arg g_n) all N terms add in phase, so the
-    combined magnitude reaches its maximum sum(|g_n| |h_n|).
+    combined magnitude reaches its maximum sum(|g_n| |h_n|).  The last axis
+    runs over the elements; leading (stack) axes broadcast.
     """
-    h = np.asarray(h).reshape(-1)
-    g = np.asarray(g).reshape(-1)
-    if h.shape != g.shape:
+    h = np.atleast_1d(np.asarray(h))
+    g = np.atleast_1d(np.asarray(g))
+    if h.shape[-1] != g.shape[-1]:
         raise DimensionMismatch(f"h and g must have equal length, got {h.shape} vs {g.shape}")
     return quantize_phases(-(np.angle(h) + np.angle(g)), bits)
 
@@ -82,15 +84,19 @@ def pinv_phases(tx_ris: np.ndarray, ris_rx: np.ndarray, direct=None,
     SISO inputs delegate to the closed-form alignment.  Numerical failure
     falls back to a random phase draw (warning) when `fallback_rng` is
     given, otherwise raises SingularPinv.
+
+    `ris_rx` may be a stack (K, Nr, N) of receiver-side legs sharing one
+    `tx_ris`, whose pseudoinverse is then taken once; the result is (K, N),
+    each row as if computed alone.
     """
     tx_ris = np.atleast_2d(np.asarray(tx_ris))
     ris_rx = np.atleast_2d(np.asarray(ris_rx))
     n, nt = tx_ris.shape
-    nr, n2 = ris_rx.shape
+    nr, n2 = ris_rx.shape[-2:]
     if n2 != n:
         raise DimensionMismatch(f"cascade mismatch: tx side is {n}-element, rx side {n2}")
     if nt == 1 and nr == 1:
-        return siso_optimal_phases(tx_ris[:, 0], ris_rx[0, :], bits)
+        return siso_optimal_phases(tx_ris[:, 0], ris_rx[..., 0, :], bits)
     if n < max(nt, nr):
         warnings.warn(f"{n} surface elements for a {nr}x{nt} link; the pseudoinverse "
                       "target is underdetermined", stacklevel=2)
@@ -103,11 +109,18 @@ def pinv_phases(tx_ris: np.ndarray, ris_rx: np.ndarray, direct=None,
         if m.shape != (nr, nt):
             raise DimensionMismatch(f"target must be {nr}x{nt}, got {m.shape}")
     try:
-        x = np.linalg.pinv(ris_rx, rcond=rcond) @ m @ np.linalg.pinv(tx_ris, rcond=rcond)
-        diag = np.diagonal(x)
-        if not np.all(np.isfinite(diag)) or not np.any(diag):
+        # only the diagonal of pinv(ris_rx) @ m @ pinv(tx_ris) is needed
+        diag = np.einsum("...ij,ji->...i", np.linalg.pinv(ris_rx, rcond=rcond) @ m,
+                         np.linalg.pinv(tx_ris, rcond=rcond))
+        if not np.all(np.isfinite(diag)) or not np.all(np.any(diag, axis=-1)):
             raise np.linalg.LinAlgError("degenerate pseudoinverse diagonal")
     except np.linalg.LinAlgError as exc:
+        if ris_rx.ndim > 2:
+            # redo the stack leg by leg, so only the failing legs fall back,
+            # each with the fallback draws it would get alone
+            return np.stack([pinv_phases(tx_ris, leg, target=target, bits=bits, rcond=rcond,
+                                         fallback_rng=copy.deepcopy(fallback_rng))
+                             for leg in ris_rx])
         warnings.warn(f"pseudoinverse phase computation failed ({exc}); "
                       "falling back to random phases", SingularPinvWarning, stacklevel=2)
         if fallback_rng is None:

@@ -67,12 +67,13 @@ def local_directions(origin: np.ndarray, points: np.ndarray,
     """Unit directions origin->points in `frame` coordinates, plus distances.
 
     `points` has shape (P, 3); returns (P, 3) unit vectors and (P,) distances.
+    Leading axes of `origin` (..., 1, 3) or `points` (..., P, 3) broadcast.
     """
     delta = np.atleast_2d(points) - np.asarray(origin, dtype=float)
     dist = np.linalg.norm(delta, axis=-1)
     if np.any(dist == 0.0):
         raise CoincidentPoints("cannot take a direction between coincident points")
-    return (delta / dist[:, None]) @ frame.T, dist
+    return (delta / dist[..., None]) @ frame.T, dist
 
 
 def geometry_relation(frm, to, frame: np.ndarray | None = None) -> AngleSet:
@@ -101,12 +102,15 @@ def steering_matrix(element_positions: np.ndarray, u_local: np.ndarray,
 
     `element_positions` is (n, 3) in meters, local coordinates;
     `u_local` is (P, 3).  Returns an (n, P) complex matrix of unit-modulus
-    entries exp(j * 2*pi/lambda * <u, r_n>).
+    entries exp(j * 2*pi/lambda * <u, r_n>); a stack of directions
+    (..., P, 3) gives a stack of matrices (..., n, P).
     """
     if element_positions.shape[-1] != 3 or u_local.shape[-1] != 3:
         raise DimensionMismatch("element positions and directions must be 3D")
-    phase = (2.0 * np.pi / wavelength) * (element_positions @ np.atleast_2d(u_local).T)
-    return np.exp(1j * phase)
+    phase = (2.0 * np.pi / wavelength) * (
+        element_positions @ np.atleast_2d(u_local).swapaxes(-1, -2))
+    response = 1j * phase
+    return np.exp(response, out=response)   # in place: one complex array, not two
 
 
 def steering_vector(spec, angles: AngleSet, wavelength: float) -> np.ndarray:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +21,11 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class LinkState:
-    """LOS component of one link: indicator, linear attenuation, carrier phase."""
+    """LOS component of one link: indicator, linear attenuation, carrier phase.
+
+    Placed for a stack of far ends (see `place_los`), `attenuation` holds one
+    value per far end; they all share the indicator and the phase.
+    """
 
     los: bool
     attenuation: float   # linear, 0 when the LOS component is absent
@@ -32,7 +37,10 @@ class ClusterSet:
     """Random clusters and their scatterers for one link.
 
     `sizes` holds the per-cluster scatterer counts; the flat per-path arrays
-    (positions, gains, attenuations) are ordered cluster by cluster.
+    (positions, gains, attenuations) are ordered cluster by cluster.  Placed
+    for a stack of K far ends, `centers`, `positions` and `attenuations` gain
+    a leading K axis (`positions` keeps (P, 3) when the geometry is shared
+    from another link); `sizes` and `gains` never depend on the far end.
     """
 
     sizes: np.ndarray        # (C,) int
@@ -47,13 +55,31 @@ class ClusterSet:
 
     @property
     def total_paths(self) -> int:
-        return len(self.positions)
+        return len(self.gains)
 
     @classmethod
     def empty(cls) -> "ClusterSet":
         return cls(sizes=np.zeros(0, dtype=int), centers=np.zeros((0, 3)),
                    positions=np.zeros((0, 3)), gains=np.zeros(0, dtype=complex),
                    attenuations=np.zeros(0))
+
+
+class ClusterVariates(NamedTuple):
+    """The draws of one link's clusters that do not depend on its far end.
+
+    The geometry fields are None when the geometry is shared from another
+    link (only gains and shadowing are drawn then).
+    """
+
+    sizes: np.ndarray | None    # (C,) scatterers per cluster
+    cluster: np.ndarray | None  # (P,) cluster index of each path
+    azimuth: np.ndarray | None  # (C,) cluster departure angles, local frame
+    elevation: np.ndarray | None
+    radial: np.ndarray | None   # (C,) uniforms on [0, 1) scaling [1, link length]
+    d_az: np.ndarray | None     # (P,) per-scatterer angle offsets
+    d_el: np.ndarray | None
+    gains: np.ndarray           # (P,) complex path gains ~ CN(0, 1)
+    shadow: np.ndarray          # (P,) standard normals of the path shadowing
 
 
 def los_probability(d: float, env: Environment) -> float:
@@ -85,18 +111,23 @@ def path_loss(d, f_hz: float, env: Environment, los: bool,
     clamped with a warning.  Returned values are capped at 1 (a passive
     channel never amplifies).
     """
+    return shadowed_attenuation(d, f_hz, env, los, rng.standard_normal(np.shape(d)))
+
+
+def shadowed_attenuation(d, f_hz: float, env: Environment, los: bool, shadow):
+    """`path_loss` with its standard-normal shadowing draws given (broadcast against d)."""
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise NonPositiveDistance("path length must be > 0")
     if np.any(d < 1.0):
         warnings.warn("path length below 1 m clamped to the model validity floor",
-                      ModelValidityWarning, stacklevel=2)
+                      ModelValidityWarning, stacklevel=3)
         d = np.maximum(d, 1.0)
     table = env.pl_los if los else env.pl_nlos
     pl_db = (table.intercept_db
              + table.distance_coeff_db * np.log10(d)
              + table.frequency_coeff_db * np.log10(f_hz / 1e9))
-    pl_db = pl_db + rng.standard_normal(d.shape) * table.shadow_sigma_db
+    pl_db = pl_db + shadow * table.shadow_sigma_db
     lin = np.minimum(10.0 ** (-pl_db / 10.0), 1.0)
     return float(lin) if lin.ndim == 0 else lin
 
@@ -111,8 +142,22 @@ def draw_link_state(d: float, f_hz: float, env: Environment,
         los = force_los
     if not los:
         return LinkState(False, 0.0, 0.0)
-    attenuation = path_loss(d, f_hz, env, los=True, rng=rng)
-    return LinkState(True, float(attenuation), float(rng.uniform(0.0, TWO_PI)))
+    return place_los(draw_los_variates(rng), d, f_hz, env)
+
+
+def draw_los_variates(rng: np.random.Generator) -> tuple:
+    """The draws of a LOS component that do not depend on the link length.
+
+    They follow the LOS coin in the link's substream: the shadowing normal,
+    then the carrier phase.
+    """
+    return rng.standard_normal(()), float(rng.uniform(0.0, TWO_PI))
+
+
+def place_los(variates: tuple, d, f_hz: float, env: Environment) -> LinkState:
+    """The LOS component of `draw_los_variates` at link length(s) `d`."""
+    shadow, phase = variates
+    return LinkState(True, shadowed_attenuation(d, f_hz, env, True, shadow), phase)
 
 
 def draw_clusters(near: np.ndarray, far: np.ndarray, env: Environment,
@@ -136,6 +181,46 @@ def draw_clusters(near: np.ndarray, far: np.ndarray, env: Environment,
     (shared-cluster mode) and only gains and attenuations are redrawn for
     this link.
     """
+    variates = draw_cluster_variates(
+        env, rng, None if geometry_from is None else geometry_from.total_paths)
+    return place_clusters(variates, near, far, env, f_hz, near_frame, geometry_from)
+
+
+def draw_cluster_variates(env: Environment, rng: np.random.Generator,
+                          shared_paths: int | None = None) -> ClusterVariates:
+    """The draws of `draw_clusters` that do not depend on the link's ends.
+
+    With `shared_paths` (shared-cluster mode) only that many gains and
+    shadowing normals are drawn.
+    """
+    sizes = rep = az = el = radial = d_az = d_el = None
+    if shared_paths is None:
+        count = max(1, int(rng.poisson(env.cluster_intensity)))
+        sizes = rng.integers(env.scatterers_min, env.scatterers_max + 1, size=count)
+        az_sup = np.deg2rad(env.cluster_azimuth_deg)
+        el_sup = np.deg2rad(env.cluster_elevation_deg)
+        az = rng.uniform(-az_sup, az_sup, size=count)
+        el = rng.uniform(-el_sup, el_sup, size=count)
+        # uniform(1, hi) is 1 + (hi - 1) * random() bit for bit; keeping the
+        # unit draw lets one draw serve every link length
+        radial = rng.random(count)
+        rep = np.repeat(np.arange(count), sizes)
+        spread = np.deg2rad(env.scatter_spread_deg)
+        d_az = rng.uniform(-spread, spread, size=len(rep))
+        d_el = rng.uniform(-spread, spread, size=len(rep))
+        total = len(rep)
+    else:
+        total = shared_paths
+    gains = (rng.standard_normal(total) + 1j * rng.standard_normal(total)) / np.sqrt(2.0)
+    shadow = rng.standard_normal(total)
+    return ClusterVariates(sizes, rep, az, el, radial, d_az, d_el, gains, shadow)
+
+
+def place_clusters(variates: ClusterVariates, near, far, env: Environment, f_hz: float,
+                   near_frame: np.ndarray | None = None,
+                   geometry_from: ClusterSet | None = None) -> ClusterSet:
+    """Place drawn clusters on the link `near` -> `far`, where `far` is one
+    point (3,) or a stack of far ends (K, 3); see `draw_clusters`."""
     near = np.asarray(near, dtype=float)
     far = np.asarray(far, dtype=float)
     if geometry_from is not None:
@@ -145,30 +230,25 @@ def draw_clusters(near: np.ndarray, far: np.ndarray, env: Environment,
     else:
         if near_frame is None:
             near_frame = np.eye(3)
-        count = max(1, int(rng.poisson(env.cluster_intensity)))
-        sizes = rng.integers(env.scatterers_min, env.scatterers_max + 1, size=count)
-        link_len = float(np.linalg.norm(far - near))
+        sizes = variates.sizes
+        link_len = np.linalg.norm(far - near, axis=-1)
+        hi = np.maximum(link_len, 1.0 + 1e-9)
+        radial = 1.0 + (hi - 1.0)[..., None] * variates.radial
+        centers = near + radial[..., None] * (
+            direction_unit(variates.azimuth, variates.elevation) @ near_frame)
 
-        az_sup = np.deg2rad(env.cluster_azimuth_deg)
-        el_sup = np.deg2rad(env.cluster_elevation_deg)
-        az = rng.uniform(-az_sup, az_sup, size=count)
-        el = rng.uniform(-el_sup, el_sup, size=count)
-        radial = rng.uniform(1.0, max(link_len, 1.0 + 1e-9), size=count)
-        centers = near + radial[:, None] * (direction_unit(az, el) @ near_frame)
+        rep = variates.cluster
+        dirs = direction_unit(variates.azimuth[rep] + variates.d_az,
+                              variates.elevation[rep] + variates.d_el) @ near_frame
+        positions = near + radial[..., rep, None] * dirs
+        positions[..., 2] = np.abs(positions[..., 2])
 
-        rep = np.repeat(np.arange(count), sizes)
-        spread = np.deg2rad(env.scatter_spread_deg)
-        d_az = rng.uniform(-spread, spread, size=len(rep))
-        d_el = rng.uniform(-spread, spread, size=len(rep))
-        dirs = direction_unit(az[rep] + d_az, el[rep] + d_el) @ near_frame
-        positions = near + radial[rep, None] * dirs
-        positions[:, 2] = np.abs(positions[:, 2])
-
-    total = len(positions)
-    gains = (rng.standard_normal(total) + 1j * rng.standard_normal(total)) / np.sqrt(2.0)
-    unfolded = (np.linalg.norm(positions - near, axis=1)
-                + np.linalg.norm(far - positions, axis=1))
-    attenuations = path_loss(unfolded, f_hz, env, los=False, rng=rng) if total else np.zeros(0)
+    if len(variates.gains):
+        unfolded = (np.linalg.norm(positions - near, axis=-1)
+                    + np.linalg.norm(far[..., None, :] - positions, axis=-1))
+        attenuations = shadowed_attenuation(unfolded, f_hz, env, False, variates.shadow)
+    else:
+        attenuations = np.zeros(far.shape[:-1] + (0,))
     return ClusterSet(sizes=np.asarray(sizes, dtype=int), centers=centers,
-                      positions=positions, gains=gains,
+                      positions=positions, gains=variates.gains,
                       attenuations=np.atleast_1d(attenuations))

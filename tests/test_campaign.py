@@ -9,6 +9,7 @@ from rislink import (Campaign, GridSpec, PhaseAlgorithm, RisSpec, coverage_map,
                      default_grid, dump_channels, export_coverage, export_statistics,
                      load_channel_dump, read_csv_table, run_campaign, scene_preset,
                      validate_config)
+from rislink.campaign import COVERAGE_BLOCK
 from rislink.errors import ConfigError, EmptySweep
 
 
@@ -94,6 +95,24 @@ class TestCoverage:
         assert result.ris_index[np.argmin(np.abs(result.y - 42.5)), x_idx] == 0
         assert result.ris_index[np.argmin(np.abs(result.y - 27.5)),
                                 np.argmin(np.abs(result.x - 62.5))] == 1
+
+    @pytest.mark.parametrize("surfaces", [1, 2])
+    def test_coverage_csv_identical_across_workers(self, tmp_path, surfaces):
+        vc = quick_vc(realizations=2)
+        if surfaces == 2:
+            second = RisSpec(64, (60.0, 30.0, 2.0), plane="yz")
+            vc = validate_config(dataclasses.replace(vc.config, ris=(vc.config.ris[0], second)))
+        grid = GridSpec(0.0, 75.0, 0.0, 50.0, cell=5.0, z=1.0)
+        x, y = grid.centers()
+        # several blocks for the workers to share, the last one partial
+        assert len(x) * len(y) > 2 * COVERAGE_BLOCK
+        assert len(x) * len(y) % COVERAGE_BLOCK != 0
+        blobs = []
+        for w in (1, 2, 4):
+            path = tmp_path / f"grid_w{w}.csv"
+            export_coverage(coverage_map(Campaign(vc, workers=w), grid), path, vc.config_hash)
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1] == blobs[2]
 
     def test_default_grid_uses_footprint(self):
         grid = default_grid(quick_vc(), cell=5.0)

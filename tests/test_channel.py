@@ -97,6 +97,44 @@ class TestAssembly:
         # the transmitter-side link is untouched by the flag
         assert np.array_equal(joint.tx_ris[0], split.tx_ris[0])
 
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"ris_links": "auto", "direct_mode": "auto"},
+        {"ris_links": "auto", "direct_mode": "present", "shared_clusters": True},
+        {"direct_mode": "blocked", "blocked_keeps_scatter": True, "scatter_paths": False},
+    ])
+    def test_stacked_positions_match_each_position_alone(self, overrides):
+        cfg = dataclasses.replace(scene_preset("indoor"), realizations=1, **overrides)
+        vc = validate_config(cfg)
+        positions = np.array([(x, y, 1.0) for x in (36.0, 41.0, 55.0, 70.0)
+                              for y in (5.0, 30.0, 46.0)])
+        los_mixed = False
+        for r in range(6):
+            stacked = realize_channels(vc, r, rx_position=positions)
+            alone = [realize_channels(vc, r, rx_position=pos) for pos in positions]
+            assert np.array_equal(stacked.tx_ris[0], alone[0].tx_ris[0])
+            for i, single in enumerate(alone):
+                np.testing.assert_allclose(stacked.ris_rx[0][i], single.ris_rx[0],
+                                           rtol=1e-12, atol=1e-300)
+                np.testing.assert_allclose(stacked.direct[i], single.direct,
+                                           rtol=1e-12, atol=1e-300)
+            los_mixed |= len({single.los["ris_rx_0"] for single in alone}) == 2
+        # with a live LOS coin, some realization splits the stack
+        assert los_mixed == (cfg.ris_links == "auto")
+
+    def test_surface_subset_places_legs_at_given_positions(self):
+        second = RisSpec(64, (60.0, 30.0, 2.0), plane="yz")
+        base = dataclasses.replace(scene_preset("indoor"), realizations=1)
+        vc = validate_config(dataclasses.replace(base, ris=(base.ris[0], second)))
+        positions = np.array([(40.0, 40.0, 1.0), (65.0, 30.0, 1.0), (45.0, 45.0, 1.0)])
+        full = realize_channels(vc, 2, rx_position=positions)
+        part = realize_channels(vc, 2, rx_position=positions,
+                                surfaces={1: np.array([1])})
+        assert part.tx_ris[0] is None and part.ris_rx[0] is None
+        assert part.ris_rx[1].shape == (1, 4, 64)
+        assert np.array_equal(part.ris_rx[1][0], full.ris_rx[1][1])
+        assert np.array_equal(part.tx_ris[1], full.tx_ris[1])
+
     def test_realization_order_independent(self):
         vc = validate_config(dataclasses.replace(scene_preset("indoor"), realizations=4))
         forward = [realize_channels(vc, r).tx_ris[0] for r in range(4)]

@@ -113,6 +113,28 @@ class TestPinvPhases:
             with pytest.raises(SingularPinv):
                 pinv_phases(dead_h, dead_g)
 
+    def test_stacked_legs_match_each_leg_alone(self):
+        rng = np.random.default_rng(6)
+        h = random_channel(rng, (16, 4))
+        legs = random_channel(rng, (5, 4, 16))
+        stacked = pinv_phases(h, legs, bits=3)
+        assert stacked.shape == (5, 16)
+        for leg, row in zip(legs, stacked):
+            np.testing.assert_allclose(row, pinv_phases(h, leg, bits=3), rtol=0, atol=1e-12)
+
+    def test_stacked_fallback_hits_only_the_degenerate_leg(self):
+        rng = np.random.default_rng(7)
+        h = random_channel(rng, (8, 2))
+        legs = random_channel(rng, (3, 2, 8))
+        legs[1] = 0.0
+        with pytest.warns(SingularPinvWarning):
+            stacked = pinv_phases(h, legs, fallback_rng=spawn_rng(0, 0, 4))
+        assert np.array_equal(stacked[0], pinv_phases(h, legs[0]))
+        assert np.array_equal(stacked[2], pinv_phases(h, legs[2]))
+        with pytest.warns(SingularPinvWarning):
+            assert np.array_equal(stacked[1],
+                                  pinv_phases(h, legs[1], fallback_rng=spawn_rng(0, 0, 4)))
+
     def test_warns_when_surface_smaller_than_arrays(self):
         rng = np.random.default_rng(4)
         h, g = random_channel(rng, (2, 4)), random_channel(rng, (4, 2))

@@ -9,6 +9,7 @@ import pytest
 from rislink import ENVIRONMENTS, LinkTag, draw_clusters, draw_link_state, los_probability, path_loss, spawn_rng
 from rislink.config import PathLossTable
 from rislink.errors import ModelValidityWarning, NonPositiveDistance
+from rislink.propagation import draw_cluster_variates, place_clusters
 
 INH = ENVIRONMENTS["inh"]
 UMI = ENVIRONMENTS["umi"]
@@ -166,3 +167,18 @@ class TestClusters:
             for i in range(400)])
         assert abs(gains.mean()) < 0.02
         assert np.mean(np.abs(gains) ** 2) == pytest.approx(1.0, rel=0.05)
+
+    def test_one_draw_placed_at_many_far_ends(self):
+        near = np.array([40.0, 50.0, 2.0])
+        far = np.array([[45.0, 45.0, 1.0], [40.3, 49.6, 2.0], [10.0, 5.0, 1.5]])
+        variates = draw_cluster_variates(INH, spawn_rng(3, 1, 1))
+        placed = place_clusters(variates, near, far, INH, 28e9)
+        assert placed.positions.shape == (3, placed.total_paths, 3)
+        assert placed.attenuations.shape == (3, placed.total_paths)
+        for i, end in enumerate(far):
+            alone = draw_clusters(near, end, INH, 28e9, spawn_rng(3, 1, 1))
+            assert np.array_equal(placed.sizes, alone.sizes)
+            assert np.array_equal(placed.gains, alone.gains)
+            assert np.array_equal(placed.positions[i], alone.positions)
+            np.testing.assert_allclose(placed.attenuations[i], alone.attenuations,
+                                       rtol=1e-12, atol=0)
