@@ -5,11 +5,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from pathlib import Path
 
 from .campaign import (Campaign, GridSpec, coverage_map, default_grid, dump_channels,
                        export_coverage, export_statistics, run_campaign)
-from .config import (SimConfig, config_from_mapping, load_config,
-                     serialize_config, validate_config)
+from .config import SimConfig, parse_config_text, serialize_config, validate_config
 from .errors import ConfigError
 from .presets import SCENE_PRESETS, scene_preset
 
@@ -29,25 +29,14 @@ def _build_config(args) -> SimConfig:
         raise ConfigError("give either a config file or --preset, not both")
     if args.config:
         try:
-            cfg = load_config(args.config)
+            text = Path(args.config).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
     elif args.preset:
-        cfg = scene_preset(args.preset)
+        text = serialize_config(scene_preset(args.preset))
     else:
         raise ConfigError("a config file or --preset is required")
-    if args.overrides:
-        kv = {}
-        for line in serialize_config(cfg).splitlines():
-            key, value = line.split("=", 1)
-            kv[key.strip()] = value.strip()
-        for item in args.overrides:
-            if "=" not in item:
-                raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-            key, value = item.split("=", 1)
-            kv[key.strip().lower().replace("-", "_")] = value.strip()
-        cfg = config_from_mapping(kv)
-    return cfg
+    return parse_config_text(text, args.overrides)
 
 
 def _cmd_validate(args) -> int:

@@ -5,23 +5,9 @@ All external inputs (config files, CLI flags) are in engineering units
 linear watts.  `validate_config` is the single place where derived
 quantities are produced and invariants enforced.
 
-Config files are flat ``key = value`` text, one scenario per file.  Lists
-use commas, multi-RIS entries are separated by ``;``::
-
-    environment = inh
-    frequency_ghz = 28
-    tx_position = 0, 25, 2
-    rx_position = 45, 45, 1
-    ris_position = 40, 50, 2 ; 60, 30, 2
-    ris_plane = xz ; yz
-    n_elements = 64
-    nt = 4
-    nr = 4
-    pt_dbm = 20, 30, 40
-    realizations = 500
-    seed = 7
-
-See the README for the full key reference.
+Config files are flat ``key = value`` text, one scenario per file: lists
+use commas and per-surface entries are separated by ``;``.  The key table
+(`_KEYS`) is the single definition of the keys; the README documents them.
 """
 
 from __future__ import annotations
@@ -29,9 +15,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -231,14 +220,6 @@ class ValidatedConfig:
     config_hash: str
 
 
-_DIRECT_MODES = ("auto", "blocked", "present")
-_RIS_LINK_MODES = ("auto", "los")
-_RX_ORIENTATIONS = ("random-azimuth", "fixed")
-_ALGORITHMS = ("pinv", "siso", "random", "zero")
-_IDLE_MODES = ("absent", "random")
-_LOS_MODELS = ("inh", "umi", "always", "never")
-
-
 def _check_point(name: str, p: tuple[float, float, float]) -> None:
     if len(p) != 3 or not all(math.isfinite(v) for v in p):
         raise ConfigError(f"{name} must be three finite coordinates, got {p!r}")
@@ -246,18 +227,30 @@ def _check_point(name: str, p: tuple[float, float, float]) -> None:
         raise ConfigError(f"{name} must be above the ground plane (z >= 0), got z={p[2]}")
 
 
-def _check_environment(env: Environment) -> None:
+def _check_environment(cfg: SimConfig) -> None:
+    env = cfg.environment
     if env.cluster_intensity <= 0:
-        raise ConfigError("cluster_intensity must be > 0")
+        raise ConfigError("the cluster intensity must be > 0")
     if env.scatterers_min < 1 or env.scatterers_max < env.scatterers_min:
         raise ConfigError("scatterer count range must satisfy 1 <= min <= max")
-    if env.los_model not in _LOS_MODELS:
-        raise UnknownEnvironment(f"unknown los_model {env.los_model!r}")
-    for tag, table in (("pl_los", env.pl_los), ("pl_nlos", env.pl_nlos)):
-        if table.shadow_sigma_db < 0:
-            raise ConfigError(f"{tag}: shadow sigma must be >= 0")
-        if table.distance_coeff_db <= 0:
-            raise ConfigError(f"{tag}: distance coefficient must be > 0")
+    for key in _KEYS:
+        if key.kind is _PATH_LOSS:
+            table = _read(cfg, key.fields[0])
+            if table.shadow_sigma_db < 0:
+                raise ConfigError(f"{key.name}: shadow sigma must be >= 0")
+            if table.distance_coeff_db <= 0:
+                raise ConfigError(f"{key.name}: distance coefficient must be > 0")
+
+
+def _check_choices(cfg: SimConfig) -> None:
+    for key in _KEYS:
+        if not key.choices:
+            continue
+        for field in key.fields:
+            value = _read(cfg, field)
+            for item in value if key.kind.each else (value,):
+                if item not in key.choices:
+                    raise ConfigError(f"{key.name} must be one of {key.choices}, got {item!r}")
 
 
 def _resolve_facing(ris: RisSpec, tx_position: tuple[float, float, float]) -> RisSpec:
@@ -272,29 +265,30 @@ def validate_config(cfg: SimConfig | ValidatedConfig) -> ValidatedConfig:
     """Check all invariants and return the config with derived quantities.
 
     Re-validating a ValidatedConfig is idempotent.  Raises subclasses of
-    ConfigError on violations; near-field geometry warns unless
-    `strict_near_field` is set.
+    ConfigError on violations, including any number in the config that is
+    not finite; near-field geometry warns unless `strict_near_field` is set.
     """
     if isinstance(cfg, ValidatedConfig):
         cfg = cfg.config
     if not isinstance(cfg.environment, Environment):
         raise UnknownEnvironment(f"environment must be an Environment, got {cfg.environment!r}")
-    _check_environment(cfg.environment)
+    _check_choices(cfg)
+    _check_environment(cfg)
 
     if cfg.frequency_hz <= 0:
         raise ConfigError("frequency must be positive")
     if cfg.realizations < 1:
-        raise NonPositiveCount("realizations must be >= 1")
+        raise NonPositiveCount("the realization count must be >= 1")
+    if cfg.seed < 0:
+        raise ConfigError(f"the seed must be >= 0, got {cfg.seed}")
     if len(cfg.pt_dbm) == 0:
-        raise EmptySweep("pt_dbm sweep list is empty")
+        raise EmptySweep("the transmit power sweep list is empty")
 
     for name, spec in (("tx", cfg.tx), ("rx", cfg.rx)):
         if spec.count < 1:
             raise NonPositiveCount(f"{name} antenna count must be >= 1")
         if spec.spacing_wl <= 0:
             raise ConfigError(f"{name} element spacing must be > 0")
-        if spec.layout not in ("ula", "upa"):
-            raise ConfigError(f"{name} layout must be 'ula' or 'upa', got {spec.layout!r}")
         if spec.orientation != "global" and (len(spec.orientation) != 3
                                              or spec.orientation[:2] not in ("xz", "yz")
                                              or spec.orientation[2] not in "+-"):
@@ -303,18 +297,8 @@ def validate_config(cfg: SimConfig | ValidatedConfig) -> ValidatedConfig:
 
     if len(cfg.ris) == 0 and cfg.direct_mode == "blocked":
         raise ConfigError("a scene with no RIS cannot also block the direct path")
-
-    for mode, allowed, key in ((cfg.direct_mode, _DIRECT_MODES, "direct_path"),
-                               (cfg.ris_links, _RIS_LINK_MODES, "ris_links"),
-                               (cfg.rx_orientation, _RX_ORIENTATIONS, "rx_orientation"),
-                               (cfg.algorithm, _ALGORITHMS, "algorithm"),
-                               (cfg.idle_ris, _IDLE_MODES, "idle_ris")):
-        if mode not in allowed:
-            raise ConfigError(f"{key} must be one of {allowed}, got {mode!r}")
     if cfg.phase_bits is not None and cfg.phase_bits < 1:
-        raise ConfigError("phase_bits must be >= 1 when set")
-
-    wavelength = SPEED_OF_LIGHT / cfg.frequency_hz
+        raise ConfigError("the phase bit count must be >= 1 when set")
 
     resolved = []
     for i, ris in enumerate(cfg.ris):
@@ -322,14 +306,19 @@ def validate_config(cfg: SimConfig | ValidatedConfig) -> ValidatedConfig:
             raise NonPositiveCount(f"ris[{i}] element count must be >= 1")
         if ris.spacing_wl <= 0 or ris.gain_exponent < 0:
             raise ConfigError(f"ris[{i}] needs spacing > 0 and gain exponent >= 0")
-        if ris.plane not in ("xz", "yz"):
-            raise ConfigError(f"ris[{i}] mounting plane must be 'xz' or 'yz'")
         if ris.shape is not None and ris.shape[0] * ris.shape[1] != ris.count:
             raise ConfigError(f"ris[{i}] grid shape {ris.shape} does not hold {ris.count} elements")
         _check_point(f"ris[{i}] position", ris.position)
-        ris = _resolve_facing(ris, cfg.tx.position)
-        resolved.append(ris)
+        resolved.append(_resolve_facing(ris, cfg.tx.position))
+    cfg = dataclasses.replace(cfg, ris=tuple(resolved))
 
+    leaves = _leaves(cfg)
+    for path, value in leaves:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{path} must be finite, got {value!r}")
+
+    wavelength = SPEED_OF_LIGHT / cfg.frequency_hz
+    for i, ris in enumerate(cfg.ris):
         fraunhofer = 2.0 * ris.aperture_diagonal(wavelength) ** 2 / wavelength
         for term, pos in (("tx", cfg.tx.position), ("rx", cfg.rx.position)):
             dist = math.dist(pos, ris.position)
@@ -340,203 +329,236 @@ def validate_config(cfg: SimConfig | ValidatedConfig) -> ValidatedConfig:
                     raise NearFieldViolation(msg)
                 warnings.warn(msg, NearFieldWarning, stacklevel=2)
 
-    cfg = dataclasses.replace(cfg, ris=tuple(resolved))
     return ValidatedConfig(
         config=cfg,
         wavelength=wavelength,
         pt_watts=tuple(dbm_to_watts(p) for p in cfg.pt_dbm),
         noise_watts=dbm_to_watts(cfg.noise_dbm),
-        config_hash=config_hash(cfg),
+        config_hash=_digest(leaves),
     )
 
 
 # ---------------------------------------------------------------------------
-# Config file parsing / serialization
+# Config file keys: one table drives parsing, serialization and overrides
 # ---------------------------------------------------------------------------
 
-_KNOWN_KEYS = {
-    "environment", "frequency_ghz", "frequency_hz",
-    "tx_position", "rx_position", "tx_array", "rx_array", "nt", "nr",
-    "element_spacing",
-    "ris_position", "ris_plane", "ris_facing", "n_elements", "ris_shape",
-    "ris_spacing", "ris_gain_exponent",
-    "pt_dbm", "noise_dbm", "realizations", "seed",
-    "direct_path", "blocked_keeps_scatter", "ris_links", "shared_clusters",
-    "scatter_paths", "rx_orientation", "algorithm", "phase_bits", "idle_ris",
-    "strict_near_field",
-    "cluster_intensity", "scatterers_min", "scatterers_max", "los_model",
-    "pl_los", "pl_nlos", "cluster_azimuth_deg", "cluster_elevation_deg",
-    "scatter_spread_deg", "footprint",
-}
+def _fmt(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ", ".join(_fmt(v) for v in value)
+    return str(value)
 
 
-def _parse_scalar(text: str):
-    text = text.strip()
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    if low == "none":
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        pass
+class _Kind(NamedTuple):
+    """How a key's value reads from and writes to config text."""
+
+    parse: Callable[[str], Any]
+    fmt: Callable[[Any], str] = _fmt
+    each: bool = False       # one value per surface, `;`-separated
+
+
+def _word(text: str) -> str:
+    return text.strip().lower()
+
+
+def _number(text: str) -> float:
     try:
         return float(text)
     except ValueError:
-        return text
+        raise ConfigError(f"expected a number, got {text!r}") from None
 
 
-def _parse_bool(text: str, key: str) -> bool:
-    value = _parse_scalar(text)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {text!r}")
-    return value
+def _whole(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        value = _number(text)
+    if not value.is_integer():
+        raise ConfigError(f"expected a whole number, got {text!r}")
+    return int(value)
 
 
-def _parse_list(text: str) -> list:
-    return [_parse_scalar(part) for part in text.split(",")]
+def _numbers(text: str, count: int | None = None, parse=_number) -> tuple:
+    values = tuple(parse(part) for part in text.split(","))
+    if count is not None and len(values) != count:
+        raise ConfigError(f"expected {count} comma-separated values, got {text!r}")
+    return values
 
 
-def _parse_point(text: str, key: str) -> tuple[float, float, float]:
-    vals = _parse_list(text)
-    if len(vals) != 3 or not all(isinstance(v, (int, float)) for v in vals):
-        raise ConfigError(f"{key} must be 'x, y, z', got {text!r}")
-    return tuple(float(v) for v in vals)
+def _bool(text: str) -> bool:
+    if _word(text) not in ("true", "false"):
+        raise ConfigError(f"expected true or false, got {text!r}")
+    return _word(text) == "true"
 
 
-def parse_config_text(text: str) -> SimConfig:
-    """Parse the flat key = value scenario format into a SimConfig."""
+def _environment(text: str) -> Environment:
+    name = _word(text)
+    if name not in ENVIRONMENTS:
+        raise UnknownEnvironment(
+            f"unknown environment {name!r}; available: {sorted(ENVIRONMENTS)}")
+    return ENVIRONMENTS[name]
+
+
+def _optional(kind: _Kind, token: str) -> _Kind:
+    """`kind`, or None spelled as `token`."""
+    return _Kind(lambda text: None if _word(text) == token else kind.parse(text),
+                 lambda value: token if value is None else kind.fmt(value))
+
+
+def _each(kind: _Kind, none: str = "") -> _Kind:
+    """One `kind` value per surface, `;`-separated; `none` spells no surface."""
+    def parse(text: str) -> list:
+        parts = [] if _word(text) == none else text.split(";")
+        return [kind.parse(part) for part in parts if part.strip()]
+    return _Kind(parse, lambda values: " ; ".join(kind.fmt(v) for v in values), each=True)
+
+
+_FLOAT = _Kind(_number)
+_COUNT = _Kind(_whole)
+_WORD = _Kind(_word)
+_BOOL = _Kind(_bool)
+_POINT = _Kind(lambda text: _numbers(text, 3))
+_PATH_LOSS = _Kind(lambda text: PathLossTable(*_numbers(text, 4)),
+                   lambda table: _fmt(dataclasses.astuple(table)))
+_SHAPE = _Kind(lambda text: _numbers(text.replace("x", ","), 2, _whole))
+
+
+class _Key(NamedTuple):
+    """A config file key: the text used when it is absent (None keeps the
+    environment's value; a callable derives it from earlier keys' texts),
+    the dotted SimConfig fields it sets (under `ris`, for every surface) and
+    the values `validate_config` accepts.  When keys share a field the later
+    one wins on parsing and is the one written out."""
+
+    name: str
+    default: str | Callable[[dict[str, str]], str] | None
+    kind: _Kind
+    fields: tuple[str, ...]
+    choices: tuple = ()
+
+
+_KEYS = (
+    _Key("environment", "inh", _Kind(_environment, lambda env: env.name), ("environment",)),
+    _Key("cluster_intensity", None, _FLOAT, ("environment.cluster_intensity",)),
+    _Key("scatterers_min", None, _COUNT, ("environment.scatterers_min",)),
+    _Key("scatterers_max", None, _COUNT, ("environment.scatterers_max",)),
+    _Key("los_model", None, _WORD, ("environment.los_model",), ("inh", "umi", "always", "never")),
+    _Key("pl_los", None, _PATH_LOSS, ("environment.pl_los",)),
+    _Key("pl_nlos", None, _PATH_LOSS, ("environment.pl_nlos",)),
+    _Key("cluster_azimuth_deg", None, _FLOAT, ("environment.cluster_azimuth_deg",)),
+    _Key("cluster_elevation_deg", None, _FLOAT, ("environment.cluster_elevation_deg",)),
+    _Key("scatter_spread_deg", None, _FLOAT, ("environment.scatter_spread_deg",)),
+    _Key("footprint", None, _optional(_Kind(lambda text: _numbers(text, 2)), "none"),
+         ("environment.footprint",)),
+    _Key("frequency_ghz", "28", _Kind(lambda text: _number(text) * 1e9), ("frequency_hz",)),
+    _Key("frequency_hz", None, _FLOAT, ("frequency_hz",)),
+    _Key("tx_position", "0, 25, 2", _POINT, ("tx.position",)),
+    _Key("rx_position", "45, 45, 1", _POINT, ("rx.position",)),
+    _Key("tx_array", "upa", _WORD, ("tx.layout",), ("ula", "upa")),
+    _Key("rx_array", "upa", _WORD, ("rx.layout",), ("ula", "upa")),
+    _Key("nt", "4", _COUNT, ("tx.count",)),
+    _Key("nr", "4", _COUNT, ("rx.count",)),
+    _Key("element_spacing", "0.5", _FLOAT, ("tx.spacing_wl", "rx.spacing_wl")),
+    _Key("ris_position", "40, 50, 2", _each(_POINT, none="none"), ("ris.position",)),
+    _Key("ris_plane", "xz", _each(_WORD), ("ris.plane",), ("xz", "yz")),
+    _Key("ris_facing", "auto", _each(_optional(_COUNT, "auto")), ("ris.facing",), (None, 1, -1)),
+    _Key("n_elements", "64", _each(_COUNT), ("ris.count",)),
+    _Key("ris_shape", "auto", _each(_optional(_SHAPE, "auto")), ("ris.shape",)),
+    _Key("ris_spacing", lambda kv: kv["element_spacing"], _each(_FLOAT), ("ris.spacing_wl",)),
+    _Key("ris_gain_exponent", "0.285", _each(_FLOAT), ("ris.gain_exponent",)),
+    _Key("pt_dbm", "40", _Kind(_numbers), ("pt_dbm",)),
+    _Key("noise_dbm", "-100", _FLOAT, ("noise_dbm",)),
+    _Key("realizations", "500", _COUNT, ("realizations",)),
+    _Key("seed", "1", _COUNT, ("seed",)),
+    _Key("direct_path", "auto", _WORD, ("direct_mode",), ("auto", "blocked", "present")),
+    _Key("blocked_keeps_scatter", "false", _BOOL, ("blocked_keeps_scatter",)),
+    _Key("ris_links", "auto", _WORD, ("ris_links",), ("auto", "los")),
+    _Key("shared_clusters", "false", _BOOL, ("shared_clusters",)),
+    _Key("scatter_paths", "true", _BOOL, ("scatter_paths",)),
+    _Key("rx_orientation", "random-azimuth", _WORD, ("rx_orientation",),
+         ("random-azimuth", "fixed")),
+    _Key("algorithm", "pinv", _WORD, ("algorithm",), ("pinv", "siso", "random", "zero")),
+    _Key("phase_bits", "none", _optional(_COUNT, "none"), ("phase_bits",)),
+    _Key("idle_ris", "absent", _WORD, ("idle_ris",), ("absent", "random")),
+    _Key("strict_near_field", "false", _BOOL, ("strict_near_field",)),
+)
+_KEY_BY_NAME = {key.name: key for key in _KEYS}
+_WRITER = {field: key for key in _KEYS for field in key.fields}   # the last key per field
+
+
+def _read(cfg: SimConfig, field: str):
+    """The value at a dotted field path; a field of `ris` reads every surface."""
+    head, _, attr = field.partition(".")
+    value = getattr(cfg, head)
+    if not attr:
+        return value
+    return [getattr(v, attr) for v in value] if isinstance(value, tuple) else getattr(value, attr)
+
+
+def _key_value(line: str, where: str) -> tuple[str, str]:
+    if "=" not in line:
+        raise ConfigError(f"{where}: expected 'key = value', got {line!r}")
+    key, value = line.split("=", 1)
+    key = key.strip().lower().replace("-", "_")
+    if key not in _KEY_BY_NAME:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    return key, value.strip()
+
+
+def parse_config_text(text: str, overrides: Iterable[str] = ()) -> SimConfig:
+    """Parse the flat key = value scenario format into a SimConfig.
+
+    A key may appear once.  Each `key=value` item of `overrides` then
+    replaces every line that sets the same fields, as if the text had been
+    edited: derived defaults follow, and either frequency spelling replaces
+    the other.
+    """
     kv: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        key = key.strip().lower().replace("-", "_")
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        kv[key] = value.strip()
+        if line:
+            key, value = _key_value(line, f"line {lineno}")
+            if key in kv:
+                raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            kv[key] = value
+    for item in overrides:
+        key, value = _key_value(item, f"override {item!r}")
+        fields = set(_KEY_BY_NAME[key].fields)
+        kv = {k: v for k, v in kv.items() if fields.isdisjoint(_KEY_BY_NAME[k].fields)}
+        kv[key] = value
     return config_from_mapping(kv)
 
 
 def config_from_mapping(kv: dict[str, str]) -> SimConfig:
-    """Build a SimConfig from raw string key/values (file or CLI overrides)."""
-    kv = dict(kv)
-
-    def pop(key: str, default=None):
-        return kv.pop(key, default)
-
-    env_name = str(pop("environment", "inh")).lower()
-    if env_name not in ENVIRONMENTS:
-        raise UnknownEnvironment(
-            f"unknown environment {env_name!r}; available: {sorted(ENVIRONMENTS)}")
-    env = ENVIRONMENTS[env_name]
-
-    env_over = {}
-    for key in ("cluster_intensity", "scatterers_min", "scatterers_max",
-                "cluster_azimuth_deg", "cluster_elevation_deg", "scatter_spread_deg"):
-        if (raw := pop(key)) is not None:
-            env_over[key] = _parse_scalar(raw)
-    if (raw := pop("los_model")) is not None:
-        env_over["los_model"] = str(raw).lower()
-    for key in ("pl_los", "pl_nlos"):
-        if (raw := pop(key)) is not None:
-            vals = _parse_list(raw)
-            if len(vals) != 4:
-                raise ConfigError(f"{key} must be 'A, B, C_f, sigma', got {raw!r}")
-            env_over[key] = PathLossTable(*(float(v) for v in vals))
-    if (raw := pop("footprint")) is not None:
-        if raw.strip().lower() == "none":
-            env_over["footprint"] = None
-        else:
-            vals = _parse_list(raw)
-            if len(vals) != 2:
-                raise ConfigError(f"footprint must be 'x_extent, y_extent', got {raw!r}")
-            env_over["footprint"] = (float(vals[0]), float(vals[1]))
-    if env_over:
-        env = dataclasses.replace(env, **env_over)
-
-    if (raw := pop("frequency_hz")) is not None:
-        frequency = float(_parse_scalar(raw))
-    else:
-        frequency = float(_parse_scalar(pop("frequency_ghz", "28"))) * 1e9
-
-    spacing = float(_parse_scalar(pop("element_spacing", "0.5")))
-    tx = ArraySpec(layout=str(pop("tx_array", "upa")).lower(),
-                   count=int(_parse_scalar(pop("nt", "4"))),
-                   position=_parse_point(pop("tx_position", "0, 25, 2"), "tx_position"),
-                   spacing_wl=spacing)
-    rx = ArraySpec(layout=str(pop("rx_array", "upa")).lower(),
-                   count=int(_parse_scalar(pop("nr", "4"))),
-                   position=_parse_point(pop("rx_position", "45, 45, 1"), "rx_position"),
-                   spacing_wl=spacing)
-
-    raw_ris = str(pop("ris_position", "40, 50, 2"))
-    if raw_ris.strip().lower() == "none":
-        raw_ris = ""
-    ris_positions = [p.strip() for p in raw_ris.split(";") if p.strip()]
-
-    def per_ris(key: str, default: str) -> list[str]:
-        parts = [p.strip() for p in str(pop(key, default)).split(";") if p.strip()]
-        if len(parts) == 1:
-            parts = parts * len(ris_positions)
-        if len(parts) != len(ris_positions):
-            raise ConfigError(f"{key} lists {len(parts)} entries for {len(ris_positions)} surfaces")
-        return parts
-
-    planes = per_ris("ris_plane", "xz")
-    facings = per_ris("ris_facing", "auto")
-    counts = per_ris("n_elements", "64")
-    shapes = per_ris("ris_shape", "auto")
-    ris_spacing = float(_parse_scalar(pop("ris_spacing", repr(spacing))))
-    q = float(_parse_scalar(pop("ris_gain_exponent", "0.285")))
-    ris = []
-    for pos, plane, facing, count, shape in zip(ris_positions, planes, facings, counts, shapes):
-        facing_val = None if facing.lower() == "auto" else int(_parse_scalar(facing))
-        if facing_val not in (None, 1, -1):
-            raise ConfigError(f"ris_facing must be auto, 1 or -1, got {facing!r}")
-        shape_val = None
-        if shape.lower() != "auto":
-            dims = _parse_list(shape.replace("x", ","))
-            if len(dims) != 2:
-                raise ConfigError(f"ris_shape must be 'rows x cols' or auto, got {shape!r}")
-            shape_val = (int(dims[0]), int(dims[1]))
-        ris.append(RisSpec(count=int(_parse_scalar(count)),
-                           position=_parse_point(pos, "ris_position"),
-                           plane=plane.lower(), facing=facing_val,
-                           gain_exponent=q, spacing_wl=ris_spacing, shape=shape_val))
-
-    raw_pt = pop("pt_dbm", "40")
-    pt = tuple(float(v) for v in _parse_list(raw_pt))
-    bits_raw = _parse_scalar(pop("phase_bits", "none"))
-
-    cfg = SimConfig(
-        environment=env,
-        frequency_hz=frequency,
-        tx=tx, rx=rx, ris=tuple(ris),
-        pt_dbm=pt,
-        noise_dbm=float(_parse_scalar(pop("noise_dbm", "-100"))),
-        realizations=int(_parse_scalar(pop("realizations", "500"))),
-        seed=int(_parse_scalar(pop("seed", "1"))),
-        direct_mode=str(pop("direct_path", "auto")).lower(),
-        blocked_keeps_scatter=_parse_bool(pop("blocked_keeps_scatter", "false"),
-                                          "blocked_keeps_scatter"),
-        ris_links=str(pop("ris_links", "auto")).lower(),
-        shared_clusters=_parse_bool(pop("shared_clusters", "false"), "shared_clusters"),
-        scatter_paths=_parse_bool(pop("scatter_paths", "true"), "scatter_paths"),
-        rx_orientation=str(pop("rx_orientation", "random-azimuth")).lower(),
-        algorithm=str(pop("algorithm", "pinv")).lower(),
-        phase_bits=None if bits_raw is None else int(bits_raw),
-        idle_ris=str(pop("idle_ris", "absent")).lower(),
-        strict_near_field=_parse_bool(pop("strict_near_field", "false"),
-                                      "strict_near_field"),
-    )
-    if kv:
-        raise ConfigError(f"unrecognized keys: {sorted(kv)}")
-    return cfg
+    """Build a SimConfig from raw string key/values, defaults for the rest."""
+    if unknown := kv.keys() - _KEY_BY_NAME.keys():
+        raise ConfigError(f"unrecognized keys: {sorted(unknown)}")
+    kv = dict(kv)   # completed with each key's default text as it is read
+    top: dict[str, Any] = {}
+    nested: dict[str, dict[str, Any]] = {}
+    surfaces = None
+    for key in _KEYS:
+        default = key.default(kv) if callable(key.default) else key.default
+        if (text := kv.setdefault(key.name, default)) is None:
+            continue
+        try:
+            value = key.kind.parse(text)
+        except ConfigError as exc:
+            raise type(exc)(f"{key.name}: {exc}") from None
+        if key.kind.each:
+            surfaces = len(value) if surfaces is None else surfaces
+            if len(value) not in (1, surfaces):
+                raise ConfigError(f"{key.name} lists {len(value)} entries for {surfaces} surfaces")
+            value = value * surfaces if len(value) == 1 else value
+        for field in key.fields:
+            head, _, attr = field.partition(".")
+            (nested.setdefault(head, {}) if attr else top)[attr or head] = value
+    ris = nested.pop("ris")
+    top["ris"] = tuple(RisSpec(**dict(zip(ris, values))) for values in zip(*ris.values()))
+    for head, attrs in nested.items():   # a preset refined field by field, or an array
+        top[head] = dataclasses.replace(top[head], **attrs) if head in top else ArraySpec(**attrs)
+    return SimConfig(**top)
 
 
 def load_config(path) -> SimConfig:
@@ -544,69 +566,54 @@ def load_config(path) -> SimConfig:
         return parse_config_text(fh.read())
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    if value is None:
-        return "none"
-    return str(value)
-
-
-def _fmt_list(values) -> str:
-    return ", ".join(_fmt(v) for v in values)
-
-
 def serialize_config(cfg: SimConfig) -> str:
-    """Canonical text form of a config; parsing it back reproduces `cfg`."""
-    env = cfg.environment
-    lines = [
-        f"environment = {env.name}",
-        f"cluster_intensity = {_fmt(env.cluster_intensity)}",
-        f"scatterers_min = {env.scatterers_min}",
-        f"scatterers_max = {env.scatterers_max}",
-        f"los_model = {env.los_model}",
-        f"pl_los = {_fmt_list(dataclasses.astuple(env.pl_los))}",
-        f"pl_nlos = {_fmt_list(dataclasses.astuple(env.pl_nlos))}",
-        f"cluster_azimuth_deg = {_fmt(env.cluster_azimuth_deg)}",
-        f"cluster_elevation_deg = {_fmt(env.cluster_elevation_deg)}",
-        f"scatter_spread_deg = {_fmt(env.scatter_spread_deg)}",
-        f"frequency_hz = {_fmt(cfg.frequency_hz)}",
-        f"tx_position = {_fmt_list(cfg.tx.position)}",
-        f"rx_position = {_fmt_list(cfg.rx.position)}",
-        f"tx_array = {cfg.tx.layout}",
-        f"rx_array = {cfg.rx.layout}",
-        f"nt = {cfg.tx.count}",
-        f"nr = {cfg.rx.count}",
-        f"element_spacing = {_fmt(cfg.tx.spacing_wl)}",
-        f"ris_position = {' ; '.join(_fmt_list(r.position) for r in cfg.ris)}",
-        f"ris_plane = {' ; '.join(r.plane for r in cfg.ris)}",
-        f"ris_facing = {' ; '.join('auto' if r.facing is None else _fmt(r.facing) for r in cfg.ris)}",
-        f"n_elements = {' ; '.join(str(r.count) for r in cfg.ris)}",
-        f"ris_shape = {' ; '.join('auto' if r.shape is None else f'{r.shape[0]} x {r.shape[1]}' for r in cfg.ris)}",
-        f"ris_spacing = {_fmt(cfg.ris[0].spacing_wl if cfg.ris else 0.5)}",
-        f"ris_gain_exponent = {_fmt(cfg.ris[0].gain_exponent if cfg.ris else 0.285)}",
-        f"pt_dbm = {_fmt_list(cfg.pt_dbm)}",
-        f"noise_dbm = {_fmt(cfg.noise_dbm)}",
-        f"realizations = {cfg.realizations}",
-        f"seed = {cfg.seed}",
-        f"direct_path = {cfg.direct_mode}",
-        f"blocked_keeps_scatter = {_fmt(cfg.blocked_keeps_scatter)}",
-        f"ris_links = {cfg.ris_links}",
-        f"shared_clusters = {_fmt(cfg.shared_clusters)}",
-        f"scatter_paths = {_fmt(cfg.scatter_paths)}",
-        f"rx_orientation = {cfg.rx_orientation}",
-        f"algorithm = {cfg.algorithm}",
-        f"phase_bits = {_fmt(cfg.phase_bits)}",
-        f"idle_ris = {cfg.idle_ris}",
-        f"strict_near_field = {_fmt(cfg.strict_near_field)}",
-    ]
-    if env.footprint is not None:
-        lines.insert(10, f"footprint = {_fmt_list(env.footprint)}")
-    return "\n".join(lines) + "\n"
+    """Canonical text form of a config; parsing it back reproduces `cfg`.
+
+    Raises ConfigError for a value no key can express, such as a tx/rx
+    orientation other than global or an rx spacing unlike the tx one.
+    """
+    text = "".join(f"{key.name} = {key.kind.fmt(_read(cfg, key.fields[0]))}\n"
+                   for key in _KEYS if all(_WRITER[f] is key for f in key.fields))
+    for want, got in zip(_leaves(cfg), _leaves(parse_config_text(text))):
+        if repr(want) != repr(got):
+            raise ConfigError(f"no config key can express {want[0]} = {want[1]!r}")
+    return text
+
+
+def _leaves(obj, path: str = "", out: list | None = None) -> list:
+    """(path, value) for every leaf of a config tree, in field order.
+
+    A tuple also gives its length, so the values alone determine the tree.
+    Numbers become floats where a float holds them exactly, with -0.0
+    folded into 0.0, so configs that compare equal give equal leaves.
+    """
+    out = [] if out is None else out
+    if type(obj) is float:
+        out.append((path, obj + 0.0))
+    elif names := _field_names(type(obj)):
+        for name in names:
+            _leaves(getattr(obj, name), f"{path}.{name}" if path else name, out)
+    elif isinstance(obj, (tuple, list)):
+        out.append((path, len(obj)))
+        for i, item in enumerate(obj):
+            _leaves(item, f"{path}[{i}]", out)
+    elif isinstance(obj, numbers.Real) and not isinstance(obj, bool):
+        exact = abs(obj) <= sys.float_info.max and float(obj) == obj
+        out.append((path, float(obj) + 0.0 if exact else obj))
+    else:
+        out.append((path, obj))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls)) if dataclasses.is_dataclass(cls) else ()
+
+
+def _digest(leaves: list) -> str:
+    return hashlib.sha256(repr([value for _, value in leaves]).encode("utf-8")).hexdigest()[:16]
 
 
 def config_hash(cfg: SimConfig) -> str:
     """Stable hash of the full scenario; changes iff any config field changes."""
-    return hashlib.sha256(serialize_config(cfg).encode("utf-8")).hexdigest()[:16]
+    return _digest(_leaves(cfg))

@@ -64,17 +64,13 @@ def siso_optimal_phases(h: np.ndarray, g: np.ndarray,
     return quantize_phases(-(np.angle(h) + np.angle(g)), bits)
 
 
-def pinv_phases(tx_ris: np.ndarray, ris_rx: np.ndarray, direct=None,
-                target="identity", bits: int | None = None,
-                rcond: float = 0.3,
-                fallback_rng: np.random.Generator | None = None) -> np.ndarray:
+def pinv_phases(tx_ris: np.ndarray, ris_rx: np.ndarray, bits: int | None = None,
+                rcond: float = 0.3, fallback_rng: np.random.Generator | None = None) -> np.ndarray:
     """One-shot surface phases from a pseudoinverse sandwich, no iterations.
 
-    Computes X = pinv(ris_rx) @ M @ pinv(tx_ris) for a target effective
-    matrix M (default: the identity pattern padded to Nr x Nt) and takes
-    the phase of X's diagonal, projecting the response onto unit modulus.
-    The direct matrix is accepted for interface completeness; the cascade
-    target does not use it.
+    Computes X = pinv(ris_rx) @ M @ pinv(tx_ris) for the target effective
+    matrix M, the identity pattern padded to Nr x Nt, and takes the phase
+    of X's diagonal, projecting the response onto unit modulus.
 
     `rcond` truncates singular values below that fraction of the largest
     one: without it, a strongly LOS-dominated (near rank-one) link's
@@ -100,17 +96,9 @@ def pinv_phases(tx_ris: np.ndarray, ris_rx: np.ndarray, direct=None,
     if n < max(nt, nr):
         warnings.warn(f"{n} surface elements for a {nr}x{nt} link; the pseudoinverse "
                       "target is underdetermined", stacklevel=2)
-    if isinstance(target, str):
-        if target != "identity":
-            raise ValueError(f"unknown phase target {target!r}")
-        m = np.eye(nr, nt)
-    else:
-        m = np.asarray(target)
-        if m.shape != (nr, nt):
-            raise DimensionMismatch(f"target must be {nr}x{nt}, got {m.shape}")
     try:
-        # only the diagonal of pinv(ris_rx) @ m @ pinv(tx_ris) is needed
-        diag = np.einsum("...ij,ji->...i", np.linalg.pinv(ris_rx, rcond=rcond) @ m,
+        # only the diagonal of pinv(ris_rx) @ M @ pinv(tx_ris) is needed
+        diag = np.einsum("...ij,ji->...i", np.linalg.pinv(ris_rx, rcond=rcond) @ np.eye(nr, nt),
                          np.linalg.pinv(tx_ris, rcond=rcond))
         if not np.all(np.isfinite(diag)) or not np.all(np.any(diag, axis=-1)):
             raise np.linalg.LinAlgError("degenerate pseudoinverse diagonal")
@@ -118,7 +106,7 @@ def pinv_phases(tx_ris: np.ndarray, ris_rx: np.ndarray, direct=None,
         if ris_rx.ndim > 2:
             # redo the stack leg by leg, so only the failing legs fall back,
             # each with the fallback draws it would get alone
-            return np.stack([pinv_phases(tx_ris, leg, target=target, bits=bits, rcond=rcond,
+            return np.stack([pinv_phases(tx_ris, leg, bits=bits, rcond=rcond,
                                          fallback_rng=copy.deepcopy(fallback_rng))
                              for leg in ris_rx])
         warnings.warn(f"pseudoinverse phase computation failed ({exc}); "

@@ -38,13 +38,12 @@ class ClusterSet:
 
     `sizes` holds the per-cluster scatterer counts; the flat per-path arrays
     (positions, gains, attenuations) are ordered cluster by cluster.  Placed
-    for a stack of K far ends, `centers`, `positions` and `attenuations` gain
-    a leading K axis (`positions` keeps (P, 3) when the geometry is shared
-    from another link); `sizes` and `gains` never depend on the far end.
+    for a stack of K far ends, `positions` and `attenuations` gain a leading
+    K axis (`positions` keeps (P, 3) when the geometry is shared from another
+    link); `sizes` and `gains` never depend on the far end.
     """
 
     sizes: np.ndarray        # (C,) int
-    centers: np.ndarray      # (C, 3) cluster anchor points
     positions: np.ndarray    # (P, 3) scatterer positions, P = sum(sizes)
     gains: np.ndarray        # (P,) complex path gains ~ CN(0, 1)
     attenuations: np.ndarray  # (P,) linear path attenuation incl. shadowing
@@ -59,9 +58,8 @@ class ClusterSet:
 
     @classmethod
     def empty(cls) -> "ClusterSet":
-        return cls(sizes=np.zeros(0, dtype=int), centers=np.zeros((0, 3)),
-                   positions=np.zeros((0, 3)), gains=np.zeros(0, dtype=complex),
-                   attenuations=np.zeros(0))
+        return cls(sizes=np.zeros(0, dtype=int), positions=np.zeros((0, 3)),
+                   gains=np.zeros(0, dtype=complex), attenuations=np.zeros(0))
 
 
 class ClusterVariates(NamedTuple):
@@ -225,7 +223,6 @@ def place_clusters(variates: ClusterVariates, near, far, env: Environment, f_hz:
     far = np.asarray(far, dtype=float)
     if geometry_from is not None:
         sizes = geometry_from.sizes
-        centers = geometry_from.centers
         positions = geometry_from.positions
     else:
         if near_frame is None:
@@ -234,8 +231,6 @@ def place_clusters(variates: ClusterVariates, near, far, env: Environment, f_hz:
         link_len = np.linalg.norm(far - near, axis=-1)
         hi = np.maximum(link_len, 1.0 + 1e-9)
         radial = 1.0 + (hi - 1.0)[..., None] * variates.radial
-        centers = near + radial[..., None] * (
-            direction_unit(variates.azimuth, variates.elevation) @ near_frame)
 
         rep = variates.cluster
         dirs = direction_unit(variates.azimuth[rep] + variates.d_az,
@@ -249,6 +244,5 @@ def place_clusters(variates: ClusterVariates, near, far, env: Environment, f_hz:
         attenuations = shadowed_attenuation(unfolded, f_hz, env, False, variates.shadow)
     else:
         attenuations = np.zeros(far.shape[:-1] + (0,))
-    return ClusterSet(sizes=np.asarray(sizes, dtype=int), centers=centers,
-                      positions=positions, gains=variates.gains,
-                      attenuations=np.atleast_1d(attenuations))
+    return ClusterSet(sizes=np.asarray(sizes, dtype=int), positions=positions,
+                      gains=variates.gains, attenuations=np.atleast_1d(attenuations))

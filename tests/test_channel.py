@@ -31,8 +31,7 @@ def los_only_scene(nt=1, nr=1, n=16):
 
 
 def single_path_clusters(position, gain=1.0, attenuation=1.0):
-    return ClusterSet(sizes=np.array([1]), centers=np.array([position], float),
-                      positions=np.array([position], float),
+    return ClusterSet(sizes=np.array([1]), positions=np.array([position], float),
                       gains=np.array([gain], complex),
                       attenuations=np.array([attenuation]))
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from rislink import parse_config_text, validate_config
 from rislink.cli import build_parser, main
 
 
@@ -34,3 +35,23 @@ def test_workers_help_names_processes(command):
     sub = build_parser()._subparsers._group_actions[0].choices[command]
     text = sub.format_help()
     assert "worker processes" in text and "threads" not in text
+
+
+def test_set_frequency_ghz_on_a_preset(capsys):
+    assert main(["validate", "--preset", "indoor", "--set", "frequency_ghz=30"]) == 0
+    assert "wavelength: 0.00999308 m" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("override", ["nt=abc", "scatterers_min=abc", "nt=4.5", "seed=-1"])
+def test_bad_override_is_a_config_error(override, capsys):
+    assert main(["validate", "--preset", "indoor", "--set", override]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_set_keeps_derived_defaults(tmp_path, capsys):
+    scene = tmp_path / "scene.txt"
+    scene.write_text("element_spacing = 0.4\n")
+    assert main(["validate", str(scene), "--set", "element_spacing=0.3"]) == 0
+    edited = validate_config(parse_config_text("element_spacing = 0.3\n"))
+    assert edited.config.ris[0].spacing_wl == 0.3
+    assert f"hash {edited.config_hash}" in capsys.readouterr().out

@@ -4,9 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rislink import (ENVIRONMENTS, ArraySpec, LinkTag, RisSpec, SimConfig,
-                     config_hash, parse_config_text, scene_preset,
+from rislink import (ENVIRONMENTS, ArraySpec, Environment, LinkTag, PathLossTable, RisSpec,
+                     SimConfig, config_hash, parse_config_text, scene_preset,
                      serialize_config, spawn_rng, validate_config)
 from rislink.config import config_from_mapping, dbm_to_watts, near_square_grid, watts_to_dbm
 from rislink.errors import (ConfigError, EmptySweep, NearFieldViolation,
@@ -171,3 +173,181 @@ class TestConfigFiles:
         assert h0 not in hashes
         assert len(set(hashes)) == len(hashes)
         assert config_hash(dataclasses.replace(base)) == h0
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("text", [
+        "nt = 4\nnt = 4",          # duplicate key
+        "nt = 4.5",                # non-integral count
+        "realizations = 1e2.5",
+        "noise_dbm = loud",
+        "seed = true",
+        "ris_spacing = 0.5 ; 0.4",  # two entries for one surface
+    ])
+    def test_malformed_text_rejected(self, text):
+        with pytest.raises(ConfigError):
+            parse_config_text(text)
+
+    def test_integral_counts_and_surface_lists(self):
+        cfg = parse_config_text("nt = 8.0\nris_position = 40, 50, 2 ; 60, 30, 2\n"
+                                "ris_spacing = 0.5 ; 0.25\nris_gain_exponent = 0.3")
+        assert cfg.tx.count == 8
+        assert [r.spacing_wl for r in cfg.ris] == [0.5, 0.25]
+        assert [r.gain_exponent for r in cfg.ris] == [0.3, 0.3]
+
+    def test_ris_spacing_follows_element_spacing(self):
+        assert parse_config_text("element_spacing = 0.4").ris[0].spacing_wl == 0.4
+
+    def test_override_replaces_either_frequency_spelling(self):
+        cfg = parse_config_text("frequency_hz = 2.8e10", ["frequency_ghz = 30"])
+        assert cfg.frequency_hz == 30e9
+        assert parse_config_text("", ["frequency_ghz=30", "frequency_hz=1e9"]).frequency_hz == 1e9
+
+    @pytest.mark.parametrize("field, value", [
+        ("tx", ArraySpec("upa", 4, (0.0, 25.0, 2.0), orientation="xz+")),
+        ("rx", ArraySpec("upa", 4, (45.0, 45.0, 1.0), spacing_wl=0.25)),
+    ])
+    def test_serialize_rejects_what_no_key_expresses(self, field, value):
+        with pytest.raises(ConfigError, match="no config key"):
+            serialize_config(small_config(**{field: value}))
+
+    @pytest.mark.parametrize("line", [
+        "frequency_ghz = nan", "noise_dbm = nan", "pt_dbm = inf",
+        "ris_gain_exponent = nan", "cluster_intensity = inf",
+        "pl_los = nan, 20, 20, 1", "footprint = nan, 1", "seed = -1",
+    ])
+    def test_non_finite_or_negative_seed_rejected(self, line):
+        cfg = parse_config_text(line)
+        with pytest.raises(ConfigError):
+            validate_config(cfg)
+
+
+# File-expressible configs: every value has a key, tx and rx share a spacing
+# and orientation is global.  Integral floats are drawn often, so the
+# int/float equality property has something to fold.
+_numbers = st.one_of(st.floats(allow_nan=False), st.integers(-10**6, 10**6).map(float))
+_counts = st.integers(-2**64, 2**64)
+_points = st.tuples(_numbers, _numbers, _numbers)
+
+
+def _configs(min_surfaces=0):
+    surface = st.builds(
+        RisSpec, count=_counts, position=_points, plane=st.sampled_from(["xz", "yz"]),
+        facing=st.sampled_from([None, 1, -1]), gain_exponent=_numbers, spacing_wl=_numbers,
+        shape=st.none() | st.tuples(_counts, _counts))
+    environment = st.builds(
+        Environment, name=st.sampled_from(sorted(ENVIRONMENTS)), cluster_intensity=_numbers,
+        pl_los=st.builds(PathLossTable, _numbers, _numbers, _numbers, _numbers),
+        pl_nlos=st.builds(PathLossTable, _numbers, _numbers, _numbers, _numbers),
+        los_model=st.sampled_from(["inh", "umi", "always", "never"]),
+        scatterers_min=_counts, scatterers_max=_counts, cluster_azimuth_deg=_numbers,
+        cluster_elevation_deg=_numbers, scatter_spread_deg=_numbers,
+        footprint=st.none() | st.tuples(_numbers, _numbers))
+
+    def build(spacing, **fields):
+        tx, rx = (ArraySpec(layout, count, position, spacing)
+                  for layout, count, position in (fields.pop("tx"), fields.pop("rx")))
+        return SimConfig(tx=tx, rx=rx, **fields)
+
+    array = st.tuples(st.sampled_from(["ula", "upa"]), _counts, _points)
+    return st.builds(
+        build, spacing=_numbers, environment=environment, frequency_hz=_numbers,
+        tx=array, rx=array,
+        ris=st.lists(surface, min_size=min_surfaces, max_size=3).map(tuple),
+        pt_dbm=st.lists(_numbers, min_size=1, max_size=3).map(tuple),
+        noise_dbm=_numbers, realizations=_counts, seed=_counts,
+        direct_mode=st.sampled_from(["auto", "blocked", "present"]),
+        blocked_keeps_scatter=st.booleans(), ris_links=st.sampled_from(["auto", "los"]),
+        shared_clusters=st.booleans(), scatter_paths=st.booleans(),
+        rx_orientation=st.sampled_from(["random-azimuth", "fixed"]),
+        algorithm=st.sampled_from(["pinv", "siso", "random", "zero"]),
+        phase_bits=st.none() | _counts, idle_ris=st.sampled_from(["absent", "random"]),
+        strict_near_field=st.booleans())
+
+
+def _field_paths(obj, prefix=()):
+    """Paths to every field that is not itself a dataclass or a tuple of them."""
+    items = (enumerate(obj) if isinstance(obj, tuple)
+             else ((f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)))
+    for name, value in items:
+        nested = dataclasses.is_dataclass(value) or (
+            isinstance(value, tuple) and value and dataclasses.is_dataclass(value[0]))
+        yield from _field_paths(value, prefix + (name,)) if nested else [prefix + (name,)]
+
+
+def _replace_at(obj, path, value):
+    head, *rest = path
+    if rest:
+        value = _replace_at(obj[head] if isinstance(obj, tuple) else getattr(obj, head),
+                            rest, value)
+    if isinstance(obj, tuple):
+        return obj[:head] + (value,) + obj[head + 1:]
+    return dataclasses.replace(obj, **{head: value})
+
+
+def _other_values(old):
+    if isinstance(old, bool):
+        return st.just(not old)
+    if isinstance(old, str):
+        return st.text(max_size=4).filter(lambda v: v != old)
+    if isinstance(old, tuple):
+        return st.lists(_numbers, max_size=3).map(tuple).filter(lambda v: v != old)
+    return (st.none() | _counts | _numbers).filter(lambda v: v != old)
+
+
+def _retyped(obj):
+    """An equal config with integral floats as ints, ints as floats and zeros sign-flipped."""
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.replace(obj, **{f.name: _retyped(getattr(obj, f.name))
+                                           for f in dataclasses.fields(obj)})
+    if isinstance(obj, tuple):
+        return tuple(_retyped(v) for v in obj)
+    if isinstance(obj, float):
+        return -obj if obj == 0 else int(obj) if obj.is_integer() else obj
+    if isinstance(obj, int) and not isinstance(obj, bool) and abs(obj) <= 2**53:
+        return float(obj)
+    return obj
+
+
+# Every key, plus value text built from the characters the parsers care about.
+_KEY_NAMES = [line.split(" = ")[0] for line in
+              serialize_config(scene_preset("indoor")).splitlines()] + ["frequency_ghz"]
+_value_text = st.text(max_size=12) | st.text(alphabet="0123456789 .,;-+exnaiftruo#=",
+                                             max_size=16)
+
+
+class TestConfigProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(_configs())
+    def test_round_trip(self, cfg):
+        assert parse_config_text(serialize_config(cfg)) == cfg
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_any_field_change_changes_hash(self, data):
+        cfg = data.draw(_configs(min_surfaces=2))
+        h0 = config_hash(cfg)
+        for path in _field_paths(cfg):
+            old = cfg
+            for step in path:
+                old = old[step] if isinstance(old, tuple) else getattr(old, step)
+            changed = _replace_at(cfg, path, data.draw(_other_values(old)))
+            assert config_hash(changed) != h0, path
+
+    @settings(max_examples=100, deadline=None)
+    @given(_configs())
+    def test_equal_configs_hash_equal(self, cfg):
+        again = _retyped(cfg)
+        assert again == cfg
+        assert config_hash(again) == config_hash(cfg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text() | st.lists(st.tuples(st.sampled_from(_KEY_NAMES), _value_text),
+                                max_size=6).map(
+        lambda items: "\n".join(f"{k} = {v}" for k, v in items)))
+    def test_parser_returns_config_or_raises_config_error(self, text):
+        try:
+            cfg = parse_config_text(text)
+        except ConfigError:
+            return
+        assert isinstance(cfg, SimConfig)
