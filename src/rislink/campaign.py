@@ -2,13 +2,15 @@
 
 Work units are dispatched to a process pool and collected in submission
 order, so results are byte-identical for any worker count.  A campaign's
-unit is one realization; a coverage map's unit is a fixed block of cells
-with all its realizations.  All randomness comes from per-unit substreams
-keyed by (seed, realization, link), never from execution order or receiver
-position, so a coverage block draws each realization once and places the
-receiver-side legs for all of its cells together.  Processes rather than
-threads: one unit is a burst of small numpy calls that never release the
-interpreter lock long enough for threads to overlap.
+unit is a fixed block of consecutive realizations at one sweep point; a
+coverage map's unit is a fixed block of cells with all its realizations.
+All randomness comes from per-unit substreams keyed by (seed, realization,
+link), never from execution order or receiver position, so a campaign
+block draws each realization alone but places, steers and decomposes the
+whole block as stacks, and a coverage block draws each realization once
+and places the receiver-side legs for all of its cells together.
+Processes rather than threads: one unit is a burst of small numpy calls
+that never release the interpreter lock long enough for threads to overlap.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (RealizationChannels, composite_multi, realize_channels,
+from .channel import (RealizationChannels, composite_multi, realize_block, realize_channels,
                       surface_cascade)
 from .config import SimConfig, ValidatedConfig, validate_config
 from .control import (PhaseAlgorithm, baseline_phases, pinv_phases,
@@ -115,11 +117,13 @@ def default_grid(vc: ValidatedConfig, cell: float = 1.0) -> GridSpec:
                     z=vc.config.rx.position[2])
 
 
-# Cells per coverage work unit.  Fixed, so a map's blocks (and its bytes) do
-# not depend on the worker count.  Each realization's receiver-free work
-# (Tx-side leg, its pinv, the variate draws) is shared by a block's cells;
-# the placement memory is bounded separately (channel.PLACEMENT_BUDGET).
-COVERAGE_BLOCK = 32
+# Cells per coverage work unit and realizations per campaign work unit.
+# Fixed, so the blocks (and the output bytes) do not depend on the worker
+# count.  Each realization's receiver-free work (Tx-side leg, its pinv, the
+# variate draws) is shared by a coverage block's cells; a campaign block's
+# realizations share the placement, steering, pinv and SVD calls.  The
+# placement memory is bounded separately (channel.PLACEMENT_BUDGET).
+BLOCK_SIZE = 32
 
 
 def serving_surface(vc: ValidatedConfig, rx_position) -> int:
@@ -138,47 +142,84 @@ def _realized_surfaces(vc: ValidatedConfig, selected: np.ndarray) -> dict:
     return dict.fromkeys(range(len(vc.config.ris)))
 
 
-def _idle_phases(vc: ValidatedConfig, realization: int, k: int):
+def _phases_rng(vc: ValidatedConfig, realizations: int | range, k: int, leg: int):
+    """Surface k's phase substream for stack leg `leg`: the leg's own realization
+    in a block (a range), else the one realization every leg shares."""
+    r = realizations[leg] if isinstance(realizations, range) else realizations
+    return spawn_rng(vc.config.seed, r, LinkTag.PHASES, k)
+
+
+def _per_realization(realizations: int | range, draw):
+    """draw(r) for one realization, or stacked over a block's realizations."""
+    if isinstance(realizations, range):
+        return np.stack([draw(r) for r in realizations])
+    return draw(realizations)
+
+
+def _idle_phases(vc: ValidatedConfig, realizations: int | range, k: int):
     """Phases of a surface that does not serve the receiver (None = absent)."""
     cfg = vc.config
     if cfg.idle_ris == "random":
-        return baseline_phases("random", cfg.ris[k].count,
-                               spawn_rng(cfg.seed, realization, LinkTag.PHASES, k))
+        return _per_realization(realizations, lambda r: baseline_phases(
+            "random", cfg.ris[k].count, spawn_rng(cfg.seed, r, LinkTag.PHASES, k)))
     return None
 
 
-def _serving_phases(vc: ValidatedConfig, algorithm: PhaseAlgorithm, realization: int,
-                    k: int, tx_ris: np.ndarray, ris_rx: np.ndarray) -> np.ndarray:
+def _serving_phases(vc: ValidatedConfig, algorithm: PhaseAlgorithm,
+                    realizations: int | range, k: int, tx_ris: np.ndarray,
+                    ris_rx: np.ndarray) -> np.ndarray:
     """The campaign algorithm's phases for serving surface k.
 
-    `ris_rx` may be a (K, Nr, N) stack of receiver positions; the phases are
-    then (K, N), or (N,) when they do not depend on the receiver.
+    For one realization, `ris_rx` may be a (K, Nr, N) stack of receiver
+    positions; the phases are then (K, N), or (N,) when they do not depend
+    on the receiver.  For a block (a range), both legs carry a leading
+    realization axis and so do the phases.  The pinv fallback substream is
+    spawned only when a fallback runs.
     """
     cfg = vc.config
     if algorithm.kind == "pinv":
         return pinv_phases(tx_ris, ris_rx, bits=algorithm.bits,
-                           fallback_rng=spawn_rng(cfg.seed, realization, LinkTag.PHASES, k))
+                           fallback_rng=lambda leg: _phases_rng(vc, realizations, k, leg))
     if algorithm.kind == "siso":
         if cfg.tx.count != 1 or cfg.rx.count != 1:
             raise DimensionMismatch("the siso algorithm requires Nt = Nr = 1")
-        return siso_optimal_phases(tx_ris[:, 0], ris_rx[..., 0, :], bits=algorithm.bits)
+        return siso_optimal_phases(tx_ris[..., 0], ris_rx[..., 0, :], bits=algorithm.bits)
     if algorithm.kind in ("random", "zero"):
-        return baseline_phases(algorithm.kind, tx_ris.shape[0],
-                               spawn_rng(cfg.seed, realization, LinkTag.PHASES, k),
-                               bits=algorithm.bits)
+        return _per_realization(realizations, lambda r: baseline_phases(
+            algorithm.kind, tx_ris.shape[-2], spawn_rng(cfg.seed, r, LinkTag.PHASES, k),
+            bits=algorithm.bits))
     raise ConfigError(f"unknown phase algorithm {algorithm.kind!r}")
 
 
+def _phase_sets(vc: ValidatedConfig, channels: RealizationChannels,
+                algorithm: PhaseAlgorithm, realizations: int | range, selected: int) -> list:
+    return [_serving_phases(vc, algorithm, realizations, k, tx_ris, ris_rx) if k == selected
+            else _idle_phases(vc, realizations, k)
+            for k, (tx_ris, ris_rx) in enumerate(zip(channels.tx_ris, channels.ris_rx))]
+
+
 def compute_phase_sets(vc: ValidatedConfig, channels: RealizationChannels,
-                       algorithm: PhaseAlgorithm, realization: int,
+                       algorithm: PhaseAlgorithm, realization: int | range,
                        rx_position=None) -> list:
     """Phases per surface: the one nearest the receiver is controlled by the
-    campaign algorithm, the others follow the idle-surface policy."""
+    campaign algorithm, the others follow the idle-surface policy.
+
+    `realization` is a range for the channels of a block (`realize_block`);
+    the phases then carry a leading realization axis.
+    """
     rx_pos = vc.config.rx.position if rx_position is None else rx_position
-    selected = serving_surface(vc, rx_pos)
-    return [_serving_phases(vc, algorithm, realization, k, tx_ris, ris_rx) if k == selected
-            else _idle_phases(vc, realization, k)
-            for k, (tx_ris, ris_rx) in enumerate(zip(channels.tx_ris, channels.ris_rx))]
+    return _phase_sets(vc, channels, algorithm, realization, serving_surface(vc, rx_pos))
+
+
+def _block_singular_values(vc: ValidatedConfig, realizations: range,
+                           algorithm: PhaseAlgorithm, selected: int,
+                           rx_position=None) -> np.ndarray:
+    """(B, min(Nr, Nt)) singular values of a block of realizations served by
+    surface `selected`: channels, phases, composite and SVD as stacks."""
+    surfaces = None if vc.config.idle_ris == "random" else (selected,)
+    channels = realize_block(vc, realizations, surfaces=surfaces, rx_position=rx_position)
+    phases = _phase_sets(vc, channels, algorithm, realizations, selected)
+    return np.linalg.svd(composite_multi(channels, phases), compute_uv=False)
 
 
 def composite_singular_values(vc: ValidatedConfig, realization: int,
@@ -186,11 +227,8 @@ def composite_singular_values(vc: ValidatedConfig, realization: int,
                               rx_position=None) -> np.ndarray:
     """Singular values of the end-to-end channel of one realization."""
     rx_pos = vc.config.rx.position if rx_position is None else rx_position
-    surfaces = None if vc.config.idle_ris == "random" else (serving_surface(vc, rx_pos),)
-    channels = realize_channels(vc, realization, rx_position=rx_position, surfaces=surfaces)
-    phases = compute_phase_sets(vc, channels, algorithm, realization, rx_position)
-    composite = composite_multi(channels, phases)
-    return np.linalg.svd(composite, compute_uv=False)
+    return _block_singular_values(vc, range(realization, realization + 1), algorithm,
+                                  serving_surface(vc, rx_pos), rx_position)[0]
 
 
 def _parallel_map(fn, payloads: list, workers: int) -> list:
@@ -228,9 +266,10 @@ def _config_for_point(cfg: SimConfig, axis: str, value) -> SimConfig:
     raise ConfigError(f"no per-point config for axis {axis!r}")
 
 
-def _rates_over_powers(args) -> np.ndarray:
-    vc, algorithm, r, pt_watts = args
-    s = composite_singular_values(vc, r, algorithm)
+def _block_rates(args) -> np.ndarray:
+    """(len(pt_watts), B) rates of one campaign block."""
+    vc, algorithm, realizations, selected, pt_watts = args
+    s = _block_singular_values(vc, realizations, algorithm, selected)
     return rate_from_singular_values(s, pt_watts, vc.noise_watts)
 
 
@@ -274,27 +313,27 @@ def run_campaign(campaign: Campaign) -> RateStatistics:
     The channel draws do not depend on the transmit power, so a pt sweep
     reuses each realization's channels across all power points; the other
     axes revalidate a per-point scenario but share the same substreams,
-    keeping realizations paired across sweep points.
+    keeping realizations paired across sweep points.  Realizations are
+    evaluated in fixed blocks of `BLOCK_SIZE`; the serving surface is
+    chosen once, since a campaign has one receiver position.
     """
     vc = campaign.config
     cfg = vc.config
     algorithm = campaign.resolved_algorithm()
     realizations = cfg.realizations
+    selected = serving_surface(vc, cfg.rx.position)
 
     if campaign.sweep_axis == "pt":
-        pt_watts = np.asarray(sorted(vc.pt_watts))
-        rows = _parallel_map(_rates_over_powers,
-                             [(vc, algorithm, r, pt_watts) for r in range(realizations)],
-                             campaign.workers)
-        rates = np.asarray(rows).T
-        return _statistics("pt", campaign.sweep_values, rates)
-
-    point_configs = [validate_config(_config_for_point(cfg, campaign.sweep_axis, v))
-                     for v in campaign.sweep_values]
-    payloads = [(vc_point, algorithm, r, np.asarray([vc_point.pt_watts[0]]))
-                for vc_point in point_configs for r in range(realizations)]
-    flat = _parallel_map(_rates_over_powers, payloads, campaign.workers)
-    rates = np.asarray(flat).reshape(len(point_configs), realizations)
+        points = [(vc, np.asarray(sorted(vc.pt_watts)))]
+    else:
+        point_configs = [validate_config(_config_for_point(cfg, campaign.sweep_axis, v))
+                         for v in campaign.sweep_values]
+        points = [(vc_point, np.asarray(vc_point.pt_watts[:1])) for vc_point in point_configs]
+    payloads = [(vc_point, algorithm, range(i, min(i + BLOCK_SIZE, realizations)), selected,
+                 pt_watts)
+                for vc_point, pt_watts in points for i in range(0, realizations, BLOCK_SIZE)]
+    blocks = _parallel_map(_block_rates, payloads, campaign.workers)
+    rates = np.concatenate(blocks, axis=1).reshape(len(campaign.sweep_values), realizations)
     return _statistics(campaign.sweep_axis, campaign.sweep_values, rates)
 
 
@@ -304,7 +343,7 @@ def coverage_map(campaign: Campaign, grid: GridSpec | None = None) -> CoverageGr
     Realization substreams do not depend on the receiver position, so all
     cells see the same environment draws per realization and maps from
     scenes sharing a seed are paired cell by cell.  Cells are evaluated in
-    fixed blocks of `COVERAGE_BLOCK` (row-major order) that share each
+    fixed blocks of `BLOCK_SIZE` (row-major order) that share each
     realization's draws; the serving surface of each cell is chosen once.
     """
     vc = campaign.config
@@ -317,9 +356,9 @@ def coverage_map(campaign: Campaign, grid: GridSpec | None = None) -> CoverageGr
     positions = np.array([(x[ix], y[iy], z) for iy in range(len(y)) for ix in range(len(x))],
                          dtype=float)
     selected = np.array([serving_surface(vc, pos) for pos in positions], dtype=int)
-    payloads = [(vc, algorithm, positions[i:i + COVERAGE_BLOCK],
-                 selected[i:i + COVERAGE_BLOCK], cfg.realizations, vc.pt_watts[0])
-                for i in range(0, len(positions), COVERAGE_BLOCK)]
+    payloads = [(vc, algorithm, positions[i:i + BLOCK_SIZE],
+                 selected[i:i + BLOCK_SIZE], cfg.realizations, vc.pt_watts[0])
+                for i in range(0, len(positions), BLOCK_SIZE)]
     means = _parallel_map(_block_mean_rates, payloads, campaign.workers)
     mean_rate = np.concatenate(means).reshape(len(y), len(x))
     return CoverageGrid(x=x, y=y, z=float(z), mean_rate=mean_rate,

@@ -13,17 +13,18 @@ from __future__ import annotations
 import copy
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .config import ValidatedConfig
 from .errors import DimensionMismatch
-from .geometry import (azimuth_rotation_frame, element_gain_from_cos,
+from .geometry import (GLOBAL_FRAME, azimuth_rotation_frame, element_gain_from_cos,
                        local_directions, steering_matrix)
 from .propagation import (ClusterSet, LinkState, draw_cluster_variates, draw_clusters,
                           draw_link_state, draw_los_variates, los_probability,
-                          place_clusters, place_los)
+                          place_clusters, place_los, shadowed_attenuation,
+                          stack_cluster_variates)
 from .rng import LinkTag, spawn_rng
 
 
@@ -91,6 +92,15 @@ def build_scene(vc: ValidatedConfig, rx_position=None,
     return Scene(lam, tx, rx, ris)
 
 
+def _pattern(row: DeviceView, col: DeviceView, gain_side: str | None,
+             u_row: np.ndarray, u_col: np.ndarray) -> np.ndarray:
+    """Element-pattern gain of each direction at the `gain_side` device ("row"/"col"/None)."""
+    if gain_side is None:
+        return np.ones(u_row.shape[:-1])
+    device, u = (row, u_row) if gain_side == "row" else (col, u_col)
+    return element_gain_from_cos(u[..., 0], device.gain_exponent)
+
+
 def _link_matrix(row: DeviceView, col: DeviceView, gain_side: str | None,
                  clusters: ClusterSet, link: LinkState, wavelength: float) -> np.ndarray:
     """Sum of path outer-products a_row * a_col^T with the LOS term added.
@@ -105,16 +115,11 @@ def _link_matrix(row: DeviceView, col: DeviceView, gain_side: str | None,
     stack = row.position.shape[:-1]
     matrix = np.zeros(stack + (row.count, col.count), dtype=complex)
 
-    def pattern(u_row: np.ndarray, u_col: np.ndarray) -> np.ndarray:
-        if gain_side is None:
-            return np.ones(u_row.shape[:-1])
-        device, u = (row, u_row) if gain_side == "row" else (col, u_col)
-        return element_gain_from_cos(u[..., 0], device.gain_exponent)
-
     if clusters.total_paths:
         u_row, _ = local_directions(row.position[..., None, :], clusters.positions, row.frame)
         u_col, _ = local_directions(col.position, clusters.positions, col.frame)
-        weights = clusters.gains * np.sqrt(pattern(u_row, u_col) * clusters.attenuations)
+        weights = clusters.gains * np.sqrt(_pattern(row, col, gain_side, u_row, u_col)
+                                           * clusters.attenuations)
         a_row = steering_matrix(row.elements, u_row, wavelength)
         a_col = steering_matrix(col.elements, u_col, wavelength)
         # normalization keeps total scattered power independent of the path count
@@ -126,7 +131,7 @@ def _link_matrix(row: DeviceView, col: DeviceView, gain_side: str | None,
         u_col, _ = local_directions(col.position, row.position[..., None, :], col.frame)
         a_row = steering_matrix(row.elements, u_row, wavelength)[..., 0]
         a_col = steering_matrix(col.elements, u_col, wavelength)[..., 0]
-        amp = np.sqrt(pattern(u_row, u_col)[..., 0] * link.attenuation)
+        amp = np.sqrt(_pattern(row, col, gain_side, u_row, u_col)[..., 0] * link.attenuation)
         matrix += ((amp * np.exp(1j * link.phase))[..., None, None]
                    * (a_row[..., :, None] * a_col[..., None, :]))
 
@@ -174,14 +179,16 @@ class RealizationChannels:
     """All channel matrices of one realization, possibly with several surfaces.
 
     Realized for a stack of K receiver positions, `ris_rx` and `direct`
-    carry a leading K axis.  Surfaces left out of the realization have None
-    matrices.
+    carry a leading K axis; realized for a block of realizations
+    (`realize_block`), every matrix carries a leading realization axis and
+    `realization` is the block's range.  Surfaces left out of the
+    realization have None matrices.
     """
 
     tx_ris: tuple[np.ndarray | None, ...]   # per surface, (N_k, Nt)
     ris_rx: tuple[np.ndarray | None, ...]   # per surface, (Nr, N_k)
     direct: np.ndarray               # (Nr, Nt)
-    realization: int
+    realization: int | range
     los: dict = field(default_factory=dict)
     clusters: dict = field(default_factory=dict)  # ClusterSet per link key
 
@@ -216,9 +223,10 @@ def composite_multi(channels: RealizationChannels,
 
 
 # Receiver-side legs are placed and assembled for at most this many
-# (position, element, path) entries at a time.  The stacked steering
-# arrays take about 24 bytes per entry, so this bounds their memory
-# whatever the number of positions.
+# (position, element, path) entries at a time, and a block's legs for at
+# most this many (element, path) entries over its realizations.  The
+# stacked steering arrays take about 24 bytes per entry, so this bounds
+# their memory whatever the number of positions or realizations.
 PLACEMENT_BUDGET = 16384
 
 
@@ -358,3 +366,153 @@ def realize_channels(vc: ValidatedConfig, realization: int, rx_position=None,
     return RealizationChannels(tx_ris=tuple(tx_ris), ris_rx=tuple(ris_rx),
                                direct=direct, realization=realization, los=los_meta,
                                clusters=cluster_meta)
+
+
+class _BlockLeg(NamedTuple):
+    """One link drawn for every realization of a block, at fixed ends."""
+
+    los: np.ndarray              # (B,) bool: the realizations whose link is LOS
+    los_attenuation: np.ndarray  # (L,) per LOS realization, in order
+    los_phase: np.ndarray        # (L,)
+    clusters: ClusterSet         # every realization's paths, concatenated in order
+    bounds: np.ndarray           # (B + 1,) offsets of each realization's paths
+
+
+def _draw_block_leg(vc: ValidatedConfig, rngs: list, near: DeviceView, far: np.ndarray,
+                    force_los: bool | None, geometry_from: _BlockLeg | None = None) -> _BlockLeg:
+    """The link from device `near` to the point `far`, one substream per realization.
+
+    Each substream is read as `_draw_leg` reads it (the LOS coin, the LOS
+    variates when LOS, the cluster variates); then the block's clusters are
+    placed together and its LOS attenuations evaluated together.
+    """
+    cfg = vc.config
+    env, f_hz = cfg.environment, cfg.frequency_hz
+    d = float(np.linalg.norm(far - near.position))
+    p_los = los_probability(d, env) if force_los is None else None
+    shared = None if geometry_from is None else np.diff(geometry_from.bounds)
+    los, los_draws, variates = [], [], []
+    for i, rng in enumerate(rngs):
+        los.append(bool(rng.uniform() < p_los) if force_los is None else force_los)
+        if los[-1]:
+            los_draws.append(draw_los_variates(rng))
+        if cfg.scatter_paths:
+            variates.append(draw_cluster_variates(env, rng, None if shared is None
+                                                  else int(shared[i])))
+    shadow, phase = np.array(los_draws, dtype=float).reshape(-1, 2).T
+    attenuation = shadowed_attenuation(d, f_hz, env, True, shadow) if los_draws else shadow
+    if variates:
+        clusters = place_clusters(stack_cluster_variates(variates), near.position, far, env,
+                                  f_hz, near.frame,
+                                  None if geometry_from is None else geometry_from.clusters)
+        paths = [len(v.gains) for v in variates]
+    else:
+        clusters, paths = ClusterSet.empty(), [0] * len(rngs)
+    return _BlockLeg(np.array(los), attenuation, phase, clusters,
+                     np.concatenate([[0], np.cumsum(paths)]))
+
+
+def _directions(origin: np.ndarray, points: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """Unit directions origin -> points in `frame`, which may instead be a
+    stack of frames (..., 3, 3) broadcasting against the points."""
+    if frame.ndim == 2:
+        return local_directions(origin, points, frame)[0]
+    unit, _ = local_directions(origin, points, GLOBAL_FRAME)
+    return np.einsum("...j,...kj->...k", unit, frame)
+
+
+def _block_link_matrices(row: DeviceView, col: DeviceView, gain_side: str | None,
+                         leg: _BlockLeg, wavelength: float,
+                         row_frames: np.ndarray | None = None) -> np.ndarray:
+    """`_link_matrix` for every realization of a block: (B, row.count, col.count).
+
+    The devices are fixed; `row_frames` (B, 3, 3), when given, is the row
+    device's frame per realization.  Directions, pattern and steering run
+    once over the block's concatenated paths (in chunks of at most
+    `PLACEMENT_BUDGET` entries), but each realization's matrix is summed
+    over its own paths only, as `_link_matrix` sums it.  The LOS direction
+    is evaluated once, or once per LOS realization with `row_frames`.
+    """
+    count = len(leg.los)
+    matrix = np.zeros((count, row.count, col.count), dtype=complex)
+    clusters, bounds = leg.clusters, leg.bounds
+    if clusters.total_paths:
+        frames = row.frame if row_frames is None else row_frames[
+            np.repeat(np.arange(count), np.diff(bounds))]
+        u_row = _directions(row.position, clusters.positions, frames)
+        u_col, _ = local_directions(col.position, clusters.positions, col.frame)
+        weights = clusters.gains * np.sqrt(_pattern(row, col, gain_side, u_row, u_col)
+                                           * clusters.attenuations)
+        per_chunk = max(1, PLACEMENT_BUDGET // max(row.count, col.count))
+        start = 0
+        while start < count:
+            stop = max(start + 1, int(np.searchsorted(bounds, bounds[start] + per_chunk,
+                                                      side="right")) - 1)
+            first, last = bounds[start], bounds[stop]
+            a_row = steering_matrix(row.elements, u_row[first:last], wavelength)
+            a_col = steering_matrix(col.elements, u_col[first:last], wavelength)
+            for i in range(start, stop):
+                own = slice(bounds[i] - first, bounds[i + 1] - first)
+                # normalization keeps total scattered power independent of the path count
+                matrix[i] = ((a_row[:, own] * weights[bounds[i]:bounds[i + 1]])
+                             @ a_col[:, own].T / np.sqrt(bounds[i + 1] - bounds[i]))
+            start = stop
+
+    if leg.los.any():
+        los = np.flatnonzero(leg.los)
+        frames = row.frame if row_frames is None else row_frames[los]
+        u_row = _directions(row.position, col.position, frames)
+        u_col, _ = local_directions(col.position, row.position, col.frame)
+        a_row = steering_matrix(row.elements, u_row, wavelength).T   # (L or 1, row.count)
+        a_col = steering_matrix(col.elements, u_col, wavelength)[:, 0]
+        amp = np.sqrt(_pattern(row, col, gain_side, u_row, u_col) * leg.los_attenuation)
+        matrix[los] += ((amp * np.exp(1j * leg.los_phase))[:, None, None]
+                        * (a_row[:, :, None] * a_col[None, None, :]))
+    return matrix
+
+
+def realize_block(vc: ValidatedConfig, realizations: range, surfaces=None,
+                  rx_position=None) -> RealizationChannels:
+    """`realize_channels` for a block of realizations at one receiver position.
+
+    Every realization spawns its own substreams and reads them in the
+    order `realize_channels` does, so each sees exactly its own draws; the
+    matrices carry a leading realization axis.  Each leg's paths are
+    placed, steered and weighted once for the whole block
+    (`_block_link_matrices`).  `surfaces` lists the surfaces to realize
+    (default: all); the others get None matrices.  No `los`/`clusters`
+    records are kept.
+    """
+    cfg = vc.config
+    seed = cfg.seed
+
+    rx_frames = None
+    if cfg.rx_orientation == "random-azimuth":
+        rx_frames = np.stack([
+            azimuth_rotation_frame(spawn_rng(seed, r, LinkTag.RX_FRAME).uniform(0.0, 2.0 * np.pi))
+            for r in realizations])
+    scene = build_scene(vc, rx_position=rx_position)
+    tx, rx, lam = scene.tx, scene.rx, scene.wavelength
+
+    def streams(tag: LinkTag, *extra: int) -> list:
+        return [spawn_rng(seed, r, tag, *extra) for r in realizations]
+
+    force = True if cfg.ris_links == "los" else None
+    tx_ris, ris_rx = [None] * len(scene.ris), [None] * len(scene.ris)
+    for k in range(len(scene.ris)) if surfaces is None else surfaces:
+        surface = scene.ris[k]
+        leg_h = _draw_block_leg(vc, streams(LinkTag.TX_RIS, k), tx, surface.position, force)
+        tx_ris[k] = _block_link_matrices(surface, tx, "row", leg_h, lam)
+        leg_g = _draw_block_leg(vc, streams(LinkTag.RIS_RX, k), surface, rx.position, force,
+                                geometry_from=leg_h if cfg.shared_clusters else None)
+        ris_rx[k] = _block_link_matrices(rx, surface, "col", leg_g, lam, rx_frames)
+
+    if cfg.direct_mode == "blocked" and not cfg.blocked_keeps_scatter:
+        direct = np.zeros((len(realizations), rx.count, tx.count), dtype=complex)
+    else:
+        force_d = {"blocked": False, "present": True}.get(cfg.direct_mode)
+        leg_d = _draw_block_leg(vc, streams(LinkTag.DIRECT), tx, rx.position, force_d)
+        direct = _block_link_matrices(rx, tx, None, leg_d, lam, rx_frames)
+
+    return RealizationChannels(tx_ris=tuple(tx_ris), ris_rx=tuple(ris_rx), direct=direct,
+                               realization=realizations)

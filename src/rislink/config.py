@@ -35,6 +35,17 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
+def _power_watts(what: str, dbm: float) -> float:
+    """`dbm_to_watts`, rejecting a level whose watts are not finite and > 0."""
+    try:
+        watts = dbm_to_watts(dbm)
+    except OverflowError:
+        watts = math.inf
+    if not (math.isfinite(watts) and watts > 0.0):
+        raise ConfigError(f"{what} {dbm} dBm is not a finite positive power in watts")
+    return watts
+
+
 def watts_to_dbm(watts: float) -> float:
     return 10.0 * math.log10(watts) + 30.0
 
@@ -332,8 +343,8 @@ def validate_config(cfg: SimConfig | ValidatedConfig) -> ValidatedConfig:
     return ValidatedConfig(
         config=cfg,
         wavelength=wavelength,
-        pt_watts=tuple(dbm_to_watts(p) for p in cfg.pt_dbm),
-        noise_watts=dbm_to_watts(cfg.noise_dbm),
+        pt_watts=tuple(_power_watts("the transmit power", p) for p in cfg.pt_dbm),
+        noise_watts=_power_watts("the noise power", cfg.noise_dbm),
         config_hash=_digest(leaves),
     )
 

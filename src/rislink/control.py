@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +66,9 @@ def siso_optimal_phases(h: np.ndarray, g: np.ndarray,
 
 
 def pinv_phases(tx_ris: np.ndarray, ris_rx: np.ndarray, bits: int | None = None,
-                rcond: float = 0.3, fallback_rng: np.random.Generator | None = None) -> np.ndarray:
+                rcond: float = 0.3,
+                fallback_rng: np.random.Generator | Callable[[int], np.random.Generator]
+                | None = None) -> np.ndarray:
     """One-shot surface phases from a pseudoinverse sandwich, no iterations.
 
     Computes X = pinv(ris_rx) @ M @ pinv(tx_ris) for the target effective
@@ -79,42 +82,59 @@ def pinv_phases(tx_ris: np.ndarray, ris_rx: np.ndarray, bits: int | None = None,
 
     SISO inputs delegate to the closed-form alignment.  Numerical failure
     falls back to a random phase draw (warning) when `fallback_rng` is
-    given, otherwise raises SingularPinv.
+    given, otherwise raises SingularPinv.  `fallback_rng` is a generator,
+    which a failing leg draws from a copy of, or a function of the failing
+    leg's flat stack index returning one, so the fallback stream need only
+    exist when a fallback runs.
 
-    `ris_rx` may be a stack (K, Nr, N) of receiver-side legs sharing one
-    `tx_ris`, whose pseudoinverse is then taken once; the result is (K, N),
-    each row as if computed alone.
+    `tx_ris` (..., N, Nt) and `ris_rx` (..., Nr, N) may carry leading stack
+    axes that broadcast against each other, e.g. one Tx-side leg for a
+    stack of receiver positions, or one of each per realization of a block.
+    Each pseudoinverse is taken once per matrix given; the result is
+    (..., N), each row as if computed alone.
     """
     tx_ris = np.atleast_2d(np.asarray(tx_ris))
     ris_rx = np.atleast_2d(np.asarray(ris_rx))
-    n, nt = tx_ris.shape
+    n, nt = tx_ris.shape[-2:]
     nr, n2 = ris_rx.shape[-2:]
     if n2 != n:
         raise DimensionMismatch(f"cascade mismatch: tx side is {n}-element, rx side {n2}")
     if nt == 1 and nr == 1:
-        return siso_optimal_phases(tx_ris[:, 0], ris_rx[..., 0, :], bits)
+        return siso_optimal_phases(tx_ris[..., 0], ris_rx[..., 0, :], bits)
     if n < max(nt, nr):
         warnings.warn(f"{n} surface elements for a {nr}x{nt} link; the pseudoinverse "
                       "target is underdetermined", stacklevel=2)
     try:
         # only the diagonal of pinv(ris_rx) @ M @ pinv(tx_ris) is needed
-        diag = np.einsum("...ij,ji->...i", np.linalg.pinv(ris_rx, rcond=rcond) @ np.eye(nr, nt),
+        diag = np.einsum("...ij,...ji->...i",
+                         np.linalg.pinv(ris_rx, rcond=rcond) @ np.eye(nr, nt),
                          np.linalg.pinv(tx_ris, rcond=rcond))
         if not np.all(np.isfinite(diag)) or not np.all(np.any(diag, axis=-1)):
             raise np.linalg.LinAlgError("degenerate pseudoinverse diagonal")
     except np.linalg.LinAlgError as exc:
-        if ris_rx.ndim > 2:
+        stack = np.broadcast_shapes(tx_ris.shape[:-2], ris_rx.shape[:-2])
+        if stack:
             # redo the stack leg by leg, so only the failing legs fall back,
             # each with the fallback draws it would get alone
-            return np.stack([pinv_phases(tx_ris, leg, bits=bits, rcond=rcond,
-                                         fallback_rng=copy.deepcopy(fallback_rng))
-                             for leg in ris_rx])
+            legs = zip(np.broadcast_to(tx_ris, stack + (n, nt)).reshape(-1, n, nt),
+                       np.broadcast_to(ris_rx, stack + (nr, n)).reshape(-1, nr, n))
+            return np.stack([pinv_phases(h, g, bits=bits, rcond=rcond,
+                                         fallback_rng=_leg_fallback(fallback_rng, i))
+                             for i, (h, g) in enumerate(legs)]).reshape(stack + (n,))
         warnings.warn(f"pseudoinverse phase computation failed ({exc}); "
                       "falling back to random phases", SingularPinvWarning, stacklevel=2)
         if fallback_rng is None:
             raise SingularPinv(str(exc)) from exc
-        return baseline_phases("random", n, fallback_rng, bits)
+        rng = fallback_rng(0) if callable(fallback_rng) else fallback_rng
+        return baseline_phases("random", n, rng, bits)
     return quantize_phases(np.angle(diag), bits)
+
+
+def _leg_fallback(fallback_rng, index: int):
+    """The fallback of stack leg `index`, as a single leg's `fallback_rng`."""
+    if callable(fallback_rng):
+        return lambda _: fallback_rng(index)
+    return copy.deepcopy(fallback_rng)
 
 
 def baseline_phases(kind: str, n: int, rng: np.random.Generator | None = None,

@@ -214,6 +214,22 @@ def draw_cluster_variates(env: Environment, rng: np.random.Generator,
     return ClusterVariates(sizes, rep, az, el, radial, d_az, d_el, gains, shadow)
 
 
+def stack_cluster_variates(variates: list[ClusterVariates]) -> ClusterVariates:
+    """Several links' cluster draws as one, their paths concatenated in order.
+
+    Cluster indices are offset so every path keeps its own link's cluster;
+    placing the result places each link's paths exactly as alone.
+    """
+    if variates[0].sizes is None:   # shared geometry: only gains and shadowing
+        return variates[0]._replace(gains=np.concatenate([v.gains for v in variates]),
+                                    shadow=np.concatenate([v.shadow for v in variates]))
+    fields = {name: np.concatenate([getattr(v, name) for v in variates])
+              for name in ClusterVariates._fields}
+    offsets = np.cumsum([0] + [len(v.sizes) for v in variates[:-1]])
+    fields["cluster"] = np.concatenate([v.cluster + o for v, o in zip(variates, offsets)])
+    return ClusterVariates(**fields)
+
+
 def place_clusters(variates: ClusterVariates, near, far, env: Environment, f_hz: float,
                    near_frame: np.ndarray | None = None,
                    geometry_from: ClusterSet | None = None) -> ClusterSet:

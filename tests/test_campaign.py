@@ -9,13 +9,70 @@ from rislink import (Campaign, GridSpec, PhaseAlgorithm, RisSpec, coverage_map,
                      default_grid, dump_channels, export_coverage, export_statistics,
                      load_channel_dump, read_csv_table, run_campaign, scene_preset,
                      validate_config)
-from rislink.campaign import COVERAGE_BLOCK
-from rislink.errors import ConfigError, EmptySweep
+import rislink.campaign as campaign_module
+from rislink import LinkTag, baseline_phases, composite_singular_values, spawn_rng
+from rislink.campaign import BLOCK_SIZE, compute_phase_sets
+from rislink.channel import realize_block
+from rislink.control import rate_from_singular_values
+from rislink.errors import ConfigError, EmptySweep, SingularPinvWarning
 
 
 def quick_vc(realizations=8, **overrides):
     cfg = dataclasses.replace(scene_preset("indoor"), realizations=realizations, **overrides)
     return validate_config(cfg)
+
+
+class TestCampaignBlocks:
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"ris_links": "auto", "direct_mode": "present"},
+        {"ris": (scene_preset("indoor").ris[0], RisSpec(64, (60.0, 30.0, 2.0), plane="yz")),
+         "idle_ris": "random"},
+        {"algorithm": "random"},
+    ])
+    def test_realization_rates_do_not_depend_on_the_block(self, overrides):
+        vc = quick_vc(realizations=BLOCK_SIZE + 7, pt_dbm=(30.0,), **overrides)
+        campaign = Campaign(vc)
+        alg = campaign.resolved_algorithm()
+        alone = [rate_from_singular_values(composite_singular_values(vc, r, alg),
+                                           vc.pt_watts[0], vc.noise_watts)
+                 for r in range(vc.config.realizations)]
+        assert np.array_equal(run_campaign(campaign).rates[0], alone)
+
+    def test_degenerate_realization_falls_back_alone(self):
+        vc = quick_vc()
+        alg = PhaseAlgorithm("pinv")
+        block = range(8, 16)
+        channels = realize_block(vc, block)
+        intact = compute_phase_sets(vc, channels, alg, block)[0]
+        dead = channels.ris_rx[0].copy()
+        dead[3] = 0.0
+        with pytest.warns(SingularPinvWarning):
+            phases = compute_phase_sets(
+                vc, dataclasses.replace(channels, ris_rx=(dead,)), alg, block)[0]
+        alone = realize_block(vc, range(11, 12))
+        with pytest.warns(SingularPinvWarning):
+            expected = compute_phase_sets(
+                vc, dataclasses.replace(alone, ris_rx=(np.zeros_like(alone.ris_rx[0]),)),
+                alg, range(11, 12))[0][0]
+        assert np.array_equal(phases[3], expected)
+        # the fallback draws from realization 11's own phase substream
+        assert np.array_equal(expected, baseline_phases(
+            "random", 64, spawn_rng(vc.config.seed, 11, LinkTag.PHASES, 0)))
+        others = [i for i in range(len(block)) if i != 3]
+        assert np.array_equal(phases[others], intact[others])
+
+    def test_pinv_spawns_no_phase_stream_without_fallback(self, monkeypatch):
+        tags = []
+
+        def counting_spawn(seed, realization, tag, *extra):
+            tags.append(LinkTag(tag))
+            return spawn_rng(seed, realization, tag, *extra)
+
+        monkeypatch.setattr(campaign_module, "spawn_rng", counting_spawn)
+        stats = run_campaign(Campaign(quick_vc()))
+        assert np.all(np.isfinite(stats.rates))
+        assert LinkTag.PHASES not in tags
 
 
 class TestRunCampaign:
@@ -105,8 +162,8 @@ class TestCoverage:
         grid = GridSpec(0.0, 75.0, 0.0, 50.0, cell=5.0, z=1.0)
         x, y = grid.centers()
         # several blocks for the workers to share, the last one partial
-        assert len(x) * len(y) > 2 * COVERAGE_BLOCK
-        assert len(x) * len(y) % COVERAGE_BLOCK != 0
+        assert len(x) * len(y) > 2 * BLOCK_SIZE
+        assert len(x) * len(y) % BLOCK_SIZE != 0
         blobs = []
         for w in (1, 2, 4):
             path = tmp_path / f"grid_w{w}.csv"

@@ -9,7 +9,8 @@ from rislink import (ArraySpec, ChannelTriple, RisSpec, SimConfig, assemble_dire
                      assemble_link_channel, build_scene, composite_channel,
                      composite_multi, phase_matrix, realize_channels, scene_preset,
                      validate_config)
-from rislink.channel import PhaseVector
+import rislink.channel as channel_module
+from rislink.channel import PhaseVector, realize_block
 from rislink.errors import DimensionMismatch
 from rislink.geometry import element_gain
 from rislink.propagation import ClusterSet, LinkState
@@ -133,6 +134,52 @@ class TestAssembly:
         assert part.ris_rx[1].shape == (1, 4, 64)
         assert np.array_equal(part.ris_rx[1][0], full.ris_rx[1][1])
         assert np.array_equal(part.tx_ris[1], full.tx_ris[1])
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"rx_orientation": "fixed"},
+        {"ris_links": "auto", "direct_mode": "auto"},
+        {"ris_links": "auto", "direct_mode": "present", "shared_clusters": True},
+        {"direct_mode": "blocked", "blocked_keeps_scatter": True, "scatter_paths": False},
+        {"second": True},
+    ])
+    def test_block_matches_each_realization_alone(self, overrides):
+        overrides = dict(overrides)
+        cfg = dataclasses.replace(scene_preset("indoor"), realizations=1)
+        if overrides.pop("second", False):
+            overrides["ris"] = (cfg.ris[0], RisSpec(64, (60.0, 30.0, 2.0), plane="yz"))
+        vc = validate_config(dataclasses.replace(cfg, **overrides))
+        block = range(5, 25)   # several placement chunks on the 64-element legs
+        stacked = realize_block(vc, block)
+        assert stacked.realization == block
+        for i, r in enumerate(block):
+            alone = realize_channels(vc, r)
+            pairs = [(stacked.direct[i], alone.direct)]
+            for k in range(len(vc.config.ris)):
+                pairs += [(stacked.tx_ris[k][i], alone.tx_ris[k]),
+                          (stacked.ris_rx[k][i], alone.ris_rx[k])]
+            for got, want in pairs:
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want), initial=0.0)
+
+    def test_block_does_not_depend_on_its_placement_chunks(self, monkeypatch):
+        vc = validate_config(dataclasses.replace(
+            scene_preset("indoor"), realizations=1, ris_links="auto", direct_mode="present"))
+        whole = realize_block(vc, range(12))
+        monkeypatch.setattr(channel_module, "PLACEMENT_BUDGET", 1)   # one realization a chunk
+        chunked = realize_block(vc, range(12))
+        assert np.array_equal(whole.tx_ris[0], chunked.tx_ris[0])
+        assert np.array_equal(whole.ris_rx[0], chunked.ris_rx[0])
+        assert np.array_equal(whole.direct, chunked.direct)
+
+    def test_block_realizes_only_the_listed_surfaces(self):
+        base = dataclasses.replace(scene_preset("indoor"), realizations=1)
+        vc = validate_config(dataclasses.replace(
+            base, ris=(base.ris[0], RisSpec(64, (60.0, 30.0, 2.0), plane="yz"))))
+        part = realize_block(vc, range(3), surfaces=(1,))
+        assert part.tx_ris[0] is None and part.ris_rx[0] is None
+        assert part.tx_ris[1].shape == (3, 64, 4) and part.ris_rx[1].shape == (3, 4, 64)
+        assert np.array_equal(part.ris_rx[1], realize_block(vc, range(3)).ris_rx[1])
 
     def test_realization_order_independent(self):
         vc = validate_config(dataclasses.replace(scene_preset("indoor"), realizations=4))

@@ -55,3 +55,12 @@ def test_set_keeps_derived_defaults(tmp_path, capsys):
     edited = validate_config(parse_config_text("element_spacing = 0.3\n"))
     assert edited.config.ris[0].spacing_wl == 0.3
     assert f"hash {edited.config_hash}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("override", ["pt_dbm=4000", "noise_dbm=-4000"])
+def test_power_without_finite_positive_watts_is_a_config_error(override, capsys):
+    assert main(["validate", "--preset", "indoor", "--set", override]) == 1
+    assert main(["run", "--preset", "indoor", "--set", "realizations=2",
+                 "--set", override]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "finite positive power" in err

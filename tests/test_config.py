@@ -222,6 +222,19 @@ class TestConfigKeys:
             validate_config(cfg)
 
 
+    @pytest.mark.parametrize("line", [
+        "pt_dbm = 4000", "pt_dbm = 20, 4000", "pt_dbm = -4000",
+        "noise_dbm = 4000", "noise_dbm = -4000",
+    ])
+    def test_power_without_finite_positive_watts_rejected(self, line):
+        with pytest.raises(ConfigError, match="finite positive power"):
+            validate_config(parse_config_text(line))
+
+    def test_extreme_but_representable_powers_accepted(self):
+        vc = validate_config(parse_config_text("pt_dbm = 3000\nnoise_dbm = -3000"))
+        assert np.isfinite(vc.pt_watts[0]) and vc.noise_watts > 0.0
+
+
 # File-expressible configs: every value has a key, tx and rx share a spacing
 # and orientation is global.  Integral floats are drawn often, so the
 # int/float equality property has something to fold.

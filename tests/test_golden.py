@@ -2,8 +2,10 @@
 
 `tests/data/golden.npz` holds, per variant, a 6x4-cell coverage map at 4
 realizations (mean rates and serving surfaces) and the raw paired rates of
-an 8-realization pt campaign.  Any rewrite of the rate path must reproduce
-them: surface indices exactly, rates within 1e-12 relative.
+an 8-realization pt campaign.  `tests/data/golden_blocks.npz` holds the raw
+rates of 70-realization campaigns (pt, n and ntnr sweeps), which span two
+full campaign blocks and a partial one.  Any rewrite of the rate path must
+reproduce them: surface indices exactly, rates within 1e-12 relative.
 
 Regenerate (only when the model itself changes, never to absorb a
 rewrite's drift) with `PYTHONPATH=src python tests/test_golden.py`.
@@ -18,6 +20,7 @@ import pytest
 import rislink as rl
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden.npz"
+BLOCK_GOLDEN = GOLDEN.with_name("golden_blocks.npz")
 REL_TOL = 1e-12
 SECOND_SURFACE = rl.RisSpec(64, (60.0, 30.0, 2.0), plane="yz")
 
@@ -41,8 +44,22 @@ VARIANTS = {
 }
 
 
-def variant_config(name: str, realizations: int, pt_dbm=(40.0,)) -> rl.ValidatedConfig:
-    overrides = dict(VARIANTS[name])
+# Multi-block campaigns: name -> (SimConfig field overrides, sweep axis, values).
+BLOCK_REALIZATIONS = 70
+BLOCK_VARIANTS = {
+    "indoor": ({}, "pt", ()),
+    "los_coin_direct_present": ({"ris_links": "auto", "direct_mode": "present"}, "pt", ()),
+    "shared_clusters": ({"shared_clusters": True}, "pt", ()),
+    "two_surfaces_random": ({"second": True, "idle_ris": "random"}, "pt", ()),
+    "siso": ({"siso": True, "algorithm": "siso"}, "pt", ()),
+    "n_sweep": ({}, "n", (32, 64, 128)),
+    "ntnr_sweep": ({"ris_links": "auto"}, "ntnr", (2, 4)),
+}
+
+
+def variant_config(name: str, realizations: int, pt_dbm=(40.0,),
+                   overrides: dict | None = None) -> rl.ValidatedConfig:
+    overrides = dict(VARIANTS[name] if overrides is None else overrides)
     cfg = dataclasses.replace(rl.scene_preset("indoor"), realizations=realizations,
                               pt_dbm=pt_dbm, seed=17)
     if overrides.pop("second", False):
@@ -60,6 +77,14 @@ def variant_outputs(name: str) -> dict:
         variant_config(name, realizations=8, pt_dbm=(20.0, 30.0, 40.0))))
     return {"mean_rate": grid.mean_rate, "ris_index": grid.ris_index,
             "pt_rates": stats.rates}
+
+
+def block_campaign(name: str, workers: int = 1) -> rl.RateStatistics:
+    overrides, axis, values = BLOCK_VARIANTS[name]
+    pt_dbm = (20.0, 30.0, 40.0) if axis == "pt" else (30.0,)
+    vc = variant_config(name, BLOCK_REALIZATIONS, pt_dbm, overrides)
+    return rl.run_campaign(rl.Campaign(vc, sweep_axis=axis, sweep_values=values,
+                                       workers=workers))
 
 
 @pytest.fixture(scope="module")
@@ -82,9 +107,37 @@ def test_golden_covers_every_variant(golden):
     assert {k.split("/")[0] for k in golden} == set(VARIANTS)
 
 
+@pytest.fixture(scope="module")
+def block_golden():
+    with np.load(BLOCK_GOLDEN, allow_pickle=False) as data:
+        return {k: data[k] for k in data.files}
+
+
+def test_block_golden_covers_every_variant(block_golden):
+    assert set(block_golden) == set(BLOCK_VARIANTS)
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_VARIANTS))
+def test_multi_block_campaign_matches_golden(name, block_golden):
+    rates = block_campaign(name).rates
+    assert rates.shape[1] == BLOCK_REALIZATIONS
+    np.testing.assert_allclose(rates, block_golden[name], rtol=REL_TOL, atol=0.0,
+                               err_msg=name)
+
+
+@pytest.mark.parametrize("name", ["n_sweep", "siso", "two_surfaces_random"])
+def test_multi_block_campaign_bytes_do_not_depend_on_workers(name):
+    one = block_campaign(name).rates.tobytes()
+    for workers in (2, 4):
+        assert block_campaign(name, workers=workers).rates.tobytes() == one
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     arrays = {f"{name}/{key}": value for name in sorted(VARIANTS)
               for key, value in variant_outputs(name).items()}
     np.savez_compressed(GOLDEN, **arrays)
     print(f"wrote {len(arrays)} arrays to {GOLDEN}")
+    blocks = {name: block_campaign(name).rates for name in sorted(BLOCK_VARIANTS)}
+    np.savez_compressed(BLOCK_GOLDEN, **blocks)
+    print(f"wrote {len(blocks)} arrays to {BLOCK_GOLDEN}")
