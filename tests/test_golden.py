@@ -36,11 +36,16 @@ VARIANTS = {
     "two_surfaces_absent": {"second": True, "idle_ris": "absent"},
     "two_surfaces_random": {"second": True, "idle_ris": "random"},
     "two_surfaces_los_coin": {"second": True, "ris_links": "auto", "direct_mode": "auto"},
-    "siso": {"siso": True, "algorithm": "siso"},
-    "siso_pinv": {"siso": True},
+    "siso": {"terminal": {"count": 1}, "algorithm": "siso"},
+    "siso_pinv": {"terminal": {"count": 1}},
     "random": {"algorithm": "random"},
     "zero": {"algorithm": "zero"},
     "phase_bits_2": {"phase_bits": 2},
+    # array grids beyond the 2x2 terminals and the 8x8 surface
+    "ula_terminals": {"terminal": {"layout": "ula"}},
+    "surface_4x16": {"surface": {"shape": (4, 16)}},
+    "surface_1x67": {"surface": {"count": 67}},
+    "spacing_quarter": {"terminal": {"spacing_wl": 0.25}, "surface": {"spacing_wl": 0.25}},
 }
 
 
@@ -51,7 +56,7 @@ BLOCK_VARIANTS = {
     "los_coin_direct_present": ({"ris_links": "auto", "direct_mode": "present"}, "pt", ()),
     "shared_clusters": ({"shared_clusters": True}, "pt", ()),
     "two_surfaces_random": ({"second": True, "idle_ris": "random"}, "pt", ()),
-    "siso": ({"siso": True, "algorithm": "siso"}, "pt", ()),
+    "siso": ({"terminal": {"count": 1}, "algorithm": "siso"}, "pt", ()),
     "n_sweep": ({}, "n", (32, 64, 128)),
     "ntnr_sweep": ({"ris_links": "auto"}, "ntnr", (2, 4)),
 }
@@ -62,11 +67,12 @@ def variant_config(name: str, realizations: int, pt_dbm=(40.0,),
     overrides = dict(VARIANTS[name] if overrides is None else overrides)
     cfg = dataclasses.replace(rl.scene_preset("indoor"), realizations=realizations,
                               pt_dbm=pt_dbm, seed=17)
-    if overrides.pop("second", False):
-        overrides["ris"] = (cfg.ris[0], SECOND_SURFACE)
-    if overrides.pop("siso", False):
-        overrides["tx"] = dataclasses.replace(cfg.tx, count=1)
-        overrides["rx"] = dataclasses.replace(cfg.rx, count=1)
+    # "terminal" / "surface": field overrides on both terminals / the first surface
+    terminal = overrides.pop("terminal", {})
+    first = dataclasses.replace(cfg.ris[0], **overrides.pop("surface", {}))
+    overrides["ris"] = (first, SECOND_SURFACE) if overrides.pop("second", False) else (first,)
+    overrides["tx"] = dataclasses.replace(cfg.tx, **terminal)
+    overrides["rx"] = dataclasses.replace(cfg.rx, **terminal)
     return rl.validate_config(dataclasses.replace(cfg, **overrides))
 
 
