@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .propagation import (ClusterSet, LinkState, draw_cluster_variates, draw_clu
                           draw_link_state, draw_los_variates, los_probability,
                           place_clusters, place_los, shadowed_attenuation,
                           stack_cluster_variates)
-from .rng import LinkTag, spawn_rng
+from .rng import LinkTag, block_rngs, spawn_rng
 
 
 @dataclass(frozen=True)
@@ -34,12 +34,13 @@ class DeviceView:
 
     position: np.ndarray
     frame: np.ndarray
-    elements: np.ndarray            # local element coordinates (n, 3), meters
+    vert: np.ndarray    # (rows,) local vertical coordinate of each element row, times 2*pi/lambda
+    horiz: np.ndarray   # (cols,) local horizontal coordinate of each column, times 2*pi/lambda
     gain_exponent: float | None = None  # None = isotropic elements
 
     @property
     def count(self) -> int:
-        return len(self.elements)
+        return self.vert.size * self.horiz.size
 
 
 @dataclass(frozen=True)
@@ -80,15 +81,17 @@ def build_scene(vc: ValidatedConfig, rx_position=None,
     """Device views for one realization; `rx_position`/`rx_frame` override the config."""
     cfg = vc.config
     lam = vc.wavelength
-    tx = DeviceView(np.asarray(cfg.tx.position, float), cfg.tx.frame,
-                    cfg.tx.element_positions(lam))
-    rx = DeviceView(
-        np.asarray(cfg.rx.position if rx_position is None else rx_position, float),
-        cfg.rx.frame if rx_frame is None else rx_frame,
-        cfg.rx.element_positions(lam))
-    ris = tuple(DeviceView(np.asarray(r.position, float), r.frame,
-                           r.element_positions(lam), r.gain_exponent)
-                for r in cfg.ris)
+
+    def view(spec, position, frame, gain_exponent=None) -> DeviceView:
+        vert, horiz = spec.grid_axes(lam)
+        k = 2.0 * np.pi / lam
+        return DeviceView(np.asarray(position, float), frame, k * vert, k * horiz,
+                          gain_exponent)
+
+    tx = view(cfg.tx, cfg.tx.position, cfg.tx.frame)
+    rx = view(cfg.rx, cfg.rx.position if rx_position is None else rx_position,
+              cfg.rx.frame if rx_frame is None else rx_frame)
+    ris = tuple(view(r, r.position, r.frame, r.gain_exponent) for r in cfg.ris)
     return Scene(lam, tx, rx, ris)
 
 
@@ -102,7 +105,7 @@ def _pattern(row: DeviceView, col: DeviceView, gain_side: str | None,
 
 
 def _link_matrix(row: DeviceView, col: DeviceView, gain_side: str | None,
-                 clusters: ClusterSet, link: LinkState, wavelength: float) -> np.ndarray:
+                 clusters: ClusterSet, link: LinkState) -> np.ndarray:
     """Sum of path outer-products a_row * a_col^T with the LOS term added.
 
     `gain_side` names the device ("row"/"col"/None) whose element pattern
@@ -120,8 +123,8 @@ def _link_matrix(row: DeviceView, col: DeviceView, gain_side: str | None,
         u_col, _ = local_directions(col.position, clusters.positions, col.frame)
         weights = clusters.gains * np.sqrt(_pattern(row, col, gain_side, u_row, u_col)
                                            * clusters.attenuations)
-        a_row = steering_matrix(row.elements, u_row, wavelength)
-        a_col = steering_matrix(col.elements, u_col, wavelength)
+        a_row = steering_matrix(row.vert, row.horiz, u_row)
+        a_col = steering_matrix(col.vert, col.horiz, u_col)
         # normalization keeps total scattered power independent of the path count
         matrix += ((a_row * weights[..., None, :]) @ a_col.swapaxes(-1, -2)
                    / np.sqrt(clusters.total_paths))
@@ -129,8 +132,8 @@ def _link_matrix(row: DeviceView, col: DeviceView, gain_side: str | None,
     if link.los:
         u_row, _ = local_directions(row.position[..., None, :], col.position, row.frame)
         u_col, _ = local_directions(col.position, row.position[..., None, :], col.frame)
-        a_row = steering_matrix(row.elements, u_row, wavelength)[..., 0]
-        a_col = steering_matrix(col.elements, u_col, wavelength)[..., 0]
+        a_row = steering_matrix(row.vert, row.horiz, u_row)[..., 0]
+        a_col = steering_matrix(col.vert, col.horiz, u_col)[..., 0]
         amp = np.sqrt(_pattern(row, col, gain_side, u_row, u_col)[..., 0] * link.attenuation)
         matrix += ((amp * np.exp(1j * link.phase))[..., None, None]
                    * (a_row[..., :, None] * a_col[..., None, :]))
@@ -143,16 +146,16 @@ def assemble_link_channel(side: str, clusters: ClusterSet, link: LinkState,
     """One surface leg: 'tx-ris' gives the (N, Nt) matrix, 'ris-rx' the (Nr, N) one."""
     surface = scene.ris[ris_index]
     if side == "tx-ris":
-        return _link_matrix(surface, scene.tx, "row", clusters, link, scene.wavelength)
+        return _link_matrix(surface, scene.tx, "row", clusters, link)
     if side == "ris-rx":
-        return _link_matrix(scene.rx, surface, "col", clusters, link, scene.wavelength)
+        return _link_matrix(scene.rx, surface, "col", clusters, link)
     raise ValueError(f"side must be 'tx-ris' or 'ris-rx', got {side!r}")
 
 
 def assemble_direct_channel(clusters: ClusterSet, link: LinkState,
                             scene: Scene) -> np.ndarray:
     """The (Nr, Nt) terminal-to-terminal matrix; no element pattern applies."""
-    return _link_matrix(scene.rx, scene.tx, None, clusters, link, scene.wavelength)
+    return _link_matrix(scene.rx, scene.tx, None, clusters, link)
 
 
 def phase_matrix(phases: PhaseVector | np.ndarray) -> np.ndarray:
@@ -378,7 +381,7 @@ class _BlockLeg(NamedTuple):
     bounds: np.ndarray           # (B + 1,) offsets of each realization's paths
 
 
-def _draw_block_leg(vc: ValidatedConfig, rngs: list, near: DeviceView, far: np.ndarray,
+def _draw_block_leg(vc: ValidatedConfig, rngs: Iterable, near: DeviceView, far: np.ndarray,
                     force_los: bool | None, geometry_from: _BlockLeg | None = None) -> _BlockLeg:
     """The link from device `near` to the point `far`, one substream per realization.
 
@@ -407,7 +410,7 @@ def _draw_block_leg(vc: ValidatedConfig, rngs: list, near: DeviceView, far: np.n
                                   None if geometry_from is None else geometry_from.clusters)
         paths = [len(v.gains) for v in variates]
     else:
-        clusters, paths = ClusterSet.empty(), [0] * len(rngs)
+        clusters, paths = ClusterSet.empty(), [0] * len(los)
     return _BlockLeg(np.array(los), attenuation, phase, clusters,
                      np.concatenate([[0], np.cumsum(paths)]))
 
@@ -422,8 +425,7 @@ def _directions(origin: np.ndarray, points: np.ndarray, frame: np.ndarray) -> np
 
 
 def _block_link_matrices(row: DeviceView, col: DeviceView, gain_side: str | None,
-                         leg: _BlockLeg, wavelength: float,
-                         row_frames: np.ndarray | None = None) -> np.ndarray:
+                         leg: _BlockLeg, row_frames: np.ndarray | None = None) -> np.ndarray:
     """`_link_matrix` for every realization of a block: (B, row.count, col.count).
 
     The devices are fixed; `row_frames` (B, 3, 3), when given, is the row
@@ -449,8 +451,8 @@ def _block_link_matrices(row: DeviceView, col: DeviceView, gain_side: str | None
             stop = max(start + 1, int(np.searchsorted(bounds, bounds[start] + per_chunk,
                                                       side="right")) - 1)
             first, last = bounds[start], bounds[stop]
-            a_row = steering_matrix(row.elements, u_row[first:last], wavelength)
-            a_col = steering_matrix(col.elements, u_col[first:last], wavelength)
+            a_row = steering_matrix(row.vert, row.horiz, u_row[first:last])
+            a_col = steering_matrix(col.vert, col.horiz, u_col[first:last])
             for i in range(start, stop):
                 own = slice(bounds[i] - first, bounds[i + 1] - first)
                 # normalization keeps total scattered power independent of the path count
@@ -463,8 +465,8 @@ def _block_link_matrices(row: DeviceView, col: DeviceView, gain_side: str | None
         frames = row.frame if row_frames is None else row_frames[los]
         u_row = _directions(row.position, col.position, frames)
         u_col, _ = local_directions(col.position, row.position, col.frame)
-        a_row = steering_matrix(row.elements, u_row, wavelength).T   # (L or 1, row.count)
-        a_col = steering_matrix(col.elements, u_col, wavelength)[:, 0]
+        a_row = steering_matrix(row.vert, row.horiz, u_row).T   # (L or 1, row.count)
+        a_col = steering_matrix(col.vert, col.horiz, u_col)[:, 0]
         amp = np.sqrt(_pattern(row, col, gain_side, u_row, u_col) * leg.los_attenuation)
         matrix[los] += ((amp * np.exp(1j * leg.los_phase))[:, None, None]
                         * (a_row[:, :, None] * a_col[None, None, :]))
@@ -475,11 +477,11 @@ def realize_block(vc: ValidatedConfig, realizations: range, surfaces=None,
                   rx_position=None) -> RealizationChannels:
     """`realize_channels` for a block of realizations at one receiver position.
 
-    Every realization spawns its own substreams and reads them in the
-    order `realize_channels` does, so each sees exactly its own draws; the
-    matrices carry a leading realization axis.  Each leg's paths are
-    placed, steered and weighted once for the whole block
-    (`_block_link_matrices`).  `surfaces` lists the surfaces to realize
+    Every realization reads its own substreams (seeded for the whole block
+    by `block_rngs`) in the order `realize_channels` does, so each sees
+    exactly its own draws; the matrices carry a leading realization axis.
+    Each leg's paths are placed, steered and weighted once for the whole
+    block (`_block_link_matrices`).  `surfaces` lists the surfaces to realize
     (default: all); the others get None matrices.  No `los`/`clusters`
     records are kept.
     """
@@ -488,31 +490,30 @@ def realize_block(vc: ValidatedConfig, realizations: range, surfaces=None,
 
     rx_frames = None
     if cfg.rx_orientation == "random-azimuth":
-        rx_frames = np.stack([
-            azimuth_rotation_frame(spawn_rng(seed, r, LinkTag.RX_FRAME).uniform(0.0, 2.0 * np.pi))
-            for r in realizations])
+        rx_frames = np.stack([azimuth_rotation_frame(rng.uniform(0.0, 2.0 * np.pi))
+                              for rng in block_rngs(seed, realizations, LinkTag.RX_FRAME)])
     scene = build_scene(vc, rx_position=rx_position)
-    tx, rx, lam = scene.tx, scene.rx, scene.wavelength
+    tx, rx = scene.tx, scene.rx
 
-    def streams(tag: LinkTag, *extra: int) -> list:
-        return [spawn_rng(seed, r, tag, *extra) for r in realizations]
+    def streams(tag: LinkTag, *extra: int):
+        return block_rngs(seed, realizations, tag, *extra)
 
     force = True if cfg.ris_links == "los" else None
     tx_ris, ris_rx = [None] * len(scene.ris), [None] * len(scene.ris)
     for k in range(len(scene.ris)) if surfaces is None else surfaces:
         surface = scene.ris[k]
         leg_h = _draw_block_leg(vc, streams(LinkTag.TX_RIS, k), tx, surface.position, force)
-        tx_ris[k] = _block_link_matrices(surface, tx, "row", leg_h, lam)
+        tx_ris[k] = _block_link_matrices(surface, tx, "row", leg_h)
         leg_g = _draw_block_leg(vc, streams(LinkTag.RIS_RX, k), surface, rx.position, force,
                                 geometry_from=leg_h if cfg.shared_clusters else None)
-        ris_rx[k] = _block_link_matrices(rx, surface, "col", leg_g, lam, rx_frames)
+        ris_rx[k] = _block_link_matrices(rx, surface, "col", leg_g, rx_frames)
 
     if cfg.direct_mode == "blocked" and not cfg.blocked_keeps_scatter:
         direct = np.zeros((len(realizations), rx.count, tx.count), dtype=complex)
     else:
         force_d = {"blocked": False, "present": True}.get(cfg.direct_mode)
         leg_d = _draw_block_leg(vc, streams(LinkTag.DIRECT), tx, rx.position, force_d)
-        direct = _block_link_matrices(rx, tx, None, leg_d, lam, rx_frames)
+        direct = _block_link_matrices(rx, tx, None, leg_d, rx_frames)
 
     return RealizationChannels(tx_ris=tuple(tx_ris), ris_rx=tuple(ris_rx), direct=direct,
                                realization=realizations)

@@ -50,8 +50,17 @@ def watts_to_dbm(watts: float) -> float:
     return 10.0 * math.log10(watts) + 30.0
 
 
+# Elements per array at most.  One steering matrix of a larger array runs
+# to gigabytes, and factoring its count into a grid (`near_square_grid`
+# trial-divides up to the square root) would stall validation.
+MAX_ARRAY_ELEMENTS = 1 << 20
+
+
 def near_square_grid(count: int) -> tuple[int, int]:
-    """Factor `count` into the most square (rows, cols) grid, rows <= cols."""
+    """Factor `count` into the most square (rows, cols) grid, rows <= cols.
+
+    Takes O(sqrt(count)) steps; validation keeps counts within `MAX_ARRAY_ELEMENTS`.
+    """
     rows = 1
     for r in range(int(math.isqrt(count)), 0, -1):
         if count % r == 0:
@@ -61,18 +70,30 @@ def near_square_grid(count: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
+def _grid_axes(grid_shape: tuple[int, int], spacing_m: float,
+               centered: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Local vertical coordinate of each row and horizontal one of each column
+    of a planar element grid (cached; treat as read-only)."""
+    rows, cols = grid_shape
+    r, c = np.arange(rows), np.arange(cols)
+    if centered:
+        vert = ((rows - 1) / 2.0 - r) * spacing_m
+        horiz = (c - (cols - 1) / 2.0) * spacing_m
+    else:
+        vert = r * spacing_m
+        horiz = c * spacing_m
+    vert.flags.writeable = horiz.flags.writeable = False
+    return vert, horiz
+
+
+@lru_cache(maxsize=None)
 def _array_elements(grid_shape: tuple[int, int], spacing_m: float,
                     centered: bool) -> np.ndarray:
-    """Local coordinates of a planar element grid (cached; treat as read-only)."""
-    rows, cols = grid_shape
-    r, c = np.divmod(np.arange(rows * cols), cols)
-    if centered:
-        horiz = (c - (cols - 1) / 2.0) * spacing_m
-        vert = ((rows - 1) / 2.0 - r) * spacing_m
-    else:
-        horiz = c * spacing_m
-        vert = r * spacing_m
-    out = np.column_stack([np.zeros(rows * cols), horiz, vert])
+    """Local coordinates (n, 3) of a planar element grid, row-major: element
+    r * cols + c sits at (0, horiz[c], vert[r]) (cached; treat as read-only)."""
+    vert, horiz = _grid_axes(grid_shape, spacing_m, centered)
+    out = np.column_stack([np.zeros(vert.size * horiz.size), np.tile(horiz, vert.size),
+                           np.repeat(vert, horiz.size)])
     out.flags.writeable = False
     return out
 
@@ -155,6 +176,10 @@ class ArraySpec:
             return GLOBAL_FRAME
         return frame_from_plane(self.orientation[:2], +1 if self.orientation[2] == "+" else -1)
 
+    def grid_axes(self, wavelength: float) -> tuple[np.ndarray, np.ndarray]:
+        """Local (vertical per row, horizontal per column) element coordinates, meters."""
+        return _grid_axes(self.grid_shape, self.spacing_wl * wavelength, False)
+
     def element_positions(self, wavelength: float) -> np.ndarray:
         """Local element coordinates (n, 3); element 0 is the phase reference."""
         return _array_elements(self.grid_shape, self.spacing_wl * wavelength, False)
@@ -180,6 +205,10 @@ class RisSpec:
     def frame(self) -> np.ndarray:
         facing = self.facing if self.facing is not None else 1
         return frame_from_plane(self.plane, facing)
+
+    def grid_axes(self, wavelength: float) -> tuple[np.ndarray, np.ndarray]:
+        """Local (vertical per row, horizontal per column) element coordinates, meters."""
+        return _grid_axes(self.grid_shape, self.spacing_wl * wavelength, True)
 
     def element_positions(self, wavelength: float) -> np.ndarray:
         """Local element coordinates (n, 3), row-major over the grid.
@@ -272,6 +301,13 @@ def _resolve_facing(ris: RisSpec, tx_position: tuple[float, float, float]) -> Ri
     return dataclasses.replace(ris, facing=-1 if delta < 0 else 1)
 
 
+def _check_element_count(what: str, count: int) -> None:
+    if count < 1:
+        raise NonPositiveCount(f"{what} must be >= 1")
+    if count > MAX_ARRAY_ELEMENTS:
+        raise ConfigError(f"{what} {count} exceeds the maximum of {MAX_ARRAY_ELEMENTS}")
+
+
 def validate_config(cfg: SimConfig | ValidatedConfig) -> ValidatedConfig:
     """Check all invariants and return the config with derived quantities.
 
@@ -296,8 +332,7 @@ def validate_config(cfg: SimConfig | ValidatedConfig) -> ValidatedConfig:
         raise EmptySweep("the transmit power sweep list is empty")
 
     for name, spec in (("tx", cfg.tx), ("rx", cfg.rx)):
-        if spec.count < 1:
-            raise NonPositiveCount(f"{name} antenna count must be >= 1")
+        _check_element_count(f"{name} antenna count", spec.count)
         if spec.spacing_wl <= 0:
             raise ConfigError(f"{name} element spacing must be > 0")
         if spec.orientation != "global" and (len(spec.orientation) != 3
@@ -313,8 +348,7 @@ def validate_config(cfg: SimConfig | ValidatedConfig) -> ValidatedConfig:
 
     resolved = []
     for i, ris in enumerate(cfg.ris):
-        if ris.count < 1:
-            raise NonPositiveCount(f"ris[{i}] element count must be >= 1")
+        _check_element_count(f"ris[{i}] element count", ris.count)
         if ris.spacing_wl <= 0 or ris.gain_exponent < 0:
             raise ConfigError(f"ris[{i}] needs spacing > 0 and gain exponent >= 0")
         if ris.shape is not None and ris.shape[0] * ris.shape[1] != ris.count:

@@ -11,6 +11,11 @@ Conventions used by every module:
   elevation = atan2(dz, hypot(dx, dy)).
 * The propagation direction for angles (az, el) in local coordinates is
   u = (cos el * cos az, cos el * sin az, sin el).
+* Every array is a planar (rows, cols) element grid in its local y-z plane,
+  numbered row-major (element r * cols + c).  Its response to a direction
+  u therefore factors as a_vert(u_z) (x) a_horiz(u_y), the Kronecker product
+  of one exponential per row and one per column, which is how
+  `steering_matrix` evaluates it.
 """
 
 from __future__ import annotations
@@ -96,28 +101,37 @@ def direction_unit(azimuth, elevation) -> np.ndarray:
                     axis=-1)
 
 
-def steering_matrix(element_positions: np.ndarray, u_local: np.ndarray,
-                    wavelength: float) -> np.ndarray:
-    """Array response for each local direction in `u_local`.
+def steering_matrix(vert: np.ndarray, horiz: np.ndarray, u_local: np.ndarray) -> np.ndarray:
+    """Response of a planar (rows, cols) element grid for each local direction.
 
-    `element_positions` is (n, 3) in meters, local coordinates;
-    `u_local` is (P, 3).  Returns an (n, P) complex matrix of unit-modulus
-    entries exp(j * 2*pi/lambda * <u, r_n>); a stack of directions
-    (..., P, 3) gives a stack of matrices (..., n, P).
+    `vert` (rows,) and `horiz` (cols,) are the local vertical coordinate of
+    each element row and the horizontal one of each column, scaled by
+    2*pi/lambda; every element lies in the aperture plane (local x = 0).
+    `u_local` is (P, 3), or a stack (..., P, 3).  Element r * cols + c (the
+    row-major order of `element_positions`) responds with
+    exp(j * 2*pi/lambda * <u, r_n>) = exp(j * vert[r] * u_z) * exp(j * horiz[c] * u_y),
+    so each direction costs rows + cols exponentials and one outer product.
+    Returns the (..., rows * cols, P) complex matrix (stack).
     """
-    if element_positions.shape[-1] != 3 or u_local.shape[-1] != 3:
-        raise DimensionMismatch("element positions and directions must be 3D")
-    phase = (2.0 * np.pi / wavelength) * (
-        element_positions @ np.atleast_2d(u_local).swapaxes(-1, -2))
-    response = 1j * phase
-    return np.exp(response, out=response)   # in place: one complex array, not two
+    u = np.atleast_2d(u_local)
+    if u.shape[-1] != 3:
+        raise DimensionMismatch("directions must be 3D")
+    rows = vert.size
+    phase = np.concatenate([vert[:, None] * u[..., None, :, 2],
+                            horiz[:, None] * u[..., None, :, 1]], axis=-2)
+    factor = np.empty(phase.shape, dtype=complex)   # (..., rows + cols, P)
+    np.cos(phase, out=factor.real)
+    np.sin(phase, out=factor.imag)
+    response = factor[..., :rows, None, :] * factor[..., None, rows:, :]
+    return response.reshape(response.shape[:-3] + (rows * horiz.size, u.shape[-2]))
 
 
 def steering_vector(spec, angles: AngleSet, wavelength: float) -> np.ndarray:
     """Array response of `spec` (ArraySpec or RisSpec) for one direction."""
     u = direction_unit(angles.azimuth, angles.elevation)
-    return steering_matrix(spec.element_positions(wavelength), u[None, :],
-                           wavelength)[:, 0]
+    k = 2.0 * np.pi / wavelength
+    vert, horiz = spec.grid_axes(wavelength)
+    return steering_matrix(k * vert, k * horiz, u[None, :])[:, 0]
 
 
 def element_gain(theta, q: float):

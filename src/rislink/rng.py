@@ -4,13 +4,22 @@ Every stochastic draw in the simulator comes from a substream derived from
 (master seed, realization index, link tag).  Substreams are independent of
 each other and of evaluation order, so campaigns parallelize without
 changing results.
+
+A substream is numpy's `PCG64` seeded by `SeedSequence(master_seed,
+spawn_key=(tag, realization, *extra))`.  `block_rngs` yields the
+substreams of a range of realizations bit for bit: it evaluates the
+`SeedSequence` hash (which numpy documents as stable) for the whole range
+at once, reusing the part that only depends on the seed and tag, and
+seeds each `PCG64` with the resulting words.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
+from typing import Iterator
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 
 class LinkTag(IntEnum):
@@ -34,3 +43,120 @@ def spawn_rng(master_seed: int, realization: int, link_tag: LinkTag | int,
     key = (int(link_tag), int(realization)) + tuple(int(x) for x in extra)
     seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=key)
     return np.random.default_rng(seq)
+
+
+# SeedSequence's hash (numpy/random/bit_generator.pyx): a pool of four
+# 32-bit words, mixed with these constants.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _uint32_words(value: int) -> list[int]:
+    """`value` as SeedSequence reads an integer: 32-bit words, least significant first."""
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"seed keys must be non-negative, got {value}")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _mix_entropy(words: list[int]) -> tuple[list[int], int]:
+    """`SeedSequence.mix_entropy` over `words`: the pool and the hash constant it ends on."""
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> 16)
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool, hash_const
+
+
+def _constants(start: int, mult: int, count: int) -> np.ndarray:
+    """`start` and the `count` hash constants that follow it, as a (count + 1, 1) array."""
+    out = [start]
+    for _ in range(count):
+        out.append((out[-1] * mult) & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+# generate_state(4, np.uint64) hashes the pool words 0, 1, 2, 3, 0, 1, 2, 3
+# into eight 32-bit words, paired little-endian into four 64-bit ones.
+_STATE_SOURCE = np.arange(2 * _POOL_SIZE) % _POOL_SIZE
+_STATE_CONSTANTS = _constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+
+
+def _pcg64_seed_words(prefix: list[int], tail: list) -> np.ndarray:
+    """The words `SeedSequence.generate_state(4, np.uint64)` returns, per stream.
+
+    The entropy is `prefix` (ints shared by every stream) followed by
+    `tail`, whose entries are ints or uint32 arrays with one word per
+    stream.  The prefix is hashed once; from the first tail word on, each
+    word is mixed into all four pool words of every stream at once.
+    Returns a (streams, 4) uint64 array.
+    """
+    pool, hash_const = _mix_entropy(prefix)
+    pool = np.array(pool, dtype=np.uint32)[:, None]
+    for word in tail:
+        consts = _constants(hash_const, _MULT_A, _POOL_SIZE)
+        hash_const = int(consts[-1, 0])
+        hashed = (word ^ consts[:-1]) * consts[1:]
+        hashed ^= hashed >> 16
+        pool = _MIX_MULT_L * pool - _MIX_MULT_R * hashed
+        pool ^= pool >> 16
+    state = (pool[_STATE_SOURCE] ^ _STATE_CONSTANTS[:-1]) * _STATE_CONSTANTS[1:]
+    state ^= state >> 16
+    state = state.astype(np.uint64)
+    return (state[0::2] | (state[1::2] << np.uint64(32))).T.copy()
+
+
+class _SeedWords(ISeedSequence):
+    """A seed sequence whose `PCG64` state words are already computed."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (4, np.uint64):   # what PCG64 asks for
+            raise ValueError(f"precomputed seed words cannot serve {n_words} x {dtype}")
+        return self.words
+
+
+def block_rngs(master_seed: int, realizations: range, link_tag: LinkTag | int,
+               *extra: int) -> Iterator[np.random.Generator]:
+    """Yield `spawn_rng(master_seed, r, link_tag, *extra)` for each r in `realizations`.
+
+    Each generator draws exactly the sequence `spawn_rng` would give and is
+    independent of the others.  Realization indices must lie in
+    [0, 2**32): one 32-bit word each, as the vectorised hash assumes.
+    """
+    if len(realizations) and (min(realizations) < 0 or max(realizations) > _MASK32):
+        raise ValueError(f"block seeding covers realization indices 0 .. 2**32 - 1, "
+                         f"got {realizations}")
+    run = _uint32_words(master_seed)
+    # SeedSequence pads the seed's words to the pool size ahead of a spawn key
+    prefix = run + [0] * (_POOL_SIZE - len(run)) + _uint32_words(link_tag)
+    tail = [np.array(realizations, dtype=np.uint32)] + [
+        w for x in extra for w in _uint32_words(x)]
+    for words in _pcg64_seed_words(prefix, tail):
+        yield np.random.Generator(np.random.PCG64(_SeedWords(words)))

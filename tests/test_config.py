@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from rislink import (ENVIRONMENTS, ArraySpec, Environment, LinkTag, PathLossTable, RisSpec,
                      SimConfig, config_hash, parse_config_text, scene_preset,
                      serialize_config, spawn_rng, validate_config)
-from rislink.config import config_from_mapping, dbm_to_watts, near_square_grid, watts_to_dbm
+from rislink.config import (MAX_ARRAY_ELEMENTS, config_from_mapping, dbm_to_watts,
+                            near_square_grid, watts_to_dbm)
 from rislink.errors import (ConfigError, EmptySweep, NearFieldViolation,
                             NearFieldWarning, NonPositiveCount, UnknownEnvironment)
 
@@ -35,6 +36,20 @@ class TestValidation:
         cfg = small_config(ris=(RisSpec(0, (40.0, 50.0, 2.0)),))
         with pytest.raises(NonPositiveCount):
             validate_config(cfg)
+
+    def test_element_count_above_the_maximum_rejected(self):
+        # a large prime: near_square_grid would trial-divide up to ~1e7
+        cfg = config_from_mapping({"n_elements": "100000000000031"})
+        with pytest.raises(ConfigError, match="exceeds the maximum"):
+            validate_config(cfg)
+        with pytest.raises(ConfigError, match="exceeds the maximum"):
+            validate_config(small_config(tx=ArraySpec("upa", MAX_ARRAY_ELEMENTS + 1,
+                                                      (0.0, 25.0, 2.0))))
+
+    def test_element_count_at_the_maximum_accepted(self):
+        cfg = small_config(ris=(RisSpec(MAX_ARRAY_ELEMENTS, (40.0, 50.0, 2.0)),))
+        with pytest.warns(NearFieldWarning):
+            assert validate_config(cfg).config.ris[0].grid_shape == (1024, 1024)
 
     def test_zero_realizations_rejected(self):
         with pytest.raises(NonPositiveCount):

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from rislink import ArraySpec, RisSpec
-from rislink.errors import CoincidentPoints
+from rislink.errors import CoincidentPoints, DimensionMismatch
 from rislink.geometry import (AngleSet, azimuth_rotation_frame,
                               direction_unit, element_gain, element_gain_from_cos,
                               frame_from_plane, geometry_relation, steering_matrix,
@@ -99,12 +101,52 @@ class TestSteering:
     def test_random_directions_unit_modulus(self):
         rng = np.random.default_rng(11)
         spec = RisSpec(36, (0, 0, 0))
-        elements = spec.element_positions(WAVELENGTH)
+        vert, horiz = spec.grid_axes(WAVELENGTH)
         u = direction_unit(rng.uniform(-np.pi, np.pi, 40), rng.uniform(-np.pi / 2, np.pi / 2, 40))
-        mat = steering_matrix(elements, u, WAVELENGTH)
+        mat = steering_matrix(2 * np.pi / WAVELENGTH * vert, 2 * np.pi / WAVELENGTH * horiz, u)
         assert mat.shape == (36, 40)
         assert np.allclose(np.abs(mat), 1.0)
         assert np.allclose(np.linalg.norm(mat, axis=0) ** 2, 36.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.integers(1, 12), cols=st.integers(1, 12),
+           spacing=st.floats(0.05, 2.0), centered=st.booleans(),
+           stack=st.lists(st.integers(1, 3), max_size=2), paths=st.integers(0, 5),
+           seed=st.integers(0, 2**32 - 1))
+    @example(rows=8, cols=8, spacing=0.5, centered=True, stack=[], paths=0, seed=0)
+    @example(rows=4, cols=16, spacing=0.25, centered=True, stack=[3], paths=1, seed=1)
+    @example(rows=1, cols=4, spacing=0.5, centered=False, stack=[2, 3], paths=1, seed=2)
+    def test_separable_response_matches_element_sum(self, rows, cols, spacing, centered,
+                                                    stack, paths, seed):
+        # centered grids come from a surface of any shape, corner-referenced
+        # ones from a terminal array (near-square, or one row for a ULA)
+        if centered:
+            spec = RisSpec(rows * cols, (0, 0, 0), spacing_wl=spacing, shape=(rows, cols))
+        else:
+            spec = ArraySpec("ula" if rows == 1 else "upa", rows * cols, (0, 0, 0),
+                             spacing_wl=spacing)
+        rng = np.random.default_rng(seed)
+        shape = tuple(stack) + (paths,)
+        u = direction_unit(rng.uniform(-np.pi, np.pi, shape),
+                           rng.uniform(-np.pi / 2, np.pi / 2, shape))
+        k = 2 * np.pi / WAVELENGTH
+        vert, horiz = spec.grid_axes(WAVELENGTH)
+        got = steering_matrix(k * vert, k * horiz, u)
+        elements = spec.element_positions(WAVELENGTH)
+        expected = np.exp(1j * k * (elements @ u.swapaxes(-1, -2)))
+        assert got.shape == tuple(stack) + (rows * cols, paths)
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+
+    def test_single_direction_without_a_path_axis(self):
+        vert, horiz = RisSpec(6, (0, 0, 0), shape=(2, 3)).grid_axes(WAVELENGTH)
+        u = direction_unit(0.3, 0.2)
+        assert np.array_equal(steering_matrix(vert, horiz, u),
+                              steering_matrix(vert, horiz, u[None, :]))
+        assert steering_matrix(vert, horiz, u).shape == (6, 1)
+
+    def test_directions_must_be_3d(self):
+        with pytest.raises(DimensionMismatch):
+            steering_matrix(np.zeros(2), np.zeros(2), np.zeros((4, 2)))
 
     def test_ula_layout_has_single_axis(self):
         assert ArraySpec("ula", 5, (0, 0, 0)).grid_shape == (1, 5)
