@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -381,7 +381,7 @@ class _BlockLeg(NamedTuple):
     bounds: np.ndarray           # (B + 1,) offsets of each realization's paths
 
 
-def _draw_block_leg(vc: ValidatedConfig, rngs: Iterable, near: DeviceView, far: np.ndarray,
+def _draw_block_leg(vc: ValidatedConfig, rngs: list, near: DeviceView, far: np.ndarray,
                     force_los: bool | None, geometry_from: _BlockLeg | None = None) -> _BlockLeg:
     """The link from device `near` to the point `far`, one substream per realization.
 
@@ -410,7 +410,7 @@ def _draw_block_leg(vc: ValidatedConfig, rngs: Iterable, near: DeviceView, far: 
                                   None if geometry_from is None else geometry_from.clusters)
         paths = [len(v.gains) for v in variates]
     else:
-        clusters, paths = ClusterSet.empty(), [0] * len(los)
+        clusters, paths = ClusterSet.empty(), [0] * len(rngs)
     return _BlockLeg(np.array(los), attenuation, phase, clusters,
                      np.concatenate([[0], np.cumsum(paths)]))
 
@@ -495,7 +495,7 @@ def realize_block(vc: ValidatedConfig, realizations: range, surfaces=None,
     scene = build_scene(vc, rx_position=rx_position)
     tx, rx = scene.tx, scene.rx
 
-    def streams(tag: LinkTag, *extra: int):
+    def streams(tag: LinkTag, *extra: int) -> list:
         return block_rngs(seed, realizations, tag, *extra)
 
     force = True if cfg.ris_links == "los" else None

@@ -6,7 +6,7 @@ each other and of evaluation order, so campaigns parallelize without
 changing results.
 
 A substream is numpy's `PCG64` seeded by `SeedSequence(master_seed,
-spawn_key=(tag, realization, *extra))`.  `block_rngs` yields the
+spawn_key=(tag, realization, *extra))`.  `block_rngs` returns the
 substreams of a range of realizations bit for bit: it evaluates the
 `SeedSequence` hash (which numpy documents as stable) for the whole range
 at once, reusing the part that only depends on the seed and tag, and
@@ -16,7 +16,6 @@ seeds each `PCG64` with the resulting words.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Iterator
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -143,8 +142,8 @@ class _SeedWords(ISeedSequence):
 
 
 def block_rngs(master_seed: int, realizations: range, link_tag: LinkTag | int,
-               *extra: int) -> Iterator[np.random.Generator]:
-    """Yield `spawn_rng(master_seed, r, link_tag, *extra)` for each r in `realizations`.
+               *extra: int) -> list[np.random.Generator]:
+    """`spawn_rng(master_seed, r, link_tag, *extra)` for each r in `realizations`.
 
     Each generator draws exactly the sequence `spawn_rng` would give and is
     independent of the others.  Realization indices must lie in
@@ -158,5 +157,5 @@ def block_rngs(master_seed: int, realizations: range, link_tag: LinkTag | int,
     prefix = run + [0] * (_POOL_SIZE - len(run)) + _uint32_words(link_tag)
     tail = [np.array(realizations, dtype=np.uint32)] + [
         w for x in extra for w in _uint32_words(x)]
-    for words in _pcg64_seed_words(prefix, tail):
-        yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
+    return [np.random.Generator(np.random.PCG64(_SeedWords(words)))
+            for words in _pcg64_seed_words(prefix, tail)]

@@ -29,7 +29,7 @@ def blocks(draw):
        tag=st.sampled_from(list(LinkTag)),
        extra=st.lists(st.integers(0, 2**70), max_size=3))
 def test_block_streams_equal_spawned_streams(seed, realizations, tag, extra):
-    got = list(block_rngs(seed, realizations, tag, *extra))
+    got = block_rngs(seed, realizations, tag, *extra)
     assert len(got) == len(realizations)
     for r, rng in zip(realizations, got):
         expected = spawn_rng(seed, r, tag, *extra)
@@ -48,11 +48,11 @@ def test_streams_are_independent_objects():
                                           range(2**40, 2**40 + 1), range(-1, 1)])
 def test_indices_outside_one_word_are_refused(realizations):
     with pytest.raises(ValueError, match="2\\*\\*32"):
-        next(block_rngs(1, realizations, LinkTag.DIRECT))
+        block_rngs(1, realizations, LinkTag.DIRECT)
 
 
 def test_negative_keys_are_refused():
     with pytest.raises(ValueError):
-        next(block_rngs(-1, range(2), LinkTag.DIRECT))
+        block_rngs(-1, range(2), LinkTag.DIRECT)
     with pytest.raises(ValueError):
-        next(block_rngs(1, range(2), LinkTag.RIS_RX, -3))
+        block_rngs(1, range(2), LinkTag.RIS_RX, -3)
