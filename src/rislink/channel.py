@@ -81,10 +81,10 @@ def build_scene(vc: ValidatedConfig, rx_position=None,
     """Device views for one realization; `rx_position`/`rx_frame` override the config."""
     cfg = vc.config
     lam = vc.wavelength
+    k = 2.0 * np.pi / lam
 
     def view(spec, position, frame, gain_exponent=None) -> DeviceView:
         vert, horiz = spec.grid_axes(lam)
-        k = 2.0 * np.pi / lam
         return DeviceView(np.asarray(position, float), frame, k * vert, k * horiz,
                           gain_exponent)
 

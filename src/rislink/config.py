@@ -86,16 +86,11 @@ def _grid_axes(grid_shape: tuple[int, int], spacing_m: float,
     return vert, horiz
 
 
-@lru_cache(maxsize=None)
-def _array_elements(grid_shape: tuple[int, int], spacing_m: float,
-                    centered: bool) -> np.ndarray:
-    """Local coordinates (n, 3) of a planar element grid, row-major: element
-    r * cols + c sits at (0, horiz[c], vert[r]) (cached; treat as read-only)."""
-    vert, horiz = _grid_axes(grid_shape, spacing_m, centered)
-    out = np.column_stack([np.zeros(vert.size * horiz.size), np.tile(horiz, vert.size),
-                           np.repeat(vert, horiz.size)])
-    out.flags.writeable = False
-    return out
+def _element_list(vert: np.ndarray, horiz: np.ndarray) -> np.ndarray:
+    """Local coordinates (n, 3) of a planar grid's elements, row-major:
+    element r * cols + c sits at (0, horiz[c], vert[r])."""
+    return np.column_stack([np.zeros(vert.size * horiz.size), np.tile(horiz, vert.size),
+                            np.repeat(vert, horiz.size)])
 
 
 @dataclass(frozen=True)
@@ -182,7 +177,7 @@ class ArraySpec:
 
     def element_positions(self, wavelength: float) -> np.ndarray:
         """Local element coordinates (n, 3); element 0 is the phase reference."""
-        return _array_elements(self.grid_shape, self.spacing_wl * wavelength, False)
+        return _element_list(*self.grid_axes(wavelength))
 
 
 @dataclass(frozen=True)
@@ -216,7 +211,7 @@ class RisSpec:
         Rows run down the vertical in-plane axis, columns along the
         horizontal one; the grid is centered on the surface position.
         """
-        return _array_elements(self.grid_shape, self.spacing_wl * wavelength, True)
+        return _element_list(*self.grid_axes(wavelength))
 
     def aperture_diagonal(self, wavelength: float) -> float:
         rows, cols = self.grid_shape

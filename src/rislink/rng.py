@@ -16,9 +16,9 @@ seeds each `PCG64` with the resulting words.
 from __future__ import annotations
 
 from enum import IntEnum
+from functools import lru_cache
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 
 class LinkTag(IntEnum):
@@ -129,16 +129,25 @@ def _pcg64_seed_words(prefix: list[int], tail: list) -> np.ndarray:
     return (state[0::2] | (state[1::2] << np.uint64(32))).T.copy()
 
 
-class _SeedWords(ISeedSequence):
-    """A seed sequence whose `PCG64` state words are already computed."""
+@lru_cache(maxsize=None)
+def _seed_words_type() -> type:
+    """A seed-sequence type that hands `PCG64` state words computed ahead.
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    Made on first use: numpy loads `numpy.random` lazily, and importing
+    rislink should not load it.
+    """
+    from numpy.random.bit_generator import ISeedSequence
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        if (n_words, dtype) != (4, np.uint64):   # what PCG64 asks for
-            raise ValueError(f"precomputed seed words cannot serve {n_words} x {dtype}")
-        return self.words
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if (n_words, dtype) != (4, np.uint64):   # what PCG64 asks for
+                raise ValueError(f"precomputed seed words cannot serve {n_words} x {dtype}")
+            return self.words
+
+    return SeedWords
 
 
 def block_rngs(master_seed: int, realizations: range, link_tag: LinkTag | int,
@@ -157,5 +166,6 @@ def block_rngs(master_seed: int, realizations: range, link_tag: LinkTag | int,
     prefix = run + [0] * (_POOL_SIZE - len(run)) + _uint32_words(link_tag)
     tail = [np.array(realizations, dtype=np.uint32)] + [
         w for x in extra for w in _uint32_words(x)]
-    return [np.random.Generator(np.random.PCG64(_SeedWords(words)))
+    seed_words = _seed_words_type()
+    return [np.random.Generator(np.random.PCG64(seed_words(words)))
             for words in _pcg64_seed_words(prefix, tail)]
