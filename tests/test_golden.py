@@ -12,6 +12,7 @@ rewrite's drift) with `PYTHONPATH=src python tests/test_golden.py`.
 """
 
 import dataclasses
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,22 @@ BLOCK_VARIANTS = {
 }
 
 
+# Coverage maps over several cell blocks: name -> SimConfig field overrides.
+# 10 m cells on the 75x50 m footprint give 8x5 = 40 cells.
+COVERAGE_REALIZATIONS = 33
+COVERAGE_CELL = 10.0
+COVERAGE_VARIANTS = {
+    "indoor": {},
+    "two_surfaces_los_coin": VARIANTS["two_surfaces_los_coin"],
+    "two_surfaces_random_shared": {"second": True, "idle_ris": "random",
+                                   "shared_clusters": True},
+}
+
+# The pinned channel dump: a live LOS coin on every link, two surfaces.
+DUMP_REALIZATIONS = 3
+DUMP_OVERRIDES = {"second": True, "ris_links": "auto", "direct_mode": "present"}
+
+
 def variant_config(name: str, realizations: int, pt_dbm=(40.0,),
                    overrides: dict | None = None) -> rl.ValidatedConfig:
     overrides = dict(VARIANTS[name] if overrides is None else overrides)
@@ -83,6 +100,22 @@ def variant_outputs(name: str) -> dict:
         variant_config(name, realizations=8, pt_dbm=(20.0, 30.0, 40.0))))
     return {"mean_rate": grid.mean_rate, "ris_index": grid.ris_index,
             "pt_rates": stats.rates}
+
+
+def coverage_outputs(name: str, workers: int = 1) -> dict:
+    vc = variant_config(name, COVERAGE_REALIZATIONS, overrides=COVERAGE_VARIANTS[name])
+    grid = rl.coverage_map(rl.Campaign(vc, workers=workers),
+                           rl.default_grid(vc, cell=COVERAGE_CELL))
+    return {"mean_rate": grid.mean_rate, "ris_index": grid.ris_index}
+
+
+def dump_outputs(out_dir, realizations: int = DUMP_REALIZATIONS, workers: int = 1) -> dict:
+    """Every dumped matrix, keyed `r<realization>/<matrix>[<surface>]`."""
+    vc = variant_config("dump", realizations, overrides=DUMP_OVERRIDES)
+    rl.dump_channels(vc, out_dir, workers=workers)
+    _, arrays = rl.load_channel_dump(out_dir)
+    return {f"r{r}/{matrix}{'' if ris is None else ris}": value
+            for (r, matrix, ris), value in arrays.items()}
 
 
 def block_campaign(name: str, workers: int = 1) -> rl.RateStatistics:
@@ -110,7 +143,38 @@ def test_matches_golden(name, golden):
 
 
 def test_golden_covers_every_variant(golden):
-    assert {k.split("/")[0] for k in golden} == set(VARIANTS)
+    assert {k.split("/")[0] for k in golden} == set(VARIANTS) | {"coverage_blocks", "dump"}
+    assert {k.split("/")[1] for k in golden if k.startswith("coverage_blocks/")} == set(
+        COVERAGE_VARIANTS)
+
+
+@pytest.mark.parametrize("name", sorted(COVERAGE_VARIANTS))
+def test_coverage_blocks_match_golden(name, golden):
+    got = coverage_outputs(name)
+    assert got["mean_rate"].shape == (5, 8)
+    key = f"coverage_blocks/{name}"
+    assert np.array_equal(got["ris_index"], golden[f"{key}/ris_index"])
+    np.testing.assert_allclose(got["mean_rate"], golden[f"{key}/mean_rate"],
+                               rtol=REL_TOL, atol=0.0, err_msg=key)
+
+
+def test_channel_dump_matches_golden(golden, tmp_path):
+    got = dump_outputs(tmp_path / "dump")
+    want = {k.split("/", 1)[1]: v for k, v in golden.items() if k.startswith("dump/")}
+    assert got.keys() == want.keys()
+    assert len(want) == DUMP_REALIZATIONS * 5   # two surfaces, two legs each, and direct
+    for key, expected in want.items():
+        assert got[key].shape == expected.shape
+        assert np.max(np.abs(got[key] - expected)) <= REL_TOL * np.max(np.abs(expected)), key
+
+
+def test_channel_dump_bytes_do_not_depend_on_workers(tmp_path):
+    # two dump payloads, the second partial
+    one = dump_outputs(tmp_path / "w1", realizations=35)
+    for workers in (2, 4):
+        got = dump_outputs(tmp_path / f"w{workers}", realizations=35, workers=workers)
+        assert got.keys() == one.keys()
+        assert all(got[k].tobytes() == one[k].tobytes() for k in one)
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +206,10 @@ if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     arrays = {f"{name}/{key}": value for name in sorted(VARIANTS)
               for key, value in variant_outputs(name).items()}
+    arrays.update({f"coverage_blocks/{name}/{key}": value for name in sorted(COVERAGE_VARIANTS)
+                   for key, value in coverage_outputs(name).items()})
+    with tempfile.TemporaryDirectory() as tmp:
+        arrays.update({f"dump/{key}": value for key, value in dump_outputs(tmp).items()})
     np.savez_compressed(GOLDEN, **arrays)
     print(f"wrote {len(arrays)} arrays to {GOLDEN}")
     blocks = {name: block_campaign(name).rates for name in sorted(BLOCK_VARIANTS)}
