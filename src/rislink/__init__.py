@@ -5,19 +5,17 @@ from .campaign import (Campaign, CoverageGrid, GridSpec, RateStatistics,
                        default_grid, dump_channels, export_coverage,
                        export_statistics, load_channel_dump, read_csv_table,
                        run_campaign)
-from .channel import (ChannelTriple, PhaseVector, RealizationChannels, Scene,
-                      assemble_direct_channel, assemble_link_channel, build_scene,
-                      composite_channel, composite_multi, phase_matrix,
+from .channel import (RealizationChannels, Scene, assemble_direct_channel,
+                      assemble_link_channel, build_scene, composite_multi, phase_matrix,
                       realize_channels)
 from .config import (ENVIRONMENTS, ArraySpec, Environment, PathLossTable, RisSpec,
                      SimConfig, ValidatedConfig, config_hash, dbm_to_watts,
                      load_config, parse_config_text, serialize_config,
                      validate_config, watts_to_dbm)
-from .control import (PhaseAlgorithm, RateResult, achievable_rate, baseline_phases,
+from .control import (PhaseAlgorithm, achievable_rate, baseline_phases,
                       far_field_power, pinv_phases, quantize_phases, select_ris,
                       siso_optimal_phases)
-from .geometry import (AngleSet, azimuth_rotation_frame, element_gain,
-                       frame_from_plane, geometry_relation, steering_vector)
+from .geometry import azimuth_rotation_frame, element_gain, frame_from_plane
 from .presets import SCENE_PRESETS, scene_preset
 from .propagation import (ClusterSet, LinkState, draw_clusters, draw_link_state,
                           los_probability, path_loss)

@@ -23,9 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (RealizationChannels, composite_multi, realize_block, realize_channels,
+from .channel import (PLACEMENT_BUDGET, RealizationChannels, composite_multi, realize_block,
                       surface_cascade)
-from .config import SimConfig, ValidatedConfig, validate_config
+# no caller left here; the benchmark's tracer wraps this name (ROADMAP item 5)
+from .channel import realize_channels  # noqa: F401
+from .config import SimConfig, ValidatedConfig, check_realization_count, validate_config
 from .control import (PhaseAlgorithm, baseline_phases, pinv_phases,
                       rate_from_singular_values, select_ris, siso_optimal_phases)
 from .errors import ConfigError, DimensionMismatch, EmptySweep
@@ -142,73 +144,63 @@ def _realized_surfaces(vc: ValidatedConfig, selected: np.ndarray) -> dict:
     return dict.fromkeys(range(len(vc.config.ris)))
 
 
-def _phases_rng(vc: ValidatedConfig, realizations: int | range, k: int, leg: int):
-    """Surface k's phase substream for stack leg `leg`: the leg's own realization
-    in a block (a range), else the one realization every leg shares."""
-    r = realizations[leg] if isinstance(realizations, range) else realizations
-    return spawn_rng(vc.config.seed, r, LinkTag.PHASES, k)
-
-
-def _per_realization(realizations: int | range, draw):
-    """draw(r) for one realization, or stacked over a block's realizations."""
-    if isinstance(realizations, range):
-        return np.stack([draw(r) for r in realizations])
-    return draw(realizations)
-
-
-def _idle_phases(vc: ValidatedConfig, realizations: int | range, k: int):
-    """Phases of a surface that does not serve the receiver (None = absent)."""
+def _phase_draws(vc: ValidatedConfig, realizations: range, k: int, kind: str,
+                 bits: int | None = None) -> np.ndarray:
+    """(B, N) baseline phases of surface k, each from its realization's own substream."""
     cfg = vc.config
-    if cfg.idle_ris == "random":
-        return _per_realization(realizations, lambda r: baseline_phases(
-            "random", cfg.ris[k].count, spawn_rng(cfg.seed, r, LinkTag.PHASES, k)))
+    return np.stack([baseline_phases(kind, cfg.ris[k].count,
+                                     spawn_rng(cfg.seed, r, LinkTag.PHASES, k), bits)
+                     for r in realizations])
+
+
+def _idle_phases(vc: ValidatedConfig, realizations: range, k: int):
+    """Phases of a surface that does not serve the receiver (None = absent)."""
+    if vc.config.idle_ris == "random":
+        return _phase_draws(vc, realizations, k, "random")
     return None
 
 
-def _serving_phases(vc: ValidatedConfig, algorithm: PhaseAlgorithm,
-                    realizations: int | range, k: int, tx_ris: np.ndarray,
-                    ris_rx: np.ndarray) -> np.ndarray:
-    """The campaign algorithm's phases for serving surface k.
+def _serving_phases(vc: ValidatedConfig, algorithm: PhaseAlgorithm, realizations: range,
+                    k: int, tx_ris: np.ndarray, ris_rx: np.ndarray) -> np.ndarray:
+    """The campaign algorithm's phases for serving surface k over a block.
 
-    For one realization, `ris_rx` may be a (K, Nr, N) stack of receiver
-    positions; the phases are then (K, N), or (N,) when they do not depend
-    on the receiver.  For a block (a range), both legs carry a leading
-    realization axis and so do the phases.  The pinv fallback substream is
-    spawned only when a fallback runs.
+    Both legs carry a leading realization axis, and `ris_rx` may carry a
+    cell axis after it (`tx_ris` then has one of length 1); the phases
+    carry the same axes.  A pinv fallback draws from the failing leg's own
+    realization's substream, spawned only when a fallback runs.
     """
     cfg = vc.config
     if algorithm.kind == "pinv":
-        return pinv_phases(tx_ris, ris_rx, bits=algorithm.bits,
-                           fallback_rng=lambda leg: _phases_rng(vc, realizations, k, leg))
+        cells = int(np.prod(ris_rx.shape[1:-2]))
+        return pinv_phases(tx_ris, ris_rx, bits=algorithm.bits, fallback_rng=lambda leg: spawn_rng(
+            cfg.seed, realizations[leg // cells], LinkTag.PHASES, k))
     if algorithm.kind == "siso":
         if cfg.tx.count != 1 or cfg.rx.count != 1:
             raise DimensionMismatch("the siso algorithm requires Nt = Nr = 1")
         return siso_optimal_phases(tx_ris[..., 0], ris_rx[..., 0, :], bits=algorithm.bits)
     if algorithm.kind in ("random", "zero"):
-        return _per_realization(realizations, lambda r: baseline_phases(
-            algorithm.kind, tx_ris.shape[-2], spawn_rng(cfg.seed, r, LinkTag.PHASES, k),
-            bits=algorithm.bits))
+        return _phase_draws(vc, realizations, k, algorithm.kind,
+                            algorithm.bits).reshape(tx_ris.shape[:-1])
     raise ConfigError(f"unknown phase algorithm {algorithm.kind!r}")
 
 
 def _phase_sets(vc: ValidatedConfig, channels: RealizationChannels,
-                algorithm: PhaseAlgorithm, realizations: int | range, selected: int) -> list:
+                algorithm: PhaseAlgorithm, realizations: range, selected: int) -> list:
     return [_serving_phases(vc, algorithm, realizations, k, tx_ris, ris_rx) if k == selected
             else _idle_phases(vc, realizations, k)
             for k, (tx_ris, ris_rx) in enumerate(zip(channels.tx_ris, channels.ris_rx))]
 
 
 def compute_phase_sets(vc: ValidatedConfig, channels: RealizationChannels,
-                       algorithm: PhaseAlgorithm, realization: int | range,
+                       algorithm: PhaseAlgorithm, realizations: range,
                        rx_position=None) -> list:
-    """Phases per surface: the one nearest the receiver is controlled by the
-    campaign algorithm, the others follow the idle-surface policy.
-
-    `realization` is a range for the channels of a block (`realize_block`);
-    the phases then carry a leading realization axis.
+    """Phases per surface for the channels of a block (`realize_block`) at
+    one receiver position: the surface nearest the receiver is controlled
+    by the campaign algorithm, the others follow the idle-surface policy.
+    The phases carry a leading realization axis.
     """
     rx_pos = vc.config.rx.position if rx_position is None else rx_position
-    return _phase_sets(vc, channels, algorithm, realization, serving_surface(vc, rx_pos))
+    return _phase_sets(vc, channels, algorithm, realizations, serving_surface(vc, rx_pos))
 
 
 def _block_singular_values(vc: ValidatedConfig, realizations: range,
@@ -225,7 +217,8 @@ def _block_singular_values(vc: ValidatedConfig, realizations: range,
 def composite_singular_values(vc: ValidatedConfig, realization: int,
                               algorithm: PhaseAlgorithm,
                               rx_position=None) -> np.ndarray:
-    """Singular values of the end-to-end channel of one realization."""
+    """Singular values of the end-to-end channel of one realization, whose
+    index lies in [0, 2**32) (see `realize_block`)."""
     rx_pos = vc.config.rx.position if rx_position is None else rx_position
     return _block_singular_values(vc, range(realization, realization + 1), algorithm,
                                   serving_surface(vc, rx_pos), rx_position)[0]
@@ -276,35 +269,43 @@ def _block_rates(args) -> np.ndarray:
 def _block_mean_rates(args) -> np.ndarray:
     """Mean rate of each cell of one coverage block.
 
-    Each realization is drawn once for the whole block: the receiver-free
-    legs (and the pseudoinverse of the Tx-side leg) once, the receiver-side
-    legs placed for every cell as stacks, each surface's only at the cells
-    it enters.  Rates are summed per cell in realization order.
+    Realizations run in chunks whose receiver-side matrices for all the
+    block's cells hold at most `PLACEMENT_BUDGET` entries (and at most
+    `BLOCK_SIZE` realizations).  Each chunk is realized once for every
+    cell, each surface's legs only at the cells they enter, then
+    phase-controlled and decomposed as one (realizations x cells) stack.
+    Rates are summed per cell in realization order.
     """
     vc, algorithm, positions, selected, realizations, pt = args
+    cfg = vc.config
     surfaces = _realized_surfaces(vc, selected)
+    entries = len(positions) * cfg.rx.count * max(r.count for r in cfg.ris)
+    chunk = min(BLOCK_SIZE, max(1, PLACEMENT_BUDGET // entries))
     totals = np.zeros(len(positions))
-    for r in range(realizations):
-        channels = realize_channels(vc, r, rx_position=positions, surfaces=surfaces)
+    for start in range(0, realizations, chunk):
+        block = range(start, min(start + chunk, realizations))
+        channels = realize_block(vc, block, surfaces=surfaces, rx_position=positions)
         composite = channels.direct.copy()
         for k, cells in surfaces.items():
-            tx_ris, ris_rx = channels.tx_ris[k], channels.ris_rx[k]
-            phases = _serving_phases(vc, algorithm, r, k, tx_ris, ris_rx)
+            tx_ris, ris_rx = channels.tx_ris[k][:, None], channels.ris_rx[k]
+            phases = _serving_phases(vc, algorithm, block, k, tx_ris, ris_rx)
             if cells is None:   # every cell, served or idle
                 served = selected == k
                 if not served.all():
-                    phases = np.where(served[:, None], phases, _idle_phases(vc, r, k))
+                    phases = np.where(served[:, None], phases,
+                                      _idle_phases(vc, block, k)[:, None])
                 composite += surface_cascade(tx_ris, ris_rx, phases)
             else:
-                composite[cells] += surface_cascade(tx_ris, ris_rx, phases)
+                composite[:, cells] += surface_cascade(tx_ris, ris_rx, phases)
         s = np.linalg.svd(composite, compute_uv=False)
-        totals += rate_from_singular_values(s, pt, vc.noise_watts)
+        for rates in rate_from_singular_values(s, pt, vc.noise_watts):
+            totals += rates
     return totals / realizations
 
 
 def _realize_for_dump(args) -> RealizationChannels:
-    vc, r = args
-    return realize_channels(vc, r)
+    vc, realizations = args
+    return realize_block(vc, realizations)
 
 
 def run_campaign(campaign: Campaign) -> RateStatistics:
@@ -419,26 +420,29 @@ def dump_channels(vc: ValidatedConfig, out_dir, realizations: int | None = None,
 
     Each matrix goes to its own binary file as row-major complex128
     (interleaved real/imag float64).  The manifest records dimensions,
-    seed, and the config hash so dumps are self-describing.
+    seed, and the config hash so dumps are self-describing.  Realizations
+    are drawn in fixed blocks of `BLOCK_SIZE`; their count lies in
+    [1, 2**32].
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     cfg = vc.config
     count = cfg.realizations if realizations is None else realizations
+    check_realization_count(count)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
-    results = _parallel_map(_realize_for_dump, [(vc, r) for r in range(count)], workers)
-
+    payloads = [(vc, range(i, min(i + BLOCK_SIZE, count))) for i in range(0, count, BLOCK_SIZE)]
     files = []
-    for r, channels in enumerate(results):
-        parts = [(f"r{r:05d}_txris{k}.bin", m, {"matrix": "tx_ris", "ris": k})
-                 for k, m in enumerate(channels.tx_ris)]
-        parts += [(f"r{r:05d}_risrx{k}.bin", m, {"matrix": "ris_rx", "ris": k})
-                  for k, m in enumerate(channels.ris_rx)]
-        parts.append((f"r{r:05d}_direct.bin", channels.direct, {"matrix": "direct"}))
-        for name, matrix, info in parts:
-            np.ascontiguousarray(matrix, dtype=np.complex128).tofile(out / name)
-            files.append({"path": name, "realization": r,
-                          "shape": list(matrix.shape), **info})
+    for block in _parallel_map(_realize_for_dump, payloads, workers):
+        for i, r in enumerate(block.realization):
+            parts = [(f"r{r:05d}_txris{k}.bin", m[i], {"matrix": "tx_ris", "ris": k})
+                     for k, m in enumerate(block.tx_ris)]
+            parts += [(f"r{r:05d}_risrx{k}.bin", m[i], {"matrix": "ris_rx", "ris": k})
+                      for k, m in enumerate(block.ris_rx)]
+            parts.append((f"r{r:05d}_direct.bin", block.direct[i], {"matrix": "direct"}))
+            for name, matrix, info in parts:
+                np.ascontiguousarray(matrix, dtype=np.complex128).tofile(out / name)
+                files.append({"path": name, "realization": r,
+                              "shape": list(matrix.shape), **info})
 
     manifest = {
         "config_hash": vc.config_hash,

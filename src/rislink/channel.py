@@ -6,6 +6,11 @@ LOS rank-one term.  The surface's element radiation pattern multiplies the
 surface-side leg of each path; transmitter and receiver elements are
 isotropic.  Paths leaving behind a surface's aperture get zero gain rather
 than raising an error.
+
+One engine draws every matrix (`realize_block`): a block of realizations
+towards one receiver position or a stack of them.  Each realization reads
+its own substreams, once per link; the block's paths are then placed at
+their far ends, steered and summed together.
 """
 
 from __future__ import annotations
@@ -19,13 +24,15 @@ import numpy as np
 
 from .config import ValidatedConfig
 from .errors import DimensionMismatch
-from .geometry import (GLOBAL_FRAME, azimuth_rotation_frame, element_gain_from_cos,
-                       local_directions, steering_matrix)
-from .propagation import (ClusterSet, LinkState, draw_cluster_variates, draw_clusters,
-                          draw_link_state, draw_los_variates, los_probability,
-                          place_clusters, place_los, shadowed_attenuation,
+from .geometry import (azimuth_rotation_frame, element_gain_from_cos, local_directions,
+                       steering_matrix)
+from .propagation import (ClusterSet, LinkState, draw_cluster_variates, draw_los_variates,
+                          los_probability, place_paths, shadowed_attenuation,
                           stack_cluster_variates)
-from .rng import LinkTag, block_rngs, spawn_rng
+# no caller left here; the benchmark's tracer wraps these names (ROADMAP item 5)
+from .propagation import draw_clusters, draw_link_state  # noqa: F401
+from .rng import LinkTag, block_rngs
+from .rng import spawn_rng  # noqa: F401  (wrapped by the benchmark's tracer, ROADMAP item 5)
 
 
 @dataclass(frozen=True)
@@ -51,29 +58,6 @@ class Scene:
     tx: DeviceView
     rx: DeviceView
     ris: tuple[DeviceView, ...]
-
-
-@dataclass(frozen=True)
-class PhaseVector:
-    """Per-element surface phases in [0, 2*pi)."""
-
-    phases: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "phases", np.mod(np.asarray(self.phases, float), 2.0 * np.pi))
-
-    def __len__(self) -> int:
-        return len(self.phases)
-
-
-@dataclass(frozen=True)
-class ChannelTriple:
-    """The three matrices of a single-surface realization."""
-
-    tx_ris: np.ndarray    # (N, Nt)
-    ris_rx: np.ndarray    # (Nr, N)
-    direct: np.ndarray    # (Nr, Nt)
-    meta: dict = field(default_factory=dict)
 
 
 def build_scene(vc: ValidatedConfig, rx_position=None,
@@ -104,41 +88,169 @@ def _pattern(row: DeviceView, col: DeviceView, gain_side: str | None,
     return element_gain_from_cos(u[..., 0], device.gain_exponent)
 
 
-def _link_matrix(row: DeviceView, col: DeviceView, gain_side: str | None,
-                 clusters: ClusterSet, link: LinkState) -> np.ndarray:
-    """Sum of path outer-products a_row * a_col^T with the LOS term added.
+# Steering runs over at most this many (element, path) entries at a time,
+# and a coverage block realizes at most this many receiver-side matrix
+# entries per chunk of realizations.  The stacked arrays take 16-24 bytes
+# per entry, so this bounds their memory whatever the number of positions
+# or realizations.
+PLACEMENT_BUDGET = 16384
+
+
+class _Leg(NamedTuple):
+    """One link drawn for a block of realizations towards K far points.
+
+    Per realization the LOS coin splits the far points into an NLOS and a
+    LOS group, and each group reads its own variates.  Each (realization,
+    far point) is one *path set*; the sets are listed group by group in
+    realization order, so the sets of one group are consecutive.
+    """
+
+    realization: np.ndarray      # (S,) block index of each path set
+    cell: np.ndarray             # (S,) its far point
+    los: np.ndarray              # (S,) bool
+    los_attenuation: np.ndarray  # (L,) per LOS set, in order
+    los_phase: np.ndarray        # (L,)
+    clusters: ClusterSet         # every set's paths, placed, concatenated in order
+    bounds: np.ndarray           # (S + 1,) offsets of each set's paths
+
+
+def _ranges(starts, counts, repeats) -> np.ndarray:
+    """Each range [start, start + count) repeated `repeats` times, all concatenated."""
+    return np.concatenate([np.tile(np.arange(s, s + c), r)
+                           for s, c, r in zip(starts, counts, repeats)]).astype(int)
+
+
+def _draw_leg(vc: ValidatedConfig, rngs: list, near: DeviceView, far: np.ndarray,
+              force_los: bool | None, geometry_from: _Leg | None = None) -> _Leg:
+    """The link from device `near` to each far point (K, 3), one substream per realization.
+
+    Each substream reads the LOS coin, then each group its variates: the
+    NLOS group reads on from the coin (through a copy of the stream when
+    both groups exist), the LOS group after the LOS variates.  Each far
+    point so sees exactly the draws it would see alone.  All paths are then
+    placed together, each at its own far point.  `geometry_from`, a leg to
+    one far point, lends each realization its cluster geometry.
+    """
+    cfg = vc.config
+    env, f_hz = cfg.environment, cfg.frequency_hz
+    d = np.linalg.norm(far - near.position, axis=-1)
+    p_los = None if force_los is not None else np.array([los_probability(x, env) for x in d])
+    shared = None if geometry_from is None else np.diff(geometry_from.bounds)
+    groups, los_draws, variates = [], [], []
+    for i, rng in enumerate(rngs):
+        los = np.full(len(d), force_los) if p_los is None else rng.uniform() < p_los
+        for branch in (False, True):
+            cells = np.flatnonzero(los == branch)
+            if not len(cells):
+                continue
+            # the NLOS group reads on from the coin, ahead of the LOS draws
+            stream = copy.deepcopy(rng) if not branch and los.any() else rng
+            if branch:
+                los_draws.append(draw_los_variates(stream))
+            if cfg.scatter_paths:
+                variates.append(draw_cluster_variates(
+                    env, stream, None if shared is None else int(shared[i])))
+            groups.append((i, cells, branch))
+    owners, cell_lists, branches = zip(*groups)
+    sizes = [len(cells) for cells in cell_lists]
+    cell = np.concatenate(cell_lists)
+    los = np.repeat(branches, sizes)
+    shadow, phase = np.array(los_draws, dtype=float).reshape(-1, 2).T
+    los_sizes = [n for n, branch in zip(sizes, branches) if branch]
+    attenuation = shadowed_attenuation(d[cell[los]], f_hz, env, True,
+                                       np.repeat(shadow, los_sizes))
+    if variates:
+        # each group's paths, repeated for each of its far points
+        paths = np.array([len(v.gains) for v in variates])
+        stacked = stack_cluster_variates(variates)
+        index = _ranges(np.cumsum(paths) - paths, paths, sizes)
+        entries = stacked._replace(**{
+            name: getattr(stacked, name)[index] for name in ("cluster", "d_az", "d_el", "gains",
+                                                             "shadow")
+            if getattr(stacked, name) is not None})
+        geometry = None
+        if geometry_from is not None:
+            own = geometry_from.clusters
+            geometry = dataclasses.replace(own, positions=own.positions[_ranges(
+                geometry_from.bounds[list(owners)], paths, sizes)])
+        per_set = np.repeat(paths, sizes)
+        clusters = place_paths(entries, near.position, far[np.repeat(cell, per_set)], env,
+                                  f_hz, near.frame, geometry)
+    else:
+        clusters, per_set = ClusterSet.empty(), np.zeros(len(cell), dtype=int)
+    return _Leg(np.repeat(owners, sizes), cell, los, attenuation, np.repeat(phase, los_sizes),
+                clusters, np.concatenate([[0], np.cumsum(per_set)]))
+
+
+def _leg_matrices(row: DeviceView, col: DeviceView, gain_side: str | None, leg: _Leg,
+                  count: int, row_frames: np.ndarray | None = None) -> np.ndarray:
+    """The (count, K, row.count, col.count) matrices of a leg drawn from `col`
+    towards the K positions `row.position` (K, 3).
 
     `gain_side` names the device ("row"/"col"/None) whose element pattern
     weights each path; directions are always evaluated from each device
-    towards the path point in that device's own frame.  `row.position` may
-    be a stack of K positions (K, 3), with `clusters` and `link` placed for
-    each of them (`place_clusters`, `place_los`); the result is then a
-    (K, row.count, col.count) stack.
+    towards the path point in that device's own frame, and `row_frames`
+    (count, 3, 3), when given, is the row device's frame per realization.
+    Directions, pattern and weights run once over the leg's paths, steering
+    in chunks of at most `PLACEMENT_BUDGET` entries.  Each path set sums its
+    own paths only; the sets of one group (same paths) in one stacked product.
     """
-    stack = row.position.shape[:-1]
-    matrix = np.zeros(stack + (row.count, col.count), dtype=complex)
+    matrix = np.zeros((count, len(row.position), row.count, col.count), dtype=complex)
+    clusters, bounds = leg.clusters, leg.bounds
+
+    def frames(sets: np.ndarray) -> np.ndarray:
+        return row.frame if row_frames is None else row_frames[leg.realization[sets]]
 
     if clusters.total_paths:
-        u_row, _ = local_directions(row.position[..., None, :], clusters.positions, row.frame)
+        owner = np.repeat(np.arange(len(leg.cell)), np.diff(bounds))   # path set of each path
+        u_row, _ = local_directions(row.position[leg.cell[owner]], clusters.positions,
+                                    frames(owner))
         u_col, _ = local_directions(col.position, clusters.positions, col.frame)
         weights = clusters.gains * np.sqrt(_pattern(row, col, gain_side, u_row, u_col)
                                            * clusters.attenuations)
-        a_row = steering_matrix(row.vert, row.horiz, u_row)
-        a_col = steering_matrix(col.vert, col.horiz, u_col)
-        # normalization keeps total scattered power independent of the path count
-        matrix += ((a_row * weights[..., None, :]) @ a_col.swapaxes(-1, -2)
-                   / np.sqrt(clusters.total_paths))
+        group = 2 * leg.realization + leg.los
+        per_chunk = max(1, PLACEMENT_BUDGET // max(row.count, col.count))
+        start = 0
+        while start < len(leg.cell):
+            stop = max(start + 1, int(np.searchsorted(bounds, bounds[start] + per_chunk,
+                                                      side="right")) - 1)
+            first = bounds[start]
+            a_row = steering_matrix(row.vert, row.horiz, u_row[first:bounds[stop]])
+            a_col = steering_matrix(col.vert, col.horiz, u_col[first:bounds[stop]])
+            cuts = start + np.flatnonzero(np.diff(group[start:stop], prepend=-1, append=-1))
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                sets, paths = hi - lo, bounds[lo + 1] - bounds[lo]
+                own = slice(bounds[lo] - first, bounds[hi] - first)
+                a = (a_row[:, own].reshape(row.count, sets, paths).transpose(1, 0, 2)
+                     * weights[bounds[lo]:bounds[hi]].reshape(sets, 1, paths))
+                b = a_col[:, own].reshape(col.count, sets, paths).transpose(1, 2, 0)
+                # normalization keeps total scattered power independent of the path count
+                matrix[leg.realization[lo], leg.cell[lo:hi]] = a @ b / np.sqrt(paths)
+            start = stop
 
-    if link.los:
-        u_row, _ = local_directions(row.position[..., None, :], col.position, row.frame)
-        u_col, _ = local_directions(col.position, row.position[..., None, :], col.frame)
-        a_row = steering_matrix(row.vert, row.horiz, u_row)[..., 0]
-        a_col = steering_matrix(col.vert, col.horiz, u_col)[..., 0]
-        amp = np.sqrt(_pattern(row, col, gain_side, u_row, u_col)[..., 0] * link.attenuation)
-        matrix += ((amp * np.exp(1j * link.phase))[..., None, None]
-                   * (a_row[..., :, None] * a_col[..., None, :]))
-
+    if leg.los.any():
+        sets = np.flatnonzero(leg.los)
+        points = row.position[leg.cell[sets]]
+        u_row, _ = local_directions(points, col.position, frames(sets))
+        u_col, _ = local_directions(col.position, points, col.frame)
+        a_row = steering_matrix(row.vert, row.horiz, u_row).T   # (L, row.count)
+        a_col = steering_matrix(col.vert, col.horiz, u_col).T   # (L, col.count)
+        amp = np.sqrt(_pattern(row, col, gain_side, u_row, u_col) * leg.los_attenuation)
+        matrix[leg.realization[sets], leg.cell[sets]] += (
+            (amp * np.exp(1j * leg.los_phase))[:, None, None]
+            * (a_row[:, :, None] * a_col[:, None, :]))
     return matrix
+
+
+def _one_link(row: DeviceView, col: DeviceView, gain_side: str | None,
+              clusters: ClusterSet, link: LinkState) -> np.ndarray:
+    """`_leg_matrices` for one link, given its clusters and LOS state."""
+    los = np.array([link.los])
+    leg = _Leg(np.zeros(1, dtype=int), np.zeros(1, dtype=int), los,
+               np.array([link.attenuation])[los], np.array([link.phase])[los], clusters,
+               np.array([0, clusters.total_paths]))
+    row = dataclasses.replace(row, position=np.atleast_2d(row.position))
+    return _leg_matrices(row, col, gain_side, leg, 1)[0, 0]
 
 
 def assemble_link_channel(side: str, clusters: ClusterSet, link: LinkState,
@@ -146,77 +258,60 @@ def assemble_link_channel(side: str, clusters: ClusterSet, link: LinkState,
     """One surface leg: 'tx-ris' gives the (N, Nt) matrix, 'ris-rx' the (Nr, N) one."""
     surface = scene.ris[ris_index]
     if side == "tx-ris":
-        return _link_matrix(surface, scene.tx, "row", clusters, link)
+        return _one_link(surface, scene.tx, "row", clusters, link)
     if side == "ris-rx":
-        return _link_matrix(scene.rx, surface, "col", clusters, link)
+        return _one_link(scene.rx, surface, "col", clusters, link)
     raise ValueError(f"side must be 'tx-ris' or 'ris-rx', got {side!r}")
 
 
 def assemble_direct_channel(clusters: ClusterSet, link: LinkState,
                             scene: Scene) -> np.ndarray:
     """The (Nr, Nt) terminal-to-terminal matrix; no element pattern applies."""
-    return _link_matrix(scene.rx, scene.tx, None, clusters, link)
+    return _one_link(scene.rx, scene.tx, None, clusters, link)
 
 
-def phase_matrix(phases: PhaseVector | np.ndarray) -> np.ndarray:
+def phase_matrix(phases: np.ndarray) -> np.ndarray:
     """Diagonal unit-modulus response matrix induced by the phase vector."""
-    if isinstance(phases, PhaseVector):
-        phases = phases.phases
     return np.diag(np.exp(1j * np.asarray(phases, float)))
-
-
-def composite_channel(triple: ChannelTriple, phases: PhaseVector | np.ndarray) -> np.ndarray:
-    """End-to-end matrix: surface cascade with the given phases plus the direct term."""
-    if isinstance(phases, PhaseVector):
-        phases = phases.phases
-    phases = np.asarray(phases, float)
-    n = triple.tx_ris.shape[0]
-    if triple.ris_rx.shape[1] != n or len(phases) != n:
-        raise DimensionMismatch(
-            f"phase vector of length {len(phases)} does not match the {n}-element surface")
-    return surface_cascade(triple.tx_ris, triple.ris_rx, phases) + triple.direct
 
 
 @dataclass(frozen=True)
 class RealizationChannels:
-    """All channel matrices of one realization, possibly with several surfaces.
+    """The channel matrices of a block of realizations (`realize_block`), or of
+    one (`realize_channels`, without the realization axis).
 
-    Realized for a stack of K receiver positions, `ris_rx` and `direct`
-    carry a leading K axis; realized for a block of realizations
-    (`realize_block`), every matrix carries a leading realization axis and
-    `realization` is the block's range.  Surfaces left out of the
-    realization have None matrices.
+    Every matrix of a block carries a leading realization axis; realized
+    for a stack of K receiver positions, `ris_rx` and `direct` carry a cell
+    axis after it.  Surfaces left out of the realization have None matrices.
     """
 
-    tx_ris: tuple[np.ndarray | None, ...]   # per surface, (N_k, Nt)
-    ris_rx: tuple[np.ndarray | None, ...]   # per surface, (Nr, N_k)
-    direct: np.ndarray               # (Nr, Nt)
+    tx_ris: tuple[np.ndarray | None, ...]   # per surface, (B, N_k, Nt)
+    ris_rx: tuple[np.ndarray | None, ...]   # per surface, (B, [K,] Nr, N_k)
+    direct: np.ndarray                      # (B, [K,] Nr, Nt)
     realization: int | range
     los: dict = field(default_factory=dict)
     clusters: dict = field(default_factory=dict)  # ClusterSet per link key
-
-    def triple(self, ris_index: int = 0) -> ChannelTriple:
-        return ChannelTriple(self.tx_ris[ris_index], self.ris_rx[ris_index],
-                             self.direct, meta={"realization": self.realization,
-                                                "los": dict(self.los)})
 
 
 def surface_cascade(tx_ris: np.ndarray, ris_rx: np.ndarray, phases) -> np.ndarray:
     """One surface's term ris_rx @ diag(exp(j*phases)) @ tx_ris of the composite.
 
-    `ris_rx` (..., Nr, N) and `phases` (..., N) may carry leading stack axes.
+    `tx_ris` (..., N, Nt), `ris_rx` (..., Nr, N) and `phases` (..., N) may
+    carry leading stack axes that broadcast.
     """
-    if isinstance(phases, PhaseVector):
-        phases = phases.phases
-    return (ris_rx * np.exp(1j * np.asarray(phases, float))[..., None, :]) @ tx_ris
+    phases = np.asarray(phases, float)
+    n = tx_ris.shape[-2]
+    if ris_rx.shape[-1] != n or phases.shape[-1:] != (n,):
+        raise DimensionMismatch(f"{phases.shape[-1:]} phases and a {ris_rx.shape[-1]}-column "
+                                f"surface-Rx leg do not match the {n}-element surface")
+    return (ris_rx * np.exp(1j * phases)[..., None, :]) @ tx_ris
 
 
 def composite_multi(channels: RealizationChannels,
                     phase_sets: list[Optional[np.ndarray]]) -> np.ndarray:
     """Sum the cascades of all active surfaces plus the direct term.
 
-    `phase_sets[k] is None` models surface k as absent.  With one surface
-    this reduces exactly to `composite_channel`.
+    `phase_sets[k] is None` models surface k as absent.
     """
     total = channels.direct.astype(complex, copy=True)
     for tx_ris, ris_rx, phases in zip(channels.tx_ris, channels.ris_rx, phase_sets):
@@ -225,115 +320,45 @@ def composite_multi(channels: RealizationChannels,
     return total
 
 
-# Receiver-side legs are placed and assembled for at most this many
-# (position, element, path) entries at a time, and a block's legs for at
-# most this many (element, path) entries over its realizations.  The
-# stacked steering arrays take about 24 bytes per entry, so this bounds
-# their memory whatever the number of positions or realizations.
-PLACEMENT_BUDGET = 16384
+def realize_block(vc: ValidatedConfig, realizations: range, surfaces=None,
+                  rx_position=None) -> RealizationChannels:
+    """Draw the channel matrices of a block of realizations.
 
-
-def _draw_leg(rng: np.random.Generator, near: DeviceView, far: np.ndarray,
-              vc: ValidatedConfig, force_los: bool | None,
-              geometry_from: ClusterSet | None = None) -> tuple[LinkState, ClusterSet]:
-    """LOS state and clusters of the link from device `near` to the point `far`."""
-    cfg = vc.config
-    env, f_hz = cfg.environment, cfg.frequency_hz
-    link = draw_link_state(float(np.linalg.norm(far - near.position)), f_hz, env, rng,
-                           force_los)
-    clusters = (draw_clusters(near.position, far, env, f_hz, rng, near_frame=near.frame,
-                              geometry_from=geometry_from)
-                if cfg.scatter_paths else ClusterSet.empty())
-    return link, clusters
-
-
-def _receiver_leg(rng: np.random.Generator, near: DeviceView, scene: Scene,
-                  vc: ValidatedConfig, force_los: bool | None, assemble,
-                  geometry_from: ClusterSet | None = None):
-    """Draw and assemble the leg from `near` to the receiver.
-
-    Returns the matrix and, for a single receiver position, its
-    (LinkState, ClusterSet).  For a stack of positions every variate is
-    drawn once and placed for each position, in chunks of at most
-    `PLACEMENT_BUDGET` entries.  A live LOS coin can split the stack in
-    two, since the substream branches at the coin: NLOS positions draw
-    their clusters right after it, LOS ones after the LOS draws.  Each
-    position thus sees exactly the draws it would see alone.
-    """
-    far = scene.rx.position
-    if far.ndim == 1:
-        link, clusters = _draw_leg(rng, near, far, vc, force_los, geometry_from)
-        return assemble(clusters, link, scene), (link, clusters)
-
-    cfg = vc.config
-    env, f_hz = cfg.environment, cfg.frequency_hz
-    d = np.linalg.norm(far - near.position, axis=-1)
-    if force_los is None:
-        coin = rng.uniform()
-        los = np.array([coin < los_probability(x, env) for x in d])
-    else:
-        los = np.full(len(d), force_los)
-    shared = None if geometry_from is None else geometry_from.total_paths
-    matrix = np.empty(far.shape[:-1] + (scene.rx.count, near.count), dtype=complex)
-    for branch in (False, True):
-        index = np.flatnonzero(los == branch)
-        if not len(index):
-            continue
-        # the NLOS branch reads on from the coin, ahead of the LOS draws
-        stream = copy.deepcopy(rng) if not branch and los.any() else rng
-        los_variates = draw_los_variates(stream) if branch else None
-        variates = draw_cluster_variates(env, stream, shared) if cfg.scatter_paths else None
-        paths = 0 if variates is None else len(variates.gains)
-        step = max(1, PLACEMENT_BUDGET // max(1, max(near.count, scene.rx.count) * paths))
-        for start in range(0, len(index), step):
-            sub = index[start:start + step]
-            link = (place_los(los_variates, d[sub], f_hz, env) if branch
-                    else LinkState(False, 0.0, 0.0))
-            clusters = (ClusterSet.empty() if variates is None else
-                        place_clusters(variates, near.position, far[sub], env, f_hz,
-                                       near.frame, geometry_from))
-            matrix[sub] = assemble(clusters, link, _receiver_at(scene, sub))
-    return matrix, None
-
-
-def _receiver_at(scene: Scene, index) -> Scene:
-    """The scene with its receiver stack cut down to the positions `index`."""
-    return dataclasses.replace(scene, rx=dataclasses.replace(
-        scene.rx, position=scene.rx.position[index]))
-
-
-def realize_channels(vc: ValidatedConfig, realization: int, rx_position=None,
-                     surfaces=None) -> RealizationChannels:
-    """Draw one full channel realization from the config's seeded substreams.
-
-    The receiver's random orientation (when enabled) is drawn once and
-    shared by every link that arrives at it.  Each surface gets its own
-    link substreams so scenes with different surface counts stay paired
-    on the surfaces they share.
+    Each realization reads its own substreams, keyed by (seed, realization,
+    link) and seeded for the whole block by `block_rngs`, so realization
+    indices lie in [0, 2**32).  The receiver's random orientation (when
+    enabled) is drawn once and shared by every link that arrives at it.
+    Each surface gets its own link substreams, so scenes with different
+    surface counts stay paired on the surfaces they share.
 
     `rx_position` may be a stack of receiver positions (K, 3): every
-    position then sees the same draws, as it would alone, and the
-    receiver-side matrices carry a leading K axis.  `surfaces` lists the
-    surfaces to realize (default: all); the others get None matrices.  For
-    a stack it may instead map each surface to the positions (indices into
-    the stack, None = all) its receiver-side leg is placed at, one `ris_rx`
-    row each.
-    The `los` and `clusters` records are kept for a single position only.
+    position then sees the draws it would see alone, and the
+    receiver-side matrices carry a cell axis.  `surfaces` lists the
+    surfaces to realize (default: all); the others get None matrices.  It
+    may instead map each surface to the positions (indices into the stack,
+    None = all) its receiver-side leg is placed at, one `ris_rx` cell each.
+    `los` and `clusters` record each link's LOS state per (realization,
+    position) and its placed paths.
     """
     cfg = vc.config
     seed = cfg.seed
+    count = len(realizations)
 
-    rx_frame = None
+    rx_frames = None
     if cfg.rx_orientation == "random-azimuth":
-        rng = spawn_rng(seed, realization, LinkTag.RX_FRAME)
-        rx_frame = azimuth_rotation_frame(rng.uniform(0.0, 2.0 * np.pi))
-    scene = build_scene(vc, rx_position=rx_position, rx_frame=rx_frame)
-    tx, rx = scene.tx, scene.rx
-    los_meta, cluster_meta = {}, {}
+        rx_frames = np.stack([azimuth_rotation_frame(rng.uniform(0.0, 2.0 * np.pi))
+                              for rng in block_rngs(seed, realizations, LinkTag.RX_FRAME)])
+    scene = build_scene(vc, rx_position=rx_position)
+    tx = scene.tx
+    rx = dataclasses.replace(scene.rx, position=np.atleast_2d(scene.rx.position))
+    los, clusters = {}, {}
 
-    def record(key: str, drawn) -> None:
-        if drawn is not None:
-            los_meta[key], cluster_meta[key] = drawn[0].los, drawn[1]
+    def link(key: str, row: DeviceView, col: DeviceView, gain_side: str | None, force_los,
+             tag: LinkTag, *extra: int, geometry_from=None, frames=None):
+        leg = _draw_leg(vc, block_rngs(seed, realizations, tag, *extra), col, row.position,
+                        force_los, geometry_from)
+        los[key], clusters[key] = leg.los, leg.clusters
+        return leg, _leg_matrices(row, col, gain_side, leg, count, frames)
 
     force = True if cfg.ris_links == "los" else None
     tx_ris, ris_rx = [None] * len(scene.ris), [None] * len(scene.ris)
@@ -341,179 +366,43 @@ def realize_channels(vc: ValidatedConfig, realization: int, rx_position=None,
         surfaces = range(len(scene.ris))
     for k in surfaces:
         surface = scene.ris[k]
-        index = surfaces[k] if isinstance(surfaces, dict) else None
-        leg_scene = scene if index is None else _receiver_at(scene, index)
-        rng_h = spawn_rng(seed, realization, LinkTag.TX_RIS, k)
-        link_h, clusters_h = _draw_leg(rng_h, tx, surface.position, vc, force)
-        tx_ris[k] = assemble_link_channel("tx-ris", clusters_h, link_h, scene, k)
-        record(f"tx_ris_{k}", (link_h, clusters_h))
-
-        rng_g = spawn_rng(seed, realization, LinkTag.RIS_RX, k)
-        ris_rx[k], drawn = _receiver_leg(
-            rng_g, surface, leg_scene, vc, force,
-            lambda clusters, link, sc, k=k: assemble_link_channel("ris-rx", clusters, link,
-                                                                  sc, k),
-            geometry_from=clusters_h if cfg.shared_clusters else None)
-        record(f"ris_rx_{k}", drawn)
+        leg_h, h = link(f"tx_ris_{k}", dataclasses.replace(surface, position=surface.position[None]),
+                        tx, "row", force, LinkTag.TX_RIS, k)
+        tx_ris[k] = h[:, 0]
+        cells = surfaces[k] if isinstance(surfaces, dict) else None
+        at = rx if cells is None else dataclasses.replace(rx, position=rx.position[cells])
+        _, ris_rx[k] = link(f"ris_rx_{k}", at, surface, "col", force, LinkTag.RIS_RX, k,
+                            geometry_from=leg_h if cfg.shared_clusters else None,
+                            frames=rx_frames)
 
     if cfg.direct_mode == "blocked" and not cfg.blocked_keeps_scatter:
-        direct = np.zeros(rx.position.shape[:-1] + (rx.count, tx.count), dtype=complex)
-        los_meta["direct"] = False
-    else:
-        rng_d = spawn_rng(seed, realization, LinkTag.DIRECT)
-        force_d = {"blocked": False, "present": True}.get(cfg.direct_mode)
-        direct, drawn = _receiver_leg(rng_d, tx, scene, vc, force_d,
-                                      assemble_direct_channel)
-        record("direct", drawn)
-
-    return RealizationChannels(tx_ris=tuple(tx_ris), ris_rx=tuple(ris_rx),
-                               direct=direct, realization=realization, los=los_meta,
-                               clusters=cluster_meta)
-
-
-class _BlockLeg(NamedTuple):
-    """One link drawn for every realization of a block, at fixed ends."""
-
-    los: np.ndarray              # (B,) bool: the realizations whose link is LOS
-    los_attenuation: np.ndarray  # (L,) per LOS realization, in order
-    los_phase: np.ndarray        # (L,)
-    clusters: ClusterSet         # every realization's paths, concatenated in order
-    bounds: np.ndarray           # (B + 1,) offsets of each realization's paths
-
-
-def _draw_block_leg(vc: ValidatedConfig, rngs: list, near: DeviceView, far: np.ndarray,
-                    force_los: bool | None, geometry_from: _BlockLeg | None = None) -> _BlockLeg:
-    """The link from device `near` to the point `far`, one substream per realization.
-
-    Each substream is read as `_draw_leg` reads it (the LOS coin, the LOS
-    variates when LOS, the cluster variates); then the block's clusters are
-    placed together and its LOS attenuations evaluated together.
-    """
-    cfg = vc.config
-    env, f_hz = cfg.environment, cfg.frequency_hz
-    d = float(np.linalg.norm(far - near.position))
-    p_los = los_probability(d, env) if force_los is None else None
-    shared = None if geometry_from is None else np.diff(geometry_from.bounds)
-    los, los_draws, variates = [], [], []
-    for i, rng in enumerate(rngs):
-        los.append(bool(rng.uniform() < p_los) if force_los is None else force_los)
-        if los[-1]:
-            los_draws.append(draw_los_variates(rng))
-        if cfg.scatter_paths:
-            variates.append(draw_cluster_variates(env, rng, None if shared is None
-                                                  else int(shared[i])))
-    shadow, phase = np.array(los_draws, dtype=float).reshape(-1, 2).T
-    attenuation = shadowed_attenuation(d, f_hz, env, True, shadow) if los_draws else shadow
-    if variates:
-        clusters = place_clusters(stack_cluster_variates(variates), near.position, far, env,
-                                  f_hz, near.frame,
-                                  None if geometry_from is None else geometry_from.clusters)
-        paths = [len(v.gains) for v in variates]
-    else:
-        clusters, paths = ClusterSet.empty(), [0] * len(rngs)
-    return _BlockLeg(np.array(los), attenuation, phase, clusters,
-                     np.concatenate([[0], np.cumsum(paths)]))
-
-
-def _directions(origin: np.ndarray, points: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """Unit directions origin -> points in `frame`, which may instead be a
-    stack of frames (..., 3, 3) broadcasting against the points."""
-    if frame.ndim == 2:
-        return local_directions(origin, points, frame)[0]
-    unit, _ = local_directions(origin, points, GLOBAL_FRAME)
-    return np.einsum("...j,...kj->...k", unit, frame)
-
-
-def _block_link_matrices(row: DeviceView, col: DeviceView, gain_side: str | None,
-                         leg: _BlockLeg, row_frames: np.ndarray | None = None) -> np.ndarray:
-    """`_link_matrix` for every realization of a block: (B, row.count, col.count).
-
-    The devices are fixed; `row_frames` (B, 3, 3), when given, is the row
-    device's frame per realization.  Directions, pattern and steering run
-    once over the block's concatenated paths (in chunks of at most
-    `PLACEMENT_BUDGET` entries), but each realization's matrix is summed
-    over its own paths only, as `_link_matrix` sums it.  The LOS direction
-    is evaluated once, or once per LOS realization with `row_frames`.
-    """
-    count = len(leg.los)
-    matrix = np.zeros((count, row.count, col.count), dtype=complex)
-    clusters, bounds = leg.clusters, leg.bounds
-    if clusters.total_paths:
-        frames = row.frame if row_frames is None else row_frames[
-            np.repeat(np.arange(count), np.diff(bounds))]
-        u_row = _directions(row.position, clusters.positions, frames)
-        u_col, _ = local_directions(col.position, clusters.positions, col.frame)
-        weights = clusters.gains * np.sqrt(_pattern(row, col, gain_side, u_row, u_col)
-                                           * clusters.attenuations)
-        per_chunk = max(1, PLACEMENT_BUDGET // max(row.count, col.count))
-        start = 0
-        while start < count:
-            stop = max(start + 1, int(np.searchsorted(bounds, bounds[start] + per_chunk,
-                                                      side="right")) - 1)
-            first, last = bounds[start], bounds[stop]
-            a_row = steering_matrix(row.vert, row.horiz, u_row[first:last])
-            a_col = steering_matrix(col.vert, col.horiz, u_col[first:last])
-            for i in range(start, stop):
-                own = slice(bounds[i] - first, bounds[i + 1] - first)
-                # normalization keeps total scattered power independent of the path count
-                matrix[i] = ((a_row[:, own] * weights[bounds[i]:bounds[i + 1]])
-                             @ a_col[:, own].T / np.sqrt(bounds[i + 1] - bounds[i]))
-            start = stop
-
-    if leg.los.any():
-        los = np.flatnonzero(leg.los)
-        frames = row.frame if row_frames is None else row_frames[los]
-        u_row = _directions(row.position, col.position, frames)
-        u_col, _ = local_directions(col.position, row.position, col.frame)
-        a_row = steering_matrix(row.vert, row.horiz, u_row).T   # (L or 1, row.count)
-        a_col = steering_matrix(col.vert, col.horiz, u_col)[:, 0]
-        amp = np.sqrt(_pattern(row, col, gain_side, u_row, u_col) * leg.los_attenuation)
-        matrix[los] += ((amp * np.exp(1j * leg.los_phase))[:, None, None]
-                        * (a_row[:, :, None] * a_col[None, None, :]))
-    return matrix
-
-
-def realize_block(vc: ValidatedConfig, realizations: range, surfaces=None,
-                  rx_position=None) -> RealizationChannels:
-    """`realize_channels` for a block of realizations at one receiver position.
-
-    Every realization reads its own substreams (seeded for the whole block
-    by `block_rngs`) in the order `realize_channels` does, so each sees
-    exactly its own draws; the matrices carry a leading realization axis.
-    Each leg's paths are placed, steered and weighted once for the whole
-    block (`_block_link_matrices`).  `surfaces` lists the surfaces to realize
-    (default: all); the others get None matrices.  No `los`/`clusters`
-    records are kept.
-    """
-    cfg = vc.config
-    seed = cfg.seed
-
-    rx_frames = None
-    if cfg.rx_orientation == "random-azimuth":
-        rx_frames = np.stack([azimuth_rotation_frame(rng.uniform(0.0, 2.0 * np.pi))
-                              for rng in block_rngs(seed, realizations, LinkTag.RX_FRAME)])
-    scene = build_scene(vc, rx_position=rx_position)
-    tx, rx = scene.tx, scene.rx
-
-    def streams(tag: LinkTag, *extra: int) -> list:
-        return block_rngs(seed, realizations, tag, *extra)
-
-    force = True if cfg.ris_links == "los" else None
-    tx_ris, ris_rx = [None] * len(scene.ris), [None] * len(scene.ris)
-    for k in range(len(scene.ris)) if surfaces is None else surfaces:
-        surface = scene.ris[k]
-        leg_h = _draw_block_leg(vc, streams(LinkTag.TX_RIS, k), tx, surface.position, force)
-        tx_ris[k] = _block_link_matrices(surface, tx, "row", leg_h)
-        leg_g = _draw_block_leg(vc, streams(LinkTag.RIS_RX, k), surface, rx.position, force,
-                                geometry_from=leg_h if cfg.shared_clusters else None)
-        ris_rx[k] = _block_link_matrices(rx, surface, "col", leg_g, rx_frames)
-
-    if cfg.direct_mode == "blocked" and not cfg.blocked_keeps_scatter:
-        direct = np.zeros((len(realizations), rx.count, tx.count), dtype=complex)
+        direct = np.zeros((count, len(rx.position), rx.count, tx.count), dtype=complex)
+        los["direct"] = np.zeros(count * len(rx.position), dtype=bool)
     else:
         force_d = {"blocked": False, "present": True}.get(cfg.direct_mode)
-        leg_d = _draw_block_leg(vc, streams(LinkTag.DIRECT), tx, rx.position, force_d)
-        direct = _block_link_matrices(rx, tx, None, leg_d, rx_frames)
+        _, direct = link("direct", rx, tx, None, force_d, LinkTag.DIRECT, frames=rx_frames)
 
-    return RealizationChannels(tx_ris=tuple(tx_ris), ris_rx=tuple(ris_rx), direct=direct,
-                               realization=realizations)
+    if scene.rx.position.ndim == 1:   # one receiver position: no cell axis
+        ris_rx = [None if m is None else m[:, 0] for m in ris_rx]
+        direct = direct[:, 0]
+    return RealizationChannels(tuple(tx_ris), tuple(ris_rx), direct, realizations, los,
+                               clusters)
+
+
+def realize_channels(vc: ValidatedConfig, realization: int, rx_position=None,
+                     surfaces=None) -> RealizationChannels:
+    """One realization: `realize_block` over the block of one, without its
+    realization axis.  `realization` lies in [0, 2**32).
+
+    For a single receiver position, `los` maps each link to its LOS
+    indicator and `clusters` to its placed `ClusterSet`; for a stack of
+    positions they are empty.
+    """
+    block = realize_block(vc, range(realization, realization + 1), surfaces, rx_position)
+    one = block.direct.ndim == 3
+    return RealizationChannels(
+        tx_ris=tuple(None if m is None else m[0] for m in block.tx_ris),
+        ris_rx=tuple(None if m is None else m[0] for m in block.ris_rx),
+        direct=block.direct[0], realization=realization,
+        los={key: bool(state[0]) for key, state in block.los.items()} if one else {},
+        clusters=block.clusters if one else {})

@@ -296,11 +296,17 @@ def _resolve_facing(ris: RisSpec, tx_position: tuple[float, float, float]) -> Ri
     return dataclasses.replace(ris, facing=-1 if delta < 0 else 1)
 
 
-def _check_element_count(what: str, count: int) -> None:
+def _check_count(what: str, count: int, most: int) -> None:
     if count < 1:
         raise NonPositiveCount(f"{what} must be >= 1")
-    if count > MAX_ARRAY_ELEMENTS:
-        raise ConfigError(f"{what} {count} exceeds the maximum of {MAX_ARRAY_ELEMENTS}")
+    if count > most:
+        raise ConfigError(f"{what} {count} exceeds the maximum of {most}")
+
+
+def check_realization_count(count: int) -> None:
+    """A realization count lies in [1, 2**32]: each realization index is
+    seeded as one 32-bit word (`rng.block_rngs`)."""
+    _check_count("the realization count", count, 2**32)
 
 
 def validate_config(cfg: SimConfig | ValidatedConfig) -> ValidatedConfig:
@@ -319,15 +325,14 @@ def validate_config(cfg: SimConfig | ValidatedConfig) -> ValidatedConfig:
 
     if cfg.frequency_hz <= 0:
         raise ConfigError("frequency must be positive")
-    if cfg.realizations < 1:
-        raise NonPositiveCount("the realization count must be >= 1")
+    check_realization_count(cfg.realizations)
     if cfg.seed < 0:
         raise ConfigError(f"the seed must be >= 0, got {cfg.seed}")
     if len(cfg.pt_dbm) == 0:
         raise EmptySweep("the transmit power sweep list is empty")
 
     for name, spec in (("tx", cfg.tx), ("rx", cfg.rx)):
-        _check_element_count(f"{name} antenna count", spec.count)
+        _check_count(f"{name} antenna count", spec.count, MAX_ARRAY_ELEMENTS)
         if spec.spacing_wl <= 0:
             raise ConfigError(f"{name} element spacing must be > 0")
         if spec.orientation != "global" and (len(spec.orientation) != 3
@@ -343,7 +348,7 @@ def validate_config(cfg: SimConfig | ValidatedConfig) -> ValidatedConfig:
 
     resolved = []
     for i, ris in enumerate(cfg.ris):
-        _check_element_count(f"ris[{i}] element count", ris.count)
+        _check_count(f"ris[{i}] element count", ris.count, MAX_ARRAY_ELEMENTS)
         if ris.spacing_wl <= 0 or ris.gain_exponent < 0:
             raise ConfigError(f"ris[{i}] needs spacing > 0 and gain exponent >= 0")
         if ris.shape is not None and ris.shape[0] * ris.shape[1] != ris.count:

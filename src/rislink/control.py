@@ -24,23 +24,6 @@ class PhaseAlgorithm:
     bits: int | None = None  # None = continuous phases
 
 
-@dataclass(frozen=True)
-class RateResult:
-    """One achievable-rate evaluation with the powers that produced it."""
-
-    rate: float            # bit/s/Hz, >= 0
-    pt_dbm: float
-    noise_dbm: float
-    meta: dict | None = None
-
-    @classmethod
-    def from_composite(cls, composite, pt_dbm: float, noise_dbm: float,
-                       meta: dict | None = None) -> "RateResult":
-        pt = 10.0 ** ((pt_dbm - 30.0) / 10.0)
-        noise = 10.0 ** ((noise_dbm - 30.0) / 10.0)
-        return cls(achievable_rate(composite, pt, noise), pt_dbm, noise_dbm, meta)
-
-
 def quantize_phases(phases: np.ndarray, bits: int | None) -> np.ndarray:
     """Snap each phase to the nearest of 2**bits uniformly spaced levels."""
     phases = np.mod(np.asarray(phases, float), TWO_PI)

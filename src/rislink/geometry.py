@@ -20,7 +20,6 @@ Conventions used by every module:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -29,15 +28,6 @@ from .errors import CoincidentPoints, DimensionMismatch
 
 GLOBAL_FRAME = np.eye(3)
 GLOBAL_FRAME.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class AngleSet:
-    """Direction of one point seen from another, in the observer's frame."""
-
-    azimuth: float     # radians
-    elevation: float   # radians, in [-pi/2, pi/2]
-    distance: float    # meters
 
 
 @lru_cache(maxsize=None)
@@ -72,24 +62,25 @@ def local_directions(origin: np.ndarray, points: np.ndarray,
     """Unit directions origin->points in `frame` coordinates, plus distances.
 
     `points` has shape (P, 3); returns (P, 3) unit vectors and (P,) distances.
-    Leading axes of `origin` (..., 1, 3) or `points` (..., P, 3) broadcast.
+    Leading axes of `origin` (..., 1, 3) or `points` (..., P, 3) broadcast,
+    and so may those of a stack of frames (..., 3, 3).
     """
     delta = np.atleast_2d(points) - np.asarray(origin, dtype=float)
     dist = np.linalg.norm(delta, axis=-1)
     if np.any(dist == 0.0):
         raise CoincidentPoints("cannot take a direction between coincident points")
-    return (delta / dist[..., None]) @ frame.T, dist
+    return rotate(delta / dist[..., None], frame), dist
 
 
-def geometry_relation(frm, to, frame: np.ndarray | None = None) -> AngleSet:
-    """Distance and local-frame (azimuth, elevation) of `to` as seen from `frm`."""
-    if frame is None:
-        frame = GLOBAL_FRAME
-    u, dist = local_directions(np.asarray(frm, float), np.asarray(to, float), frame)
-    u = u[0]
-    azimuth = np.arctan2(u[1], u[0])
-    elevation = np.arctan2(u[2], np.hypot(u[0], u[1]))
-    return AngleSet(float(azimuth), float(elevation), float(dist[0]))
+def rotate(vectors: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """`matrix @ v` for each (..., 3) vector v; `matrix` may be a stack (..., 3, 3).
+
+    Summed as three products rather than a matmul, which rounds a lone
+    vector differently from a stack: each vector's result does not depend on
+    the stack it comes in.
+    """
+    return (vectors[..., 0:1] * matrix[..., 0] + vectors[..., 1:2] * matrix[..., 1]
+            + vectors[..., 2:3] * matrix[..., 2])
 
 
 def direction_unit(azimuth, elevation) -> np.ndarray:
@@ -126,14 +117,6 @@ def steering_matrix(vert: np.ndarray, horiz: np.ndarray, u_local: np.ndarray) ->
     return response.reshape(response.shape[:-3] + (rows * horiz.size, u.shape[-2]))
 
 
-def steering_vector(spec, angles: AngleSet, wavelength: float) -> np.ndarray:
-    """Array response of `spec` (ArraySpec or RisSpec) for one direction."""
-    u = direction_unit(angles.azimuth, angles.elevation)
-    k = 2.0 * np.pi / wavelength
-    vert, horiz = spec.grid_axes(wavelength)
-    return steering_matrix(k * vert, k * horiz, u[None, :])[:, 0]
-
-
 def element_gain(theta, q: float):
     """Radiation gain of one reflecting element at angle `theta` off broadside.
 
@@ -141,15 +124,13 @@ def element_gain(theta, q: float):
     the front hemisphere; the back hemisphere (|theta| >= pi/2) gets zero.
     """
     theta = np.asarray(theta, float)
-    front = np.abs(theta) < np.pi / 2
-    gain = np.where(front, 2.0 * (2.0 * q + 1.0) * np.cos(np.where(front, theta, 0.0)) ** (2.0 * q), 0.0)
-    if gain.ndim == 0:
-        return float(gain)
-    return gain
+    # cos(pi/2) rounds to 6e-17 > 0, so the hemisphere test is on theta itself
+    gain = element_gain_from_cos(np.where(np.abs(theta) < np.pi / 2, np.cos(theta), 0.0), q)
+    return float(gain) if gain.ndim == 0 else gain
 
 
 def element_gain_from_cos(cos_broadside: np.ndarray, q: float) -> np.ndarray:
-    """Same pattern as `element_gain`, taking cos of the broadside angle directly.
+    """The pattern of `element_gain`, taking cos of the broadside angle directly.
 
     For a local-frame unit direction u the broadside cosine is u[0]; values
     <= 0 mean the path leaves behind the aperture and contribute zero gain.

@@ -14,18 +14,14 @@ import numpy as np
 
 from .config import Environment
 from .errors import ModelValidityWarning, NonPositiveDistance
-from .geometry import direction_unit
+from .geometry import direction_unit, rotate
 
 TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
 class LinkState:
-    """LOS component of one link: indicator, linear attenuation, carrier phase.
-
-    Placed for a stack of far ends (see `place_los`), `attenuation` holds one
-    value per far end; they all share the indicator and the phase.
-    """
+    """LOS component of one link: indicator, linear attenuation, carrier phase."""
 
     los: bool
     attenuation: float   # linear, 0 when the LOS component is absent
@@ -37,10 +33,7 @@ class ClusterSet:
     """Random clusters and their scatterers for one link.
 
     `sizes` holds the per-cluster scatterer counts; the flat per-path arrays
-    (positions, gains, attenuations) are ordered cluster by cluster.  Placed
-    for a stack of K far ends, `positions` and `attenuations` gain a leading
-    K axis (`positions` keeps (P, 3) when the geometry is shared from another
-    link); `sizes` and `gains` never depend on the far end.
+    (positions, gains, attenuations) are ordered cluster by cluster.
     """
 
     sizes: np.ndarray        # (C,) int
@@ -140,7 +133,8 @@ def draw_link_state(d: float, f_hz: float, env: Environment,
         los = force_los
     if not los:
         return LinkState(False, 0.0, 0.0)
-    return place_los(draw_los_variates(rng), d, f_hz, env)
+    shadow, phase = draw_los_variates(rng)
+    return LinkState(True, shadowed_attenuation(d, f_hz, env, True, shadow), phase)
 
 
 def draw_los_variates(rng: np.random.Generator) -> tuple:
@@ -150,12 +144,6 @@ def draw_los_variates(rng: np.random.Generator) -> tuple:
     then the carrier phase.
     """
     return rng.standard_normal(()), float(rng.uniform(0.0, TWO_PI))
-
-
-def place_los(variates: tuple, d, f_hz: float, env: Environment) -> LinkState:
-    """The LOS component of `draw_los_variates` at link length(s) `d`."""
-    shadow, phase = variates
-    return LinkState(True, shadowed_attenuation(d, f_hz, env, True, shadow), phase)
 
 
 def draw_clusters(near: np.ndarray, far: np.ndarray, env: Environment,
@@ -234,7 +222,21 @@ def place_clusters(variates: ClusterVariates, near, far, env: Environment, f_hz:
                    near_frame: np.ndarray | None = None,
                    geometry_from: ClusterSet | None = None) -> ClusterSet:
     """Place drawn clusters on the link `near` -> `far`, where `far` is one
-    point (3,) or a stack of far ends (K, 3); see `draw_clusters`."""
+    point (3,) or a stack of far ends (K, 3), each getting every path; see
+    `draw_clusters`."""
+    return place_paths(variates, near, np.asarray(far, dtype=float)[..., None, :], env, f_hz,
+                       near_frame, geometry_from)
+
+
+def place_paths(variates: ClusterVariates, near, far, env: Environment, f_hz: float,
+                near_frame: np.ndarray | None = None,
+                geometry_from: ClusterSet | None = None) -> ClusterSet:
+    """`place_clusters` with `far` (..., 3) broadcast against the (P,) paths.
+
+    With `far` (P, 3) each path gets its own far end: the paths of several
+    links' variates (`stack_cluster_variates`, or one link's with its paths
+    repeated) are so placed at once, each on its own link.
+    """
     near = np.asarray(near, dtype=float)
     far = np.asarray(far, dtype=float)
     if geometry_from is not None:
@@ -244,21 +246,15 @@ def place_clusters(variates: ClusterVariates, near, far, env: Environment, f_hz:
         if near_frame is None:
             near_frame = np.eye(3)
         sizes = variates.sizes
-        link_len = np.linalg.norm(far - near, axis=-1)
-        hi = np.maximum(link_len, 1.0 + 1e-9)
-        radial = 1.0 + (hi - 1.0)[..., None] * variates.radial
-
+        hi = np.maximum(np.linalg.norm(far - near, axis=-1), 1.0 + 1e-9)
         rep = variates.cluster
-        dirs = direction_unit(variates.azimuth[rep] + variates.d_az,
-                              variates.elevation[rep] + variates.d_el) @ near_frame
-        positions = near + radial[..., rep, None] * dirs
+        radial = 1.0 + (hi - 1.0) * variates.radial[rep]
+        dirs = rotate(direction_unit(variates.azimuth[rep] + variates.d_az,
+                                     variates.elevation[rep] + variates.d_el), near_frame.T)
+        positions = near + radial[..., None] * dirs
         positions[..., 2] = np.abs(positions[..., 2])
 
-    if len(variates.gains):
-        unfolded = (np.linalg.norm(positions - near, axis=-1)
-                    + np.linalg.norm(far[..., None, :] - positions, axis=-1))
-        attenuations = shadowed_attenuation(unfolded, f_hz, env, False, variates.shadow)
-    else:
-        attenuations = np.zeros(far.shape[:-1] + (0,))
+    unfolded = np.linalg.norm(positions - near, axis=-1) + np.linalg.norm(far - positions, axis=-1)
+    attenuations = shadowed_attenuation(unfolded, f_hz, env, False, variates.shadow)
     return ClusterSet(sizes=np.asarray(sizes, dtype=int), positions=positions,
                       gains=variates.gains, attenuations=np.atleast_1d(attenuations))

@@ -5,12 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rislink import (ArraySpec, ChannelTriple, RisSpec, SimConfig, assemble_direct_channel,
-                     assemble_link_channel, build_scene, composite_channel,
-                     composite_multi, phase_matrix, realize_channels, scene_preset,
-                     validate_config)
+from rislink import (ArraySpec, RealizationChannels, RisSpec, SimConfig,
+                     assemble_direct_channel, assemble_link_channel, build_scene,
+                     composite_multi, phase_matrix, quantize_phases, realize_channels,
+                     scene_preset, validate_config)
 import rislink.channel as channel_module
-from rislink.channel import PhaseVector, realize_block
+from rislink.channel import realize_block, surface_cascade
 from rislink.errors import DimensionMismatch
 from rislink.geometry import element_gain
 from rislink.propagation import ClusterSet, LinkState
@@ -29,6 +29,11 @@ def los_only_scene(nt=1, nr=1, n=16):
         realizations=1,
     )
     return validate_config(cfg)
+
+
+def composite(tx_ris, ris_rx, direct, phases):
+    """The end-to-end matrix of one single-surface realization."""
+    return composite_multi(RealizationChannels((tx_ris,), (ris_rx,), direct, 0), [phases])
 
 
 def single_path_clusters(position, gain=1.0, attenuation=1.0):
@@ -248,22 +253,22 @@ class TestPhaseMatrix:
         assert np.allclose(phase_matrix(np.array([np.pi])), [[-1.0]])
 
     def test_phase_vector_wraps(self):
-        pv = PhaseVector(np.array([2 * np.pi + 0.5, -0.5]))
-        assert np.allclose(pv.phases, [0.5, 2 * np.pi - 0.5])
+        phases = quantize_phases(np.array([2 * np.pi + 0.5, -0.5]), None)
+        assert np.allclose(phases, [0.5, 2 * np.pi - 0.5])
 
 
 class TestComposite:
     def test_zero_cascade_reduces_to_direct(self):
         rng = np.random.default_rng(1)
         d = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        triple = ChannelTriple(np.zeros((4, 3), complex), np.zeros((2, 4), complex), d)
-        assert np.allclose(composite_channel(triple, np.zeros(4)), d)
+        assert np.allclose(composite(np.zeros((4, 3), complex), np.zeros((2, 4), complex), d,
+                                     np.zeros(4)), d)
 
     def test_scalar_case(self):
         h, g, d, theta = 0.3 + 0.1j, -0.2 + 0.7j, 0.05j, 1.1
-        triple = ChannelTriple(np.array([[h]]), np.array([[g]]), np.array([[d]]))
         expected = g * np.exp(1j * theta) * h + d
-        assert composite_channel(triple, np.array([theta]))[0, 0] == pytest.approx(expected)
+        got = composite(np.array([[h]]), np.array([[g]]), np.array([[d]]), np.array([theta]))
+        assert got[0, 0] == pytest.approx(expected)
 
     def test_against_naive_triple_loop(self):
         rng = np.random.default_rng(2)
@@ -276,22 +281,24 @@ class TestComposite:
             for j in range(3):
                 for n in range(4):
                     expected[i, j] += g[i, n] * np.exp(1j * theta[n]) * h[n, j]
-        got = composite_channel(ChannelTriple(h, g, d), theta)
+        got = composite(h, g, d, theta)
         assert np.allclose(got, expected, atol=1e-12)
 
     def test_dimension_mismatch(self):
-        triple = ChannelTriple(np.zeros((4, 2), complex), np.zeros((2, 4), complex),
-                               np.zeros((2, 2), complex))
         with pytest.raises(DimensionMismatch):
-            composite_channel(triple, np.zeros(5))
+            composite(np.zeros((4, 2), complex), np.zeros((2, 4), complex),
+                      np.zeros((2, 2), complex), np.zeros(5))
+        with pytest.raises(DimensionMismatch):
+            surface_cascade(np.zeros((4, 2), complex), np.zeros((2, 5), complex), np.zeros(4))
 
     def test_multi_surface_reduces_to_single(self):
         vc = validate_config(dataclasses.replace(scene_preset("indoor"), realizations=1))
         channels = realize_channels(vc, 0)
         theta = np.linspace(0, 1, channels.tx_ris[0].shape[0])
         via_multi = composite_multi(channels, [theta])
-        via_triple = composite_channel(channels.triple(0), theta)
-        assert np.allclose(via_multi, via_triple, atol=1e-14)
+        via_cascade = surface_cascade(channels.tx_ris[0], channels.ris_rx[0],
+                                      theta) + channels.direct
+        assert np.allclose(via_multi, via_cascade, atol=1e-14)
 
     def test_absent_surface_skipped(self):
         vc = validate_config(dataclasses.replace(scene_preset("indoor"), realizations=1))
