@@ -266,15 +266,39 @@ def _block_rates(args) -> np.ndarray:
     return rate_from_singular_values(s, pt_watts, vc.noise_watts)
 
 
+def _chunk_rates(vc: ValidatedConfig, algorithm: PhaseAlgorithm, positions: np.ndarray,
+                 selected: np.ndarray, surfaces: dict, realizations: range,
+                 pt: float) -> np.ndarray:
+    """(B, K) rates of a chunk of realizations at every cell of a coverage block.
+
+    The chunk is realized once for every cell, each surface's legs only at
+    the cells they enter, then phase-controlled and decomposed as one
+    (realizations x cells) stack.
+    """
+    channels = realize_block(vc, realizations, surfaces=surfaces, rx_position=positions)
+    composite = channels.direct.copy()
+    for k, cells in surfaces.items():
+        tx_ris, ris_rx = channels.tx_ris[k][:, None], channels.ris_rx[k]
+        phases = _serving_phases(vc, algorithm, realizations, k, tx_ris, ris_rx)
+        if cells is None:   # every cell, served or idle
+            served = selected == k
+            if not served.all():
+                phases = np.where(served[:, None], phases,
+                                  _idle_phases(vc, realizations, k)[:, None])
+            composite += surface_cascade(tx_ris, ris_rx, phases)
+        else:
+            composite[:, cells] += surface_cascade(tx_ris, ris_rx, phases)
+    s = np.linalg.svd(composite, compute_uv=False)
+    return rate_from_singular_values(s, pt, vc.noise_watts)
+
+
 def _block_mean_rates(args) -> np.ndarray:
     """Mean rate of each cell of one coverage block.
 
     Realizations run in chunks whose receiver-side matrices for all the
     block's cells hold at most `PLACEMENT_BUDGET` entries (and at most
-    `BLOCK_SIZE` realizations).  Each chunk is realized once for every
-    cell, each surface's legs only at the cells they enter, then
-    phase-controlled and decomposed as one (realizations x cells) stack.
-    Rates are summed per cell in realization order.
+    `BLOCK_SIZE` realizations).  Rates are summed per cell in realization
+    order.
     """
     vc, algorithm, positions, selected, realizations, pt = args
     cfg = vc.config
@@ -284,21 +308,7 @@ def _block_mean_rates(args) -> np.ndarray:
     totals = np.zeros(len(positions))
     for start in range(0, realizations, chunk):
         block = range(start, min(start + chunk, realizations))
-        channels = realize_block(vc, block, surfaces=surfaces, rx_position=positions)
-        composite = channels.direct.copy()
-        for k, cells in surfaces.items():
-            tx_ris, ris_rx = channels.tx_ris[k][:, None], channels.ris_rx[k]
-            phases = _serving_phases(vc, algorithm, block, k, tx_ris, ris_rx)
-            if cells is None:   # every cell, served or idle
-                served = selected == k
-                if not served.all():
-                    phases = np.where(served[:, None], phases,
-                                      _idle_phases(vc, block, k)[:, None])
-                composite += surface_cascade(tx_ris, ris_rx, phases)
-            else:
-                composite[:, cells] += surface_cascade(tx_ris, ris_rx, phases)
-        s = np.linalg.svd(composite, compute_uv=False)
-        for rates in rate_from_singular_values(s, pt, vc.noise_watts):
+        for rates in _chunk_rates(vc, algorithm, positions, selected, surfaces, block, pt):
             totals += rates
     return totals / realizations
 

@@ -101,8 +101,7 @@ class _Leg(NamedTuple):
 
     Per realization the LOS coin splits the far points into an NLOS and a
     LOS group, and each group reads its own variates.  Each (realization,
-    far point) is one *path set*; the sets are listed group by group in
-    realization order, so the sets of one group are consecutive.
+    far point) is one *path set*, listed in that (row-major) order.
     """
 
     realization: np.ndarray      # (S,) block index of each path set
@@ -114,10 +113,10 @@ class _Leg(NamedTuple):
     bounds: np.ndarray           # (S + 1,) offsets of each set's paths
 
 
-def _ranges(starts, counts, repeats) -> np.ndarray:
-    """Each range [start, start + count) repeated `repeats` times, all concatenated."""
-    return np.concatenate([np.tile(np.arange(s, s + c), r)
-                           for s, c, r in zip(starts, counts, repeats)]).astype(int)
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges [start, start + count), concatenated."""
+    offsets = np.cumsum(counts) - counts
+    return np.arange(counts.sum()) + np.repeat(starts - offsets, counts)
 
 
 def _draw_leg(vc: ValidatedConfig, rngs: list, near: DeviceView, far: np.ndarray,
@@ -135,97 +134,110 @@ def _draw_leg(vc: ValidatedConfig, rngs: list, near: DeviceView, far: np.ndarray
     env, f_hz = cfg.environment, cfg.frequency_hz
     d = np.linalg.norm(far - near.position, axis=-1)
     p_los = None if force_los is not None else np.array([los_probability(x, env) for x in d])
-    shared = None if geometry_from is None else np.diff(geometry_from.bounds)
+    shared = ([None] * len(rngs) if geometry_from is None
+              else np.diff(geometry_from.bounds).tolist())
+    everywhere = [(force_los, np.arange(len(d)))]
     groups, los_draws, variates = [], [], []
     for i, rng in enumerate(rngs):
-        los = np.full(len(d), force_los) if p_los is None else rng.uniform() < p_los
-        for branch in (False, True):
-            cells = np.flatnonzero(los == branch)
-            if not len(cells):
-                continue
+        if p_los is None:
+            split = everywhere
+        else:
+            los = rng.uniform() < p_los
+            split = [(branch, cells) for branch in (False, True)
+                     if len(cells := np.flatnonzero(los == branch))]
+        for branch, cells in split:
             # the NLOS group reads on from the coin, ahead of the LOS draws
-            stream = copy.deepcopy(rng) if not branch and los.any() else rng
-            if branch:
-                los_draws.append(draw_los_variates(stream))
+            stream = copy.deepcopy(rng) if len(split) == 2 and not branch else rng
+            los_draws.append(draw_los_variates(stream) if branch else (0.0, 0.0))
             if cfg.scatter_paths:
-                variates.append(draw_cluster_variates(
-                    env, stream, None if shared is None else int(shared[i])))
+                variates.append(draw_cluster_variates(env, stream, shared[i]))
             groups.append((i, cells, branch))
+
     owners, cell_lists, branches = zip(*groups)
+    owners, branches = np.array(owners), np.array(branches)
     sizes = [len(cells) for cells in cell_lists]
+    group = np.repeat(np.arange(len(groups)), sizes)
     cell = np.concatenate(cell_lists)
-    los = np.repeat(branches, sizes)
-    shadow, phase = np.array(los_draws, dtype=float).reshape(-1, 2).T
-    los_sizes = [n for n, branch in zip(sizes, branches) if branch]
-    attenuation = shadowed_attenuation(d[cell[los]], f_hz, env, True,
-                                       np.repeat(shadow, los_sizes))
+    if len(groups) > len(rngs):   # some realization split its far points
+        order = np.argsort(owners[group] * len(d) + cell, kind="stable")
+        group, cell = group[order], cell[order]
+    realization, los = owners[group], branches[group]
+    shadow, phase = np.array(los_draws, dtype=float)[group[los]].T
+    attenuation = shadowed_attenuation(d[cell[los]], f_hz, env, True, shadow)
     if variates:
-        # each group's paths, repeated for each of its far points
         paths = np.array([len(v.gains) for v in variates])
         stacked = stack_cluster_variates(variates)
-        index = _ranges(np.cumsum(paths) - paths, paths, sizes)
-        entries = stacked._replace(**{
-            name: getattr(stacked, name)[index] for name in ("cluster", "d_az", "d_el", "gains",
-                                                             "shadow")
-            if getattr(stacked, name) is not None})
-        geometry = None
-        if geometry_from is not None:
-            own = geometry_from.clusters
-            geometry = dataclasses.replace(own, positions=own.positions[_ranges(
-                geometry_from.bounds[list(owners)], paths, sizes)])
-        per_set = np.repeat(paths, sizes)
-        clusters = place_paths(entries, near.position, far[np.repeat(cell, per_set)], env,
-                                  f_hz, near.frame, geometry)
+        per_set = paths[group]
+        # each set's paths: its group's, placed at its own far point
+        geometry = None if geometry_from is None else geometry_from.clusters
+        if len(far) > 1:   # each set's paths are its group's, each at its own far point
+            index = _ranges((np.cumsum(paths) - paths)[group], per_set)
+            stacked = stacked._replace(**{
+                name: getattr(stacked, name)[index]
+                for name in ("cluster", "d_az", "d_el", "gains", "shadow")
+                if getattr(stacked, name) is not None})
+            if geometry is not None:
+                geometry = dataclasses.replace(geometry, positions=geometry.positions[_ranges(
+                    geometry_from.bounds[realization], per_set)])
+            far = far[np.repeat(cell, per_set)]
+        clusters = place_paths(stacked, near.position, far, env, f_hz, near.frame, geometry)
     else:
         clusters, per_set = ClusterSet.empty(), np.zeros(len(cell), dtype=int)
-    return _Leg(np.repeat(owners, sizes), cell, los, attenuation, np.repeat(phase, los_sizes),
-                clusters, np.concatenate([[0], np.cumsum(per_set)]))
+    return _Leg(realization, cell, los, attenuation, phase, clusters,
+                np.concatenate([[0], np.cumsum(per_set)]))
 
 
 def _leg_matrices(row: DeviceView, col: DeviceView, gain_side: str | None, leg: _Leg,
-                  count: int, row_frames: np.ndarray | None = None) -> np.ndarray:
-    """The (count, K, row.count, col.count) matrices of a leg drawn from `col`
+                  row_frames: np.ndarray | None = None) -> np.ndarray:
+    """The (B, K, row.count, col.count) matrices of a leg drawn from `col`
     towards the K positions `row.position` (K, 3).
 
     `gain_side` names the device ("row"/"col"/None) whose element pattern
     weights each path; directions are always evaluated from each device
     towards the path point in that device's own frame, and `row_frames`
-    (count, 3, 3), when given, is the row device's frame per realization.
+    (B, 3, 3), when given, is the row device's frame per realization.
     Directions, pattern and weights run once over the leg's paths, steering
     in chunks of at most `PLACEMENT_BUDGET` entries.  Each path set sums its
-    own paths only; the sets of one group (same paths) in one stacked product.
+    own paths only; consecutive sets of one group (same paths) in one
+    stacked product.
     """
-    matrix = np.zeros((count, len(row.position), row.count, col.count), dtype=complex)
-    clusters, bounds = leg.clusters, leg.bounds
+    matrix = np.zeros((len(leg.cell), row.count, col.count), dtype=complex)
+    clusters, bounds = leg.clusters, leg.bounds.tolist()
 
     def frames(sets: np.ndarray) -> np.ndarray:
         return row.frame if row_frames is None else row_frames[leg.realization[sets]]
 
     if clusters.total_paths:
-        owner = np.repeat(np.arange(len(leg.cell)), np.diff(bounds))   # path set of each path
+        owner = np.repeat(np.arange(len(leg.cell)), np.diff(leg.bounds))   # set of each path
         u_row, _ = local_directions(row.position[leg.cell[owner]], clusters.positions,
                                     frames(owner))
         u_col, _ = local_directions(col.position, clusters.positions, col.frame)
         weights = clusters.gains * np.sqrt(_pattern(row, col, gain_side, u_row, u_col)
                                            * clusters.attenuations)
-        group = 2 * leg.realization + leg.los
-        per_chunk = max(1, PLACEMENT_BUDGET // max(row.count, col.count))
+        # consecutive sets of one group share their paths: each run's end
+        ends = np.flatnonzero(np.diff(2 * leg.realization + leg.los, append=-1)) + 1
+        run_end = np.repeat(ends, np.diff(ends, prepend=0)).tolist()
+        rc, cc = row.count, col.count
+        per_chunk = max(1, PLACEMENT_BUDGET // max(rc, cc))
         start = 0
         while start < len(leg.cell):
-            stop = max(start + 1, int(np.searchsorted(bounds, bounds[start] + per_chunk,
+            stop = max(start + 1, int(np.searchsorted(leg.bounds, bounds[start] + per_chunk,
                                                       side="right")) - 1)
             first = bounds[start]
             a_row = steering_matrix(row.vert, row.horiz, u_row[first:bounds[stop]])
             a_col = steering_matrix(col.vert, col.horiz, u_col[first:bounds[stop]])
-            cuts = start + np.flatnonzero(np.diff(group[start:stop], prepend=-1, append=-1))
-            for lo, hi in zip(cuts[:-1], cuts[1:]):
+            lo = start
+            while lo < stop:
+                hi = min(run_end[lo], stop)
                 sets, paths = hi - lo, bounds[lo + 1] - bounds[lo]
                 own = slice(bounds[lo] - first, bounds[hi] - first)
-                a = (a_row[:, own].reshape(row.count, sets, paths).transpose(1, 0, 2)
-                     * weights[bounds[lo]:bounds[hi]].reshape(sets, 1, paths))
-                b = a_col[:, own].reshape(col.count, sets, paths).transpose(1, 2, 0)
                 # normalization keeps total scattered power independent of the path count
-                matrix[leg.realization[lo], leg.cell[lo:hi]] = a @ b / np.sqrt(paths)
+                matrix[lo:hi] = (
+                    (a_row[:, own].reshape(rc, sets, paths).transpose(1, 0, 2)
+                     * weights[bounds[lo]:bounds[hi]].reshape(sets, 1, paths))
+                    @ a_col[:, own].reshape(cc, sets, paths).transpose(1, 2, 0)
+                    / np.sqrt(paths))
+                lo = hi
             start = stop
 
     if leg.los.any():
@@ -236,10 +248,10 @@ def _leg_matrices(row: DeviceView, col: DeviceView, gain_side: str | None, leg: 
         a_row = steering_matrix(row.vert, row.horiz, u_row).T   # (L, row.count)
         a_col = steering_matrix(col.vert, col.horiz, u_col).T   # (L, col.count)
         amp = np.sqrt(_pattern(row, col, gain_side, u_row, u_col) * leg.los_attenuation)
-        matrix[leg.realization[sets], leg.cell[sets]] += (
-            (amp * np.exp(1j * leg.los_phase))[:, None, None]
-            * (a_row[:, :, None] * a_col[:, None, :]))
-    return matrix
+        term = a_row[:, :, None] * a_col[:, None, :]
+        term *= (amp * np.exp(1j * leg.los_phase))[:, None, None]
+        matrix[sets] += term
+    return matrix.reshape(-1, len(row.position), row.count, col.count)
 
 
 def _one_link(row: DeviceView, col: DeviceView, gain_side: str | None,
@@ -250,7 +262,7 @@ def _one_link(row: DeviceView, col: DeviceView, gain_side: str | None,
                np.array([link.attenuation])[los], np.array([link.phase])[los], clusters,
                np.array([0, clusters.total_paths]))
     row = dataclasses.replace(row, position=np.atleast_2d(row.position))
-    return _leg_matrices(row, col, gain_side, leg, 1)[0, 0]
+    return _leg_matrices(row, col, gain_side, leg)[0, 0]
 
 
 def assemble_link_channel(side: str, clusters: ClusterSet, link: LinkState,
@@ -358,7 +370,7 @@ def realize_block(vc: ValidatedConfig, realizations: range, surfaces=None,
         leg = _draw_leg(vc, block_rngs(seed, realizations, tag, *extra), col, row.position,
                         force_los, geometry_from)
         los[key], clusters[key] = leg.los, leg.clusters
-        return leg, _leg_matrices(row, col, gain_side, leg, count, frames)
+        return leg, _leg_matrices(row, col, gain_side, leg, frames)
 
     force = True if cfg.ris_links == "los" else None
     tx_ris, ris_rx = [None] * len(scene.ris), [None] * len(scene.ris)

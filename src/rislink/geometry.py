@@ -75,12 +75,13 @@ def local_directions(origin: np.ndarray, points: np.ndarray,
 def rotate(vectors: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """`matrix @ v` for each (..., 3) vector v; `matrix` may be a stack (..., 3, 3).
 
-    Summed as three products rather than a matmul, which rounds a lone
-    vector differently from a stack: each vector's result does not depend on
-    the stack it comes in.
+    Summed as three products per component rather than a matmul, which
+    rounds a lone vector differently from a stack: each vector's result
+    does not depend on the stack it comes in.
     """
-    return (vectors[..., 0:1] * matrix[..., 0] + vectors[..., 1:2] * matrix[..., 1]
-            + vectors[..., 2:3] * matrix[..., 2])
+    x, y, z = vectors[..., 0], vectors[..., 1], vectors[..., 2]
+    return np.stack([x * matrix[..., k, 0] + y * matrix[..., k, 1] + z * matrix[..., k, 2]
+                     for k in range(3)], axis=-1)
 
 
 def direction_unit(azimuth, elevation) -> np.ndarray:
