@@ -168,9 +168,10 @@ def _draw_leg(vc: ValidatedConfig, rngs: list, near: DeviceView, far: np.ndarray
         paths = np.array([len(v.gains) for v in variates])
         stacked = stack_cluster_variates(variates)
         per_set = paths[group]
-        # each set's paths: its group's, placed at its own far point
         geometry = None if geometry_from is None else geometry_from.clusters
-        if len(far) > 1:   # each set's paths are its group's, each at its own far point
+        # each set's paths are its group's, placed at its own far point; with
+        # one far point every group is one set, in order, and so is the geometry
+        if len(far) > 1:
             index = _ranges((np.cumsum(paths) - paths)[group], per_set)
             stacked = stacked._replace(**{
                 name: getattr(stacked, name)[index]

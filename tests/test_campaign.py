@@ -62,6 +62,26 @@ class TestCampaignBlocks:
         others = [i for i in range(len(block)) if i != 3]
         assert np.array_equal(phases[others], intact[others])
 
+    def test_degenerate_cell_falls_back_alone(self):
+        vc = quick_vc()
+        alg = PhaseAlgorithm("pinv")
+        block = range(8, 11)
+        positions = np.array([(30.0, 20.0, 1.0), (45.0, 45.0, 1.0), (60.0, 10.0, 1.0),
+                              (20.0, 40.0, 1.0)])
+        channels = realize_block(vc, block, rx_position=positions)
+        tx_ris, ris_rx = channels.tx_ris[0][:, None], channels.ris_rx[0]
+        intact = campaign_module._serving_phases(vc, alg, block, 0, tx_ris, ris_rx)
+        dead = ris_rx.copy()
+        dead[1, 2] = 0.0
+        with pytest.warns(SingularPinvWarning):
+            phases = campaign_module._serving_phases(vc, alg, block, 0, tx_ris, dead)
+        # the fallback draws from realization 9's own phase substream
+        assert np.array_equal(phases[1, 2], baseline_phases(
+            "random", 64, spawn_rng(vc.config.seed, 9, LinkTag.PHASES, 0)))
+        others = np.ones(phases.shape[:2], dtype=bool)
+        others[1, 2] = False
+        assert np.array_equal(phases[others], intact[others])
+
     def test_pinv_spawns_no_phase_stream_without_fallback(self, monkeypatch):
         tags = []
 
@@ -171,6 +191,21 @@ class TestCoverage:
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
 
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"ris_links": "auto", "direct_mode": "present"},
+        {"ris": (scene_preset("indoor").ris[0], RisSpec(64, (60.0, 30.0, 2.0), plane="yz")),
+         "idle_ris": "random"},
+    ])
+    def test_cell_rates_do_not_depend_on_the_realization_chunk(self, overrides, monkeypatch):
+        vc = quick_vc(realizations=5, **overrides)
+        grid = GridSpec(0.0, 75.0, 0.0, 50.0, cell=12.5, z=1.0)
+        whole = coverage_map(Campaign(vc), grid)
+        monkeypatch.setattr(campaign_module, "PLACEMENT_BUDGET", 1)   # one realization a chunk
+        chunked = coverage_map(Campaign(vc), grid)
+        assert np.array_equal(whole.mean_rate, chunked.mean_rate)
+        assert np.array_equal(whole.ris_index, chunked.ris_index)
+
     def test_default_grid_uses_footprint(self):
         grid = default_grid(quick_vc(), cell=5.0)
         assert (grid.x_max, grid.y_max) == (75.0, 50.0)
@@ -227,6 +262,12 @@ class TestExports:
         assert np.array_equal(arrays[(1, "tx_ris", 0)], reference.tx_ris[0])
         assert np.array_equal(arrays[(1, "ris_rx", 0)], reference.ris_rx[0])
         assert np.array_equal(arrays[(1, "direct", None)], reference.direct)
+
+    @pytest.mark.parametrize("count", [-3, 0, 2**32 + 1])
+    def test_dump_realization_count_outside_the_index_range_rejected(self, tmp_path, count):
+        with pytest.raises(ConfigError):
+            dump_channels(quick_vc(), tmp_path / "dump", realizations=count)
+        assert not (tmp_path / "dump").exists()
 
     def test_dump_identical_across_workers(self, tmp_path):
         vc = quick_vc(realizations=3)

@@ -186,6 +186,59 @@ class TestAssembly:
         assert part.tx_ris[1].shape == (3, 64, 4) and part.ris_rx[1].shape == (3, 4, 64)
         assert np.array_equal(part.ris_rx[1], realize_block(vc, range(3)).ris_rx[1])
 
+    @pytest.mark.parametrize("overrides", [
+        {"ris_links": "auto", "direct_mode": "auto"},
+        {"ris_links": "auto", "direct_mode": "present", "shared_clusters": True},
+        {"direct_mode": "present"},
+        {"direct_mode": "blocked", "blocked_keeps_scatter": True, "scatter_paths": False},
+        {"second": True, "ris_links": "auto", "direct_mode": "auto"},
+    ])
+    def test_stacked_block_matches_each_realization_and_position_alone(self, overrides):
+        overrides = dict(overrides)
+        cfg = dataclasses.replace(scene_preset("indoor"), realizations=1)
+        surfaces = None
+        if overrides.pop("second", False):
+            overrides["ris"] = (cfg.ris[0], RisSpec(64, (60.0, 30.0, 2.0), plane="yz"))
+            surfaces = {0: np.array([0, 2, 3, 7, 11]), 1: None}
+        vc = validate_config(dataclasses.replace(cfg, **overrides))
+        positions = np.array([(x, y, 1.0) for x in (36.0, 41.0, 55.0, 70.0)
+                              for y in (5.0, 30.0, 46.0)])
+        block = range(3, 9)
+        stacked = realize_block(vc, block, surfaces=surfaces, rx_position=positions)
+        cells = {k: np.arange(len(positions)) if surfaces is None or surfaces[k] is None
+                 else surfaces[k] for k in range(len(vc.config.ris))}
+        los_mixed = False
+        for i, r in enumerate(block):
+            alone = [realize_channels(vc, r, rx_position=pos) for pos in positions]
+            pairs = [(stacked.direct[i, c], alone[c].direct) for c in range(len(positions))]
+            for k, placed in cells.items():
+                pairs += [(stacked.tx_ris[k][i], alone[0].tx_ris[k])]
+                pairs += [(stacked.ris_rx[k][i, j], alone[c].ris_rx[k])
+                          for j, c in enumerate(placed)]
+            for got, want in pairs:
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want), initial=0.0)
+            los_mixed |= len({single.los["ris_rx_0"] for single in alone}) == 2
+        # with a live LOS coin, some realization splits the stack
+        assert los_mixed == (vc.config.ris_links == "auto")
+
+    def test_stacked_block_does_not_depend_on_its_placement_chunks(self, monkeypatch):
+        vc = validate_config(dataclasses.replace(
+            scene_preset("indoor"), realizations=1, ris_links="auto", direct_mode="present"))
+        positions = np.array([(x, y, 1.0) for x in (36.0, 55.0, 70.0) for y in (5.0, 46.0)])
+        whole = realize_block(vc, range(6), rx_position=positions)
+        monkeypatch.setattr(channel_module, "PLACEMENT_BUDGET", 1)   # one path set a chunk
+        chunked = realize_block(vc, range(6), rx_position=positions)
+        assert np.array_equal(whole.tx_ris[0], chunked.tx_ris[0])
+        assert np.array_equal(whole.ris_rx[0], chunked.ris_rx[0])
+        assert np.array_equal(whole.direct, chunked.direct)
+
+    def test_realization_index_beyond_the_seeded_range_rejected(self):
+        vc = validate_config(dataclasses.replace(scene_preset("indoor"), realizations=1))
+        assert realize_channels(vc, 2**32 - 1).direct.shape == (4, 4)
+        with pytest.raises(ValueError):
+            realize_channels(vc, 2**32)
+
     def test_realization_order_independent(self):
         vc = validate_config(dataclasses.replace(scene_preset("indoor"), realizations=4))
         forward = [realize_channels(vc, r).tx_ris[0] for r in range(4)]

@@ -42,7 +42,8 @@ def test_set_frequency_ghz_on_a_preset(capsys):
     assert "wavelength: 0.00999308 m" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("override", ["nt=abc", "scatterers_min=abc", "nt=4.5", "seed=-1"])
+@pytest.mark.parametrize("override", ["nt=abc", "scatterers_min=abc", "nt=4.5", "seed=-1",
+                                      "realizations=4294967297"])
 def test_bad_override_is_a_config_error(override, capsys):
     assert main(["validate", "--preset", "indoor", "--set", override]) == 1
     assert "config error" in capsys.readouterr().err

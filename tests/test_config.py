@@ -55,6 +55,12 @@ class TestValidation:
         with pytest.raises(NonPositiveCount):
             validate_config(small_config(realizations=0))
 
+    def test_realization_count_capped_at_the_seeded_index_range(self):
+        # realization indices are seeded as one 32-bit word each
+        assert validate_config(small_config(realizations=2**32)).config.realizations == 2**32
+        with pytest.raises(ConfigError, match="exceeds the maximum"):
+            validate_config(small_config(realizations=2**32 + 1))
+
     def test_empty_sweep_rejected(self):
         with pytest.raises(EmptySweep):
             validate_config(small_config(pt_dbm=()))
