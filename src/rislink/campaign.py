@@ -3,12 +3,14 @@
 Work units are dispatched to a process pool and collected in submission
 order, so results are byte-identical for any worker count.  A campaign's
 unit is a fixed block of consecutive realizations at one sweep point; a
-coverage map's unit is a fixed block of cells with all its realizations.
-All randomness comes from per-unit substreams keyed by (seed, realization,
-link), never from execution order or receiver position, so a campaign
-block draws each realization alone but places, steers and decomposes the
-whole block as stacks, and a coverage block draws each realization once
-and places the receiver-side legs for all of its cells together.
+coverage map's unit is a fixed block of cells with all its realizations;
+a channel dump's unit is a fixed block of realizations.  All randomness
+comes from substreams keyed by (seed, realization, link), never from
+execution order or receiver position.  So one channel engine
+(`channel.realize_block`) serves every unit: it draws each realization
+alone, then places, steers, phase-controls and decomposes a campaign block
+at its receiver position, or a chunk of a coverage block's realizations at
+all of its cells, as one stack.
 Processes rather than threads: one unit is a burst of small numpy calls
 that never release the interpreter lock long enough for threads to overlap.
 """
@@ -119,12 +121,13 @@ def default_grid(vc: ValidatedConfig, cell: float = 1.0) -> GridSpec:
                     z=vc.config.rx.position[2])
 
 
-# Cells per coverage work unit and realizations per campaign work unit.
-# Fixed, so the blocks (and the output bytes) do not depend on the worker
-# count.  Each realization's receiver-free work (Tx-side leg, its pinv, the
-# variate draws) is shared by a coverage block's cells; a campaign block's
-# realizations share the placement, steering, pinv and SVD calls.  The
-# placement memory is bounded separately (channel.PLACEMENT_BUDGET).
+# Cells per coverage work unit and realizations per campaign or dump work
+# unit (and at most per coverage chunk).  Fixed, so the blocks (and the
+# output bytes) do not depend on the worker count.  Each realization's
+# receiver-free work (Tx-side leg, its pinv, the variate draws) is shared by
+# a coverage block's cells; a block's realizations share the placement,
+# steering, pinv and SVD calls.  Their memory is bounded separately
+# (channel.PLACEMENT_BUDGET).
 BLOCK_SIZE = 32
 
 

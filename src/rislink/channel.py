@@ -18,7 +18,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,9 +60,8 @@ class Scene:
     ris: tuple[DeviceView, ...]
 
 
-def build_scene(vc: ValidatedConfig, rx_position=None,
-                rx_frame: np.ndarray | None = None) -> Scene:
-    """Device views for one realization; `rx_position`/`rx_frame` override the config."""
+def build_scene(vc: ValidatedConfig, rx_position=None) -> Scene:
+    """Device views of the config's scene; `rx_position` overrides the receiver's."""
     cfg = vc.config
     lam = vc.wavelength
     k = 2.0 * np.pi / lam
@@ -73,8 +72,7 @@ def build_scene(vc: ValidatedConfig, rx_position=None,
                           gain_exponent)
 
     tx = view(cfg.tx, cfg.tx.position, cfg.tx.frame)
-    rx = view(cfg.rx, cfg.rx.position if rx_position is None else rx_position,
-              cfg.rx.frame if rx_frame is None else rx_frame)
+    rx = view(cfg.rx, cfg.rx.position if rx_position is None else rx_position, cfg.rx.frame)
     ris = tuple(view(r, r.position, r.frame, r.gain_exponent) for r in cfg.ris)
     return Scene(lam, tx, rx, ris)
 
@@ -90,19 +88,14 @@ def _pattern(row: DeviceView, col: DeviceView, gain_side: str | None,
 
 # Steering runs over at most this many (element, path) entries at a time,
 # and a coverage block realizes at most this many receiver-side matrix
-# entries per chunk of realizations.  The stacked arrays take 16-24 bytes
-# per entry, so this bounds their memory whatever the number of positions
-# or realizations.
+# entries per chunk of realizations: 16-24 bytes each, whatever the number
+# of positions or realizations.
 PLACEMENT_BUDGET = 16384
 
 
 class _Leg(NamedTuple):
-    """One link drawn for a block of realizations towards K far points.
-
-    Per realization the LOS coin splits the far points into an NLOS and a
-    LOS group, and each group reads its own variates.  Each (realization,
-    far point) is one *path set*, listed in that (row-major) order.
-    """
+    """One link drawn for a block of realizations towards K far points: one
+    *path set* per (realization, far point), in that (row-major) order."""
 
     realization: np.ndarray      # (S,) block index of each path set
     cell: np.ndarray             # (S,) its far point
@@ -123,12 +116,12 @@ def _draw_leg(vc: ValidatedConfig, rngs: list, near: DeviceView, far: np.ndarray
               force_los: bool | None, geometry_from: _Leg | None = None) -> _Leg:
     """The link from device `near` to each far point (K, 3), one substream per realization.
 
-    Each substream reads the LOS coin, then each group its variates: the
-    NLOS group reads on from the coin (through a copy of the stream when
-    both groups exist), the LOS group after the LOS variates.  Each far
-    point so sees exactly the draws it would see alone.  All paths are then
-    placed together, each at its own far point.  `geometry_from`, a leg to
-    one far point, lends each realization its cluster geometry.
+    The LOS coin splits a realization's far points into an NLOS and a LOS
+    group, each reading its own variates: the NLOS group reads on from the
+    coin (from a copy of the stream when both groups exist), the LOS group
+    after the LOS variates.  Each far point so sees exactly the draws it
+    would see alone.  `geometry_from`, a leg to one far point, lends each
+    realization its cluster geometry.
     """
     cfg = vc.config
     env, f_hz = cfg.environment, cfg.frequency_hz
@@ -136,32 +129,25 @@ def _draw_leg(vc: ValidatedConfig, rngs: list, near: DeviceView, far: np.ndarray
     p_los = None if force_los is not None else np.array([los_probability(x, env) for x in d])
     shared = ([None] * len(rngs) if geometry_from is None
               else np.diff(geometry_from.bounds).tolist())
-    everywhere = [(force_los, np.arange(len(d)))]
-    groups, los_draws, variates = [], [], []
+    everywhere = np.full(len(d), force_los)
+    coins, first, mixed, los_draws, variates = [], [], [], [], []   # variates per group
     for i, rng in enumerate(rngs):
-        if p_los is None:
-            split = everywhere
-        else:
-            los = rng.uniform() < p_los
-            split = [(branch, cells) for branch in (False, True)
-                     if len(cells := np.flatnonzero(los == branch))]
-        for branch, cells in split:
+        los = everywhere if p_los is None else rng.uniform() < p_los
+        split = p_los is not None and los.any() and not los.all()
+        coins.append(los)
+        first.append(len(los_draws))
+        mixed.append(split)
+        for branch in (False, True) if split else (bool(los[0]),):
             # the NLOS group reads on from the coin, ahead of the LOS draws
-            stream = copy.deepcopy(rng) if len(split) == 2 and not branch else rng
+            stream = copy.deepcopy(rng) if split and not branch else rng
             los_draws.append(draw_los_variates(stream) if branch else (0.0, 0.0))
             if cfg.scatter_paths:
                 variates.append(draw_cluster_variates(env, stream, shared[i]))
-            groups.append((i, cells, branch))
 
-    owners, cell_lists, branches = zip(*groups)
-    owners, branches = np.array(owners), np.array(branches)
-    sizes = [len(cells) for cells in cell_lists]
-    group = np.repeat(np.arange(len(groups)), sizes)
-    cell = np.concatenate(cell_lists)
-    if len(groups) > len(rngs):   # some realization split its far points
-        order = np.argsort(owners[group] * len(d) + cell, kind="stable")
-        group, cell = group[order], cell[order]
-    realization, los = owners[group], branches[group]
+    los = np.concatenate(coins)
+    group = np.repeat(first, len(d)) + (los & np.repeat(mixed, len(d)))
+    realization = np.repeat(np.arange(len(rngs)), len(d))
+    cell = np.tile(np.arange(len(d)), len(rngs))
     shadow, phase = np.array(los_draws, dtype=float)[group[los]].T
     attenuation = shadowed_attenuation(d[cell[los]], f_hz, env, True, shadow)
     if variates:
@@ -190,17 +176,14 @@ def _draw_leg(vc: ValidatedConfig, rngs: list, near: DeviceView, far: np.ndarray
 
 def _leg_matrices(row: DeviceView, col: DeviceView, gain_side: str | None, leg: _Leg,
                   row_frames: np.ndarray | None = None) -> np.ndarray:
-    """The (B, K, row.count, col.count) matrices of a leg drawn from `col`
-    towards the K positions `row.position` (K, 3).
+    """The (B, K, row.count, col.count) matrices of a leg drawn from `col` to
+    the K positions `row.position`: each set's path outer-products a_row *
+    a_col^T, plus its LOS term.
 
     `gain_side` names the device ("row"/"col"/None) whose element pattern
-    weights each path; directions are always evaluated from each device
-    towards the path point in that device's own frame, and `row_frames`
-    (B, 3, 3), when given, is the row device's frame per realization.
-    Directions, pattern and weights run once over the leg's paths, steering
-    in chunks of at most `PLACEMENT_BUDGET` entries.  Each path set sums its
-    own paths only; consecutive sets of one group (same paths) in one
-    stacked product.
+    weights each path; directions are evaluated from each device in its own
+    frame, the row device's per realization with `row_frames` (B, 3, 3).
+    Steering runs in chunks of at most `PLACEMENT_BUDGET` entries.
     """
     matrix = np.zeros((len(leg.cell), row.count, col.count), dtype=complex)
     clusters, bounds = leg.clusters, leg.bounds.tolist()
@@ -257,7 +240,7 @@ def _leg_matrices(row: DeviceView, col: DeviceView, gain_side: str | None, leg: 
 
 def _one_link(row: DeviceView, col: DeviceView, gain_side: str | None,
               clusters: ClusterSet, link: LinkState) -> np.ndarray:
-    """`_leg_matrices` for one link, given its clusters and LOS state."""
+    """The matrix of one link, given its clusters and LOS state."""
     los = np.array([link.los])
     leg = _Leg(np.zeros(1, dtype=int), np.zeros(1, dtype=int), los,
                np.array([link.attenuation])[los], np.array([link.phase])[los], clusters,
@@ -321,7 +304,7 @@ def surface_cascade(tx_ris: np.ndarray, ris_rx: np.ndarray, phases) -> np.ndarra
 
 
 def composite_multi(channels: RealizationChannels,
-                    phase_sets: list[Optional[np.ndarray]]) -> np.ndarray:
+                    phase_sets: list[np.ndarray | None]) -> np.ndarray:
     """Sum the cascades of all active surfaces plus the direct term.
 
     `phase_sets[k] is None` models surface k as absent.
@@ -338,25 +321,20 @@ def realize_block(vc: ValidatedConfig, realizations: range, surfaces=None,
     """Draw the channel matrices of a block of realizations.
 
     Each realization reads its own substreams, keyed by (seed, realization,
-    link) and seeded for the whole block by `block_rngs`, so realization
-    indices lie in [0, 2**32).  The receiver's random orientation (when
-    enabled) is drawn once and shared by every link that arrives at it.
-    Each surface gets its own link substreams, so scenes with different
-    surface counts stay paired on the surfaces they share.
+    link) and seeded for the whole block by `block_rngs`, so its index lies
+    in [0, 2**32).  The receiver's random orientation is shared by every
+    link arriving at it; each surface has its own links, so scenes with
+    different surface counts stay paired on the surfaces they share.
 
-    `rx_position` may be a stack of receiver positions (K, 3): every
-    position then sees the draws it would see alone, and the
-    receiver-side matrices carry a cell axis.  `surfaces` lists the
-    surfaces to realize (default: all); the others get None matrices.  It
-    may instead map each surface to the positions (indices into the stack,
-    None = all) its receiver-side leg is placed at, one `ris_rx` cell each.
+    `rx_position` may be a stack (K, 3): each position sees the draws it
+    would see alone, and receiver-side matrices carry a cell axis.
+    `surfaces` lists the surfaces to realize (others get None matrices), or
+    maps each to the positions its receiver leg is placed at (None = all).
     `los` and `clusters` record each link's LOS state per (realization,
     position) and its placed paths.
     """
     cfg = vc.config
     seed = cfg.seed
-    count = len(realizations)
-
     rx_frames = None
     if cfg.rx_orientation == "random-azimuth":
         rx_frames = np.stack([azimuth_rotation_frame(rng.uniform(0.0, 2.0 * np.pi))
@@ -389,8 +367,8 @@ def realize_block(vc: ValidatedConfig, realizations: range, surfaces=None,
                             frames=rx_frames)
 
     if cfg.direct_mode == "blocked" and not cfg.blocked_keeps_scatter:
-        direct = np.zeros((count, len(rx.position), rx.count, tx.count), dtype=complex)
-        los["direct"] = np.zeros(count * len(rx.position), dtype=bool)
+        direct = np.zeros((len(realizations), len(rx.position), rx.count, tx.count), complex)
+        los["direct"] = np.zeros(direct.shape[0] * direct.shape[1], dtype=bool)
     else:
         force_d = {"blocked": False, "present": True}.get(cfg.direct_mode)
         _, direct = link("direct", rx, tx, None, force_d, LinkTag.DIRECT, frames=rx_frames)
@@ -404,18 +382,15 @@ def realize_block(vc: ValidatedConfig, realizations: range, surfaces=None,
 
 def realize_channels(vc: ValidatedConfig, realization: int, rx_position=None,
                      surfaces=None) -> RealizationChannels:
-    """One realization: `realize_block` over the block of one, without its
-    realization axis.  `realization` lies in [0, 2**32).
-
-    For a single receiver position, `los` maps each link to its LOS
-    indicator and `clusters` to its placed `ClusterSet`; for a stack of
-    positions they are empty.
-    """
+    """`realize_block` for the one realization `realization` (in [0, 2**32)),
+    without the realization axis.  For one receiver position, `los` maps
+    each link to its LOS indicator and `clusters` to its `ClusterSet`."""
     block = realize_block(vc, range(realization, realization + 1), surfaces, rx_position)
     one = block.direct.ndim == 3
-    return RealizationChannels(
-        tx_ris=tuple(None if m is None else m[0] for m in block.tx_ris),
-        ris_rx=tuple(None if m is None else m[0] for m in block.ris_rx),
-        direct=block.direct[0], realization=realization,
-        los={key: bool(state[0]) for key, state in block.los.items()} if one else {},
-        clusters=block.clusters if one else {})
+
+    def first(matrices):
+        return tuple(None if m is None else m[0] for m in matrices)
+
+    return RealizationChannels(first(block.tx_ris), first(block.ris_rx), block.direct[0],
+                               realization, {k: bool(v[0]) for k, v in block.los.items()}
+                               if one else {}, block.clusters if one else {})
