@@ -226,12 +226,17 @@ def _leg_matrices(row: DeviceView, col: DeviceView, gain_side: str | None, leg: 
 
     if leg.los.any():
         sets = np.flatnonzero(leg.los)
-        points = row.position[leg.cell[sets]]
-        u_row, _ = local_directions(points, col.position, frames(sets))
-        u_col, _ = local_directions(col.position, points, col.frame)
-        a_row = steering_matrix(row.vert, row.horiz, u_row).T   # (L, row.count)
-        a_col = steering_matrix(col.vert, col.horiz, u_col).T   # (L, col.count)
-        amp = np.sqrt(_pattern(row, col, gain_side, u_row, u_col) * leg.los_attenuation)
+        cells = leg.cell[sets]
+        # one direction per far point, and per realization where the row frame varies
+        u_col = local_directions(col.position, row.position, col.frame)[0]
+        a_col = steering_matrix(col.vert, col.horiz, u_col).T[cells]   # (L, col.count)
+        if row_frames is None:
+            u_row = local_directions(row.position, col.position, row.frame)[0]
+            a_row, u_row = steering_matrix(row.vert, row.horiz, u_row).T[cells], u_row[cells]
+        else:
+            u_row = local_directions(row.position[cells], col.position, frames(sets))[0]
+            a_row = steering_matrix(row.vert, row.horiz, u_row).T
+        amp = np.sqrt(_pattern(row, col, gain_side, u_row, u_col[cells]) * leg.los_attenuation)
         term = a_row[:, :, None] * a_col[:, None, :]
         term *= (amp * np.exp(1j * leg.los_phase))[:, None, None]
         matrix[sets] += term
@@ -357,8 +362,8 @@ def realize_block(vc: ValidatedConfig, realizations: range, surfaces=None,
         surfaces = range(len(scene.ris))
     for k in surfaces:
         surface = scene.ris[k]
-        leg_h, h = link(f"tx_ris_{k}", dataclasses.replace(surface, position=surface.position[None]),
-                        tx, "row", force, LinkTag.TX_RIS, k)
+        fixed = dataclasses.replace(surface, position=surface.position[None])
+        leg_h, h = link(f"tx_ris_{k}", fixed, tx, "row", force, LinkTag.TX_RIS, k)
         tx_ris[k] = h[:, 0]
         cells = surfaces[k] if isinstance(surfaces, dict) else None
         at = rx if cells is None else dataclasses.replace(rx, position=rx.position[cells])

@@ -304,8 +304,10 @@ def _check_count(what: str, count: int, most: int) -> None:
 
 
 def check_realization_count(count: int) -> None:
-    """A realization count lies in [1, 2**32]: each realization index is
-    seeded as one 32-bit word (`rng.block_rngs`)."""
+    """A realization count is a whole number in [1, 2**32]: each realization
+    index is seeded as one 32-bit word (`rng.block_rngs`)."""
+    if not isinstance(count, numbers.Integral):
+        raise ConfigError(f"the realization count must be a whole number, got {count!r}")
     _check_count("the realization count", count, 2**32)
 
 

@@ -60,6 +60,8 @@ class TestValidation:
         assert validate_config(small_config(realizations=2**32)).config.realizations == 2**32
         with pytest.raises(ConfigError, match="exceeds the maximum"):
             validate_config(small_config(realizations=2**32 + 1))
+        with pytest.raises(ConfigError, match="whole number"):
+            validate_config(small_config(realizations=2.5))
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(EmptySweep):
