@@ -129,7 +129,7 @@ def _draw_leg(vc: ValidatedConfig, rngs: list, near: DeviceView, far: np.ndarray
     p_los = None if force_los is not None else np.array([los_probability(x, env) for x in d])
     shared = ([None] * len(rngs) if geometry_from is None
               else np.diff(geometry_from.bounds).tolist())
-    everywhere = np.full(len(d), force_los)
+    everywhere = np.full(len(d), bool(force_los))   # the forced coin's outcome
     coins, first, mixed, los_draws, variates = [], [], [], [], []   # variates per group
     for i, rng in enumerate(rngs):
         los = everywhere if p_los is None else rng.uniform() < p_los
