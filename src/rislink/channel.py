@@ -193,8 +193,8 @@ def _leg_matrices(row: DeviceView, col: DeviceView, gain_side: str | None, leg: 
 
     if clusters.total_paths:
         owner = np.repeat(np.arange(len(leg.cell)), np.diff(leg.bounds))   # set of each path
-        u_row, _ = local_directions(row.position[leg.cell[owner]], clusters.positions,
-                                    frames(owner))
+        origin = row.position if len(row.position) == 1 else row.position[leg.cell[owner]]
+        u_row, _ = local_directions(origin, clusters.positions, frames(owner))
         u_col, _ = local_directions(col.position, clusters.positions, col.frame)
         weights = clusters.gains * np.sqrt(_pattern(row, col, gain_side, u_row, u_col)
                                            * clusters.attenuations)
@@ -216,11 +216,15 @@ def _leg_matrices(row: DeviceView, col: DeviceView, gain_side: str | None, leg: 
                 sets, paths = hi - lo, bounds[lo + 1] - bounds[lo]
                 own = slice(bounds[lo] - first, bounds[hi] - first)
                 # normalization keeps total scattered power independent of the path count
-                matrix[lo:hi] = (
-                    (a_row[:, own].reshape(rc, sets, paths).transpose(1, 0, 2)
-                     * weights[bounds[lo]:bounds[hi]].reshape(sets, 1, paths))
-                    @ a_col[:, own].reshape(cc, sets, paths).transpose(1, 2, 0)
-                    / np.sqrt(paths))
+                if sets == 1:   # the same product, without the stacking views
+                    matrix[lo] = ((a_row[:, own] * weights[bounds[lo]:bounds[hi]])
+                                  @ a_col[:, own].T / np.sqrt(paths))
+                else:
+                    matrix[lo:hi] = (
+                        (a_row[:, own].reshape(rc, sets, paths).transpose(1, 0, 2)
+                         * weights[bounds[lo]:bounds[hi]].reshape(sets, 1, paths))
+                        @ a_col[:, own].reshape(cc, sets, paths).transpose(1, 2, 0)
+                        / np.sqrt(paths))
                 lo = hi
             start = stop
 
