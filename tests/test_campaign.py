@@ -263,7 +263,9 @@ class TestExports:
         assert np.array_equal(arrays[(1, "ris_rx", 0)], reference.ris_rx[0])
         assert np.array_equal(arrays[(1, "direct", None)], reference.direct)
 
-    @pytest.mark.parametrize("count", [-3, 0, 2**32 + 1, 2.5])
+    # the upper bound is the same check (test_config.py); a dump that missed it
+    # here would start writing 2**32 realizations
+    @pytest.mark.parametrize("count", [-3, 0, 2.5])
     def test_dump_realization_count_outside_the_index_range_rejected(self, tmp_path, count):
         with pytest.raises(ConfigError):
             dump_channels(quick_vc(), tmp_path / "dump", realizations=count)
