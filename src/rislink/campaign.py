@@ -306,7 +306,8 @@ def _block_mean_rates(args) -> np.ndarray:
     vc, algorithm, positions, selected, realizations, pt = args
     cfg = vc.config
     surfaces = _realized_surfaces(vc, selected)
-    entries = len(positions) * cfg.rx.count * max(r.count for r in cfg.ris)
+    entries = len(positions) * cfg.rx.count * max((r.count for r in cfg.ris),
+                                                  default=cfg.tx.count)
     chunk = min(BLOCK_SIZE, max(1, PLACEMENT_BUDGET // entries))
     totals = np.zeros(len(positions))
     for start in range(0, realizations, chunk):

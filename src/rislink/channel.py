@@ -27,7 +27,7 @@ from .errors import DimensionMismatch
 from .geometry import (azimuth_rotation_frame, element_gain_from_cos, local_directions,
                        steering_matrix)
 from .propagation import (ClusterSet, LinkState, draw_cluster_variates, draw_los_variates,
-                          los_probability, place_paths, shadowed_attenuation,
+                          los_probability, place_clusters, shadowed_attenuation,
                           stack_cluster_variates)
 # no caller left here; the benchmark's tracer wraps these names (ROADMAP item 5)
 from .propagation import draw_clusters, draw_link_state  # noqa: F401
@@ -77,13 +77,10 @@ def build_scene(vc: ValidatedConfig, rx_position=None) -> Scene:
     return Scene(lam, tx, rx, ris)
 
 
-def _pattern(row: DeviceView, col: DeviceView, gain_side: str | None,
-             u_row: np.ndarray, u_col: np.ndarray) -> np.ndarray:
-    """Element-pattern gain of each direction at the `gain_side` device ("row"/"col"/None)."""
-    if gain_side is None:
-        return np.ones(u_row.shape[:-1])
-    device, u = (row, u_row) if gain_side == "row" else (col, u_col)
-    return element_gain_from_cos(u[..., 0], device.gain_exponent)
+def _gain(device: DeviceView, u: np.ndarray):
+    """Element-pattern gain of each local direction `u` at `device` (1 if isotropic)."""
+    return 1.0 if device.gain_exponent is None else element_gain_from_cos(
+        u[..., 0], device.gain_exponent)
 
 
 # Steering runs over at most this many (element, path) entries at a time,
@@ -104,12 +101,6 @@ class _Leg(NamedTuple):
     los_phase: np.ndarray        # (L,)
     clusters: ClusterSet         # every set's paths, placed, concatenated in order
     bounds: np.ndarray           # (S + 1,) offsets of each set's paths
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The ranges [start, start + count), concatenated."""
-    offsets = np.cumsum(counts) - counts
-    return np.arange(counts.sum()) + np.repeat(starts - offsets, counts)
 
 
 def _draw_leg(vc: ValidatedConfig, rngs: list, near: DeviceView, far: np.ndarray,
@@ -151,39 +142,31 @@ def _draw_leg(vc: ValidatedConfig, rngs: list, near: DeviceView, far: np.ndarray
     shadow, phase = np.array(los_draws, dtype=float)[group[los]].T
     attenuation = shadowed_attenuation(d[cell[los]], f_hz, env, True, shadow)
     if variates:
-        paths = np.array([len(v.gains) for v in variates])
-        stacked = stack_cluster_variates(variates)
-        per_set = paths[group]
-        geometry = None if geometry_from is None else geometry_from.clusters
-        # each set's paths are its group's, placed at its own far point; with
-        # one far point every group is one set, in order, and so is the geometry
-        if len(far) > 1:
-            index = _ranges((np.cumsum(paths) - paths)[group], per_set)
-            stacked = stacked._replace(**{
-                name: getattr(stacked, name)[index]
-                for name in ("cluster", "d_az", "d_el", "gains", "shadow")
-                if getattr(stacked, name) is not None})
-            if geometry is not None:
-                geometry = dataclasses.replace(geometry, positions=geometry.positions[_ranges(
-                    geometry_from.bounds[realization], per_set)])
-            far = far[np.repeat(cell, per_set)]
-        clusters = place_paths(stacked, near.position, far, env, f_hz, near.frame, geometry)
+        per_set = np.array([len(v.gains) for v in variates])[group]
+        # each set's paths are its group's, placed at its own far point
+        stacked = stack_cluster_variates([variates[g] for g in group])
+        geometry = None
+        if geometry_from is not None:   # each set takes its realization's positions
+            source, b = geometry_from.clusters, geometry_from.bounds.tolist()
+            geometry = dataclasses.replace(source, positions=np.concatenate(
+                [source.positions[b[r]:b[r + 1]] for r in realization.tolist()]))
+        clusters = place_clusters(stacked, near.position, far[np.repeat(cell, per_set)], env,
+                                  f_hz, near.frame, geometry)
     else:
         clusters, per_set = ClusterSet.empty(), np.zeros(len(cell), dtype=int)
     return _Leg(realization, cell, los, attenuation, phase, clusters,
                 np.concatenate([[0], np.cumsum(per_set)]))
 
 
-def _leg_matrices(row: DeviceView, col: DeviceView, gain_side: str | None, leg: _Leg,
+def _leg_matrices(row: DeviceView, col: DeviceView, leg: _Leg,
                   row_frames: np.ndarray | None = None) -> np.ndarray:
     """The (B, K, row.count, col.count) matrices of a leg drawn from `col` to
     the K positions `row.position`: each set's path outer-products a_row *
-    a_col^T, plus its LOS term.
+    a_col^T, weighted by both devices' element patterns, plus its LOS term.
 
-    `gain_side` names the device ("row"/"col"/None) whose element pattern
-    weights each path; directions are evaluated from each device in its own
-    frame, the row device's per realization with `row_frames` (B, 3, 3).
-    Steering runs in chunks of at most `PLACEMENT_BUDGET` entries.
+    Directions are evaluated from each device in its own frame, the row
+    device's per realization with `row_frames` (B, 3, 3).  Steering runs in
+    chunks of at most `PLACEMENT_BUDGET` entries.
     """
     matrix = np.zeros((len(leg.cell), row.count, col.count), dtype=complex)
     clusters, bounds = leg.clusters, leg.bounds.tolist()
@@ -193,10 +176,10 @@ def _leg_matrices(row: DeviceView, col: DeviceView, gain_side: str | None, leg: 
 
     if clusters.total_paths:
         owner = np.repeat(np.arange(len(leg.cell)), np.diff(leg.bounds))   # set of each path
-        origin = row.position if len(row.position) == 1 else row.position[leg.cell[owner]]
-        u_row, _ = local_directions(origin, clusters.positions, frames(owner))
+        u_row, _ = local_directions(row.position[leg.cell[owner]], clusters.positions,
+                                    frames(owner))
         u_col, _ = local_directions(col.position, clusters.positions, col.frame)
-        weights = clusters.gains * np.sqrt(_pattern(row, col, gain_side, u_row, u_col)
+        weights = clusters.gains * np.sqrt(_gain(row, u_row) * _gain(col, u_col)
                                            * clusters.attenuations)
         # consecutive sets of one group share their paths: each run's end
         ends = np.flatnonzero(np.diff(2 * leg.realization + leg.los, append=-1)) + 1
@@ -216,46 +199,35 @@ def _leg_matrices(row: DeviceView, col: DeviceView, gain_side: str | None, leg: 
                 sets, paths = hi - lo, bounds[lo + 1] - bounds[lo]
                 own = slice(bounds[lo] - first, bounds[hi] - first)
                 # normalization keeps total scattered power independent of the path count
-                if sets == 1:   # the same product, without the stacking views
-                    matrix[lo] = ((a_row[:, own] * weights[bounds[lo]:bounds[hi]])
-                                  @ a_col[:, own].T / np.sqrt(paths))
-                else:
-                    matrix[lo:hi] = (
-                        (a_row[:, own].reshape(rc, sets, paths).transpose(1, 0, 2)
-                         * weights[bounds[lo]:bounds[hi]].reshape(sets, 1, paths))
-                        @ a_col[:, own].reshape(cc, sets, paths).transpose(1, 2, 0)
-                        / np.sqrt(paths))
+                matrix[lo:hi] = (
+                    (a_row[:, own].reshape(rc, sets, paths).transpose(1, 0, 2)
+                     * weights[bounds[lo]:bounds[hi]].reshape(sets, 1, paths))
+                    @ a_col[:, own].reshape(cc, sets, paths).transpose(1, 2, 0)
+                    / np.sqrt(paths))
                 lo = hi
             start = stop
 
     if leg.los.any():
         sets = np.flatnonzero(leg.los)
-        cells = leg.cell[sets]
-        # one direction per far point, and per realization where the row frame varies
-        u_col = local_directions(col.position, row.position, col.frame)[0]
-        a_col = steering_matrix(col.vert, col.horiz, u_col).T[cells]   # (L, col.count)
-        if row_frames is None:
-            u_row = local_directions(row.position, col.position, row.frame)[0]
-            a_row, u_row = steering_matrix(row.vert, row.horiz, u_row).T[cells], u_row[cells]
-        else:
-            u_row = local_directions(row.position[cells], col.position, frames(sets))[0]
-            a_row = steering_matrix(row.vert, row.horiz, u_row).T
-        amp = np.sqrt(_pattern(row, col, gain_side, u_row, u_col[cells]) * leg.los_attenuation)
-        term = a_row[:, :, None] * a_col[:, None, :]
-        term *= (amp * np.exp(1j * leg.los_phase))[:, None, None]
-        matrix[sets] += term
+        far = row.position[leg.cell[sets]]
+        u_row = local_directions(far, col.position, frames(sets))[0]
+        u_col = local_directions(col.position, far, col.frame)[0]
+        amp = np.sqrt(_gain(row, u_row) * _gain(col, u_col) * leg.los_attenuation)
+        matrix[sets] += (steering_matrix(row.vert, row.horiz, u_row).T[:, :, None]
+                         * steering_matrix(col.vert, col.horiz, u_col).T[:, None, :]
+                         * (amp * np.exp(1j * leg.los_phase))[:, None, None])
     return matrix.reshape(-1, len(row.position), row.count, col.count)
 
 
-def _one_link(row: DeviceView, col: DeviceView, gain_side: str | None,
-              clusters: ClusterSet, link: LinkState) -> np.ndarray:
+def _one_link(row: DeviceView, col: DeviceView, clusters: ClusterSet,
+              link: LinkState) -> np.ndarray:
     """The matrix of one link, given its clusters and LOS state."""
     los = np.array([link.los])
     leg = _Leg(np.zeros(1, dtype=int), np.zeros(1, dtype=int), los,
                np.array([link.attenuation])[los], np.array([link.phase])[los], clusters,
                np.array([0, clusters.total_paths]))
     row = dataclasses.replace(row, position=np.atleast_2d(row.position))
-    return _leg_matrices(row, col, gain_side, leg)[0, 0]
+    return _leg_matrices(row, col, leg)[0, 0]
 
 
 def assemble_link_channel(side: str, clusters: ClusterSet, link: LinkState,
@@ -263,16 +235,16 @@ def assemble_link_channel(side: str, clusters: ClusterSet, link: LinkState,
     """One surface leg: 'tx-ris' gives the (N, Nt) matrix, 'ris-rx' the (Nr, N) one."""
     surface = scene.ris[ris_index]
     if side == "tx-ris":
-        return _one_link(surface, scene.tx, "row", clusters, link)
+        return _one_link(surface, scene.tx, clusters, link)
     if side == "ris-rx":
-        return _one_link(scene.rx, surface, "col", clusters, link)
+        return _one_link(scene.rx, surface, clusters, link)
     raise ValueError(f"side must be 'tx-ris' or 'ris-rx', got {side!r}")
 
 
 def assemble_direct_channel(clusters: ClusterSet, link: LinkState,
                             scene: Scene) -> np.ndarray:
     """The (Nr, Nt) terminal-to-terminal matrix; no element pattern applies."""
-    return _one_link(scene.rx, scene.tx, None, clusters, link)
+    return _one_link(scene.rx, scene.tx, clusters, link)
 
 
 def phase_matrix(phases: np.ndarray) -> np.ndarray:
@@ -353,12 +325,12 @@ def realize_block(vc: ValidatedConfig, realizations: range, surfaces=None,
     rx = dataclasses.replace(scene.rx, position=np.atleast_2d(scene.rx.position))
     los, clusters = {}, {}
 
-    def link(key: str, row: DeviceView, col: DeviceView, gain_side: str | None, force_los,
-             tag: LinkTag, *extra: int, geometry_from=None, frames=None):
+    def link(key: str, row: DeviceView, col: DeviceView, force_los, tag: LinkTag, *extra: int,
+             geometry_from=None, frames=None):
         leg = _draw_leg(vc, block_rngs(seed, realizations, tag, *extra), col, row.position,
                         force_los, geometry_from)
         los[key], clusters[key] = leg.los, leg.clusters
-        return leg, _leg_matrices(row, col, gain_side, leg, frames)
+        return leg, _leg_matrices(row, col, leg, frames)
 
     force = True if cfg.ris_links == "los" else None
     tx_ris, ris_rx = [None] * len(scene.ris), [None] * len(scene.ris)
@@ -367,11 +339,11 @@ def realize_block(vc: ValidatedConfig, realizations: range, surfaces=None,
     for k in surfaces:
         surface = scene.ris[k]
         fixed = dataclasses.replace(surface, position=surface.position[None])
-        leg_h, h = link(f"tx_ris_{k}", fixed, tx, "row", force, LinkTag.TX_RIS, k)
+        leg_h, h = link(f"tx_ris_{k}", fixed, tx, force, LinkTag.TX_RIS, k)
         tx_ris[k] = h[:, 0]
         cells = surfaces[k] if isinstance(surfaces, dict) else None
         at = rx if cells is None else dataclasses.replace(rx, position=rx.position[cells])
-        _, ris_rx[k] = link(f"ris_rx_{k}", at, surface, "col", force, LinkTag.RIS_RX, k,
+        _, ris_rx[k] = link(f"ris_rx_{k}", at, surface, force, LinkTag.RIS_RX, k,
                             geometry_from=leg_h if cfg.shared_clusters else None,
                             frames=rx_frames)
 
@@ -380,7 +352,7 @@ def realize_block(vc: ValidatedConfig, realizations: range, surfaces=None,
         los["direct"] = np.zeros(direct.shape[0] * direct.shape[1], dtype=bool)
     else:
         force_d = {"blocked": False, "present": True}.get(cfg.direct_mode)
-        _, direct = link("direct", rx, tx, None, force_d, LinkTag.DIRECT, frames=rx_frames)
+        _, direct = link("direct", rx, tx, force_d, LinkTag.DIRECT, frames=rx_frames)
 
     if scene.rx.position.ndim == 1:   # one receiver position: no cell axis
         ris_rx = [None if m is None else m[:, 0] for m in ris_rx]

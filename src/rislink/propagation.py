@@ -221,21 +221,12 @@ def stack_cluster_variates(variates: list[ClusterVariates]) -> ClusterVariates:
 def place_clusters(variates: ClusterVariates, near, far, env: Environment, f_hz: float,
                    near_frame: np.ndarray | None = None,
                    geometry_from: ClusterSet | None = None) -> ClusterSet:
-    """Place drawn clusters on the link `near` -> `far`, where `far` is one
-    point (3,) or a stack of far ends (K, 3), each getting every path; see
-    `draw_clusters`."""
-    return place_paths(variates, near, np.asarray(far, dtype=float)[..., None, :], env, f_hz,
-                       near_frame, geometry_from)
+    """Place drawn clusters on the link `near` -> `far`; see `draw_clusters`.
 
-
-def place_paths(variates: ClusterVariates, near, far, env: Environment, f_hz: float,
-                near_frame: np.ndarray | None = None,
-                geometry_from: ClusterSet | None = None) -> ClusterSet:
-    """`place_clusters` with `far` (..., 3) broadcast against the (P,) paths.
-
-    With `far` (P, 3) each path gets its own far end: the paths of several
-    links' variates (`stack_cluster_variates`, or one link's with its paths
-    repeated) are so placed at once, each on its own link.
+    `far` (..., 3) broadcasts against the (P,) paths: one point (3,) gets
+    every path, a stack (K, 1, 3) gets every path at each far end, and
+    (P, 3) gives each path its own far end, so that the paths of several
+    links' variates (`stack_cluster_variates`) are placed at once.
     """
     near = np.asarray(near, dtype=float)
     far = np.asarray(far, dtype=float)

@@ -206,6 +206,16 @@ class TestCoverage:
         assert np.array_equal(whole.mean_rate, chunked.mean_rate)
         assert np.array_equal(whole.ris_index, chunked.ris_index)
 
+    def test_map_without_surfaces_draws_the_direct_link(self):
+        vc = quick_vc(realizations=3, ris=(), idle_ris="random", direct_mode="present")
+        grid = GridSpec(29.5, 30.5, 19.5, 20.5, cell=1.0, z=1.0)
+        cell = coverage_map(Campaign(vc), grid)
+        moved = dataclasses.replace(
+            vc.config, rx=dataclasses.replace(vc.config.rx, position=(30.0, 20.0, 1.0)))
+        stats = run_campaign(Campaign(validate_config(moved)))
+        assert cell.mean_rate[0, 0] > 0
+        assert cell.mean_rate[0, 0] == pytest.approx(stats.mean[0], rel=1e-12)
+
     def test_default_grid_uses_footprint(self):
         grid = default_grid(quick_vc(), cell=5.0)
         assert (grid.x_max, grid.y_max) == (75.0, 50.0)

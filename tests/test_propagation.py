@@ -172,7 +172,7 @@ class TestClusters:
         near = np.array([40.0, 50.0, 2.0])
         far = np.array([[45.0, 45.0, 1.0], [40.3, 49.6, 2.0], [10.0, 5.0, 1.5]])
         variates = draw_cluster_variates(INH, spawn_rng(3, 1, 1))
-        placed = place_clusters(variates, near, far, INH, 28e9)
+        placed = place_clusters(variates, near, far[:, None, :], INH, 28e9)
         assert placed.positions.shape == (3, placed.total_paths, 3)
         assert placed.attenuations.shape == (3, placed.total_paths)
         for i, end in enumerate(far):
