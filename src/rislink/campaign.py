@@ -282,15 +282,16 @@ def _chunk_rates(vc: ValidatedConfig, algorithm: PhaseAlgorithm, positions: np.n
     composite = channels.direct.copy()
     for k, cells in surfaces.items():
         tx_ris, ris_rx = channels.tx_ris[k][:, None], channels.ris_rx[k]
-        phases = _serving_phases(vc, algorithm, realizations, k, tx_ris, ris_rx)
-        if cells is None:   # every cell, served or idle
-            served = selected == k
-            if not served.all():
-                phases = np.where(served[:, None], phases,
-                                  _idle_phases(vc, realizations, k)[:, None])
-            composite += surface_cascade(tx_ris, ris_rx, phases)
+        served = selected == k
+        if cells is None and not served.all():   # idle at some cells: control the others
+            phases = np.repeat(_idle_phases(vc, realizations, k)[:, None], len(served), axis=1)
+            if served.any():
+                phases[:, served] = _serving_phases(vc, algorithm, realizations, k, tx_ris,
+                                                    ris_rx[:, served])
         else:
-            composite[:, cells] += surface_cascade(tx_ris, ris_rx, phases)
+            phases = _serving_phases(vc, algorithm, realizations, k, tx_ris, ris_rx)
+        composite[:, slice(None) if cells is None else cells] += surface_cascade(
+            tx_ris, ris_rx, phases)
     s = np.linalg.svd(composite, compute_uv=False)
     return rate_from_singular_values(s, pt, vc.noise_watts)
 

@@ -10,13 +10,18 @@ than raising an error.
 One engine draws every matrix (`realize_block`): a block of realizations
 towards one receiver position or a stack of them.  Each realization reads
 its own substreams, once per link; the block's paths are then placed at
-their far ends, steered and summed together.
+their far ends and summed together, a LOS term as one more path.  The sum
+never forms an array response: each path's per-axis grid factors
+(`geometry.grid_factors`) are contracted in two small groups, so an 8x8
+surface leg costs 8 + 32 factor entries per path instead of 64 + 4.
 """
 
 from __future__ import annotations
 
+import bisect
 import copy
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -24,8 +29,9 @@ import numpy as np
 
 from .config import ValidatedConfig
 from .errors import DimensionMismatch
-from .geometry import (azimuth_rotation_frame, element_gain_from_cos, local_directions,
-                       steering_matrix)
+from .geometry import (azimuth_rotation_frame, element_gain_from_cos, grid_factors,
+                       local_directions)
+from .geometry import steering_matrix  # noqa: F401  (wrapped by the benchmark's tracer, ROADMAP item 5)
 from .propagation import (ClusterSet, LinkState, draw_cluster_variates, draw_los_variates,
                           los_probability, place_clusters, shadowed_attenuation,
                           stack_cluster_variates)
@@ -83,10 +89,11 @@ def _gain(device: DeviceView, u: np.ndarray):
         u[..., 0], device.gain_exponent)
 
 
-# Steering runs over at most this many (element, path) entries at a time,
-# and a coverage block realizes at most this many receiver-side matrix
-# entries per chunk of realizations: 16-24 bytes each, whatever the number
-# of positions or realizations.
+# A leg's paths are contracted in chunks of at most this many (factor
+# entry, path) pairs, counting the prefix + suffix factor entries of each
+# path, and a coverage block realizes at most this many receiver-side
+# matrix entries per chunk of realizations: 16-24 bytes each, whatever the
+# number of positions or realizations.
 PLACEMENT_BUDGET = 16384
 
 
@@ -161,62 +168,71 @@ def _draw_leg(vc: ValidatedConfig, rngs: list, near: DeviceView, far: np.ndarray
 def _leg_matrices(row: DeviceView, col: DeviceView, leg: _Leg,
                   row_frames: np.ndarray | None = None) -> np.ndarray:
     """The (B, K, row.count, col.count) matrices of a leg drawn from `col` to
-    the K positions `row.position`: each set's path outer-products a_row *
-    a_col^T, weighted by both devices' element patterns, plus its LOS term.
+    the K positions `row.position`: each set sums w * a_row * a_col^T over
+    its paths, w weighted by both devices' element patterns and by
+    1/sqrt(P) for its P scattered paths, plus its LOS term as one more path.
 
     Directions are evaluated from each device in its own frame, the row
-    device's per realization with `row_frames` (B, 3, 3).  Steering runs in
-    chunks of at most `PLACEMENT_BUDGET` entries.
+    device's per realization with `row_frames` (B, 3, 3).  No response is
+    formed: the four grid factors of a path (row device's vertical and
+    horizontal, then the column device's), the weight folded into the
+    first, are split where prefix size + suffix size is least (8 | 32 for
+    an 8x8 surface and a 2x2 array), each side's factors are outer-multiplied
+    per path, and every set is one (prefix, P) @ (P, suffix) product.  Sets
+    with equal path counts run as one stacked product, a lone set too, so a
+    set's matrix does not depend on the run or chunk it lands in.  Chunks
+    hold at most `PLACEMENT_BUDGET` (prefix + suffix) x path entries.
     """
-    matrix = np.zeros((len(leg.cell), row.count, col.count), dtype=complex)
-    clusters, bounds = leg.clusters, leg.bounds.tolist()
+    clusters, scattered, los = leg.clusters, np.diff(leg.bounds), leg.los
+    at = row.position[leg.cell]   # each set's row end
+    # a LOS set's last path is its LOS term, inserted after its scattered paths
+    los_at = leg.bounds[1:][los]
+    counts = (scattered + los).tolist()
+    owner = np.repeat(np.arange(len(counts)), counts)   # set of each path
+    u_row, _ = local_directions(at[owner], np.insert(clusters.positions, los_at, col.position, 0),
+                                row.frame if row_frames is None
+                                else row_frames[leg.realization[owner]])
+    u_col, _ = local_directions(col.position, np.insert(clusters.positions, los_at, at[los], 0),
+                                col.frame)
+    # normalization keeps total scattered power independent of the path count
+    amplitude = np.insert(clusters.gains / np.sqrt(np.repeat(scattered, scattered)), los_at,
+                          np.exp(1j * leg.los_phase))
+    power = np.insert(clusters.attenuations, los_at, leg.los_attenuation)
+    weights = amplitude * np.sqrt(_gain(row, u_row) * _gain(col, u_col) * power)
 
-    def frames(sets: np.ndarray) -> np.ndarray:
-        return row.frame if row_frames is None else row_frames[leg.realization[sets]]
-
-    if clusters.total_paths:
-        owner = np.repeat(np.arange(len(leg.cell)), np.diff(leg.bounds))   # set of each path
-        u_row, _ = local_directions(row.position[leg.cell[owner]], clusters.positions,
-                                    frames(owner))
-        u_col, _ = local_directions(col.position, clusters.positions, col.frame)
-        weights = clusters.gains * np.sqrt(_gain(row, u_row) * _gain(col, u_col)
-                                           * clusters.attenuations)
-        # consecutive sets of one group share their paths: each run's end
-        ends = np.flatnonzero(np.diff(2 * leg.realization + leg.los, append=-1)) + 1
-        run_end = np.repeat(ends, np.diff(ends, prepend=0)).tolist()
-        rc, cc = row.count, col.count
-        per_chunk = max(1, PLACEMENT_BUDGET // max(rc, cc))
-        start = 0
-        while start < len(leg.cell):
-            stop = max(start + 1, int(np.searchsorted(leg.bounds, bounds[start] + per_chunk,
-                                                      side="right")) - 1)
-            first = bounds[start]
-            a_row = steering_matrix(row.vert, row.horiz, u_row[first:bounds[stop]])
-            a_col = steering_matrix(col.vert, col.horiz, u_col[first:bounds[stop]])
-            lo = start
-            while lo < stop:
-                hi = min(run_end[lo], stop)
-                sets, paths = hi - lo, bounds[lo + 1] - bounds[lo]
-                own = slice(bounds[lo] - first, bounds[hi] - first)
-                # normalization keeps total scattered power independent of the path count
-                matrix[lo:hi] = (
-                    (a_row[:, own].reshape(rc, sets, paths).transpose(1, 0, 2)
-                     * weights[bounds[lo]:bounds[hi]].reshape(sets, 1, paths))
-                    @ a_col[:, own].reshape(cc, sets, paths).transpose(1, 2, 0)
-                    / np.sqrt(paths))
-                lo = hi
-            start = stop
-
-    if leg.los.any():
-        sets = np.flatnonzero(leg.los)
-        far = row.position[leg.cell[sets]]
-        u_row = local_directions(far, col.position, frames(sets))[0]
-        u_col = local_directions(col.position, far, col.frame)[0]
-        amp = np.sqrt(_gain(row, u_row) * _gain(col, u_col) * leg.los_attenuation)
-        matrix[sets] += (steering_matrix(row.vert, row.horiz, u_row).T[:, :, None]
-                         * steering_matrix(col.vert, col.horiz, u_col).T[:, None, :]
-                         * (amp * np.exp(1j * leg.los_phase))[:, None, None])
+    dims = (row.vert.size, row.horiz.size, col.vert.size, col.horiz.size)
+    split = min(range(1, 4), key=lambda k: math.prod(dims[:k]) + math.prod(dims[k:]))
+    prefix, suffix = math.prod(dims[:split]), math.prod(dims[split:])
+    matrix = np.zeros((len(counts), prefix, suffix), dtype=complex)
+    bounds = np.cumsum([0] + counts).tolist()
+    per_chunk = max(1, PLACEMENT_BUDGET // (prefix + suffix))
+    start = 0
+    while start < len(counts):
+        stop = max(start + 1, bisect.bisect_right(bounds, bounds[start] + per_chunk) - 1)
+        first, last = bounds[start], bounds[stop]
+        factors = [*np.split(grid_factors(row.vert, row.horiz, u_row[first:last]), dims[:1]),
+                   *np.split(grid_factors(col.vert, col.horiz, u_col[first:last]), dims[2:3])]
+        factors[0] = factors[0] * weights[first:last]
+        left, right = _outer(factors[:split]), _outer(factors[split:])
+        lo = start
+        while lo < stop:   # each run of sets with equal path counts is one stacked product
+            paths, hi = counts[lo], lo + 1
+            while hi < stop and counts[hi] == paths:
+                hi += 1
+            own = slice(bounds[lo] - first, bounds[hi] - first)
+            matrix[lo:hi] = (left[:, own].reshape(prefix, hi - lo, paths).transpose(1, 0, 2)
+                             @ right[:, own].reshape(suffix, hi - lo, paths).transpose(1, 2, 0))
+            lo = hi
+        start = stop
     return matrix.reshape(-1, len(row.position), row.count, col.count)
+
+
+def _outer(factors: list[np.ndarray]) -> np.ndarray:
+    """Per-path outer product of (d_i, P) factors: the (prod d_i, P) Khatri-Rao product."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = (out[:, None, :] * f[None, :, :]).reshape(len(out) * len(f), out.shape[-1])
+    return out
 
 
 def _one_link(row: DeviceView, col: DeviceView, clusters: ClusterSet,

@@ -63,18 +63,32 @@ def pinv_phases(tx_ris: np.ndarray, ris_rx: np.ndarray, bits: int | None = None,
     pseudoinverse is dominated by the reciprocals of its weakest modes and
     the extracted phases align noise instead of the dominant path.
 
+    No N-sized decomposition is taken: with G = ris_rx and H = tx_ris,
+    pinv(G) = G^H A and pinv(H) = B H^H, where A and B are the truncated
+    inverses of the Nr x Nr Gram matrix G G^H and the Nt x Nt one H^H H, so
+    X's diagonal is that of G^H (A M B) H^H.  Truncation rule: eigenvalues
+    lambda of a Gram matrix (`eigh`) are kept when lambda > rcond**2 *
+    lambda_max.  They are the squared singular values, and squaring keeps
+    the order of nonnegative numbers, so this is numpy's pinv rule s >
+    rcond * s_max: the same modes are kept unless a ratio s / s_max lies
+    within rounding of rcond.  The kept eigenvalues are at least rcond**2 *
+    lambda_max, so A and B are well conditioned and the phases match the
+    SVD pseudoinverse's to rounding (rcond must stay well above 1e-8 for
+    the squares to resolve the cut).
+
     SISO inputs delegate to the closed-form alignment.  Numerical failure
     falls back to a random phase draw (warning) when `fallback_rng` is
-    given, otherwise raises SingularPinv.  `fallback_rng` is a generator,
-    which a failing leg draws from a copy of, or a function of the failing
-    leg's flat stack index returning one, so the fallback stream need only
-    exist when a fallback runs.
+    given, otherwise raises SingularPinv; an all-zero leg has an all-zero
+    diagonal and so falls back.  `fallback_rng` is a generator, which a
+    failing leg draws from a copy of, or a function of the failing leg's
+    flat stack index returning one, so the fallback stream need only exist
+    when a fallback runs.
 
     `tx_ris` (..., N, Nt) and `ris_rx` (..., Nr, N) may carry leading stack
     axes that broadcast against each other, e.g. one Tx-side leg for a
     stack of receiver positions, or one of each per realization of a block.
-    Each pseudoinverse is taken once per matrix given; the result is
-    (..., N), each row as if computed alone.
+    Each Gram inverse is taken once per matrix given; the result is
+    (..., N), each row bit for bit as if computed alone.
     """
     tx_ris = np.atleast_2d(np.asarray(tx_ris))
     ris_rx = np.atleast_2d(np.asarray(ris_rx))
@@ -88,10 +102,14 @@ def pinv_phases(tx_ris: np.ndarray, ris_rx: np.ndarray, bits: int | None = None,
         warnings.warn(f"{n} surface elements for a {nr}x{nt} link; the pseudoinverse "
                       "target is underdetermined", stacklevel=2)
     try:
-        # only the diagonal of pinv(ris_rx) @ M @ pinv(tx_ris) is needed
-        diag = np.einsum("...ij,...ji->...i",
-                         np.linalg.pinv(ris_rx, rcond=rcond) @ np.eye(nr, nt),
-                         np.linalg.pinv(tx_ris, rcond=rcond))
+        g_h = ris_rx.conj()                        # conj(G); G^H is its transpose
+        h_h = np.swapaxes(tx_ris.conj(), -1, -2)   # H^H
+        inner = (_gram_pinv(ris_rx @ np.swapaxes(g_h, -1, -2), rcond) @ np.eye(nr, nt)
+                 @ _gram_pinv(h_h @ tx_ris, rcond))
+        # diagonal n of G^H (A M B) H^H: sum over i of (A M B H^H)[i, n] conj(G[i, n]).
+        # The product keeps this operand order: numpy's complex multiply rounds a * b
+        # and b * a differently, and a large temporary on the right gets swapped.
+        diag = np.sum((inner @ h_h) * g_h, axis=-2)
         if not np.all(np.isfinite(diag)) or not np.all(np.any(diag, axis=-1)):
             raise np.linalg.LinAlgError("degenerate pseudoinverse diagonal")
     except np.linalg.LinAlgError as exc:
@@ -111,6 +129,15 @@ def pinv_phases(tx_ris: np.ndarray, ris_rx: np.ndarray, bits: int | None = None,
         rng = fallback_rng(0) if callable(fallback_rng) else fallback_rng
         return baseline_phases("random", n, rng, bits)
     return quantize_phases(np.angle(diag), bits)
+
+
+def _gram_pinv(gram: np.ndarray, rcond: float) -> np.ndarray:
+    """Truncated inverse of a stack of Hermitian PSD Gram matrices: eigenvalues
+    up to rcond**2 of the largest are dropped, the rest inverted."""
+    lam, vec = np.linalg.eigh(gram)                 # ascending: lam[..., -1] is the largest
+    keep = lam > rcond ** 2 * lam[..., -1:]
+    inverse = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
+    return (vec * inverse[..., None, :]) @ np.swapaxes(vec.conj(), -1, -2)
 
 
 def _leg_fallback(fallback_rng, index: int):

@@ -14,8 +14,9 @@ Conventions used by every module:
 * Every array is a planar (rows, cols) element grid in its local y-z plane,
   numbered row-major (element r * cols + c).  Its response to a direction
   u therefore factors as a_vert(u_z) (x) a_horiz(u_y), the Kronecker product
-  of one exponential per row and one per column, which is how
-  `steering_matrix` evaluates it.
+  of one exponential per row and one per column.  `grid_factors` returns
+  those rows + cols exponentials; `steering_matrix` takes their outer
+  product, and the channel engine contracts them without ever forming it.
 """
 
 from __future__ import annotations
@@ -93,29 +94,41 @@ def direction_unit(azimuth, elevation) -> np.ndarray:
                     axis=-1)
 
 
-def steering_matrix(vert: np.ndarray, horiz: np.ndarray, u_local: np.ndarray) -> np.ndarray:
-    """Response of a planar (rows, cols) element grid for each local direction.
+def grid_factors(vert: np.ndarray, horiz: np.ndarray, u_local: np.ndarray) -> np.ndarray:
+    """Per-axis responses of a planar (rows, cols) element grid for each local direction.
 
     `vert` (rows,) and `horiz` (cols,) are the local vertical coordinate of
     each element row and the horizontal one of each column, scaled by
     2*pi/lambda; every element lies in the aperture plane (local x = 0).
-    `u_local` is (P, 3), or a stack (..., P, 3).  Element r * cols + c (the
-    row-major order of `element_positions`) responds with
-    exp(j * 2*pi/lambda * <u, r_n>) = exp(j * vert[r] * u_z) * exp(j * horiz[c] * u_y),
-    so each direction costs rows + cols exponentials and one outer product.
-    Returns the (..., rows * cols, P) complex matrix (stack).
+    `u_local` is (P, 3), or a stack (..., P, 3).  Returns the (..., rows +
+    cols, P) complex stack of exp(j * vert[r] * u_z) (first `rows` entries)
+    and exp(j * horiz[c] * u_y) (the rest): element r * cols + c responds
+    with the product of row factor r and column factor c.
     """
     u = np.atleast_2d(u_local)
     if u.shape[-1] != 3:
         raise DimensionMismatch("directions must be 3D")
-    rows = vert.size
     phase = np.concatenate([vert[:, None] * u[..., None, :, 2],
                             horiz[:, None] * u[..., None, :, 1]], axis=-2)
-    factor = np.empty(phase.shape, dtype=complex)   # (..., rows + cols, P)
+    factor = np.empty(phase.shape, dtype=complex)
     np.cos(phase, out=factor.real)
     np.sin(phase, out=factor.imag)
+    return factor
+
+
+def steering_matrix(vert: np.ndarray, horiz: np.ndarray, u_local: np.ndarray) -> np.ndarray:
+    """Response of a planar (rows, cols) element grid for each local direction.
+
+    Arguments as for `grid_factors`.  Element r * cols + c (the row-major
+    order of `element_positions`) responds with
+    exp(j * 2*pi/lambda * <u, r_n>) = exp(j * vert[r] * u_z) * exp(j * horiz[c] * u_y),
+    the outer product of the grid factors.  Returns the (..., rows * cols, P)
+    complex matrix (stack).
+    """
+    factor = grid_factors(vert, horiz, u_local)
+    rows = vert.size
     response = factor[..., :rows, None, :] * factor[..., None, rows:, :]
-    return response.reshape(response.shape[:-3] + (rows * horiz.size, u.shape[-2]))
+    return response.reshape(response.shape[:-3] + (rows * horiz.size, factor.shape[-1]))
 
 
 def element_gain(theta, q: float):

@@ -13,7 +13,7 @@ import rislink.campaign as campaign_module
 from rislink import LinkTag, baseline_phases, composite_singular_values, spawn_rng
 from rislink.campaign import BLOCK_SIZE, compute_phase_sets
 from rislink.channel import realize_block
-from rislink.control import rate_from_singular_values
+from rislink.control import pinv_phases, rate_from_singular_values
 from rislink.errors import ConfigError, EmptySweep, SingularPinvWarning
 
 
@@ -205,6 +205,24 @@ class TestCoverage:
         chunked = coverage_map(Campaign(vc), grid)
         assert np.array_equal(whole.mean_rate, chunked.mean_rate)
         assert np.array_equal(whole.ris_index, chunked.ris_index)
+
+    def test_random_idle_surfaces_control_only_the_cells_they_serve(self, monkeypatch):
+        legs = []
+
+        def counting_pinv(tx_ris, ris_rx, **kwargs):
+            legs.append(int(np.prod(np.broadcast_shapes(tx_ris.shape[:-2], ris_rx.shape[:-2]))))
+            return pinv_phases(tx_ris, ris_rx, **kwargs)
+
+        vc = quick_vc(realizations=4, idle_ris="random", ris=(
+            scene_preset("indoor").ris[0], RisSpec(64, (60.0, 30.0, 2.0), plane="yz")))
+        grid = GridSpec(0.0, 75.0, 0.0, 50.0, cell=10.0, z=1.0)
+        expected = coverage_map(Campaign(vc), grid)
+        monkeypatch.setattr(campaign_module, "pinv_phases", counting_pinv)
+        counted = coverage_map(Campaign(vc), grid)
+        assert set(expected.ris_index.ravel().tolist()) == {0, 1}
+        # every cell is served by one surface, once per realization
+        assert sum(legs) == expected.ris_index.size * vc.config.realizations
+        assert np.array_equal(counted.mean_rate, expected.mean_rate)
 
     def test_map_without_surfaces_draws_the_direct_link(self):
         vc = quick_vc(realizations=3, ris=(), idle_ris="random", direct_mode="present")

@@ -12,7 +12,7 @@ from rislink import (ArraySpec, RealizationChannels, RisSpec, SimConfig,
 import rislink.channel as channel_module
 from rislink.channel import realize_block, surface_cascade
 from rislink.errors import DimensionMismatch
-from rislink.geometry import element_gain
+from rislink.geometry import element_gain, element_gain_from_cos, local_directions, steering_matrix
 from rislink.propagation import ClusterSet, LinkState
 
 
@@ -289,6 +289,133 @@ class TestAssembly:
         entries = np.concatenate(entries)
         rms = np.sqrt(np.mean(np.abs(entries) ** 2))
         assert np.abs(entries.mean()) < 0.01 * rms
+
+
+def leg_calls(vc, realizations, rx_position, monkeypatch):
+    """Every (row, col, leg, row_frames) the engine assembles in one `realize_block`."""
+    calls, original = [], channel_module._leg_matrices
+
+    def spy(row, col, leg, row_frames=None):
+        calls.append((row, col, leg, row_frames))
+        return original(row, col, leg, row_frames)
+
+    monkeypatch.setattr(channel_module, "_leg_matrices", spy)
+    realize_block(vc, realizations, rx_position=rx_position)
+    monkeypatch.setattr(channel_module, "_leg_matrices", original)
+    return calls
+
+
+def reference_leg_matrices(row, col, leg, row_frames=None):
+    """Set by set, sum w * a_row * a_col^T / sqrt(P) over the scattered paths with
+    full `steering_matrix` responses, then add the LOS term."""
+
+    def gain(device, u):
+        q = device.gain_exponent
+        return 1.0 if q is None else element_gain_from_cos(u[:, 0], q)
+
+    def response(device, u):
+        return steering_matrix(device.vert, device.horiz, u)
+
+    out, los_seen = [], 0
+    for s in range(len(leg.cell)):
+        at = row.position[leg.cell[s]]
+        frame = row.frame if row_frames is None else row_frames[leg.realization[s]]
+        lo, hi = leg.bounds[s], leg.bounds[s + 1]
+        m = np.zeros((row.count, col.count), dtype=complex)
+        if hi > lo:
+            points = leg.clusters.positions[lo:hi]
+            u_row = local_directions(at, points, frame)[0]
+            u_col = local_directions(col.position, points, col.frame)[0]
+            w = leg.clusters.gains[lo:hi] * np.sqrt(
+                gain(row, u_row) * gain(col, u_col) * leg.clusters.attenuations[lo:hi])
+            m += (response(row, u_row) * w) @ response(col, u_col).T / np.sqrt(hi - lo)
+        if leg.los[s]:
+            u_row = local_directions(at, col.position[None], frame)[0]
+            u_col = local_directions(col.position, at[None], col.frame)[0]
+            amp = np.sqrt(gain(row, u_row) * gain(col, u_col) * leg.los_attenuation[los_seen])
+            m += (amp * np.exp(1j * leg.los_phase[los_seen])) * np.outer(
+                response(row, u_row)[:, 0], response(col, u_col)[:, 0])
+            los_seen += 1
+        out.append(m)
+    return np.array(out).reshape(-1, len(row.position), row.count, col.count)
+
+
+def one_set(row, col, leg, row_frames, s):
+    """Set `s` of a leg as a leg of its own: a run and a chunk of one."""
+    lo, hi = leg.bounds[s], leg.bounds[s + 1]
+    los_index = int(np.count_nonzero(leg.los[:s]))
+    los = leg.los[s:s + 1]
+    clusters = ClusterSet(np.array([hi - lo]), leg.clusters.positions[lo:hi],
+                          leg.clusters.gains[lo:hi], leg.clusters.attenuations[lo:hi])
+    alone = channel_module._Leg(np.zeros(1, dtype=int), np.zeros(1, dtype=int), los,
+                                leg.los_attenuation[los_index:los_index + los.sum()],
+                                leg.los_phase[los_index:los_index + los.sum()], clusters,
+                                np.array([0, hi - lo]))
+    frames = None if row_frames is None else row_frames[leg.realization[s]][None]
+    at = dataclasses.replace(row, position=row.position[leg.cell[s]][None])
+    return channel_module._leg_matrices(at, col, alone, frames)[0, 0]
+
+
+# Overrides on the indoor preset: the golden grids (8x8, 4x16 and 1x67 surfaces,
+# 2x2 and ULA terminals, SISO), LOS-only and path-free sets, a live LOS coin.
+LEG_CASES = {
+    "surface_8x8": {},
+    "surface_4x16": {"surface": {"shape": (4, 16)}},
+    "surface_1x67": {"surface": {"count": 67}},
+    "ula_terminals": {"terminal": {"layout": "ula"}},
+    "siso": {"terminal": {"count": 1}},
+    "los_only": {"scatter_paths": False},
+    "no_paths": {"scatter_paths": False, "ris_links": "auto", "direct_mode": "auto",
+                 "blocked_keeps_scatter": True},
+    "mixed_los": {"ris_links": "auto", "direct_mode": "auto", "blocked_keeps_scatter": True},
+}
+LEG_POSITIONS = np.array([(x, y, 1.0) for x in (36.0, 55.0, 70.0) for y in (5.0, 46.0)])
+
+
+def leg_case_config(name):
+    overrides = {"direct_mode": "present", **LEG_CASES[name]}
+    cfg = dataclasses.replace(scene_preset("indoor"), realizations=1)
+    terminal = overrides.pop("terminal", {})
+    surface = dataclasses.replace(cfg.ris[0], **overrides.pop("surface", {}))
+    return validate_config(dataclasses.replace(
+        cfg, ris=(surface,), tx=dataclasses.replace(cfg.tx, **terminal),
+        rx=dataclasses.replace(cfg.rx, **terminal), **overrides))
+
+
+class TestLegMatrices:
+    @pytest.mark.filterwarnings("ignore::rislink.errors.NearFieldWarning")
+    @pytest.mark.parametrize("name", sorted(LEG_CASES))
+    def test_matches_the_per_path_reference(self, name, monkeypatch):
+        vc = leg_case_config(name)
+        calls = leg_calls(vc, range(4, 10), LEG_POSITIONS, monkeypatch)
+        assert len(calls) == 3   # Tx-surface, surface-Rx (K = 6 positions), direct
+        kinds = set()
+        for row, col, leg, frames in calls:
+            got = channel_module._leg_matrices(row, col, leg, frames)
+            want = reference_leg_matrices(row, col, leg, frames)
+            assert got.shape == want.shape
+            for g, w in zip(got.reshape(-1, *got.shape[2:]), want.reshape(-1, *want.shape[2:])):
+                assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w), initial=0.0)
+            paths = np.diff(leg.bounds)
+            kinds |= {("los" if los else "nlos", "paths" if p else "no paths")
+                      for los, p in zip(leg.los.tolist(), paths.tolist())}
+        expected = {"los_only": {("los", "no paths")}, "no_paths": {("nlos", "no paths")},
+                    "mixed_los": {("los", "paths"), ("nlos", "paths")}}
+        assert kinds >= expected.get(name, {("los", "paths")})
+
+    @pytest.mark.filterwarnings("ignore::rislink.errors.NearFieldWarning")
+    @pytest.mark.parametrize("name", sorted(LEG_CASES))
+    def test_a_set_does_not_depend_on_its_run_or_chunk(self, name, monkeypatch):
+        vc = leg_case_config(name)
+        calls = leg_calls(vc, range(4, 10), LEG_POSITIONS, monkeypatch)
+        for row, col, leg, frames in calls:
+            whole = channel_module._leg_matrices(row, col, leg, frames)
+            flat = whole.reshape(-1, *whole.shape[2:])
+            for s in range(len(leg.cell)):
+                assert np.array_equal(flat[s], one_set(row, col, leg, frames, s))
+            monkeypatch.setattr(channel_module, "PLACEMENT_BUDGET", 1)   # one set a chunk
+            assert np.array_equal(whole, channel_module._leg_matrices(row, col, leg, frames))
+            monkeypatch.undo()
 
 
 class TestPhaseMatrix:

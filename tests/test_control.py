@@ -72,6 +72,89 @@ class TestQuantization:
                 assert quant >= math.cos(np.pi / 2 ** bits) * cont * (1 - 0.01)
 
 
+def svd_pinv_phases(tx_ris, ris_rx, rcond=0.3):
+    """Reference: the diagonal of pinv(ris_rx) @ M @ pinv(tx_ris) through numpy's SVD pinv."""
+    nr, nt = ris_rx.shape[-2], tx_ris.shape[-1]
+    diag = np.einsum("...ij,...ji->...i",
+                     np.linalg.pinv(ris_rx, rcond=rcond) @ np.eye(nr, nt),
+                     np.linalg.pinv(tx_ris, rcond=rcond))
+    return np.mod(np.angle(diag), 2.0 * np.pi)
+
+
+def with_singular_values(rng, rows, cols, singular_values):
+    """A random (rows, cols) matrix with the given singular values (zeros set the rank)."""
+    k = min(rows, cols)
+    u = np.linalg.qr(random_channel(rng, (rows, k)))[0]
+    v = np.linalg.qr(random_channel(rng, (cols, k)))[0]
+    s = np.zeros(k)
+    s[:len(singular_values)] = singular_values
+    return (u * s) @ v.conj().T
+
+
+def phase_gap(a, b):
+    return np.abs(np.mod(a - b + np.pi, 2.0 * np.pi) - np.pi)
+
+
+# (Nr, N, Nt) and singular values relative to the largest: ranks 1-4 of 4,
+# Nr != Nt, fewer elements than antennas, and ratios on both sides of
+# rcond = 0.3, each at least 1e-9 away from it.  A ratio next to rcond has
+# no other ratio next to it: two close singular values split by the cut
+# leave the kept subspace ill-conditioned for the SVD reference as well.
+GRAM_CASES = [
+    ((4, 64, 4), (1.0,)),
+    ((4, 64, 4), (1.0, 0.5)),
+    ((4, 64, 4), (1.0, 0.7, 0.31)),
+    ((4, 64, 4), (1.0, 0.9, 0.6, 0.4)),
+    ((4, 64, 4), (1.0, 0.7, 0.3 + 2e-9, 0.05)),
+    ((4, 64, 4), (1.0, 0.6, 0.3 - 2e-9, 0.05)),
+    ((4, 64, 4), (1.0, 0.3 + 1e-9 * 1.5, 1e-3)),
+    ((2, 16, 4), (1.0, 0.45)),
+    ((4, 24, 3), (1.0, 0.6, 0.29)),
+    ((4, 3, 4), (1.0, 0.5, 0.35)),
+    ((4, 2, 2), (1.0, 0.2)),
+]
+
+
+class TestPinvPhasesGram:
+    @pytest.mark.filterwarnings("ignore:.*underdetermined")
+    @pytest.mark.parametrize("dims, ratios", GRAM_CASES)
+    def test_matches_the_svd_pseudoinverse(self, dims, ratios):
+        nr, n, nt = dims
+        rng = np.random.default_rng(len(ratios) * 100 + n)
+        for scale in (1.0, 3e-7):
+            for _ in range(20):
+                h = scale * with_singular_values(rng, n, nt, ratios[:min(n, nt)])
+                g = with_singular_values(rng, nr, n, rng.permutation(ratios)[:min(nr, n)])
+                assert np.all(phase_gap(pinv_phases(h, g), svd_pinv_phases(h, g)) <= 1e-12)
+
+    def test_stack_matches_each_leg_alone_bit_for_bit(self):
+        # large enough that numpy reuses temporaries of the stacked expression
+        rng = np.random.default_rng(12)
+        h = random_channel(rng, (2, 1, 64, 4))
+        g = random_channel(rng, (2, 40, 4, 64))
+        g[1, 3] = with_singular_values(rng, 4, 64, (1.0, 0.2))
+        stacked = pinv_phases(h, g)
+        assert stacked.shape == (2, 40, 64)
+        for b in range(2):
+            for k in range(40):
+                assert np.array_equal(stacked[b, k], pinv_phases(h[b, 0], g[b, k]))
+        assert np.all(phase_gap(stacked, svd_pinv_phases(h, g)) <= 1e-12)
+
+    @pytest.mark.parametrize("dead", ["tx", "rx", "both"])
+    def test_all_zero_leg_falls_back(self, dead):
+        rng = np.random.default_rng(13)
+        h, g = random_channel(rng, (3, 16, 4)), random_channel(rng, (3, 4, 16))
+        if dead in ("tx", "both"):
+            h[1] = 0.0
+        if dead in ("rx", "both"):
+            g[1] = 0.0
+        with pytest.warns(SingularPinvWarning):
+            theta = pinv_phases(h, g, fallback_rng=lambda leg: spawn_rng(0, leg, 4))
+        assert np.array_equal(theta[1], baseline_phases("random", 16, spawn_rng(0, 1, 4)))
+        for i in (0, 2):
+            assert np.array_equal(theta[i], pinv_phases(h[i], g[i]))
+
+
 class TestPinvPhases:
     def test_unit_modulus_and_determinism(self):
         rng = np.random.default_rng(2)
