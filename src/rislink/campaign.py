@@ -276,14 +276,16 @@ def _chunk_rates(vc: ValidatedConfig, algorithm: PhaseAlgorithm, positions: np.n
 
     The chunk is realized once for every cell, each surface's legs only at
     the cells they enter, then phase-controlled and decomposed as one
-    (realizations x cells) stack.
+    (realizations x cells) stack.  The serving algorithm runs only on the
+    cells a surface serves; at the others it takes its idle phases.  A pinv
+    fallback thus maps leg i to realization i // (served cells).
     """
     channels = realize_block(vc, realizations, surfaces=surfaces, rx_position=positions)
     composite = channels.direct.copy()
     for k, cells in surfaces.items():
         tx_ris, ris_rx = channels.tx_ris[k][:, None], channels.ris_rx[k]
         served = selected == k
-        if cells is None and not served.all():   # idle at some cells: control the others
+        if cells is None and not served.all():   # idle at some cells
             phases = np.repeat(_idle_phases(vc, realizations, k)[:, None], len(served), axis=1)
             if served.any():
                 phases[:, served] = _serving_phases(vc, algorithm, realizations, k, tx_ris,

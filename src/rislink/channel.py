@@ -31,7 +31,8 @@ from .config import ValidatedConfig
 from .errors import DimensionMismatch
 from .geometry import (azimuth_rotation_frame, element_gain_from_cos, grid_factors,
                        local_directions)
-from .geometry import steering_matrix  # noqa: F401  (wrapped by the benchmark's tracer, ROADMAP item 5)
+# no caller left here; the benchmark's tracer wraps this name (ROADMAP item 5)
+from .geometry import steering_matrix  # noqa: F401
 from .propagation import (ClusterSet, LinkState, draw_cluster_variates, draw_los_variates,
                           los_probability, place_clusters, shadowed_attenuation,
                           stack_cluster_variates)
