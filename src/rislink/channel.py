@@ -211,9 +211,10 @@ def _leg_matrices(row: DeviceView, col: DeviceView, leg: _Leg,
     while start < len(counts):
         stop = max(start + 1, bisect.bisect_right(bounds, bounds[start] + per_chunk) - 1)
         first, last = bounds[start], bounds[stop]
-        factors = [*np.split(grid_factors(row.vert, row.horiz, u_row[first:last]), dims[:1]),
-                   *np.split(grid_factors(col.vert, col.horiz, u_col[first:last]), dims[2:3])]
-        factors[0] = factors[0] * weights[first:last]
+        at_row = grid_factors(row.vert, row.horiz, u_row[first:last])
+        at_col = grid_factors(col.vert, col.horiz, u_col[first:last])
+        factors = [at_row[:dims[0]] * weights[first:last], at_row[dims[0]:],
+                   at_col[:dims[2]], at_col[dims[2]:]]
         left, right = _outer(factors[:split]), _outer(factors[split:])
         lo = start
         while lo < stop:   # each run of sets with equal path counts is one stacked product
