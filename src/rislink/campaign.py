@@ -1,16 +1,18 @@
 """Monte Carlo campaign driver: sweeps, coverage maps, exports.
 
-Work units are dispatched to a process pool and collected in submission
-order, so results are byte-identical for any worker count.  A campaign's
-unit is a fixed block of consecutive realizations at one sweep point; a
-coverage map's unit is a fixed block of cells with all its realizations;
-a channel dump's unit is a fixed block of realizations.  All randomness
-comes from substreams keyed by (seed, realization, link), never from
-execution order or receiver position.  So one channel engine
-(`channel.realize_block`) serves every unit: it draws each realization
-alone, then places, steers, phase-controls and decomposes a campaign block
-at its receiver position, or a chunk of a coverage block's realizations at
-all of its cells, as one stack.
+Work units are dispatched to a process pool of at most one process per
+unit and collected in submission order, so results are byte-identical for
+any worker count.  A campaign's unit is a fixed block of consecutive
+realizations at one sweep point; a coverage map's unit is a fixed block of
+cells with all its realizations; a channel dump's unit is a fixed block of
+realizations.  All randomness comes from substreams keyed by (seed,
+realization, link), never from execution order or receiver position.  So
+every rate takes one path, `_block_singular_values`: the channel engine
+(`channel.realize_block`) draws each realization of a block alone and
+places it at a stack of receiver positions, and the stack is then
+phase-controlled, summed into the composite channel and decomposed at
+once.  A campaign block is that stack at its one receiver position; a
+coverage chunk is it at all of a block's cells.
 Processes rather than threads: one unit is a burst of small numpy calls
 that never release the interpreter lock long enough for threads to overlap.
 """
@@ -19,16 +21,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .channel import (PLACEMENT_BUDGET, RealizationChannels, composite_multi, realize_block,
-                      surface_cascade)
-# no caller left here; the benchmark's tracer wraps this name (ROADMAP item 5)
-from .channel import realize_channels  # noqa: F401
+from .channel import PLACEMENT_BUDGET, RealizationChannels, realize_block, surface_cascade
+# no caller left here; the benchmark's tracer wraps these names (ROADMAP item 5)
+from .channel import composite_multi, realize_channels  # noqa: F401
 from .config import SimConfig, ValidatedConfig, check_realization_count, validate_config
 from .control import (PhaseAlgorithm, baseline_phases, pinv_phases,
                       rate_from_singular_values, select_ris, siso_optimal_phases)
@@ -93,6 +95,17 @@ class GridSpec:
     cell: float = 1.0
     z: float | None = None       # None = the config's receiver height
 
+    def __post_init__(self):
+        extent = (self.x_min, self.x_max, self.y_min, self.y_max)
+        if not all(math.isfinite(v) for v in extent) or not (
+                self.x_min < self.x_max and self.y_min < self.y_max):
+            raise ConfigError("grid extent must be finite with x_min < x_max and "
+                              f"y_min < y_max, got {extent}")
+        if not (math.isfinite(self.cell) and self.cell > 0):
+            raise ConfigError(f"grid cell must be a finite size > 0, got {self.cell}")
+        if self.z is not None and not (math.isfinite(self.z) and self.z >= 0):
+            raise ConfigError(f"grid height must be finite and >= 0, got z={self.z}")
+
     def centers(self) -> tuple[np.ndarray, np.ndarray]:
         nx = max(1, int(round((self.x_max - self.x_min) / self.cell)))
         ny = max(1, int(round((self.y_max - self.y_min) / self.cell)))
@@ -138,13 +151,17 @@ def serving_surface(vc: ValidatedConfig, rx_position) -> int:
 
 
 def _realized_surfaces(vc: ValidatedConfig, selected: np.ndarray) -> dict:
-    """Surface -> cells whose rates its legs enter (None = all cells).
+    """Surface -> cells whose rates its legs enter (None = all cells): the
+    surfaces a block realizes.
 
-    With absent idle surfaces a surface enters only the cells it serves.
+    With absent idle surfaces a surface enters only the cells it serves, so
+    a scene without surfaces (whose cells all read surface 0) realizes none.
     """
+    count = len(vc.config.ris)
     if vc.config.idle_ris == "absent":
-        return {k: np.flatnonzero(selected == k) for k in sorted(set(selected.tolist()))}
-    return dict.fromkeys(range(len(vc.config.ris)))
+        return {k: np.flatnonzero(selected == k) for k in sorted(set(selected.tolist()))
+                if k < count}
+    return dict.fromkeys(range(count))
 
 
 def _phase_draws(vc: ValidatedConfig, realizations: range, k: int, kind: str,
@@ -187,13 +204,6 @@ def _serving_phases(vc: ValidatedConfig, algorithm: PhaseAlgorithm, realizations
     raise ConfigError(f"unknown phase algorithm {algorithm.kind!r}")
 
 
-def _phase_sets(vc: ValidatedConfig, channels: RealizationChannels,
-                algorithm: PhaseAlgorithm, realizations: range, selected: int) -> list:
-    return [_serving_phases(vc, algorithm, realizations, k, tx_ris, ris_rx) if k == selected
-            else _idle_phases(vc, realizations, k)
-            for k, (tx_ris, ris_rx) in enumerate(zip(channels.tx_ris, channels.ris_rx))]
-
-
 def compute_phase_sets(vc: ValidatedConfig, channels: RealizationChannels,
                        algorithm: PhaseAlgorithm, realizations: range,
                        rx_position=None) -> list:
@@ -203,18 +213,42 @@ def compute_phase_sets(vc: ValidatedConfig, channels: RealizationChannels,
     The phases carry a leading realization axis.
     """
     rx_pos = vc.config.rx.position if rx_position is None else rx_position
-    return _phase_sets(vc, channels, algorithm, realizations, serving_surface(vc, rx_pos))
+    selected = serving_surface(vc, rx_pos)
+    return [_serving_phases(vc, algorithm, realizations, k, tx_ris, ris_rx) if k == selected
+            else _idle_phases(vc, realizations, k)
+            for k, (tx_ris, ris_rx) in enumerate(zip(channels.tx_ris, channels.ris_rx))]
 
 
-def _block_singular_values(vc: ValidatedConfig, realizations: range,
-                           algorithm: PhaseAlgorithm, selected: int,
-                           rx_position=None) -> np.ndarray:
-    """(B, min(Nr, Nt)) singular values of a block of realizations served by
-    surface `selected`: channels, phases, composite and SVD as stacks."""
-    surfaces = None if vc.config.idle_ris == "random" else (selected,)
-    channels = realize_block(vc, realizations, surfaces=surfaces, rx_position=rx_position)
-    phases = _phase_sets(vc, channels, algorithm, realizations, selected)
-    return np.linalg.svd(composite_multi(channels, phases), compute_uv=False)
+def _block_singular_values(vc: ValidatedConfig, algorithm: PhaseAlgorithm,
+                           realizations: range, positions: np.ndarray,
+                           selected: np.ndarray) -> np.ndarray:
+    """(B, K, min(Nr, Nt)) singular values of a block of realizations at K
+    receiver positions, position i served by surface `selected[i]`.
+
+    The block is realized once for every position, each surface's legs only
+    at the positions they enter (`_realized_surfaces`), then
+    phase-controlled, summed into the composite channel and decomposed as
+    one (realizations x positions) stack.  The serving algorithm runs only
+    on the positions a surface serves; at the others it takes its idle
+    phases.  A pinv fallback thus maps leg i to realization i // (served
+    positions).
+    """
+    surfaces = _realized_surfaces(vc, selected)
+    channels = realize_block(vc, realizations, surfaces=surfaces, rx_position=positions)
+    composite = channels.direct.copy()
+    for k, cells in surfaces.items():
+        tx_ris, ris_rx = channels.tx_ris[k][:, None], channels.ris_rx[k]
+        served = selected == k
+        if cells is None and not served.all():   # idle at some positions
+            phases = np.repeat(_idle_phases(vc, realizations, k)[:, None], len(served), axis=1)
+            if served.any():
+                phases[:, served] = _serving_phases(vc, algorithm, realizations, k, tx_ris,
+                                                    ris_rx[:, served])
+        else:
+            phases = _serving_phases(vc, algorithm, realizations, k, tx_ris, ris_rx)
+        composite[:, slice(None) if cells is None else cells] += surface_cascade(
+            tx_ris, ris_rx, phases)
+    return np.linalg.svd(composite, compute_uv=False)
 
 
 def composite_singular_values(vc: ValidatedConfig, realization: int,
@@ -222,14 +256,18 @@ def composite_singular_values(vc: ValidatedConfig, realization: int,
                               rx_position=None) -> np.ndarray:
     """Singular values of the end-to-end channel of one realization, whose
     index lies in [0, 2**32) (see `realize_block`)."""
-    rx_pos = vc.config.rx.position if rx_position is None else rx_position
-    return _block_singular_values(vc, range(realization, realization + 1), algorithm,
-                                  serving_surface(vc, rx_pos), rx_position)[0]
+    rx_pos = np.asarray(vc.config.rx.position if rx_position is None else rx_position, float)
+    return _block_singular_values(vc, algorithm, range(realization, realization + 1),
+                                  rx_pos[None], np.array([serving_surface(vc, rx_pos)]))[0, 0]
 
 
 def _parallel_map(fn, payloads: list, workers: int) -> list:
-    """Apply a module-level function over payloads, preserving order."""
-    if workers <= 1 or len(payloads) <= 1:
+    """Apply a module-level function over payloads, preserving order, in
+    at most one process per payload."""
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
+    workers = min(workers, len(payloads))
+    if workers <= 1:
         return [fn(p) for p in payloads]
     chunk = max(1, len(payloads) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -263,39 +301,11 @@ def _config_for_point(cfg: SimConfig, axis: str, value) -> SimConfig:
 
 
 def _block_rates(args) -> np.ndarray:
-    """(len(pt_watts), B) rates of one campaign block."""
-    vc, algorithm, realizations, selected, pt_watts = args
-    s = _block_singular_values(vc, realizations, algorithm, selected)
+    """(len(pt_watts), B, K) rates of a block of realizations at K receiver
+    positions (`_block_singular_values`)."""
+    vc, algorithm, realizations, positions, selected, pt_watts = args
+    s = _block_singular_values(vc, algorithm, realizations, positions, selected)
     return rate_from_singular_values(s, pt_watts, vc.noise_watts)
-
-
-def _chunk_rates(vc: ValidatedConfig, algorithm: PhaseAlgorithm, positions: np.ndarray,
-                 selected: np.ndarray, surfaces: dict, realizations: range,
-                 pt: float) -> np.ndarray:
-    """(B, K) rates of a chunk of realizations at every cell of a coverage block.
-
-    The chunk is realized once for every cell, each surface's legs only at
-    the cells they enter, then phase-controlled and decomposed as one
-    (realizations x cells) stack.  The serving algorithm runs only on the
-    cells a surface serves; at the others it takes its idle phases.  A pinv
-    fallback thus maps leg i to realization i // (served cells).
-    """
-    channels = realize_block(vc, realizations, surfaces=surfaces, rx_position=positions)
-    composite = channels.direct.copy()
-    for k, cells in surfaces.items():
-        tx_ris, ris_rx = channels.tx_ris[k][:, None], channels.ris_rx[k]
-        served = selected == k
-        if cells is None and not served.all():   # idle at some cells
-            phases = np.repeat(_idle_phases(vc, realizations, k)[:, None], len(served), axis=1)
-            if served.any():
-                phases[:, served] = _serving_phases(vc, algorithm, realizations, k, tx_ris,
-                                                    ris_rx[:, served])
-        else:
-            phases = _serving_phases(vc, algorithm, realizations, k, tx_ris, ris_rx)
-        composite[:, slice(None) if cells is None else cells] += surface_cascade(
-            tx_ris, ris_rx, phases)
-    s = np.linalg.svd(composite, compute_uv=False)
-    return rate_from_singular_values(s, pt, vc.noise_watts)
 
 
 def _block_mean_rates(args) -> np.ndarray:
@@ -306,16 +316,15 @@ def _block_mean_rates(args) -> np.ndarray:
     `BLOCK_SIZE` realizations).  Rates are summed per cell in realization
     order.
     """
-    vc, algorithm, positions, selected, realizations, pt = args
+    vc, algorithm, positions, selected, realizations, pt_watts = args
     cfg = vc.config
-    surfaces = _realized_surfaces(vc, selected)
     entries = len(positions) * cfg.rx.count * max((r.count for r in cfg.ris),
                                                   default=cfg.tx.count)
     chunk = min(BLOCK_SIZE, max(1, PLACEMENT_BUDGET // entries))
     totals = np.zeros(len(positions))
     for start in range(0, realizations, chunk):
         block = range(start, min(start + chunk, realizations))
-        for rates in _chunk_rates(vc, algorithm, positions, selected, surfaces, block, pt):
+        for rates in _block_rates((vc, algorithm, block, positions, selected, pt_watts))[0]:
             totals += rates
     return totals / realizations
 
@@ -332,14 +341,15 @@ def run_campaign(campaign: Campaign) -> RateStatistics:
     reuses each realization's channels across all power points; the other
     axes revalidate a per-point scenario but share the same substreams,
     keeping realizations paired across sweep points.  Realizations are
-    evaluated in fixed blocks of `BLOCK_SIZE`; the serving surface is
-    chosen once, since a campaign has one receiver position.
+    evaluated in fixed blocks of `BLOCK_SIZE`, each a stack at the one
+    receiver position, whose serving surface is chosen once.
     """
     vc = campaign.config
     cfg = vc.config
     algorithm = campaign.resolved_algorithm()
     realizations = cfg.realizations
-    selected = serving_surface(vc, cfg.rx.position)
+    position = np.asarray(cfg.rx.position, float)[None]
+    selected = np.array([serving_surface(vc, cfg.rx.position)])
 
     if campaign.sweep_axis == "pt":
         points = [(vc, np.asarray(sorted(vc.pt_watts)))]
@@ -347,8 +357,8 @@ def run_campaign(campaign: Campaign) -> RateStatistics:
         point_configs = [validate_config(_config_for_point(cfg, campaign.sweep_axis, v))
                          for v in campaign.sweep_values]
         points = [(vc_point, np.asarray(vc_point.pt_watts[:1])) for vc_point in point_configs]
-    payloads = [(vc_point, algorithm, range(i, min(i + BLOCK_SIZE, realizations)), selected,
-                 pt_watts)
+    payloads = [(vc_point, algorithm, range(i, min(i + BLOCK_SIZE, realizations)), position,
+                 selected, pt_watts)
                 for vc_point, pt_watts in points for i in range(0, realizations, BLOCK_SIZE)]
     blocks = _parallel_map(_block_rates, payloads, campaign.workers)
     rates = np.concatenate(blocks, axis=1).reshape(len(campaign.sweep_values), realizations)
@@ -375,7 +385,7 @@ def coverage_map(campaign: Campaign, grid: GridSpec | None = None) -> CoverageGr
                          dtype=float)
     selected = np.array([serving_surface(vc, pos) for pos in positions], dtype=int)
     payloads = [(vc, algorithm, positions[i:i + BLOCK_SIZE],
-                 selected[i:i + BLOCK_SIZE], cfg.realizations, vc.pt_watts[0])
+                 selected[i:i + BLOCK_SIZE], cfg.realizations, np.asarray(vc.pt_watts[:1]))
                 for i in range(0, len(positions), BLOCK_SIZE)]
     means = _parallel_map(_block_mean_rates, payloads, campaign.workers)
     mean_rate = np.concatenate(means).reshape(len(y), len(x))

@@ -142,6 +142,45 @@ class TestRunCampaign:
         with pytest.raises(ConfigError):
             Campaign(quick_vc(), sweep_axis="bandwidth")
 
+    @pytest.mark.parametrize("idle_ris", ["absent", "random"])
+    def test_campaign_without_surfaces_rates_the_direct_link(self, idle_ris):
+        vc = quick_vc(realizations=3, ris=(), idle_ris=idle_ris, direct_mode="present")
+        stats = run_campaign(Campaign(vc))
+        direct = realize_block(vc, range(3)).direct
+        expected = rate_from_singular_values(np.linalg.svd(direct, compute_uv=False),
+                                             vc.pt_watts[0], vc.noise_watts)
+        assert np.all(stats.rates[0] > 0)
+        assert np.array_equal(stats.rates[0], expected)
+
+    def test_pool_is_capped_at_the_work_units(self, monkeypatch):
+        pools = []
+
+        class SerialPool:
+            """Records the requested pool size and runs the payloads in-process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads, chunksize=1):
+                return map(fn, payloads)
+
+        vc = quick_vc(realizations=BLOCK_SIZE + 1)   # two campaign blocks
+        expected = run_campaign(Campaign(vc)).rates
+        monkeypatch.setattr(campaign_module, "ProcessPoolExecutor", SerialPool)
+        assert np.array_equal(run_campaign(Campaign(vc, workers=5000)).rates, expected)
+        assert pools == [2]
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ConfigError):
+            run_campaign(Campaign(quick_vc(realizations=2), workers=workers))
+
     def test_siso_algorithm_requires_siso_arrays(self):
         vc = quick_vc(realizations=2)
         with pytest.raises(Exception):
@@ -224,8 +263,9 @@ class TestCoverage:
         assert sum(legs) == expected.ris_index.size * vc.config.realizations
         assert np.array_equal(counted.mean_rate, expected.mean_rate)
 
-    def test_map_without_surfaces_draws_the_direct_link(self):
-        vc = quick_vc(realizations=3, ris=(), idle_ris="random", direct_mode="present")
+    @pytest.mark.parametrize("idle_ris", ["absent", "random"])
+    def test_map_without_surfaces_draws_the_direct_link(self, idle_ris):
+        vc = quick_vc(realizations=3, ris=(), idle_ris=idle_ris, direct_mode="present")
         grid = GridSpec(29.5, 30.5, 19.5, 20.5, cell=1.0, z=1.0)
         cell = coverage_map(Campaign(vc), grid)
         moved = dataclasses.replace(
@@ -239,6 +279,19 @@ class TestCoverage:
         assert (grid.x_max, grid.y_max) == (75.0, 50.0)
         x, y = grid.centers()
         assert len(x) == 15 and len(y) == 10
+
+    @pytest.mark.parametrize("fields", [
+        {"cell": 0.0}, {"cell": -5.0}, {"cell": float("nan")}, {"cell": float("inf")},
+        {"x_max": -1.0}, {"x_max": 0.0}, {"y_min": 50.0}, {"y_max": float("inf")},
+        {"x_min": float("nan")}, {"z": -1.0}, {"z": float("nan")}, {"z": float("inf")},
+    ])
+    def test_grid_spec_rejects_bad_fields(self, fields):
+        good = dict(x_min=0.0, x_max=75.0, y_min=0.0, y_max=50.0, cell=12.5, z=1.0)
+        GridSpec(**good)
+        with pytest.raises(ConfigError):
+            GridSpec(**{**good, **fields})
+        with pytest.raises(ConfigError):
+            dataclasses.replace(GridSpec(**good), **fields)
 
     def test_no_footprint_requires_extent(self):
         cfg = dataclasses.replace(scene_preset("outdoor"), realizations=2)

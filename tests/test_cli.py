@@ -65,3 +65,27 @@ def test_power_without_finite_positive_watts_is_a_config_error(override, capsys)
                  "--set", override]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "finite positive power" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["--cell", "0"], ["--cell", "-5"], ["--cell", "nan"],
+    ["--extent", "75,0,0,50"], ["--extent", "0,75,50,50"], ["--extent", "0,inf,0,50"],
+    ["--z", "-1"], ["--z", "nan"],
+], ids=" ".join)
+def test_bad_grid_is_a_config_error(args, capsys):
+    assert main(["coverage", "--preset", "indoor", "--set", "realizations=1", *args]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "coverage"])
+def test_scene_without_surfaces_runs(command, tmp_path, capsys):
+    scene = tmp_path / "scene.txt"
+    scene.write_text("ris_position = none\ndirect_path = present\nrealizations = 2\n")
+    extra = ["--extent", "38,42,44,46", "--cell", "2"] if command == "coverage" else []
+    assert main([command, str(scene), *extra]) == 0
+    assert "error" not in capsys.readouterr().err
+
+
+def test_workers_below_one_is_a_config_error(capsys):
+    assert main(["run", "--preset", "indoor", "--set", "realizations=2", "--workers", "0"]) == 1
+    assert "config error" in capsys.readouterr().err

@@ -1,5 +1,7 @@
-"""The benchmark's tracer still finds every function it wraps in rislink."""
+"""The benchmark's tracer still finds every function it wraps in rislink, and
+wraps every name rislink imports only for it."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -31,3 +33,22 @@ def test_install_and_remove_restore_every_function():
     finally:
         t.remove()
     assert [getattr(module, attr) for module, attr, _ in tracer.WRAPPED] == before
+
+
+def test_every_tracer_only_import_is_wrapped():
+    """An import kept only for the tracer (`# noqa: F401`) must be one it wraps there."""
+    tracer = load_tracer()
+    wrapped = {(module.__name__, attr) for module, attr, _ in tracer.WRAPPED}
+    package = TRACER.parents[1] / "src" / "rislink"
+    kept = set()
+    for path in sorted(package.glob("*.py")):
+        module = "rislink" if path.stem == "__init__" else f"rislink.{path.stem}"
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                    "# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                kept.update((module, alias.asname or alias.name) for alias in node.names)
+    assert ("rislink.campaign", "composite_multi") in kept
+    stale = sorted(kept - wrapped)
+    assert not stale, f"imports kept for the tracer that it does not wrap: {stale}"
