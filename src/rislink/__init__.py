@@ -12,9 +12,8 @@ from .config import (ENVIRONMENTS, ArraySpec, Environment, PathLossTable, RisSpe
                      SimConfig, ValidatedConfig, config_hash, dbm_to_watts,
                      load_config, parse_config_text, serialize_config,
                      validate_config, watts_to_dbm)
-from .control import (PhaseAlgorithm, achievable_rate, baseline_phases,
-                      far_field_power, pinv_phases, quantize_phases, select_ris,
-                      siso_optimal_phases)
+from .control import (achievable_rate, baseline_phases, far_field_power, pinv_phases,
+                      quantize_phases, select_ris, siso_optimal_phases)
 from .geometry import azimuth_rotation_frame, element_gain, frame_from_plane
 from .presets import SCENE_PRESETS, scene_preset
 from .propagation import (ClusterSet, LinkState, draw_clusters, draw_link_state,

@@ -31,43 +31,39 @@ import numpy as np
 from .channel import PLACEMENT_BUDGET, RealizationChannels, realize_block, surface_cascade
 # no caller left here; the benchmark's tracer wraps these names (ROADMAP item 5)
 from .channel import composite_multi, realize_channels  # noqa: F401
-from .config import SimConfig, ValidatedConfig, check_realization_count, validate_config
-from .control import (PhaseAlgorithm, baseline_phases, pinv_phases,
-                      rate_from_singular_values, select_ris, siso_optimal_phases)
+from .config import SimConfig, ValidatedConfig, validate_config
+from .control import (baseline_phases, pinv_phases, rate_from_singular_values, select_ris,
+                      siso_optimal_phases)
 from .errors import ConfigError, DimensionMismatch, EmptySweep
-from .rng import LinkTag, spawn_rng
+from .rng import LinkTag, block_rngs, spawn_rng
 
 _SWEEP_AXES = ("pt", "n", "ntnr")
 
 
 @dataclass(frozen=True)
 class Campaign:
-    """A validated scenario plus the sweep to run over it."""
+    """A validated scenario plus the sweep to run over it.  The config (and so
+    its hash) alone sets the phase algorithm, phase bits, realization count
+    and transmit powers: a pt sweep runs over its `pt_dbm` list."""
 
     config: ValidatedConfig
     sweep_axis: str = "pt"
-    sweep_values: tuple = ()     # ignored for the pt axis (taken from the config)
-    algorithm: PhaseAlgorithm | None = None  # None = the config's algorithm
+    sweep_values: tuple = ()     # the n or ntnr values; empty for the pt axis
     workers: int = 1
 
     def __post_init__(self):
         if self.sweep_axis not in _SWEEP_AXES:
             raise ConfigError(f"sweep axis must be one of {_SWEEP_AXES}, got {self.sweep_axis!r}")
         if self.sweep_axis == "pt":
-            object.__setattr__(self, "sweep_values",
-                               tuple(sorted(self.config.config.pt_dbm)))
-        else:
-            if not self.sweep_values:
-                raise EmptySweep(f"sweep over {self.sweep_axis!r} needs explicit values")
-            object.__setattr__(self, "sweep_values", tuple(sorted(self.sweep_values)))
-            if len(self.config.config.pt_dbm) != 1:
-                raise EmptySweep("a non-pt sweep needs a single transmit power")
-
-    def resolved_algorithm(self) -> PhaseAlgorithm:
-        if self.algorithm is not None:
-            return self.algorithm
-        cfg = self.config.config
-        return PhaseAlgorithm(cfg.algorithm, cfg.phase_bits)
+            if self.sweep_values:
+                raise ConfigError("a pt sweep runs over the config's pt_dbm list; set pt_dbm "
+                                  f"instead of sweep values {self.sweep_values}")
+            return
+        if not self.sweep_values:
+            raise EmptySweep(f"sweep over {self.sweep_axis!r} needs explicit values")
+        object.__setattr__(self, "sweep_values", tuple(sorted(self.sweep_values)))
+        if len(self.config.config.pt_dbm) != 1:
+            raise EmptySweep("a non-pt sweep needs a single transmit power")
 
 
 @dataclass(frozen=True)
@@ -82,6 +78,10 @@ class RateStatistics:
     p95: np.ndarray
     count: int
     rates: np.ndarray            # (n_points, realizations)
+
+
+# Most cells a coverage grid may hold, checked before any array is built.
+MAX_GRID_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -105,10 +105,17 @@ class GridSpec:
             raise ConfigError(f"grid cell must be a finite size > 0, got {self.cell}")
         if self.z is not None and not (math.isfinite(self.z) and self.z >= 0):
             raise ConfigError(f"grid height must be finite and >= 0, got z={self.z}")
+        nx, ny = self._counts()
+        if not nx * ny <= MAX_GRID_CELLS:       # also rejects an infinite count
+            raise ConfigError(f"a grid of {nx:g} x {ny:g} cells exceeds the maximum of "
+                              f"{MAX_GRID_CELLS} cells; give a larger cell")
+
+    def _counts(self) -> tuple[float, float]:   # floats: a tiny cell overflows to inf
+        return (max(1.0, round((self.x_max - self.x_min) / self.cell, 0)),
+                max(1.0, round((self.y_max - self.y_min) / self.cell, 0)))
 
     def centers(self) -> tuple[np.ndarray, np.ndarray]:
-        nx = max(1, int(round((self.x_max - self.x_min) / self.cell)))
-        ny = max(1, int(round((self.y_max - self.y_min) / self.cell)))
+        nx, ny = (int(n) for n in self._counts())
         x = self.x_min + (np.arange(nx) + 0.5) * self.cell
         y = self.y_min + (np.arange(ny) + 0.5) * self.cell
         return x, y
@@ -144,10 +151,11 @@ def default_grid(vc: ValidatedConfig, cell: float = 1.0) -> GridSpec:
 BLOCK_SIZE = 32
 
 
-def serving_surface(vc: ValidatedConfig, rx_position) -> int:
-    """Index of the surface a receiver position is served by."""
+def serving_surface(vc: ValidatedConfig, positions: np.ndarray) -> np.ndarray:
+    """Index of the surface serving each of a (K, 3) stack of receiver
+    positions: the nearest one, or -1 in a scene without surfaces."""
     ris = vc.config.ris
-    return select_ris(rx_position, ris) if len(ris) > 1 else 0
+    return select_ris(positions, ris) if ris else np.full(len(positions), -1)
 
 
 def _realized_surfaces(vc: ValidatedConfig, selected: np.ndarray) -> dict:
@@ -155,34 +163,30 @@ def _realized_surfaces(vc: ValidatedConfig, selected: np.ndarray) -> dict:
     surfaces a block realizes.
 
     With absent idle surfaces a surface enters only the cells it serves, so
-    a scene without surfaces (whose cells all read surface 0) realizes none.
+    a scene without surfaces (whose cells all read surface -1) realizes none.
     """
-    count = len(vc.config.ris)
     if vc.config.idle_ris == "absent":
         return {k: np.flatnonzero(selected == k) for k in sorted(set(selected.tolist()))
-                if k < count}
-    return dict.fromkeys(range(count))
+                if k >= 0}
+    return dict.fromkeys(range(len(vc.config.ris)))
 
 
 def _phase_draws(vc: ValidatedConfig, realizations: range, k: int, kind: str,
                  bits: int | None = None) -> np.ndarray:
     """(B, N) baseline phases of surface k, each from its realization's own substream."""
     cfg = vc.config
-    return np.stack([baseline_phases(kind, cfg.ris[k].count,
-                                     spawn_rng(cfg.seed, r, LinkTag.PHASES, k), bits)
-                     for r in realizations])
+    return np.stack([baseline_phases(kind, cfg.ris[k].count, rng, bits)
+                     for rng in block_rngs(cfg.seed, realizations, LinkTag.PHASES, k)])
 
 
 def _idle_phases(vc: ValidatedConfig, realizations: range, k: int):
     """Phases of a surface that does not serve the receiver (None = absent)."""
-    if vc.config.idle_ris == "random":
-        return _phase_draws(vc, realizations, k, "random")
-    return None
+    return _phase_draws(vc, realizations, k, "random") if vc.config.idle_ris == "random" else None
 
 
-def _serving_phases(vc: ValidatedConfig, algorithm: PhaseAlgorithm, realizations: range,
-                    k: int, tx_ris: np.ndarray, ris_rx: np.ndarray) -> np.ndarray:
-    """The campaign algorithm's phases for serving surface k over a block.
+def _serving_phases(vc: ValidatedConfig, realizations: range, k: int,
+                    tx_ris: np.ndarray, ris_rx: np.ndarray) -> np.ndarray:
+    """The config algorithm's phases for serving surface k over a block.
 
     Both legs carry a leading realization axis, and `ris_rx` may carry a
     cell axis after it (`tx_ris` then has one of length 1); the phases
@@ -190,37 +194,34 @@ def _serving_phases(vc: ValidatedConfig, algorithm: PhaseAlgorithm, realizations
     realization's substream, spawned only when a fallback runs.
     """
     cfg = vc.config
-    if algorithm.kind == "pinv":
+    algorithm, bits = cfg.algorithm, cfg.phase_bits
+    if algorithm == "pinv":
         cells = int(np.prod(ris_rx.shape[1:-2]))
-        return pinv_phases(tx_ris, ris_rx, bits=algorithm.bits, fallback_rng=lambda leg: spawn_rng(
+        return pinv_phases(tx_ris, ris_rx, bits=bits, fallback_rng=lambda leg: spawn_rng(
             cfg.seed, realizations[leg // cells], LinkTag.PHASES, k))
-    if algorithm.kind == "siso":
+    if algorithm == "siso":
         if cfg.tx.count != 1 or cfg.rx.count != 1:
             raise DimensionMismatch("the siso algorithm requires Nt = Nr = 1")
-        return siso_optimal_phases(tx_ris[..., 0], ris_rx[..., 0, :], bits=algorithm.bits)
-    if algorithm.kind in ("random", "zero"):
-        return _phase_draws(vc, realizations, k, algorithm.kind,
-                            algorithm.bits).reshape(tx_ris.shape[:-1])
-    raise ConfigError(f"unknown phase algorithm {algorithm.kind!r}")
+        return siso_optimal_phases(tx_ris[..., 0], ris_rx[..., 0, :], bits=bits)
+    # random | zero: validation admits no other algorithm
+    return _phase_draws(vc, realizations, k, algorithm, bits).reshape(tx_ris.shape[:-1])
 
 
 def compute_phase_sets(vc: ValidatedConfig, channels: RealizationChannels,
-                       algorithm: PhaseAlgorithm, realizations: range,
-                       rx_position=None) -> list:
+                       realizations: range, rx_position=None) -> list:
     """Phases per surface for the channels of a block (`realize_block`) at
     one receiver position: the surface nearest the receiver is controlled
-    by the campaign algorithm, the others follow the idle-surface policy.
+    by the config's algorithm, the others follow the idle-surface policy.
     The phases carry a leading realization axis.
     """
     rx_pos = vc.config.rx.position if rx_position is None else rx_position
-    selected = serving_surface(vc, rx_pos)
-    return [_serving_phases(vc, algorithm, realizations, k, tx_ris, ris_rx) if k == selected
+    selected = serving_surface(vc, np.asarray(rx_pos, float)[None])[0]
+    return [_serving_phases(vc, realizations, k, tx_ris, ris_rx) if k == selected
             else _idle_phases(vc, realizations, k)
             for k, (tx_ris, ris_rx) in enumerate(zip(channels.tx_ris, channels.ris_rx))]
 
 
-def _block_singular_values(vc: ValidatedConfig, algorithm: PhaseAlgorithm,
-                           realizations: range, positions: np.ndarray,
+def _block_singular_values(vc: ValidatedConfig, realizations: range, positions: np.ndarray,
                            selected: np.ndarray) -> np.ndarray:
     """(B, K, min(Nr, Nt)) singular values of a block of realizations at K
     receiver positions, position i served by surface `selected[i]`.
@@ -242,23 +243,23 @@ def _block_singular_values(vc: ValidatedConfig, algorithm: PhaseAlgorithm,
         if cells is None and not served.all():   # idle at some positions
             phases = np.repeat(_idle_phases(vc, realizations, k)[:, None], len(served), axis=1)
             if served.any():
-                phases[:, served] = _serving_phases(vc, algorithm, realizations, k, tx_ris,
+                phases[:, served] = _serving_phases(vc, realizations, k, tx_ris,
                                                     ris_rx[:, served])
         else:
-            phases = _serving_phases(vc, algorithm, realizations, k, tx_ris, ris_rx)
+            phases = _serving_phases(vc, realizations, k, tx_ris, ris_rx)
         composite[:, slice(None) if cells is None else cells] += surface_cascade(
             tx_ris, ris_rx, phases)
     return np.linalg.svd(composite, compute_uv=False)
 
 
 def composite_singular_values(vc: ValidatedConfig, realization: int,
-                              algorithm: PhaseAlgorithm,
                               rx_position=None) -> np.ndarray:
     """Singular values of the end-to-end channel of one realization, whose
     index lies in [0, 2**32) (see `realize_block`)."""
-    rx_pos = np.asarray(vc.config.rx.position if rx_position is None else rx_position, float)
-    return _block_singular_values(vc, algorithm, range(realization, realization + 1),
-                                  rx_pos[None], np.array([serving_surface(vc, rx_pos)]))[0, 0]
+    rx_pos = np.asarray(vc.config.rx.position if rx_position is None else rx_position,
+                        float)[None]
+    return _block_singular_values(vc, range(realization, realization + 1), rx_pos,
+                                  serving_surface(vc, rx_pos))[0, 0]
 
 
 def _parallel_map(fn, payloads: list, workers: int) -> list:
@@ -303,8 +304,8 @@ def _config_for_point(cfg: SimConfig, axis: str, value) -> SimConfig:
 def _block_rates(args) -> np.ndarray:
     """(len(pt_watts), B, K) rates of a block of realizations at K receiver
     positions (`_block_singular_values`)."""
-    vc, algorithm, realizations, positions, selected, pt_watts = args
-    s = _block_singular_values(vc, algorithm, realizations, positions, selected)
+    vc, realizations, positions, selected, pt_watts = args
+    s = _block_singular_values(vc, realizations, positions, selected)
     return rate_from_singular_values(s, pt_watts, vc.noise_watts)
 
 
@@ -316,7 +317,7 @@ def _block_mean_rates(args) -> np.ndarray:
     `BLOCK_SIZE` realizations).  Rates are summed per cell in realization
     order.
     """
-    vc, algorithm, positions, selected, realizations, pt_watts = args
+    vc, positions, selected, realizations, pt_watts = args
     cfg = vc.config
     entries = len(positions) * cfg.rx.count * max((r.count for r in cfg.ris),
                                                   default=cfg.tx.count)
@@ -324,7 +325,7 @@ def _block_mean_rates(args) -> np.ndarray:
     totals = np.zeros(len(positions))
     for start in range(0, realizations, chunk):
         block = range(start, min(start + chunk, realizations))
-        for rates in _block_rates((vc, algorithm, block, positions, selected, pt_watts))[0]:
+        for rates in _block_rates((vc, block, positions, selected, pt_watts))[0]:
             totals += rates
     return totals / realizations
 
@@ -346,23 +347,24 @@ def run_campaign(campaign: Campaign) -> RateStatistics:
     """
     vc = campaign.config
     cfg = vc.config
-    algorithm = campaign.resolved_algorithm()
     realizations = cfg.realizations
     position = np.asarray(cfg.rx.position, float)[None]
-    selected = np.array([serving_surface(vc, cfg.rx.position)])
+    selected = serving_surface(vc, position)
 
     if campaign.sweep_axis == "pt":
+        values = tuple(sorted(cfg.pt_dbm))
         points = [(vc, np.asarray(sorted(vc.pt_watts)))]
     else:
+        values = campaign.sweep_values
         point_configs = [validate_config(_config_for_point(cfg, campaign.sweep_axis, v))
-                         for v in campaign.sweep_values]
+                         for v in values]
         points = [(vc_point, np.asarray(vc_point.pt_watts[:1])) for vc_point in point_configs]
-    payloads = [(vc_point, algorithm, range(i, min(i + BLOCK_SIZE, realizations)), position,
-                 selected, pt_watts)
+    payloads = [(vc_point, range(i, min(i + BLOCK_SIZE, realizations)), position, selected,
+                 pt_watts)
                 for vc_point, pt_watts in points for i in range(0, realizations, BLOCK_SIZE)]
     blocks = _parallel_map(_block_rates, payloads, campaign.workers)
-    rates = np.concatenate(blocks, axis=1).reshape(len(campaign.sweep_values), realizations)
-    return _statistics(campaign.sweep_axis, campaign.sweep_values, rates)
+    rates = np.concatenate(blocks, axis=1).reshape(len(values), realizations)
+    return _statistics(campaign.sweep_axis, values, rates)
 
 
 def coverage_map(campaign: Campaign, grid: GridSpec | None = None) -> CoverageGrid:
@@ -378,13 +380,12 @@ def coverage_map(campaign: Campaign, grid: GridSpec | None = None) -> CoverageGr
     cfg = vc.config
     if grid is None:
         grid = default_grid(vc)
-    algorithm = campaign.resolved_algorithm()
     x, y = grid.centers()
     z = cfg.rx.position[2] if grid.z is None else grid.z
-    positions = np.array([(x[ix], y[iy], z) for iy in range(len(y)) for ix in range(len(x))],
-                         dtype=float)
-    selected = np.array([serving_surface(vc, pos) for pos in positions], dtype=int)
-    payloads = [(vc, algorithm, positions[i:i + BLOCK_SIZE],
+    xs, ys = np.meshgrid(x, y)                   # (ny, nx): cells in row-major order
+    positions = np.stack([xs.ravel(), ys.ravel(), np.full(xs.size, float(z))], axis=-1)
+    selected = serving_surface(vc, positions)
+    payloads = [(vc, positions[i:i + BLOCK_SIZE],
                  selected[i:i + BLOCK_SIZE], cfg.realizations, np.asarray(vc.pt_watts[:1]))
                 for i in range(0, len(positions), BLOCK_SIZE)]
     means = _parallel_map(_block_mean_rates, payloads, campaign.workers)
@@ -441,19 +442,16 @@ def read_csv_table(path) -> tuple[str, dict[str, np.ndarray]]:
     return config_hash, columns
 
 
-def dump_channels(vc: ValidatedConfig, out_dir, realizations: int | None = None,
-                  workers: int = 1) -> dict:
+def dump_channels(vc: ValidatedConfig, out_dir, workers: int = 1) -> dict:
     """Write per-realization channel matrices and a manifest.
 
     Each matrix goes to its own binary file as row-major complex128
     (interleaved real/imag float64).  The manifest records dimensions,
-    seed, and the config hash so dumps are self-describing.  Realizations
-    are drawn in fixed blocks of `BLOCK_SIZE`; their count lies in
-    [1, 2**32].
+    seed, and the config hash so dumps are self-describing.  The config's
+    realizations are drawn in fixed blocks of `BLOCK_SIZE`.
     """
     cfg = vc.config
-    count = cfg.realizations if realizations is None else realizations
-    check_realization_count(count)
+    count = cfg.realizations
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -54,11 +54,9 @@ def _cmd_validate(args) -> int:
 
 
 def _parse_sweep(text: str | None):
-    if text is None:
+    if text is None or text.strip() == "pt":
         return "pt", ()
     if "=" not in text:
-        if text.strip() == "pt":
-            return "pt", ()
         raise ConfigError(f"--sweep expects 'pt' or 'axis=v1,v2,...', got {text!r}")
     axis, raw = text.split("=", 1)
     try:
@@ -110,8 +108,7 @@ def _cmd_coverage(args) -> int:
 
 def _cmd_dump(args) -> int:
     vc = validate_config(_build_config(args))
-    manifest = dump_channels(vc, args.out_dir, realizations=args.realizations,
-                             workers=args.workers)
+    manifest = dump_channels(vc, args.out_dir, workers=args.workers)
     print(f"wrote {len(manifest['files'])} matrices for {manifest['realizations']} "
           f"realizations to {args.out_dir}")
     return 0
@@ -147,8 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dump-channels", help="export raw channel matrices")
     _add_scenario_args(p)
     p.add_argument("--out-dir", required=True, help="output directory")
-    p.add_argument("--realizations", type=int, default=None,
-                   help="override the config's realization count")
     p.set_defaults(fn=_cmd_dump)
     return parser
 

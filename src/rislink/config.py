@@ -303,14 +303,6 @@ def _check_count(what: str, count: int, most: int) -> None:
         raise ConfigError(f"{what} {count} exceeds the maximum of {most}")
 
 
-def check_realization_count(count: int) -> None:
-    """A realization count is a whole number in [1, 2**32]: each realization
-    index is seeded as one 32-bit word (`rng.block_rngs`)."""
-    if not isinstance(count, numbers.Integral):
-        raise ConfigError(f"the realization count must be a whole number, got {count!r}")
-    _check_count("the realization count", count, 2**32)
-
-
 def validate_config(cfg: SimConfig | ValidatedConfig) -> ValidatedConfig:
     """Check all invariants and return the config with derived quantities.
 
@@ -327,7 +319,11 @@ def validate_config(cfg: SimConfig | ValidatedConfig) -> ValidatedConfig:
 
     if cfg.frequency_hz <= 0:
         raise ConfigError("frequency must be positive")
-    check_realization_count(cfg.realizations)
+    # each realization index is seeded as one 32-bit word (`rng.block_rngs`)
+    if not isinstance(cfg.realizations, numbers.Integral):
+        raise ConfigError(f"the realization count must be a whole number, "
+                          f"got {cfg.realizations!r}")
+    _check_count("the realization count", cfg.realizations, 2**32)
     if cfg.seed < 0:
         raise ConfigError(f"the seed must be >= 0, got {cfg.seed}")
     if len(cfg.pt_dbm) == 0:

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import copy
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,14 +12,6 @@ from .errors import (DimensionMismatch, EmptyList, NonFiniteEntries, SingularPin
 
 LOG2 = np.log(2.0)
 TWO_PI = 2.0 * np.pi
-
-
-@dataclass(frozen=True)
-class PhaseAlgorithm:
-    """Named phase-control strategy plus optional quantization depth."""
-
-    kind: str              # pinv | siso | random | zero
-    bits: int | None = None  # None = continuous phases
 
 
 def quantize_phases(phases: np.ndarray, bits: int | None) -> np.ndarray:
@@ -50,8 +40,7 @@ def siso_optimal_phases(h: np.ndarray, g: np.ndarray,
 
 def pinv_phases(tx_ris: np.ndarray, ris_rx: np.ndarray, bits: int | None = None,
                 rcond: float = 0.3,
-                fallback_rng: np.random.Generator | Callable[[int], np.random.Generator]
-                | None = None) -> np.ndarray:
+                fallback_rng: Callable[[int], np.random.Generator] | None = None) -> np.ndarray:
     """One-shot surface phases from a pseudoinverse sandwich, no iterations.
 
     Computes X = pinv(ris_rx) @ M @ pinv(tx_ris) for the target effective
@@ -79,10 +68,9 @@ def pinv_phases(tx_ris: np.ndarray, ris_rx: np.ndarray, bits: int | None = None,
     SISO inputs delegate to the closed-form alignment.  Numerical failure
     falls back to a random phase draw (warning) when `fallback_rng` is
     given, otherwise raises SingularPinv; an all-zero leg has an all-zero
-    diagonal and so falls back.  `fallback_rng` is a generator, which a
-    failing leg draws from a copy of, or a function of the failing leg's
-    flat stack index returning one, so the fallback stream need only exist
-    when a fallback runs.
+    diagonal and so falls back.  `fallback_rng` maps the failing leg's flat
+    stack index (0 for an unstacked call) to the generator it draws from,
+    so the fallback stream need only exist when a fallback runs.
 
     `tx_ris` (..., N, Nt) and `ris_rx` (..., Nr, N) may carry leading stack
     axes that broadcast against each other, e.g. one Tx-side leg for a
@@ -119,15 +107,15 @@ def pinv_phases(tx_ris: np.ndarray, ris_rx: np.ndarray, bits: int | None = None,
             # each with the fallback draws it would get alone
             legs = zip(np.broadcast_to(tx_ris, stack + (n, nt)).reshape(-1, n, nt),
                        np.broadcast_to(ris_rx, stack + (nr, n)).reshape(-1, nr, n))
-            return np.stack([pinv_phases(h, g, bits=bits, rcond=rcond,
-                                         fallback_rng=_leg_fallback(fallback_rng, i))
-                             for i, (h, g) in enumerate(legs)]).reshape(stack + (n,))
+            return np.stack([
+                pinv_phases(h, g, bits=bits, rcond=rcond,
+                            fallback_rng=fallback_rng and (lambda _, i=i: fallback_rng(i)))
+                for i, (h, g) in enumerate(legs)]).reshape(stack + (n,))
         warnings.warn(f"pseudoinverse phase computation failed ({exc}); "
                       "falling back to random phases", SingularPinvWarning, stacklevel=2)
         if fallback_rng is None:
             raise SingularPinv(str(exc)) from exc
-        rng = fallback_rng(0) if callable(fallback_rng) else fallback_rng
-        return baseline_phases("random", n, rng, bits)
+        return baseline_phases("random", n, fallback_rng(0), bits)
     return quantize_phases(np.angle(diag), bits)
 
 
@@ -138,13 +126,6 @@ def _gram_pinv(gram: np.ndarray, rcond: float) -> np.ndarray:
     keep = lam > rcond ** 2 * lam[..., -1:]
     inverse = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
     return (vec * inverse[..., None, :]) @ np.swapaxes(vec.conj(), -1, -2)
-
-
-def _leg_fallback(fallback_rng, index: int):
-    """The fallback of stack leg `index`, as a single leg's `fallback_rng`."""
-    if callable(fallback_rng):
-        return lambda _: fallback_rng(index)
-    return copy.deepcopy(fallback_rng)
 
 
 def baseline_phases(kind: str, n: int, rng: np.random.Generator | None = None,
@@ -161,14 +142,15 @@ def baseline_phases(kind: str, n: int, rng: np.random.Generator | None = None,
     raise ValueError(f"unknown baseline {kind!r}")
 
 
-def select_ris(rx_position, ris_list) -> int:
-    """Index of the surface closest to the receiver; ties go to the lowest index."""
+def select_ris(rx_position, ris_list):
+    """Index of the surface closest to the receiver, ties going to the lowest
+    index: an int for one point (3,), an index array for a (..., 3) stack."""
     if len(ris_list) == 0:
         raise EmptyList("no surfaces to select from")
     rx = np.asarray(rx_position, float)
-    positions = [getattr(r, "position", r) for r in ris_list]
-    dists = [float(np.linalg.norm(np.asarray(p, float) - rx)) for p in positions]
-    return int(np.argmin(dists))
+    surfaces = np.array([getattr(r, "position", r) for r in ris_list], float)
+    nearest = np.argmin(np.linalg.norm(rx[..., None, :] - surfaces, axis=-1), axis=-1)
+    return int(nearest) if nearest.ndim == 0 else nearest
 
 
 def rate_from_singular_values(singular_values: np.ndarray, pt_watts,

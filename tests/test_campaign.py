@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rislink import (Campaign, GridSpec, PhaseAlgorithm, RisSpec, coverage_map,
+from rislink import (Campaign, GridSpec, RisSpec, coverage_map,
                      default_grid, dump_channels, export_coverage, export_statistics,
                      load_channel_dump, read_csv_table, run_campaign, scene_preset,
                      validate_config)
@@ -33,28 +33,26 @@ class TestCampaignBlocks:
     def test_realization_rates_do_not_depend_on_the_block(self, overrides):
         vc = quick_vc(realizations=BLOCK_SIZE + 7, pt_dbm=(30.0,), **overrides)
         campaign = Campaign(vc)
-        alg = campaign.resolved_algorithm()
-        alone = [rate_from_singular_values(composite_singular_values(vc, r, alg),
+        alone = [rate_from_singular_values(composite_singular_values(vc, r),
                                            vc.pt_watts[0], vc.noise_watts)
                  for r in range(vc.config.realizations)]
         assert np.array_equal(run_campaign(campaign).rates[0], alone)
 
     def test_degenerate_realization_falls_back_alone(self):
         vc = quick_vc()
-        alg = PhaseAlgorithm("pinv")
         block = range(8, 16)
         channels = realize_block(vc, block)
-        intact = compute_phase_sets(vc, channels, alg, block)[0]
+        intact = compute_phase_sets(vc, channels, block)[0]
         dead = channels.ris_rx[0].copy()
         dead[3] = 0.0
         with pytest.warns(SingularPinvWarning):
             phases = compute_phase_sets(
-                vc, dataclasses.replace(channels, ris_rx=(dead,)), alg, block)[0]
+                vc, dataclasses.replace(channels, ris_rx=(dead,)), block)[0]
         alone = realize_block(vc, range(11, 12))
         with pytest.warns(SingularPinvWarning):
             expected = compute_phase_sets(
                 vc, dataclasses.replace(alone, ris_rx=(np.zeros_like(alone.ris_rx[0]),)),
-                alg, range(11, 12))[0][0]
+                range(11, 12))[0][0]
         assert np.array_equal(phases[3], expected)
         # the fallback draws from realization 11's own phase substream
         assert np.array_equal(expected, baseline_phases(
@@ -64,17 +62,16 @@ class TestCampaignBlocks:
 
     def test_degenerate_cell_falls_back_alone(self):
         vc = quick_vc()
-        alg = PhaseAlgorithm("pinv")
         block = range(8, 11)
         positions = np.array([(30.0, 20.0, 1.0), (45.0, 45.0, 1.0), (60.0, 10.0, 1.0),
                               (20.0, 40.0, 1.0)])
         channels = realize_block(vc, block, rx_position=positions)
         tx_ris, ris_rx = channels.tx_ris[0][:, None], channels.ris_rx[0]
-        intact = campaign_module._serving_phases(vc, alg, block, 0, tx_ris, ris_rx)
+        intact = campaign_module._serving_phases(vc, block, 0, tx_ris, ris_rx)
         dead = ris_rx.copy()
         dead[1, 2] = 0.0
         with pytest.warns(SingularPinvWarning):
-            phases = campaign_module._serving_phases(vc, alg, block, 0, tx_ris, dead)
+            phases = campaign_module._serving_phases(vc, block, 0, tx_ris, dead)
         # the fallback draws from realization 9's own phase substream
         assert np.array_equal(phases[1, 2], baseline_phases(
             "random", 64, spawn_rng(vc.config.seed, 9, LinkTag.PHASES, 0)))
@@ -138,6 +135,10 @@ class TestRunCampaign:
         with pytest.raises(EmptySweep):
             Campaign(quick_vc(), sweep_axis="ntnr")
 
+    def test_pt_sweep_takes_its_values_from_the_config(self):
+        with pytest.raises(ConfigError, match="pt_dbm"):
+            Campaign(quick_vc(), sweep_axis="pt", sweep_values=(10, 20))
+
     def test_unknown_axis(self):
         with pytest.raises(ConfigError):
             Campaign(quick_vc(), sweep_axis="bandwidth")
@@ -182,9 +183,9 @@ class TestRunCampaign:
             run_campaign(Campaign(quick_vc(realizations=2), workers=workers))
 
     def test_siso_algorithm_requires_siso_arrays(self):
-        vc = quick_vc(realizations=2)
+        vc = quick_vc(realizations=2, algorithm="siso")
         with pytest.raises(Exception):
-            run_campaign(Campaign(vc, algorithm=PhaseAlgorithm("siso")))
+            run_campaign(Campaign(vc))
 
 
 class TestCoverage:
@@ -273,6 +274,7 @@ class TestCoverage:
         stats = run_campaign(Campaign(validate_config(moved)))
         assert cell.mean_rate[0, 0] > 0
         assert cell.mean_rate[0, 0] == pytest.approx(stats.mean[0], rel=1e-12)
+        assert cell.ris_index[0, 0] == -1      # no surface serves the cell
 
     def test_default_grid_uses_footprint(self):
         grid = default_grid(quick_vc(), cell=5.0)
@@ -284,6 +286,7 @@ class TestCoverage:
         {"cell": 0.0}, {"cell": -5.0}, {"cell": float("nan")}, {"cell": float("inf")},
         {"x_max": -1.0}, {"x_max": 0.0}, {"y_min": 50.0}, {"y_max": float("inf")},
         {"x_min": float("nan")}, {"z": -1.0}, {"z": float("nan")}, {"z": float("inf")},
+        {"cell": 1e-4}, {"cell": 5e-324},      # 3.75e11 cells; a count that overflows
     ])
     def test_grid_spec_rejects_bad_fields(self, fields):
         good = dict(x_min=0.0, x_max=75.0, y_min=0.0, y_max=50.0, cell=12.5, z=1.0)
@@ -333,7 +336,7 @@ class TestExports:
 
     def test_channel_dump_round_trip(self, tmp_path):
         vc = quick_vc(realizations=2)
-        manifest = dump_channels(vc, tmp_path / "dump", realizations=2)
+        manifest = dump_channels(vc, tmp_path / "dump")
         assert manifest["config_hash"] == vc.config_hash
         loaded_manifest, arrays = load_channel_dump(tmp_path / "dump")
         assert loaded_manifest["realizations"] == 2
@@ -343,14 +346,6 @@ class TestExports:
         assert np.array_equal(arrays[(1, "tx_ris", 0)], reference.tx_ris[0])
         assert np.array_equal(arrays[(1, "ris_rx", 0)], reference.ris_rx[0])
         assert np.array_equal(arrays[(1, "direct", None)], reference.direct)
-
-    # the upper bound is the same check (test_config.py); a dump that missed it
-    # here would start writing 2**32 realizations
-    @pytest.mark.parametrize("count", [-3, 0, 2.5])
-    def test_dump_realization_count_outside_the_index_range_rejected(self, tmp_path, count):
-        with pytest.raises(ConfigError):
-            dump_channels(quick_vc(), tmp_path / "dump", realizations=count)
-        assert not (tmp_path / "dump").exists()
 
     def test_dump_identical_across_workers(self, tmp_path):
         vc = quick_vc(realizations=3)

@@ -11,6 +11,13 @@ def test_non_integer_sweep_value_is_a_config_error(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_explicit_pt_sweep_values_are_a_config_error(capsys):
+    assert main(["run", "--preset", "indoor", "--set", "realizations=4",
+                 "--sweep", "pt=10,20"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "pt_dbm" in err
+
+
 def test_non_numeric_extent_is_a_config_error(capsys):
     assert main(["coverage", "--preset", "indoor", "--extent", "0,1,a,b"]) == 1
     assert "config error" in capsys.readouterr().err
@@ -70,7 +77,7 @@ def test_power_without_finite_positive_watts_is_a_config_error(override, capsys)
 @pytest.mark.parametrize("args", [
     ["--cell", "0"], ["--cell", "-5"], ["--cell", "nan"],
     ["--extent", "75,0,0,50"], ["--extent", "0,75,50,50"], ["--extent", "0,inf,0,50"],
-    ["--z", "-1"], ["--z", "nan"],
+    ["--z", "-1"], ["--z", "nan"], ["--cell", "1e-4"], ["--cell", "5e-324"],
 ], ids=" ".join)
 def test_bad_grid_is_a_config_error(args, capsys):
     assert main(["coverage", "--preset", "indoor", "--set", "realizations=1", *args]) == 1

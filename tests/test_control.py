@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from rislink import (PhaseAlgorithm, RisSpec, achievable_rate, baseline_phases,
+from rislink import (RisSpec, achievable_rate, baseline_phases,
                      far_field_power, pinv_phases, quantize_phases, scene_preset,
                      select_ris, siso_optimal_phases, spawn_rng, validate_config)
 from rislink.campaign import Campaign, run_campaign
@@ -177,10 +177,10 @@ class TestPinvPhases:
         assert abs(r1 - r2) < 1e-9
 
     def test_beats_random_baseline_on_reference_scene(self):
-        cfg = dataclasses.replace(scene_preset("indoor"), realizations=200)
-        vc = validate_config(cfg)
-        adapted = run_campaign(Campaign(vc, algorithm=PhaseAlgorithm("pinv")))
-        uncontrolled = run_campaign(Campaign(vc, algorithm=PhaseAlgorithm("random")))
+        cfg = dataclasses.replace(scene_preset("indoor"), realizations=200, algorithm="pinv")
+        adapted = run_campaign(Campaign(validate_config(cfg)))
+        uncontrolled = run_campaign(Campaign(validate_config(
+            dataclasses.replace(cfg, algorithm="random"))))
         margin = adapted.mean[0] - uncontrolled.mean[0]
         print(f"\n  pinv-vs-random margin: {margin:.2f} bit/s/Hz "
               f"({adapted.mean[0]:.2f} vs {uncontrolled.mean[0]:.2f})")
@@ -190,8 +190,8 @@ class TestPinvPhases:
         dead_h = np.zeros((8, 2), complex)
         dead_g = np.zeros((2, 8), complex)
         with pytest.warns(SingularPinvWarning):
-            theta = pinv_phases(dead_h, dead_g, fallback_rng=spawn_rng(0, 0, 4))
-        assert theta.shape == (8,)
+            theta = pinv_phases(dead_h, dead_g, fallback_rng=lambda leg: spawn_rng(0, leg, 4))
+        assert np.array_equal(theta, baseline_phases("random", 8, spawn_rng(0, 0, 4)))
         with pytest.warns(SingularPinvWarning):
             with pytest.raises(SingularPinv):
                 pinv_phases(dead_h, dead_g)
@@ -211,12 +211,12 @@ class TestPinvPhases:
         legs = random_channel(rng, (3, 2, 8))
         legs[1] = 0.0
         with pytest.warns(SingularPinvWarning):
-            stacked = pinv_phases(h, legs, fallback_rng=spawn_rng(0, 0, 4))
+            stacked = pinv_phases(h, legs, fallback_rng=lambda leg: spawn_rng(0, leg, 4))
         assert np.array_equal(stacked[0], pinv_phases(h, legs[0]))
         assert np.array_equal(stacked[2], pinv_phases(h, legs[2]))
         with pytest.warns(SingularPinvWarning):
-            assert np.array_equal(stacked[1],
-                                  pinv_phases(h, legs[1], fallback_rng=spawn_rng(0, 0, 4)))
+            assert np.array_equal(stacked[1], pinv_phases(
+                h, legs[1], fallback_rng=lambda _: spawn_rng(0, 1, 4)))
 
     def test_warns_when_surface_smaller_than_arrays(self):
         rng = np.random.default_rng(4)
@@ -263,6 +263,22 @@ class TestSelectRis:
     def test_empty_list(self):
         with pytest.raises(EmptyList):
             select_ris((0, 0, 0), ())
+
+    def test_stack_matches_single_calls(self):
+        ris = (RisSpec(64, (40.0, 50.0, 2.0)), RisSpec(64, (60.0, 30.0, 2.0)))
+        # the centres of 10 m cells over the 75 x 50 m footprint
+        x, y = np.meshgrid(np.arange(5.0, 80.0, 10.0), np.arange(5.0, 50.0, 10.0))
+        cells = np.stack([x, y, np.ones_like(x)], axis=-1)
+        stacked = select_ris(cells.reshape(-1, 3), ris)
+        assert np.array_equal(stacked, [select_ris(c, ris) for c in cells.reshape(-1, 3)])
+        assert np.array_equal(select_ris(cells, ris), stacked.reshape(x.shape))
+        assert set(stacked.tolist()) == {0, 1}
+        # cells with x - y = 10 lie on the two surfaces' bisector: exact ties
+        tied = (x - y == 10).ravel()
+        gaps = np.linalg.norm(cells.reshape(-1, 1, 3) - [[40.0, 50.0, 2.0], [60.0, 30.0, 2.0]],
+                              axis=-1)
+        assert tied.sum() == 5 and np.all(gaps[tied, 0] == gaps[tied, 1])
+        assert np.all(stacked[tied] == 0)
 
 
 class TestAchievableRate:

@@ -1,11 +1,18 @@
 """The benchmark's tracer still finds every function it wraps in rislink, and
-wraps every name rislink imports only for it."""
+wraps every name rislink imports only for it; the README's examples still run."""
 
 import ast
 import importlib.util
+import re
+import shlex
 from pathlib import Path
 
+import pytest
+
+from rislink.cli import build_parser
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+README = TRACER.parents[1] / "README.md"
 
 
 def load_tracer():
@@ -52,3 +59,28 @@ def test_every_tracer_only_import_is_wrapped():
     assert ("rislink.campaign", "composite_multi") in kept
     stale = sorted(kept - wrapped)
     assert not stale, f"imports kept for the tracer that it does not wrap: {stale}"
+
+
+def readme_block(heading: str) -> str:
+    """The first fenced code block under a README `## heading`."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split(f"\n## {heading}\n", 1)[1]
+    return re.search(r"```\w*\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def test_readme_library_example_runs():
+    exec(compile(readme_block("Library example"), "README.md", "exec"), {})
+
+
+COMMAND_LINES = [line.split("#", 1)[0].strip()
+                 for line in readme_block("Command line").splitlines()
+                 if line.startswith("rislink ")]
+
+
+def test_readme_lists_commands():
+    assert len(COMMAND_LINES) >= 5
+
+
+@pytest.mark.parametrize("line", COMMAND_LINES)
+def test_readme_command_line_parses(line):
+    build_parser().parse_args(shlex.split(line)[1:])
