@@ -129,7 +129,7 @@ class CoverageGrid:
     y: np.ndarray                # (ny,)
     z: float
     mean_rate: np.ndarray        # (ny, nx)
-    ris_index: np.ndarray        # (ny, nx) int
+    ris_index: np.ndarray        # (ny, nx) serving surface; -1 in a scene without any
 
 
 def default_grid(vc: ValidatedConfig, cell: float = 1.0) -> GridSpec:
