@@ -22,19 +22,21 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .channel import PLACEMENT_BUDGET, RealizationChannels, realize_block, surface_cascade
+from .channel import RealizationChannels, realize_block, surface_cascade
 # no caller left here; the benchmark's tracer wraps these names (ROADMAP item 5)
 from .channel import composite_multi, realize_channels  # noqa: F401
 from .config import SimConfig, ValidatedConfig, validate_config
 from .control import (baseline_phases, pinv_phases, rate_from_singular_values, select_ris,
                       siso_optimal_phases)
-from .errors import ConfigError, DimensionMismatch, EmptySweep
+from .errors import (ConfigError, DimensionMismatch, EmptySweep, NearFieldViolation,
+                     NearFieldWarning)
 from .rng import LinkTag, block_rngs, spawn_rng
 
 _SWEEP_AXES = ("pt", "n", "ntnr")
@@ -146,9 +148,46 @@ def default_grid(vc: ValidatedConfig, cell: float = 1.0) -> GridSpec:
 # output bytes) do not depend on the worker count.  Each realization's
 # receiver-free work (Tx-side leg, its pinv, the variate draws) is shared by
 # a coverage block's cells; a block's realizations share the placement,
-# steering, pinv and SVD calls.  Their memory is bounded separately
-# (channel.PLACEMENT_BUDGET).
+# steering, pinv and SVD calls.  Memory is bounded by two budgets:
+# `COVERAGE_CHUNK_BUDGET` sizes a coverage block's chunks of realizations,
+# `channel.PLACEMENT_BUDGET` the path chunks each leg is contracted in.
 BLOCK_SIZE = 32
+
+# Most receiver-side matrix entries (cells x Nr x N, 16 bytes each) a
+# coverage chunk realizes at once.  The chunk's arrays that grow with it
+# (the surface-Rx legs, their phase-control products and cascades) are a
+# few times this; 32768 lets the 24-cell, 4x4-by-64 benchmark map realize
+# 4 realizations a chunk where 16384 allowed 2.
+COVERAGE_CHUNK_BUDGET = 32768
+
+
+def check_positions(vc: ValidatedConfig, positions: np.ndarray) -> None:
+    """Check a (K, 3) stack of receiver positions against the scene, as
+    `validate_config` checks the config's own receiver.
+
+    A position on the transmitter or on a surface is a ConfigError.
+    Positions inside a surface's Fraunhofer distance raise one
+    NearFieldWarning with their count and the nearest such distance, or
+    NearFieldViolation under `strict_near_field`.
+    """
+    cfg = vc.config
+    anchors = np.array([cfg.tx.position] + [r.position for r in cfg.ris], float)
+    dist = np.linalg.norm(positions[:, None, :] - anchors, axis=-1)   # (K, 1 + surfaces)
+    if np.any(dist == 0.0):
+        k, j = np.argwhere(dist == 0.0)[0]
+        on = "the transmitter" if j == 0 else f"ris[{j - 1}]"
+        raise ConfigError(f"receiver position {tuple(positions[k].tolist())} lies on {on}; "
+                          "move the grid or its height")
+    limits = np.array([r.fraunhofer_distance(vc.wavelength) for r in cfg.ris])
+    near = dist[:, 1:] < limits
+    if near.any():
+        msg = (f"{np.count_nonzero(near.any(axis=1))} of {len(positions)} receiver positions "
+               f"lie inside a surface's Fraunhofer distance, the nearest "
+               f"{dist[:, 1:][near].min():.2f} m from its surface; the far-field model does "
+               "not apply there")
+        if cfg.strict_near_field:
+            raise NearFieldViolation(msg)
+        warnings.warn(msg, NearFieldWarning, stacklevel=3)
 
 
 def serving_surface(vc: ValidatedConfig, positions: np.ndarray) -> np.ndarray:
@@ -208,14 +247,13 @@ def _serving_phases(vc: ValidatedConfig, realizations: range, k: int,
 
 
 def compute_phase_sets(vc: ValidatedConfig, channels: RealizationChannels,
-                       realizations: range, rx_position=None) -> list:
+                       realizations: range) -> list:
     """Phases per surface for the channels of a block (`realize_block`) at
-    one receiver position: the surface nearest the receiver is controlled
-    by the config's algorithm, the others follow the idle-surface policy.
-    The phases carry a leading realization axis.
+    the config's receiver position: the surface nearest the receiver is
+    controlled by the config's algorithm, the others follow the idle-surface
+    policy.  The phases carry a leading realization axis.
     """
-    rx_pos = vc.config.rx.position if rx_position is None else rx_position
-    selected = serving_surface(vc, np.asarray(rx_pos, float)[None])[0]
+    selected = serving_surface(vc, np.asarray(vc.config.rx.position, float)[None])[0]
     return [_serving_phases(vc, realizations, k, tx_ris, ris_rx) if k == selected
             else _idle_phases(vc, realizations, k)
             for k, (tx_ris, ris_rx) in enumerate(zip(channels.tx_ris, channels.ris_rx))]
@@ -252,12 +290,11 @@ def _block_singular_values(vc: ValidatedConfig, realizations: range, positions: 
     return np.linalg.svd(composite, compute_uv=False)
 
 
-def composite_singular_values(vc: ValidatedConfig, realization: int,
-                              rx_position=None) -> np.ndarray:
-    """Singular values of the end-to-end channel of one realization, whose
-    index lies in [0, 2**32) (see `realize_block`)."""
-    rx_pos = np.asarray(vc.config.rx.position if rx_position is None else rx_position,
-                        float)[None]
+def composite_singular_values(vc: ValidatedConfig, realization: int) -> np.ndarray:
+    """Singular values of the end-to-end channel of one realization at the
+    config's receiver position, the realization's index in [0, 2**32) (see
+    `realize_block`)."""
+    rx_pos = np.asarray(vc.config.rx.position, float)[None]
     return _block_singular_values(vc, range(realization, realization + 1), rx_pos,
                                   serving_surface(vc, rx_pos))[0, 0]
 
@@ -309,22 +346,29 @@ def _block_rates(args) -> np.ndarray:
     return rate_from_singular_values(s, pt_watts, vc.noise_watts)
 
 
+def realization_chunks(realizations: int, most: int) -> list[range]:
+    """Split range(realizations) into the fewest consecutive chunks of at
+    most `most` realizations, their sizes differing by at most one."""
+    count = -(-realizations // most)
+    bounds = [realizations * i // count for i in range(count + 1)]
+    return [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 def _block_mean_rates(args) -> np.ndarray:
     """Mean rate of each cell of one coverage block.
 
-    Realizations run in chunks whose receiver-side matrices for all the
-    block's cells hold at most `PLACEMENT_BUDGET` entries (and at most
-    `BLOCK_SIZE` realizations).  Rates are summed per cell in realization
-    order.
+    Realizations run in evenly split chunks whose receiver-side matrices
+    for all the block's cells hold at most `COVERAGE_CHUNK_BUDGET` entries
+    (and at most `BLOCK_SIZE` realizations).  Rates are summed per cell in
+    realization order, so they do not depend on the chunks.
     """
     vc, positions, selected, realizations, pt_watts = args
     cfg = vc.config
     entries = len(positions) * cfg.rx.count * max((r.count for r in cfg.ris),
                                                   default=cfg.tx.count)
-    chunk = min(BLOCK_SIZE, max(1, PLACEMENT_BUDGET // entries))
+    most = min(BLOCK_SIZE, max(1, COVERAGE_CHUNK_BUDGET // entries))
     totals = np.zeros(len(positions))
-    for start in range(0, realizations, chunk):
-        block = range(start, min(start + chunk, realizations))
+    for block in realization_chunks(realizations, most):
         for rates in _block_rates((vc, block, positions, selected, pt_watts))[0]:
             totals += rates
     return totals / realizations
@@ -372,7 +416,8 @@ def coverage_map(campaign: Campaign, grid: GridSpec | None = None) -> CoverageGr
 
     Realization substreams do not depend on the receiver position, so all
     cells see the same environment draws per realization and maps from
-    scenes sharing a seed are paired cell by cell.  Cells are evaluated in
+    scenes sharing a seed are paired cell by cell.  The cell centres are
+    checked first (`check_positions`).  Cells are evaluated in
     fixed blocks of `BLOCK_SIZE` (row-major order) that share each
     realization's draws; the serving surface of each cell is chosen once.
     """
@@ -384,6 +429,7 @@ def coverage_map(campaign: Campaign, grid: GridSpec | None = None) -> CoverageGr
     z = cfg.rx.position[2] if grid.z is None else grid.z
     xs, ys = np.meshgrid(x, y)                   # (ny, nx): cells in row-major order
     positions = np.stack([xs.ravel(), ys.ravel(), np.full(xs.size, float(z))], axis=-1)
+    check_positions(vc, positions)
     selected = serving_surface(vc, positions)
     payloads = [(vc, positions[i:i + BLOCK_SIZE],
                  selected[i:i + BLOCK_SIZE], cfg.realizations, np.asarray(vc.pt_watts[:1]))

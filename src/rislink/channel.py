@@ -92,9 +92,9 @@ def _gain(device: DeviceView, u: np.ndarray):
 
 # A leg's paths are contracted in chunks of at most this many (factor
 # entry, path) pairs, counting the prefix + suffix factor entries of each
-# path, and a coverage block realizes at most this many receiver-side
-# matrix entries per chunk of realizations: 16-24 bytes each, whatever the
-# number of positions or realizations.
+# path: 16-24 bytes each, whatever the number of positions or
+# realizations.  How many realizations a coverage block realizes at once
+# is its own budget (`campaign.COVERAGE_CHUNK_BUDGET`).
 PLACEMENT_BUDGET = 16384
 
 
@@ -107,7 +107,8 @@ class _Leg(NamedTuple):
     los: np.ndarray              # (S,) bool
     los_attenuation: np.ndarray  # (L,) per LOS set, in order
     los_phase: np.ndarray        # (L,)
-    clusters: ClusterSet         # every set's paths, placed, concatenated in order
+    clusters: ClusterSet         # every set's paths, placed, concatenated in order; its
+                                 # sizes are the drawn groups' (`place_clusters`' paths)
     bounds: np.ndarray           # (S + 1,) offsets of each set's paths
 
 
@@ -150,20 +151,50 @@ def _draw_leg(vc: ValidatedConfig, rngs: list, near: DeviceView, far: np.ndarray
     shadow, phase = np.array(los_draws, dtype=float)[group[los]].T
     attenuation = shadowed_attenuation(d[cell[los]], f_hz, env, True, shadow)
     if variates:
-        per_set = np.array([len(v.gains) for v in variates])[group]
-        # each set's paths are its group's, placed at its own far point
-        stacked = stack_cluster_variates([variates[g] for g in group])
+        drawn = np.array([len(v.gains) for v in variates])
+        per_set = drawn[group]
+        # each set's paths are its group's draws, placed at its own far point
+        paths = _ranges(np.cumsum(drawn)[group] - per_set, per_set)
         geometry = None
         if geometry_from is not None:   # each set takes its realization's positions
-            source, b = geometry_from.clusters, geometry_from.bounds.tolist()
-            geometry = dataclasses.replace(source, positions=np.concatenate(
-                [source.positions[b[r]:b[r + 1]] for r in realization.tolist()]))
-        clusters = place_clusters(stacked, near.position, far[np.repeat(cell, per_set)], env,
-                                  f_hz, near.frame, geometry)
+            source, b = geometry_from.clusters, geometry_from.bounds
+            geometry = dataclasses.replace(
+                source, positions=source.positions[_ranges(b[realization], per_set)])
+        clusters = place_clusters(stack_cluster_variates(variates), near.position,
+                                  far[np.repeat(cell, per_set)], env, f_hz, near.frame,
+                                  geometry, paths)
     else:
         clusters, per_set = ClusterSet.empty(), np.zeros(len(cell), dtype=int)
     return _Leg(realization, cell, los, attenuation, phase, clusters,
                 np.concatenate([[0], np.cumsum(per_set)]))
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges [start, start + length) of each pair, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
+
+
+def _path_terms(row: DeviceView, col: DeviceView, leg: _Leg,
+                row_frames: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every path of a leg's sets in order, a LOS set's LOS term after its
+    scattered paths: its local direction at the row and at the column
+    device, and its weight (see `_leg_matrices`).  The per-path arrays
+    built on the way are released on return, before the contraction."""
+    clusters, scattered, los = leg.clusters, np.diff(leg.bounds), leg.los
+    at = row.position[leg.cell]   # each set's row end
+    los_at = leg.bounds[1:][los]
+    owner = np.repeat(np.arange(len(los)), scattered + los)   # set of each path
+    u_row, _ = local_directions(at[owner], np.insert(clusters.positions, los_at, col.position, 0),
+                                row.frame if row_frames is None else row_frames,
+                                None if row_frames is None else leg.realization[owner])
+    u_col, _ = local_directions(col.position, np.insert(clusters.positions, los_at, at[los], 0),
+                                col.frame)
+    # normalization keeps total scattered power independent of the path count
+    amplitude = np.insert(clusters.gains / np.sqrt(np.repeat(scattered, scattered)), los_at,
+                          np.exp(1j * leg.los_phase))
+    power = np.insert(clusters.attenuations, los_at, leg.los_attenuation)
+    return u_row, u_col, amplitude * np.sqrt(_gain(row, u_row) * _gain(col, u_col) * power)
 
 
 def _leg_matrices(row: DeviceView, col: DeviceView, leg: _Leg,
@@ -184,22 +215,8 @@ def _leg_matrices(row: DeviceView, col: DeviceView, leg: _Leg,
     set's matrix does not depend on the run or chunk it lands in.  Chunks
     hold at most `PLACEMENT_BUDGET` (prefix + suffix) x path entries.
     """
-    clusters, scattered, los = leg.clusters, np.diff(leg.bounds), leg.los
-    at = row.position[leg.cell]   # each set's row end
-    # a LOS set's last path is its LOS term, inserted after its scattered paths
-    los_at = leg.bounds[1:][los]
-    counts = (scattered + los).tolist()
-    owner = np.repeat(np.arange(len(counts)), counts)   # set of each path
-    u_row, _ = local_directions(at[owner], np.insert(clusters.positions, los_at, col.position, 0),
-                                row.frame if row_frames is None
-                                else row_frames[leg.realization[owner]])
-    u_col, _ = local_directions(col.position, np.insert(clusters.positions, los_at, at[los], 0),
-                                col.frame)
-    # normalization keeps total scattered power independent of the path count
-    amplitude = np.insert(clusters.gains / np.sqrt(np.repeat(scattered, scattered)), los_at,
-                          np.exp(1j * leg.los_phase))
-    power = np.insert(clusters.attenuations, los_at, leg.los_attenuation)
-    weights = amplitude * np.sqrt(_gain(row, u_row) * _gain(col, u_col) * power)
+    u_row, u_col, weights = _path_terms(row, col, leg, row_frames)
+    counts = (np.diff(leg.bounds) + leg.los).tolist()
 
     dims = (row.vert.size, row.horiz.size, col.vert.size, col.horiz.size)
     split = min(range(1, 4), key=lambda k: math.prod(dims[:k]) + math.prod(dims[k:]))
@@ -285,7 +302,7 @@ class RealizationChannels:
     direct: np.ndarray                      # (B, [K,] Nr, Nt)
     realization: int | range
     los: dict = field(default_factory=dict)
-    clusters: dict = field(default_factory=dict)  # ClusterSet per link key
+    clusters: dict = field(default_factory=dict)  # ClusterSet per link key, one position only
 
 
 def surface_cascade(tx_ris: np.ndarray, ris_rx: np.ndarray, phases) -> np.ndarray:
@@ -329,8 +346,10 @@ def realize_block(vc: ValidatedConfig, realizations: range, surfaces=None,
     would see alone, and receiver-side matrices carry a cell axis.
     `surfaces` lists the surfaces to realize (others get None matrices), or
     maps each to the positions its receiver leg is placed at (None = all).
-    `los` and `clusters` record each link's LOS state per (realization,
-    position) and its placed paths.
+    `los` records each link's LOS state per (realization, position).  For
+    one receiver position (not a stack), `clusters` records each link's
+    placed paths; a stack's paths grow with it and are released once its
+    matrices are assembled.
     """
     cfg = vc.config
     seed = cfg.seed
@@ -340,6 +359,7 @@ def realize_block(vc: ValidatedConfig, realizations: range, surfaces=None,
                               for rng in block_rngs(seed, realizations, LinkTag.RX_FRAME)])
     scene = build_scene(vc, rx_position=rx_position)
     tx = scene.tx
+    one = scene.rx.position.ndim == 1
     rx = dataclasses.replace(scene.rx, position=np.atleast_2d(scene.rx.position))
     los, clusters = {}, {}
 
@@ -347,7 +367,9 @@ def realize_block(vc: ValidatedConfig, realizations: range, surfaces=None,
              geometry_from=None, frames=None):
         leg = _draw_leg(vc, block_rngs(seed, realizations, tag, *extra), col, row.position,
                         force_los, geometry_from)
-        los[key], clusters[key] = leg.los, leg.clusters
+        los[key] = leg.los
+        if one:
+            clusters[key] = leg.clusters
         return leg, _leg_matrices(row, col, leg, frames)
 
     force = True if cfg.ris_links == "los" else None
@@ -372,7 +394,7 @@ def realize_block(vc: ValidatedConfig, realizations: range, surfaces=None,
         force_d = {"blocked": False, "present": True}.get(cfg.direct_mode)
         _, direct = link("direct", rx, tx, force_d, LinkTag.DIRECT, frames=rx_frames)
 
-    if scene.rx.position.ndim == 1:   # one receiver position: no cell axis
+    if one:   # one receiver position: no cell axis
         ris_rx = [None if m is None else m[:, 0] for m in ris_rx]
         direct = direct[:, 0]
     return RealizationChannels(tuple(tx_ris), tuple(ris_rx), direct, realizations, los,
@@ -392,4 +414,4 @@ def realize_channels(vc: ValidatedConfig, realization: int, rx_position=None,
 
     return RealizationChannels(first(block.tx_ris), first(block.ris_rx), block.direct[0],
                                realization, {k: bool(v[0]) for k, v in block.los.items()}
-                               if one else {}, block.clusters if one else {})
+                               if one else {}, block.clusters)

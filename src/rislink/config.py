@@ -218,6 +218,10 @@ class RisSpec:
         s = self.spacing_wl * wavelength
         return math.hypot((rows - 1) * s, (cols - 1) * s)
 
+    def fraunhofer_distance(self, wavelength: float) -> float:
+        """2 D^2 / lambda for the aperture diagonal D: the far-field model's near limit."""
+        return 2.0 * self.aperture_diagonal(wavelength) ** 2 / wavelength
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -362,7 +366,7 @@ def validate_config(cfg: SimConfig | ValidatedConfig) -> ValidatedConfig:
 
     wavelength = SPEED_OF_LIGHT / cfg.frequency_hz
     for i, ris in enumerate(cfg.ris):
-        fraunhofer = 2.0 * ris.aperture_diagonal(wavelength) ** 2 / wavelength
+        fraunhofer = ris.fraunhofer_distance(wavelength)
         for term, pos in (("tx", cfg.tx.position), ("rx", cfg.rx.position)):
             dist = math.dist(pos, ris.position)
             if dist < fraunhofer:

@@ -97,7 +97,11 @@ def pinv_phases(tx_ris: np.ndarray, ris_rx: np.ndarray, bits: int | None = None,
         # diagonal n of G^H (A M B) H^H: sum over i of (A M B H^H)[i, n] conj(G[i, n]).
         # The product keeps this operand order: numpy's complex multiply rounds a * b
         # and b * a differently, and a large temporary on the right gets swapped.
-        diag = np.sum((inner @ h_h) * g_h, axis=-2)
+        # It is taken in place, and both receiver-sized arrays are released before
+        # the phases are quantized.
+        prod = inner @ h_h
+        diag = np.sum(np.multiply(prod, g_h, out=prod), axis=-2)
+        del g_h, prod
         if not np.all(np.isfinite(diag)) or not np.all(np.any(diag, axis=-1)):
             raise np.linalg.LinAlgError("degenerate pseudoinverse diagonal")
     except np.linalg.LinAlgError as exc:

@@ -58,31 +58,39 @@ def azimuth_rotation_frame(alpha: float) -> np.ndarray:
     return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def local_directions(origin: np.ndarray, points: np.ndarray,
-                     frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def local_directions(origin: np.ndarray, points: np.ndarray, frame: np.ndarray,
+                     frame_index: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Unit directions origin->points in `frame` coordinates, plus distances.
 
     `points` has shape (P, 3); returns (P, 3) unit vectors and (P,) distances.
     Leading axes of `origin` (..., 1, 3) or `points` (..., P, 3) broadcast,
-    and so may those of a stack of frames (..., 3, 3).
+    and so may those of a stack of frames (..., 3, 3).  With `frame_index`
+    (P,), point i is taken in frame `frame[frame_index[i]]` of a stack (M, 3, 3).
     """
     delta = np.atleast_2d(points) - np.asarray(origin, dtype=float)
     dist = np.linalg.norm(delta, axis=-1)
     if np.any(dist == 0.0):
         raise CoincidentPoints("cannot take a direction between coincident points")
-    return rotate(delta / dist[..., None], frame), dist
+    return rotate(delta / dist[..., None], frame, frame_index), dist
 
 
-def rotate(vectors: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """`matrix @ v` for each (..., 3) vector v; `matrix` may be a stack (..., 3, 3).
+def rotate(vectors: np.ndarray, matrix: np.ndarray,
+           index: np.ndarray | None = None) -> np.ndarray:
+    """`matrix @ v` for each (..., 3) vector v; `matrix` may be a stack (..., 3, 3),
+    or with `index` (P,) a stack (M, 3, 3) of which vector i takes matrix[index[i]].
 
     Summed as three products per component rather than a matmul, which
     rounds a lone vector differently from a stack: each vector's result
-    does not depend on the stack it comes in.
+    does not depend on the stack it comes in.  An indexed stack is gathered
+    one entry at a time, so no (P, 3, 3) copy of it is formed.
     """
     x, y, z = vectors[..., 0], vectors[..., 1], vectors[..., 2]
-    return np.stack([x * matrix[..., k, 0] + y * matrix[..., k, 1] + z * matrix[..., k, 2]
-                     for k in range(3)], axis=-1)
+
+    def entry(k, j):
+        return matrix[..., k, j] if index is None else matrix[index, k, j]
+
+    return np.stack([x * entry(k, 0) + y * entry(k, 1) + z * entry(k, 2) for k in range(3)],
+                    axis=-1)
 
 
 def direction_unit(azimuth, elevation) -> np.ndarray:

@@ -220,16 +220,26 @@ def stack_cluster_variates(variates: list[ClusterVariates]) -> ClusterVariates:
 
 def place_clusters(variates: ClusterVariates, near, far, env: Environment, f_hz: float,
                    near_frame: np.ndarray | None = None,
-                   geometry_from: ClusterSet | None = None) -> ClusterSet:
+                   geometry_from: ClusterSet | None = None,
+                   paths: np.ndarray | None = None) -> ClusterSet:
     """Place drawn clusters on the link `near` -> `far`; see `draw_clusters`.
 
     `far` (..., 3) broadcasts against the (P,) paths: one point (3,) gets
     every path, a stack (K, 1, 3) gets every path at each far end, and
     (P, 3) gives each path its own far end, so that the paths of several
     links' variates (`stack_cluster_variates`) are placed at once.
+
+    `paths` (P,) picks the drawn paths to place, in order and possibly
+    repeated: path i is drawn path `paths[i]`, so one link's draws are
+    placed at several far ends without copying them per end.  Each path's
+    departure direction is evaluated once per drawn path.  The result's
+    `sizes` are then the drawn clusters' sizes.
     """
     near = np.asarray(near, dtype=float)
     far = np.asarray(far, dtype=float)
+    gains, shadow = variates.gains, variates.shadow
+    if paths is not None:
+        gains, shadow = gains[paths], shadow[paths]
     if geometry_from is not None:
         sizes = geometry_from.sizes
         positions = geometry_from.positions
@@ -239,13 +249,16 @@ def place_clusters(variates: ClusterVariates, near, far, env: Environment, f_hz:
         sizes = variates.sizes
         hi = np.maximum(np.linalg.norm(far - near, axis=-1), 1.0 + 1e-9)
         rep = variates.cluster
-        radial = 1.0 + (hi - 1.0) * variates.radial[rep]
+        unit = variates.radial[rep]
         dirs = rotate(direction_unit(variates.azimuth[rep] + variates.d_az,
                                      variates.elevation[rep] + variates.d_el), near_frame.T)
+        if paths is not None:
+            unit, dirs = unit[paths], dirs[paths]
+        radial = 1.0 + (hi - 1.0) * unit
         positions = near + radial[..., None] * dirs
         positions[..., 2] = np.abs(positions[..., 2])
 
     unfolded = np.linalg.norm(positions - near, axis=-1) + np.linalg.norm(far - positions, axis=-1)
-    attenuations = shadowed_attenuation(unfolded, f_hz, env, False, variates.shadow)
+    attenuations = shadowed_attenuation(unfolded, f_hz, env, False, shadow)
     return ClusterSet(sizes=np.asarray(sizes, dtype=int), positions=positions,
-                      gains=variates.gains, attenuations=np.atleast_1d(attenuations))
+                      gains=gains, attenuations=np.atleast_1d(attenuations))

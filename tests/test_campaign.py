@@ -1,6 +1,8 @@
 """Campaign harness: sweeps, statistics, coverage, exports, determinism."""
 
 import dataclasses
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,12 +16,19 @@ from rislink import LinkTag, baseline_phases, composite_singular_values, spawn_r
 from rislink.campaign import BLOCK_SIZE, compute_phase_sets
 from rislink.channel import realize_block
 from rislink.control import pinv_phases, rate_from_singular_values
-from rislink.errors import ConfigError, EmptySweep, SingularPinvWarning
+from rislink.errors import (ConfigError, EmptySweep, NearFieldViolation, NearFieldWarning,
+                            SingularPinvWarning)
 
 
 def quick_vc(realizations=8, **overrides):
     cfg = dataclasses.replace(scene_preset("indoor"), realizations=realizations, **overrides)
     return validate_config(cfg)
+
+
+def cell_positions(grid: GridSpec) -> np.ndarray:
+    """The (K, 3) cell centres of a grid with an explicit height, in map order."""
+    xs, ys = np.meshgrid(*grid.centers())
+    return np.stack([xs.ravel(), ys.ravel(), np.full(xs.size, grid.z)], axis=-1)
 
 
 class TestCampaignBlocks:
@@ -238,13 +247,56 @@ class TestCoverage:
          "idle_ris": "random"},
     ])
     def test_cell_rates_do_not_depend_on_the_realization_chunk(self, overrides, monkeypatch):
+        """Bit for bit the realization-order sum of each realization alone, at
+        one realization a chunk, an uneven split (2 + 3) and the whole block."""
         vc = quick_vc(realizations=5, **overrides)
         grid = GridSpec(0.0, 75.0, 0.0, 50.0, cell=12.5, z=1.0)
-        whole = coverage_map(Campaign(vc), grid)
-        monkeypatch.setattr(campaign_module, "PLACEMENT_BUDGET", 1)   # one realization a chunk
-        chunked = coverage_map(Campaign(vc), grid)
-        assert np.array_equal(whole.mean_rate, chunked.mean_rate)
-        assert np.array_equal(whole.ris_index, chunked.ris_index)
+        positions = cell_positions(grid)
+        selected = campaign_module.serving_surface(vc, positions)
+        alone = np.zeros(len(positions))   # each realization realized alone, summed in order
+        for r in range(5):
+            alone += campaign_module._block_rates(
+                (vc, range(r, r + 1), positions, selected, np.asarray(vc.pt_watts[:1])))[0, 0]
+        for most in (1, 3, 5):
+            # the 24 cells' receiver-side entries of one realization: 24 x Nr x N
+            monkeypatch.setattr(campaign_module, "COVERAGE_CHUNK_BUDGET", most * 24 * 4 * 64)
+            chunked = coverage_map(Campaign(vc), grid)
+            assert np.array_equal(chunked.mean_rate.ravel(), alone / 5), most
+            assert np.array_equal(chunked.ris_index.ravel(), selected)
+
+    @pytest.mark.parametrize("realizations", [1, 2, 5, 16, 17, 33, 100])
+    @pytest.mark.parametrize("most", [1, 2, 3, 5, 32])
+    def test_realization_chunks_split_evenly(self, realizations, most):
+        chunks = campaign_module.realization_chunks(realizations, most)
+        sizes = [len(c) for c in chunks]
+        assert [r for c in chunks for r in c] == list(range(realizations))
+        assert len(chunks) == -(-realizations // most)
+        assert max(sizes) <= most and max(sizes) - min(sizes) <= 1
+
+    def test_coverage_block_memory_is_bounded_by_its_chunk(self):
+        """One block of the benchmark's map (24 cells, 16 realizations) peaks
+        under 6x its chunk's surface-Rx leg: the leg itself, the pinv
+        product and conjugate copy, plus the contraction's fixed workspace
+        (`channel.PLACEMENT_BUDGET`).  Chunks of two, as the budget shared
+        with the contraction allowed, peak at 8.4x."""
+        vc = quick_vc(realizations=16, seed=1000)
+        positions = cell_positions(default_grid(vc, 12.5))
+        args = (vc, positions, campaign_module.serving_surface(vc, positions), 16,
+                np.asarray(vc.pt_watts[:1]))
+        most = min(BLOCK_SIZE, campaign_module.COVERAGE_CHUNK_BUDGET // (24 * 4 * 64))
+        chunk = max(len(c) for c in campaign_module.realization_chunks(16, most))
+        ris_rx_bytes = chunk * 24 * 4 * 64 * 16
+        campaign_module._block_mean_rates(args)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            campaign_module._block_mean_rates(args)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert chunk > 2   # larger than the chunks of two the shared budget allowed
+        assert peak < 6 * ris_rx_bytes
 
     def test_random_idle_surfaces_control_only_the_cells_they_serve(self, monkeypatch):
         legs = []
@@ -275,6 +327,44 @@ class TestCoverage:
         assert cell.mean_rate[0, 0] > 0
         assert cell.mean_rate[0, 0] == pytest.approx(stats.mean[0], rel=1e-12)
         assert cell.ris_index[0, 0] == -1      # no surface serves the cell
+
+    @pytest.mark.parametrize("grid, on", [
+        (GridSpec(30.0, 50.0, 40.0, 60.0, cell=20.0, z=2.0), "ris[0]"),   # centre (40, 50, 2)
+        (GridSpec(-10.0, 10.0, 15.0, 35.0, cell=20.0, z=2.0), "the transmitter"),
+    ])
+    def test_cell_on_a_device_is_a_config_error(self, grid, on):
+        with pytest.raises(ConfigError, match=f"lies on {re.escape(on)}"):
+            coverage_map(Campaign(quick_vc(realizations=1)), grid)
+
+    def near_field_vc(self, **overrides):
+        """A 1024-element surface (Fraunhofer distance 10.29 m) and a receiver
+        30.4 m from it: the config itself validates without a warning."""
+        cfg = scene_preset("indoor")
+        cfg = dataclasses.replace(cfg, realizations=1, **overrides,
+                                  ris=(dataclasses.replace(cfg.ris[0], count=1024),),
+                                  rx=dataclasses.replace(cfg.rx, position=(45.0, 20.0, 1.0)))
+        return validate_config(cfg)
+
+    def test_near_field_cells_warn_once_with_count_and_distance(self, recwarn):
+        vc = self.near_field_vc()
+        assert not recwarn.list
+        grid = GridSpec(30.0, 50.0, 40.0, 60.0, cell=2.0)
+        coverage_map(Campaign(vc), grid)
+        near = [w for w in recwarn.list if issubclass(w.category, NearFieldWarning)]
+        assert len(near) == 1
+        assert "80 of 100 receiver positions" in str(near[0].message)
+        assert "1.73 m" in str(near[0].message)
+
+    def test_near_field_cells_raise_under_strict_checking(self):
+        vc = self.near_field_vc(strict_near_field=True)
+        with pytest.raises(NearFieldViolation, match="80 of 100"):
+            coverage_map(Campaign(vc), GridSpec(30.0, 50.0, 40.0, 60.0, cell=2.0))
+
+    def test_cell_just_off_a_surface_runs_with_a_near_field_warning(self):
+        grid = GridSpec(30.0, 50.0, 40.0, 60.0, cell=20.0, z=2.0001)
+        with pytest.warns(NearFieldWarning, match="1 of 1 receiver positions"):
+            cell = coverage_map(Campaign(quick_vc(realizations=1)), grid)
+        assert np.isfinite(cell.mean_rate[0, 0])
 
     def test_default_grid_uses_footprint(self):
         grid = default_grid(quick_vc(), cell=5.0)

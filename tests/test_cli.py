@@ -4,6 +4,7 @@ import pytest
 
 from rislink import parse_config_text, validate_config
 from rislink.cli import build_parser, main
+from rislink.errors import NearFieldWarning
 
 
 def test_non_integer_sweep_value_is_a_config_error(capsys):
@@ -35,6 +36,29 @@ def test_small_coverage_map_succeeds(tmp_path, capsys):
     assert code == 0
     assert out.read_text().count("\n") == 2 + 2 * 1
     assert "coverage 2x1 cells" in capsys.readouterr().out
+
+
+def test_coverage_cell_on_a_surface_is_a_config_error(capsys):
+    # one 20 m cell, centred on the indoor surface at (40, 50, 2)
+    assert main(["coverage", "--preset", "indoor", "--extent", "30,50,40,60",
+                 "--cell", "20", "--z", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "lies on ris[0]" in err
+
+
+def test_coverage_cell_just_off_a_surface_warns(capsys):
+    with pytest.warns(NearFieldWarning, match="1 of 1 receiver positions"):
+        assert main(["coverage", "--preset", "indoor", "--set", "realizations=2",
+                     "--extent", "30,50,40,60", "--cell", "20", "--z", "2.0001"]) == 0
+    assert "coverage 1x1 cells" in capsys.readouterr().out
+
+
+def test_coverage_near_field_cells_fail_under_strict_checking(capsys):
+    assert main(["coverage", "--preset", "indoor", "--set", "n_elements=1024",
+                 "--set", "rx_position=45,20,1", "--set", "strict_near_field=true",
+                 "--extent", "30,50,40,60", "--cell", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "80 of 100 receiver positions" in err
 
 
 @pytest.mark.parametrize("command", ["validate", "run", "coverage", "dump-channels"])

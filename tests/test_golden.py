@@ -1,22 +1,29 @@
 """Pinned outputs: small coverage maps and pt campaigns across config variants.
 
 `tests/data/golden.npz` holds, per variant, a 6x4-cell coverage map at 4
-realizations (mean rates and serving surfaces) and the raw paired rates of
-an 8-realization pt campaign.  `tests/data/golden_blocks.npz` holds the raw
-rates of 70-realization campaigns (pt, n and ntnr sweeps), which span two
-full campaign blocks and a partial one.  Any rewrite of the rate path must
-reproduce them: surface indices exactly, rates within 1e-12 relative.
+realizations (mean rates and serving surfaces) over the 75x50 m indoor
+footprint (an explicit grid over the same extent where the environment has
+no footprint) and the raw paired rates of an 8-realization pt campaign.
+`tests/data/golden_blocks.npz` holds the raw rates of 70-realization
+campaigns (pt, n and ntnr sweeps), which span two full campaign blocks and
+a partial one.  Any rewrite of the rate path must reproduce them: surface
+indices exactly, rates within 1e-12 relative.
 
 Regenerate (only when the model itself changes, never to absorb a
-rewrite's drift) with `PYTHONPATH=src python tests/test_golden.py`.
+rewrite's drift) with `PYTHONPATH=src python tests/test_golden.py`.  Pin
+new variants with `--append`: it computes only the variants the file lacks
+and keeps every stored array as it is.
 """
 
 import dataclasses
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rislink as rl
 
@@ -25,7 +32,8 @@ BLOCK_GOLDEN = GOLDEN.with_name("golden_blocks.npz")
 REL_TOL = 1e-12
 SECOND_SURFACE = rl.RisSpec(64, (60.0, 30.0, 2.0), plane="yz")
 
-# name -> SimConfig field overrides on the indoor preset
+# name -> SimConfig field overrides on the indoor preset (or on the preset
+# named by "preset")
 VARIANTS = {
     "indoor": {},
     "los_coin": {"ris_links": "auto", "direct_mode": "auto"},
@@ -47,6 +55,11 @@ VARIANTS = {
     "surface_4x16": {"surface": {"shape": (4, 16)}},
     "surface_1x67": {"surface": {"count": 67}},
     "spacing_quarter": {"terminal": {"spacing_wl": 0.25}, "surface": {"spacing_wl": 0.25}},
+    # the paper's street canyon, its second band, and settings no variant above reaches
+    "outdoor": {"preset": "outdoor"},
+    "freq_73ghz": {"frequency_hz": 73e9},
+    "facing_explicit_yz": {"surface": {"plane": "yz", "facing": -1}},
+    "freespace": {"environment": rl.ENVIRONMENTS["freespace"]},
 }
 
 
@@ -82,8 +95,8 @@ DUMP_OVERRIDES = {"second": True, "ris_links": "auto", "direct_mode": "present"}
 def variant_config(name: str, realizations: int, pt_dbm=(40.0,),
                    overrides: dict | None = None) -> rl.ValidatedConfig:
     overrides = dict(VARIANTS[name] if overrides is None else overrides)
-    cfg = dataclasses.replace(rl.scene_preset("indoor"), realizations=realizations,
-                              pt_dbm=pt_dbm, seed=17)
+    cfg = dataclasses.replace(rl.scene_preset(overrides.pop("preset", "indoor")),
+                              realizations=realizations, pt_dbm=pt_dbm, seed=17)
     # "terminal" / "surface": field overrides on both terminals / the first surface
     terminal = overrides.pop("terminal", {})
     first = dataclasses.replace(cfg.ris[0], **overrides.pop("surface", {}))
@@ -93,9 +106,16 @@ def variant_config(name: str, realizations: int, pt_dbm=(40.0,),
     return rl.validate_config(dataclasses.replace(cfg, **overrides))
 
 
+def small_grid(vc: rl.ValidatedConfig) -> rl.GridSpec:
+    """The 6x4-cell map: the room footprint, or the same extent at the receiver's height."""
+    if vc.config.environment.footprint is None:
+        return rl.GridSpec(0.0, 75.0, 0.0, 50.0, cell=12.5, z=vc.config.rx.position[2])
+    return rl.default_grid(vc, cell=12.5)
+
+
 def variant_outputs(name: str) -> dict:
     vc = variant_config(name, realizations=4)
-    grid = rl.coverage_map(rl.Campaign(vc), rl.default_grid(vc, cell=12.5))
+    grid = rl.coverage_map(rl.Campaign(vc), small_grid(vc))
     stats = rl.run_campaign(rl.Campaign(
         variant_config(name, realizations=8, pt_dbm=(20.0, 30.0, 40.0))))
     return {"mean_rate": grid.mean_rate, "ris_index": grid.ris_index,
@@ -202,7 +222,51 @@ def test_multi_block_campaign_bytes_do_not_depend_on_workers(name):
         assert block_campaign(name, workers=workers).rates.tobytes() == one
 
 
-if __name__ == "__main__":
+# Scenes the translation property moves: name -> overrides, as in VARIANTS.
+TRANSLATED = {
+    "indoor": {},
+    "los_coin_direct_present": {"ris_links": "auto", "direct_mode": "present"},
+    "outdoor": VARIANTS["outdoor"],
+    "shared_clusters": VARIANTS["shared_clusters"],
+}
+
+
+def translated(vc: rl.ValidatedConfig, dx: float, dy: float) -> rl.ValidatedConfig:
+    """The scene with every device moved horizontally by (dx, dy)."""
+    cfg = vc.config
+
+    def move(spec):
+        x, y, z = spec.position
+        return dataclasses.replace(spec, position=(x + dx, y + dy, z))
+
+    return rl.validate_config(dataclasses.replace(
+        cfg, tx=move(cfg.tx), rx=move(cfg.rx), ris=tuple(move(r) for r in cfg.ris)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(name=st.sampled_from(sorted(TRANSLATED)), seed=st.integers(0, 2**32 - 1))
+def test_horizontal_translation_moves_no_rate(name, seed):
+    vc = variant_config(name, 4, (20.0, 40.0), TRANSLATED[name])
+    vc = rl.validate_config(dataclasses.replace(vc.config, seed=seed))
+    here = rl.run_campaign(rl.Campaign(vc)).rates
+    there = rl.run_campaign(rl.Campaign(translated(vc, 1000.0, -500.0))).rates
+    np.testing.assert_allclose(there, here, rtol=REL_TOL, atol=0.0)
+
+
+def append_variants() -> None:
+    """Add the variants `golden.npz` lacks; every stored array stays as it is."""
+    with np.load(GOLDEN, allow_pickle=False) as data:
+        arrays = {k: data[k] for k in data.files}
+    missing = sorted(set(VARIANTS) - {k.split("/")[0] for k in arrays})
+    for name in missing:
+        arrays.update({f"{name}/{key}": value for key, value in variant_outputs(name).items()})
+    np.savez_compressed(GOLDEN, **arrays)
+    print(f"appended {missing} to {GOLDEN}")
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--append"]:
+    append_variants()
+elif __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     arrays = {f"{name}/{key}": value for name in sorted(VARIANTS)
               for key, value in variant_outputs(name).items()}
