@@ -6,7 +6,7 @@ from .campaign import (Campaign, CoverageGrid, GridSpec, RateStatistics,
                        export_statistics, load_channel_dump, read_csv_table,
                        run_campaign)
 from .channel import (RealizationChannels, Scene, assemble_direct_channel,
-                      assemble_link_channel, build_scene, composite_multi, phase_matrix,
+                      assemble_link_channel, build_scene, composite_multi,
                       realize_channels)
 from .config import (ENVIRONMENTS, ArraySpec, Environment, PathLossTable, RisSpec,
                      SimConfig, ValidatedConfig, config_hash, dbm_to_watts,
@@ -17,7 +17,7 @@ from .control import (achievable_rate, baseline_phases, far_field_power, pinv_ph
 from .geometry import azimuth_rotation_frame, element_gain, frame_from_plane
 from .presets import SCENE_PRESETS, scene_preset
 from .propagation import (ClusterSet, LinkState, draw_clusters, draw_link_state,
-                          los_probability, path_loss)
+                          los_probability)
 from .rng import LinkTag, spawn_rng
 
 __version__ = "0.1.0"

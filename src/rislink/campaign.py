@@ -22,7 +22,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,11 +31,10 @@ import numpy as np
 from .channel import RealizationChannels, realize_block, surface_cascade
 # no caller left here; the benchmark's tracer wraps these names (ROADMAP item 5)
 from .channel import composite_multi, realize_channels  # noqa: F401
-from .config import SimConfig, ValidatedConfig, validate_config
+from .config import SimConfig, ValidatedConfig, check_positions, validate_config
 from .control import (baseline_phases, pinv_phases, rate_from_singular_values, select_ris,
                       siso_optimal_phases)
-from .errors import (ConfigError, DimensionMismatch, EmptySweep, NearFieldViolation,
-                     NearFieldWarning)
+from .errors import ConfigError, DimensionMismatch, EmptySweep
 from .rng import LinkTag, block_rngs, spawn_rng
 
 _SWEEP_AXES = ("pt", "n", "ntnr")
@@ -159,35 +157,6 @@ BLOCK_SIZE = 32
 # few times this; 32768 lets the 24-cell, 4x4-by-64 benchmark map realize
 # 4 realizations a chunk where 16384 allowed 2.
 COVERAGE_CHUNK_BUDGET = 32768
-
-
-def check_positions(vc: ValidatedConfig, positions: np.ndarray) -> None:
-    """Check a (K, 3) stack of receiver positions against the scene, as
-    `validate_config` checks the config's own receiver.
-
-    A position on the transmitter or on a surface is a ConfigError.
-    Positions inside a surface's Fraunhofer distance raise one
-    NearFieldWarning with their count and the nearest such distance, or
-    NearFieldViolation under `strict_near_field`.
-    """
-    cfg = vc.config
-    anchors = np.array([cfg.tx.position] + [r.position for r in cfg.ris], float)
-    dist = np.linalg.norm(positions[:, None, :] - anchors, axis=-1)   # (K, 1 + surfaces)
-    if np.any(dist == 0.0):
-        k, j = np.argwhere(dist == 0.0)[0]
-        on = "the transmitter" if j == 0 else f"ris[{j - 1}]"
-        raise ConfigError(f"receiver position {tuple(positions[k].tolist())} lies on {on}; "
-                          "move the grid or its height")
-    limits = np.array([r.fraunhofer_distance(vc.wavelength) for r in cfg.ris])
-    near = dist[:, 1:] < limits
-    if near.any():
-        msg = (f"{np.count_nonzero(near.any(axis=1))} of {len(positions)} receiver positions "
-               f"lie inside a surface's Fraunhofer distance, the nearest "
-               f"{dist[:, 1:][near].min():.2f} m from its surface; the far-field model does "
-               "not apply there")
-        if cfg.strict_near_field:
-            raise NearFieldViolation(msg)
-        warnings.warn(msg, NearFieldWarning, stacklevel=3)
 
 
 def serving_surface(vc: ValidatedConfig, positions: np.ndarray) -> np.ndarray:
@@ -417,7 +386,7 @@ def coverage_map(campaign: Campaign, grid: GridSpec | None = None) -> CoverageGr
     Realization substreams do not depend on the receiver position, so all
     cells see the same environment draws per realization and maps from
     scenes sharing a seed are paired cell by cell.  The cell centres are
-    checked first (`check_positions`).  Cells are evaluated in
+    checked first (`config.check_positions`).  Cells are evaluated in
     fixed blocks of `BLOCK_SIZE` (row-major order) that share each
     realization's draws; the serving surface of each cell is chosen once.
     """
@@ -429,7 +398,7 @@ def coverage_map(campaign: Campaign, grid: GridSpec | None = None) -> CoverageGr
     z = cfg.rx.position[2] if grid.z is None else grid.z
     xs, ys = np.meshgrid(x, y)                   # (ny, nx): cells in row-major order
     positions = np.stack([xs.ravel(), ys.ravel(), np.full(xs.size, float(z))], axis=-1)
-    check_positions(vc, positions)
+    check_positions(cfg, vc.wavelength, positions)
     selected = serving_surface(vc, positions)
     payloads = [(vc, positions[i:i + BLOCK_SIZE],
                  selected[i:i + BLOCK_SIZE], cfg.realizations, np.asarray(vc.pt_watts[:1]))

@@ -282,11 +282,6 @@ def assemble_direct_channel(clusters: ClusterSet, link: LinkState,
     return _one_link(scene.rx, scene.tx, clusters, link)
 
 
-def phase_matrix(phases: np.ndarray) -> np.ndarray:
-    """Diagonal unit-modulus response matrix induced by the phase vector."""
-    return np.diag(np.exp(1j * np.asarray(phases, float)))
-
-
 @dataclass(frozen=True)
 class RealizationChannels:
     """The channel matrices of a block of realizations (`realize_block`), or of

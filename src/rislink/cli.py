@@ -40,10 +40,8 @@ def _build_config(args) -> SimConfig:
 
 
 def _cmd_validate(args) -> int:
-    cfg = _build_config(args)
-    if args.strict:
-        cfg = dataclasses.replace(cfg, strict_near_field=True)
-    vc = validate_config(cfg)
+    vc = validate_config(_build_config(args))
+    cfg = vc.config
     print(f"config ok (hash {vc.config_hash})")
     print(f"wavelength: {vc.wavelength:.6g} m")
     print(f"tx: {cfg.tx.count} ({cfg.tx.layout}), rx: {cfg.rx.count} ({cfg.rx.layout}), "
@@ -122,8 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a scenario and print derived values")
     _add_scenario_args(p)
-    p.add_argument("--strict", action="store_true",
-                   help="treat near-field geometry as an error")
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("run", help="run a rate campaign over a sweep")

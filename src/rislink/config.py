@@ -307,12 +307,46 @@ def _check_count(what: str, count: int, most: int) -> None:
         raise ConfigError(f"{what} {count} exceeds the maximum of {most}")
 
 
+def check_positions(cfg: SimConfig, wavelength: float, receivers: np.ndarray) -> None:
+    """Check the config's transmitter and a (K, 3) stack of receiver
+    positions against the scene: where a terminal may stand.
+
+    A receiver on the transmitter, or any terminal on a surface, is a
+    ConfigError.  Terminals inside a surface's Fraunhofer distance raise one
+    NearFieldWarning with their count and the nearest such distance, or
+    NearFieldViolation under `strict_near_field`.
+    """
+    anchors = np.array([cfg.tx.position] + [r.position for r in cfg.ris], float)
+    points = np.concatenate([anchors[:1], receivers])
+    dist = np.linalg.norm(points[:, None, :] - anchors, axis=-1)   # (1 + K, 1 + surfaces)
+    dist[0, 0] = math.inf   # the transmitter itself
+    if np.any(dist == 0.0):
+        k, j = np.argwhere(dist == 0.0)[0]
+        on = "the transmitter" if j == 0 else f"ris[{j - 1}]"
+        raise ConfigError(f"{'receiver' if k else 'transmitter'} position "
+                          f"{tuple(points[k].tolist())} lies on {on}")
+    near = dist[:, 1:] < [r.fraunhofer_distance(wavelength) for r in cfg.ris]
+    if near.any():
+        rows = near.any(axis=1)
+        who = ["the transmitter"] if rows[0] else []
+        if count := np.count_nonzero(rows[1:]):
+            who.append(f"{count} of {len(receivers)} receiver positions")
+        msg = (f"{' and '.join(who)} {'lies' if who == ['the transmitter'] else 'lie'} "
+               f"inside a surface's Fraunhofer distance, the nearest "
+               f"{dist[:, 1:][near].min():.2f} m from its surface; the far-field model does "
+               "not apply there")
+        if cfg.strict_near_field:
+            raise NearFieldViolation(msg)
+        warnings.warn(msg, NearFieldWarning, stacklevel=3)
+
+
 def validate_config(cfg: SimConfig | ValidatedConfig) -> ValidatedConfig:
     """Check all invariants and return the config with derived quantities.
 
     Re-validating a ValidatedConfig is idempotent.  Raises subclasses of
     ConfigError on violations, including any number in the config that is
-    not finite; near-field geometry warns unless `strict_near_field` is set.
+    not finite and a terminal on another device (`check_positions`);
+    near-field geometry warns unless `strict_near_field` is set.
     """
     if isinstance(cfg, ValidatedConfig):
         cfg = cfg.config
@@ -365,16 +399,7 @@ def validate_config(cfg: SimConfig | ValidatedConfig) -> ValidatedConfig:
             raise ConfigError(f"{path} must be finite, got {value!r}")
 
     wavelength = SPEED_OF_LIGHT / cfg.frequency_hz
-    for i, ris in enumerate(cfg.ris):
-        fraunhofer = ris.fraunhofer_distance(wavelength)
-        for term, pos in (("tx", cfg.tx.position), ("rx", cfg.rx.position)):
-            dist = math.dist(pos, ris.position)
-            if dist < fraunhofer:
-                msg = (f"{term}-ris[{i}] distance {dist:.2f} m is inside the Fraunhofer "
-                       f"distance {fraunhofer:.2f} m; the far-field model does not apply")
-                if cfg.strict_near_field:
-                    raise NearFieldViolation(msg)
-                warnings.warn(msg, NearFieldWarning, stacklevel=2)
+    check_positions(cfg, wavelength, np.array([cfg.rx.position], float))
 
     return ValidatedConfig(
         config=cfg,

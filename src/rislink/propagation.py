@@ -93,20 +93,14 @@ def los_probability(d: float, env: Environment) -> float:
     return float(frac + np.exp(-d / 36.0) * (1.0 - frac))
 
 
-def path_loss(d, f_hz: float, env: Environment, los: bool,
-              rng: np.random.Generator):
+def shadowed_attenuation(d, f_hz: float, env: Environment, los: bool, shadow):
     """Linear attenuation(s) for path length(s) `d`, including shadow fading.
 
-    Accepts a scalar or an array of distances; one independent shadowing
-    draw is consumed per path.  Distances below the 1 m validity floor are
-    clamped with a warning.  Returned values are capped at 1 (a passive
-    channel never amplifies).
+    Accepts a scalar or an array of distances; `shadow` holds the
+    standard-normal shadowing draws, broadcast against `d`.  Distances below
+    the 1 m validity floor are clamped with a warning.  Returned values are
+    capped at 1 (a passive channel never amplifies).
     """
-    return shadowed_attenuation(d, f_hz, env, los, rng.standard_normal(np.shape(d)))
-
-
-def shadowed_attenuation(d, f_hz: float, env: Environment, los: bool, shadow):
-    """`path_loss` with its standard-normal shadowing draws given (broadcast against d)."""
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise NonPositiveDistance("path length must be > 0")

@@ -65,32 +65,6 @@ def _uint32_words(value: int) -> list[int]:
     return words
 
 
-def _mix_entropy(words: list[int]) -> tuple[list[int], int]:
-    """`SeedSequence.mix_entropy` over `words`: the pool and the hash constant it ends on."""
-    hash_const = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = (value * hash_const) & _MASK32
-        return value ^ (value >> 16)
-
-    def mix(x: int, y: int) -> int:
-        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return result ^ (result >> 16)
-
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    return pool, hash_const
-
-
 def _constants(start: int, mult: int, count: int) -> np.ndarray:
     """`start` and the `count` hash constants that follow it, as a (count + 1, 1) array."""
     out = [start]
@@ -105,17 +79,21 @@ _STATE_SOURCE = np.arange(2 * _POOL_SIZE) % _POOL_SIZE
 _STATE_CONSTANTS = _constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
 
 
-def _pcg64_seed_words(prefix: list[int], tail: list) -> np.ndarray:
+def _pcg64_seed_words(prefix: np.random.SeedSequence, tail: list) -> np.ndarray:
     """The words `SeedSequence.generate_state(4, np.uint64)` returns, per stream.
 
-    The entropy is `prefix` (ints shared by every stream) followed by
+    The entropy is that of `prefix` (shared by every stream) followed by
     `tail`, whose entries are ints or uint32 arrays with one word per
-    stream.  The prefix is hashed once; from the first tail word on, each
+    stream.  numpy hashes the prefix once; from the first tail word on, each
     word is mixed into all four pool words of every stream at once.
     Returns a (streams, 4) uint64 array.
     """
-    pool, hash_const = _mix_entropy(prefix)
-    pool = np.array(pool, dtype=np.uint32)[:, None]
+    # mixing n entropy words into the pool takes 4 n hash-constant steps
+    # (SeedSequence pads the seed's words to the pool size ahead of a spawn key)
+    words = (max(_POOL_SIZE, len(_uint32_words(prefix.entropy)))
+             + sum(len(_uint32_words(key)) for key in prefix.spawn_key))
+    hash_const = _INIT_A * pow(_MULT_A, _POOL_SIZE * words, 2**32) & _MASK32
+    pool = prefix.pool[:, None]
     for word in tail:
         consts = _constants(hash_const, _MULT_A, _POOL_SIZE)
         hash_const = int(consts[-1, 0])
@@ -161,9 +139,7 @@ def block_rngs(master_seed: int, realizations: range, link_tag: LinkTag | int,
     if len(realizations) and (min(realizations) < 0 or max(realizations) > _MASK32):
         raise ValueError(f"block seeding covers realization indices 0 .. 2**32 - 1, "
                          f"got {realizations}")
-    run = _uint32_words(master_seed)
-    # SeedSequence pads the seed's words to the pool size ahead of a spawn key
-    prefix = run + [0] * (_POOL_SIZE - len(run)) + _uint32_words(link_tag)
+    prefix = np.random.SeedSequence(int(master_seed), spawn_key=(int(link_tag),))
     tail = [np.array(realizations, dtype=np.uint32)] + [
         w for x in extra for w in _uint32_words(x)]
     seed_words = _seed_words_type()

@@ -17,6 +17,7 @@ from scipy.integrate import quad
 from scipy.stats import spearmanr
 
 import rislink as rl
+from rislink.channel import realize_block
 from rislink.config import ENVIRONMENTS
 
 WORKERS = 2
@@ -266,34 +267,44 @@ def test_criterion_9_byte_identical_outputs_across_worker_counts(tmp_path):
             ok, f"csv bytes: {len(csv_blobs[0])}, dump bytes: {len(dump_blobs[0])}")
 
 
+def _direct_link_scene(d: float, **fields) -> rl.ValidatedConfig:
+    """A scene without surfaces whose 1x1 terminals stand `d` meters apart:
+    the channel engine draws the direct link alone."""
+    cfg = rl.scene_preset("indoor")
+    fields = {"ris": (), "direct_mode": "auto", "rx_orientation": "fixed", **fields}
+    return rl.validate_config(dataclasses.replace(
+        cfg, tx=dataclasses.replace(cfg.tx, count=1, position=(0.0, 0.0, 1.5)),
+        rx=dataclasses.replace(cfg.rx, count=1, position=(d, 0.0, 1.5)), **fields))
+
+
 def test_criterion_10_statistical_calibration():
-    # (a) empirical LOS frequency vs the closed-form probability
+    # (a) the engine's empirical LOS frequency vs the closed-form probability
     checks = []
     ok = True
     for env_name, d in (("inh", 10.0), ("umi", 30.0)):
         env = ENVIRONMENTS[env_name]
         p = rl.los_probability(d, env)
         n = 10_000
-        hits = sum(rl.draw_link_state(d, 28e9, env, rl.spawn_rng(101, i, rl.LinkTag.DIRECT)).los
-                   for i in range(n))
+        vc = _direct_link_scene(d, environment=env, seed=101, scatter_paths=False)
+        hits = np.count_nonzero(realize_block(vc, range(n)).los["direct"])
         se = math.sqrt(p * (1 - p) / n)
         ok = ok and abs(hits / n - p) < 2 * se
         checks.append(f"LOS {env_name}: {hits / n:.4f} vs {p:.4f} (2se={2 * se:.4f})")
 
-    # (b) clamped-Poisson cluster count vs its brute-force expectation
+    # (b) the engine's clamped-Poisson cluster count per link vs its brute-force expectation
     env = dataclasses.replace(ENVIRONMENTS["inh"], scatterers_min=1, scatterers_max=1)
     lam = env.cluster_intensity
     pmf = [math.exp(-lam)]
     for k in range(1, 80):
         pmf.append(pmf[-1] * lam / k)
     expected = sum(max(1, k) * p for k, p in enumerate(pmf))
-    counts = np.fromiter(
-        (rl.draw_clusters((0, 0, 1), (5, 0, 1), env, 28e9,
-                          rl.spawn_rng(103, i, rl.LinkTag.TX_RIS)).cluster_count
-         for i in range(100_000)), dtype=float)
-    rel = abs(counts.mean() - expected) / expected
+    vc = _direct_link_scene(5.0, environment=env, seed=103, direct_mode="present")
+    n, block = 100_000, 2000
+    clusters = sum(len(realize_block(vc, range(i, i + block)).clusters["direct"].sizes)
+                   for i in range(0, n, block))
+    rel = abs(clusters / n - expected) / expected
     ok = ok and rel < 0.01
-    checks.append(f"clusters: {counts.mean():.4f} vs {expected:.4f} (rel {rel:.2%})")
+    checks.append(f"clusters: {clusters / n:.4f} vs {expected:.4f} (rel {rel:.2%})")
 
     # (c) element pattern integrates to 4*pi over the front hemisphere
     worst = 0.0

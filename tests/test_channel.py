@@ -1,4 +1,4 @@
-"""Channel assembly: link matrices, phase matrix, composite channel."""
+"""Channel assembly: link matrices, surface phase response, composite channel."""
 
 import dataclasses
 
@@ -7,7 +7,7 @@ import pytest
 
 from rislink import (ArraySpec, RealizationChannels, RisSpec, SimConfig,
                      assemble_direct_channel, assemble_link_channel, build_scene,
-                     composite_multi, phase_matrix, quantize_phases, realize_channels,
+                     composite_multi, quantize_phases, realize_channels,
                      scene_preset, validate_config)
 import rislink.channel as channel_module
 from rislink.channel import realize_block, surface_cascade
@@ -34,6 +34,12 @@ def los_only_scene(nt=1, nr=1, n=16):
 def composite(tx_ris, ris_rx, direct, phases):
     """The end-to-end matrix of one single-surface realization."""
     return composite_multi(RealizationChannels((tx_ris,), (ris_rx,), direct, 0), [phases])
+
+
+def phase_matrix(phases):
+    """diag(exp(j*phases)), the surface's response, as `surface_cascade` applies it."""
+    eye = np.eye(len(phases))
+    return surface_cascade(eye, eye, phases)
 
 
 def single_path_clusters(position, gain=1.0, attenuation=1.0):

@@ -120,3 +120,40 @@ def test_scene_without_surfaces_runs(command, tmp_path, capsys):
 def test_workers_below_one_is_a_config_error(capsys):
     assert main(["run", "--preset", "indoor", "--set", "realizations=2", "--workers", "0"]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, override, message", [
+    ("run", "rx_position=0,25,2", "receiver position (0.0, 25.0, 2.0) lies on the transmitter"),
+    ("run", "rx_position=40,50,2", "receiver position (40.0, 50.0, 2.0) lies on ris[0]"),
+    ("run", "tx_position=40,50,2", "transmitter position (40.0, 50.0, 2.0) lies on ris[0]"),
+    ("validate", "rx_position=40,50,2", "receiver position (40.0, 50.0, 2.0) lies on ris[0]"),
+], ids=["run-rx-on-tx", "run-rx-on-surface", "run-tx-on-surface", "validate-rx-on-surface"])
+def test_terminal_on_another_device_is_a_config_error(command, override, message, capsys):
+    assert main([command, "--preset", "indoor", "--set", "realizations=2",
+                 "--set", override]) == 1
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and message in captured.err
+    assert "config ok" not in captured.out and "sweep_value" not in captured.out
+
+
+def test_dump_of_a_receiver_on_a_surface_is_a_config_error_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "dump"
+    assert main(["dump-channels", "--preset", "indoor", "--set", "realizations=2",
+                 "--set", "rx_position=40,50,2", "--out-dir", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_near_field_terminal_fails_validation_under_strict_checking(capsys):
+    # 1024 elements put the surface's Fraunhofer distance at 10.29 m; the receiver is 5.2 m off
+    scene = ["--preset", "indoor", "--set", "n_elements=1024", "--set", "rx_position=45,49,1"]
+    with pytest.warns(NearFieldWarning, match="1 of 1 receiver positions"):
+        assert main(["validate", *scene]) == 0
+    assert main(["validate", *scene, "--set", "strict_near_field=true"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "1 of 1 receiver positions" in err
+
+
+def test_validate_has_no_strict_flag():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["validate", "--preset", "indoor", "--strict"])

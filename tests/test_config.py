@@ -1,6 +1,7 @@
 """Configuration model: validation, derived values, RNG streams, file round-trips."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +89,34 @@ class TestValidation:
         with pytest.warns(NearFieldWarning):
             validate_config(cfg)
         with pytest.raises(NearFieldViolation):
+            validate_config(dataclasses.replace(cfg, strict_near_field=True))
+
+    @pytest.mark.parametrize("terminal, position, message", [
+        ("rx", (0.0, 25.0, 2.0), "receiver position (0.0, 25.0, 2.0) lies on the transmitter"),
+        ("rx", (40.0, 50.0, 2.0), "receiver position (40.0, 50.0, 2.0) lies on ris[0]"),
+        ("tx", (40.0, 50.0, 2.0), "transmitter position (40.0, 50.0, 2.0) lies on ris[0]"),
+    ])
+    def test_terminal_on_another_device_rejected(self, terminal, position, message):
+        cfg = small_config()
+        moved = dataclasses.replace(getattr(cfg, terminal), position=position)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            validate_config(dataclasses.replace(cfg, **{terminal: moved}))
+
+    @pytest.mark.parametrize("tx, rx, who", [
+        ((0.0, 25.0, 2.0), (44.0, 45.0, 2.0), "1 of 1 receiver positions lie"),
+        ((44.0, 45.0, 2.0), (0.0, 25.0, 2.0), "the transmitter lies"),
+        ((36.0, 45.0, 2.0), (44.0, 45.0, 2.0), "the transmitter and 1 of 1 receiver positions lie"),
+    ])
+    def test_near_field_terminals_warn_once(self, recwarn, tx, rx, who):
+        # 1024 elements put the Fraunhofer distance at 10.29 m
+        cfg = small_config(tx=ArraySpec("upa", 4, tx), rx=ArraySpec("upa", 4, rx),
+                           ris=(RisSpec(1024, (40.0, 50.0, 2.0)),))
+        validate_config(cfg)
+        near = [w for w in recwarn.list if issubclass(w.category, NearFieldWarning)]
+        assert len(near) == 1
+        assert str(near[0].message).startswith(f"{who} inside a surface's Fraunhofer distance, "
+                                               "the nearest 6.40 m from its surface")
+        with pytest.raises(NearFieldViolation, match=re.escape(who)):
             validate_config(dataclasses.replace(cfg, strict_near_field=True))
 
     def test_environment_invariants(self):

@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from rislink import ENVIRONMENTS, LinkTag, draw_clusters, draw_link_state, los_probability, path_loss, spawn_rng
+from rislink import ENVIRONMENTS, LinkTag, draw_clusters, draw_link_state, los_probability, spawn_rng
 from rislink.config import PathLossTable
 from rislink.errors import ModelValidityWarning, NonPositiveDistance
-from rislink.propagation import draw_cluster_variates, place_clusters
+from rislink.propagation import draw_cluster_variates, place_clusters, shadowed_attenuation
 
 INH = ENVIRONMENTS["inh"]
 UMI = ENVIRONMENTS["umi"]
@@ -17,6 +17,11 @@ INH_NOSHADOW = dataclasses.replace(
     INH,
     pl_los=dataclasses.replace(INH.pl_los, shadow_sigma_db=0.0),
     pl_nlos=dataclasses.replace(INH.pl_nlos, shadow_sigma_db=0.0))
+
+
+def path_loss(d, f_hz, env, los, rng):
+    """`shadowed_attenuation` with one standard-normal shadowing draw per path from `rng`."""
+    return shadowed_attenuation(d, f_hz, env, los, rng.standard_normal(np.shape(d)))
 
 
 class TestLosProbability:
