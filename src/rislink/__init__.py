@@ -8,14 +8,13 @@ from .campaign import (Campaign, CoverageGrid, GridSpec, RateStatistics,
 from .channel import (RealizationChannels, Scene, assemble_direct_channel,
                       assemble_link_channel, build_scene, composite_multi,
                       realize_channels)
-from .config import (ENVIRONMENTS, ArraySpec, Environment, PathLossTable, RisSpec,
-                     SimConfig, ValidatedConfig, config_hash, dbm_to_watts,
-                     load_config, parse_config_text, serialize_config,
+from .config import (ENVIRONMENTS, SCENE_PRESETS, ArraySpec, Environment, PathLossTable,
+                     RisSpec, SimConfig, ValidatedConfig, config_hash, dbm_to_watts,
+                     load_config, parse_config_text, scene_preset, serialize_config,
                      validate_config, watts_to_dbm)
 from .control import (achievable_rate, baseline_phases, far_field_power, pinv_phases,
                       quantize_phases, select_ris, siso_optimal_phases)
 from .geometry import azimuth_rotation_frame, element_gain, frame_from_plane
-from .presets import SCENE_PRESETS, scene_preset
 from .propagation import (ClusterSet, LinkState, draw_clusters, draw_link_state,
                           los_probability)
 from .rng import LinkTag, spawn_rng

@@ -32,9 +32,8 @@ from .channel import RealizationChannels, realize_block, surface_cascade
 # no caller left here; the benchmark's tracer wraps these names (ROADMAP item 5)
 from .channel import composite_multi, realize_channels  # noqa: F401
 from .config import SimConfig, ValidatedConfig, check_positions, validate_config
-from .control import (baseline_phases, pinv_phases, rate_from_singular_values, select_ris,
-                      siso_optimal_phases)
-from .errors import ConfigError, DimensionMismatch, EmptySweep
+from .control import baseline_phases, pinv_phases, rate_from_singular_values, select_ris
+from .errors import ConfigError, EmptySweep
 from .rng import LinkTag, block_rngs, spawn_rng
 
 _SWEEP_AXES = ("pt", "n", "ntnr")
@@ -203,14 +202,11 @@ def _serving_phases(vc: ValidatedConfig, realizations: range, k: int,
     """
     cfg = vc.config
     algorithm, bits = cfg.algorithm, cfg.phase_bits
-    if algorithm == "pinv":
+    # siso runs at Nt = Nr = 1 (validation), where pinv_phases takes its closed form
+    if algorithm in ("pinv", "siso"):
         cells = int(np.prod(ris_rx.shape[1:-2]))
         return pinv_phases(tx_ris, ris_rx, bits=bits, fallback_rng=lambda leg: spawn_rng(
             cfg.seed, realizations[leg // cells], LinkTag.PHASES, k))
-    if algorithm == "siso":
-        if cfg.tx.count != 1 or cfg.rx.count != 1:
-            raise DimensionMismatch("the siso algorithm requires Nt = Nr = 1")
-        return siso_optimal_phases(tx_ris[..., 0], ris_rx[..., 0, :], bits=bits)
     # random | zero: validation admits no other algorithm
     return _phase_draws(vc, realizations, k, algorithm, bits).reshape(tx_ris.shape[:-1])
 
@@ -383,15 +379,20 @@ def run_campaign(campaign: Campaign) -> RateStatistics:
 def coverage_map(campaign: Campaign, grid: GridSpec | None = None) -> CoverageGrid:
     """Mean rate per grid cell with the receiver moved cell by cell.
 
-    Realization substreams do not depend on the receiver position, so all
-    cells see the same environment draws per realization and maps from
-    scenes sharing a seed are paired cell by cell.  The cell centres are
-    checked first (`config.check_positions`).  Cells are evaluated in
-    fixed blocks of `BLOCK_SIZE` (row-major order) that share each
-    realization's draws; the serving surface of each cell is chosen once.
+    A map runs at the config's one transmit power and its own array sizes:
+    a campaign with a sweep, or a config listing several powers, is a
+    ConfigError.  Realization substreams do not depend on the receiver
+    position, so all cells see the same environment draws per realization
+    and maps from scenes sharing a seed are paired cell by cell.  The cell
+    centres are checked first (`config.check_positions`).  Cells are
+    evaluated in fixed blocks of `BLOCK_SIZE` (row-major order) that share
+    each realization's draws; the serving surface of each cell is chosen once.
     """
     vc = campaign.config
     cfg = vc.config
+    if campaign.sweep_axis != "pt" or len(cfg.pt_dbm) != 1:
+        raise ConfigError("a coverage map runs at the config's values and one transmit power, "
+                          f"got a {campaign.sweep_axis} sweep at pt_dbm {cfg.pt_dbm}")
     if grid is None:
         grid = default_grid(vc)
     x, y = grid.centers()
@@ -401,7 +402,7 @@ def coverage_map(campaign: Campaign, grid: GridSpec | None = None) -> CoverageGr
     check_positions(cfg, vc.wavelength, positions)
     selected = serving_surface(vc, positions)
     payloads = [(vc, positions[i:i + BLOCK_SIZE],
-                 selected[i:i + BLOCK_SIZE], cfg.realizations, np.asarray(vc.pt_watts[:1]))
+                 selected[i:i + BLOCK_SIZE], cfg.realizations, np.asarray(vc.pt_watts))
                 for i in range(0, len(positions), BLOCK_SIZE)]
     means = _parallel_map(_block_mean_rates, payloads, campaign.workers)
     mean_rate = np.concatenate(means).reshape(len(y), len(x))

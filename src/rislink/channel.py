@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ValidatedConfig
+from .config import ValidatedConfig, check_positions
 from .errors import DimensionMismatch
 from .geometry import (azimuth_rotation_frame, element_gain_from_cos, grid_factors,
                        local_directions)
@@ -399,8 +399,12 @@ def realize_block(vc: ValidatedConfig, realizations: range, surfaces=None,
 def realize_channels(vc: ValidatedConfig, realization: int, rx_position=None,
                      surfaces=None) -> RealizationChannels:
     """`realize_block` for the one realization `realization` (in [0, 2**32)),
-    without the realization axis.  For one receiver position, `los` maps
-    each link to its LOS indicator and `clusters` to its `ClusterSet`."""
+    without the realization axis.  An explicit `rx_position` is checked
+    like the config's (`config.check_positions`).  For one receiver
+    position, `los` maps each link to its LOS indicator and `clusters` to
+    its `ClusterSet`."""
+    if rx_position is not None:
+        check_positions(vc.config, vc.wavelength, np.reshape(rx_position, (-1, 3)))
     block = realize_block(vc, range(realization, realization + 1), surfaces, rx_position)
     one = block.direct.ndim == 3
 

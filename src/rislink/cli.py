@@ -9,9 +9,9 @@ from pathlib import Path
 
 from .campaign import (Campaign, GridSpec, coverage_map, default_grid, dump_channels,
                        export_coverage, export_statistics, run_campaign)
-from .config import SimConfig, parse_config_text, serialize_config, validate_config
+from .config import (SCENE_PRESETS, SimConfig, parse_config_text, scene_preset,
+                     serialize_config, validate_config)
 from .errors import ConfigError
-from .presets import SCENE_PRESETS, scene_preset
 
 
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:

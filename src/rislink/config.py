@@ -19,7 +19,7 @@ import numbers
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -377,6 +377,11 @@ def validate_config(cfg: SimConfig | ValidatedConfig) -> ValidatedConfig:
             raise ConfigError(f"{name} orientation {spec.orientation!r} not recognized")
         _check_point(f"{name} position", spec.position)
 
+    if cfg.rx_orientation == "random-azimuth" and cfg.rx.orientation != "global":
+        raise ConfigError(f"rx orientation {cfg.rx.orientation!r} has no effect: the random "
+                          "azimuth frame replaces it; use global or rx_orientation fixed")
+    if cfg.algorithm == "siso" and (cfg.tx.count, cfg.rx.count) != (1, 1):
+        raise ConfigError("the siso algorithm requires Nt = Nr = 1")
     if len(cfg.ris) == 0 and cfg.direct_mode == "blocked":
         raise ConfigError("a scene with no RIS cannot also block the direct path")
     if cfg.phase_bits is not None and cfg.phase_bits < 1:
@@ -498,10 +503,11 @@ _SHAPE = _Kind(lambda text: _numbers(text.replace("x", ","), 2, _whole))
 
 class _Key(NamedTuple):
     """A config file key: the text used when it is absent (None keeps the
-    environment's value; a callable derives it from earlier keys' texts),
-    the dotted SimConfig fields it sets (under `ris`, for every surface) and
-    the values `validate_config` accepts.  When keys share a field the later
-    one wins on parsing and is the one written out."""
+    field's dataclass default, the environment's for its keys, so a key has
+    a text only where its field has no default; a callable derives it from
+    earlier keys' texts), the dotted SimConfig fields it sets (under `ris`,
+    for every surface) and the values `validate_config` accepts.  When keys
+    share a field the later one wins on parsing and is the one written out."""
 
     name: str
     default: str | Callable[[dict[str, str]], str] | None
@@ -531,29 +537,28 @@ _KEYS = (
     _Key("rx_array", "upa", _WORD, ("rx.layout",), ("ula", "upa")),
     _Key("nt", "4", _COUNT, ("tx.count",)),
     _Key("nr", "4", _COUNT, ("rx.count",)),
-    _Key("element_spacing", "0.5", _FLOAT, ("tx.spacing_wl", "rx.spacing_wl")),
+    _Key("element_spacing", None, _FLOAT, ("tx.spacing_wl", "rx.spacing_wl")),
     _Key("ris_position", "40, 50, 2", _each(_POINT, none="none"), ("ris.position",)),
-    _Key("ris_plane", "xz", _each(_WORD), ("ris.plane",), ("xz", "yz")),
-    _Key("ris_facing", "auto", _each(_optional(_COUNT, "auto")), ("ris.facing",), (None, 1, -1)),
+    _Key("ris_plane", None, _each(_WORD), ("ris.plane",), ("xz", "yz")),
+    _Key("ris_facing", None, _each(_optional(_COUNT, "auto")), ("ris.facing",), (None, 1, -1)),
     _Key("n_elements", "64", _each(_COUNT), ("ris.count",)),
-    _Key("ris_shape", "auto", _each(_optional(_SHAPE, "auto")), ("ris.shape",)),
+    _Key("ris_shape", None, _each(_optional(_SHAPE, "auto")), ("ris.shape",)),
     _Key("ris_spacing", lambda kv: kv["element_spacing"], _each(_FLOAT), ("ris.spacing_wl",)),
-    _Key("ris_gain_exponent", "0.285", _each(_FLOAT), ("ris.gain_exponent",)),
-    _Key("pt_dbm", "40", _Kind(_numbers), ("pt_dbm",)),
-    _Key("noise_dbm", "-100", _FLOAT, ("noise_dbm",)),
-    _Key("realizations", "500", _COUNT, ("realizations",)),
-    _Key("seed", "1", _COUNT, ("seed",)),
-    _Key("direct_path", "auto", _WORD, ("direct_mode",), ("auto", "blocked", "present")),
-    _Key("blocked_keeps_scatter", "false", _BOOL, ("blocked_keeps_scatter",)),
-    _Key("ris_links", "auto", _WORD, ("ris_links",), ("auto", "los")),
-    _Key("shared_clusters", "false", _BOOL, ("shared_clusters",)),
-    _Key("scatter_paths", "true", _BOOL, ("scatter_paths",)),
-    _Key("rx_orientation", "random-azimuth", _WORD, ("rx_orientation",),
-         ("random-azimuth", "fixed")),
-    _Key("algorithm", "pinv", _WORD, ("algorithm",), ("pinv", "siso", "random", "zero")),
-    _Key("phase_bits", "none", _optional(_COUNT, "none"), ("phase_bits",)),
-    _Key("idle_ris", "absent", _WORD, ("idle_ris",), ("absent", "random")),
-    _Key("strict_near_field", "false", _BOOL, ("strict_near_field",)),
+    _Key("ris_gain_exponent", None, _each(_FLOAT), ("ris.gain_exponent",)),
+    _Key("pt_dbm", None, _Kind(_numbers), ("pt_dbm",)),
+    _Key("noise_dbm", None, _FLOAT, ("noise_dbm",)),
+    _Key("realizations", None, _COUNT, ("realizations",)),
+    _Key("seed", None, _COUNT, ("seed",)),
+    _Key("direct_path", None, _WORD, ("direct_mode",), ("auto", "blocked", "present")),
+    _Key("blocked_keeps_scatter", None, _BOOL, ("blocked_keeps_scatter",)),
+    _Key("ris_links", None, _WORD, ("ris_links",), ("auto", "los")),
+    _Key("shared_clusters", None, _BOOL, ("shared_clusters",)),
+    _Key("scatter_paths", None, _BOOL, ("scatter_paths",)),
+    _Key("rx_orientation", None, _WORD, ("rx_orientation",), ("random-azimuth", "fixed")),
+    _Key("algorithm", None, _WORD, ("algorithm",), ("pinv", "siso", "random", "zero")),
+    _Key("phase_bits", None, _optional(_COUNT, "none"), ("phase_bits",)),
+    _Key("idle_ris", None, _WORD, ("idle_ris",), ("absent", "random")),
+    _Key("strict_near_field", None, _BOOL, ("strict_near_field",)),
 )
 _KEY_BY_NAME = {key.name: key for key in _KEYS}
 _WRITER = {field: key for key in _KEYS for field in key.fields}   # the last key per field
@@ -631,6 +636,24 @@ def config_from_mapping(kv: dict[str, str]) -> SimConfig:
     for head, attrs in nested.items():   # a preset refined field by field, or an array
         top[head] = dataclasses.replace(top[head], **attrs) if head in top else ArraySpec(**attrs)
     return SimConfig(**top)
+
+
+# SimRIS 2.0's reference scenes as config text over the key defaults (the InH
+# office at 28 GHz): both surface links are line-of-sight and the direct Tx-Rx
+# path is blocked, the regime where a reconfigurable surface is useful.
+_SCENES = {"indoor": "direct_path = blocked\nris_links = los\n"}
+_SCENES["outdoor"] = _SCENES["indoor"] + (
+    "environment = umi\ntx_array = ula\nrx_array = ula\ntx_position = 0, 25, 20\n"
+    "rx_position = 50, 50, 1\nris_position = 40, 60, 10\n")
+SCENE_PRESETS = tuple(_SCENES)
+
+
+@cache
+def scene_preset(name: str) -> SimConfig:
+    """The named reference scene: 'indoor' (InH office) or 'outdoor' (UMi street canyon)."""
+    if name not in _SCENES:
+        raise ConfigError(f"unknown scene preset {name!r}; available: {', '.join(SCENE_PRESETS)}")
+    return parse_config_text(_SCENES[name])
 
 
 def load_config(path) -> SimConfig:

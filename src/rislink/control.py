@@ -38,8 +38,10 @@ def siso_optimal_phases(h: np.ndarray, g: np.ndarray,
     return quantize_phases(-(np.angle(h) + np.angle(g)), bits)
 
 
+PINV_RCOND = 0.3   # `pinv_phases` truncates singular values below this fraction of the largest
+
+
 def pinv_phases(tx_ris: np.ndarray, ris_rx: np.ndarray, bits: int | None = None,
-                rcond: float = 0.3,
                 fallback_rng: Callable[[int], np.random.Generator] | None = None) -> np.ndarray:
     """One-shot surface phases from a pseudoinverse sandwich, no iterations.
 
@@ -47,10 +49,10 @@ def pinv_phases(tx_ris: np.ndarray, ris_rx: np.ndarray, bits: int | None = None,
     matrix M, the identity pattern padded to Nr x Nt, and takes the phase
     of X's diagonal, projecting the response onto unit modulus.
 
-    `rcond` truncates singular values below that fraction of the largest
-    one: without it, a strongly LOS-dominated (near rank-one) link's
-    pseudoinverse is dominated by the reciprocals of its weakest modes and
-    the extracted phases align noise instead of the dominant path.
+    rcond (`PINV_RCOND`) truncates singular values below that fraction of
+    the largest one: without it, a strongly LOS-dominated (near rank-one)
+    link's pseudoinverse is dominated by the reciprocals of its weakest modes
+    and the extracted phases align noise instead of the dominant path.
 
     No N-sized decomposition is taken: with G = ris_rx and H = tx_ris,
     pinv(G) = G^H A and pinv(H) = B H^H, where A and B are the truncated
@@ -65,12 +67,12 @@ def pinv_phases(tx_ris: np.ndarray, ris_rx: np.ndarray, bits: int | None = None,
     SVD pseudoinverse's to rounding (rcond must stay well above 1e-8 for
     the squares to resolve the cut).
 
-    SISO inputs delegate to the closed-form alignment.  Numerical failure
-    falls back to a random phase draw (warning) when `fallback_rng` is
-    given, otherwise raises SingularPinv; an all-zero leg has an all-zero
-    diagonal and so falls back.  `fallback_rng` maps the failing leg's flat
-    stack index (0 for an unstacked call) to the generator it draws from,
-    so the fallback stream need only exist when a fallback runs.
+    SISO inputs delegate to the closed-form alignment.  Legs whose diagonal
+    is not finite or all zero (an all-zero leg, say) warn once and fall back
+    to a random phase draw, or raise SingularPinv without `fallback_rng`,
+    which maps a failing leg's flat stack index (0 for an unstacked call)
+    to the generator it draws from, so the fallback stream need only exist
+    when a fallback runs.
 
     `tx_ris` (..., N, Nt) and `ris_rx` (..., Nr, N) may carry leading stack
     axes that broadcast against each other, e.g. one Tx-side leg for a
@@ -89,45 +91,36 @@ def pinv_phases(tx_ris: np.ndarray, ris_rx: np.ndarray, bits: int | None = None,
     if n < max(nt, nr):
         warnings.warn(f"{n} surface elements for a {nr}x{nt} link; the pseudoinverse "
                       "target is underdetermined", stacklevel=2)
-    try:
-        g_h = ris_rx.conj()                        # conj(G); G^H is its transpose
-        h_h = np.swapaxes(tx_ris.conj(), -1, -2)   # H^H
-        inner = (_gram_pinv(ris_rx @ np.swapaxes(g_h, -1, -2), rcond) @ np.eye(nr, nt)
-                 @ _gram_pinv(h_h @ tx_ris, rcond))
-        # diagonal n of G^H (A M B) H^H: sum over i of (A M B H^H)[i, n] conj(G[i, n]).
-        # The product keeps this operand order: numpy's complex multiply rounds a * b
-        # and b * a differently, and a large temporary on the right gets swapped.
-        # It is taken in place, and both receiver-sized arrays are released before
-        # the phases are quantized.
-        prod = inner @ h_h
-        diag = np.sum(np.multiply(prod, g_h, out=prod), axis=-2)
-        del g_h, prod
-        if not np.all(np.isfinite(diag)) or not np.all(np.any(diag, axis=-1)):
-            raise np.linalg.LinAlgError("degenerate pseudoinverse diagonal")
-    except np.linalg.LinAlgError as exc:
-        stack = np.broadcast_shapes(tx_ris.shape[:-2], ris_rx.shape[:-2])
-        if stack:
-            # redo the stack leg by leg, so only the failing legs fall back,
-            # each with the fallback draws it would get alone
-            legs = zip(np.broadcast_to(tx_ris, stack + (n, nt)).reshape(-1, n, nt),
-                       np.broadcast_to(ris_rx, stack + (nr, n)).reshape(-1, nr, n))
-            return np.stack([
-                pinv_phases(h, g, bits=bits, rcond=rcond,
-                            fallback_rng=fallback_rng and (lambda _, i=i: fallback_rng(i)))
-                for i, (h, g) in enumerate(legs)]).reshape(stack + (n,))
-        warnings.warn(f"pseudoinverse phase computation failed ({exc}); "
-                      "falling back to random phases", SingularPinvWarning, stacklevel=2)
+    g_h = ris_rx.conj()                        # conj(G); G^H is its transpose
+    h_h = np.swapaxes(tx_ris.conj(), -1, -2)   # H^H
+    inner = (_gram_pinv(ris_rx @ np.swapaxes(g_h, -1, -2)) @ np.eye(nr, nt)
+             @ _gram_pinv(h_h @ tx_ris))
+    # diagonal n of G^H (A M B) H^H: sum over i of (A M B H^H)[i, n] conj(G[i, n]).
+    # The product keeps this operand order: numpy's complex multiply rounds a * b
+    # and b * a differently, and a large temporary on the right gets swapped.
+    # It is taken in place, and both receiver-sized arrays are released before
+    # the phases are quantized.
+    prod = inner @ h_h
+    diag = np.sum(np.multiply(prod, g_h, out=prod), axis=-2)
+    del g_h, prod
+    phases = quantize_phases(np.angle(diag), bits)
+    failed = ~(np.all(np.isfinite(diag), axis=-1) & np.any(diag, axis=-1))
+    if failed.any():
+        warnings.warn(f"pseudoinverse phases degenerate on {np.count_nonzero(failed)} of "
+                      f"{failed.size} legs; falling back to random phases",
+                      SingularPinvWarning, stacklevel=2)
         if fallback_rng is None:
-            raise SingularPinv(str(exc)) from exc
-        return baseline_phases("random", n, fallback_rng(0), bits)
-    return quantize_phases(np.angle(diag), bits)
+            raise SingularPinv("degenerate pseudoinverse diagonal")
+        for leg in np.flatnonzero(failed):
+            phases.reshape(-1, n)[leg] = baseline_phases("random", n, fallback_rng(int(leg)), bits)
+    return phases
 
 
-def _gram_pinv(gram: np.ndarray, rcond: float) -> np.ndarray:
+def _gram_pinv(gram: np.ndarray) -> np.ndarray:
     """Truncated inverse of a stack of Hermitian PSD Gram matrices: eigenvalues
-    up to rcond**2 of the largest are dropped, the rest inverted."""
+    up to PINV_RCOND**2 of the largest are dropped, the rest inverted."""
     lam, vec = np.linalg.eigh(gram)                 # ascending: lam[..., -1] is the largest
-    keep = lam > rcond ** 2 * lam[..., -1:]
+    keep = lam > PINV_RCOND ** 2 * lam[..., -1:]
     inverse = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
     return (vec * inverse[..., None, :]) @ np.swapaxes(vec.conj(), -1, -2)
 

@@ -192,9 +192,8 @@ class TestRunCampaign:
             run_campaign(Campaign(quick_vc(realizations=2), workers=workers))
 
     def test_siso_algorithm_requires_siso_arrays(self):
-        vc = quick_vc(realizations=2, algorithm="siso")
-        with pytest.raises(Exception):
-            run_campaign(Campaign(vc))
+        with pytest.raises(ConfigError, match="Nt = Nr = 1"):
+            quick_vc(realizations=2, algorithm="siso")
 
 
 class TestCoverage:
@@ -385,6 +384,18 @@ class TestCoverage:
             GridSpec(**{**good, **fields})
         with pytest.raises(ConfigError):
             dataclasses.replace(GridSpec(**good), **fields)
+
+    @pytest.mark.parametrize("overrides, sweep", [
+        ({}, {"sweep_axis": "n", "sweep_values": (32, 64)}),
+        ({}, {"sweep_axis": "ntnr", "sweep_values": (2, 4)}),
+        ({"pt_dbm": (20.0, 40.0)}, {}),
+    ], ids=["n-sweep", "ntnr-sweep", "two-powers"])
+    def test_map_rejects_a_sweep_or_several_powers(self, overrides, sweep):
+        """A map runs at the config's own array sizes and one power, so it
+        would ignore the sweep or all powers but one."""
+        campaign = Campaign(quick_vc(realizations=2, **overrides), **sweep)
+        with pytest.raises(ConfigError, match="one transmit power"):
+            coverage_map(campaign, GridSpec(38.0, 42.0, 44.0, 46.0, cell=2.0))
 
     def test_no_footprint_requires_extent(self):
         cfg = dataclasses.replace(scene_preset("outdoor"), realizations=2)

@@ -1,6 +1,7 @@
 """Channel assembly: link matrices, surface phase response, composite channel."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from rislink import (ArraySpec, RealizationChannels, RisSpec, SimConfig,
                      scene_preset, validate_config)
 import rislink.channel as channel_module
 from rislink.channel import realize_block, surface_cascade
-from rislink.errors import DimensionMismatch
+from rislink.errors import ConfigError, DimensionMismatch
 from rislink.geometry import element_gain, element_gain_from_cos, local_directions, steering_matrix
 from rislink.propagation import ClusterSet, LinkState
 
@@ -238,6 +239,16 @@ class TestAssembly:
         assert np.array_equal(whole.tx_ris[0], chunked.tx_ris[0])
         assert np.array_equal(whole.ris_rx[0], chunked.ris_rx[0])
         assert np.array_equal(whole.direct, chunked.direct)
+
+    @pytest.mark.parametrize("position, message", [
+        ((0.0, 25.0, 2.0), "lies on the transmitter"),
+        ((40.0, 50.0, 2.0), "lies on ris[0]"),
+        ([(30.0, 20.0, 1.0), (40.0, 50.0, 2.0)], "lies on ris[0]"),
+    ], ids=["on-tx", "on-surface", "stack"])
+    def test_explicit_receiver_position_is_checked(self, position, message):
+        vc = validate_config(dataclasses.replace(scene_preset("indoor"), realizations=1))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            realize_channels(vc, 0, rx_position=position)
 
     def test_realization_index_beyond_the_seeded_range_rejected(self):
         vc = validate_config(dataclasses.replace(scene_preset("indoor"), realizations=1))

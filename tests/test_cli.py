@@ -1,8 +1,10 @@
 """Command-line interface: exit codes and help text, through `main`."""
 
+import dataclasses
+
 import pytest
 
-from rislink import parse_config_text, validate_config
+from rislink import parse_config_text, scene_preset, validate_config
 from rislink.cli import build_parser, main
 from rislink.errors import NearFieldWarning
 
@@ -157,3 +159,28 @@ def test_near_field_terminal_fails_validation_under_strict_checking(capsys):
 def test_validate_has_no_strict_flag():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["validate", "--preset", "indoor", "--strict"])
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_siso_on_array_terminals_is_a_config_error(command, capsys):
+    assert main([command, "--preset", "indoor", "--set", "realizations=2",
+                 "--set", "algorithm=siso"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "Nt = Nr = 1" in err
+
+
+def test_coverage_at_several_powers_is_a_config_error(capsys):
+    assert main(["coverage", "--preset", "indoor", "--set", "realizations=2",
+                 "--set", "pt_dbm=20,40", "--extent", "38,42,44,46", "--cell", "2"]) == 1
+    assert "one transmit power" in capsys.readouterr().err
+
+
+def test_set_on_a_preset_edits_its_full_text(capsys):
+    """A preset is written out in full before --set edits it, so the surface
+    keeps its own spacing when the terminals' spacing changes."""
+    assert main(["validate", "--preset", "indoor", "--set", "element_spacing=0.4"]) == 0
+    preset = scene_preset("indoor")
+    edited = dataclasses.replace(preset, tx=dataclasses.replace(preset.tx, spacing_wl=0.4),
+                                 rx=dataclasses.replace(preset.rx, spacing_wl=0.4))
+    assert edited.ris[0].spacing_wl == 0.5
+    assert f"hash {validate_config(edited).config_hash}" in capsys.readouterr().out

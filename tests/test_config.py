@@ -119,6 +119,15 @@ class TestValidation:
         with pytest.raises(NearFieldViolation, match=re.escape(who)):
             validate_config(dataclasses.replace(cfg, strict_near_field=True))
 
+    def test_rx_mount_orientation_rejected_under_random_azimuth(self):
+        """The random azimuth frame replaces the mount orientation, so a
+        non-global one would change the hash and nothing else."""
+        cfg = small_config(rx=dataclasses.replace(small_config().rx, orientation="xz+"))
+        with pytest.raises(ConfigError, match="random azimuth"):
+            validate_config(cfg)
+        fixed = validate_config(dataclasses.replace(cfg, rx_orientation="fixed"))
+        assert fixed.config.rx.orientation == "xz+"
+
     def test_environment_invariants(self):
         env = dataclasses.replace(ENVIRONMENTS["inh"], cluster_intensity=0.0)
         with pytest.raises(ConfigError):
@@ -225,6 +234,16 @@ class TestConfigFiles:
         assert h0 not in hashes
         assert len(set(hashes)) == len(hashes)
         assert config_hash(dataclasses.replace(base)) == h0
+
+    @pytest.mark.parametrize("make, expected", [
+        (lambda: scene_preset("indoor"), "cb1b6fb22706a5d7"),
+        (lambda: scene_preset("outdoor"), "81baf3437b5bd6b4"),
+        (lambda: parse_config_text(""), "7f28036ff3eea498"),
+    ], ids=["indoor", "outdoor", "empty-text"])
+    def test_preset_and_default_hashes_pinned(self, make, expected):
+        """The scenes and the key defaults hash as they always have: every
+        stored output and golden file is tagged with these hashes."""
+        assert config_hash(make()) == expected
 
 
 class TestConfigKeys:
