@@ -7,12 +7,9 @@ realizations at one sweep point; a coverage map's unit is a fixed block of
 cells with all its realizations; a channel dump's unit is a fixed block of
 realizations.  All randomness comes from substreams keyed by (seed,
 realization, link), never from execution order or receiver position.  So
-every rate takes one path, `_block_singular_values`: the channel engine
-(`channel.realize_block`) draws each realization of a block alone and
-places it at a stack of receiver positions, and the stack is then
-phase-controlled, summed into the composite channel and decomposed at
-once.  A campaign block is that stack at its one receiver position; a
-coverage chunk is it at all of a block's cells.
+every rate takes one path, `_block_singular_values`: `realize_block` draws
+a block at a stack of receiver positions (a campaign's one, or a coverage
+block's cells), then `compute_phase_sets`, `composite_multi` and an SVD.
 Processes rather than threads: one unit is a burst of small numpy calls
 that never release the interpreter lock long enough for threads to overlap.
 """
@@ -22,18 +19,19 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .channel import RealizationChannels, realize_block, surface_cascade
-# no caller left here; the benchmark's tracer wraps these names (ROADMAP item 5)
-from .channel import composite_multi, realize_channels  # noqa: F401
+from .channel import RealizationChannels, composite_multi, realize_block
+# no caller left here; the benchmark's tracer wraps this name (ROADMAP item 5)
+from .channel import realize_channels  # noqa: F401
 from .config import SimConfig, ValidatedConfig, check_positions, validate_config
 from .control import baseline_phases, pinv_phases, rate_from_singular_values, select_ris
-from .errors import ConfigError, EmptySweep
+from .errors import ConfigError, DimensionMismatch, EmptySweep
 from .rng import LinkTag, block_rngs, spawn_rng
 
 _SWEEP_AXES = ("pt", "n", "ntnr")
@@ -47,7 +45,7 @@ class Campaign:
 
     config: ValidatedConfig
     sweep_axis: str = "pt"
-    sweep_values: tuple = ()     # the n or ntnr values; empty for the pt axis
+    sweep_values: tuple = ()     # the n or ntnr values, distinct and whole; empty for pt
     workers: int = 1
 
     def __post_init__(self):
@@ -58,9 +56,13 @@ class Campaign:
                 raise ConfigError("a pt sweep runs over the config's pt_dbm list; set pt_dbm "
                                   f"instead of sweep values {self.sweep_values}")
             return
-        if not self.sweep_values:
+        values = self.sweep_values
+        if not values:
             raise EmptySweep(f"sweep over {self.sweep_axis!r} needs explicit values")
-        object.__setattr__(self, "sweep_values", tuple(sorted(self.sweep_values)))
+        if len(set(values)) != len(values) or not all(
+                isinstance(v, numbers.Real) and float(v).is_integer() for v in values):
+            raise ConfigError(f"sweep values must be distinct whole numbers, got {values}")
+        object.__setattr__(self, "sweep_values", tuple(sorted(int(v) for v in values)))
         if len(self.config.config.pt_dbm) != 1:
             raise EmptySweep("a non-pt sweep needs a single transmit power")
 
@@ -166,15 +168,11 @@ def serving_surface(vc: ValidatedConfig, positions: np.ndarray) -> np.ndarray:
 
 
 def _realized_surfaces(vc: ValidatedConfig, selected: np.ndarray) -> dict:
-    """Surface -> cells whose rates its legs enter (None = all cells): the
-    surfaces a block realizes.
-
-    With absent idle surfaces a surface enters only the cells it serves, so
-    a scene without surfaces (whose cells all read surface -1) realizes none.
-    """
+    """The surfaces a block realizes, each with the cells its legs enter
+    (None = all): with absent idle surfaces only the cells it serves, so a
+    scene without surfaces (whose cells read surface -1) realizes none."""
     if vc.config.idle_ris == "absent":
-        return {k: np.flatnonzero(selected == k) for k in sorted(set(selected.tolist()))
-                if k >= 0}
+        return {k: np.flatnonzero(selected == k) for k in sorted(set(selected.tolist()) - {-1})}
     return dict.fromkeys(range(len(vc.config.ris)))
 
 
@@ -186,72 +184,54 @@ def _phase_draws(vc: ValidatedConfig, realizations: range, k: int, kind: str,
                      for rng in block_rngs(cfg.seed, realizations, LinkTag.PHASES, k)])
 
 
-def _idle_phases(vc: ValidatedConfig, realizations: range, k: int):
-    """Phases of a surface that does not serve the receiver (None = absent)."""
-    return _phase_draws(vc, realizations, k, "random") if vc.config.idle_ris == "random" else None
-
-
-def _serving_phases(vc: ValidatedConfig, realizations: range, k: int,
-                    tx_ris: np.ndarray, ris_rx: np.ndarray) -> np.ndarray:
-    """The config algorithm's phases for serving surface k over a block.
-
-    Both legs carry a leading realization axis, and `ris_rx` may carry a
-    cell axis after it (`tx_ris` then has one of length 1); the phases
-    carry the same axes.  A pinv fallback draws from the failing leg's own
-    realization's substream, spawned only when a fallback runs.
-    """
+def _surface_phases(vc: ValidatedConfig, channels: RealizationChannels, k: int,
+                    served: np.ndarray):
+    """Phases of surface k over a block at the cells its receiver leg was
+    placed at, with the block's realization and cell axes: the config's
+    algorithm at the cells it serves (`served`), random idle phases at the
+    others.  A pinv fallback draws from the failing leg's own realization's
+    substream, spawned only when a fallback runs."""
     cfg = vc.config
-    algorithm, bits = cfg.algorithm, cfg.phase_bits
+    realizations, tx_ris = channels.realization, channels.tx_ris[k][:, None]
+    idle = None if served.all() else np.repeat(
+        _phase_draws(vc, realizations, k, "random")[:, None], len(served), axis=1)
+    if not served.any():
+        return idle
+    ris_rx = channels.ris_rx[k] if idle is None else channels.ris_rx[k][:, served]
     # siso runs at Nt = Nr = 1 (validation), where pinv_phases takes its closed form
-    if algorithm in ("pinv", "siso"):
-        cells = int(np.prod(ris_rx.shape[1:-2]))
-        return pinv_phases(tx_ris, ris_rx, bits=bits, fallback_rng=lambda leg: spawn_rng(
-            cfg.seed, realizations[leg // cells], LinkTag.PHASES, k))
-    # random | zero: validation admits no other algorithm
-    return _phase_draws(vc, realizations, k, algorithm, bits).reshape(tx_ris.shape[:-1])
+    if cfg.algorithm in ("pinv", "siso"):
+        phases = pinv_phases(tx_ris, ris_rx, bits=cfg.phase_bits, fallback_rng=lambda i: spawn_rng(
+            cfg.seed, realizations[i // ris_rx.shape[1]], LinkTag.PHASES, k))
+    else:   # random | zero: validation admits no other algorithm
+        phases = _phase_draws(vc, realizations, k, cfg.algorithm, cfg.phase_bits)[:, None]
+    if idle is not None:
+        idle[:, served] = phases
+    return phases if idle is None else idle
 
 
 def compute_phase_sets(vc: ValidatedConfig, channels: RealizationChannels,
-                       realizations: range) -> list:
-    """Phases per surface for the channels of a block (`realize_block`) at
-    the config's receiver position: the surface nearest the receiver is
-    controlled by the config's algorithm, the others follow the idle-surface
-    policy.  The phases carry a leading realization axis.
-    """
-    selected = serving_surface(vc, np.asarray(vc.config.rx.position, float)[None])[0]
-    return [_serving_phases(vc, realizations, k, tx_ris, ris_rx) if k == selected
-            else _idle_phases(vc, realizations, k)
-            for k, (tx_ris, ris_rx) in enumerate(zip(channels.tx_ris, channels.ris_rx))]
+                       selected: np.ndarray) -> list:
+    """The phase rule: phases per surface for a block realized at a (K, 3)
+    stack of receiver positions (`realize_block`), position i served by
+    surface `selected[i]`.  A surface takes the config's algorithm where it
+    serves and random idle phases at the other cells its leg was placed at
+    (`channels.cells`; absent idle surfaces are not placed there, see
+    `_realized_surfaces`), and None if left out of the realization."""
+    if channels.direct.ndim != 4:
+        raise DimensionMismatch("phase sets need a block realized at a (K, 3) position stack")
+    return [None if tx_ris is None else
+            _surface_phases(vc, channels, k, selected[channels.cells.get(k, slice(None))] == k)
+            for k, tx_ris in enumerate(channels.tx_ris)]
 
 
 def _block_singular_values(vc: ValidatedConfig, realizations: range, positions: np.ndarray,
                            selected: np.ndarray) -> np.ndarray:
     """(B, K, min(Nr, Nt)) singular values of a block of realizations at K
-    receiver positions, position i served by surface `selected[i]`.
-
-    The block is realized once for every position, each surface's legs only
-    at the positions they enter (`_realized_surfaces`), then
-    phase-controlled, summed into the composite channel and decomposed as
-    one (realizations x positions) stack.  The serving algorithm runs only
-    on the positions a surface serves; at the others it takes its idle
-    phases.  A pinv fallback thus maps leg i to realization i // (served
-    positions).
-    """
-    surfaces = _realized_surfaces(vc, selected)
-    channels = realize_block(vc, realizations, surfaces=surfaces, rx_position=positions)
-    composite = channels.direct.copy()
-    for k, cells in surfaces.items():
-        tx_ris, ris_rx = channels.tx_ris[k][:, None], channels.ris_rx[k]
-        served = selected == k
-        if cells is None and not served.all():   # idle at some positions
-            phases = np.repeat(_idle_phases(vc, realizations, k)[:, None], len(served), axis=1)
-            if served.any():
-                phases[:, served] = _serving_phases(vc, realizations, k, tx_ris,
-                                                    ris_rx[:, served])
-        else:
-            phases = _serving_phases(vc, realizations, k, tx_ris, ris_rx)
-        composite[:, slice(None) if cells is None else cells] += surface_cascade(
-            tx_ris, ris_rx, phases)
+    receiver positions, position i served by surface `selected[i]`, each
+    surface's legs placed only where they enter (`_realized_surfaces`)."""
+    channels = realize_block(vc, realizations, surfaces=_realized_surfaces(vc, selected),
+                             rx_position=positions)
+    composite = composite_multi(channels, compute_phase_sets(vc, channels, selected))
     return np.linalg.svd(composite, compute_uv=False)
 
 

@@ -288,16 +288,17 @@ class RealizationChannels:
     one (`realize_channels`, without the realization axis).
 
     Every matrix of a block carries a leading realization axis; realized
-    for a stack of K receiver positions, `ris_rx` and `direct` carry a cell
-    axis after it.  Surfaces left out of the realization have None matrices.
+    for a stack of K receiver positions, `ris_rx` (at its `cells`) and
+    `direct` carry a cell axis after it.  Surfaces left out have None matrices.
     """
 
     tx_ris: tuple[np.ndarray | None, ...]   # per surface, (B, N_k, Nt)
-    ris_rx: tuple[np.ndarray | None, ...]   # per surface, (B, [K,] Nr, N_k)
+    ris_rx: tuple[np.ndarray | None, ...]   # per surface, (B, [K_k,] Nr, N_k)
     direct: np.ndarray                      # (B, [K,] Nr, Nt)
     realization: int | range
     los: dict = field(default_factory=dict)
     clusters: dict = field(default_factory=dict)  # ClusterSet per link key, one position only
+    cells: dict = field(default_factory=dict)     # surface -> its legs' cell indices; absent = all
 
 
 def surface_cascade(tx_ris: np.ndarray, ris_rx: np.ndarray, phases) -> np.ndarray:
@@ -318,12 +319,17 @@ def composite_multi(channels: RealizationChannels,
                     phase_sets: list[np.ndarray | None]) -> np.ndarray:
     """Sum the cascades of all active surfaces plus the direct term.
 
-    `phase_sets[k] is None` models surface k as absent.
+    `phase_sets[k] is None` models surface k as absent.  A stacked cascade
+    enters only the cells its leg was placed at (`channels.cells`), its one
+    Tx-side leg broadcast over them.
     """
     total = channels.direct.astype(complex, copy=True)
-    for tx_ris, ris_rx, phases in zip(channels.tx_ris, channels.ris_rx, phase_sets):
+    for k, phases in enumerate(phase_sets):
         if phases is not None:
-            total += surface_cascade(tx_ris, ris_rx, phases)
+            tx_ris, ris_rx = channels.tx_ris[k], channels.ris_rx[k]
+            tx_ris = tx_ris[..., None, :, :] if ris_rx.ndim > tx_ris.ndim else tx_ris
+            at = (..., channels.cells[k], slice(None), slice(None)) if k in channels.cells else ...
+            total[at] += surface_cascade(tx_ris, ris_rx, phases)
     return total
 
 
@@ -339,8 +345,9 @@ def realize_block(vc: ValidatedConfig, realizations: range, surfaces=None,
 
     `rx_position` may be a stack (K, 3): each position sees the draws it
     would see alone, and receiver-side matrices carry a cell axis.
-    `surfaces` lists the surfaces to realize (others get None matrices), or
-    maps each to the positions its receiver leg is placed at (None = all).
+    `surfaces` maps each surface to realize (others get None matrices) to
+    the stack cells its receiver leg is placed at (None = all), recorded in
+    `cells`; None realizes every surface at every position.
     `los` records each link's LOS state per (realization, position).  For
     one receiver position (not a stack), `clusters` records each link's
     placed paths; a stack's paths grow with it and are released once its
@@ -370,13 +377,12 @@ def realize_block(vc: ValidatedConfig, realizations: range, surfaces=None,
     force = True if cfg.ris_links == "los" else None
     tx_ris, ris_rx = [None] * len(scene.ris), [None] * len(scene.ris)
     if surfaces is None:
-        surfaces = range(len(scene.ris))
-    for k in surfaces:
+        surfaces = dict.fromkeys(range(len(scene.ris)))
+    for k, cells in surfaces.items():
         surface = scene.ris[k]
         fixed = dataclasses.replace(surface, position=surface.position[None])
         leg_h, h = link(f"tx_ris_{k}", fixed, tx, force, LinkTag.TX_RIS, k)
         tx_ris[k] = h[:, 0]
-        cells = surfaces[k] if isinstance(surfaces, dict) else None
         at = rx if cells is None else dataclasses.replace(rx, position=rx.position[cells])
         _, ris_rx[k] = link(f"ris_rx_{k}", at, surface, force, LinkTag.RIS_RX, k,
                             geometry_from=leg_h if cfg.shared_clusters else None,
@@ -393,7 +399,8 @@ def realize_block(vc: ValidatedConfig, realizations: range, surfaces=None,
         ris_rx = [None if m is None else m[:, 0] for m in ris_rx]
         direct = direct[:, 0]
     return RealizationChannels(tuple(tx_ris), tuple(ris_rx), direct, realizations, los,
-                               clusters)
+                               clusters, {k: c for k, c in surfaces.items()
+                                          if c is not None and not one})
 
 
 def realize_channels(vc: ValidatedConfig, realization: int, rx_position=None,
@@ -404,7 +411,7 @@ def realize_channels(vc: ValidatedConfig, realization: int, rx_position=None,
     position, `los` maps each link to its LOS indicator and `clusters` to
     its `ClusterSet`."""
     if rx_position is not None:
-        check_positions(vc.config, vc.wavelength, np.reshape(rx_position, (-1, 3)))
+        check_positions(vc.config, vc.wavelength, np.atleast_2d(rx_position))
     block = realize_block(vc, range(realization, realization + 1), surfaces, rx_position)
     one = block.direct.ndim == 3
 
@@ -413,4 +420,4 @@ def realize_channels(vc: ValidatedConfig, realization: int, rx_position=None,
 
     return RealizationChannels(first(block.tx_ris), first(block.ris_rx), block.direct[0],
                                realization, {k: bool(v[0]) for k, v in block.los.items()}
-                               if one else {}, block.clusters)
+                               if one else {}, block.clusters, block.cells)

@@ -259,13 +259,6 @@ class ValidatedConfig:
     config_hash: str
 
 
-def _check_point(name: str, p: tuple[float, float, float]) -> None:
-    if len(p) != 3 or not all(math.isfinite(v) for v in p):
-        raise ConfigError(f"{name} must be three finite coordinates, got {p!r}")
-    if p[2] < 0:
-        raise ConfigError(f"{name} must be above the ground plane (z >= 0), got z={p[2]}")
-
-
 def _check_environment(cfg: SimConfig) -> None:
     env = cfg.environment
     if env.cluster_intensity <= 0:
@@ -307,16 +300,28 @@ def _check_count(what: str, count: int, most: int) -> None:
         raise ConfigError(f"{what} {count} exceeds the maximum of {most}")
 
 
-def check_positions(cfg: SimConfig, wavelength: float, receivers: np.ndarray) -> None:
-    """Check the config's transmitter and a (K, 3) stack of receiver
-    positions against the scene: where a terminal may stand.
+def check_positions(cfg: SimConfig, wavelength: float, receivers) -> None:
+    """Check the config's transmitter and surfaces and a (K, 3) stack of
+    receiver positions: where a terminal may stand.
 
-    A receiver on the transmitter, or any terminal on a surface, is a
-    ConfigError.  Terminals inside a surface's Fraunhofer distance raise one
-    NearFieldWarning with their count and the nearest such distance, or
-    NearFieldViolation under `strict_near_field`.
+    Every position must be three finite coordinates with z >= 0 (above the
+    ground plane).  A receiver on the transmitter, or any terminal on a
+    surface, is a ConfigError.  Terminals inside a surface's Fraunhofer
+    distance raise one NearFieldWarning with their count and the nearest
+    such distance, or NearFieldViolation under `strict_near_field`.
     """
-    anchors = np.array([cfg.tx.position] + [r.position for r in cfg.ris], float)
+    devices = [cfg.tx.position] + [r.position for r in cfg.ris]
+    receivers = np.asarray(receivers, float)
+    if any(len(p) != 3 for p in devices) or receivers.shape[1:] != (3,):
+        raise ConfigError(f"every position must be three coordinates, got {devices} and "
+                          f"a receiver stack of shape {receivers.shape}")
+    anchors = np.array(devices, float)
+    every = np.concatenate([anchors, receivers])
+    if len(bad := np.flatnonzero(~(np.isfinite(every).all(axis=1) & (every[:, 2] >= 0)))):
+        i = bad[0]
+        name = "transmitter" if i == 0 else f"ris[{i - 1}]" if i < len(anchors) else "receiver"
+        raise ConfigError(f"{name} position {tuple(every[i].tolist())} must be three finite "
+                          "coordinates above the ground plane (z >= 0)")
     points = np.concatenate([anchors[:1], receivers])
     dist = np.linalg.norm(points[:, None, :] - anchors, axis=-1)   # (1 + K, 1 + surfaces)
     dist[0, 0] = math.inf   # the transmitter itself
@@ -345,7 +350,7 @@ def validate_config(cfg: SimConfig | ValidatedConfig) -> ValidatedConfig:
 
     Re-validating a ValidatedConfig is idempotent.  Raises subclasses of
     ConfigError on violations, including any number in the config that is
-    not finite and a terminal on another device (`check_positions`);
+    not finite and a position `check_positions` rejects;
     near-field geometry warns unless `strict_near_field` is set.
     """
     if isinstance(cfg, ValidatedConfig):
@@ -355,8 +360,8 @@ def validate_config(cfg: SimConfig | ValidatedConfig) -> ValidatedConfig:
     _check_choices(cfg)
     _check_environment(cfg)
 
-    if cfg.frequency_hz <= 0:
-        raise ConfigError("frequency must be positive")
+    if not 0 < cfg.frequency_hz < math.inf:
+        raise ConfigError("frequency must be finite and positive")
     # each realization index is seeded as one 32-bit word (`rng.block_rngs`)
     if not isinstance(cfg.realizations, numbers.Integral):
         raise ConfigError(f"the realization count must be a whole number, "
@@ -366,6 +371,8 @@ def validate_config(cfg: SimConfig | ValidatedConfig) -> ValidatedConfig:
         raise ConfigError(f"the seed must be >= 0, got {cfg.seed}")
     if len(cfg.pt_dbm) == 0:
         raise EmptySweep("the transmit power sweep list is empty")
+    if len(set(cfg.pt_dbm)) != len(cfg.pt_dbm):
+        raise ConfigError(f"the transmit powers must be distinct, got {cfg.pt_dbm}")
 
     for name, spec in (("tx", cfg.tx), ("rx", cfg.rx)):
         _check_count(f"{name} antenna count", spec.count, MAX_ARRAY_ELEMENTS)
@@ -375,7 +382,6 @@ def validate_config(cfg: SimConfig | ValidatedConfig) -> ValidatedConfig:
                                              or spec.orientation[:2] not in ("xz", "yz")
                                              or spec.orientation[2] not in "+-"):
             raise ConfigError(f"{name} orientation {spec.orientation!r} not recognized")
-        _check_point(f"{name} position", spec.position)
 
     if cfg.rx_orientation == "random-azimuth" and cfg.rx.orientation != "global":
         raise ConfigError(f"rx orientation {cfg.rx.orientation!r} has no effect: the random "
@@ -387,25 +393,22 @@ def validate_config(cfg: SimConfig | ValidatedConfig) -> ValidatedConfig:
     if cfg.phase_bits is not None and cfg.phase_bits < 1:
         raise ConfigError("the phase bit count must be >= 1 when set")
 
-    resolved = []
     for i, ris in enumerate(cfg.ris):
         _check_count(f"ris[{i}] element count", ris.count, MAX_ARRAY_ELEMENTS)
-        if ris.spacing_wl <= 0 or ris.gain_exponent < 0:
-            raise ConfigError(f"ris[{i}] needs spacing > 0 and gain exponent >= 0")
+        if not 0 < ris.spacing_wl < math.inf or ris.gain_exponent < 0:
+            raise ConfigError(f"ris[{i}] needs a finite spacing > 0 and gain exponent >= 0")
         if ris.shape is not None and ris.shape[0] * ris.shape[1] != ris.count:
             raise ConfigError(f"ris[{i}] grid shape {ris.shape} does not hold {ris.count} elements")
-        _check_point(f"ris[{i}] position", ris.position)
-        resolved.append(_resolve_facing(ris, cfg.tx.position))
-    cfg = dataclasses.replace(cfg, ris=tuple(resolved))
+
+    wavelength = SPEED_OF_LIGHT / cfg.frequency_hz
+    check_positions(cfg, wavelength, [cfg.rx.position])
+    cfg = dataclasses.replace(cfg, ris=tuple(_resolve_facing(r, cfg.tx.position)
+                                             for r in cfg.ris))
 
     leaves = _leaves(cfg)
     for path, value in leaves:
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{path} must be finite, got {value!r}")
-
-    wavelength = SPEED_OF_LIGHT / cfg.frequency_hz
-    check_positions(cfg, wavelength, np.array([cfg.rx.position], float))
-
     return ValidatedConfig(
         config=cfg,
         wavelength=wavelength,

@@ -50,19 +50,21 @@ class TestCampaignBlocks:
     def test_degenerate_realization_falls_back_alone(self):
         vc = quick_vc()
         block = range(8, 16)
-        channels = realize_block(vc, block)
-        intact = compute_phase_sets(vc, channels, block)[0]
+        position = np.asarray(vc.config.rx.position, float)[None]
+        selected = campaign_module.serving_surface(vc, position)
+        channels = realize_block(vc, block, rx_position=position)
+        intact = compute_phase_sets(vc, channels, selected)[0]
         dead = channels.ris_rx[0].copy()
         dead[3] = 0.0
         with pytest.warns(SingularPinvWarning):
             phases = compute_phase_sets(
-                vc, dataclasses.replace(channels, ris_rx=(dead,)), block)[0]
-        alone = realize_block(vc, range(11, 12))
+                vc, dataclasses.replace(channels, ris_rx=(dead,)), selected)[0]
+        alone = realize_block(vc, range(11, 12), rx_position=position)
         with pytest.warns(SingularPinvWarning):
             expected = compute_phase_sets(
                 vc, dataclasses.replace(alone, ris_rx=(np.zeros_like(alone.ris_rx[0]),)),
-                range(11, 12))[0][0]
-        assert np.array_equal(phases[3], expected)
+                selected)[0][0, 0]
+        assert np.array_equal(phases[3, 0], expected)
         # the fallback draws from realization 11's own phase substream
         assert np.array_equal(expected, baseline_phases(
             "random", 64, spawn_rng(vc.config.seed, 11, LinkTag.PHASES, 0)))
@@ -75,12 +77,13 @@ class TestCampaignBlocks:
         positions = np.array([(30.0, 20.0, 1.0), (45.0, 45.0, 1.0), (60.0, 10.0, 1.0),
                               (20.0, 40.0, 1.0)])
         channels = realize_block(vc, block, rx_position=positions)
-        tx_ris, ris_rx = channels.tx_ris[0][:, None], channels.ris_rx[0]
-        intact = campaign_module._serving_phases(vc, block, 0, tx_ris, ris_rx)
-        dead = ris_rx.copy()
+        served = np.ones(len(positions), dtype=bool)
+        intact = campaign_module._surface_phases(vc, channels, 0, served)
+        dead = channels.ris_rx[0].copy()
         dead[1, 2] = 0.0
         with pytest.warns(SingularPinvWarning):
-            phases = campaign_module._serving_phases(vc, block, 0, tx_ris, dead)
+            phases = campaign_module._surface_phases(
+                vc, dataclasses.replace(channels, ris_rx=(dead,)), 0, served)
         # the fallback draws from realization 9's own phase substream
         assert np.array_equal(phases[1, 2], baseline_phases(
             "random", 64, spawn_rng(vc.config.seed, 9, LinkTag.PHASES, 0)))
@@ -147,6 +150,17 @@ class TestRunCampaign:
     def test_pt_sweep_takes_its_values_from_the_config(self):
         with pytest.raises(ConfigError, match="pt_dbm"):
             Campaign(quick_vc(), sweep_axis="pt", sweep_values=(10, 20))
+
+    @pytest.mark.parametrize("values", [(64.5, 64), (64, 64), (64, 64.0), (float("nan"),),
+                                        ("64",)])
+    def test_sweep_points_must_be_distinct_whole_numbers(self, values):
+        with pytest.raises(ConfigError, match="distinct whole numbers"):
+            Campaign(quick_vc(), sweep_axis="n", sweep_values=values)
+
+    def test_whole_sweep_points_run_as_integers(self):
+        campaign = Campaign(quick_vc(), sweep_axis="ntnr", sweep_values=(8.0, 4))
+        assert campaign.sweep_values == (4, 8)
+        assert all(type(v) is int for v in campaign.sweep_values)
 
     def test_unknown_axis(self):
         with pytest.raises(ConfigError):

@@ -188,7 +188,7 @@ class TestAssembly:
         base = dataclasses.replace(scene_preset("indoor"), realizations=1)
         vc = validate_config(dataclasses.replace(
             base, ris=(base.ris[0], RisSpec(64, (60.0, 30.0, 2.0), plane="yz"))))
-        part = realize_block(vc, range(3), surfaces=(1,))
+        part = realize_block(vc, range(3), surfaces={1: None})
         assert part.tx_ris[0] is None and part.ris_rx[0] is None
         assert part.tx_ris[1].shape == (3, 64, 4) and part.ris_rx[1].shape == (3, 4, 64)
         assert np.array_equal(part.ris_rx[1], realize_block(vc, range(3)).ris_rx[1])
@@ -244,7 +244,11 @@ class TestAssembly:
         ((0.0, 25.0, 2.0), "lies on the transmitter"),
         ((40.0, 50.0, 2.0), "lies on ris[0]"),
         ([(30.0, 20.0, 1.0), (40.0, 50.0, 2.0)], "lies on ris[0]"),
-    ], ids=["on-tx", "on-surface", "stack"])
+        ((float("nan"), 10.0, 1.0), "receiver position (nan, 10.0, 1.0) must be three finite"),
+        ((10.0, 10.0, -5.0), "receiver position (10.0, 10.0, -5.0) must be three finite"),
+        ([(30.0, 20.0, 1.0), (30.0, 20.0, float("inf"))], "(30.0, 20.0, inf) must be"),
+        ((10.0, 10.0), "must be three coordinates"),
+    ], ids=["on-tx", "on-surface", "stack", "nan", "below-ground", "stack-inf", "two-coords"])
     def test_explicit_receiver_position_is_checked(self, position, message):
         vc = validate_config(dataclasses.replace(scene_preset("indoor"), realizations=1))
         with pytest.raises(ConfigError, match=re.escape(message)):
@@ -496,6 +500,25 @@ class TestComposite:
         via_cascade = surface_cascade(channels.tx_ris[0], channels.ris_rx[0],
                                       theta) + channels.direct
         assert np.allclose(via_multi, via_cascade, atol=1e-14)
+
+    def test_cascades_enter_only_the_cells_their_legs_were_placed_at(self):
+        base = dataclasses.replace(scene_preset("indoor"), realizations=1)
+        vc = validate_config(dataclasses.replace(
+            base, ris=(base.ris[0], RisSpec(64, (60.0, 30.0, 2.0), plane="yz"))))
+        positions = np.array([(40.0, 40.0, 1.0), (65.0, 30.0, 1.0), (45.0, 45.0, 1.0)])
+        placed = {0: np.array([0, 2]), 1: np.array([1])}
+        channels = realize_block(vc, range(2), surfaces=placed, rx_position=positions)
+        assert channels.cells == placed
+        assert realize_block(vc, range(2), rx_position=positions).cells == {}
+        phases = [np.linspace(0.0, 6.0, 2 * 2 * 64).reshape(2, 2, 64), np.ones((2, 1, 64))]
+        got = composite_multi(channels, phases)
+        want = channels.direct.copy()
+        for k, cells in placed.items():
+            for b in range(2):
+                for j, c in enumerate(cells):
+                    response = np.diag(np.exp(1j * phases[k][b, j]))
+                    want[b, c] += channels.ris_rx[k][b, j] @ response @ channels.tx_ris[k][b]
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_absent_surface_skipped(self):
         vc = validate_config(dataclasses.replace(scene_preset("indoor"), realizations=1))

@@ -1,11 +1,15 @@
 """Command-line interface: exit codes and help text, through `main`."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from rislink import parse_config_text, scene_preset, validate_config
-from rislink.cli import build_parser, main
+from rislink.cli import EXIT_BROKEN_PIPE, build_parser, main
 from rislink.errors import NearFieldWarning
 
 
@@ -19,6 +23,34 @@ def test_explicit_pt_sweep_values_are_a_config_error(capsys):
                  "--sweep", "pt=10,20"]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "pt_dbm" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["--sweep", "n=64,64"],
+    ["--set", "pt_dbm=20,20"],
+], ids=["n-sweep", "pt-list"])
+def test_repeated_sweep_point_is_a_config_error(args, capsys):
+    assert main(["run", "--preset", "indoor", "--set", "realizations=2", *args]) == 1
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "distinct" in captured.err
+    assert "sweep_value" not in captured.out
+
+
+def test_reader_closing_early_ends_quietly():
+    """Like a Unix tool under `| head -1`: no error line, and not exit status 2."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)   # the reader is gone before the first write
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    try:
+        done = subprocess.run([sys.executable, "-m", "rislink.cli", "validate", "--preset",
+                               "indoor"], stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == EXIT_BROKEN_PIPE
+    assert done.stderr == b""
 
 
 def test_non_numeric_extent_is_a_config_error(capsys):

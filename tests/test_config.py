@@ -68,6 +68,12 @@ class TestValidation:
         with pytest.raises(EmptySweep):
             validate_config(small_config(pt_dbm=()))
 
+    def test_repeated_transmit_power_rejected(self):
+        with pytest.raises(ConfigError, match="distinct"):
+            validate_config(parse_config_text("pt_dbm = 20, 20"))
+        with pytest.raises(ConfigError, match="distinct"):
+            validate_config(small_config(pt_dbm=(20.0, 30.0, 20)))
+
     def test_below_ground_rejected(self):
         cfg = small_config(rx=ArraySpec("upa", 4, (45.0, 45.0, -1.0)))
         with pytest.raises(ConfigError):

@@ -2,6 +2,7 @@
 wraps every name rislink imports only for it; the README's examples still run."""
 
 import ast
+import dataclasses
 import importlib.util
 import re
 import shlex
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import rislink
 from rislink.cli import build_parser
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -56,9 +58,33 @@ def test_every_tracer_only_import_is_wrapped():
             if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
                     "# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
                 kept.update((module, alias.asname or alias.name) for alias in node.names)
-    assert ("rislink.campaign", "composite_multi") in kept
+    assert ("rislink.campaign", "realize_channels") in kept
     stale = sorted(kept - wrapped)
     assert not stale, f"imports kept for the tracer that it does not wrap: {stale}"
+
+
+RATE_SPANS = ("campaign.phase_sets", "channel.composite", "control.pinv", "control.rate")
+
+
+@pytest.mark.parametrize("job", ["run_campaign", "coverage_map"])
+def test_traced_rates_record_every_rate_layer(job):
+    """Every rate runs through the names the tracer wraps for its layers, so
+    none of their spans can quietly read 0 again."""
+    tracer = load_tracer()
+    vc = rislink.validate_config(dataclasses.replace(
+        rislink.scene_preset("indoor"), realizations=2, pt_dbm=(30.0,)))
+    t = tracer.Tracer()
+    t.install()
+    try:
+        if job == "run_campaign":
+            rislink.run_campaign(rislink.Campaign(vc))
+        else:
+            rislink.coverage_map(rislink.Campaign(vc),
+                                 rislink.GridSpec(30.0, 50.0, 10.0, 30.0, cell=10.0, z=1.0))
+    finally:
+        t.remove()
+    assert not [name for name in RATE_SPANS if t.counts[name] == 0]
+    assert t.counts["campaign.phase_sets"] == t.counts["channel.composite"]
 
 
 def readme_block(heading: str) -> str:
