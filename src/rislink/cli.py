@@ -6,18 +6,16 @@ import argparse
 import dataclasses
 import os
 import sys
-from pathlib import Path
 
 from .campaign import (Campaign, GridSpec, coverage_map, default_grid, dump_channels,
                        export_coverage, export_statistics, run_campaign)
-from .config import (SCENE_PRESETS, SimConfig, parse_config_text, scene_preset,
-                     serialize_config, validate_config)
+from .config import SCENE_TEXT, SimConfig, load_config, parse_config_text, validate_config
 from .errors import ConfigError
 
 
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("config", nargs="?", help="scenario config file")
-    parser.add_argument("--preset", choices=SCENE_PRESETS,
+    parser.add_argument("--preset", choices=SCENE_TEXT,
                         help="use a built-in scene instead of a config file")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override any config key (repeatable)")
@@ -29,15 +27,10 @@ def _build_config(args) -> SimConfig:
     if args.config and args.preset:
         raise ConfigError("give either a config file or --preset, not both")
     if args.config:
-        try:
-            text = Path(args.config).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-    elif args.preset:
-        text = serialize_config(scene_preset(args.preset))
-    else:
-        raise ConfigError("a config file or --preset is required")
-    return parse_config_text(text, args.overrides)
+        return load_config(args.config, args.overrides)
+    if args.preset:   # edited like a file holding the preset's text
+        return parse_config_text(SCENE_TEXT[args.preset], args.overrides)
+    raise ConfigError("a config file or --preset is required")
 
 
 def _cmd_validate(args) -> int:
@@ -58,10 +51,10 @@ def _parse_sweep(text: str | None):
     if "=" not in text:
         raise ConfigError(f"--sweep expects 'pt' or 'axis=v1,v2,...', got {text!r}")
     axis, raw = text.split("=", 1)
-    try:
-        values = tuple(int(v) for v in raw.split(","))
+    try:   # numbers here; `Campaign` requires distinct whole ones
+        values = tuple(float(v) for v in raw.split(","))
     except ValueError as exc:
-        raise ConfigError(f"--sweep values must be integers, got {raw!r}") from exc
+        raise ConfigError(f"--sweep values must be numbers, got {raw!r}") from exc
     return axis.strip().lower(), values
 
 

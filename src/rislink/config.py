@@ -54,6 +54,10 @@ def watts_to_dbm(watts: float) -> float:
 # to gigabytes, and factoring its count into a grid (`near_square_grid`
 # trial-divides up to the square root) would stall validation.
 MAX_ARRAY_ELEMENTS = 1 << 20
+# Scatterers per cluster, mean clusters per link and phase bits at most: a link's
+# paths are held for a whole block of realizations (SimRIS draws 1-30 and ~2), and
+# a float64 phase resolves ~2**-52 of a turn, so finer phase levels quantize nothing.
+MAX_SCATTERERS, MAX_CLUSTER_INTENSITY, MAX_PHASE_BITS = 100, 100.0, 52
 
 
 def near_square_grid(count: int) -> tuple[int, int]:
@@ -261,17 +265,16 @@ class ValidatedConfig:
 
 def _check_environment(cfg: SimConfig) -> None:
     env = cfg.environment
-    if env.cluster_intensity <= 0:
-        raise ConfigError("the cluster intensity must be > 0")
-    if env.scatterers_min < 1 or env.scatterers_max < env.scatterers_min:
-        raise ConfigError("scatterer count range must satisfy 1 <= min <= max")
-    for key in _KEYS:
-        if key.kind is _PATH_LOSS:
-            table = _read(cfg, key.fields[0])
-            if table.shadow_sigma_db < 0:
-                raise ConfigError(f"{key.name}: shadow sigma must be >= 0")
-            if table.distance_coeff_db <= 0:
-                raise ConfigError(f"{key.name}: distance coefficient must be > 0")
+    if not 0 < env.cluster_intensity <= MAX_CLUSTER_INTENSITY:
+        raise ConfigError(f"the cluster intensity must be in (0, {MAX_CLUSTER_INTENSITY}]")
+    _check_count("scatterers_min", env.scatterers_min, 1, MAX_SCATTERERS)
+    _check_count("scatterers_max", env.scatterers_max, env.scatterers_min, MAX_SCATTERERS)
+    for name in ("pl_los", "pl_nlos"):
+        table = getattr(env, name)
+        if table.shadow_sigma_db < 0:
+            raise ConfigError(f"{name}: shadow sigma must be >= 0")
+        if table.distance_coeff_db <= 0:
+            raise ConfigError(f"{name}: distance coefficient must be > 0")
 
 
 def _check_choices(cfg: SimConfig) -> None:
@@ -293,9 +296,12 @@ def _resolve_facing(ris: RisSpec, tx_position: tuple[float, float, float]) -> Ri
     return dataclasses.replace(ris, facing=-1 if delta < 0 else 1)
 
 
-def _check_count(what: str, count: int, most: int) -> None:
-    if count < 1:
-        raise NonPositiveCount(f"{what} must be >= 1")
+def _check_count(what: str, count: int, least: int, most: float) -> None:
+    """The one rule for a count: a whole number, not a bool, in [least, most]."""
+    if not isinstance(count, numbers.Integral) or isinstance(count, bool):
+        raise ConfigError(f"{what} must be a whole number, got {count!r}")
+    if count < least:
+        raise NonPositiveCount(f"{what} must be >= {least}, got {count}")
     if count > most:
         raise ConfigError(f"{what} {count} exceeds the maximum of {most}")
 
@@ -363,24 +369,18 @@ def validate_config(cfg: SimConfig | ValidatedConfig) -> ValidatedConfig:
     if not 0 < cfg.frequency_hz < math.inf:
         raise ConfigError("frequency must be finite and positive")
     # each realization index is seeded as one 32-bit word (`rng.block_rngs`)
-    if not isinstance(cfg.realizations, numbers.Integral):
-        raise ConfigError(f"the realization count must be a whole number, "
-                          f"got {cfg.realizations!r}")
-    _check_count("the realization count", cfg.realizations, 2**32)
-    if cfg.seed < 0:
-        raise ConfigError(f"the seed must be >= 0, got {cfg.seed}")
+    _check_count("the realization count", cfg.realizations, 1, 2**32)
+    _check_count("the seed", cfg.seed, 0, math.inf)
     if len(cfg.pt_dbm) == 0:
         raise EmptySweep("the transmit power sweep list is empty")
     if len(set(cfg.pt_dbm)) != len(cfg.pt_dbm):
         raise ConfigError(f"the transmit powers must be distinct, got {cfg.pt_dbm}")
 
     for name, spec in (("tx", cfg.tx), ("rx", cfg.rx)):
-        _check_count(f"{name} antenna count", spec.count, MAX_ARRAY_ELEMENTS)
+        _check_count(f"{name} antenna count", spec.count, 1, MAX_ARRAY_ELEMENTS)
         if spec.spacing_wl <= 0:
             raise ConfigError(f"{name} element spacing must be > 0")
-        if spec.orientation != "global" and (len(spec.orientation) != 3
-                                             or spec.orientation[:2] not in ("xz", "yz")
-                                             or spec.orientation[2] not in "+-"):
+        if spec.orientation not in ("global", "xz+", "xz-", "yz+", "yz-"):
             raise ConfigError(f"{name} orientation {spec.orientation!r} not recognized")
 
     if cfg.rx_orientation == "random-azimuth" and cfg.rx.orientation != "global":
@@ -390,11 +390,13 @@ def validate_config(cfg: SimConfig | ValidatedConfig) -> ValidatedConfig:
         raise ConfigError("the siso algorithm requires Nt = Nr = 1")
     if len(cfg.ris) == 0 and cfg.direct_mode == "blocked":
         raise ConfigError("a scene with no RIS cannot also block the direct path")
-    if cfg.phase_bits is not None and cfg.phase_bits < 1:
-        raise ConfigError("the phase bit count must be >= 1 when set")
+    if cfg.phase_bits is not None:
+        _check_count("the phase bit count", cfg.phase_bits, 1, MAX_PHASE_BITS)
 
     for i, ris in enumerate(cfg.ris):
-        _check_count(f"ris[{i}] element count", ris.count, MAX_ARRAY_ELEMENTS)
+        _check_count(f"ris[{i}] element count", ris.count, 1, MAX_ARRAY_ELEMENTS)
+        for side in ris.shape or ():
+            _check_count(f"ris[{i}] grid shape {ris.shape}", side, 1, MAX_ARRAY_ELEMENTS)
         if not 0 < ris.spacing_wl < math.inf or ris.gain_exponent < 0:
             raise ConfigError(f"ris[{i}] needs a finite spacing > 0 and gain exponent >= 0")
         if ris.shape is not None and ris.shape[0] * ris.shape[1] != ris.count:
@@ -644,24 +646,29 @@ def config_from_mapping(kv: dict[str, str]) -> SimConfig:
 # SimRIS 2.0's reference scenes as config text over the key defaults (the InH
 # office at 28 GHz): both surface links are line-of-sight and the direct Tx-Rx
 # path is blocked, the regime where a reconfigurable surface is useful.
-_SCENES = {"indoor": "direct_path = blocked\nris_links = los\n"}
-_SCENES["outdoor"] = _SCENES["indoor"] + (
+SCENE_TEXT = {"indoor": "direct_path = blocked\nris_links = los\n"}
+SCENE_TEXT["outdoor"] = SCENE_TEXT["indoor"] + (
     "environment = umi\ntx_array = ula\nrx_array = ula\ntx_position = 0, 25, 20\n"
     "rx_position = 50, 50, 1\nris_position = 40, 60, 10\n")
-SCENE_PRESETS = tuple(_SCENES)
+SCENE_PRESETS = tuple(SCENE_TEXT)
 
 
 @cache
 def scene_preset(name: str) -> SimConfig:
     """The named reference scene: 'indoor' (InH office) or 'outdoor' (UMi street canyon)."""
-    if name not in _SCENES:
+    if name not in SCENE_TEXT:
         raise ConfigError(f"unknown scene preset {name!r}; available: {', '.join(SCENE_PRESETS)}")
-    return parse_config_text(_SCENES[name])
+    return parse_config_text(SCENE_TEXT[name])
 
 
-def load_config(path) -> SimConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+def load_config(path, overrides: Iterable[str] = ()) -> SimConfig:
+    """`parse_config_text` of the file at `path`; an unreadable file is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
+    return parse_config_text(text, overrides)
 
 
 def serialize_config(cfg: SimConfig) -> str:

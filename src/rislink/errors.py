@@ -6,7 +6,7 @@ class ConfigError(ValueError):
 
 
 class NonPositiveCount(ConfigError):
-    """An element/antenna/realization count that must be >= 1 is not."""
+    """A count (of elements, antennas, realizations, ...) or a seed below its least value."""
 
 
 class UnknownEnvironment(ConfigError):

@@ -1,6 +1,5 @@
 """Command-line interface: exit codes and help text, through `main`."""
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -8,14 +7,26 @@ from pathlib import Path
 
 import pytest
 
-from rislink import parse_config_text, scene_preset, validate_config
+from rislink import parse_config_text, validate_config
 from rislink.cli import EXIT_BROKEN_PIPE, build_parser, main
+from rislink.config import SCENE_TEXT
 from rislink.errors import NearFieldWarning
 
 
 def test_non_integer_sweep_value_is_a_config_error(capsys):
     assert main(["run", "--preset", "indoor", "--sweep", "n=abc"]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_whole_sweep_points_may_be_written_as_decimals(capsys):
+    """`--sweep` reads numbers as `n_elements = 64.0` does; `Campaign` wants whole ones."""
+    outputs = []
+    for sweep in ("n=64.0,128", "n=64,128"):
+        assert main(["run", "--preset", "indoor", "--set", "realizations=2", "--sweep", sweep]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and "\n64," in outputs[0]
+    assert main(["run", "--preset", "indoor", "--set", "realizations=2", "--sweep", "n=64.5"]) == 1
+    assert "whole numbers" in capsys.readouterr().err
 
 
 def test_explicit_pt_sweep_values_are_a_config_error(capsys):
@@ -108,7 +119,8 @@ def test_set_frequency_ghz_on_a_preset(capsys):
 
 
 @pytest.mark.parametrize("override", ["nt=abc", "scatterers_min=abc", "nt=4.5", "seed=-1",
-                                      "realizations=4294967297"])
+                                      "realizations=4294967297", "scatterers_max=100000000",
+                                      "cluster_intensity=1e12", "phase_bits=1100"])
 def test_bad_override_is_a_config_error(override, capsys):
     assert main(["validate", "--preset", "indoor", "--set", override]) == 1
     assert "config error" in capsys.readouterr().err
@@ -207,12 +219,31 @@ def test_coverage_at_several_powers_is_a_config_error(capsys):
     assert "one transmit power" in capsys.readouterr().err
 
 
-def test_set_on_a_preset_edits_its_full_text(capsys):
-    """A preset is written out in full before --set edits it, so the surface
-    keeps its own spacing when the terminals' spacing changes."""
-    assert main(["validate", "--preset", "indoor", "--set", "element_spacing=0.4"]) == 0
-    preset = scene_preset("indoor")
-    edited = dataclasses.replace(preset, tx=dataclasses.replace(preset.tx, spacing_wl=0.4),
-                                 rx=dataclasses.replace(preset.rx, spacing_wl=0.4))
-    assert edited.ris[0].spacing_wl == 0.5
-    assert f"hash {validate_config(edited).config_hash}" in capsys.readouterr().out
+@pytest.mark.parametrize("preset, override, command", [
+    ("indoor", "environment=umi", ["validate"]),
+    ("outdoor", "environment=inh", ["coverage", "--cell", "25", "--set", "realizations=2"]),
+    ("indoor", "element_spacing=0.4", ["validate"]),
+    ("indoor", "frequency_ghz=73", ["validate"]),
+], ids=["indoor-environment-umi", "outdoor-environment-inh-coverage", "element-spacing",
+        "frequency-73"])
+def test_set_on_a_preset_edits_it_like_a_file_of_its_text(preset, override, command,
+                                                         tmp_path, capsys):
+    """--set on a preset edits its config text: a new environment brings its
+    own values (InH's footprint for the outdoor map) and `ris_spacing` follows
+    `element_spacing`, exactly as in a file holding that text."""
+    scene = tmp_path / "scene.txt"
+    scene.write_text(SCENE_TEXT[preset])
+    outputs = []
+    for source in (["--preset", preset], [str(scene)]):
+        assert main([command[0], *source, *command[1:], "--set", override]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and "hash" in outputs[0]
+
+
+@pytest.mark.parametrize("content", [None, b"nt = 4\xff\n"], ids=["missing", "not-utf8"])
+def test_unreadable_config_file_is_a_config_error(content, tmp_path, capsys):
+    scene = tmp_path / "scene.txt"
+    if content is not None:
+        scene.write_bytes(content)
+    assert main(["validate", str(scene)]) == 1
+    assert "cannot read config file" in capsys.readouterr().err

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from rislink import (ENVIRONMENTS, ArraySpec, Environment, LinkTag, PathLossTable, RisSpec,
                      SimConfig, config_hash, parse_config_text, scene_preset,
                      serialize_config, spawn_rng, validate_config)
-from rislink.config import (MAX_ARRAY_ELEMENTS, config_from_mapping, dbm_to_watts,
+from rislink.config import (MAX_ARRAY_ELEMENTS, MAX_CLUSTER_INTENSITY, MAX_PHASE_BITS,
+                            MAX_SCATTERERS, config_from_mapping, dbm_to_watts, load_config,
                             near_square_grid, watts_to_dbm)
 from rislink.errors import (ConfigError, EmptySweep, NearFieldViolation,
                             NearFieldWarning, NonPositiveCount, UnknownEnvironment)
@@ -63,6 +64,29 @@ class TestValidation:
             validate_config(small_config(realizations=2**32 + 1))
         with pytest.raises(ConfigError, match="whole number"):
             validate_config(small_config(realizations=2.5))
+
+    @pytest.mark.parametrize("fields", [
+        {"seed": 1.5},
+        {"seed": True},
+        {"tx": ArraySpec("upa", 4.0, (0.0, 25.0, 2.0))},
+        {"ris": (RisSpec(True, (40.0, 50.0, 2.0)),)},
+        {"phase_bits": 2.5},
+        {"environment": dataclasses.replace(ENVIRONMENTS["inh"], scatterers_max=30.5)},
+        {"ris": (RisSpec(64, (40.0, 50.0, 2.0), shape=(2.5, 25.6)),)},
+    ], ids=["seed-1.5", "seed-true", "tx-count-4.0", "ris-count-true", "phase-bits-2.5",
+            "scatterers-max-30.5", "shape-2.5x25.6"])
+    def test_library_counts_meet_the_count_rule_of_text(self, fields):
+        with pytest.raises(ConfigError, match="whole number"):
+            validate_config(small_config(**fields))
+
+    def test_allocation_bounds(self):
+        at = (f"scatterers_min = {MAX_SCATTERERS}\nscatterers_max = {MAX_SCATTERERS}\n"
+              f"cluster_intensity = {MAX_CLUSTER_INTENSITY}\nphase_bits = {MAX_PHASE_BITS}")
+        validate_config(parse_config_text(at))
+        for over in (f"scatterers_max = {MAX_SCATTERERS + 1}", f"phase_bits = {MAX_PHASE_BITS + 1}",
+                     f"cluster_intensity = {MAX_CLUSTER_INTENSITY * 1.001}"):
+            with pytest.raises(ConfigError, match="maximum|must be in"):
+                validate_config(parse_config_text(at, [over]))
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(EmptySweep):
@@ -203,6 +227,13 @@ class TestConfigFiles:
         assert cfg.pt_dbm == (20.0, 30.0, 40.0)
         assert cfg.seed == 7
         validate_config(cfg)
+
+    def test_load_config_applies_overrides_and_rejects_unreadable_files(self, tmp_path):
+        scene = tmp_path / "scene.txt"
+        scene.write_text("element_spacing = 0.4\n")
+        assert load_config(scene, ["nt = 8"]) == parse_config_text("element_spacing = 0.4\nnt = 8")
+        with pytest.raises(ConfigError, match="cannot read"):
+            load_config(tmp_path / "missing.txt")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):

@@ -103,6 +103,14 @@ COMMAND_LINES = [line.split("#", 1)[0].strip()
                  if line.startswith("rislink ")]
 
 
+def test_readme_names_every_config_key():
+    """config.py's docstring sends readers to the README for the keys."""
+    section = README.read_text(encoding="utf-8").split("\n## Config files\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    assert [key.name for key in rislink.config._KEYS
+            if not re.search(rf"`{key.name}`|^{key.name} =", section, re.MULTILINE)] == []
+
+
 def test_readme_lists_commands():
     assert len(COMMAND_LINES) >= 5
 
