@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +27,8 @@ import numpy as np
 from .channel import RealizationChannels, composite_multi, realize_block
 # no caller left here; the benchmark's tracer wraps this name (ROADMAP item 5)
 from .channel import realize_channels  # noqa: F401
-from .config import SimConfig, ValidatedConfig, check_positions, validate_config
+from .config import (SimConfig, ValidatedConfig, check_positions, is_count, is_real,
+                     validate_config)
 from .control import baseline_phases, pinv_phases, rate_from_singular_values, select_ris
 from .errors import ConfigError, DimensionMismatch, EmptySweep
 from .rng import LinkTag, block_rngs, spawn_rng
@@ -60,7 +59,7 @@ class Campaign:
         if not values:
             raise EmptySweep(f"sweep over {self.sweep_axis!r} needs explicit values")
         if len(set(values)) != len(values) or not all(
-                isinstance(v, numbers.Real) and float(v).is_integer() for v in values):
+                is_real(v) and float(v).is_integer() for v in values):
             raise ConfigError(f"sweep values must be distinct whole numbers, got {values}")
         object.__setattr__(self, "sweep_values", tuple(sorted(int(v) for v in values)))
         if len(self.config.config.pt_dbm) != 1:
@@ -98,14 +97,14 @@ class GridSpec:
 
     def __post_init__(self):
         extent = (self.x_min, self.x_max, self.y_min, self.y_max)
-        if not all(math.isfinite(v) for v in extent) or not (
+        if not all(map(is_real, extent)) or not (
                 self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ConfigError("grid extent must be finite with x_min < x_max and "
+            raise ConfigError("grid extent must be finite numbers with x_min < x_max and "
                               f"y_min < y_max, got {extent}")
-        if not (math.isfinite(self.cell) and self.cell > 0):
-            raise ConfigError(f"grid cell must be a finite size > 0, got {self.cell}")
-        if self.z is not None and not (math.isfinite(self.z) and self.z >= 0):
-            raise ConfigError(f"grid height must be finite and >= 0, got z={self.z}")
+        if not (is_real(self.cell) and self.cell > 0):
+            raise ConfigError(f"grid cell must be a finite size > 0, got {self.cell!r}")
+        if self.z is not None and not (is_real(self.z) and self.z >= 0):
+            raise ConfigError(f"grid height must be finite and >= 0, got z={self.z!r}")
         nx, ny = self._counts()
         if not nx * ny <= MAX_GRID_CELLS:       # also rejects an infinite count
             raise ConfigError(f"a grid of {nx:g} x {ny:g} cells exceeds the maximum of "
@@ -247,8 +246,8 @@ def composite_singular_values(vc: ValidatedConfig, realization: int) -> np.ndarr
 def _parallel_map(fn, payloads: list, workers: int) -> list:
     """Apply a module-level function over payloads, preserving order, in
     at most one process per payload."""
-    if workers < 1:
-        raise ConfigError(f"workers must be at least 1, got {workers}")
+    if not (is_count(workers) and workers >= 1):   # the count rule of config keys
+        raise ConfigError(f"workers must be a whole number >= 1, got {workers!r}")
     workers = min(workers, len(payloads))
     if workers <= 1:
         return [fn(p) for p in payloads]

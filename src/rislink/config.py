@@ -7,7 +7,8 @@ quantities are produced and invariants enforced.
 
 Config files are flat ``key = value`` text, one scenario per file: lists
 use commas and per-surface entries are separated by ``;``.  The key table
-(`_KEYS`) is the single definition of the keys; the README documents them.
+(`_KEYS`) is the single definition of the keys, documented in the README,
+and of what a field they set holds, in a file or in a library config alike.
 """
 
 from __future__ import annotations
@@ -217,14 +218,11 @@ class RisSpec:
         """
         return _element_list(*self.grid_axes(wavelength))
 
-    def aperture_diagonal(self, wavelength: float) -> float:
-        rows, cols = self.grid_shape
-        s = self.spacing_wl * wavelength
-        return math.hypot((rows - 1) * s, (cols - 1) * s)
-
     def fraunhofer_distance(self, wavelength: float) -> float:
         """2 D^2 / lambda for the aperture diagonal D: the far-field model's near limit."""
-        return 2.0 * self.aperture_diagonal(wavelength) ** 2 / wavelength
+        rows, cols = self.grid_shape
+        s = self.spacing_wl * wavelength
+        return 2.0 * math.hypot((rows - 1) * s, (cols - 1) * s) ** 2 / wavelength
 
 
 @dataclass(frozen=True)
@@ -263,47 +261,12 @@ class ValidatedConfig:
     config_hash: str
 
 
-def _check_environment(cfg: SimConfig) -> None:
-    env = cfg.environment
-    if not 0 < env.cluster_intensity <= MAX_CLUSTER_INTENSITY:
-        raise ConfigError(f"the cluster intensity must be in (0, {MAX_CLUSTER_INTENSITY}]")
-    _check_count("scatterers_min", env.scatterers_min, 1, MAX_SCATTERERS)
-    _check_count("scatterers_max", env.scatterers_max, env.scatterers_min, MAX_SCATTERERS)
-    for name in ("pl_los", "pl_nlos"):
-        table = getattr(env, name)
-        if table.shadow_sigma_db < 0:
-            raise ConfigError(f"{name}: shadow sigma must be >= 0")
-        if table.distance_coeff_db <= 0:
-            raise ConfigError(f"{name}: distance coefficient must be > 0")
-
-
-def _check_choices(cfg: SimConfig) -> None:
-    for key in _KEYS:
-        if not key.choices:
-            continue
-        for field in key.fields:
-            value = _read(cfg, field)
-            for item in value if key.kind.each else (value,):
-                if item not in key.choices:
-                    raise ConfigError(f"{key.name} must be one of {key.choices}, got {item!r}")
-
-
 def _resolve_facing(ris: RisSpec, tx_position: tuple[float, float, float]) -> RisSpec:
     if ris.facing is not None:
         return ris
     axis = 1 if ris.plane == "xz" else 0
     delta = tx_position[axis] - ris.position[axis]
     return dataclasses.replace(ris, facing=-1 if delta < 0 else 1)
-
-
-def _check_count(what: str, count: int, least: int, most: float) -> None:
-    """The one rule for a count: a whole number, not a bool, in [least, most]."""
-    if not isinstance(count, numbers.Integral) or isinstance(count, bool):
-        raise ConfigError(f"{what} must be a whole number, got {count!r}")
-    if count < least:
-        raise NonPositiveCount(f"{what} must be >= {least}, got {count}")
-    if count > most:
-        raise ConfigError(f"{what} {count} exceeds the maximum of {most}")
 
 
 def check_positions(cfg: SimConfig, wavelength: float, receivers) -> None:
@@ -354,35 +317,36 @@ def check_positions(cfg: SimConfig, wavelength: float, receivers) -> None:
 def validate_config(cfg: SimConfig | ValidatedConfig) -> ValidatedConfig:
     """Check all invariants and return the config with derived quantities.
 
-    Re-validating a ValidatedConfig is idempotent.  Raises subclasses of
-    ConfigError on violations, including any number in the config that is
-    not finite and a position `check_positions` rejects;
-    near-field geometry warns unless `strict_near_field` is set.
+    Re-validating a ValidatedConfig is idempotent.  Each field meets the
+    kind, choices and bounds of the key that sets it, then come the rules
+    across fields and `check_positions`.  Raises subclasses of ConfigError
+    on violations; near-field geometry warns unless `strict_near_field` is set.
     """
     if isinstance(cfg, ValidatedConfig):
         cfg = cfg.config
     if not isinstance(cfg.environment, Environment):
         raise UnknownEnvironment(f"environment must be an Environment, got {cfg.environment!r}")
-    _check_choices(cfg)
-    _check_environment(cfg)
+    if not (isinstance(cfg.tx, ArraySpec) and isinstance(cfg.rx, ArraySpec)
+            and type(cfg.ris) is tuple and all(isinstance(r, RisSpec) for r in cfg.ris)):
+        raise ConfigError("tx and rx must be ArraySpecs and ris a tuple of RisSpecs")
+    for head, attr, key in _RULES:
+        value = getattr(cfg, head)
+        if key.kind.each:
+            for i, ris in enumerate(value):
+                _check_value(key, getattr(ris, attr), f"{key.name} of ris[{i}]")
+        else:
+            _check_value(key, getattr(value, attr) if attr else value, key.name)
 
-    if not 0 < cfg.frequency_hz < math.inf:
-        raise ConfigError("frequency must be finite and positive")
-    # each realization index is seeded as one 32-bit word (`rng.block_rngs`)
-    _check_count("the realization count", cfg.realizations, 1, 2**32)
-    _check_count("the seed", cfg.seed, 0, math.inf)
+    if (env := cfg.environment).scatterers_max < env.scatterers_min:
+        raise NonPositiveCount(f"scatterers_max must be >= scatterers_min "
+                               f"{env.scatterers_min}, got {env.scatterers_max}")
     if len(cfg.pt_dbm) == 0:
         raise EmptySweep("the transmit power sweep list is empty")
     if len(set(cfg.pt_dbm)) != len(cfg.pt_dbm):
         raise ConfigError(f"the transmit powers must be distinct, got {cfg.pt_dbm}")
-
     for name, spec in (("tx", cfg.tx), ("rx", cfg.rx)):
-        _check_count(f"{name} antenna count", spec.count, 1, MAX_ARRAY_ELEMENTS)
-        if spec.spacing_wl <= 0:
-            raise ConfigError(f"{name} element spacing must be > 0")
         if spec.orientation not in ("global", "xz+", "xz-", "yz+", "yz-"):
             raise ConfigError(f"{name} orientation {spec.orientation!r} not recognized")
-
     if cfg.rx_orientation == "random-azimuth" and cfg.rx.orientation != "global":
         raise ConfigError(f"rx orientation {cfg.rx.orientation!r} has no effect: the random "
                           "azimuth frame replaces it; use global or rx_orientation fixed")
@@ -390,15 +354,7 @@ def validate_config(cfg: SimConfig | ValidatedConfig) -> ValidatedConfig:
         raise ConfigError("the siso algorithm requires Nt = Nr = 1")
     if len(cfg.ris) == 0 and cfg.direct_mode == "blocked":
         raise ConfigError("a scene with no RIS cannot also block the direct path")
-    if cfg.phase_bits is not None:
-        _check_count("the phase bit count", cfg.phase_bits, 1, MAX_PHASE_BITS)
-
     for i, ris in enumerate(cfg.ris):
-        _check_count(f"ris[{i}] element count", ris.count, 1, MAX_ARRAY_ELEMENTS)
-        for side in ris.shape or ():
-            _check_count(f"ris[{i}] grid shape {ris.shape}", side, 1, MAX_ARRAY_ELEMENTS)
-        if not 0 < ris.spacing_wl < math.inf or ris.gain_exponent < 0:
-            raise ConfigError(f"ris[{i}] needs a finite spacing > 0 and gain exponent >= 0")
         if ris.shape is not None and ris.shape[0] * ris.shape[1] != ris.count:
             raise ConfigError(f"ris[{i}] grid shape {ris.shape} does not hold {ris.count} elements")
 
@@ -406,18 +362,29 @@ def validate_config(cfg: SimConfig | ValidatedConfig) -> ValidatedConfig:
     check_positions(cfg, wavelength, [cfg.rx.position])
     cfg = dataclasses.replace(cfg, ris=tuple(_resolve_facing(r, cfg.tx.position)
                                              for r in cfg.ris))
-
-    leaves = _leaves(cfg)
-    for path, value in leaves:
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{path} must be finite, got {value!r}")
     return ValidatedConfig(
         config=cfg,
         wavelength=wavelength,
         pt_watts=tuple(_power_watts("the transmit power", p) for p in cfg.pt_dbm),
         noise_watts=_power_watts("the noise power", cfg.noise_dbm),
-        config_hash=_digest(leaves),
+        config_hash=config_hash(cfg),
     )
+
+
+def _check_value(key: _Key, value, where: str) -> None:
+    """Apply a key's kind, then its choices, then its bounds to one (surface's) value."""
+    if not key.kind.check(value):
+        raise ConfigError(f"{where} must be {key.kind.what}, got {value!r}")
+    if key.choices and value not in key.choices:
+        raise ConfigError(f"{where} must be one of {key.choices}, got {value!r}")
+    if key.least is None or value is None:
+        return
+    for number in value if type(value) is tuple else (value,):   # a grid shape's sides
+        if number < key.least or (key.strict and number == key.least):
+            raise (NonPositiveCount if type(key.least) is int else ConfigError)(
+                f"{where} must be {'>' if key.strict else '>='} {key.least}, got {number!r}")
+        if number > key.most:
+            raise ConfigError(f"{where} {number!r} exceeds the maximum of {key.most}")
 
 
 # ---------------------------------------------------------------------------
@@ -433,11 +400,25 @@ def _fmt(value) -> str:
 
 
 class _Kind(NamedTuple):
-    """How a key's value reads from and writes to config text."""
+    """How a key's value reads from and writes to config text, and whether
+    a value in a library config is of the kind (`check`), which `what` names."""
 
     parse: Callable[[str], Any]
+    check: Callable[[Any], bool]
+    what: str
     fmt: Callable[[Any], str] = _fmt
     each: bool = False       # one value per surface, `;`-separated
+
+
+def is_real(value) -> bool:
+    """The number rule of config keys: a finite real number, not a bool."""
+    return (type(value) in (float, int) or isinstance(value, numbers.Real)
+            and not isinstance(value, bool)) and abs(value) <= sys.float_info.max
+
+
+def is_count(value) -> bool:
+    """The count rule of config keys: a whole number, not a bool or a float."""
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _word(text: str) -> str:
@@ -485,7 +466,15 @@ def _environment(text: str) -> Environment:
 def _optional(kind: _Kind, token: str) -> _Kind:
     """`kind`, or None spelled as `token`."""
     return _Kind(lambda text: None if _word(text) == token else kind.parse(text),
+                 lambda value: value is None or kind.check(value), f"{kind.what} or None",
                  lambda value: token if value is None else kind.fmt(value))
+
+
+def _tuple(item: _Kind, count: int | None, what: str) -> _Kind:
+    """A tuple of `count` `item` values (any number for None), comma-separated."""
+    return _Kind(lambda text: _numbers(text, count, item.parse),
+                 lambda value: (type(value) is tuple and (count is None or len(value) == count)
+                                and all(map(item.check, value))), what)
 
 
 def _each(kind: _Kind, none: str = "") -> _Kind:
@@ -493,17 +482,23 @@ def _each(kind: _Kind, none: str = "") -> _Kind:
     def parse(text: str) -> list:
         parts = [] if _word(text) == none else text.split(";")
         return [kind.parse(part) for part in parts if part.strip()]
-    return _Kind(parse, lambda values: " ; ".join(kind.fmt(v) for v in values), each=True)
+    return _Kind(parse, kind.check, kind.what,
+                 lambda values: " ; ".join(kind.fmt(v) for v in values), each=True)
 
 
-_FLOAT = _Kind(_number)
-_COUNT = _Kind(_whole)
-_WORD = _Kind(_word)
-_BOOL = _Kind(_bool)
-_POINT = _Kind(lambda text: _numbers(text, 3))
+_FLOAT = _Kind(_number, is_real, "a finite number")
+_COUNT = _Kind(_whole, is_count, "a whole number")
+_WORD = _Kind(_word, lambda value: isinstance(value, str), "a str")
+_BOOL = _Kind(_bool, lambda value: value is True or value is False, "a bool")
+_POINT = _tuple(_FLOAT, 3, "a tuple of three finite numbers")
 _PATH_LOSS = _Kind(lambda text: PathLossTable(*_numbers(text, 4)),
+                   lambda table: (type(table) is PathLossTable
+                                  and all(map(is_real, vars(table).values()))
+                                  and table.shadow_sigma_db >= 0 and table.distance_coeff_db > 0),
+                   "a PathLossTable of finite numbers, sigma >= 0 and distance coefficient > 0",
                    lambda table: _fmt(dataclasses.astuple(table)))
-_SHAPE = _Kind(lambda text: _numbers(text.replace("x", ","), 2, _whole))
+_SHAPE = _tuple(_COUNT, 2, "a tuple of two whole numbers")._replace(
+    parse=lambda text: _numbers(text.replace("x", ","), 2, _whole))
 
 
 class _Key(NamedTuple):
@@ -511,49 +506,62 @@ class _Key(NamedTuple):
     field's dataclass default, the environment's for its keys, so a key has
     a text only where its field has no default; a callable derives it from
     earlier keys' texts), the dotted SimConfig fields it sets (under `ris`,
-    for every surface) and the values `validate_config` accepts.  When keys
-    share a field the later one wins on parsing and is the one written out."""
+    for every surface) and what they hold: its kind, one of its choices,
+    numbers within its bounds.  Of keys sharing a field the later one wins."""
 
     name: str
     default: str | Callable[[dict[str, str]], str] | None
     kind: _Kind
     fields: tuple[str, ...]
     choices: tuple = ()
+    least: float | None = None   # bounds of each number, inclusive; a count's least is an
+    most: float = math.inf       # int, and a count below it raises NonPositiveCount
+    strict: bool = False         # least itself is out of bounds
 
+
+_SIZE = {"least": 1, "most": MAX_ARRAY_ELEMENTS}   # elements of an array or a grid side
+_POSITIVE = {"least": 0.0, "strict": True}
+_SCATTERERS = {"least": 1, "most": MAX_SCATTERERS}
 
 _KEYS = (
-    _Key("environment", "inh", _Kind(_environment, lambda env: env.name), ("environment",)),
-    _Key("cluster_intensity", None, _FLOAT, ("environment.cluster_intensity",)),
-    _Key("scatterers_min", None, _COUNT, ("environment.scatterers_min",)),
-    _Key("scatterers_max", None, _COUNT, ("environment.scatterers_max",)),
+    _Key("environment", "inh",
+         _Kind(_environment, lambda env: isinstance(env, Environment) and type(env.name) is str,
+               "a named Environment", lambda env: env.name), ("environment",)),
+    _Key("cluster_intensity", None, _FLOAT, ("environment.cluster_intensity",),
+         most=MAX_CLUSTER_INTENSITY, **_POSITIVE),
+    _Key("scatterers_min", None, _COUNT, ("environment.scatterers_min",), **_SCATTERERS),
+    _Key("scatterers_max", None, _COUNT, ("environment.scatterers_max",), **_SCATTERERS),
     _Key("los_model", None, _WORD, ("environment.los_model",), ("inh", "umi", "always", "never")),
     _Key("pl_los", None, _PATH_LOSS, ("environment.pl_los",)),
     _Key("pl_nlos", None, _PATH_LOSS, ("environment.pl_nlos",)),
     _Key("cluster_azimuth_deg", None, _FLOAT, ("environment.cluster_azimuth_deg",)),
     _Key("cluster_elevation_deg", None, _FLOAT, ("environment.cluster_elevation_deg",)),
     _Key("scatter_spread_deg", None, _FLOAT, ("environment.scatter_spread_deg",)),
-    _Key("footprint", None, _optional(_Kind(lambda text: _numbers(text, 2)), "none"),
+    _Key("footprint", None, _optional(_tuple(_FLOAT, 2, "a tuple of two finite numbers"), "none"),
          ("environment.footprint",)),
-    _Key("frequency_ghz", "28", _Kind(lambda text: _number(text) * 1e9), ("frequency_hz",)),
-    _Key("frequency_hz", None, _FLOAT, ("frequency_hz",)),
+    _Key("frequency_ghz", "28", _FLOAT._replace(parse=lambda text: _number(text) * 1e9),
+         ("frequency_hz",)),
+    _Key("frequency_hz", None, _FLOAT, ("frequency_hz",), **_POSITIVE),
     _Key("tx_position", "0, 25, 2", _POINT, ("tx.position",)),
     _Key("rx_position", "45, 45, 1", _POINT, ("rx.position",)),
     _Key("tx_array", "upa", _WORD, ("tx.layout",), ("ula", "upa")),
     _Key("rx_array", "upa", _WORD, ("rx.layout",), ("ula", "upa")),
-    _Key("nt", "4", _COUNT, ("tx.count",)),
-    _Key("nr", "4", _COUNT, ("rx.count",)),
-    _Key("element_spacing", None, _FLOAT, ("tx.spacing_wl", "rx.spacing_wl")),
+    _Key("nt", "4", _COUNT, ("tx.count",), **_SIZE),
+    _Key("nr", "4", _COUNT, ("rx.count",), **_SIZE),
+    _Key("element_spacing", None, _FLOAT, ("tx.spacing_wl", "rx.spacing_wl"), **_POSITIVE),
     _Key("ris_position", "40, 50, 2", _each(_POINT, none="none"), ("ris.position",)),
     _Key("ris_plane", None, _each(_WORD), ("ris.plane",), ("xz", "yz")),
     _Key("ris_facing", None, _each(_optional(_COUNT, "auto")), ("ris.facing",), (None, 1, -1)),
-    _Key("n_elements", "64", _each(_COUNT), ("ris.count",)),
-    _Key("ris_shape", None, _each(_optional(_SHAPE, "auto")), ("ris.shape",)),
-    _Key("ris_spacing", lambda kv: kv["element_spacing"], _each(_FLOAT), ("ris.spacing_wl",)),
-    _Key("ris_gain_exponent", None, _each(_FLOAT), ("ris.gain_exponent",)),
-    _Key("pt_dbm", None, _Kind(_numbers), ("pt_dbm",)),
+    _Key("n_elements", "64", _each(_COUNT), ("ris.count",), **_SIZE),
+    _Key("ris_shape", None, _each(_optional(_SHAPE, "auto")), ("ris.shape",), **_SIZE),
+    _Key("ris_spacing", lambda kv: kv["element_spacing"], _each(_FLOAT), ("ris.spacing_wl",),
+         **_POSITIVE),
+    _Key("ris_gain_exponent", None, _each(_FLOAT), ("ris.gain_exponent",), least=0.0),
+    _Key("pt_dbm", None, _tuple(_FLOAT, None, "a tuple of finite numbers"), ("pt_dbm",)),
     _Key("noise_dbm", None, _FLOAT, ("noise_dbm",)),
-    _Key("realizations", None, _COUNT, ("realizations",)),
-    _Key("seed", None, _COUNT, ("seed",)),
+    # each realization index is seeded as one 32-bit word (`rng.block_rngs`)
+    _Key("realizations", None, _COUNT, ("realizations",), least=1, most=2**32),
+    _Key("seed", None, _COUNT, ("seed",), least=0),
     _Key("direct_path", None, _WORD, ("direct_mode",), ("auto", "blocked", "present")),
     _Key("blocked_keeps_scatter", None, _BOOL, ("blocked_keeps_scatter",)),
     _Key("ris_links", None, _WORD, ("ris_links",), ("auto", "los")),
@@ -561,21 +569,14 @@ _KEYS = (
     _Key("scatter_paths", None, _BOOL, ("scatter_paths",)),
     _Key("rx_orientation", None, _WORD, ("rx_orientation",), ("random-azimuth", "fixed")),
     _Key("algorithm", None, _WORD, ("algorithm",), ("pinv", "siso", "random", "zero")),
-    _Key("phase_bits", None, _optional(_COUNT, "none"), ("phase_bits",)),
+    _Key("phase_bits", None, _optional(_COUNT, "none"), ("phase_bits",),
+         least=1, most=MAX_PHASE_BITS),
     _Key("idle_ris", None, _WORD, ("idle_ris",), ("absent", "random")),
     _Key("strict_near_field", None, _BOOL, ("strict_near_field",)),
 )
 _KEY_BY_NAME = {key.name: key for key in _KEYS}
 _WRITER = {field: key for key in _KEYS for field in key.fields}   # the last key per field
-
-
-def _read(cfg: SimConfig, field: str):
-    """The value at a dotted field path; a field of `ris` reads every surface."""
-    head, _, attr = field.partition(".")
-    value = getattr(cfg, head)
-    if not attr:
-        return value
-    return [getattr(v, attr) for v in value] if isinstance(value, tuple) else getattr(value, attr)
+_RULES = tuple((*field.partition(".")[::2], key) for field, key in _WRITER.items())
 
 
 def _key_value(line: str, where: str) -> tuple[str, str]:
@@ -677,8 +678,12 @@ def serialize_config(cfg: SimConfig) -> str:
     Raises ConfigError for a value no key can express, such as a tx/rx
     orientation other than global or an rx spacing unlike the tx one.
     """
-    text = "".join(f"{key.name} = {key.kind.fmt(_read(cfg, key.fields[0]))}\n"
-                   for key in _KEYS if all(_WRITER[f] is key for f in key.fields))
+    values = {}   # each key's first field it is the last to set; a list under `ris`
+    for head, attr, key in _RULES:
+        value = getattr(cfg, head)
+        values.setdefault(key, [getattr(ris, attr) for ris in value] if key.kind.each
+                          else getattr(value, attr) if attr else value)
+    text = "".join(f"{key.name} = {key.kind.fmt(value)}\n" for key, value in values.items())
     for want, got in zip(_leaves(cfg), _leaves(parse_config_text(text))):
         if repr(want) != repr(got):
             raise ConfigError(f"no config key can express {want[0]} = {want[1]!r}")
@@ -693,16 +698,19 @@ def _leaves(obj, path: str = "", out: list | None = None) -> list:
     folded into 0.0, so configs that compare equal give equal leaves.
     """
     out = [] if out is None else out
-    if type(obj) is float:
+    kind = type(obj)
+    if kind is float:
         out.append((path, obj + 0.0))
-    elif names := _field_names(type(obj)):
-        for name in names:
-            _leaves(getattr(obj, name), f"{path}.{name}" if path else name, out)
+    elif kind is str or kind is bool or obj is None:
+        out.append((path, obj))
     elif isinstance(obj, (tuple, list)):
         out.append((path, len(obj)))
         for i, item in enumerate(obj):
             _leaves(item, f"{path}[{i}]", out)
-    elif isinstance(obj, numbers.Real) and not isinstance(obj, bool):
+    elif names := getattr(kind, "__dataclass_fields__", None):
+        for name in names:
+            _leaves(getattr(obj, name), f"{path}.{name}" if path else name, out)
+    elif kind is int or isinstance(obj, numbers.Real):
         exact = abs(obj) <= sys.float_info.max and float(obj) == obj
         out.append((path, float(obj) + 0.0 if exact else obj))
     else:
@@ -710,15 +718,7 @@ def _leaves(obj, path: str = "", out: list | None = None) -> list:
     return out
 
 
-@lru_cache(maxsize=None)
-def _field_names(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(cls)) if dataclasses.is_dataclass(cls) else ()
-
-
-def _digest(leaves: list) -> str:
-    return hashlib.sha256(repr([value for _, value in leaves]).encode("utf-8")).hexdigest()[:16]
-
-
 def config_hash(cfg: SimConfig) -> str:
     """Stable hash of the full scenario; changes iff any config field changes."""
-    return _digest(_leaves(cfg))
+    values = repr([value for _, value in _leaves(cfg)])
+    return hashlib.sha256(values.encode("utf-8")).hexdigest()[:16]

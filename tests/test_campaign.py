@@ -152,7 +152,7 @@ class TestRunCampaign:
             Campaign(quick_vc(), sweep_axis="pt", sweep_values=(10, 20))
 
     @pytest.mark.parametrize("values", [(64.5, 64), (64, 64), (64, 64.0), (float("nan"),),
-                                        ("64",)])
+                                        ("64",), (True, 64)])
     def test_sweep_points_must_be_distinct_whole_numbers(self, values):
         with pytest.raises(ConfigError, match="distinct whole numbers"):
             Campaign(quick_vc(), sweep_axis="n", sweep_values=values)
@@ -204,6 +204,22 @@ class TestRunCampaign:
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ConfigError):
             run_campaign(Campaign(quick_vc(realizations=2), workers=workers))
+
+    @pytest.mark.parametrize("job", ["run_campaign", "dump_channels"])
+    @pytest.mark.parametrize("workers", [1.5, True, "2", 2.0])
+    def test_workers_meet_the_count_rule(self, monkeypatch, tmp_path, job, workers):
+        """A worker count is a whole number like any config count, checked
+        before a pool starts: 1.5 and True used to run, "2" raised TypeError."""
+        def no_pool(max_workers):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(campaign_module, "ProcessPoolExecutor", no_pool)
+        vc = quick_vc(realizations=BLOCK_SIZE + 1)   # two work units
+        with pytest.raises(ConfigError, match="workers must be a whole number"):
+            if job == "run_campaign":
+                run_campaign(Campaign(vc, workers=workers))
+            else:
+                dump_channels(vc, tmp_path / "dump", workers=workers)
 
     def test_siso_algorithm_requires_siso_arrays(self):
         with pytest.raises(ConfigError, match="Nt = Nr = 1"):
@@ -390,6 +406,7 @@ class TestCoverage:
         {"x_max": -1.0}, {"x_max": 0.0}, {"y_min": 50.0}, {"y_max": float("inf")},
         {"x_min": float("nan")}, {"z": -1.0}, {"z": float("nan")}, {"z": float("inf")},
         {"cell": 1e-4}, {"cell": 5e-324},      # 3.75e11 cells; a count that overflows
+        {"cell": "1"}, {"x_min": None}, {"cell": True},   # a number, as in config keys
     ])
     def test_grid_spec_rejects_bad_fields(self, fields):
         good = dict(x_min=0.0, x_max=75.0, y_min=0.0, y_max=50.0, cell=12.5, z=1.0)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rislink import (ENVIRONMENTS, ArraySpec, Environment, LinkTag, PathLossTable, RisSpec,
-                     SimConfig, config_hash, parse_config_text, scene_preset,
+                     SimConfig, ValidatedConfig, config_hash, parse_config_text, scene_preset,
                      serialize_config, spawn_rng, validate_config)
 from rislink.config import (MAX_ARRAY_ELEMENTS, MAX_CLUSTER_INTENSITY, MAX_PHASE_BITS,
                             MAX_SCATTERERS, config_from_mapping, dbm_to_watts, load_config,
@@ -78,6 +79,40 @@ class TestValidation:
     def test_library_counts_meet_the_count_rule_of_text(self, fields):
         with pytest.raises(ConfigError, match="whole number"):
             validate_config(small_config(**fields))
+
+    @pytest.mark.parametrize("make", [
+        lambda cfg: {"ris": (dataclasses.replace(cfg.ris[0], shape=(64,)),)},
+        lambda cfg: {"pt_dbm": 40.0},
+        lambda cfg: {"noise_dbm": "x"},
+        lambda cfg: {"frequency_hz": "28e9"},
+        lambda cfg: {"tx": dataclasses.replace(cfg.tx, spacing_wl="0.5")},
+        lambda cfg: {"ris": (dataclasses.replace(cfg.ris[0], gain_exponent=None),)},
+        lambda cfg: {"environment": dataclasses.replace(cfg.environment, cluster_intensity="2")},
+        lambda cfg: {"environment": dataclasses.replace(cfg.environment,
+                                                        pl_los=(32.4, 17.3, 20.0, 3.0))},
+        lambda cfg: {"ris": list(cfg.ris)},
+        lambda cfg: {"ris": (dataclasses.replace(cfg.ris[0], facing=True),)},
+        lambda cfg: {"shared_clusters": 1},
+        lambda cfg: {"tx": dataclasses.replace(cfg.tx, position=(0, 25, "2"))},
+        lambda cfg: {"environment": dataclasses.replace(cfg.environment, footprint=(1.0,))},
+    ], ids=["shape-(64,)", "pt-dbm-scalar", "noise-str", "frequency-str", "tx-spacing-str",
+            "gain-exponent-none", "cluster-intensity-str", "pl-los-tuple", "ris-list",
+            "facing-true", "shared-clusters-1", "tx-position-str", "footprint-(1.0,)"])
+    def test_library_values_meet_their_key_kind(self, make):
+        """Each raised TypeError, IndexError or AttributeError, or validated
+        under another hash than the equal valid config."""
+        cfg = small_config()
+        with pytest.raises(ConfigError):
+            validate_config(small_config(**make(cfg)))
+
+    def test_library_value_errors_name_the_key_and_surface(self):
+        cfg = small_config()
+        bad = dataclasses.replace(cfg.ris[0], facing=True)
+        with pytest.raises(ConfigError, match=re.escape("ris_facing of ris[1] must be a whole "
+                                                        "number or None, got True")):
+            validate_config(small_config(ris=(cfg.ris[0], bad), direct_mode="present"))
+        with pytest.raises(ConfigError, match="element_spacing must be > 0.0, got 0.0"):
+            validate_config(small_config(rx=dataclasses.replace(cfg.rx, spacing_wl=0.0)))
 
     def test_allocation_bounds(self):
         at = (f"scatterers_min = {MAX_SCATTERERS}\nscatterers_max = {MAX_SCATTERERS}\n"
@@ -437,7 +472,34 @@ _value_text = st.text(max_size=12) | st.text(alphabet="0123456789 .,;-+exnaiftru
                                              max_size=16)
 
 
+# Valid configs between them holding every kind of value a key sets,
+# explicit surface shapes, facings and phase bits included.
+_VALID = [scene_preset("indoor"), scene_preset("outdoor"), parse_config_text(
+    "ris_position = 40, 50, 2 ; 60, 30, 2\nris_plane = xz ; yz\nris_facing = -1 ; auto\n"
+    "ris_shape = 4x16\nphase_bits = 2\ndirect_path = present\nidle_ris = random")]
+_wrong_types = st.one_of(st.text(max_size=3), st.none(), st.booleans(),
+                         st.lists(st.floats(), max_size=3), st.tuples(st.floats()),
+                         st.just(float("nan")))
+
+
 class TestConfigProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_wrong_typed_leaf_is_a_config_error(self, data):
+        """Any one field of a valid config replaced by a value of the wrong
+        type gives a ValidatedConfig or a ConfigError, never another exception."""
+        cfg = data.draw(st.sampled_from(_VALID))
+        path = data.draw(st.sampled_from(list(_field_paths(cfg))))
+        changed = _replace_at(cfg, path, data.draw(_wrong_types))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            validate_config(cfg)
+            try:
+                result = validate_config(changed)
+            except ConfigError:
+                return
+        assert isinstance(result, ValidatedConfig)
+
     @settings(max_examples=150, deadline=None)
     @given(_configs())
     def test_round_trip(self, cfg):

@@ -1,5 +1,6 @@
 """The benchmark's tracer still finds every function it wraps in rislink, and
-wraps every name rislink imports only for it; the README's examples still run."""
+wraps every name rislink imports only for it; the README's examples still run;
+every config field is set, and so checked, by a config key."""
 
 import ast
 import dataclasses
@@ -109,6 +110,29 @@ def test_readme_names_every_config_key():
     section = section.split("\n## ", 1)[0]
     assert [key.name for key in rislink.config._KEYS
             if not re.search(rf"`{key.name}`|^{key.name} =", section, re.MULTILINE)] == []
+
+
+def config_fields(obj, prefix=""):
+    """Dotted paths of a config's fields, one per field of all surfaces; a
+    path-loss table is one field, as its key reads and checks it whole."""
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if isinstance(value, tuple) and value and dataclasses.is_dataclass(value[0]):
+            value = value[0]
+        if dataclasses.is_dataclass(value) and not isinstance(value, rislink.PathLossTable):
+            yield from config_fields(value, f"{prefix}{field.name}.")
+        else:
+            yield prefix + field.name
+
+
+def test_every_config_field_is_set_by_a_key():
+    """validate_config checks each field by the key that sets it, so a new
+    field without a key would skip every check.  The Tx/Rx mount orientation
+    has no key and is checked by hand; the environment key sets the name."""
+    keys = {field for key in rislink.config._KEYS for field in key.fields}
+    fields = set(config_fields(rislink.scene_preset("indoor")))
+    assert fields - keys - {"environment.name"} == {"tx.orientation", "rx.orientation"}
+    assert keys - {"environment"} <= fields
 
 
 def test_readme_lists_commands():
