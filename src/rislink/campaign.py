@@ -447,12 +447,12 @@ def dump_channels(vc: ValidatedConfig, out_dir, workers: int = 1) -> dict:
     """
     cfg = vc.config
     count = cfg.realizations
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     payloads = [(vc, range(i, min(i + BLOCK_SIZE, count))) for i in range(0, count, BLOCK_SIZE)]
+    blocks = _parallel_map(_realize_for_dump, payloads, workers)
+    out = Path(out_dir)   # made only once the blocks are realized: a failed run makes none
+    out.mkdir(parents=True, exist_ok=True)
     files = []
-    for block in _parallel_map(_realize_for_dump, payloads, workers):
+    for block in blocks:
         for i, r in enumerate(block.realization):
             parts = [(f"r{r:05d}_txris{k}.bin", m[i], {"matrix": "tx_ris", "ris": k})
                      for k, m in enumerate(block.tx_ris)]

@@ -33,7 +33,7 @@ from .geometry import (azimuth_rotation_frame, element_gain_from_cos, grid_facto
                        local_directions)
 # no caller left here; the benchmark's tracer wraps this name (ROADMAP item 5)
 from .geometry import steering_matrix  # noqa: F401
-from .propagation import (ClusterSet, LinkState, draw_cluster_variates, draw_los_variates,
+from .propagation import (TWO_PI, ClusterSet, LinkState, draw_cluster_units, draw_los_variates,
                           los_probability, place_clusters, shadowed_attenuation,
                           stack_cluster_variates)
 # no caller left here; the benchmark's tracer wraps these names (ROADMAP item 5)
@@ -121,37 +121,43 @@ def _draw_leg(vc: ValidatedConfig, rngs: list, near: DeviceView, far: np.ndarray
     coin (from a copy of the stream when both groups exist), the LOS group
     after the LOS variates.  Each far point so sees exactly the draws it
     would see alone.  `geometry_from`, a leg to one far point, lends each
-    realization its cluster geometry.
+    realization its cluster geometry.  The loop over the streams only
+    draws; the draws are mapped once for the whole leg.
     """
     cfg = vc.config
     env, f_hz = cfg.environment, cfg.frequency_hz
     d = np.linalg.norm(far - near.position, axis=-1)
-    p_los = None if force_los is not None else np.array([los_probability(x, env) for x in d])
+    if force_los is None:   # a coin below p_los[k] puts far point k in LOS
+        p_los = los_probability(d, env)
+        p_any, p_all = float(p_los.max()), float(p_los.min())
     shared = ([None] * len(rngs) if geometry_from is None
               else np.diff(geometry_from.bounds).tolist())
-    everywhere = np.full(len(d), bool(force_los))   # the forced coin's outcome
-    coins, first, mixed, los_draws, variates = [], [], [], [], []   # variates per group
+    coins, first, mixed, los_draws, units = [], [], [], [], []   # units per group
     for i, rng in enumerate(rngs):
-        los = everywhere if p_los is None else rng.uniform() < p_los
-        split = p_los is not None and los.any() and not los.all()
-        coins.append(los)
+        if force_los is None:
+            coin = rng.random()
+            coins.append(coin)
+            any_los, split = coin < p_any, p_all <= coin < p_any
+        else:
+            any_los, split = force_los, False
         first.append(len(los_draws))
         mixed.append(split)
-        for branch in (False, True) if split else (bool(los[0]),):
+        for branch in (False, True) if split else (any_los,):
             # the NLOS group reads on from the coin, ahead of the LOS draws
             stream = copy.deepcopy(rng) if split and not branch else rng
             los_draws.append(draw_los_variates(stream) if branch else (0.0, 0.0))
             if cfg.scatter_paths:
-                variates.append(draw_cluster_variates(env, stream, shared[i]))
+                units.append(draw_cluster_units(env, stream, shared[i]))
 
-    los = np.concatenate(coins)
+    los = (np.full(len(rngs) * len(d), bool(force_los)) if force_los is not None
+           else (np.array(coins)[:, None] < p_los).ravel())
     group = np.repeat(first, len(d)) + (los & np.repeat(mixed, len(d)))
     realization = np.repeat(np.arange(len(rngs)), len(d))
     cell = np.tile(np.arange(len(d)), len(rngs))
     shadow, phase = np.array(los_draws, dtype=float)[group[los]].T
     attenuation = shadowed_attenuation(d[cell[los]], f_hz, env, True, shadow)
-    if variates:
-        drawn = np.array([len(v.gains) for v in variates])
+    if units:
+        drawn = np.array([len(u.normals) for u in units]) // 3
         per_set = drawn[group]
         # each set's paths are its group's draws, placed at its own far point
         paths = _ranges(np.cumsum(drawn)[group] - per_set, per_set)
@@ -160,12 +166,12 @@ def _draw_leg(vc: ValidatedConfig, rngs: list, near: DeviceView, far: np.ndarray
             source, b = geometry_from.clusters, geometry_from.bounds
             geometry = dataclasses.replace(
                 source, positions=source.positions[_ranges(b[realization], per_set)])
-        clusters = place_clusters(stack_cluster_variates(variates), near.position,
+        clusters = place_clusters(stack_cluster_variates(env, units), near.position,
                                   far[np.repeat(cell, per_set)], env, f_hz, near.frame,
                                   geometry, paths)
     else:
         clusters, per_set = ClusterSet.empty(), np.zeros(len(cell), dtype=int)
-    return _Leg(realization, cell, los, attenuation, phase, clusters,
+    return _Leg(realization, cell, los, attenuation, TWO_PI * phase, clusters,
                 np.concatenate([[0], np.cumsum(per_set)]))
 
 
@@ -357,8 +363,9 @@ def realize_block(vc: ValidatedConfig, realizations: range, surfaces=None,
     seed = cfg.seed
     rx_frames = None
     if cfg.rx_orientation == "random-azimuth":
-        rx_frames = np.stack([azimuth_rotation_frame(rng.uniform(0.0, 2.0 * np.pi))
-                              for rng in block_rngs(seed, realizations, LinkTag.RX_FRAME)])
+        # uniform(0, 2 pi) bit for bit, mapped once for the block
+        rx_frames = azimuth_rotation_frame(TWO_PI * np.array(
+            [rng.random() for rng in block_rngs(seed, realizations, LinkTag.RX_FRAME)]))
     scene = build_scene(vc, rx_position=rx_position)
     tx = scene.tx
     one = scene.rx.position.ndim == 1

@@ -52,10 +52,16 @@ def frame_from_plane(plane: str, facing: int) -> np.ndarray:
     return frame
 
 
-def azimuth_rotation_frame(alpha: float) -> np.ndarray:
-    """Global frame rotated by `alpha` about the vertical axis (level tilt)."""
+def azimuth_rotation_frame(alpha) -> np.ndarray:
+    """Global frame rotated by `alpha` about the vertical axis (level tilt);
+    an array of angles (B,) gives a stack of frames (B, 3, 3)."""
+    alpha = np.asarray(alpha, dtype=float)
     c, s = np.cos(alpha), np.sin(alpha)
-    return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+    frame = np.zeros(alpha.shape + (3, 3))
+    frame[..., 0, 0] = frame[..., 1, 1] = c
+    frame[..., 0, 1], frame[..., 1, 0] = s, -s
+    frame[..., 2, 2] = 1.0
+    return frame
 
 
 def local_directions(origin: np.ndarray, points: np.ndarray, frame: np.ndarray,

@@ -2,6 +2,15 @@
 
 Everything here is pure given an RNG substream, so realizations can run in
 parallel with per-realization generators and reproduce bit-identically.
+
+A link's substream yields *unit draws* in a fixed order: the LOS coin,
+then the LOS shadowing normal and phase uniform (`draw_los_variates`), then
+the cluster count, the scatterer counts, the cluster and scatterer angle
+uniforms and the normals of the gains and shadowing (`draw_cluster_units`),
+each kind in one generator call.  The maps to model values (`low + (high -
+low) * u`, which is `Generator.uniform` bit for bit, the complex gains, the
+cluster index, the phase) run once over a whole block's draws
+(`stack_cluster_variates`, `channel._draw_leg`).
 """
 
 from __future__ import annotations
@@ -73,24 +82,24 @@ class ClusterVariates(NamedTuple):
     shadow: np.ndarray          # (P,) standard normals of the path shadowing
 
 
-def los_probability(d: float, env: Environment) -> float:
-    """Probability that a link of length `d` meters is line-of-sight."""
-    if d <= 0:
+def los_probability(d, env: Environment):
+    """Probability that a link of length `d` meters is line-of-sight.
+
+    `d` may be an array of lengths, giving an array; a scalar gives a float.
+    """
+    d = np.asarray(d, dtype=float)
+    if np.any(d <= 0):
         raise NonPositiveDistance(f"distance must be > 0, got {d}")
     model = env.los_model
-    if model == "always":
-        return 1.0
-    if model == "never":
-        return 0.0
-    if model == "inh":
-        if d <= 1.2:
-            return 1.0
-        if d < 6.5:
-            return float(np.exp(-(d - 1.2) / 4.7))
-        return float(0.32 * np.exp(-(d - 6.5) / 32.6))
-    # street canyon
-    frac = min(18.0 / d, 1.0)
-    return float(frac + np.exp(-d / 36.0) * (1.0 - frac))
+    if model in ("always", "never"):
+        p = np.full(d.shape, 1.0 if model == "always" else 0.0)
+    elif model == "inh":
+        p = np.select([d <= 1.2, d < 6.5],
+                      [1.0, np.exp(-(d - 1.2) / 4.7)], 0.32 * np.exp(-(d - 6.5) / 32.6))
+    else:   # street canyon
+        frac = np.minimum(18.0 / d, 1.0)
+        p = frac + np.exp(-d / 36.0) * (1.0 - frac)
+    return float(p) if p.ndim == 0 else p
 
 
 def shadowed_attenuation(d, f_hz: float, env: Environment, los: bool, shadow):
@@ -128,16 +137,18 @@ def draw_link_state(d: float, f_hz: float, env: Environment,
     if not los:
         return LinkState(False, 0.0, 0.0)
     shadow, phase = draw_los_variates(rng)
-    return LinkState(True, shadowed_attenuation(d, f_hz, env, True, shadow), phase)
+    return LinkState(True, shadowed_attenuation(d, f_hz, env, True, shadow), TWO_PI * phase)
 
 
-def draw_los_variates(rng: np.random.Generator) -> tuple:
-    """The draws of a LOS component that do not depend on the link length.
+def draw_los_variates(rng: np.random.Generator) -> tuple[float, float]:
+    """The unit draws of a LOS component, which do not depend on the link length.
 
     They follow the LOS coin in the link's substream: the shadowing normal,
-    then the carrier phase.
+    then a uniform u on [0, 1) that gives the carrier phase `TWO_PI * u`
+    (`uniform(0, TWO_PI)` bit for bit); the channel engine maps the phases
+    of a whole block at once.
     """
-    return rng.standard_normal(()), float(rng.uniform(0.0, TWO_PI))
+    return rng.standard_normal(), rng.random()
 
 
 def draw_clusters(near: np.ndarray, far: np.ndarray, env: Environment,
@@ -166,6 +177,35 @@ def draw_clusters(near: np.ndarray, far: np.ndarray, env: Environment,
     return place_clusters(variates, near, far, env, f_hz, near_frame, geometry_from)
 
 
+class ClusterUnits(NamedTuple):
+    """One substream's cluster draws as its generator returns them, in stream order.
+
+    The geometry fields are None when the geometry is shared from another
+    link (only the normals are drawn then).
+    """
+
+    sizes: np.ndarray | None    # (C,) scatterers per cluster
+    angles: np.ndarray | None   # (3C,) uniforms: cluster azimuths, elevations, radials
+    offsets: np.ndarray | None  # (2P,) uniforms: scatterer azimuth, elevation offsets
+    normals: np.ndarray         # (3P,) standard normals: gain real and imaginary parts, shadowing
+
+
+def draw_cluster_units(env: Environment, rng: np.random.Generator,
+                       shared_paths: int | None = None) -> ClusterUnits:
+    """The unit draws of one link's clusters: one generator call per kind.
+
+    With `shared_paths` (shared-cluster mode) only that many paths' normals
+    are drawn.  `stack_cluster_variates` maps them to `ClusterVariates`.
+    """
+    if shared_paths is not None:
+        return ClusterUnits(None, None, None, rng.standard_normal(3 * shared_paths))
+    count = max(1, int(rng.poisson(env.cluster_intensity)))
+    sizes = rng.integers(env.scatterers_min, env.scatterers_max + 1, size=count)
+    angles = rng.random(3 * count)
+    paths = sum(sizes.tolist())
+    return ClusterUnits(sizes, angles, rng.random(2 * paths), rng.standard_normal(3 * paths))
+
+
 def draw_cluster_variates(env: Environment, rng: np.random.Generator,
                           shared_paths: int | None = None) -> ClusterVariates:
     """The draws of `draw_clusters` that do not depend on the link's ends.
@@ -173,43 +213,56 @@ def draw_cluster_variates(env: Environment, rng: np.random.Generator,
     With `shared_paths` (shared-cluster mode) only that many gains and
     shadowing normals are drawn.
     """
-    sizes = rep = az = el = radial = d_az = d_el = None
-    if shared_paths is None:
-        count = max(1, int(rng.poisson(env.cluster_intensity)))
-        sizes = rng.integers(env.scatterers_min, env.scatterers_max + 1, size=count)
-        az_sup = np.deg2rad(env.cluster_azimuth_deg)
-        el_sup = np.deg2rad(env.cluster_elevation_deg)
-        az = rng.uniform(-az_sup, az_sup, size=count)
-        el = rng.uniform(-el_sup, el_sup, size=count)
-        # uniform(1, hi) is 1 + (hi - 1) * random() bit for bit; keeping the
-        # unit draw lets one draw serve every link length
-        radial = rng.random(count)
-        rep = np.repeat(np.arange(count), sizes)
-        spread = np.deg2rad(env.scatter_spread_deg)
-        d_az = rng.uniform(-spread, spread, size=len(rep))
-        d_el = rng.uniform(-spread, spread, size=len(rep))
-        total = len(rep)
-    else:
-        total = shared_paths
-    gains = (rng.standard_normal(total) + 1j * rng.standard_normal(total)) / np.sqrt(2.0)
-    shadow = rng.standard_normal(total)
-    return ClusterVariates(sizes, rep, az, el, radial, d_az, d_el, gains, shadow)
+    return stack_cluster_variates(env, [draw_cluster_units(env, rng, shared_paths)])
 
 
-def stack_cluster_variates(variates: list[ClusterVariates]) -> ClusterVariates:
-    """Several links' cluster draws as one, their paths concatenated in order.
+def stack_cluster_variates(env: Environment, units: list[ClusterUnits]) -> ClusterVariates:
+    """Several substreams' unit draws mapped to their links' variates at once.
 
-    Cluster indices are offset so every path keeps its own link's cluster;
-    placing the result places each link's paths exactly as alone.
+    The links' paths are concatenated in order and every map runs once over
+    the whole block: `low + (high - low) * u` for each uniform (what
+    `Generator.uniform(low, high)` returns for the same stream), gains
+    `(re + 1j * im) / sqrt(2)` and the cluster index of each path, so that
+    every path keeps its own link's cluster.  Placing the result places each
+    link's paths exactly as alone.  All links must share their geometry or
+    all draw their own.
     """
-    if variates[0].sizes is None:   # shared geometry: only gains and shadowing
-        return variates[0]._replace(gains=np.concatenate([v.gains for v in variates]),
-                                    shadow=np.concatenate([v.shadow for v in variates]))
-    fields = {name: np.concatenate([getattr(v, name) for v in variates])
-              for name in ClusterVariates._fields}
-    offsets = np.cumsum([0] + [len(v.sizes) for v in variates[:-1]])
-    fields["cluster"] = np.concatenate([v.cluster + o for v, o in zip(variates, offsets)])
-    return ClusterVariates(**fields)
+    sizes, angles, offsets, normals = zip(*units)
+    paths = np.fromiter(map(len, normals), int) // 3
+    re, im, shadow = _runs(np.concatenate(normals), paths, 3)
+    gains = (re + 1j * im) / np.sqrt(2.0)
+    if sizes[0] is None:   # shared geometry: only gains and shadowing
+        return ClusterVariates(None, None, None, None, None, None, None, gains, shadow)
+    az, el, radial = _runs(np.concatenate(angles), np.fromiter(map(len, sizes), int), 3)
+    d_az, d_el = _runs(np.concatenate(offsets), paths, 2)
+    sizes = np.concatenate(sizes)
+    az_sup = np.deg2rad(env.cluster_azimuth_deg)
+    el_sup = np.deg2rad(env.cluster_elevation_deg)
+    spread = np.deg2rad(env.scatter_spread_deg)
+    # radial stays a unit draw, so one draw serves every link length
+    # (`place_clusters` maps it to uniform(1, hi))
+    return ClusterVariates(sizes, np.repeat(np.arange(len(sizes)), sizes),
+                           _uniform(-az_sup, az_sup, az), _uniform(-el_sup, el_sup, el), radial,
+                           _uniform(-spread, spread, d_az), _uniform(-spread, spread, d_el),
+                           gains, shadow)
+
+
+def _uniform(low, high, u: np.ndarray) -> np.ndarray:
+    """`Generator.uniform(low, high)` of the stream that gave the unit draws `u`."""
+    return low + (high - low) * u
+
+
+def _runs(values: np.ndarray, lengths: np.ndarray, parts: int) -> list[np.ndarray]:
+    """Split streams' concatenated draws, each stream `parts` consecutive runs
+    of its `lengths[i]` values, into `parts` arrays over every stream in order."""
+    starts = np.cumsum(lengths) - lengths
+    index = np.arange(len(values) // parts) + np.repeat((parts - 1) * starts, lengths)
+    step = np.repeat(lengths, lengths)   # from a value to the next run's
+    out = [values[index]]
+    for _ in range(parts - 1):
+        index += step
+        out.append(values[index])
+    return out
 
 
 def place_clusters(variates: ClusterVariates, near, far, env: Environment, f_hz: float,
@@ -248,7 +301,7 @@ def place_clusters(variates: ClusterVariates, near, far, env: Environment, f_hz:
                                      variates.elevation[rep] + variates.d_el), near_frame.T)
         if paths is not None:
             unit, dirs = unit[paths], dirs[paths]
-        radial = 1.0 + (hi - 1.0) * unit
+        radial = _uniform(1.0, hi, unit)
         positions = near + radial[..., None] * dirs
         positions[..., 2] = np.abs(positions[..., 2])
 

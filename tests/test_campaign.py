@@ -221,6 +221,12 @@ class TestRunCampaign:
             else:
                 dump_channels(vc, tmp_path / "dump", workers=workers)
 
+    def test_rejected_dump_leaves_no_directory(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="workers must be a whole number"):
+            dump_channels(quick_vc(realizations=2), out, workers=1.5)
+        assert not out.exists()
+
     def test_siso_algorithm_requires_siso_arrays(self):
         with pytest.raises(ConfigError, match="Nt = Nr = 1"):
             quick_vc(realizations=2, algorithm="siso")

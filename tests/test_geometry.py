@@ -93,6 +93,17 @@ class TestFrames:
         assert np.allclose(frame @ frame.T, np.eye(3))
         assert np.allclose(frame[0], [0, 1, 0], atol=1e-12)
 
+    def test_azimuth_rotation_stack_equals_scalar_calls(self):
+        alpha = 2 * np.pi * np.random.default_rng(3).random(17)
+        stacked = azimuth_rotation_frame(alpha)
+        assert stacked.shape == (17, 3, 3)
+        one_by_one = np.stack([azimuth_rotation_frame(a) for a in alpha.tolist()])
+        assert stacked.tobytes() == one_by_one.tobytes()
+        # the form the scalar call had before it took arrays
+        alone = [np.array([[np.cos(a), np.sin(a), 0.0], [-np.sin(a), np.cos(a), 0.0],
+                           [0.0, 0.0, 1.0]]) for a in alpha.tolist()]
+        assert stacked.tobytes() == np.stack(alone).tobytes()
+
     def test_broadside_angles_in_own_frame(self):
         # a point straight along the broadside has zero local azimuth/elevation
         frame = frame_from_plane("xz", -1)

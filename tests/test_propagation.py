@@ -6,10 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from rislink import ENVIRONMENTS, LinkTag, draw_clusters, draw_link_state, los_probability, spawn_rng
+from rislink import (ENVIRONMENTS, ClusterSet, LinkTag, draw_clusters, draw_link_state,
+                     los_probability, scene_preset, spawn_rng, validate_config)
+from rislink.channel import _draw_leg, build_scene
 from rislink.config import PathLossTable
 from rislink.errors import ModelValidityWarning, NonPositiveDistance
-from rislink.propagation import draw_cluster_variates, place_clusters, shadowed_attenuation
+from rislink.propagation import (ClusterVariates, draw_cluster_units, draw_cluster_variates,
+                                 place_clusters, shadowed_attenuation, stack_cluster_variates)
+from rislink.rng import block_rngs
 
 INH = ENVIRONMENTS["inh"]
 UMI = ENVIRONMENTS["umi"]
@@ -22,6 +26,25 @@ INH_NOSHADOW = dataclasses.replace(
 def path_loss(d, f_hz, env, los, rng):
     """`shadowed_attenuation` with one standard-normal shadowing draw per path from `rng`."""
     return shadowed_attenuation(d, f_hz, env, los, rng.standard_normal(np.shape(d)))
+
+
+def scalar_los_probability(d: float, env) -> float:
+    """The one-distance form `los_probability` had before it took arrays."""
+    if env.los_model in ("always", "never"):
+        return 1.0 if env.los_model == "always" else 0.0
+    if env.los_model == "inh":
+        if d <= 1.2:
+            return 1.0
+        if d < 6.5:
+            return float(np.exp(-(d - 1.2) / 4.7))
+        return float(0.32 * np.exp(-(d - 6.5) / 32.6))
+    frac = min(18.0 / d, 1.0)
+    return float(frac + np.exp(-d / 36.0) * (1.0 - frac))
+
+
+def around(*points: float) -> list[float]:
+    """Each point and its two neighbouring floats."""
+    return [x for p in points for x in (np.nextafter(p, 0.0), p, np.nextafter(p, np.inf))]
 
 
 class TestLosProbability:
@@ -47,6 +70,23 @@ class TestLosProbability:
     def test_nonpositive_distance(self):
         with pytest.raises(NonPositiveDistance):
             los_probability(0.0, INH)
+
+    @pytest.mark.parametrize("model", ["inh", "umi", "always", "never"])
+    def test_array_equals_scalar_form(self, model):
+        env = dataclasses.replace(INH, los_model=model)
+        d = np.array(around(1.2, 6.5, 18.0, 36.0) + list(np.linspace(1e-3, 400.0, 997)) + [1e5])
+        expected = np.array([scalar_los_probability(x, env) for x in d.tolist()])
+        assert los_probability(d, env).tobytes() == expected.tobytes()
+        assert los_probability(d.reshape(-1, 5), env).tobytes() == expected.tobytes()
+        for x, p in zip(d.tolist(), expected.tolist()):
+            got = los_probability(x, env)
+            assert type(got) is float and got == p
+
+    @pytest.mark.parametrize("model", ["inh", "umi", "always", "never"])
+    @pytest.mark.parametrize("d", [0.0, -1.0, [3.0, 0.0], [[2.0], [-0.5]]])
+    def test_nonpositive_distance_in_any_model(self, model, d):
+        with pytest.raises(NonPositiveDistance):
+            los_probability(np.array(d), dataclasses.replace(INH, los_model=model))
 
 
 class TestPathLoss:
@@ -187,3 +227,125 @@ class TestClusters:
             assert np.array_equal(placed.positions[i], alone.positions)
             np.testing.assert_allclose(placed.attenuations[i], alone.attenuations,
                                        rtol=1e-12, atol=0)
+
+
+def reference_cluster_variates(env, rng, shared_paths=None) -> ClusterVariates:
+    """One stream's clusters drawn with a call per variate, mapped as each call maps."""
+    sizes = cluster = az = el = radial = d_az = d_el = None
+    total = shared_paths
+    if shared_paths is None:
+        count = max(1, int(rng.poisson(env.cluster_intensity)))
+        sizes = rng.integers(env.scatterers_min, env.scatterers_max + 1, size=count)
+        az_sup = np.deg2rad(env.cluster_azimuth_deg)
+        el_sup = np.deg2rad(env.cluster_elevation_deg)
+        az = rng.uniform(-az_sup, az_sup, count)
+        el = rng.uniform(-el_sup, el_sup, count)
+        radial = rng.random(count)
+        cluster = np.repeat(np.arange(count), sizes)
+        total = len(cluster)
+        spread = np.deg2rad(env.scatter_spread_deg)
+        d_az = rng.uniform(-spread, spread, total)
+        d_el = rng.uniform(-spread, spread, total)
+    gains = (rng.standard_normal(total) + 1j * rng.standard_normal(total)) / np.sqrt(2.0)
+    return ClusterVariates(sizes, cluster, az, el, radial, d_az, d_el, gains,
+                           rng.standard_normal(total))
+
+
+def reference_far_point(env, rng, p_los: float, shared_paths=None):
+    """One far point's draws with a call per variate: the LOS coin, the LOS
+    shadowing and phase if the coin falls LOS, then the clusters."""
+    los = bool(rng.uniform() < p_los)
+    shadow, phase = (rng.standard_normal(()), rng.uniform(0.0, 2 * np.pi)) if los else (0, 0)
+    return los, shadow, phase, reference_cluster_variates(env, rng, shared_paths)
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_variates_equal(got: ClusterVariates, expected: ClusterVariates):
+    for name in ClusterVariates._fields:
+        a, b = getattr(got, name), getattr(expected, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert_same_bits(a, b)
+
+
+class TestStreamContract:
+    """Unit draws per stream, mapped once per block, equal the per-variate
+    calls bit for bit and leave each stream where those calls leave it."""
+
+    @pytest.mark.parametrize("env", [INH, UMI], ids=["inh", "umi"])
+    @pytest.mark.parametrize("shared", [False, True], ids=["own", "shared"])
+    @pytest.mark.parametrize("streams", [1, 9])
+    def test_block_map_equals_per_stream_calls(self, env, shared, streams):
+        realizations = range(40, 40 + streams)
+        shared_paths = [4 + 3 * i if shared else None for i in realizations]
+        rngs = block_rngs(5, realizations, LinkTag.TX_RIS, 0)
+        mapped = stack_cluster_variates(
+            env, [draw_cluster_units(env, rng, p) for rng, p in zip(rngs, shared_paths)])
+        ref_rngs = block_rngs(5, realizations, LinkTag.TX_RIS, 0)
+        refs = [reference_cluster_variates(env, rng, p) for rng, p in zip(ref_rngs, shared_paths)]
+        expected = {name: np.concatenate([getattr(r, name) for r in refs])
+                    for name in ("gains", "shadow")}
+        if not shared:
+            expected.update({name: np.concatenate([getattr(r, name) for r in refs])
+                             for name in ("sizes", "azimuth", "elevation", "radial",
+                                          "d_az", "d_el")})
+            offsets = np.cumsum([0] + [len(r.sizes) for r in refs[:-1]])
+            expected["cluster"] = np.concatenate([r.cluster + o for r, o in zip(refs, offsets)])
+        assert_variates_equal(mapped, ClusterVariates(
+            **{**dict.fromkeys(ClusterVariates._fields), **expected}))
+        for rng, ref in zip(rngs, ref_rngs):
+            assert rng.bit_generator.state == ref.bit_generator.state
+        assert_variates_equal(draw_cluster_variates(env, spawn_rng(5, 40, 0, 0), shared_paths[0]),
+                              reference_cluster_variates(env, spawn_rng(5, 40, 0, 0),
+                                                         shared_paths[0]))
+
+    @pytest.mark.parametrize("preset, distances", [("outdoor", (12.0, 30.0, 60.0, 150.0)),
+                                                   ("indoor", (1.0, 3.0, 6.0, 20.0))])
+    @pytest.mark.parametrize("shared", [False, True], ids=["own", "shared"])
+    def test_split_leg_equals_each_far_point_alone(self, preset, distances, shared):
+        """A leg whose LOS coin splits a realization's far points (its NLOS
+        group reads on from a copy of the stream) gives every far point the
+        draws the per-variate calls give it alone."""
+        vc = validate_config(dataclasses.replace(scene_preset(preset), ris_links="auto"))
+        env, f_hz = vc.config.environment, vc.config.frequency_hz
+        near = build_scene(vc).ris[0]
+        far = near.position + np.outer(distances, near.frame[0] + [0.0, 0.0, -0.05])
+        realizations = range(12)
+        geometry_from = None
+        if shared:   # each realization lends its geometry from a leg to one far point
+            geometry_from = _draw_leg(vc, block_rngs(9, realizations, LinkTag.TX_RIS, 0),
+                                      near, far[:1], None)
+        leg = _draw_leg(vc, block_rngs(9, realizations, LinkTag.RIS_RX, 0), near, far, None,
+                        geometry_from)
+        coins = leg.los.reshape(len(realizations), len(far))
+        assert np.any(coins.any(axis=1) & ~coins.all(axis=1))   # some coin splits
+        los_draws = {}   # LOS set -> its distance and shadowing normal
+        for k, point in enumerate(far):
+            d = float(np.linalg.norm(point[None] - near.position, axis=-1)[0])
+            for i, rng in enumerate(block_rngs(9, realizations, LinkTag.RIS_RX, 0)):
+                geometry = shared_paths = None
+                if shared:
+                    lo, hi = geometry_from.bounds[i:i + 2]
+                    shared_paths = int(hi - lo)
+                    geometry = ClusterSet(geometry_from.clusters.sizes,
+                                          geometry_from.clusters.positions[lo:hi], None, None)
+                los, shadow, phase, variates = reference_far_point(
+                    env, rng, scalar_los_probability(d, env), shared_paths)
+                s = i * len(far) + k
+                assert leg.los[s] == los
+                if los:
+                    los_draws[s] = (d, shadow, phase)
+                alone = place_clusters(variates, near.position, point, env, f_hz, near.frame,
+                                       geometry)
+                paths = slice(leg.bounds[s], leg.bounds[s + 1])
+                assert_same_bits(leg.clusters.gains[paths], alone.gains)
+                assert_same_bits(leg.clusters.positions[paths], alone.positions)
+                assert_same_bits(leg.clusters.attenuations[paths], alone.attenuations)
+        assert sorted(los_draws) == np.flatnonzero(leg.los).tolist()
+        d, shadow, phase = np.array([los_draws[s] for s in sorted(los_draws)], dtype=float).T
+        assert_same_bits(leg.los_phase, phase)
+        # evaluated over the leg's LOS sets at once, as the leg evaluates it
+        assert_same_bits(leg.los_attenuation, shadowed_attenuation(d, f_hz, env, True, shadow))

@@ -56,3 +56,25 @@ def test_negative_keys_are_refused():
         block_rngs(-1, range(2), LinkTag.DIRECT)
     with pytest.raises(ValueError):
         block_rngs(1, range(2), LinkTag.RIS_RX, -3)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 + 3])
+def test_unit_draws_map_to_the_direct_calls(seed):
+    """The numpy behaviour behind drawing unit variates per stream and mapping
+    them once per block (`propagation.stack_cluster_variates`): each mapped
+    draw equals the direct call bit for bit, and splitting or joining a
+    draw of one kind changes nothing.  Were a numpy release to break one,
+    every substream's values would shift; this fails first."""
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    low, high = -np.deg2rad(40.0), np.deg2rad(40.0)
+    for n in (1, 5, 64):
+        assert a.uniform(low, high, n).tobytes() == (low + (high - low) * b.random(n)).tobytes()
+    assert a.uniform() == b.random()
+    assert a.uniform(0.0, 2.0 * np.pi) == 2.0 * np.pi * b.random()
+    assert float(a.standard_normal(())) == b.standard_normal()
+    for n in (1, 9):
+        split = np.concatenate([a.standard_normal(n) for _ in range(3)])
+        assert split.tobytes() == b.standard_normal(3 * n).tobytes()
+        split = np.concatenate([a.random(n) for _ in range(3)])
+        assert split.tobytes() == b.random(3 * n).tobytes()
+    assert a.bit_generator.state == b.bit_generator.state
