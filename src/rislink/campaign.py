@@ -258,13 +258,14 @@ def _parallel_map(fn, payloads: list, workers: int) -> list:
 
 def _statistics(sweep_axis: str, values, rates: np.ndarray) -> RateStatistics:
     count = rates.shape[1]
+    p5, p95 = np.percentile(rates, [5.0, 95.0], axis=1)
     return RateStatistics(
         sweep_axis=sweep_axis,
         sweep_values=tuple(values),
         mean=rates.mean(axis=1),
         std=rates.std(axis=1, ddof=1) if count > 1 else np.zeros(rates.shape[0]),
-        p5=np.percentile(rates, 5.0, axis=1),
-        p95=np.percentile(rates, 95.0, axis=1),
+        p5=p5,
+        p95=p95,
         count=count,
         rates=rates,
     )
@@ -432,7 +433,7 @@ def read_csv_table(path) -> tuple[str, dict[str, np.ndarray]]:
             header = line.split(",")
         elif line:
             rows.append([float(v) for v in line.split(",")])
-    data = np.asarray(rows)
+    data = np.asarray(rows, dtype=float).reshape(len(rows), len(header or []))
     columns = {name: data[:, i] for i, name in enumerate(header or [])}
     return config_hash, columns
 

@@ -12,7 +12,8 @@ towards one receiver position or a stack of them.  Each realization reads
 its own substreams, once per link; the block's paths are then placed at
 their far ends and summed together, a LOS term as one more path.  The sum
 never forms an array response: each path's per-axis grid factors
-(`geometry.grid_factors`) are contracted in two small groups, so an 8x8
+(`geometry.grid_factors`, each device's axis forms decided once in
+`build_scene`) are contracted in two small groups, so an 8x8
 surface leg costs 8 + 32 factor entries per path instead of 64 + 4.
 """
 
@@ -29,8 +30,7 @@ import numpy as np
 
 from .config import ValidatedConfig, check_positions
 from .errors import DimensionMismatch
-from .geometry import (azimuth_rotation_frame, element_gain_from_cos, grid_factors,
-                       local_directions)
+from .geometry import GridAxes, azimuth_rotation_frame, element_gain_from_cos, local_directions
 # no caller left here; the benchmark's tracer wraps this name (ROADMAP item 5)
 from .geometry import steering_matrix  # noqa: F401
 from .propagation import (TWO_PI, ClusterSet, LinkState, draw_cluster_units, draw_los_variates,
@@ -48,13 +48,12 @@ class DeviceView:
 
     position: np.ndarray
     frame: np.ndarray
-    vert: np.ndarray    # (rows,) local vertical coordinate of each element row, times 2*pi/lambda
-    horiz: np.ndarray   # (cols,) local horizontal coordinate of each column, times 2*pi/lambda
+    grid: GridAxes      # element rows' and columns' local coordinates, times 2*pi/lambda
     gain_exponent: float | None = None  # None = isotropic elements
 
     @property
     def count(self) -> int:
-        return self.vert.size * self.horiz.size
+        return math.prod(self.grid.shape)
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ def build_scene(vc: ValidatedConfig, rx_position=None) -> Scene:
 
     def view(spec, position, frame, gain_exponent=None) -> DeviceView:
         vert, horiz = spec.grid_axes(lam)
-        return DeviceView(np.asarray(position, float), frame, k * vert, k * horiz,
+        return DeviceView(np.asarray(position, float), frame, GridAxes(k * vert, k * horiz),
                           gain_exponent)
 
     tx = view(cfg.tx, cfg.tx.position, cfg.tx.frame)
@@ -224,7 +223,7 @@ def _leg_matrices(row: DeviceView, col: DeviceView, leg: _Leg,
     u_row, u_col, weights = _path_terms(row, col, leg, row_frames)
     counts = (np.diff(leg.bounds) + leg.los).tolist()
 
-    dims = (row.vert.size, row.horiz.size, col.vert.size, col.horiz.size)
+    dims = row.grid.shape + col.grid.shape
     split = min(range(1, 4), key=lambda k: math.prod(dims[:k]) + math.prod(dims[k:]))
     prefix, suffix = math.prod(dims[:split]), math.prod(dims[split:])
     matrix = np.zeros((len(counts), prefix, suffix), dtype=complex)
@@ -234,8 +233,8 @@ def _leg_matrices(row: DeviceView, col: DeviceView, leg: _Leg,
     while start < len(counts):
         stop = max(start + 1, bisect.bisect_right(bounds, bounds[start] + per_chunk) - 1)
         first, last = bounds[start], bounds[stop]
-        at_row = grid_factors(row.vert, row.horiz, u_row[first:last])
-        at_col = grid_factors(col.vert, col.horiz, u_col[first:last])
+        at_row = row.grid.factors(u_row[first:last])
+        at_col = col.grid.factors(u_col[first:last])
         factors = [at_row[:dims[0]] * weights[first:last], at_row[dims[0]:],
                    at_col[:dims[2]], at_col[dims[2]:]]
         left, right = _outer(factors[:split]), _outer(factors[split:])

@@ -184,7 +184,7 @@ class ClusterUnits(NamedTuple):
     link (only the normals are drawn then).
     """
 
-    sizes: np.ndarray | None    # (C,) scatterers per cluster
+    sizes: list[int] | None     # (C,) scatterers per cluster
     angles: np.ndarray | None   # (3C,) uniforms: cluster azimuths, elevations, radials
     offsets: np.ndarray | None  # (2P,) uniforms: scatterer azimuth, elevation offsets
     normals: np.ndarray         # (3P,) standard normals: gain real and imaginary parts, shadowing
@@ -200,9 +200,11 @@ def draw_cluster_units(env: Environment, rng: np.random.Generator,
     if shared_paths is not None:
         return ClusterUnits(None, None, None, rng.standard_normal(3 * shared_paths))
     count = max(1, int(rng.poisson(env.cluster_intensity)))
-    sizes = rng.integers(env.scatterers_min, env.scatterers_max + 1, size=count)
+    # scalar calls cost less than one sized call here and read the same values
+    # and the same stream (tests/test_rng.py pins it)
+    sizes = [int(rng.integers(env.scatterers_min, env.scatterers_max + 1)) for _ in range(count)]
     angles = rng.random(3 * count)
-    paths = sum(sizes.tolist())
+    paths = sum(sizes)
     return ClusterUnits(sizes, angles, rng.random(2 * paths), rng.standard_normal(3 * paths))
 
 

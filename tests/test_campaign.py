@@ -112,6 +112,13 @@ class TestRunCampaign:
         assert np.array_equal(a.rates, b.rates)
         assert np.array_equal(a.mean, b.mean)
 
+    @pytest.mark.parametrize("realizations", [1, 2, 3, 32])
+    def test_statistics_percentiles_equal_separate_calls(self, realizations):
+        rates = np.random.default_rng(realizations).exponential(5.0, (3, realizations))
+        stats = campaign_module._statistics("pt_dbm", [20.0, 30.0, 40.0], rates)
+        assert stats.p5.tobytes() == np.percentile(rates, 5.0, axis=1).tobytes()
+        assert stats.p95.tobytes() == np.percentile(rates, 95.0, axis=1).tobytes()
+
     def test_pt_sweep_shapes_and_order(self):
         vc = quick_vc(pt_dbm=(40.0, 20.0, 30.0))
         stats = run_campaign(Campaign(vc))
@@ -462,6 +469,15 @@ class TestExports:
         assert len(cols["x"]) == result.mean_rate.size
         assert np.allclose(cols["mean_rate"].reshape(result.mean_rate.shape),
                            result.mean_rate, rtol=0, atol=1e-12)
+
+    def test_header_only_csv_reads_empty_columns(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("# config_hash=abc\nx,y,mean_rate,ris_index\n", encoding="utf-8")
+        got_hash, cols = read_csv_table(path)
+        assert got_hash == "abc"
+        assert list(cols) == ["x", "y", "mean_rate", "ris_index"]
+        for column in cols.values():
+            assert column.dtype == float and column.shape == (0,)
 
     def test_csv_identical_across_workers(self, tmp_path):
         vc = quick_vc(realizations=6, pt_dbm=(20.0, 40.0))

@@ -335,7 +335,7 @@ def reference_leg_matrices(row, col, leg, row_frames=None):
         return 1.0 if q is None else element_gain_from_cos(u[:, 0], q)
 
     def response(device, u):
-        return steering_matrix(device.vert, device.horiz, u)
+        return steering_matrix(device.grid.vert, device.grid.horiz, u)
 
     out, los_seen = [], 0
     for s in range(len(leg.cell)):

@@ -8,11 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from rislink import ArraySpec, RisSpec
+from rislink import ArraySpec, RisSpec, scene_preset, validate_config
+from rislink.channel import build_scene
+from rislink.config import MAX_ARRAY_ELEMENTS
 from rislink.errors import CoincidentPoints, DimensionMismatch
-from rislink.geometry import (GLOBAL_FRAME, azimuth_rotation_frame, direction_unit,
-                              element_gain, element_gain_from_cos, frame_from_plane,
-                              local_directions, steering_matrix)
+from rislink.geometry import (GLOBAL_FRAME, RESTART, GridAxes, azimuth_rotation_frame,
+                              direction_unit, element_gain, element_gain_from_cos,
+                              frame_from_plane, grid_factors, local_directions, steering_matrix)
 
 WAVELENGTH = 299792458.0 / 28e9
 
@@ -188,6 +190,105 @@ class TestSteering:
         elements = RisSpec(16, (0, 0, 0)).element_positions(WAVELENGTH)
         assert np.allclose(elements.mean(axis=0), 0.0, atol=1e-15)
         assert np.allclose(elements[:, 0], 0.0)
+
+
+def direct_factors(vert, horiz, u):
+    """cos/sin of each entry's float64 phase, entry by entry."""
+    phase = np.concatenate([vert[:, None] * u[..., None, :, 2],
+                            horiz[:, None] * u[..., None, :, 1]], axis=-2)
+    factor = np.empty(phase.shape, dtype=complex)
+    factor.real, factor.imag = np.cos(phase), np.sin(phase)
+    return factor
+
+
+def scaled_axes(spec):
+    k = 2 * np.pi / WAVELENGTH
+    vert, horiz = spec.grid_axes(WAVELENGTH)
+    return k * vert, k * horiz
+
+
+def powers_pairs(coords) -> int:
+    """cos/sin pairs of an evenly spaced axis that is centred or starts at 0:
+    one per RESTART entries of the computed half (or of the entries after 0)."""
+    run = coords.size // 2 if coords[0] == -coords[-1] else coords.size - 1
+    return -(-run // RESTART)
+
+
+class TestGridFactors:
+    @pytest.mark.parametrize("spec", [
+        RisSpec(64, (0, 0, 0)),                                   # centred, even
+        RisSpec(15 * 17, (0, 0, 0), shape=(15, 17)),              # centred, odd
+        RisSpec(16 * 33, (0, 0, 0), shape=(16, 33), spacing_wl=0.3),
+        RisSpec(16, (0, 0, 0), shape=(1, 16)),                    # one row
+        ArraySpec("upa", 4, (0, 0, 0)),                           # corner-referenced
+        ArraySpec("upa", 15 * 17, (0, 0, 0), spacing_wl=0.7),
+        ArraySpec("ula", 33, (0, 0, 0)),
+        ArraySpec("ula", 16, (0, 0, 0), spacing_wl=1.3),
+        ArraySpec("ula", 1, (0, 0, 0)),
+    ])
+    @pytest.mark.parametrize("stack", [(), (3,), (2, 2)])
+    def test_powers_match_direct_trig(self, spec, stack):
+        vert, horiz = scaled_axes(spec)
+        rng = np.random.default_rng(len(stack) + vert.size * horiz.size)
+        shape = stack + (37,)
+        u = direction_unit(rng.uniform(-np.pi, np.pi, shape),
+                           rng.uniform(-np.pi / 2, np.pi / 2, shape))
+        grid = GridAxes(vert, horiz)
+        assert grid.trig_pairs == powers_pairs(vert) + powers_pairs(horiz)
+        got = grid.factors(u)
+        assert got.shape == stack + (vert.size + horiz.size, 37)
+        np.testing.assert_allclose(got, direct_factors(vert, horiz, u), rtol=0.0, atol=1e-13)
+        assert np.array_equal(grid_factors(vert, horiz, u), got)
+
+    @pytest.mark.parametrize("coords", [
+        np.array([0.0, 1.0, 3.0]), np.array([-2.0, 0.5, 2.0]),
+        np.array([-3.0, -1.0, 0.0, 1.0, 3.0]), 1.9 * np.arange(20.0) ** 1.01])
+    def test_uneven_axis_is_direct_trig(self, coords):
+        rng = np.random.default_rng(5)
+        u = direction_unit(rng.uniform(-np.pi, np.pi, (2, 20)), rng.uniform(-1.5, 1.5, (2, 20)))
+        grid = GridAxes(coords, coords[::-1])
+        assert grid.trig_pairs == 2 * coords.size
+        assert grid.factors(u).tobytes() == direct_factors(coords, coords[::-1], u).tobytes()
+
+    def test_zero_entries_equal_trig_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        u = direction_unit(rng.uniform(-np.pi, np.pi, 50), rng.uniform(-1.5, 1.5, 50))
+        vert, horiz = scaled_axes(RisSpec(15, (0, 0, 0), shape=(3, 5)))
+        corner = scaled_axes(ArraySpec("ula", 4, (0, 0, 0)))
+        for v, h in ((vert, horiz), corner):
+            got, expected = GridAxes(v, h).factors(u), direct_factors(v, h, u)
+            at = np.concatenate([v, h]) == 0.0
+            assert got[at].tobytes() == expected[at].tobytes()
+
+    def test_offset_axis_takes_two_pairs(self):
+        coords = 0.7 + 1.9 * np.arange(9)
+        rng = np.random.default_rng(7)
+        u = direction_unit(rng.uniform(-np.pi, np.pi, 30), rng.uniform(-1.5, 1.5, 30))
+        grid = GridAxes(coords, np.zeros(1))
+        assert grid.trig_pairs == 2
+        np.testing.assert_allclose(grid.factors(u), direct_factors(coords, np.zeros(1), u),
+                                   rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("spec", [
+        ArraySpec("ula", MAX_ARRAY_ELEMENTS, (0, 0, 0)),
+        RisSpec(MAX_ARRAY_ELEMENTS, (0, 0, 0), shape=(1, MAX_ARRAY_ELEMENTS))])
+    def test_longest_axis_stays_within_phase_rounding(self, spec):
+        # the phases x * u themselves round by up to half a unit of max|x * u|
+        # (~5e-10 here); restarting the powers keeps their drift within a few
+        # such units and their modulus within 1e-13 of 1 (2^20 steps unbroken
+        # would drift it by ~4e-11)
+        vert, horiz = scaled_axes(spec)
+        u = direction_unit(np.array([0.4, -2.0, 1.1]), np.array([0.3, -0.2, 0.0]))
+        got = GridAxes(vert, horiz).factors(u)
+        bound = 4 * np.spacing(np.max(np.abs(horiz[:, None] * u[:, 1]))) + 1e-13
+        assert np.max(np.abs(got - direct_factors(vert, horiz, u))) <= bound
+        assert np.max(np.abs(np.abs(got) - 1.0)) <= 1e-13
+
+    def test_benchmark_scene_paths_take_four_pairs(self):
+        # 8x8 surface: one pair per half-axis; 2x2 terminals: one per axis
+        scene = build_scene(validate_config(scene_preset("indoor")))
+        assert scene.ris[0].grid.trig_pairs == 2
+        assert scene.tx.grid.trig_pairs == scene.rx.grid.trig_pairs == 2
 
 
 class TestElementGain:

@@ -78,3 +78,20 @@ def test_unit_draws_map_to_the_direct_calls(seed):
         split = np.concatenate([a.random(n) for _ in range(3)])
         assert split.tobytes() == b.random(3 * n).tobytes()
     assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**40 + 17])
+@pytest.mark.parametrize("low,high", [(1, 2), (2, 11), (3, 31), (0, 2**31 + 5)])
+def test_scalar_integer_draws_equal_one_sized_draw(seed, low, high):
+    """The numpy behaviour behind drawing a link's scatterer counts as scalar
+    calls (`propagation.draw_cluster_units`): k scalar `integers` calls read
+    the values and leave the stream as one call of size k, so the uniforms
+    and normals drawn next match too."""
+    for k in range(1, 9):
+        a, b = np.random.default_rng([seed, k]), np.random.default_rng([seed, k])
+        scalars = [a.integers(low, high) for _ in range(k)]
+        assert np.array_equal(scalars, b.integers(low, high, size=k))
+        assert a.bit_generator.state == b.bit_generator.state
+        assert a.random(3).tobytes() == b.random(3).tobytes()
+        assert a.standard_normal(4).tobytes() == b.standard_normal(4).tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
