@@ -12,9 +12,9 @@ towards one receiver position or a stack of them.  Each realization reads
 its own substreams, once per link; the block's paths are then placed at
 their far ends and summed together, a LOS term as one more path.  The sum
 never forms an array response: each path's per-axis grid factors
-(`geometry.grid_factors`, each device's axis forms decided once in
-`build_scene`) are contracted in two small groups, so an 8x8
-surface leg costs 8 + 32 factor entries per path instead of 64 + 4.
+(`geometry.GridAxes`, built once per device in `build_scene`) are
+contracted in two small groups, so an 8x8 surface leg costs 8 + 32 factor
+entries per path instead of 64 + 4.
 """
 
 from __future__ import annotations
@@ -58,9 +58,8 @@ class DeviceView:
 
 @dataclass(frozen=True)
 class Scene:
-    """All device views of one realization, sharing one wavelength."""
+    """All device views of one realization."""
 
-    wavelength: float
     tx: DeviceView
     rx: DeviceView
     ris: tuple[DeviceView, ...]
@@ -80,7 +79,7 @@ def build_scene(vc: ValidatedConfig, rx_position=None) -> Scene:
     tx = view(cfg.tx, cfg.tx.position, cfg.tx.frame)
     rx = view(cfg.rx, cfg.rx.position if rx_position is None else rx_position, cfg.rx.frame)
     ris = tuple(view(r, r.position, r.frame, r.gain_exponent) for r in cfg.ris)
-    return Scene(lam, tx, rx, ris)
+    return Scene(tx, rx, ris)
 
 
 def _gain(device: DeviceView, u: np.ndarray):
@@ -324,14 +323,20 @@ def composite_multi(channels: RealizationChannels,
                     phase_sets: list[np.ndarray | None]) -> np.ndarray:
     """Sum the cascades of all active surfaces plus the direct term.
 
-    `phase_sets[k] is None` models surface k as absent.  A stacked cascade
-    enters only the cells its leg was placed at (`channels.cells`), its one
-    Tx-side leg broadcast over them.
+    `phase_sets` holds one entry per surface; `phase_sets[k] is None`
+    models surface k as absent, and a surface the channels left out must
+    be.  A stacked cascade enters only the cells its leg was placed at
+    (`channels.cells`), its one Tx-side leg broadcast over them.
     """
+    if len(phase_sets) != len(channels.tx_ris):
+        raise DimensionMismatch(f"{len(phase_sets)} phase sets for "
+                                f"{len(channels.tx_ris)} surfaces")
     total = channels.direct.astype(complex, copy=True)
     for k, phases in enumerate(phase_sets):
         if phases is not None:
             tx_ris, ris_rx = channels.tx_ris[k], channels.ris_rx[k]
+            if tx_ris is None:
+                raise DimensionMismatch(f"phases given for surface {k}, which was left out")
             tx_ris = tx_ris[..., None, :, :] if ris_rx.ndim > tx_ris.ndim else tx_ris
             at = (..., channels.cells[k], slice(None), slice(None)) if k in channels.cells else ...
             total[at] += surface_cascade(tx_ris, ris_rx, phases)

@@ -13,14 +13,15 @@ from .config import SCENE_TEXT, SimConfig, load_config, parse_config_text, valid
 from .errors import ConfigError
 
 
-def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
+def _add_scenario_args(parser: argparse.ArgumentParser, workers: bool = True) -> None:
     parser.add_argument("config", nargs="?", help="scenario config file")
     parser.add_argument("--preset", choices=SCENE_TEXT,
                         help="use a built-in scene instead of a config file")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override any config key (repeatable)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes (results are identical for any count)")
+    if workers:   # validate starts no processes
+        parser.add_argument("--workers", type=int, default=1,
+                            help="worker processes (results are identical for any count)")
 
 
 def _build_config(args) -> SimConfig:
@@ -113,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a scenario and print derived values")
-    _add_scenario_args(p)
+    _add_scenario_args(p, workers=False)
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("run", help="run a rate campaign over a sweep")

@@ -17,14 +17,11 @@ Conventions used by every module:
   of one exponential per row and one per column.  `grid_factors` returns
   those rows + cols exponentials; `steering_matrix` takes their outer
   product, and the channel engine contracts them without ever forming it.
-* Grid axes are evenly spaced, so an axis's exponentials are a geometric
-  sequence: `GridAxes` takes a direct cos/sin once per `RESTART` entries
-  and multiplies by the step exponential in between, computes a centred
-  axis's mirrored half as exact conjugates and an entry at coordinate 0 as
-  1 + j(0 * u).  An 8x8 surface costs 2 cos/sin pairs per direction, a 2x2
-  array 2, instead of 16 and 4.  Each factor stays within a few rounding
-  units of max|x * u| plus 1e-13 of cos/sin of its own phase; an axis that
-  is not evenly spaced is cos/sin entry by entry.
+* A grid axis is evenly spaced, either centred (a surface) or starting at
+  0 (a terminal array).  `grid_factors` is the cos/sin reference; the
+  channel engine forms the same factors with `GridAxes` as geometric
+  sequences: an 8x8 surface or a 2x2 array costs 2 cos/sin pairs per
+  direction, instead of 16 and 4.
 """
 
 from __future__ import annotations
@@ -127,21 +124,31 @@ class _AxisForm(NamedTuple):
 
     The *run*, entries start..n-1, is evenly spaced: every `block`-th entry
     of it is a direct cos/sin (a *seed*), each entry between is the one
-    before it times the step exponential.  Before the run sit the `mirror`
-    entries that are exact conjugates of its entries (a centred axis is
-    computed for one half only) and the `zero` entry, at coordinate 0,
-    whose factor 1 + j(0 * u) equals cos/sin of +/-0 bit for bit.  An axis
-    that is not evenly spaced is all seeds: direct trig.
+    before it times the step, the first seed (squared if there is no zero
+    entry: an even centred axis's run starts half a step from 0).  Before
+    the run sit the `mirror` entries, exact conjugates of its entries, and
+    the `zero` entry at coordinate +0, whose 1 + j(0 * u) is cos/sin bit for bit.
     """
 
-    coords: np.ndarray
     seeds: np.ndarray      # coordinate of each seed
     start: int             # first entry of the run
     block: int             # run entries per seed
-    step: str | None       # the step is the first seed's "square", the "first" seed, or its "own"
-    spacing: float         # coordinate of an "own" step
     mirror: int            # entries 0..mirror-1 are conj of entries n-1..n-mirror
-    zero: int | None       # entry at coordinate 0 outside the run
+    zero: int | None       # entry at coordinate 0
+
+    @classmethod
+    def of(cls, x: np.ndarray) -> _AxisForm:
+        """The form of axis `x` (n,), read off its ends: centred, or starting at 0."""
+        n = x.size
+        if x[0] == -x[-1]:
+            mirror, zero = n // 2, n // 2 if n % 2 else None
+        elif x[0] == 0.0:
+            mirror, zero = 0, 0
+        else:
+            raise ValueError("a grid axis must be centred or start at 0")
+        start = mirror + (zero is not None)
+        block = min(n - start, RESTART) or 1
+        return cls(x[start::block], start, block, mirror, zero)
 
     def fill(self, out: np.ndarray, component: np.ndarray) -> None:
         """Write the (..., n, P) factors into `out` for the direction
@@ -151,10 +158,9 @@ class _AxisForm(NamedTuple):
         np.multiply(self.seeds[:, None], component, out=seeds.imag)
         np.cos(seeds.imag, out=seeds.real)
         np.sin(seeds.imag, out=seeds.imag)
-        if self.step is not None:
+        if block > 1:
             first = run[..., :1, :]
-            step = (first * first if self.step == "square" else first if self.step == "first"
-                    else np.exp(1j * (self.spacing * component)))
+            step = first if self.zero is not None else first * first
             for i in range(1, block):
                 rows = run[..., i::block, :]
                 np.multiply(run[..., i - 1::block, :][..., :rows.shape[-2], :], step, out=rows)
@@ -162,68 +168,25 @@ class _AxisForm(NamedTuple):
             np.conjugate(out[..., -self.mirror:, :], out=out[..., self.mirror - 1::-1, :])
         if self.zero is not None:
             out.real[..., self.zero, :] = 1.0
-            np.multiply(self.coords[self.zero], component[..., 0, :],
-                        out=out.imag[..., self.zero, :])
-
-
-# Axes up to this many entries have their form memoized on their bytes, so a
-# scene rebuilt per block decides it in ~1 us; a longer axis decides anew.
-MEMO_ENTRIES = 4096
-
-
-def _axis_form(x: np.ndarray) -> _AxisForm:
-    """How the factors of axis `x` (n,) are formed (see `_AxisForm`)."""
-    x = np.ascontiguousarray(x, dtype=float)
-    return _memo_form(x.tobytes()) if x.size <= MEMO_ENTRIES else _decide_form(x)
-
-
-@lru_cache(maxsize=256)
-def _memo_form(data: bytes) -> _AxisForm:
-    return _decide_form(np.frombuffer(data))
-
-
-def _decide_form(x: np.ndarray) -> _AxisForm:
-    n = x.size
-    centred = np.array_equal(x[::-1], -x)   # an empty axis too
-    mirror = n // 2 if centred else 0
-    if centred:
-        zero = mirror if n % 2 else None
-    else:
-        zero = 0 if x[0] == 0.0 else None
-    start = n - mirror if centred else int(zero is not None)
-    run = x[start:]
-    if run.size < 2:
-        return _AxisForm(x, run, start, 1, None, 0.0, mirror, zero)
-    if centred and not n % 2:            # half-integer steps: w, w^3, w^5, ... with w^2 the step
-        step, d = "square", 2.0 * run[0]
-    elif zero is not None:               # the run starts one step from 0
-        step, d = "first", run[0]
-    else:
-        step, d = "own", (run[-1] - run[0]) / (run.size - 1)
-    block = min(run.size, RESTART)
-    i = np.arange(run.size)
-    offset = i % block
-    model = run[i - offset] + offset * d
-    if np.max(np.abs(run - model)) > 8.0 * np.finfo(float).eps * np.max(np.abs(x)):
-        return _AxisForm(x, x, 0, 1, None, 0.0, 0, None)
-    return _AxisForm(x, run[::block], start, block, step, d, mirror, zero)
+            np.multiply(0.0, component[..., 0, :], out=out.imag[..., self.zero, :])
 
 
 class GridAxes:
     """The row and column coordinates of a planar (rows, cols) element grid,
     scaled by 2*pi/lambda, with the form of each axis's factors decided once.
 
-    `vert` (rows,) is the local vertical coordinate of each element row and
-    `horiz` (cols,) the horizontal one of each column; every element lies in
-    the aperture plane (local x = 0).  An evenly spaced axis costs one
-    cos/sin pair per direction and per `RESTART` entries (two if its
-    entries are neither centred nor start at 0); any other takes one per
-    entry.
+    `vert` (rows,) and `horiz` (cols,) are as for `grid_factors`.  Each axis
+    must be evenly spaced in one of the two layouts `config` builds:
+    centred (x[0] == -x[-1], a surface) or starting at +0 (a terminal
+    array); an axis that is neither raises ValueError.  It costs one cos/sin
+    pair per direction and per `RESTART` entries of its computed half (or
+    of its entries after 0).  Each factor lies within a few rounding units
+    of max|x * u| plus 1e-13 of `grid_factors`, its modulus within 1e-13 of 1.
     """
 
     def __init__(self, vert: np.ndarray, horiz: np.ndarray):
         self.vert, self.horiz = vert, horiz
-        self._forms = (_axis_form(vert), _axis_form(horiz))
+        self._forms = (_AxisForm.of(vert), _AxisForm.of(horiz))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -232,7 +195,7 @@ class GridAxes:
     @property
     def trig_pairs(self) -> int:
         """cos/sin pairs `factors` takes per direction."""
-        return sum(form.seeds.size + (form.step == "own") for form in self._forms)
+        return sum(form.seeds.size for form in self._forms)
 
     def factors(self, u_local: np.ndarray) -> np.ndarray:
         """The (..., rows + cols, P) factors towards each direction (see `grid_factors`)."""
@@ -257,18 +220,17 @@ def grid_factors(vert: np.ndarray, horiz: np.ndarray, u_local: np.ndarray) -> np
     and exp(j * horiz[c] * u_y) (the rest): element r * cols + c responds
     with the product of row factor r and column factor c.
 
-    An evenly spaced axis is formed as a geometric sequence (`GridAxes`):
-    powers of one step exponential, restarted from a direct cos/sin every
-    `RESTART` entries; a centred axis's mirrored half is the exact conjugate
-    of the other and an entry at coordinate 0 is 1 + j(0 * u), both equal to
-    cos/sin bit for bit.  Each factor lies within a few rounding units of
-    max|x * u| (the rounding of the phases themselves) plus 1e-13 of cos/sin
-    of its phase x[i] * u, and its modulus within 1e-13 of 1.  Any other
-    axis is cos/sin entry by entry.  This call decides each axis's form
-    anew; a caller with fixed axes builds its `GridAxes` once and calls
-    `factors`.
+    Each factor is cos/sin of its own phase, entry by entry, whatever the
+    axes: the reference for the channel engine's `GridAxes`.
     """
-    return GridAxes(vert, horiz).factors(u_local)
+    u = np.atleast_2d(u_local)
+    if u.shape[-1] != 3:
+        raise DimensionMismatch("directions must be 3D")
+    phase = np.concatenate([vert[:, None] * u[..., None, :, 2],
+                            horiz[:, None] * u[..., None, :, 1]], axis=-2)
+    factor = np.empty(phase.shape, dtype=complex)
+    factor.real, factor.imag = np.cos(phase), np.sin(phase)
+    return factor
 
 
 def steering_matrix(vert: np.ndarray, horiz: np.ndarray, u_local: np.ndarray) -> np.ndarray:

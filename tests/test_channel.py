@@ -520,6 +520,26 @@ class TestComposite:
                     want[b, c] += channels.ris_rx[k][b, j] @ response @ channels.tx_ris[k][b]
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
+    def test_one_phase_set_per_surface(self):
+        base = dataclasses.replace(scene_preset("indoor"), realizations=1)
+        vc = validate_config(dataclasses.replace(
+            base, ris=(base.ris[0], RisSpec(64, (60.0, 30.0, 2.0), plane="yz"))))
+        channels = realize_channels(vc, 0)
+        phases = np.zeros(64)
+        for phase_sets in ([phases], [phases, phases, phases]):
+            with pytest.raises(DimensionMismatch, match="phase sets for 2 surfaces"):
+                composite_multi(channels, phase_sets)
+
+    def test_phases_for_a_surface_left_out_rejected(self):
+        base = dataclasses.replace(scene_preset("indoor"), realizations=1)
+        vc = validate_config(dataclasses.replace(
+            base, ris=(base.ris[0], RisSpec(64, (60.0, 30.0, 2.0), plane="yz"))))
+        channels = realize_channels(vc, 0, surfaces={1: None})
+        assert np.array_equal(composite_multi(channels, [None, np.zeros(64)]),
+                              composite_multi(realize_channels(vc, 0), [None, np.zeros(64)]))
+        with pytest.raises(DimensionMismatch, match="surface 0"):
+            composite_multi(channels, [np.zeros(64), np.zeros(64)])
+
     def test_absent_surface_skipped(self):
         vc = validate_config(dataclasses.replace(scene_preset("indoor"), realizations=1))
         channels = realize_channels(vc, 0)

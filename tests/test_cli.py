@@ -106,11 +106,16 @@ def test_coverage_near_field_cells_fail_under_strict_checking(capsys):
     assert "config error" in err and "80 of 100 receiver positions" in err
 
 
-@pytest.mark.parametrize("command", ["validate", "run", "coverage", "dump-channels"])
+@pytest.mark.parametrize("command", ["run", "coverage", "dump-channels"])
 def test_workers_help_names_processes(command):
     sub = build_parser()._subparsers._group_actions[0].choices[command]
     text = sub.format_help()
     assert "worker processes" in text and "threads" not in text
+
+
+def test_validate_has_no_workers_option():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["validate", "--preset", "indoor", "--workers", "2"])
 
 
 def test_set_frequency_ghz_on_a_preset(capsys):

@@ -192,15 +192,6 @@ class TestSteering:
         assert np.allclose(elements[:, 0], 0.0)
 
 
-def direct_factors(vert, horiz, u):
-    """cos/sin of each entry's float64 phase, entry by entry."""
-    phase = np.concatenate([vert[:, None] * u[..., None, :, 2],
-                            horiz[:, None] * u[..., None, :, 1]], axis=-2)
-    factor = np.empty(phase.shape, dtype=complex)
-    factor.real, factor.imag = np.cos(phase), np.sin(phase)
-    return factor
-
-
 def scaled_axes(spec):
     k = 2 * np.pi / WAVELENGTH
     vert, horiz = spec.grid_axes(WAVELENGTH)
@@ -237,18 +228,21 @@ class TestGridFactors:
         assert grid.trig_pairs == powers_pairs(vert) + powers_pairs(horiz)
         got = grid.factors(u)
         assert got.shape == stack + (vert.size + horiz.size, 37)
-        np.testing.assert_allclose(got, direct_factors(vert, horiz, u), rtol=0.0, atol=1e-13)
-        assert np.array_equal(grid_factors(vert, horiz, u), got)
+        np.testing.assert_allclose(got, grid_factors(vert, horiz, u), rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("coords", [
         np.array([0.0, 1.0, 3.0]), np.array([-2.0, 0.5, 2.0]),
-        np.array([-3.0, -1.0, 0.0, 1.0, 3.0]), 1.9 * np.arange(20.0) ** 1.01])
+        np.array([-3.0, -1.0, 0.0, 1.0, 3.0]), 1.9 * np.arange(20.0) ** 1.01,
+        0.7 + 1.9 * np.arange(9)])
     def test_uneven_axis_is_direct_trig(self, coords):
+        # the reference takes any axis, each entry's cos/sin of its own phase
         rng = np.random.default_rng(5)
         u = direction_unit(rng.uniform(-np.pi, np.pi, (2, 20)), rng.uniform(-1.5, 1.5, (2, 20)))
-        grid = GridAxes(coords, coords[::-1])
-        assert grid.trig_pairs == 2 * coords.size
-        assert grid.factors(u).tobytes() == direct_factors(coords, coords[::-1], u).tobytes()
+        phase = np.concatenate([coords[:, None] * u[..., None, :, 2],
+                                coords[::-1, None] * u[..., None, :, 1]], axis=-2)
+        got = grid_factors(coords, coords[::-1], u)
+        assert got.real.tobytes() == np.cos(phase).tobytes()
+        assert got.imag.tobytes() == np.sin(phase).tobytes()
 
     def test_zero_entries_equal_trig_bit_for_bit(self):
         rng = np.random.default_rng(6)
@@ -256,18 +250,15 @@ class TestGridFactors:
         vert, horiz = scaled_axes(RisSpec(15, (0, 0, 0), shape=(3, 5)))
         corner = scaled_axes(ArraySpec("ula", 4, (0, 0, 0)))
         for v, h in ((vert, horiz), corner):
-            got, expected = GridAxes(v, h).factors(u), direct_factors(v, h, u)
+            got, expected = GridAxes(v, h).factors(u), grid_factors(v, h, u)
             at = np.concatenate([v, h]) == 0.0
             assert got[at].tobytes() == expected[at].tobytes()
 
-    def test_offset_axis_takes_two_pairs(self):
-        coords = 0.7 + 1.9 * np.arange(9)
-        rng = np.random.default_rng(7)
-        u = direction_unit(rng.uniform(-np.pi, np.pi, 30), rng.uniform(-1.5, 1.5, 30))
-        grid = GridAxes(coords, np.zeros(1))
-        assert grid.trig_pairs == 2
-        np.testing.assert_allclose(grid.factors(u), direct_factors(coords, np.zeros(1), u),
-                                   rtol=0.0, atol=1e-13)
+    def test_axis_neither_centred_nor_from_zero_is_refused(self):
+        for coords in (0.7 + 1.9 * np.arange(9), np.array([0.5])):
+            for axes in ((coords, np.zeros(1)), (np.zeros(1), coords)):
+                with pytest.raises(ValueError, match="centred or start at 0"):
+                    GridAxes(*axes)
 
     @pytest.mark.parametrize("spec", [
         ArraySpec("ula", MAX_ARRAY_ELEMENTS, (0, 0, 0)),
@@ -281,7 +272,7 @@ class TestGridFactors:
         u = direction_unit(np.array([0.4, -2.0, 1.1]), np.array([0.3, -0.2, 0.0]))
         got = GridAxes(vert, horiz).factors(u)
         bound = 4 * np.spacing(np.max(np.abs(horiz[:, None] * u[:, 1]))) + 1e-13
-        assert np.max(np.abs(got - direct_factors(vert, horiz, u))) <= bound
+        assert np.max(np.abs(got - grid_factors(vert, horiz, u))) <= bound
         assert np.max(np.abs(np.abs(got) - 1.0)) <= 1e-13
 
     def test_benchmark_scene_paths_take_four_pairs(self):
