@@ -7,24 +7,29 @@ realizations at one sweep point; a coverage map's unit is a fixed block of
 cells with all its realizations; a channel dump's unit is a fixed block of
 realizations.  All randomness comes from substreams keyed by (seed,
 realization, link), never from execution order or receiver position.  So
-every rate takes one path, `_block_singular_values`: `realize_block` draws
-a block at a stack of receiver positions (a campaign's one, or a coverage
-block's cells), then `compute_phase_sets`, `composite_multi` and an SVD.
-Processes rather than threads: one unit is a burst of small numpy calls
-that never release the interpreter lock long enough for threads to overlap.
+every rate takes one path, `_block_singular_values`: channels realized at
+a stack of receiver positions, then `compute_phase_sets`,
+`composite_multi` and an SVD.  A campaign block is realized whole
+(`realize_block`, at its one position).  A coverage block's realizations
+run in groups and each group in chunks: per group `draw_group` draws every
+link, the receiver frames and the Tx-surface legs once; per chunk
+`realize_chunk` places and contracts the receiver-side legs at the block's
+cells.  Processes rather than threads: one unit is a burst of small numpy
+calls that never release the interpreter lock long enough for threads to
+overlap; the pool's modules are imported only when a job starts one.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .channel import RealizationChannels, composite_multi, realize_block
+from .channel import (RealizationChannels, composite_multi, draw_group, realize_block,
+                      realize_chunk)
 # no caller left here; the benchmark's tracer wraps this name (ROADMAP item 5)
 from .channel import realize_channels  # noqa: F401
 from .config import (SimConfig, ValidatedConfig, check_positions, is_count, is_real,
@@ -142,20 +147,23 @@ def default_grid(vc: ValidatedConfig, cell: float = 1.0) -> GridSpec:
 
 
 # Cells per coverage work unit and realizations per campaign or dump work
-# unit (and at most per coverage chunk).  Fixed, so the blocks (and the
-# output bytes) do not depend on the worker count.  Each realization's
-# receiver-free work (Tx-side leg, its pinv, the variate draws) is shared by
-# a coverage block's cells; a block's realizations share the placement,
-# steering, pinv and SVD calls.  Memory is bounded by two budgets:
-# `COVERAGE_CHUNK_BUDGET` sizes a coverage block's chunks of realizations,
-# `channel.PLACEMENT_BUDGET` the path chunks each leg is contracted in.
+# unit (and at most per coverage group or chunk).  Fixed, so the blocks (and
+# the output bytes) do not depend on the worker count.  A coverage block's
+# cells share each realization's receiver-free work (the draws, the
+# Tx-surface leg); a group's chunks share the seeding and draws of every
+# link and the Tx-surface legs, drawn once per group; a chunk's
+# realizations share the placement, steering, pinv and SVD calls.  Memory
+# is bounded by two budgets: `COVERAGE_CHUNK_BUDGET` sizes a coverage
+# block's groups and chunks (`coverage_sizes`), `channel.PLACEMENT_BUDGET`
+# the path chunks each leg is contracted in.
 BLOCK_SIZE = 32
 
-# Most receiver-side matrix entries (cells x Nr x N, 16 bytes each) a
-# coverage chunk realizes at once.  The chunk's arrays that grow with it
-# (the surface-Rx legs, their phase-control products and cascades) are a
-# few times this; 32768 lets the 24-cell, 4x4-by-64 benchmark map realize
-# 4 realizations a chunk where 16384 allowed 2.
+# Most matrix entries (16 bytes each) a coverage chunk realizes on the
+# receiver side (cells x Nr x N) and a group holds on the Tx side (N x Nt
+# per surface).  A chunk's arrays that grow with it (the surface-Rx legs,
+# their phase-control products and cascades) are a few times this; 32768
+# lets the 24-cell, 4x4-by-64 benchmark map realize 4 realizations a chunk
+# where 16384 allowed 2, and draw its 16 realizations as one group.
 COVERAGE_CHUNK_BUDGET = 32768
 
 
@@ -223,13 +231,11 @@ def compute_phase_sets(vc: ValidatedConfig, channels: RealizationChannels,
             for k, tx_ris in enumerate(channels.tx_ris)]
 
 
-def _block_singular_values(vc: ValidatedConfig, realizations: range, positions: np.ndarray,
+def _block_singular_values(vc: ValidatedConfig, channels: RealizationChannels,
                            selected: np.ndarray) -> np.ndarray:
-    """(B, K, min(Nr, Nt)) singular values of a block of realizations at K
-    receiver positions, position i served by surface `selected[i]`, each
-    surface's legs placed only where they enter (`_realized_surfaces`)."""
-    channels = realize_block(vc, realizations, surfaces=_realized_surfaces(vc, selected),
-                             rx_position=positions)
+    """(B, K, min(Nr, Nt)) singular values of a block of realizations realized
+    at K receiver positions, position i served by surface `selected[i]`,
+    each surface's legs placed only where they enter (`_realized_surfaces`)."""
     composite = composite_multi(channels, compute_phase_sets(vc, channels, selected))
     return np.linalg.svd(composite, compute_uv=False)
 
@@ -239,8 +245,10 @@ def composite_singular_values(vc: ValidatedConfig, realization: int) -> np.ndarr
     config's receiver position, the realization's index in [0, 2**32) (see
     `realize_block`)."""
     rx_pos = np.asarray(vc.config.rx.position, float)[None]
-    return _block_singular_values(vc, range(realization, realization + 1), rx_pos,
-                                  serving_surface(vc, rx_pos))[0, 0]
+    selected = serving_surface(vc, rx_pos)
+    channels = realize_block(vc, range(realization, realization + 1),
+                             _realized_surfaces(vc, selected), rx_pos)
+    return _block_singular_values(vc, channels, selected)[0, 0]
 
 
 def _parallel_map(fn, payloads: list, workers: int) -> list:
@@ -252,8 +260,16 @@ def _parallel_map(fn, payloads: list, workers: int) -> list:
     if workers <= 1:
         return [fn(p) for p in payloads]
     chunk = max(1, len(payloads) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with _process_pool(workers) as pool:
         return list(pool.map(fn, payloads, chunksize=chunk))
+
+
+def _process_pool(workers: int):
+    """A process pool of `workers` processes.  Its module (and with it
+    `multiprocessing`) is imported only here, so that importing rislink, or
+    a job at one worker, does not load it."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def _statistics(sweep_axis: str, values, rates: np.ndarray) -> RateStatistics:
@@ -287,35 +303,62 @@ def _block_rates(args) -> np.ndarray:
     """(len(pt_watts), B, K) rates of a block of realizations at K receiver
     positions (`_block_singular_values`)."""
     vc, realizations, positions, selected, pt_watts = args
-    s = _block_singular_values(vc, realizations, positions, selected)
-    return rate_from_singular_values(s, pt_watts, vc.noise_watts)
+    channels = realize_block(vc, realizations, _realized_surfaces(vc, selected), positions)
+    return rate_from_singular_values(_block_singular_values(vc, channels, selected), pt_watts,
+                                     vc.noise_watts)
 
 
-def realization_chunks(realizations: int, most: int) -> list[range]:
-    """Split range(realizations) into the fewest consecutive chunks of at
-    most `most` realizations, their sizes differing by at most one."""
-    count = -(-realizations // most)
-    bounds = [realizations * i // count for i in range(count + 1)]
-    return [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+def realization_chunks(realizations: range, most: int) -> list[range]:
+    """Split a range of realizations into the fewest consecutive chunks of
+    at most `most` realizations, their sizes differing by at most one."""
+    count = -(-len(realizations) // most)
+    bounds = [len(realizations) * i // count for i in range(count + 1)]
+    return [realizations[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def coverage_sizes(vc: ValidatedConfig, cells: int) -> tuple[int, int]:
+    """The most realizations a coverage block of `cells` cells draws as one
+    group and realizes as one chunk, each at most `BLOCK_SIZE`.
+
+    A chunk's receiver-side matrices (cells x Nr x N for the largest
+    surface, or Nt without surfaces) hold at most `COVERAGE_CHUNK_BUDGET`
+    entries, a group's Tx-side ones (N x Nt summed over the surfaces) too;
+    a group holds at least one chunk, so arrays too large for the budget
+    run one realization a group.
+    """
+    cfg = vc.config
+    rx_entries = cells * cfg.rx.count * max((r.count for r in cfg.ris), default=cfg.tx.count)
+    tx_entries = cfg.tx.count * sum(r.count for r in cfg.ris)
+    chunk = min(BLOCK_SIZE, max(1, COVERAGE_CHUNK_BUDGET // rx_entries))
+    group = min(BLOCK_SIZE, COVERAGE_CHUNK_BUDGET // max(1, tx_entries))
+    return max(chunk, group), chunk
 
 
 def _block_mean_rates(args) -> np.ndarray:
     """Mean rate of each cell of one coverage block.
 
-    Realizations run in evenly split chunks whose receiver-side matrices
-    for all the block's cells hold at most `COVERAGE_CHUNK_BUDGET` entries
-    (and at most `BLOCK_SIZE` realizations).  Rates are summed per cell in
-    realization order, so they do not depend on the chunks.
+    Realizations run in evenly split groups, each split evenly into chunks
+    (`coverage_sizes`).  Per group, `draw_group` does the work that does not
+    depend on the receiver or the chunk once: the substreams and draws of
+    every link, the receiver frames, and the Tx-surface legs.  Per chunk,
+    `realize_chunk` places and contracts the receiver-side legs, then come
+    the phases, the composite and the SVD; each chunk's arrays are released
+    before the next is realized.  Rates are summed per cell in realization
+    order, so they do not depend on the groups or chunks.
     """
     vc, positions, selected, realizations, pt_watts = args
-    cfg = vc.config
-    entries = len(positions) * cfg.rx.count * max((r.count for r in cfg.ris),
-                                                  default=cfg.tx.count)
-    most = min(BLOCK_SIZE, max(1, COVERAGE_CHUNK_BUDGET // entries))
+    group_most, chunk_most = coverage_sizes(vc, len(positions))
+    surfaces = _realized_surfaces(vc, selected)
     totals = np.zeros(len(positions))
-    for block in realization_chunks(realizations, most):
-        for rates in _block_rates((vc, block, positions, selected, pt_watts))[0]:
-            totals += rates
+    for group in realization_chunks(range(realizations), group_most):
+        drawn = draw_group(vc, group, surfaces, positions)
+        for chunk in realization_chunks(group, chunk_most):
+            # the chunk's channels and singular values are temporaries: released
+            # before the next chunk is realized
+            rates = rate_from_singular_values(_block_singular_values(
+                vc, realize_chunk(drawn, chunk), selected), pt_watts, vc.noise_watts)
+            for cell_rates in rates[0]:
+                totals += cell_rates
     return totals / realizations
 
 

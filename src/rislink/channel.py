@@ -8,10 +8,16 @@ isotropic.  Paths leaving behind a surface's aperture get zero gain rather
 than raising an error.
 
 One engine draws every matrix (`realize_block`): a block of realizations
-towards one receiver position or a stack of them.  Each realization reads
-its own substreams, once per link; the block's paths are then placed at
-their far ends and summed together, a LOS term as one more path.  The sum
-never forms an array response: each path's per-axis grid factors
+towards one receiver position or a stack of them, in two stages.
+`draw_group` does what does not depend on the receiver or on how the
+realizations are chunked, once for a group of realizations: it seeds each
+link's substreams and reads its draws (`_draw_link`), draws the receiver
+frames, and draws, places and contracts each Tx-surface leg.
+`realize_chunk` places (`_place_link`) and contracts the receiver-side
+legs of any consecutive chunk of the group and slices its Tx-side
+matrices; `realize_block` is one group realized as one chunk.  A leg's
+paths are summed together, a LOS term as one more path.  The sum never
+forms an array response: each path's per-axis grid factors
 (`geometry.GridAxes`, built once per device in `build_scene`) are
 contracted in two small groups, so an 8x8 surface leg costs 8 + 32 factor
 entries per path instead of 64 + 4.
@@ -110,27 +116,46 @@ class _Leg(NamedTuple):
     bounds: np.ndarray           # (S + 1,) offsets of each set's paths
 
 
-def _draw_leg(vc: ValidatedConfig, rngs: list, near: DeviceView, far: np.ndarray,
-              force_los: bool | None, geometry_from: _Leg | None = None) -> _Leg:
-    """The link from device `near` to each far point (K, 3), one substream per realization.
+class _Draws(NamedTuple):
+    """One link's unit draws for a group of realizations towards K far points
+    (`_draw_link`), in the order its substreams gave them; `_place_link`
+    places any consecutive slice of its realizations.  A realization reads
+    one *branch* of draws, or two when its LOS coin splits its far points."""
+
+    row: DeviceView              # the far device, its (K, 3) positions
+    col: DeviceView              # the near device
+    geometry_from: _Leg | None   # the leg lending each realization its cluster geometry
+    distance: np.ndarray         # (K,) near-to-far lengths
+    los: np.ndarray              # (G, K) bool
+    first: np.ndarray            # (G + 1,) each realization's first branch, then the count
+    mixed: np.ndarray            # (G,) bool: the realization reads an NLOS and a LOS branch
+    los_variates: np.ndarray     # (branches, 2) LOS shadowing normal and phase uniform
+    units: list                  # ClusterUnits per branch; empty without scattered paths
+
+
+def _draw_link(vc: ValidatedConfig, rngs: list, row: DeviceView, col: DeviceView,
+               force_los: bool | None, geometry_from: _Leg | None = None) -> _Draws:
+    """The draws of the link from device `col` to each far point `row.position`
+    (K, 3), one substream per realization.
 
     The LOS coin splits a realization's far points into an NLOS and a LOS
-    group, each reading its own variates: the NLOS group reads on from the
-    coin (from a copy of the stream when both groups exist), the LOS group
-    after the LOS variates.  Each far point so sees exactly the draws it
-    would see alone.  `geometry_from`, a leg to one far point, lends each
-    realization its cluster geometry.  The loop over the streams only
-    draws; the draws are mapped once for the whole leg.
+    branch, each reading its own variates: the NLOS branch reads on from
+    the coin (from a copy of the stream when both branches exist), the LOS
+    branch after the LOS variates.  Each far point so sees exactly the
+    draws it would see alone.  `geometry_from`, a leg of the same
+    realizations to one far point, lends each realization its cluster
+    geometry, so only its paths' normals are drawn.  The loop over the
+    streams only draws; `_place_link` maps the draws.
     """
     cfg = vc.config
-    env, f_hz = cfg.environment, cfg.frequency_hz
-    d = np.linalg.norm(far - near.position, axis=-1)
+    env = cfg.environment
+    d = np.linalg.norm(row.position - col.position, axis=-1)
     if force_los is None:   # a coin below p_los[k] puts far point k in LOS
         p_los = los_probability(d, env)
         p_any, p_all = float(p_los.max()), float(p_los.min())
     shared = ([None] * len(rngs) if geometry_from is None
               else np.diff(geometry_from.bounds).tolist())
-    coins, first, mixed, los_draws, units = [], [], [], [], []   # units per group
+    coins, first, mixed, los_draws, units = [], [], [], [], []   # units per branch
     for i, rng in enumerate(rngs):
         if force_los is None:
             coin = rng.random()
@@ -141,32 +166,49 @@ def _draw_leg(vc: ValidatedConfig, rngs: list, near: DeviceView, far: np.ndarray
         first.append(len(los_draws))
         mixed.append(split)
         for branch in (False, True) if split else (any_los,):
-            # the NLOS group reads on from the coin, ahead of the LOS draws
+            # the NLOS branch reads on from the coin, ahead of the LOS draws
             stream = copy.deepcopy(rng) if split and not branch else rng
             los_draws.append(draw_los_variates(stream) if branch else (0.0, 0.0))
             if cfg.scatter_paths:
                 units.append(draw_cluster_units(env, stream, shared[i]))
+    first.append(len(los_draws))
+    los = (np.full((len(rngs), len(d)), bool(force_los)) if force_los is not None
+           else np.array(coins)[:, None] < p_los)
+    return _Draws(row, col, geometry_from, d, los, np.array(first), np.array(mixed, dtype=bool),
+                  np.array(los_draws, dtype=float).reshape(-1, 2), units)
 
-    los = (np.full(len(rngs) * len(d), bool(force_los)) if force_los is not None
-           else (np.array(coins)[:, None] < p_los).ravel())
-    group = np.repeat(first, len(d)) + (los & np.repeat(mixed, len(d)))
-    realization = np.repeat(np.arange(len(rngs)), len(d))
-    cell = np.tile(np.arange(len(d)), len(rngs))
-    shadow, phase = np.array(los_draws, dtype=float)[group[los]].T
-    attenuation = shadowed_attenuation(d[cell[los]], f_hz, env, True, shadow)
+
+def _place_link(vc: ValidatedConfig, draws: _Draws, start: int, stop: int) -> _Leg:
+    """Realizations start .. stop - 1 of a link's draws, mapped and placed at
+    their far points as one leg (its realization indices counted from
+    `start`); a slice places exactly as the whole."""
+    cfg = vc.config
+    env, f_hz = cfg.environment, cfg.frequency_hz
+    cells = len(draws.distance)
+    los = draws.los[start:stop].ravel()
+    base = draws.first[start]
+    # each set's branch among the slice's
+    branch = (np.repeat(draws.first[start:stop] - base, cells)
+              + (los & np.repeat(draws.mixed[start:stop], cells)))
+    realization = np.repeat(np.arange(stop - start), cells)
+    cell = np.tile(np.arange(cells), stop - start)
+    shadow, phase = draws.los_variates[base + branch[los]].T
+    attenuation = shadowed_attenuation(draws.distance[cell[los]], f_hz, env, True, shadow)
+    units = draws.units[base:draws.first[stop]]
     if units:
+        near = draws.col
         drawn = np.array([len(u.normals) for u in units]) // 3
-        per_set = drawn[group]
-        # each set's paths are its group's draws, placed at its own far point
-        paths = _ranges(np.cumsum(drawn)[group] - per_set, per_set)
+        per_set = drawn[branch]
+        # each set's paths are its branch's draws, placed at its own far point
+        paths = _ranges(np.cumsum(drawn)[branch] - per_set, per_set)
         geometry = None
-        if geometry_from is not None:   # each set takes its realization's positions
-            source, b = geometry_from.clusters, geometry_from.bounds
+        if draws.geometry_from is not None:   # each set takes its realization's positions
+            source, b = draws.geometry_from.clusters, draws.geometry_from.bounds
             geometry = dataclasses.replace(
-                source, positions=source.positions[_ranges(b[realization], per_set)])
+                source, positions=source.positions[_ranges(b[start + realization], per_set)])
         clusters = place_clusters(stack_cluster_variates(env, units), near.position,
-                                  far[np.repeat(cell, per_set)], env, f_hz, near.frame,
-                                  geometry, paths)
+                                  draws.row.position[np.repeat(cell, per_set)], env, f_hz,
+                                  near.frame, geometry, paths)
     else:
         clusters, per_set = ClusterSet.empty(), np.zeros(len(cell), dtype=int)
     return _Leg(realization, cell, los, attenuation, TWO_PI * phase, clusters,
@@ -187,17 +229,26 @@ def _path_terms(row: DeviceView, col: DeviceView, leg: _Leg,
     built on the way are released on return, before the contraction."""
     clusters, scattered, los = leg.clusters, np.diff(leg.bounds), leg.los
     at = row.position[leg.cell]   # each set's row end
-    los_at = leg.bounds[1:][los]
-    owner = np.repeat(np.arange(len(los)), scattered + los)   # set of each path
-    u_row, _ = local_directions(at[owner], np.insert(clusters.positions, los_at, col.position, 0),
+    counts = scattered + los
+    owner = np.repeat(np.arange(len(los)), counts)   # set of each path
+    # slot order over the scattered paths followed by the LOS terms: each set's
+    # scattered paths, then its LOS term
+    total, terms = leg.bounds[-1], len(leg.los_phase)
+    order = np.arange(total + terms) - np.repeat(np.cumsum(los) - los, counts)
+    order[np.cumsum(counts)[los] - 1] = total + np.arange(terms)
+
+    def slots(paths, los_terms):
+        return np.concatenate([paths, los_terms]).take(order, axis=0)
+
+    u_row, _ = local_directions(at[owner], slots(clusters.positions,
+                                                 np.broadcast_to(col.position, (terms, 3))),
                                 row.frame if row_frames is None else row_frames,
                                 None if row_frames is None else leg.realization[owner])
-    u_col, _ = local_directions(col.position, np.insert(clusters.positions, los_at, at[los], 0),
-                                col.frame)
+    u_col, _ = local_directions(col.position, slots(clusters.positions, at[los]), col.frame)
     # normalization keeps total scattered power independent of the path count
-    amplitude = np.insert(clusters.gains / np.sqrt(np.repeat(scattered, scattered)), los_at,
-                          np.exp(1j * leg.los_phase))
-    power = np.insert(clusters.attenuations, los_at, leg.los_attenuation)
+    amplitude = slots(clusters.gains / np.sqrt(np.repeat(scattered, scattered)),
+                      np.exp(1j * leg.los_phase))
+    power = slots(clusters.attenuations, leg.los_attenuation)
     return u_row, u_col, amplitude * np.sqrt(_gain(row, u_row) * _gain(col, u_col) * power)
 
 
@@ -345,7 +396,8 @@ def composite_multi(channels: RealizationChannels,
 
 def realize_block(vc: ValidatedConfig, realizations: range, surfaces=None,
                   rx_position=None) -> RealizationChannels:
-    """Draw the channel matrices of a block of realizations.
+    """Draw the channel matrices of a block of realizations: `realize_chunk`
+    of `draw_group` for the whole block.
 
     Each realization reads its own substreams, keyed by (seed, realization,
     link) and seeded for the whole block by `block_rngs`, so its index lies
@@ -363,55 +415,110 @@ def realize_block(vc: ValidatedConfig, realizations: range, surfaces=None,
     placed paths; a stack's paths grow with it and are released once its
     matrices are assembled.
     """
+    return realize_chunk(draw_group(vc, realizations, surfaces, rx_position), realizations)
+
+
+@dataclass(frozen=True)
+class RealizationGroup:
+    """The receiver-independent work on a group of realizations (`draw_group`),
+    which `realize_chunk` reads for any consecutive chunk of them."""
+
+    vc: ValidatedConfig
+    realization: range
+    scene: Scene                      # its receiver at the (K, 3) positions
+    one: bool                         # realized at one position, not a stack
+    surfaces: dict                    # surface -> its receiver leg's cells (None = all)
+    rx_frames: np.ndarray | None      # (G, 3, 3) receiver orientations
+    tx_legs: dict                     # surface -> its Tx-surface leg, placed
+    tx_ris: tuple                     # per surface, (G, N_k, Nt); None if left out
+    ris_rx: dict                      # surface -> its surface-Rx link's draws
+    direct: _Draws | None             # None: blocked, without scattered paths
+
+
+def draw_group(vc: ValidatedConfig, realizations: range, surfaces=None,
+               rx_position=None) -> RealizationGroup:
+    """Everything of `realize_block` (same arguments) that does not depend on
+    how the group is chunked: the scene, the receiver frames, every link's
+    substreams and draws, and each Tx-surface leg, which does not depend on
+    the receiver, drawn, placed and contracted."""
     cfg = vc.config
     seed = cfg.seed
     rx_frames = None
     if cfg.rx_orientation == "random-azimuth":
-        # uniform(0, 2 pi) bit for bit, mapped once for the block
+        # uniform(0, 2 pi) bit for bit, mapped once for the group
         rx_frames = azimuth_rotation_frame(TWO_PI * np.array(
             [rng.random() for rng in block_rngs(seed, realizations, LinkTag.RX_FRAME)]))
     scene = build_scene(vc, rx_position=rx_position)
     tx = scene.tx
     one = scene.rx.position.ndim == 1
     rx = dataclasses.replace(scene.rx, position=np.atleast_2d(scene.rx.position))
-    los, clusters = {}, {}
 
-    def link(key: str, row: DeviceView, col: DeviceView, force_los, tag: LinkTag, *extra: int,
-             geometry_from=None, frames=None):
-        leg = _draw_leg(vc, block_rngs(seed, realizations, tag, *extra), col, row.position,
-                        force_los, geometry_from)
-        los[key] = leg.los
-        if one:
-            clusters[key] = leg.clusters
-        return leg, _leg_matrices(row, col, leg, frames)
+    def draw(row: DeviceView, col: DeviceView, force_los, tag: LinkTag, *extra: int,
+             geometry_from=None) -> _Draws:
+        return _draw_link(vc, block_rngs(seed, realizations, tag, *extra), row, col, force_los,
+                          geometry_from)
 
     force = True if cfg.ris_links == "los" else None
-    tx_ris, ris_rx = [None] * len(scene.ris), [None] * len(scene.ris)
+    tx_legs, tx_ris, ris_rx = {}, [None] * len(scene.ris), {}
     if surfaces is None:
         surfaces = dict.fromkeys(range(len(scene.ris)))
     for k, cells in surfaces.items():
         surface = scene.ris[k]
         fixed = dataclasses.replace(surface, position=surface.position[None])
-        leg_h, h = link(f"tx_ris_{k}", fixed, tx, force, LinkTag.TX_RIS, k)
-        tx_ris[k] = h[:, 0]
+        leg = _place_link(vc, draw(fixed, tx, force, LinkTag.TX_RIS, k), 0, len(realizations))
+        tx_legs[k], tx_ris[k] = leg, _leg_matrices(fixed, tx, leg)[:, 0]
         at = rx if cells is None else dataclasses.replace(rx, position=rx.position[cells])
-        _, ris_rx[k] = link(f"ris_rx_{k}", at, surface, force, LinkTag.RIS_RX, k,
-                            geometry_from=leg_h if cfg.shared_clusters else None,
-                            frames=rx_frames)
+        ris_rx[k] = draw(at, surface, force, LinkTag.RIS_RX, k,
+                         geometry_from=leg if cfg.shared_clusters else None)
+    direct = None
+    if cfg.direct_mode != "blocked" or cfg.blocked_keeps_scatter:
+        force_d = {"blocked": False, "present": True}.get(cfg.direct_mode)
+        direct = draw(rx, tx, force_d, LinkTag.DIRECT)
+    return RealizationGroup(vc, realizations, Scene(tx, rx, scene.ris), one, surfaces, rx_frames,
+                            tx_legs, tuple(tx_ris), ris_rx, direct)
 
-    if cfg.direct_mode == "blocked" and not cfg.blocked_keeps_scatter:
-        direct = np.zeros((len(realizations), len(rx.position), rx.count, tx.count), complex)
+
+def realize_chunk(group: RealizationGroup, chunk: range) -> RealizationChannels:
+    """The channel matrices of `chunk`, consecutive realizations of `group`:
+    its receiver-side legs placed and contracted, its Tx-side matrices
+    sliced from the group's.  Bit for bit the chunk's part of the whole
+    group's matrices (see `realize_block`); `clusters` is recorded only for
+    a group at one receiver position realized whole."""
+    a = chunk.start - group.realization.start
+    b = a + len(chunk)
+    if chunk.step != 1 or not 0 <= a <= b <= len(group.realization):
+        raise ValueError(f"{chunk} is not a chunk of the group {group.realization}")
+    vc, rx, tx = group.vc, group.scene.rx, group.scene.tx
+    frames = None if group.rx_frames is None else group.rx_frames[a:b]
+    record = group.one and b - a == len(group.realization)
+    los, clusters = {}, {}
+
+    def place(key: str, draws: _Draws) -> np.ndarray:
+        leg = _place_link(vc, draws, a, b)
+        los[key] = leg.los
+        if record:
+            clusters[key] = leg.clusters
+        return _leg_matrices(draws.row, draws.col, leg, frames)
+
+    tx_ris, ris_rx = list(group.tx_ris), [None] * len(group.tx_ris)
+    for k in group.surfaces:
+        los[f"tx_ris_{k}"] = group.tx_legs[k].los[a:b]
+        if record:
+            clusters[f"tx_ris_{k}"] = group.tx_legs[k].clusters
+        tx_ris[k] = tx_ris[k][a:b]
+        ris_rx[k] = place(f"ris_rx_{k}", group.ris_rx[k])
+    if group.direct is None:
+        direct = np.zeros((b - a, len(rx.position), rx.count, tx.count), complex)
         los["direct"] = np.zeros(direct.shape[0] * direct.shape[1], dtype=bool)
     else:
-        force_d = {"blocked": False, "present": True}.get(cfg.direct_mode)
-        _, direct = link("direct", rx, tx, force_d, LinkTag.DIRECT, frames=rx_frames)
+        direct = place("direct", group.direct)
 
-    if one:   # one receiver position: no cell axis
+    if group.one:   # one receiver position: no cell axis
         ris_rx = [None if m is None else m[:, 0] for m in ris_rx]
         direct = direct[:, 0]
-    return RealizationChannels(tuple(tx_ris), tuple(ris_rx), direct, realizations, los,
-                               clusters, {k: c for k, c in surfaces.items()
-                                          if c is not None and not one})
+    return RealizationChannels(tuple(tx_ris), tuple(ris_rx), direct, chunk, los, clusters,
+                               {k: c for k, c in group.surfaces.items()
+                                if c is not None and not group.one})
 
 
 def realize_channels(vc: ValidatedConfig, realization: int, rx_position=None,

@@ -1,8 +1,12 @@
 """Campaign harness: sweeps, statistics, coverage, exports, determinism."""
 
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from rislink import (Campaign, GridSpec, RisSpec, coverage_map,
                      load_channel_dump, read_csv_table, run_campaign, scene_preset,
                      validate_config)
 import rislink.campaign as campaign_module
+import rislink.channel as channel_module
 from rislink import LinkTag, baseline_phases, composite_singular_values, spawn_rng
 from rislink.campaign import BLOCK_SIZE, compute_phase_sets
 from rislink.channel import realize_block
@@ -203,7 +208,7 @@ class TestRunCampaign:
 
         vc = quick_vc(realizations=BLOCK_SIZE + 1)   # two campaign blocks
         expected = run_campaign(Campaign(vc)).rates
-        monkeypatch.setattr(campaign_module, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(campaign_module, "_process_pool", SerialPool)
         assert np.array_equal(run_campaign(Campaign(vc, workers=5000)).rates, expected)
         assert pools == [2]
 
@@ -220,7 +225,7 @@ class TestRunCampaign:
         def no_pool(max_workers):
             raise AssertionError("a process pool was started")
 
-        monkeypatch.setattr(campaign_module, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(campaign_module, "_process_pool", no_pool)
         vc = quick_vc(realizations=BLOCK_SIZE + 1)   # two work units
         with pytest.raises(ConfigError, match="workers must be a whole number"):
             if job == "run_campaign":
@@ -233,6 +238,20 @@ class TestRunCampaign:
         with pytest.raises(ConfigError, match="workers must be a whole number"):
             dump_channels(quick_vc(realizations=2), out, workers=1.5)
         assert not out.exists()
+
+    def test_import_and_validate_load_no_process_pool(self):
+        """The pool's modules load only when a job starts one: a fresh
+        interpreter that imports rislink and validates a config has not
+        imported `concurrent.futures` or `multiprocessing`."""
+        src = Path(campaign_module.__file__).resolve().parents[1]
+        code = ("import sys, rislink; rislink.validate_config(rislink.scene_preset('indoor')); "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "[]"
 
     def test_siso_algorithm_requires_siso_arrays(self):
         with pytest.raises(ConfigError, match="Nt = Nr = 1"):
@@ -287,10 +306,12 @@ class TestCoverage:
         {"ris_links": "auto", "direct_mode": "present"},
         {"ris": (scene_preset("indoor").ris[0], RisSpec(64, (60.0, 30.0, 2.0), plane="yz")),
          "idle_ris": "random"},
+        {"shared_clusters": True},   # each chunk's receiver leg borrows its group's geometry
     ])
     def test_cell_rates_do_not_depend_on_the_realization_chunk(self, overrides, monkeypatch):
-        """Bit for bit the realization-order sum of each realization alone, at
-        one realization a chunk, an uneven split (2 + 3) and the whole block."""
+        """Bit for bit the realization-order sum of each realization alone, in
+        groups of one realization, an uneven split (2 + 3) and the whole
+        block, each run as one chunk a realization, an uneven split or whole."""
         vc = quick_vc(realizations=5, **overrides)
         grid = GridSpec(0.0, 75.0, 0.0, 50.0, cell=12.5, z=1.0)
         positions = cell_positions(grid)
@@ -299,17 +320,72 @@ class TestCoverage:
         for r in range(5):
             alone += campaign_module._block_rates(
                 (vc, range(r, r + 1), positions, selected, np.asarray(vc.pt_watts[:1])))[0, 0]
-        for most in (1, 3, 5):
-            # the 24 cells' receiver-side entries of one realization: 24 x Nr x N
-            monkeypatch.setattr(campaign_module, "COVERAGE_CHUNK_BUDGET", most * 24 * 4 * 64)
+        for group, chunk in [(1, 1), (3, 1), (3, 3), (5, 1), (5, 3), (5, 5)]:
+            monkeypatch.setattr(campaign_module, "coverage_sizes",
+                                lambda vc, cells: (group, chunk))
             chunked = coverage_map(Campaign(vc), grid)
-            assert np.array_equal(chunked.mean_rate.ravel(), alone / 5), most
+            assert np.array_equal(chunked.mean_rate.ravel(), alone / 5), (group, chunk)
             assert np.array_equal(chunked.ris_index.ravel(), selected)
+
+    def test_benchmark_block_draws_once_per_group(self, monkeypatch):
+        """One benchmark-shaped block (24 cells, 16 realizations, 4 chunks in
+        one group) seeds each link's substreams once and contracts its
+        Tx-surface leg once, not once per chunk."""
+        vc = quick_vc(realizations=16)
+        positions = cell_positions(default_grid(vc, 12.5))
+        assert len(positions) == 24
+        group, chunk = campaign_module.coverage_sizes(vc, len(positions))
+        assert (group, chunk) == (BLOCK_SIZE, 5)   # so one group of 16 in 4 chunks of 4
+        seeded, legs = [], []
+        block_rngs, leg_matrices = channel_module.block_rngs, channel_module._leg_matrices
+
+        def counting_rngs(seed, realizations, tag, *extra):
+            seeded.append((LinkTag(tag), *extra))
+            return block_rngs(seed, realizations, tag, *extra)
+
+        def counting_legs(row, col, leg, row_frames=None):
+            legs.append((row.count, col.count))
+            return leg_matrices(row, col, leg, row_frames)
+
+        monkeypatch.setattr(channel_module, "block_rngs", counting_rngs)
+        monkeypatch.setattr(channel_module, "_leg_matrices", counting_legs)
+        coverage_map(Campaign(vc), default_grid(vc, 12.5))
+        # the indoor preset's direct path is blocked without scattered paths
+        assert sorted(seeded) == [(LinkTag.TX_RIS, 0), (LinkTag.RIS_RX, 0),
+                                  (LinkTag.RX_FRAME,)]
+        assert legs.count((64, 4)) == 1   # the Tx-surface leg, once for the group
+        assert legs.count((4, 64)) == 4   # the surface-Rx leg, once per chunk
+
+    def test_coverage_sizes(self):
+        """Chunks fill the receiver-side budget, groups the Tx-side one; a
+        group holds at least one chunk, so over-budget arrays run one
+        realization a group and a chunk."""
+        budget = campaign_module.COVERAGE_CHUNK_BUDGET
+        indoor = quick_vc()
+        # receiver side 24 x 4 x 64 entries a realization, Tx side 64 x 4
+        assert campaign_module.coverage_sizes(indoor, 24) == (
+            min(BLOCK_SIZE, budget // (64 * 4)), budget // (24 * 4 * 64))
+        assert campaign_module.coverage_sizes(indoor, 1) == (BLOCK_SIZE, BLOCK_SIZE)
+        two = quick_vc(ris=(RisSpec(256, (37.5, 50.0, 2.0)), RisSpec(64, (60.0, 30.0, 2.0),
+                                                                     plane="yz")))
+        # the largest surface sizes the chunk, both surfaces the group
+        assert campaign_module.coverage_sizes(two, 8) == (
+            min(BLOCK_SIZE, budget // ((256 + 64) * 4)), budget // (8 * 4 * 256))
+        none = quick_vc(ris=(), direct_mode="present")
+        # no surface: the direct link's Nr x Nt entries size the chunk
+        assert campaign_module.coverage_sizes(none, 1024) == (BLOCK_SIZE, budget // (1024 * 4 * 4))
+        cfg = scene_preset("indoor")
+        with pytest.warns(NearFieldWarning):   # a 4096-element surface is large at 2 m
+            large = validate_config(dataclasses.replace(
+                cfg, ris=(dataclasses.replace(cfg.ris[0], count=4096, shape=None),),
+                tx=dataclasses.replace(cfg.tx, count=64), rx=dataclasses.replace(cfg.rx, count=64)))
+        assert 4096 * 64 > budget
+        assert campaign_module.coverage_sizes(large, 24) == (1, 1)
 
     @pytest.mark.parametrize("realizations", [1, 2, 5, 16, 17, 33, 100])
     @pytest.mark.parametrize("most", [1, 2, 3, 5, 32])
     def test_realization_chunks_split_evenly(self, realizations, most):
-        chunks = campaign_module.realization_chunks(realizations, most)
+        chunks = campaign_module.realization_chunks(range(realizations), most)
         sizes = [len(c) for c in chunks]
         assert [r for c in chunks for r in c] == list(range(realizations))
         assert len(chunks) == -(-realizations // most)
@@ -326,7 +402,7 @@ class TestCoverage:
         args = (vc, positions, campaign_module.serving_surface(vc, positions), 16,
                 np.asarray(vc.pt_watts[:1]))
         most = min(BLOCK_SIZE, campaign_module.COVERAGE_CHUNK_BUDGET // (24 * 4 * 64))
-        chunk = max(len(c) for c in campaign_module.realization_chunks(16, most))
+        chunk = max(len(c) for c in campaign_module.realization_chunks(range(16), most))
         ris_rx_bytes = chunk * 24 * 4 * 64 * 16
         campaign_module._block_mean_rates(args)
         tracemalloc.start()

@@ -8,7 +8,7 @@ import pytest
 
 from rislink import (ENVIRONMENTS, ClusterSet, LinkTag, draw_clusters, draw_link_state,
                      los_probability, scene_preset, spawn_rng, validate_config)
-from rislink.channel import _draw_leg, build_scene
+from rislink.channel import _draw_link, _place_link, build_scene
 from rislink.config import PathLossTable
 from rislink.errors import ModelValidityWarning, NonPositiveDistance
 from rislink.propagation import (ClusterVariates, draw_cluster_units, draw_cluster_variates,
@@ -21,6 +21,18 @@ INH_NOSHADOW = dataclasses.replace(
     INH,
     pl_los=dataclasses.replace(INH.pl_los, shadow_sigma_db=0.0),
     pl_nlos=dataclasses.replace(INH.pl_nlos, shadow_sigma_db=0.0))
+
+
+def draw_link(vc, rngs, near, far, geometry_from=None):
+    """The draws of the link from device `near` to the far points (K, 3), its
+    LOS coin live."""
+    return _draw_link(vc, rngs, dataclasses.replace(near, position=far), near, None,
+                      geometry_from)
+
+
+def draw_leg(vc, rngs, near, far, geometry_from=None):
+    """Every realization of `draw_link`'s draws placed as one leg."""
+    return _place_link(vc, draw_link(vc, rngs, near, far, geometry_from), 0, len(rngs))
 
 
 def path_loss(d, f_hz, env, los, rng):
@@ -316,10 +328,10 @@ class TestStreamContract:
         realizations = range(12)
         geometry_from = None
         if shared:   # each realization lends its geometry from a leg to one far point
-            geometry_from = _draw_leg(vc, block_rngs(9, realizations, LinkTag.TX_RIS, 0),
-                                      near, far[:1], None)
-        leg = _draw_leg(vc, block_rngs(9, realizations, LinkTag.RIS_RX, 0), near, far, None,
-                        geometry_from)
+            geometry_from = draw_leg(vc, block_rngs(9, realizations, LinkTag.TX_RIS, 0),
+                                     near, far[:1])
+        leg = draw_leg(vc, block_rngs(9, realizations, LinkTag.RIS_RX, 0), near, far,
+                       geometry_from)
         coins = leg.los.reshape(len(realizations), len(far))
         assert np.any(coins.any(axis=1) & ~coins.all(axis=1))   # some coin splits
         los_draws = {}   # LOS set -> its distance and shadowing normal
@@ -349,3 +361,12 @@ class TestStreamContract:
         assert_same_bits(leg.los_phase, phase)
         # evaluated over the leg's LOS sets at once, as the leg evaluates it
         assert_same_bits(leg.los_attenuation, shadowed_attenuation(d, f_hz, env, True, shadow))
+        # placed in uneven slices, the draws give the whole leg's sets
+        draws = draw_link(vc, block_rngs(9, realizations, LinkTag.RIS_RX, 0), near, far,
+                          geometry_from)
+        parts = [_place_link(vc, draws, a, b) for a, b in ((0, 5), (5, 6), (6, 12))]
+        assert_same_bits(np.concatenate([p.los for p in parts]), leg.los)
+        for name in ("positions", "gains", "attenuations"):
+            assert_same_bits(np.concatenate([getattr(p.clusters, name) for p in parts]),
+                             getattr(leg.clusters, name))
+        assert_same_bits(np.concatenate([p.los_attenuation for p in parts]), leg.los_attenuation)
