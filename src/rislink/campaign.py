@@ -6,17 +6,17 @@ any worker count.  A campaign's unit is a fixed block of consecutive
 realizations at one sweep point; a coverage map's unit is a fixed block of
 cells with all its realizations; a channel dump's unit is a fixed block of
 realizations.  All randomness comes from substreams keyed by (seed,
-realization, link), never from execution order or receiver position.  So
-every rate takes one path, `_block_singular_values`: channels realized at
-a stack of receiver positions, then `compute_phase_sets`,
-`composite_multi` and an SVD.  A campaign block is realized whole
-(`realize_block`, at its one position).  A coverage block's realizations
-run in groups and each group in chunks: per group `draw_group` draws every
-link, the receiver frames and the Tx-surface legs once; per chunk
-`realize_chunk` places and contracts the receiver-side legs at the block's
-cells.  Processes rather than threads: one unit is a burst of small numpy
-calls that never release the interpreter lock long enough for threads to
-overlap; the pool's modules are imported only when a job starts one.
+realization, link), never from execution order or receiver position.
+Every block runs through one driver, `_run_block`: its realizations run in
+groups and each group in chunks, both sized by `block_sizes`.  Per group
+`draw_group` draws every link, the receiver frames and the Tx-surface legs
+once; per chunk `realize_chunk` places and contracts the receiver-side
+legs at the block's receiver positions.  So every rate takes one path,
+`_block_singular_values`: a chunk's channels, then `compute_phase_sets`,
+`composite_multi` and an SVD.  Processes rather than threads: one unit is
+a burst of small numpy calls that never release the interpreter lock long
+enough for threads to overlap; the pool's modules are imported only when a
+job starts one.
 """
 
 from __future__ import annotations
@@ -147,24 +147,25 @@ def default_grid(vc: ValidatedConfig, cell: float = 1.0) -> GridSpec:
 
 
 # Cells per coverage work unit and realizations per campaign or dump work
-# unit (and at most per coverage group or chunk).  Fixed, so the blocks (and
-# the output bytes) do not depend on the worker count.  A coverage block's
+# unit (and at most per group or chunk).  Fixed, so the blocks (and the
+# output bytes) do not depend on the worker count.  A coverage block's
 # cells share each realization's receiver-free work (the draws, the
 # Tx-surface leg); a group's chunks share the seeding and draws of every
 # link and the Tx-surface legs, drawn once per group; a chunk's
 # realizations share the placement, steering, pinv and SVD calls.  Memory
-# is bounded by two budgets: `COVERAGE_CHUNK_BUDGET` sizes a coverage
-# block's groups and chunks (`coverage_sizes`), `channel.PLACEMENT_BUDGET`
-# the path chunks each leg is contracted in.
+# is bounded by two budgets: `CHUNK_BUDGET` sizes every block's groups and
+# chunks (`block_sizes`), `channel.PLACEMENT_BUDGET` the path chunks each
+# leg is contracted in.
 BLOCK_SIZE = 32
 
-# Most matrix entries (16 bytes each) a coverage chunk realizes on the
-# receiver side (cells x Nr x N) and a group holds on the Tx side (N x Nt
-# per surface).  A chunk's arrays that grow with it (the surface-Rx legs,
-# their phase-control products and cascades) are a few times this; 32768
-# lets the 24-cell, 4x4-by-64 benchmark map realize 4 realizations a chunk
-# where 16384 allowed 2, and draw its 16 realizations as one group.
-COVERAGE_CHUNK_BUDGET = 32768
+# Most matrix entries (16 bytes each) a chunk realizes on the receiver side
+# (cells x Nr x N) and a group holds on the Tx side (N x Nt per surface).
+# A chunk's arrays that grow with it (the surface-Rx legs, their
+# phase-control products and cascades) are a few times this; 32768 lets
+# the 24-cell, 4x4-by-64 benchmark map realize 4 realizations a chunk where
+# 16384 allowed 2 and draw its 16 realizations as one group, and a campaign
+# block with the same arrays run its 32 realizations as one chunk.
+CHUNK_BUDGET = 32768
 
 
 def serving_surface(vc: ValidatedConfig, positions: np.ndarray) -> np.ndarray:
@@ -299,15 +300,6 @@ def _config_for_point(cfg: SimConfig, axis: str, value) -> SimConfig:
     raise ConfigError(f"no per-point config for axis {axis!r}")
 
 
-def _block_rates(args) -> np.ndarray:
-    """(len(pt_watts), B, K) rates of a block of realizations at K receiver
-    positions (`_block_singular_values`)."""
-    vc, realizations, positions, selected, pt_watts = args
-    channels = realize_block(vc, realizations, _realized_surfaces(vc, selected), positions)
-    return rate_from_singular_values(_block_singular_values(vc, channels, selected), pt_watts,
-                                     vc.noise_watts)
-
-
 def realization_chunks(realizations: range, most: int) -> list[range]:
     """Split a range of realizations into the fewest consecutive chunks of
     at most `most` realizations, their sizes differing by at most one."""
@@ -316,55 +308,56 @@ def realization_chunks(realizations: range, most: int) -> list[range]:
     return [realizations[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def coverage_sizes(vc: ValidatedConfig, cells: int) -> tuple[int, int]:
-    """The most realizations a coverage block of `cells` cells draws as one
-    group and realizes as one chunk, each at most `BLOCK_SIZE`.
+def block_sizes(vc: ValidatedConfig, cells: int) -> tuple[int, int]:
+    """The most realizations a block at `cells` receiver positions draws as
+    one group and realizes as one chunk, each at most `BLOCK_SIZE`.
 
     A chunk's receiver-side matrices (cells x Nr x N for the largest
-    surface, or Nt without surfaces) hold at most `COVERAGE_CHUNK_BUDGET`
-    entries, a group's Tx-side ones (N x Nt summed over the surfaces) too;
-    a group holds at least one chunk, so arrays too large for the budget
-    run one realization a group.
+    surface, or Nt without surfaces) hold at most `CHUNK_BUDGET` entries, a
+    group's Tx-side ones (N x Nt summed over the surfaces) too; a group
+    holds at least one chunk, so arrays too large for the budget run one
+    realization a group.
     """
     cfg = vc.config
     rx_entries = cells * cfg.rx.count * max((r.count for r in cfg.ris), default=cfg.tx.count)
     tx_entries = cfg.tx.count * sum(r.count for r in cfg.ris)
-    chunk = min(BLOCK_SIZE, max(1, COVERAGE_CHUNK_BUDGET // rx_entries))
-    group = min(BLOCK_SIZE, COVERAGE_CHUNK_BUDGET // max(1, tx_entries))
+    chunk = min(BLOCK_SIZE, max(1, CHUNK_BUDGET // rx_entries))
+    group = min(BLOCK_SIZE, CHUNK_BUDGET // max(1, tx_entries))
     return max(chunk, group), chunk
 
 
-def _block_mean_rates(args) -> np.ndarray:
-    """Mean rate of each cell of one coverage block.
+def _run_block(args):
+    """Run one work unit, a block of realizations, in groups and chunks
+    (`block_sizes`): per group `draw_group` does the work that depends on
+    neither the receiver nor the chunk, per chunk `realize_chunk` the rest,
+    each chunk bit for bit its part of the whole block.
 
-    Realizations run in evenly split groups, each split evenly into chunks
-    (`coverage_sizes`).  Per group, `draw_group` does the work that does not
-    depend on the receiver or the chunk once: the substreams and draws of
-    every link, the receiver frames, and the Tx-surface legs.  Per chunk,
-    `realize_chunk` places and contracts the receiver-side legs, then come
-    the phases, the composite and the SVD; each chunk's arrays are released
-    before the next is realized.  Rates are summed per cell in realization
-    order, so they do not depend on the groups or chunks.
+    Jobs "rates" and "means" rate the block at a (K, 3) stack of receiver
+    positions, position i served by surface `selected[i]`, releasing each
+    chunk's channels before the next is realized: "rates" returns the
+    (len(pt_watts), B, K) rates, "means" each position's mean rate at the
+    first power, summed in realization order.  Job "channels" (`positions`
+    None) returns each chunk's channels, every surface realized at the
+    config's receiver position.
     """
-    vc, positions, selected, realizations, pt_watts = args
-    group_most, chunk_most = coverage_sizes(vc, len(positions))
-    surfaces = _realized_surfaces(vc, selected)
-    totals = np.zeros(len(positions))
-    for group in realization_chunks(range(realizations), group_most):
+    job, vc, realizations, positions, selected, pt_watts = args
+    group_most, chunk_most = block_sizes(vc, 1 if positions is None else len(positions))
+    surfaces = None if positions is None else _realized_surfaces(vc, selected)
+
+    def keep(channels: RealizationChannels):
+        return channels if job == "channels" else rate_from_singular_values(
+            _block_singular_values(vc, channels, selected), pt_watts, vc.noise_watts)
+
+    chunks = []
+    for group in realization_chunks(realizations, group_most):
         drawn = draw_group(vc, group, surfaces, positions)
-        for chunk in realization_chunks(group, chunk_most):
-            # the chunk's channels and singular values are temporaries: released
-            # before the next chunk is realized
-            rates = rate_from_singular_values(_block_singular_values(
-                vc, realize_chunk(drawn, chunk), selected), pt_watts, vc.noise_watts)
-            for cell_rates in rates[0]:
-                totals += cell_rates
-    return totals / realizations
-
-
-def _realize_for_dump(args) -> RealizationChannels:
-    vc, realizations = args
-    return realize_block(vc, realizations)
+        chunks += [keep(realize_chunk(drawn, chunk))
+                   for chunk in realization_chunks(group, chunk_most)]
+    if job == "channels":
+        return chunks
+    rates = np.concatenate(chunks, axis=1)
+    # the builtin sum adds one realization's rates after another, in order
+    return rates if job == "rates" else sum(rates[0]) / len(realizations)
 
 
 def run_campaign(campaign: Campaign) -> RateStatistics:
@@ -375,7 +368,8 @@ def run_campaign(campaign: Campaign) -> RateStatistics:
     axes revalidate a per-point scenario but share the same substreams,
     keeping realizations paired across sweep points.  Realizations are
     evaluated in fixed blocks of `BLOCK_SIZE`, each a stack at the one
-    receiver position, whose serving surface is chosen once.
+    receiver position, whose serving surface is chosen once, run in groups
+    and chunks like every block (`_run_block`).
     """
     vc = campaign.config
     cfg = vc.config
@@ -391,10 +385,10 @@ def run_campaign(campaign: Campaign) -> RateStatistics:
         point_configs = [validate_config(_config_for_point(cfg, campaign.sweep_axis, v))
                          for v in values]
         points = [(vc_point, np.asarray(vc_point.pt_watts[:1])) for vc_point in point_configs]
-    payloads = [(vc_point, range(i, min(i + BLOCK_SIZE, realizations)), position, selected,
-                 pt_watts)
+    payloads = [("rates", vc_point, range(i, min(i + BLOCK_SIZE, realizations)), position,
+                 selected, pt_watts)
                 for vc_point, pt_watts in points for i in range(0, realizations, BLOCK_SIZE)]
-    blocks = _parallel_map(_block_rates, payloads, campaign.workers)
+    blocks = _parallel_map(_run_block, payloads, campaign.workers)
     rates = np.concatenate(blocks, axis=1).reshape(len(values), realizations)
     return _statistics(campaign.sweep_axis, values, rates)
 
@@ -409,7 +403,8 @@ def coverage_map(campaign: Campaign, grid: GridSpec | None = None) -> CoverageGr
     and maps from scenes sharing a seed are paired cell by cell.  The cell
     centres are checked first (`config.check_positions`).  Cells are
     evaluated in fixed blocks of `BLOCK_SIZE` (row-major order) that share
-    each realization's draws; the serving surface of each cell is chosen once.
+    each realization's draws, run in groups and chunks like every block
+    (`_run_block`); the serving surface of each cell is chosen once.
     """
     vc = campaign.config
     cfg = vc.config
@@ -424,10 +419,10 @@ def coverage_map(campaign: Campaign, grid: GridSpec | None = None) -> CoverageGr
     positions = np.stack([xs.ravel(), ys.ravel(), np.full(xs.size, float(z))], axis=-1)
     check_positions(cfg, vc.wavelength, positions)
     selected = serving_surface(vc, positions)
-    payloads = [(vc, positions[i:i + BLOCK_SIZE],
-                 selected[i:i + BLOCK_SIZE], cfg.realizations, np.asarray(vc.pt_watts))
+    payloads = [("means", vc, range(cfg.realizations), positions[i:i + BLOCK_SIZE],
+                 selected[i:i + BLOCK_SIZE], np.asarray(vc.pt_watts))
                 for i in range(0, len(positions), BLOCK_SIZE)]
-    means = _parallel_map(_block_mean_rates, payloads, campaign.workers)
+    means = _parallel_map(_run_block, payloads, campaign.workers)
     mean_rate = np.concatenate(means).reshape(len(y), len(x))
     return CoverageGrid(x=x, y=y, z=float(z), mean_rate=mean_rate,
                         ris_index=selected.reshape(len(y), len(x)))
@@ -487,16 +482,19 @@ def dump_channels(vc: ValidatedConfig, out_dir, workers: int = 1) -> dict:
     Each matrix goes to its own binary file as row-major complex128
     (interleaved real/imag float64).  The manifest records dimensions,
     seed, and the config hash so dumps are self-describing.  The config's
-    realizations are drawn in fixed blocks of `BLOCK_SIZE`.
+    realizations are drawn in fixed blocks of `BLOCK_SIZE`, run in groups
+    and chunks like every block (`_run_block`), each chunk's channels kept
+    in realization order.
     """
     cfg = vc.config
     count = cfg.realizations
-    payloads = [(vc, range(i, min(i + BLOCK_SIZE, count))) for i in range(0, count, BLOCK_SIZE)]
-    blocks = _parallel_map(_realize_for_dump, payloads, workers)
+    payloads = [("channels", vc, range(i, min(i + BLOCK_SIZE, count)), None, None, None)
+                for i in range(0, count, BLOCK_SIZE)]
+    blocks = _parallel_map(_run_block, payloads, workers)
     out = Path(out_dir)   # made only once the blocks are realized: a failed run makes none
     out.mkdir(parents=True, exist_ok=True)
     files = []
-    for block in blocks:
+    for block in (chunk for chunks in blocks for chunk in chunks):
         for i, r in enumerate(block.realization):
             parts = [(f"r{r:05d}_txris{k}.bin", m[i], {"matrix": "tx_ris", "ris": k})
                      for k, m in enumerate(block.tx_ris)]

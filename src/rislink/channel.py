@@ -95,10 +95,10 @@ def _gain(device: DeviceView, u: np.ndarray):
 
 
 # A leg's paths are contracted in chunks of at most this many (factor
-# entry, path) pairs, counting the prefix + suffix factor entries of each
-# path: 16-24 bytes each, whatever the number of positions or
-# realizations.  How many realizations a coverage block realizes at once
-# is its own budget (`campaign.COVERAGE_CHUNK_BUDGET`).
+# entry, path) pairs, prefix + suffix entries a path, 16-24 bytes each; a
+# path set is never split (its matrix is one product wherever it lands), so
+# one set's paths bound the workspace from below.  How many realizations a
+# block realizes at once is its own budget (`campaign.CHUNK_BUDGET`).
 PLACEMENT_BUDGET = 16384
 
 
@@ -268,7 +268,7 @@ def _leg_matrices(row: DeviceView, col: DeviceView, leg: _Leg,
     per path, and every set is one (prefix, P) @ (P, suffix) product.  Sets
     with equal path counts run as one stacked product, a lone set too, so a
     set's matrix does not depend on the run or chunk it lands in.  Chunks
-    hold at most `PLACEMENT_BUDGET` (prefix + suffix) x path entries.
+    hold at most `PLACEMENT_BUDGET` (prefix + suffix) x path entries or one set.
     """
     u_row, u_col, weights = _path_terms(row, col, leg, row_frames)
     counts = (np.diff(leg.bounds) + leg.los).tolist()

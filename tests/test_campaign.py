@@ -308,24 +308,34 @@ class TestCoverage:
          "idle_ris": "random"},
         {"shared_clusters": True},   # each chunk's receiver leg borrows its group's geometry
     ])
-    def test_cell_rates_do_not_depend_on_the_realization_chunk(self, overrides, monkeypatch):
+    def test_cell_rates_do_not_depend_on_the_realization_chunk(self, overrides, monkeypatch,
+                                                               tmp_path):
         """Bit for bit the realization-order sum of each realization alone, in
         groups of one realization, an uneven split (2 + 3) and the whole
-        block, each run as one chunk a realization, an uneven split or whole."""
+        block, each run as one chunk a realization, an uneven split or whole.
+        A campaign's rates and a dump's files are those of the unpatched run."""
         vc = quick_vc(realizations=5, **overrides)
         grid = GridSpec(0.0, 75.0, 0.0, 50.0, cell=12.5, z=1.0)
         positions = cell_positions(grid)
         selected = campaign_module.serving_surface(vc, positions)
         alone = np.zeros(len(positions))   # each realization realized alone, summed in order
         for r in range(5):
-            alone += campaign_module._block_rates(
-                (vc, range(r, r + 1), positions, selected, np.asarray(vc.pt_watts[:1])))[0, 0]
+            alone += campaign_module._run_block(("rates", vc, range(r, r + 1), positions,
+                                                 selected, np.asarray(vc.pt_watts[:1])))[0, 0]
+
+        def dump_files(out):
+            dump_channels(vc, out)
+            return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+        rates = run_campaign(Campaign(vc)).rates
+        files = dump_files(tmp_path / "whole")
         for group, chunk in [(1, 1), (3, 1), (3, 3), (5, 1), (5, 3), (5, 5)]:
-            monkeypatch.setattr(campaign_module, "coverage_sizes",
-                                lambda vc, cells: (group, chunk))
+            monkeypatch.setattr(campaign_module, "block_sizes", lambda vc, cells: (group, chunk))
             chunked = coverage_map(Campaign(vc), grid)
             assert np.array_equal(chunked.mean_rate.ravel(), alone / 5), (group, chunk)
             assert np.array_equal(chunked.ris_index.ravel(), selected)
+            assert np.array_equal(run_campaign(Campaign(vc)).rates, rates), (group, chunk)
+            assert dump_files(tmp_path / f"g{group}c{chunk}") == files, (group, chunk)
 
     def test_benchmark_block_draws_once_per_group(self, monkeypatch):
         """One benchmark-shaped block (24 cells, 16 realizations, 4 chunks in
@@ -334,7 +344,7 @@ class TestCoverage:
         vc = quick_vc(realizations=16)
         positions = cell_positions(default_grid(vc, 12.5))
         assert len(positions) == 24
-        group, chunk = campaign_module.coverage_sizes(vc, len(positions))
+        group, chunk = campaign_module.block_sizes(vc, len(positions))
         assert (group, chunk) == (BLOCK_SIZE, 5)   # so one group of 16 in 4 chunks of 4
         seeded, legs = [], []
         block_rngs, leg_matrices = channel_module.block_rngs, channel_module._leg_matrices
@@ -360,27 +370,27 @@ class TestCoverage:
         """Chunks fill the receiver-side budget, groups the Tx-side one; a
         group holds at least one chunk, so over-budget arrays run one
         realization a group and a chunk."""
-        budget = campaign_module.COVERAGE_CHUNK_BUDGET
+        budget = campaign_module.CHUNK_BUDGET
         indoor = quick_vc()
         # receiver side 24 x 4 x 64 entries a realization, Tx side 64 x 4
-        assert campaign_module.coverage_sizes(indoor, 24) == (
+        assert campaign_module.block_sizes(indoor, 24) == (
             min(BLOCK_SIZE, budget // (64 * 4)), budget // (24 * 4 * 64))
-        assert campaign_module.coverage_sizes(indoor, 1) == (BLOCK_SIZE, BLOCK_SIZE)
+        assert campaign_module.block_sizes(indoor, 1) == (BLOCK_SIZE, BLOCK_SIZE)
         two = quick_vc(ris=(RisSpec(256, (37.5, 50.0, 2.0)), RisSpec(64, (60.0, 30.0, 2.0),
                                                                      plane="yz")))
         # the largest surface sizes the chunk, both surfaces the group
-        assert campaign_module.coverage_sizes(two, 8) == (
+        assert campaign_module.block_sizes(two, 8) == (
             min(BLOCK_SIZE, budget // ((256 + 64) * 4)), budget // (8 * 4 * 256))
         none = quick_vc(ris=(), direct_mode="present")
         # no surface: the direct link's Nr x Nt entries size the chunk
-        assert campaign_module.coverage_sizes(none, 1024) == (BLOCK_SIZE, budget // (1024 * 4 * 4))
+        assert campaign_module.block_sizes(none, 1024) == (BLOCK_SIZE, budget // (1024 * 4 * 4))
         cfg = scene_preset("indoor")
         with pytest.warns(NearFieldWarning):   # a 4096-element surface is large at 2 m
             large = validate_config(dataclasses.replace(
                 cfg, ris=(dataclasses.replace(cfg.ris[0], count=4096, shape=None),),
                 tx=dataclasses.replace(cfg.tx, count=64), rx=dataclasses.replace(cfg.rx, count=64)))
         assert 4096 * 64 > budget
-        assert campaign_module.coverage_sizes(large, 24) == (1, 1)
+        assert campaign_module.block_sizes(large, 24) == (1, 1)
 
     @pytest.mark.parametrize("realizations", [1, 2, 5, 16, 17, 33, 100])
     @pytest.mark.parametrize("most", [1, 2, 3, 5, 32])
@@ -391,29 +401,42 @@ class TestCoverage:
         assert len(chunks) == -(-realizations // most)
         assert max(sizes) <= most and max(sizes) - min(sizes) <= 1
 
-    def test_coverage_block_memory_is_bounded_by_its_chunk(self):
+    @pytest.mark.parametrize("job", ["means", "rates"])
+    def test_coverage_block_memory_is_bounded_by_its_chunk(self, job):
         """One block of the benchmark's map (24 cells, 16 realizations) peaks
         under 6x its chunk's surface-Rx leg: the leg itself, the pinv
         product and conjugate copy, plus the contraction's fixed workspace
-        (`channel.PLACEMENT_BUDGET`).  Chunks of two, as the budget shared
-        with the contraction allowed, peak at 8.4x."""
-        vc = quick_vc(realizations=16, seed=1000)
-        positions = cell_positions(default_grid(vc, 12.5))
-        args = (vc, positions, campaign_module.serving_surface(vc, positions), 16,
-                np.asarray(vc.pt_watts[:1]))
-        most = min(BLOCK_SIZE, campaign_module.COVERAGE_CHUNK_BUDGET // (24 * 4 * 64))
-        chunk = max(len(c) for c in campaign_module.realization_chunks(range(16), most))
-        ris_rx_bytes = chunk * 24 * 4 * 64 * 16
-        campaign_module._block_mean_rates(args)
+        (`channel.PLACEMENT_BUDGET`).  A 4-realization campaign block of a
+        4096-element surface with 64-antenna terminals runs one realization
+        a chunk, and so peaks under 6x one realization's surface leg."""
+        if job == "means":
+            vc = quick_vc(realizations=16, seed=1000)
+            positions = cell_positions(default_grid(vc, 12.5))
+            most = min(BLOCK_SIZE, campaign_module.CHUNK_BUDGET // (24 * 4 * 64))
+            chunk = max(len(c) for c in campaign_module.realization_chunks(range(16), most))
+            assert chunk > 2   # larger than the chunks of two the shared budget allowed
+            ris_rx_bytes = chunk * 24 * 4 * 64 * 16
+        else:
+            cfg = scene_preset("indoor")
+            with pytest.warns(NearFieldWarning):   # a 4096-element surface is large at 2 m
+                vc = validate_config(dataclasses.replace(
+                    cfg, realizations=4, ris=(dataclasses.replace(cfg.ris[0], count=4096,
+                                                                  shape=None),),
+                    tx=dataclasses.replace(cfg.tx, count=64),
+                    rx=dataclasses.replace(cfg.rx, count=64)))
+            positions = np.asarray(cfg.rx.position, float)[None]
+            ris_rx_bytes = 64 * 4096 * 16
+        args = (job, vc, range(vc.config.realizations), positions,
+                campaign_module.serving_surface(vc, positions), np.asarray(vc.pt_watts[:1]))
+        campaign_module._run_block(args)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            campaign_module._block_mean_rates(args)
+            campaign_module._run_block(args)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert chunk > 2   # larger than the chunks of two the shared budget allowed
         assert peak < 6 * ris_rx_bytes
 
     def test_random_idle_surfaces_control_only_the_cells_they_serve(self, monkeypatch):
