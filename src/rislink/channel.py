@@ -15,8 +15,10 @@ link's substreams and reads its draws (`_draw_link`), draws the receiver
 frames, and draws, places and contracts each Tx-surface leg.
 `realize_chunk` places (`_place_link`) and contracts the receiver-side
 legs of any consecutive chunk of the group and slices its Tx-side
-matrices; `realize_block` is one group realized as one chunk.  A leg's
-paths are summed together, a LOS term as one more path.  The sum never
+matrices; `realize_block` is one group realized as one chunk.  Placing a
+leg forms its *terms* (a LOS term one more path) in one pass on (3, P)
+component arrays: each path's deltas and lengths once (`place_clusters`),
+then each term's directions and weight (`_path_terms`).  The sum never
 forms an array response: each path's per-axis grid factors
 (`geometry.GridAxes`, built once per device in `build_scene`) are
 contracted in two small groups, so an 8x8 surface leg costs 8 + 32 factor
@@ -35,12 +37,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import ValidatedConfig, check_positions
-from .errors import DimensionMismatch
-from .geometry import GridAxes, azimuth_rotation_frame, element_gain_from_cos, local_directions
-# no caller left here; the benchmark's tracer wraps this name (ROADMAP item 5)
-from .geometry import steering_matrix  # noqa: F401
+from .errors import CoincidentPoints, DimensionMismatch
+from .geometry import GridAxes, azimuth_rotation_frame, element_gain_from_cos, rotate
+# no caller left here; the benchmark's tracer wraps these names (ROADMAP item 5)
+from .geometry import local_directions, steering_matrix  # noqa: F401
 from .propagation import (TWO_PI, ClusterSet, LinkState, draw_cluster_units, draw_los_variates,
-                          los_probability, place_clusters, shadowed_attenuation,
+                          los_probability, path_ends, place_clusters, shadowed_attenuation,
                           stack_cluster_variates)
 # no caller left here; the benchmark's tracer wraps these names (ROADMAP item 5)
 from .propagation import draw_clusters, draw_link_state  # noqa: F401
@@ -89,9 +91,9 @@ def build_scene(vc: ValidatedConfig, rx_position=None) -> Scene:
 
 
 def _gain(device: DeviceView, u: np.ndarray):
-    """Element-pattern gain of each local direction `u` at `device` (1 if isotropic)."""
+    """Element-pattern gain of each local direction `u` (3, P) at `device` (1 if isotropic)."""
     return 1.0 if device.gain_exponent is None else element_gain_from_cos(
-        u[..., 0], device.gain_exponent)
+        u[0], device.gain_exponent)
 
 
 # A leg's paths are contracted in chunks of at most this many (factor
@@ -104,16 +106,20 @@ PLACEMENT_BUDGET = 16384
 
 class _Leg(NamedTuple):
     """One link drawn for a block of realizations towards K far points: one
-    *path set* per (realization, far point), in that (row-major) order."""
+    *path set* per (realization, far point), in that (row-major) order, and
+    its *terms*: its scattered paths, then its LOS term (`_path_terms`)."""
 
     realization: np.ndarray      # (S,) block index of each path set
     cell: np.ndarray             # (S,) its far point
     los: np.ndarray              # (S,) bool
     los_attenuation: np.ndarray  # (L,) per LOS set, in order
     los_phase: np.ndarray        # (L,)
-    clusters: ClusterSet         # every set's paths, placed, concatenated in order; its
+    clusters: ClusterSet | None  # every set's paths, placed, concatenated in order; its
                                  # sizes are the drawn groups' (`place_clusters`' paths)
     bounds: np.ndarray           # (S + 1,) offsets of each set's paths
+    u_row: np.ndarray | None = None    # (3, T), T = P + L, at the row device
+    u_col: np.ndarray | None = None    # (3, T) at the column device
+    weights: np.ndarray | None = None  # (T,) complex
 
 
 class _Draws(NamedTuple):
@@ -125,7 +131,7 @@ class _Draws(NamedTuple):
     row: DeviceView              # the far device, its (K, 3) positions
     col: DeviceView              # the near device
     geometry_from: _Leg | None   # the leg lending each realization its cluster geometry
-    distance: np.ndarray         # (K,) near-to-far lengths
+    distance: np.ndarray         # (K,) near-to-far lengths, each set's placement length
     los: np.ndarray              # (G, K) bool
     first: np.ndarray            # (G + 1,) each realization's first branch, then the count
     mixed: np.ndarray            # (G,) bool: the realization reads an NLOS and a LOS branch
@@ -178,10 +184,11 @@ def _draw_link(vc: ValidatedConfig, rngs: list, row: DeviceView, col: DeviceView
                   np.array(los_draws, dtype=float).reshape(-1, 2), units)
 
 
-def _place_link(vc: ValidatedConfig, draws: _Draws, start: int, stop: int) -> _Leg:
+def _place_link(vc: ValidatedConfig, draws: _Draws, start: int, stop: int,
+                row_frames: np.ndarray | None = None) -> _Leg:
     """Realizations start .. stop - 1 of a link's draws, mapped and placed at
-    their far points as one leg (its realization indices counted from
-    `start`); a slice places exactly as the whole."""
+    their far points as one leg with its terms (`_path_terms`; its realization
+    indices counted from `start`); a slice places exactly as the whole."""
     cfg = vc.config
     env, f_hz = cfg.environment, cfg.frequency_hz
     cells = len(draws.distance)
@@ -195,24 +202,19 @@ def _place_link(vc: ValidatedConfig, draws: _Draws, start: int, stop: int) -> _L
     shadow, phase = draws.los_variates[base + branch[los]].T
     attenuation = shadowed_attenuation(draws.distance[cell[los]], f_hz, env, True, shadow)
     units = draws.units[base:draws.first[stop]]
-    if units:
-        near = draws.col
-        drawn = np.array([len(u.normals) for u in units]) // 3
-        per_set = drawn[branch]
-        # each set's paths are its branch's draws, placed at its own far point
-        paths = _ranges(np.cumsum(drawn)[branch] - per_set, per_set)
-        geometry = None
-        if draws.geometry_from is not None:   # each set takes its realization's positions
-            source, b = draws.geometry_from.clusters, draws.geometry_from.bounds
-            geometry = dataclasses.replace(
-                source, positions=source.positions[_ranges(b[start + realization], per_set)])
-        clusters = place_clusters(stack_cluster_variates(env, units), near.position,
-                                  draws.row.position[np.repeat(cell, per_set)], env, f_hz,
-                                  near.frame, geometry, paths)
-    else:
-        clusters, per_set = ClusterSet.empty(), np.zeros(len(cell), dtype=int)
-    return _Leg(realization, cell, los, attenuation, TWO_PI * phase, clusters,
-                np.concatenate([[0], np.cumsum(per_set)]))
+    drawn = np.array([len(u.normals) for u in units], dtype=int) // 3
+    per_set = drawn[branch] if units else np.zeros(len(cell), dtype=int)
+    leg = _Leg(realization, cell, los, attenuation, TWO_PI * phase, ClusterSet.empty(),
+               np.concatenate([[0], np.cumsum(per_set)]))
+    lender = draws.geometry_from   # lends each set its realization's positions
+    geometry = None if lender is None else dataclasses.replace(lender.clusters, positions=(
+        lender.clusters.positions[_ranges(lender.bounds[start + realization], per_set)]))
+    # each set's paths: its branch's draws at its own far point (unnamed: `_path_terms` frees them)
+    return _path_terms(draws.row, draws.col, leg, row_frames, place_clusters(
+        stack_cluster_variates(env, units), draws.col.position,
+        draws.row.position.T[:, np.repeat(cell, per_set)].T, env, f_hz, draws.col.frame, geometry,
+        _ranges(np.cumsum(drawn)[branch] - per_set, per_set),
+        np.repeat(draws.distance[cell], per_set)) if units else None)
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -221,47 +223,51 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
 
 
-def _path_terms(row: DeviceView, col: DeviceView, leg: _Leg,
-                row_frames: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every path of a leg's sets in order, a LOS set's LOS term after its
-    scattered paths: its local direction at the row and at the column
-    device, and its weight (see `_leg_matrices`).  The per-path arrays
-    built on the way are released on return, before the contraction."""
-    clusters, scattered, los = leg.clusters, np.diff(leg.bounds), leg.los
-    at = row.position[leg.cell]   # each set's row end
+def _path_terms(row: DeviceView, col: DeviceView, leg: _Leg, row_frames: np.ndarray | None,
+                placed: tuple | None = None) -> _Leg:
+    """`leg` with its paths `placed` (`place_clusters`' result, else its own and
+    their `path_ends`) and its terms: each one's local direction at the row and
+    the column device, in its frame (the row device's per realization with
+    `row_frames` (B, 3, 3)), and weight.  Coincident ends raise CoincidentPoints."""
+    scattered, los = np.diff(leg.bounds), leg.los
+    clusters, (u_col, out_length, u_row, back_length) = placed or (leg.clusters, path_ends(
+        leg.clusters.positions.T, col.position, row.position[np.repeat(leg.cell, scattered)]))
+    del placed   # each delta is released as its terms are formed, its name reused
     counts = scattered + los
-    owner = np.repeat(np.arange(len(los)), counts)   # set of each path
-    # slot order over the scattered paths followed by the LOS terms: each set's
-    # scattered paths, then its LOS term
+    # from the scattered paths followed by the LOS terms to each set's terms in turn
     total, terms = leg.bounds[-1], len(leg.los_phase)
     order = np.arange(total + terms) - np.repeat(np.cumsum(los) - los, counts)
     order[np.cumsum(counts)[los] - 1] = total + np.arange(terms)
 
     def slots(paths, los_terms):
-        return np.concatenate([paths, los_terms]).take(order, axis=0)
+        return np.concatenate([paths, los_terms], axis=-1).take(order, axis=-1)
 
-    u_row, _ = local_directions(at[owner], slots(clusters.positions,
-                                                 np.broadcast_to(col.position, (terms, 3))),
-                                row.frame if row_frames is None else row_frames,
-                                None if row_frames is None else leg.realization[owner])
-    u_col, _ = local_directions(col.position, slots(clusters.positions, at[los]), col.frame)
+    near, far = col.position[:, None], row.position[leg.cell[los]].T   # (3, 1), (3, L)
+    length = np.linalg.norm(far - near, axis=0)
+    if not (out_length.all() and back_length.all() and length.all()):
+        raise CoincidentPoints("cannot take a direction between coincident points")
+    u_row = slots(u_row, near - far)   # the deltas from the row end, then unit, rotated
+    u_row /= slots(back_length, length)
+    u_row = rotate(u_row.T, row.frame if row_frames is None else row_frames,   # per realization
+                   None if row_frames is None else counts.reshape(len(row_frames), -1).sum(1)).T
+    u_col = slots(u_col, far - near)
+    u_col /= slots(out_length, length)
+    u_col = rotate(u_col.T, col.frame).T
     # normalization keeps total scattered power independent of the path count
     amplitude = slots(clusters.gains / np.sqrt(np.repeat(scattered, scattered)),
                       np.exp(1j * leg.los_phase))
     power = slots(clusters.attenuations, leg.los_attenuation)
-    return u_row, u_col, amplitude * np.sqrt(_gain(row, u_row) * _gain(col, u_col) * power)
+    return leg._replace(clusters=clusters, u_row=u_row, u_col=u_col,
+                        weights=amplitude * np.sqrt(_gain(row, u_row) * _gain(col, u_col) * power))
 
 
-def _leg_matrices(row: DeviceView, col: DeviceView, leg: _Leg,
-                  row_frames: np.ndarray | None = None) -> np.ndarray:
+def _leg_matrices(row: DeviceView, col: DeviceView, leg: _Leg) -> np.ndarray:
     """The (B, K, row.count, col.count) matrices of a leg drawn from `col` to
     the K positions `row.position`: each set sums w * a_row * a_col^T over
-    its paths, w weighted by both devices' element patterns and by
-    1/sqrt(P) for its P scattered paths, plus its LOS term as one more path.
+    its terms (`_path_terms`), w weighted by both devices' element patterns
+    and by 1/sqrt(P) for its P scattered paths, its LOS term one more path.
 
-    Directions are evaluated from each device in its own frame, the row
-    device's per realization with `row_frames` (B, 3, 3).  No response is
-    formed: the four grid factors of a path (row device's vertical and
+    No response is formed: the four grid factors of a path (row device's vertical and
     horizontal, then the column device's), the weight folded into the
     first, are split where prefix size + suffix size is least (8 | 32 for
     an 8x8 surface and a 2x2 array), each side's factors are outer-multiplied
@@ -270,7 +276,6 @@ def _leg_matrices(row: DeviceView, col: DeviceView, leg: _Leg,
     set's matrix does not depend on the run or chunk it lands in.  Chunks
     hold at most `PLACEMENT_BUDGET` (prefix + suffix) x path entries or one set.
     """
-    u_row, u_col, weights = _path_terms(row, col, leg, row_frames)
     counts = (np.diff(leg.bounds) + leg.los).tolist()
 
     dims = row.grid.shape + col.grid.shape
@@ -283,9 +288,9 @@ def _leg_matrices(row: DeviceView, col: DeviceView, leg: _Leg,
     while start < len(counts):
         stop = max(start + 1, bisect.bisect_right(bounds, bounds[start] + per_chunk) - 1)
         first, last = bounds[start], bounds[stop]
-        at_row = row.grid.factors(u_row[first:last])
-        at_col = col.grid.factors(u_col[first:last])
-        factors = [at_row[:dims[0]] * weights[first:last], at_row[dims[0]:],
+        at_row = row.grid.factors(leg.u_row[:, first:last].T)
+        at_col = col.grid.factors(leg.u_col[:, first:last].T)
+        factors = [at_row[:dims[0]] * leg.weights[first:last], at_row[dims[0]:],
                    at_col[:dims[2]], at_col[dims[2]:]]
         left, right = _outer(factors[:split]), _outer(factors[split:])
         lo = start
@@ -317,7 +322,7 @@ def _one_link(row: DeviceView, col: DeviceView, clusters: ClusterSet,
                np.array([link.attenuation])[los], np.array([link.phase])[los], clusters,
                np.array([0, clusters.total_paths]))
     row = dataclasses.replace(row, position=np.atleast_2d(row.position))
-    return _leg_matrices(row, col, leg)[0, 0]
+    return _leg_matrices(row, col, _path_terms(row, col, leg, None))[0, 0]
 
 
 def assemble_link_channel(side: str, clusters: ClusterSet, link: LinkState,
@@ -412,8 +417,8 @@ def realize_block(vc: ValidatedConfig, realizations: range, surfaces=None,
     `cells`; None realizes every surface at every position.
     `los` records each link's LOS state per (realization, position).  For
     one receiver position (not a stack), `clusters` records each link's
-    placed paths; a stack's paths grow with it and are released once its
-    matrices are assembled.
+    placed paths; a stack's paths grow with it and are released once their
+    terms are formed, before the contraction.
     """
     return realize_chunk(draw_group(vc, realizations, surfaces, rx_position), realizations)
 
@@ -466,7 +471,8 @@ def draw_group(vc: ValidatedConfig, realizations: range, surfaces=None,
         surface = scene.ris[k]
         fixed = dataclasses.replace(surface, position=surface.position[None])
         leg = _place_link(vc, draw(fixed, tx, force, LinkTag.TX_RIS, k), 0, len(realizations))
-        tx_legs[k], tx_ris[k] = leg, _leg_matrices(fixed, tx, leg)[:, 0]
+        tx_ris[k] = _leg_matrices(fixed, tx, leg)[:, 0]
+        tx_legs[k] = leg = leg._replace(u_row=None, u_col=None, weights=None)   # terms spent
         at = rx if cells is None else dataclasses.replace(rx, position=rx.position[cells])
         ris_rx[k] = draw(at, surface, force, LinkTag.RIS_RX, k,
                          geometry_from=leg if cfg.shared_clusters else None)
@@ -494,11 +500,12 @@ def realize_chunk(group: RealizationGroup, chunk: range) -> RealizationChannels:
     los, clusters = {}, {}
 
     def place(key: str, draws: _Draws) -> np.ndarray:
-        leg = _place_link(vc, draws, a, b)
+        leg = _place_link(vc, draws, a, b, frames)
         los[key] = leg.los
         if record:
             clusters[key] = leg.clusters
-        return _leg_matrices(draws.row, draws.col, leg, frames)
+        leg = leg._replace(clusters=None)   # the terms hold what the contraction reads
+        return _leg_matrices(draws.row, draws.col, leg)
 
     tx_ris, ris_rx = list(group.tx_ris), [None] * len(group.tx_ris)
     for k in group.surfaces:

@@ -10,7 +10,7 @@ uniforms and the normals of the gains and shadowing (`draw_cluster_units`),
 each kind in one generator call.  The maps to model values (`low + (high -
 low) * u`, which is `Generator.uniform` bit for bit, the complex gains, the
 cluster index, the phase) run once over a whole block's draws
-(`stack_cluster_variates`, `channel._draw_leg`).
+(`stack_cluster_variates`, `channel._place_link`).
 """
 
 from __future__ import annotations
@@ -174,7 +174,7 @@ def draw_clusters(near: np.ndarray, far: np.ndarray, env: Environment,
     """
     variates = draw_cluster_variates(
         env, rng, None if geometry_from is None else geometry_from.total_paths)
-    return place_clusters(variates, near, far, env, f_hz, near_frame, geometry_from)
+    return place_clusters(variates, near, far, env, f_hz, near_frame, geometry_from)[0]
 
 
 class ClusterUnits(NamedTuple):
@@ -267,16 +267,27 @@ def _runs(values: np.ndarray, lengths: np.ndarray, parts: int) -> list[np.ndarra
     return out
 
 
+def path_ends(positions: np.ndarray, near, far) -> tuple[np.ndarray, ...]:
+    """The deltas of scatterers (3, ..., P), stored by component, from the
+    point `near` (3,) and from `far` (..., 3), each with its lengths: norms
+    over the component axis, the rows' norms bit for bit (tests/test_rng.py)."""
+    out = positions - np.expand_dims(near, tuple(range(1, positions.ndim)))
+    back = positions - np.moveaxis(np.atleast_2d(far), -1, 0)
+    return out, np.linalg.norm(out, axis=0), back, np.linalg.norm(back, axis=0)
+
+
 def place_clusters(variates: ClusterVariates, near, far, env: Environment, f_hz: float,
                    near_frame: np.ndarray | None = None,
                    geometry_from: ClusterSet | None = None,
-                   paths: np.ndarray | None = None) -> ClusterSet:
-    """Place drawn clusters on the link `near` -> `far`; see `draw_clusters`.
+                   paths: np.ndarray | None = None, length=None) -> tuple:
+    """Place drawn clusters on the link `near` -> `far` (see `draw_clusters`);
+    returns them and their `path_ends`, each delta and length taken once.
 
     `far` (..., 3) broadcasts against the (P,) paths: one point (3,) gets
     every path, a stack (K, 1, 3) gets every path at each far end, and
     (P, 3) gives each path its own far end, so that the paths of several
-    links' variates (`stack_cluster_variates`) are placed at once.
+    links' variates (`stack_cluster_variates`) are placed at once.  Radials
+    span the link `length`, |far - near| if not given.
 
     `paths` (P,) picks the drawn paths to place, in order and possibly
     repeated: path i is drawn path `paths[i]`, so one link's draws are
@@ -284,30 +295,27 @@ def place_clusters(variates: ClusterVariates, near, far, env: Environment, f_hz:
     departure direction is evaluated once per drawn path.  The result's
     `sizes` are then the drawn clusters' sizes.
     """
-    near = np.asarray(near, dtype=float)
-    far = np.asarray(far, dtype=float)
+    near, far = np.asarray(near, dtype=float), np.asarray(far, dtype=float)
     gains, shadow = variates.gains, variates.shadow
     if paths is not None:
         gains, shadow = gains[paths], shadow[paths]
+    sizes = (variates if geometry_from is None else geometry_from).sizes
     if geometry_from is not None:
-        sizes = geometry_from.sizes
-        positions = geometry_from.positions
+        positions = geometry_from.positions.T
     else:
-        if near_frame is None:
-            near_frame = np.eye(3)
-        sizes = variates.sizes
-        hi = np.maximum(np.linalg.norm(far - near, axis=-1), 1.0 + 1e-9)
+        near_frame = np.eye(3) if near_frame is None else near_frame
+        hi = np.maximum(np.linalg.norm(far - near, axis=-1) if length is None else length, 1 + 1e-9)
         rep = variates.cluster
         unit = variates.radial[rep]
         dirs = rotate(direction_unit(variates.azimuth[rep] + variates.d_az,
-                                     variates.elevation[rep] + variates.d_el), near_frame.T)
+                                     variates.elevation[rep] + variates.d_el), near_frame.T).T
         if paths is not None:
-            unit, dirs = unit[paths], dirs[paths]
+            unit, dirs = unit[paths], dirs[:, paths]
         radial = _uniform(1.0, hi, unit)
-        positions = near + radial[..., None] * dirs
-        positions[..., 2] = np.abs(positions[..., 2])
+        positions = np.stack([n + radial * d for n, d in zip(near, dirs)])
+        positions[2] = np.abs(positions[2])
 
-    unfolded = np.linalg.norm(positions - near, axis=-1) + np.linalg.norm(far - positions, axis=-1)
-    attenuations = shadowed_attenuation(unfolded, f_hz, env, False, shadow)
-    return ClusterSet(sizes=np.asarray(sizes, dtype=int), positions=positions,
-                      gains=gains, attenuations=np.atleast_1d(attenuations))
+    ends = path_ends(positions, near, far)
+    attenuations = shadowed_attenuation(ends[1] + ends[3], f_hz, env, False, shadow)
+    return ClusterSet(sizes=np.asarray(sizes, dtype=int), positions=np.moveaxis(positions, 0, -1),
+                      gains=gains, attenuations=np.atleast_1d(attenuations)), ends

@@ -353,9 +353,9 @@ class TestCoverage:
             seeded.append((LinkTag(tag), *extra))
             return block_rngs(seed, realizations, tag, *extra)
 
-        def counting_legs(row, col, leg, row_frames=None):
+        def counting_legs(row, col, leg):
             legs.append((row.count, col.count))
-            return leg_matrices(row, col, leg, row_frames)
+            return leg_matrices(row, col, leg)
 
         monkeypatch.setattr(channel_module, "block_rngs", counting_rngs)
         monkeypatch.setattr(channel_module, "_leg_matrices", counting_legs)

@@ -12,7 +12,7 @@ from rislink import (ArraySpec, RealizationChannels, RisSpec, SimConfig,
                      scene_preset, validate_config)
 import rislink.channel as channel_module
 from rislink.channel import realize_block, surface_cascade
-from rislink.errors import ConfigError, DimensionMismatch
+from rislink.errors import CoincidentPoints, ConfigError, DimensionMismatch
 from rislink.geometry import element_gain, element_gain_from_cos, local_directions, steering_matrix
 from rislink.propagation import ClusterSet, LinkState
 
@@ -66,6 +66,23 @@ class TestAssembly:
         behind = single_path_clusters((-3.0, 0.0, 1.0))  # behind the +x-facing surface
         mat = assemble_link_channel("tx-ris", behind, LinkState(False, 0.0, 0.0), scene)
         assert np.all(mat == 0.0)
+
+    @pytest.mark.parametrize("side, device", [("tx-ris", "tx"), ("tx-ris", "ris"),
+                                              ("ris-rx", "rx"), ("ris-rx", "ris")])
+    def test_scatterer_on_a_device_is_rejected(self, side, device):
+        # a zero near-end or far-end length has no direction
+        scene = build_scene(los_only_scene(n=9))
+        at = scene.ris[0] if device == "ris" else getattr(scene, device)
+        on_device = single_path_clusters(at.position)
+        with pytest.raises(CoincidentPoints):
+            assemble_link_channel(side, on_device, LinkState(False, 0.0, 0.0), scene)
+
+    def test_los_term_between_coincident_devices_is_rejected(self):
+        scene = build_scene(los_only_scene(n=9))
+        scene = dataclasses.replace(scene, rx=dataclasses.replace(scene.rx,
+                                                                  position=scene.tx.position))
+        with pytest.raises(CoincidentPoints):
+            assemble_direct_channel(ClusterSet.empty(), LinkState(True, 1.0, 0.0), scene)
 
     def test_empty_clusters_without_los_is_exactly_zero(self):
         vc = los_only_scene(nt=3, nr=2, n=4)
@@ -313,12 +330,12 @@ class TestAssembly:
 
 
 def leg_calls(vc, realizations, rx_position, monkeypatch):
-    """Every (row, col, leg, row_frames) the engine assembles in one `realize_block`."""
+    """Every (row, col, leg) the engine assembles in one `realize_block`."""
     calls, original = [], channel_module._leg_matrices
 
-    def spy(row, col, leg, row_frames=None):
-        calls.append((row, col, leg, row_frames))
-        return original(row, col, leg, row_frames)
+    def spy(row, col, leg):
+        calls.append((row, col, leg))
+        return original(row, col, leg)
 
     monkeypatch.setattr(channel_module, "_leg_matrices", spy)
     realize_block(vc, realizations, rx_position=rx_position)
@@ -326,55 +343,42 @@ def leg_calls(vc, realizations, rx_position, monkeypatch):
     return calls
 
 
-def reference_leg_matrices(row, col, leg, row_frames=None):
-    """Set by set, sum w * a_row * a_col^T / sqrt(P) over the scattered paths with
-    full `steering_matrix` responses, then add the LOS term."""
+def term_bounds(leg):
+    """(S + 1,) offsets of each set's terms: its scattered paths and LOS term."""
+    return np.concatenate([[0], np.cumsum(np.diff(leg.bounds) + leg.los)])
 
-    def gain(device, u):
-        q = device.gain_exponent
-        return 1.0 if q is None else element_gain_from_cos(u[:, 0], q)
+
+def reference_leg_matrices(row, col, leg):
+    """Set by set, sum w * a_row * a_col^T over the set's terms (its scattered
+    paths, then its LOS term) with full `steering_matrix` responses."""
 
     def response(device, u):
-        return steering_matrix(device.grid.vert, device.grid.horiz, u)
+        return steering_matrix(device.grid.vert, device.grid.horiz, u.T)
 
-    out, los_seen = [], 0
+    out, bounds = [], term_bounds(leg)
     for s in range(len(leg.cell)):
-        at = row.position[leg.cell[s]]
-        frame = row.frame if row_frames is None else row_frames[leg.realization[s]]
-        lo, hi = leg.bounds[s], leg.bounds[s + 1]
+        lo, hi = bounds[s], bounds[s + 1]
         m = np.zeros((row.count, col.count), dtype=complex)
-        if hi > lo:
-            points = leg.clusters.positions[lo:hi]
-            u_row = local_directions(at, points, frame)[0]
-            u_col = local_directions(col.position, points, col.frame)[0]
-            w = leg.clusters.gains[lo:hi] * np.sqrt(
-                gain(row, u_row) * gain(col, u_col) * leg.clusters.attenuations[lo:hi])
-            m += (response(row, u_row) * w) @ response(col, u_col).T / np.sqrt(hi - lo)
-        if leg.los[s]:
-            u_row = local_directions(at, col.position[None], frame)[0]
-            u_col = local_directions(col.position, at[None], col.frame)[0]
-            amp = np.sqrt(gain(row, u_row) * gain(col, u_col) * leg.los_attenuation[los_seen])
-            m += (amp * np.exp(1j * leg.los_phase[los_seen])) * np.outer(
-                response(row, u_row)[:, 0], response(col, u_col)[:, 0])
-            los_seen += 1
+        for t in range(lo, hi):
+            m += leg.weights[t] * np.outer(response(row, leg.u_row[:, t:t + 1])[:, 0],
+                                           response(col, leg.u_col[:, t:t + 1])[:, 0])
         out.append(m)
     return np.array(out).reshape(-1, len(row.position), row.count, col.count)
 
 
-def one_set(row, col, leg, row_frames, s):
+def one_set(row, col, leg, s):
     """Set `s` of a leg as a leg of its own: a run and a chunk of one."""
     lo, hi = leg.bounds[s], leg.bounds[s + 1]
+    first, last = term_bounds(leg)[s:s + 2]
     los_index = int(np.count_nonzero(leg.los[:s]))
     los = leg.los[s:s + 1]
-    clusters = ClusterSet(np.array([hi - lo]), leg.clusters.positions[lo:hi],
-                          leg.clusters.gains[lo:hi], leg.clusters.attenuations[lo:hi])
     alone = channel_module._Leg(np.zeros(1, dtype=int), np.zeros(1, dtype=int), los,
                                 leg.los_attenuation[los_index:los_index + los.sum()],
-                                leg.los_phase[los_index:los_index + los.sum()], clusters,
-                                np.array([0, hi - lo]))
-    frames = None if row_frames is None else row_frames[leg.realization[s]][None]
+                                leg.los_phase[los_index:los_index + los.sum()], None,
+                                np.array([0, hi - lo]), leg.u_row[:, first:last],
+                                leg.u_col[:, first:last], leg.weights[first:last])
     at = dataclasses.replace(row, position=row.position[leg.cell[s]][None])
-    return channel_module._leg_matrices(at, col, alone, frames)[0, 0]
+    return channel_module._leg_matrices(at, col, alone)[0, 0]
 
 
 # Overrides on the indoor preset: the golden grids (8x8, 4x16 and 1x67 surfaces,
@@ -403,6 +407,86 @@ def leg_case_config(name):
         rx=dataclasses.replace(cfg.rx, **terminal), **overrides))
 
 
+def placed_legs(vc, realizations, rx_position, monkeypatch):
+    """Every (row, col, leg, row_frames) the engine places in one `realize_block`,
+    each leg as `_place_link` returns it."""
+    calls, original = [], channel_module._place_link
+
+    def spy(vc, draws, start, stop, row_frames=None):
+        leg = original(vc, draws, start, stop, row_frames)
+        calls.append((draws.row, draws.col, leg, row_frames))
+        return leg
+
+    monkeypatch.setattr(channel_module, "_place_link", spy)
+    realize_block(vc, realizations, rx_position=rx_position)
+    monkeypatch.setattr(channel_module, "_place_link", original)
+    return calls
+
+
+def reference_terms(row, col, leg, row_frames):
+    """A leg's terms as they were formed on (P, 3) rows: each path's placed
+    position (`place_clusters`, which `TestStreamContract` checks per far
+    point) gathered per term, both directions by `local_directions`, the
+    row device's frame gathered per term, weights as `_leg_matrices` states."""
+    clusters, scattered, los = leg.clusters, np.diff(leg.bounds), leg.los
+    at = row.position[leg.cell]   # each set's row end
+    counts = scattered + los
+    owner = np.repeat(np.arange(len(los)), counts)
+    total, terms = leg.bounds[-1], len(leg.los_phase)
+    order = np.arange(total + terms) - np.repeat(np.cumsum(los) - los, counts)
+    order[np.cumsum(counts)[los] - 1] = total + np.arange(terms)
+
+    def slots(paths, los_terms):
+        return np.concatenate([paths, los_terms]).take(order, axis=0)
+
+    def gain(device, u):
+        q = device.gain_exponent
+        return 1.0 if q is None else element_gain_from_cos(u[:, 0], q)
+
+    positions = np.ascontiguousarray(clusters.positions)
+    frame = row.frame if row_frames is None else row_frames[leg.realization[owner]]
+    u_row = local_directions(at[owner], slots(positions, np.broadcast_to(col.position, (terms, 3))),
+                             frame)[0]
+    u_col = local_directions(col.position, slots(positions, at[los]), col.frame)[0]
+    amplitude = slots(clusters.gains / np.sqrt(np.repeat(scattered, scattered)),
+                      np.exp(1j * leg.los_phase))
+    power = slots(clusters.attenuations, leg.los_attenuation)
+    return u_row, u_col, amplitude * np.sqrt(gain(row, u_row) * gain(col, u_col) * power)
+
+
+TERM_CASES = {   # config, receiver positions (None: the config's one)
+    "indoor": (lambda: validate_config(scene_preset("indoor")), None),
+    "outdoor": (lambda: validate_config(scene_preset("outdoor")), None),
+    "shared_clusters": (lambda: validate_config(dataclasses.replace(
+        scene_preset("indoor"), shared_clusters=True)), LEG_POSITIONS),
+    "mixed_los": (lambda: leg_case_config("mixed_los"), LEG_POSITIONS),
+    "fixed_rx": (lambda: validate_config(dataclasses.replace(
+        scene_preset("outdoor"), rx_orientation="fixed", ris_links="auto")), LEG_POSITIONS[:2]),
+}
+
+
+class TestPathTerms:
+    @pytest.mark.filterwarnings("ignore::rislink.errors.NearFieldWarning")
+    @pytest.mark.parametrize("name", sorted(TERM_CASES))
+    def test_terms_equal_the_row_formula_bit_for_bit(self, name, monkeypatch):
+        make, positions = TERM_CASES[name]
+        calls = placed_legs(make(), range(3, 11), positions, monkeypatch)
+        rotated = split = False
+        for row, col, leg, frames in calls:
+            u_row, u_col, weights = reference_terms(row, col, leg, frames)
+            for got, want in ((leg.u_row, u_row), (leg.u_col, u_col)):
+                assert got.shape == (3, len(want))
+                assert got.T.copy().tobytes() == want.tobytes()
+            assert leg.weights.dtype == weights.dtype
+            assert leg.weights.tobytes() == weights.tobytes()
+            rotated |= frames is not None
+            coins = leg.los.reshape(len(frames) if frames is not None else -1, len(row.position))
+            split |= bool(np.any(coins.any(axis=1) & ~coins.all(axis=1)))
+        assert rotated == (name != "fixed_rx")   # random-azimuth receivers
+        if name == "mixed_los":
+            assert split   # some realization's LOS coin splits its receiver positions
+
+
 class TestLegMatrices:
     @pytest.mark.filterwarnings("ignore::rislink.errors.NearFieldWarning")
     @pytest.mark.parametrize("name", sorted(LEG_CASES))
@@ -411,9 +495,9 @@ class TestLegMatrices:
         calls = leg_calls(vc, range(4, 10), LEG_POSITIONS, monkeypatch)
         assert len(calls) == 3   # Tx-surface, surface-Rx (K = 6 positions), direct
         kinds = set()
-        for row, col, leg, frames in calls:
-            got = channel_module._leg_matrices(row, col, leg, frames)
-            want = reference_leg_matrices(row, col, leg, frames)
+        for row, col, leg in calls:
+            got = channel_module._leg_matrices(row, col, leg)
+            want = reference_leg_matrices(row, col, leg)
             assert got.shape == want.shape
             for g, w in zip(got.reshape(-1, *got.shape[2:]), want.reshape(-1, *want.shape[2:])):
                 assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w), initial=0.0)
@@ -429,13 +513,13 @@ class TestLegMatrices:
     def test_a_set_does_not_depend_on_its_run_or_chunk(self, name, monkeypatch):
         vc = leg_case_config(name)
         calls = leg_calls(vc, range(4, 10), LEG_POSITIONS, monkeypatch)
-        for row, col, leg, frames in calls:
-            whole = channel_module._leg_matrices(row, col, leg, frames)
+        for row, col, leg in calls:
+            whole = channel_module._leg_matrices(row, col, leg)
             flat = whole.reshape(-1, *whole.shape[2:])
             for s in range(len(leg.cell)):
-                assert np.array_equal(flat[s], one_set(row, col, leg, frames, s))
+                assert np.array_equal(flat[s], one_set(row, col, leg, s))
             monkeypatch.setattr(channel_module, "PLACEMENT_BUDGET", 1)   # one set a chunk
-            assert np.array_equal(whole, channel_module._leg_matrices(row, col, leg, frames))
+            assert np.array_equal(whole, channel_module._leg_matrices(row, col, leg))
             monkeypatch.undo()
 
 

@@ -229,7 +229,7 @@ class TestClusters:
         near = np.array([40.0, 50.0, 2.0])
         far = np.array([[45.0, 45.0, 1.0], [40.3, 49.6, 2.0], [10.0, 5.0, 1.5]])
         variates = draw_cluster_variates(INH, spawn_rng(3, 1, 1))
-        placed = place_clusters(variates, near, far[:, None, :], INH, 28e9)
+        placed, _ = place_clusters(variates, near, far[:, None, :], INH, 28e9)
         assert placed.positions.shape == (3, placed.total_paths, 3)
         assert placed.attenuations.shape == (3, placed.total_paths)
         for i, end in enumerate(far):
@@ -350,8 +350,8 @@ class TestStreamContract:
                 assert leg.los[s] == los
                 if los:
                     los_draws[s] = (d, shadow, phase)
-                alone = place_clusters(variates, near.position, point, env, f_hz, near.frame,
-                                       geometry)
+                alone, _ = place_clusters(variates, near.position, point, env, f_hz, near.frame,
+                                          geometry)
                 paths = slice(leg.bounds[s], leg.bounds[s + 1])
                 assert_same_bits(leg.clusters.gains[paths], alone.gains)
                 assert_same_bits(leg.clusters.positions[paths], alone.positions)
@@ -370,3 +370,6 @@ class TestStreamContract:
             assert_same_bits(np.concatenate([getattr(p.clusters, name) for p in parts]),
                              getattr(leg.clusters, name))
         assert_same_bits(np.concatenate([p.los_attenuation for p in parts]), leg.los_attenuation)
+        for name in ("u_row", "u_col", "weights"):   # and each set's terms
+            assert_same_bits(np.concatenate([getattr(p, name) for p in parts], axis=-1),
+                             getattr(leg, name))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rislink.geometry import azimuth_rotation_frame, rotate
 from rislink.rng import LinkTag, block_rngs, spawn_rng
 
 LAST_INDEX = 2**32 - 1
@@ -95,3 +96,78 @@ def test_scalar_integer_draws_equal_one_sized_draw(seed, low, high):
         assert a.random(3).tobytes() == b.random(3).tobytes()
         assert a.standard_normal(4).tobytes() == b.standard_normal(4).tobytes()
         assert a.bit_generator.state == b.bit_generator.state
+
+
+def rows_with_edge_entries(seed: int) -> np.ndarray:
+    """Random (P, 3) rows over many magnitudes, plus rows of zeros, subnormals
+    and 1e150 entries (whose squares overflow), mixed with ordinary ones."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((4000, 3)) * 10.0 ** rng.uniform(-8, 8, (4000, 1))
+    tiny = np.nextafter(0.0, 1.0)
+    edge = np.array([[0.0, 0.0, 0.0], [-0.0, 0.0, 1.0], [tiny, 0.0, 0.0], [3 * tiny, -tiny, 2.0],
+                     [1e150, 0.0, 0.0], [1e150, -1e150, 3.0], [5e-324, 1e150, 0.0]])
+    return np.concatenate([rows, edge])
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_component_norm_equals_the_row_norm(seed):
+    """The numpy behaviour behind taking path lengths on (3, P) components
+    (`propagation.path_ends`): `np.linalg.norm` over the component axis sums
+    x*x + y*y + z*z left to right, as `np.linalg.norm(axis=-1)` does on the
+    (P, 3) rows, bit for bit; and a negated delta has the same length and
+    the negated unit vector.  Were a numpy release to sum either in another
+    order, every path weight would move by rounding; this fails first."""
+    rows = rows_with_edge_entries(seed)
+    components = np.ascontiguousarray(rows.T)
+    norm = np.linalg.norm(rows, axis=-1)
+    x, y, z = components
+    assert np.linalg.norm(components, axis=0).tobytes() == norm.tobytes()
+    assert np.sqrt(x * x + y * y + z * z).tobytes() == norm.tobytes()
+    assert np.linalg.norm(-components, axis=0).tobytes() == norm.tobytes()
+    assert np.linalg.norm(-rows, axis=-1).tobytes() == norm.tobytes()
+    live = norm > 0
+    unit = components[:, live] / norm[live]
+    assert ((-components[:, live]) / norm[live]).tobytes() == (-unit).tobytes()
+    assert (unit.T.copy()).tobytes() == (rows[live] / norm[live, None]).tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 8])
+def test_repeated_frames_rotate_as_gathered_frames(seed):
+    """The numpy behaviour behind rotating a leg's terms by their receiver
+    frames (`channel._path_terms`): each frame entry repeated over its
+    realization's terms by `np.repeat` equals that entry of `frames[index]`,
+    and `geometry.rotate` of (3, P) components with `repeats` equals the
+    three products per component summed on (P, 3) rows with the gathered
+    frames, and `rotate` of those rows."""
+    rng = np.random.default_rng(seed)
+    frames = azimuth_rotation_frame(rng.uniform(0, 2 * np.pi, 7))
+    frames[2] = rng.standard_normal((3, 3))   # any matrix, not only a level rotation
+    reps = rng.integers(0, 40, len(frames))
+    index = np.repeat(np.arange(len(frames)), reps)
+    gathered = frames[index]
+    assert np.repeat(frames, reps, axis=0).tobytes() == gathered.tobytes()
+    for k in range(3):
+        for j in range(3):
+            assert np.repeat(frames[:, k, j], reps).tobytes() == gathered[:, k, j].tobytes()
+    rows = rows_with_edge_entries(seed)[:len(index)]
+    components = np.ascontiguousarray(rows.T)
+    by_component = rotate(components.T, frames, reps).T
+    by_row = np.stack([rows[:, 0] * gathered[:, k, 0] + rows[:, 1] * gathered[:, k, 1]
+                       + rows[:, 2] * gathered[:, k, 2] for k in range(3)], axis=-1)
+    assert by_component.T.copy().tobytes() == by_row.tobytes()
+    assert rotate(rows, gathered).tobytes() == by_row.tobytes()
+    assert rotate(components.T, frames[3]).copy().tobytes() == rotate(rows, frames[3]).tobytes()
+
+
+def test_each_far_points_length_equals_each_paths():
+    """The numpy behaviour behind taking each path's link length from its far
+    point's (`channel._place_link`): the per-point row norm repeated per
+    path is the norm of the gathered rows, by row or by component, bit for bit."""
+    rng = np.random.default_rng(4)
+    near = np.array([40.0, 50.0, 2.0])
+    far = rng.uniform(-80, 80, (24, 3)) + [0.0, 0.0, 81.0]
+    per_point = rng.integers(0, 90, 24)
+    at = np.repeat(np.arange(24), per_point)
+    each = np.repeat(np.linalg.norm(far - near, axis=-1), per_point)
+    assert each.tobytes() == np.linalg.norm(far[at] - near, axis=-1).tobytes()
+    assert each.tobytes() == np.linalg.norm(far.T[:, at] - near[:, None], axis=0).tobytes()
