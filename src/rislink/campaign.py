@@ -200,7 +200,7 @@ def _surface_phases(vc: ValidatedConfig, channels: RealizationChannels, k: int,
     others.  A pinv fallback draws from the failing leg's own realization's
     substream, spawned only when a fallback runs."""
     cfg = vc.config
-    realizations, tx_ris = channels.realization, channels.tx_ris[k][:, None]
+    realizations, tx_ris = channels.realization, channels.tx_ris[k]
     idle = None if served.all() else np.repeat(
         _phase_draws(vc, realizations, k, "random")[:, None], len(served), axis=1)
     if not served.any():
@@ -219,12 +219,12 @@ def _surface_phases(vc: ValidatedConfig, channels: RealizationChannels, k: int,
 
 def compute_phase_sets(vc: ValidatedConfig, channels: RealizationChannels,
                        selected: np.ndarray) -> list:
-    """The phase rule: phases per surface for a block realized at a (K, 3)
-    stack of receiver positions (`realize_block`), position i served by
-    surface `selected[i]`.  A surface takes the config's algorithm where it
-    serves and random idle phases at the other cells its leg was placed at
-    (`channels.cells`; absent idle surfaces are not placed there, see
-    `_realized_surfaces`), and None if left out of the realization."""
+    """The phase rule: phases per surface, with the realization and cell axes
+    of a block realized at K receiver positions (`realize_block`), position
+    i served by surface `selected[i]`.  A surface takes the config's
+    algorithm where it serves and random idle phases at the other cells its
+    leg was placed at (`channels.cells`; absent idle surfaces are not placed
+    there, see `_realized_surfaces`), and None if left out of the realization."""
     if channels.direct.ndim != 4:
         raise DimensionMismatch("phase sets need a block realized at a (K, 3) position stack")
     return [None if tx_ris is None else
@@ -337,8 +337,8 @@ def _run_block(args):
     chunk's channels before the next is realized: "rates" returns the
     (len(pt_watts), B, K) rates, "means" each position's mean rate at the
     first power, summed in realization order.  Job "channels" (`positions`
-    None) returns each chunk's channels, every surface realized at the
-    config's receiver position.
+    None) returns each chunk's channels, without `clusters`, every surface
+    realized at the config's receiver position.
     """
     job, vc, realizations, positions, selected, pt_watts = args
     group_most, chunk_most = block_sizes(vc, 1 if positions is None else len(positions))
@@ -496,11 +496,11 @@ def dump_channels(vc: ValidatedConfig, out_dir, workers: int = 1) -> dict:
     files = []
     for block in (chunk for chunks in blocks for chunk in chunks):
         for i, r in enumerate(block.realization):
-            parts = [(f"r{r:05d}_txris{k}.bin", m[i], {"matrix": "tx_ris", "ris": k})
+            parts = [(f"r{r:05d}_txris{k}.bin", m[i, 0], {"matrix": "tx_ris", "ris": k})
                      for k, m in enumerate(block.tx_ris)]
-            parts += [(f"r{r:05d}_risrx{k}.bin", m[i], {"matrix": "ris_rx", "ris": k})
+            parts += [(f"r{r:05d}_risrx{k}.bin", m[i, 0], {"matrix": "ris_rx", "ris": k})
                       for k, m in enumerate(block.ris_rx)]
-            parts.append((f"r{r:05d}_direct.bin", block.direct[i], {"matrix": "direct"}))
+            parts.append((f"r{r:05d}_direct.bin", block.direct[i, 0], {"matrix": "direct"}))
             for name, matrix, info in parts:
                 np.ascontiguousarray(matrix, dtype=np.complex128).tofile(out / name)
                 files.append({"path": name, "realization": r,

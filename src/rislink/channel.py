@@ -8,7 +8,8 @@ isotropic.  Paths leaving behind a surface's aperture get zero gain rather
 than raising an error.
 
 One engine draws every matrix (`realize_block`): a block of realizations
-towards one receiver position or a stack of them, in two stages.
+towards a stack of receiver positions, each matrix with its (realization,
+cell) axes (only `realize_channels` drops them), in two stages.
 `draw_group` does what does not depend on the receiver or on how the
 realizations are chunked, once for a group of realizations: it seeds each
 link's substreams and reads its draws (`_draw_link`), draws the receiver
@@ -345,19 +346,19 @@ def assemble_direct_channel(clusters: ClusterSet, link: LinkState,
 @dataclass(frozen=True)
 class RealizationChannels:
     """The channel matrices of a block of realizations (`realize_block`), or of
-    one (`realize_channels`, without the realization axis).
+    one (`realize_channels`, which drops the axes it names).
 
-    Every matrix of a block carries a leading realization axis; realized
-    for a stack of K receiver positions, `ris_rx` (at its `cells`) and
-    `direct` carry a cell axis after it.  Surfaces left out have None matrices.
+    Every matrix of a block carries a realization axis, then a cell axis:
+    the K receiver positions for `direct`, the K_k at its `cells` for
+    `ris_rx`, one for `tx_ris`.  Surfaces left out have None matrices.
     """
 
-    tx_ris: tuple[np.ndarray | None, ...]   # per surface, (B, N_k, Nt)
-    ris_rx: tuple[np.ndarray | None, ...]   # per surface, (B, [K_k,] Nr, N_k)
-    direct: np.ndarray                      # (B, [K,] Nr, Nt)
+    tx_ris: tuple[np.ndarray | None, ...]   # per surface, (B, 1, N_k, Nt)
+    ris_rx: tuple[np.ndarray | None, ...]   # per surface, (B, K_k, Nr, N_k)
+    direct: np.ndarray                      # (B, K, Nr, Nt)
     realization: int | range
     los: dict = field(default_factory=dict)
-    clusters: dict = field(default_factory=dict)  # ClusterSet per link key, one position only
+    clusters: dict = field(default_factory=dict)  # ClusterSet per link key, if recorded
     cells: dict = field(default_factory=dict)     # surface -> its legs' cell indices; absent = all
 
 
@@ -381,8 +382,8 @@ def composite_multi(channels: RealizationChannels,
 
     `phase_sets` holds one entry per surface; `phase_sets[k] is None`
     models surface k as absent, and a surface the channels left out must
-    be.  A stacked cascade enters only the cells its leg was placed at
-    (`channels.cells`), its one Tx-side leg broadcast over them.
+    be.  A cascade enters only the cells its leg was placed at
+    (`channels.cells`), its Tx-side leg broadcast over them.
     """
     if len(phase_sets) != len(channels.tx_ris):
         raise DimensionMismatch(f"{len(phase_sets)} phase sets for "
@@ -393,7 +394,6 @@ def composite_multi(channels: RealizationChannels,
             tx_ris, ris_rx = channels.tx_ris[k], channels.ris_rx[k]
             if tx_ris is None:
                 raise DimensionMismatch(f"phases given for surface {k}, which was left out")
-            tx_ris = tx_ris[..., None, :, :] if ris_rx.ndim > tx_ris.ndim else tx_ris
             at = (..., channels.cells[k], slice(None), slice(None)) if k in channels.cells else ...
             total[at] += surface_cascade(tx_ris, ris_rx, phases)
     return total
@@ -402,7 +402,7 @@ def composite_multi(channels: RealizationChannels,
 def realize_block(vc: ValidatedConfig, realizations: range, surfaces=None,
                   rx_position=None) -> RealizationChannels:
     """Draw the channel matrices of a block of realizations: `realize_chunk`
-    of `draw_group` for the whole block.
+    of `draw_group` for the whole block, recording `clusters`.
 
     Each realization reads its own substreams, keyed by (seed, realization,
     link) and seeded for the whole block by `block_rngs`, so its index lies
@@ -410,17 +410,17 @@ def realize_block(vc: ValidatedConfig, realizations: range, surfaces=None,
     link arriving at it; each surface has its own links, so scenes with
     different surface counts stay paired on the surfaces they share.
 
-    `rx_position` may be a stack (K, 3): each position sees the draws it
-    would see alone, and receiver-side matrices carry a cell axis.
-    `surfaces` maps each surface to realize (others get None matrices) to
-    the stack cells its receiver leg is placed at (None = all), recorded in
-    `cells`; None realizes every surface at every position.
-    `los` records each link's LOS state per (realization, position).  For
-    one receiver position (not a stack), `clusters` records each link's
-    placed paths; a stack's paths grow with it and are released once their
-    terms are formed, before the contraction.
+    `rx_position` (None = the config's receiver) is one position or a
+    (K, 3) stack, each position seeing the draws it would see alone; every
+    matrix has the shapes `RealizationChannels` gives, one position a
+    stack of one.  `surfaces` maps each surface to realize (others get None
+    matrices) to the stack cells its receiver leg is placed at (None =
+    all), recorded in `cells`; None realizes every surface at every
+    position.  `los` records each link's LOS state per (realization,
+    position), `clusters` each link's placed paths.
     """
-    return realize_chunk(draw_group(vc, realizations, surfaces, rx_position), realizations)
+    group = draw_group(vc, realizations, surfaces, rx_position)
+    return realize_chunk(group, realizations, record=True)
 
 
 @dataclass(frozen=True)
@@ -431,11 +431,10 @@ class RealizationGroup:
     vc: ValidatedConfig
     realization: range
     scene: Scene                      # its receiver at the (K, 3) positions
-    one: bool                         # realized at one position, not a stack
     surfaces: dict                    # surface -> its receiver leg's cells (None = all)
     rx_frames: np.ndarray | None      # (G, 3, 3) receiver orientations
     tx_legs: dict                     # surface -> its Tx-surface leg, placed
-    tx_ris: tuple                     # per surface, (G, N_k, Nt); None if left out
+    tx_ris: tuple                     # per surface, (G, 1, N_k, Nt); None if left out
     ris_rx: dict                      # surface -> its surface-Rx link's draws
     direct: _Draws | None             # None: blocked, without scattered paths
 
@@ -455,7 +454,6 @@ def draw_group(vc: ValidatedConfig, realizations: range, surfaces=None,
             [rng.random() for rng in block_rngs(seed, realizations, LinkTag.RX_FRAME)]))
     scene = build_scene(vc, rx_position=rx_position)
     tx = scene.tx
-    one = scene.rx.position.ndim == 1
     rx = dataclasses.replace(scene.rx, position=np.atleast_2d(scene.rx.position))
 
     def draw(row: DeviceView, col: DeviceView, force_los, tag: LinkTag, *extra: int,
@@ -471,7 +469,7 @@ def draw_group(vc: ValidatedConfig, realizations: range, surfaces=None,
         surface = scene.ris[k]
         fixed = dataclasses.replace(surface, position=surface.position[None])
         leg = _place_link(vc, draw(fixed, tx, force, LinkTag.TX_RIS, k), 0, len(realizations))
-        tx_ris[k] = _leg_matrices(fixed, tx, leg)[:, 0]
+        tx_ris[k] = _leg_matrices(fixed, tx, leg)
         tx_legs[k] = leg = leg._replace(u_row=None, u_col=None, weights=None)   # terms spent
         at = rx if cells is None else dataclasses.replace(rx, position=rx.position[cells])
         ris_rx[k] = draw(at, surface, force, LinkTag.RIS_RX, k,
@@ -480,23 +478,23 @@ def draw_group(vc: ValidatedConfig, realizations: range, surfaces=None,
     if cfg.direct_mode != "blocked" or cfg.blocked_keeps_scatter:
         force_d = {"blocked": False, "present": True}.get(cfg.direct_mode)
         direct = draw(rx, tx, force_d, LinkTag.DIRECT)
-    return RealizationGroup(vc, realizations, Scene(tx, rx, scene.ris), one, surfaces, rx_frames,
+    return RealizationGroup(vc, realizations, Scene(tx, rx, scene.ris), surfaces, rx_frames,
                             tx_legs, tuple(tx_ris), ris_rx, direct)
 
 
-def realize_chunk(group: RealizationGroup, chunk: range) -> RealizationChannels:
+def realize_chunk(group: RealizationGroup, chunk: range, record=False) -> RealizationChannels:
     """The channel matrices of `chunk`, consecutive realizations of `group`:
     its receiver-side legs placed and contracted, its Tx-side matrices
     sliced from the group's.  Bit for bit the chunk's part of the whole
-    group's matrices (see `realize_block`); `clusters` is recorded only for
-    a group at one receiver position realized whole."""
+    group's matrices (see `realize_block`).  With `record` (asked only for
+    the whole group, whose paths the Tx-side legs hold), `clusters` keeps each
+    link's placed paths; else they are released before the contraction."""
     a = chunk.start - group.realization.start
     b = a + len(chunk)
     if chunk.step != 1 or not 0 <= a <= b <= len(group.realization):
         raise ValueError(f"{chunk} is not a chunk of the group {group.realization}")
     vc, rx, tx = group.vc, group.scene.rx, group.scene.tx
     frames = None if group.rx_frames is None else group.rx_frames[a:b]
-    record = group.one and b - a == len(group.realization)
     los, clusters = {}, {}
 
     def place(key: str, draws: _Draws) -> np.ndarray:
@@ -519,30 +517,27 @@ def realize_chunk(group: RealizationGroup, chunk: range) -> RealizationChannels:
         los["direct"] = np.zeros(direct.shape[0] * direct.shape[1], dtype=bool)
     else:
         direct = place("direct", group.direct)
-
-    if group.one:   # one receiver position: no cell axis
-        ris_rx = [None if m is None else m[:, 0] for m in ris_rx]
-        direct = direct[:, 0]
     return RealizationChannels(tuple(tx_ris), tuple(ris_rx), direct, chunk, los, clusters,
-                               {k: c for k, c in group.surfaces.items()
-                                if c is not None and not group.one})
+                               {k: c for k, c in group.surfaces.items() if c is not None})
 
 
 def realize_channels(vc: ValidatedConfig, realization: int, rx_position=None,
                      surfaces=None) -> RealizationChannels:
     """`realize_block` for the one realization `realization` (in [0, 2**32)),
-    without the realization axis.  An explicit `rx_position` is checked
-    like the config's (`config.check_positions`).  For one receiver
-    position, `los` maps each link to its LOS indicator and `clusters` to
-    its `ClusterSet`."""
+    the one engine entry that drops axes: the realization axis and the cell
+    axis of `tx_ris` always; at one receiver position (not a (K, 3) stack)
+    also every other cell axis and `cells`, and `los` maps each link to its
+    LOS indicator.  An explicit `rx_position` is checked like the config's
+    (`config.check_positions`)."""
     if rx_position is not None:
         check_positions(vc.config, vc.wavelength, np.atleast_2d(rx_position))
     block = realize_block(vc, range(realization, realization + 1), surfaces, rx_position)
-    one = block.direct.ndim == 3
+    stack = np.ndim(rx_position) == 2
+    cell = slice(None) if stack else 0
 
-    def first(matrices):
-        return tuple(None if m is None else m[0] for m in matrices)
+    def first(matrices, at=cell):
+        return tuple(None if m is None else m[0, at] for m in matrices)
 
-    return RealizationChannels(first(block.tx_ris), first(block.ris_rx), block.direct[0],
-                               realization, {k: bool(v[0]) for k, v in block.los.items()}
-                               if one else {}, block.clusters, block.cells)
+    los = {k: v if stack else bool(v[0]) for k, v in block.los.items()}
+    return RealizationChannels(first(block.tx_ris, 0), first(block.ris_rx), block.direct[0, cell],
+                               realization, los, block.clusters, block.cells if stack else {})

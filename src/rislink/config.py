@@ -91,13 +91,6 @@ def _grid_axes(grid_shape: tuple[int, int], spacing_m: float,
     return vert, horiz
 
 
-def _element_list(vert: np.ndarray, horiz: np.ndarray) -> np.ndarray:
-    """Local coordinates (n, 3) of a planar grid's elements, row-major:
-    element r * cols + c sits at (0, horiz[c], vert[r])."""
-    return np.column_stack([np.zeros(vert.size * horiz.size), np.tile(horiz, vert.size),
-                            np.repeat(vert, horiz.size)])
-
-
 @dataclass(frozen=True)
 class PathLossTable:
     """Coefficients of PL[dB] = A + B*log10(d[m]) + C*log10(f[GHz]) + X_sigma."""
@@ -180,10 +173,6 @@ class ArraySpec:
         """Local (vertical per row, horizontal per column) element coordinates, meters."""
         return _grid_axes(self.grid_shape, self.spacing_wl * wavelength, False)
 
-    def element_positions(self, wavelength: float) -> np.ndarray:
-        """Local element coordinates (n, 3); element 0 is the phase reference."""
-        return _element_list(*self.grid_axes(wavelength))
-
 
 @dataclass(frozen=True)
 class RisSpec:
@@ -207,16 +196,9 @@ class RisSpec:
         return frame_from_plane(self.plane, facing)
 
     def grid_axes(self, wavelength: float) -> tuple[np.ndarray, np.ndarray]:
-        """Local (vertical per row, horizontal per column) element coordinates, meters."""
+        """Local (vertical per row, horizontal per column) element coordinates,
+        meters, centred on the surface's position."""
         return _grid_axes(self.grid_shape, self.spacing_wl * wavelength, True)
-
-    def element_positions(self, wavelength: float) -> np.ndarray:
-        """Local element coordinates (n, 3), row-major over the grid.
-
-        Rows run down the vertical in-plane axis, columns along the
-        horizontal one; the grid is centered on the surface position.
-        """
-        return _element_list(*self.grid_axes(wavelength))
 
     def fraunhofer_distance(self, wavelength: float) -> float:
         """2 D^2 / lambda for the aperture diagonal D: the far-field model's near limit."""

@@ -235,8 +235,8 @@ def grid_factors(vert: np.ndarray, horiz: np.ndarray, u_local: np.ndarray) -> np
 def steering_matrix(vert: np.ndarray, horiz: np.ndarray, u_local: np.ndarray) -> np.ndarray:
     """Response of a planar (rows, cols) element grid for each local direction.
 
-    Arguments as for `grid_factors`.  Element r * cols + c (the row-major
-    order of `element_positions`) responds with
+    Arguments as for `grid_factors`.  Element r * cols + c (row-major), at
+    local coordinates r_n = (0, horiz[c], vert[r]) * lambda/(2*pi), responds with
     exp(j * 2*pi/lambda * <u, r_n>) = exp(j * vert[r] * u_z) * exp(j * horiz[c] * u_y),
     the outer product of the grid factors.  Returns the (..., rows * cols, P)
     complex matrix (stack).

@@ -51,10 +51,6 @@ class ClusterSet:
     attenuations: np.ndarray  # (P,) linear path attenuation incl. shadowing
 
     @property
-    def cluster_count(self) -> int:
-        return len(self.sizes)
-
-    @property
     def total_paths(self) -> int:
         return len(self.gains)
 

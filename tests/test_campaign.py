@@ -182,7 +182,7 @@ class TestRunCampaign:
     def test_campaign_without_surfaces_rates_the_direct_link(self, idle_ris):
         vc = quick_vc(realizations=3, ris=(), idle_ris=idle_ris, direct_mode="present")
         stats = run_campaign(Campaign(vc))
-        direct = realize_block(vc, range(3)).direct
+        direct = realize_block(vc, range(3)).direct[:, 0]
         expected = rate_from_singular_values(np.linalg.svd(direct, compute_uv=False),
                                              vc.pt_watts[0], vc.noise_watts)
         assert np.all(stats.rates[0] > 0)

@@ -11,6 +11,7 @@ from rislink import (ArraySpec, RealizationChannels, RisSpec, SimConfig,
                      composite_multi, quantize_phases, realize_channels,
                      scene_preset, validate_config)
 import rislink.channel as channel_module
+from rislink.campaign import _run_block
 from rislink.channel import realize_block, surface_cascade
 from rislink.errors import CoincidentPoints, ConfigError, DimensionMismatch
 from rislink.geometry import element_gain, element_gain_from_cos, local_directions, steering_matrix
@@ -183,10 +184,10 @@ class TestAssembly:
         assert stacked.realization == block
         for i, r in enumerate(block):
             alone = realize_channels(vc, r)
-            pairs = [(stacked.direct[i], alone.direct)]
+            pairs = [(stacked.direct[i, 0], alone.direct)]
             for k in range(len(vc.config.ris)):
-                pairs += [(stacked.tx_ris[k][i], alone.tx_ris[k]),
-                          (stacked.ris_rx[k][i], alone.ris_rx[k])]
+                pairs += [(stacked.tx_ris[k][i, 0], alone.tx_ris[k]),
+                          (stacked.ris_rx[k][i, 0], alone.ris_rx[k])]
             for got, want in pairs:
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want), initial=0.0)
@@ -207,7 +208,7 @@ class TestAssembly:
             base, ris=(base.ris[0], RisSpec(64, (60.0, 30.0, 2.0), plane="yz"))))
         part = realize_block(vc, range(3), surfaces={1: None})
         assert part.tx_ris[0] is None and part.ris_rx[0] is None
-        assert part.tx_ris[1].shape == (3, 64, 4) and part.ris_rx[1].shape == (3, 4, 64)
+        assert part.tx_ris[1][:, 0].shape == (3, 64, 4) and part.ris_rx[1][:, 0].shape == (3, 4, 64)
         assert np.array_equal(part.ris_rx[1], realize_block(vc, range(3)).ris_rx[1])
 
     @pytest.mark.parametrize("overrides", [
@@ -236,7 +237,7 @@ class TestAssembly:
             alone = [realize_channels(vc, r, rx_position=pos) for pos in positions]
             pairs = [(stacked.direct[i, c], alone[c].direct) for c in range(len(positions))]
             for k, placed in cells.items():
-                pairs += [(stacked.tx_ris[k][i], alone[0].tx_ris[k])]
+                pairs += [(stacked.tx_ris[k][i, 0], alone[0].tx_ris[k])]
                 pairs += [(stacked.ris_rx[k][i, j], alone[c].ris_rx[k])
                           for j, c in enumerate(placed)]
             for got, want in pairs:
@@ -327,6 +328,62 @@ class TestAssembly:
         entries = np.concatenate(entries)
         rms = np.sqrt(np.mean(np.abs(entries) ** 2))
         assert np.abs(entries.mean()) < 0.01 * rms
+
+
+LINKS = {"tx_ris_0", "ris_rx_0", "tx_ris_1", "ris_rx_1", "direct"}
+SHAPE_POSITIONS = np.array([(40.0, 40.0, 1.0), (65.0, 30.0, 1.0), (45.0, 45.0, 1.0)])
+SHAPE_SURFACES = {0: np.array([0, 2]), 1: np.array([1])}
+
+
+def two_surface_config():
+    base = scene_preset("indoor")
+    return validate_config(dataclasses.replace(
+        base, realizations=1, ris_links="auto", direct_mode="auto",
+        ris=(base.ris[0], RisSpec(64, (60.0, 30.0, 2.0), plane="yz"))))
+
+
+class TestBlockShape:
+    """Every block keeps its (realization, cell) axes; only `realize_channels` drops them."""
+
+    @pytest.mark.parametrize("where", ["point", "stack", "channels-unit"])
+    def test_every_block_keeps_its_realization_and_cell_axes(self, where):
+        vc = two_surface_config()
+        block = range(2, 7)
+        if where == "channels-unit":
+            blocks = _run_block(("channels", vc, block, None, None, None))
+        elif where == "stack":
+            blocks = [realize_block(vc, block, SHAPE_SURFACES, SHAPE_POSITIONS)]
+        else:
+            blocks = [realize_block(vc, block, rx_position=SHAPE_POSITIONS[0])]
+        cells = len(SHAPE_POSITIONS) if where == "stack" else 1
+        for channels in blocks:
+            b = len(channels.realization)
+            assert channels.direct.ndim == 4 and channels.direct.shape[:2] == (b, cells)
+            for k in range(2):
+                placed = len(SHAPE_SURFACES[k]) if where == "stack" else 1
+                assert channels.tx_ris[k].shape[:2] == (b, 1)
+                assert channels.ris_rx[k].shape[:2] == (b, placed)
+            if where == "channels-unit":   # a work unit records no paths
+                assert channels.clusters == {}
+            else:
+                assert set(channels.clusters) == LINKS
+                assert all(isinstance(c, ClusterSet) for c in channels.clusters.values())
+
+    def test_only_realize_channels_drops_the_axes(self):
+        vc = two_surface_config()
+        one = realize_channels(vc, 3)
+        assert one.direct.shape == (4, 4) and one.cells == {}
+        assert all(m.shape == (64, 4) for m in one.tx_ris)
+        assert all(m.shape == (4, 64) for m in one.ris_rx)
+        assert set(one.los) == set(one.clusters) == LINKS
+        assert all(type(v) is bool for v in one.los.values())
+        stacked = realize_channels(vc, 3, SHAPE_POSITIONS, SHAPE_SURFACES)
+        assert stacked.direct.shape == (3, 4, 4) and stacked.cells == SHAPE_SURFACES
+        assert all(m.shape == (64, 4) for m in stacked.tx_ris)
+        assert [m.shape for m in stacked.ris_rx] == [(2, 4, 64), (1, 4, 64)]
+        block = realize_block(vc, range(3, 4), SHAPE_SURFACES, SHAPE_POSITIONS)
+        assert np.array_equal(stacked.direct, block.direct[0])
+        assert np.array_equal(stacked.ris_rx[1], block.ris_rx[1][0])
 
 
 def leg_calls(vc, realizations, rx_position, monkeypatch):
@@ -601,7 +658,7 @@ class TestComposite:
             for b in range(2):
                 for j, c in enumerate(cells):
                     response = np.diag(np.exp(1j * phases[k][b, j]))
-                    want[b, c] += channels.ris_rx[k][b, j] @ response @ channels.tx_ris[k][b]
+                    want[b, c] += channels.ris_rx[k][b, j] @ response @ channels.tx_ris[k][b, 0]
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_one_phase_set_per_surface(self):

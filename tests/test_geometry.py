@@ -16,6 +16,8 @@ from rislink.geometry import (GLOBAL_FRAME, RESTART, GridAxes, azimuth_rotation_
                               direction_unit, element_gain, element_gain_from_cos,
                               frame_from_plane, grid_factors, local_directions, steering_matrix)
 
+from reference import element_positions
+
 WAVELENGTH = 299792458.0 / 28e9
 
 
@@ -166,7 +168,7 @@ class TestSteering:
         k = 2 * np.pi / WAVELENGTH
         vert, horiz = spec.grid_axes(WAVELENGTH)
         got = steering_matrix(k * vert, k * horiz, u)
-        elements = spec.element_positions(WAVELENGTH)
+        elements = element_positions(spec, WAVELENGTH)
         expected = np.exp(1j * k * (elements @ u.swapaxes(-1, -2)))
         assert got.shape == tuple(stack) + (rows * cols, paths)
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
@@ -187,7 +189,7 @@ class TestSteering:
         assert RisSpec(128, (0, 0, 0)).grid_shape == (8, 16)
 
     def test_ris_grid_centered(self):
-        elements = RisSpec(16, (0, 0, 0)).element_positions(WAVELENGTH)
+        elements = element_positions(RisSpec(16, (0, 0, 0)), WAVELENGTH)
         assert np.allclose(elements.mean(axis=0), 0.0, atol=1e-15)
         assert np.allclose(elements[:, 0], 0.0)
 

@@ -179,7 +179,7 @@ class TestClusters:
     def test_at_least_one_cluster_and_bounded_sizes(self):
         for i in range(300):
             cs = draw_clusters((0, 0, 1), (10, 0, 1), INH, 28e9, spawn_rng(2, i, 0))
-            assert cs.cluster_count >= 1
+            assert len(cs.sizes) >= 1
             assert np.all((cs.sizes >= INH.scatterers_min) & (cs.sizes <= INH.scatterers_max))
             assert cs.total_paths == cs.sizes.sum()
 
@@ -205,7 +205,7 @@ class TestClusters:
         fast_env = dataclasses.replace(INH, scatterers_min=1, scatterers_max=1)
         n = 20_000
         counts = [draw_clusters((0, 0, 1), (5, 0, 1), fast_env, 28e9,
-                                spawn_rng(13, i, 0)).cluster_count
+                                spawn_rng(13, i, 0)).sizes.size
                   for i in range(n)]
         assert np.mean(counts) == pytest.approx(expected, rel=0.01)
 
