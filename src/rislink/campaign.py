@@ -21,8 +21,11 @@ job starts one.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import functools
 import json
+import platform
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -166,6 +169,21 @@ BLOCK_SIZE = 32
 # 16384 allowed 2 and draw its 16 realizations as one group, and a campaign
 # block with the same arrays run its 32 realizations as one chunk.
 CHUNK_BUDGET = 32768
+
+# Bytes of freed heap glibc keeps mapped (M_TRIM_THRESHOLD), 8 MiB: a few
+# times a chunk's working set, so chunks stop page-faulting it back in.
+TRIM_THRESHOLD = 16 * CHUNK_BUDGET * 16
+
+
+@functools.cache
+def _keep_freed_heap() -> bool:
+    """Set glibc's trim threshold once per process (a no-op off glibc);
+    run by the first block, so importing and validating leave it alone."""
+    if platform.libc_ver()[0] != "glibc":
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return mallopt(-1, TRIM_THRESHOLD) == 1     # -1 = M_TRIM_THRESHOLD
 
 
 def serving_surface(vc: ValidatedConfig, positions: np.ndarray) -> np.ndarray:
@@ -340,6 +358,7 @@ def _run_block(args):
     None) returns each chunk's channels, without `clusters`, every surface
     realized at the config's receiver position.
     """
+    _keep_freed_heap()
     job, vc, realizations, positions, selected, pt_watts = args
     group_most, chunk_most = block_sizes(vc, 1 if positions is None else len(positions))
     surfaces = None if positions is None else _realized_surfaces(vc, selected)

@@ -91,18 +91,16 @@ def pinv_phases(tx_ris: np.ndarray, ris_rx: np.ndarray, bits: int | None = None,
     if n < max(nt, nr):
         warnings.warn(f"{n} surface elements for a {nr}x{nt} link; the pseudoinverse "
                       "target is underdetermined", stacklevel=2)
-    g_h = ris_rx.conj()                        # conj(G); G^H is its transpose
     h_h = np.swapaxes(tx_ris.conj(), -1, -2)   # H^H
-    inner = (_gram_pinv(ris_rx @ np.swapaxes(g_h, -1, -2)) @ np.eye(nr, nt)
+    inner = (_gram_pinv(ris_rx @ np.swapaxes(ris_rx.conj(), -1, -2)) @ np.eye(nr, nt)
              @ _gram_pinv(h_h @ tx_ris))
-    # diagonal n of G^H (A M B) H^H: sum over i of (A M B H^H)[i, n] conj(G[i, n]).
-    # The product keeps this operand order: numpy's complex multiply rounds a * b
-    # and b * a differently, and a large temporary on the right gets swapped.
-    # It is taken in place, and both receiver-sized arrays are released before
-    # the phases are quantized.
+    # diagonal n of G^H (A M B) H^H: sum over i of (A M B H^H)[i, n] conj(G[i, n]),
+    # taken in place as conj(sum(conj(A M B H^H) G)), bit for bit the same while the
+    # product stays the first operand (numpy rounds complex a * b and b * a apart),
+    # so no conjugate copy of G outlives the Gram matrix.
     prod = inner @ h_h
-    diag = np.sum(np.multiply(prod, g_h, out=prod), axis=-2)
-    del g_h, prod
+    diag = np.sum(np.multiply(np.conj(prod, out=prod), ris_rx, out=prod), axis=-2).conj()
+    del prod
     phases = quantize_phases(np.angle(diag), bits)
     failed = ~(np.all(np.isfinite(diag), axis=-1) & np.any(diag, axis=-1))
     if failed.any():
