@@ -7,16 +7,16 @@ realizations at one sweep point; a coverage map's unit is a fixed block of
 cells with all its realizations; a channel dump's unit is a fixed block of
 realizations.  All randomness comes from substreams keyed by (seed,
 realization, link), never from execution order or receiver position.
-Every block runs through one driver, `_run_block`: its realizations run in
-groups and each group in chunks, both sized by `block_sizes`.  Per group
-`draw_group` draws every link, the receiver frames and the Tx-surface legs
-once; per chunk `realize_chunk` places and contracts the receiver-side
-legs at the block's receiver positions.  So every rate takes one path,
-`_block_singular_values`: a chunk's channels, then `compute_phase_sets`,
-`composite_multi` and an SVD.  Processes rather than threads: one unit is
-a burst of small numpy calls that never release the interpreter lock long
-enough for threads to overlap; the pool's modules are imported only when a
-job starts one.
+Every block runs through one driver, `_run_block`, on the chunks
+`channel.realize_chunks` yields: the block's realizations run in groups
+and each group in chunks, both sized by `block_sizes`; every link, the
+receiver frames and the Tx-surface legs are drawn once per group, the
+receiver-side legs placed and contracted per chunk.  So every rate takes
+one path, `_block_singular_values`: a chunk's channels, then
+`compute_phase_sets`, `composite_multi` and an SVD.  Processes rather than
+threads: one unit is a burst of small numpy calls that never release the
+interpreter lock long enough for threads to overlap; the pool's modules
+are imported only when a job starts one.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (RealizationChannels, composite_multi, draw_group, realize_block,
-                      realize_chunk)
+from .channel import RealizationChannels, composite_multi, realize_block, realize_chunks
 # no caller left here; the benchmark's tracer wraps this name (ROADMAP item 5)
 from .channel import realize_channels  # noqa: F401
 from .config import (SimConfig, ValidatedConfig, check_positions, is_count, is_real,
@@ -153,8 +152,8 @@ def default_grid(vc: ValidatedConfig, cell: float = 1.0) -> GridSpec:
 # unit (and at most per group or chunk).  Fixed, so the blocks (and the
 # output bytes) do not depend on the worker count.  A coverage block's
 # cells share each realization's receiver-free work (the draws, the
-# Tx-surface leg); a group's chunks share the seeding and draws of every
-# link and the Tx-surface legs, drawn once per group; a chunk's
+# Tx-surface leg); `channel.realize_chunks` draws every link and the
+# Tx-surface legs once per group and yields the group's chunks, whose
 # realizations share the placement, steering, pinv and SVD calls.  Memory
 # is bounded by two budgets: `CHUNK_BUDGET` sizes every block's groups and
 # chunks (`block_sizes`), `channel.PLACEMENT_BUDGET` the path chunks each
@@ -170,20 +169,24 @@ BLOCK_SIZE = 32
 # block with the same arrays run its 32 realizations as one chunk.
 CHUNK_BUDGET = 32768
 
-# Bytes of freed heap glibc keeps mapped (M_TRIM_THRESHOLD), 8 MiB: a few
-# times a chunk's working set, so chunks stop page-faulting it back in.
+# Bytes of freed heap glibc keeps mapped (M_TRIM_THRESHOLD) and the largest
+# request it serves from that heap (M_MMAP_THRESHOLD), 8 MiB: a few times a
+# chunk's working set, so chunks stop page-faulting it back in.
 TRIM_THRESHOLD = 16 * CHUNK_BUDGET * 16
 
 
 @functools.cache
 def _keep_freed_heap() -> bool:
-    """Set glibc's trim threshold once per process (a no-op off glibc);
-    run by the first block, so importing and validating leave it alone."""
+    """Set glibc's trim and mmap thresholds once per process (a no-op off
+    glibc); run by the first block, so importing and validating leave them
+    alone.  The trim threshold alone froze the mmap threshold where it
+    stood (mallopt(3)), and larger arrays were still mapped afresh."""
     if platform.libc_ver()[0] != "glibc":
         return False
     mallopt = ctypes.CDLL(None).mallopt
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    return mallopt(-1, TRIM_THRESHOLD) == 1     # -1 = M_TRIM_THRESHOLD
+    # -1 = M_TRIM_THRESHOLD, -3 = M_MMAP_THRESHOLD
+    return [mallopt(option, TRIM_THRESHOLD) for option in (-1, -3)] == [1, 1]
 
 
 def serving_surface(vc: ValidatedConfig, positions: np.ndarray) -> np.ndarray:
@@ -318,14 +321,6 @@ def _config_for_point(cfg: SimConfig, axis: str, value) -> SimConfig:
     raise ConfigError(f"no per-point config for axis {axis!r}")
 
 
-def realization_chunks(realizations: range, most: int) -> list[range]:
-    """Split a range of realizations into the fewest consecutive chunks of
-    at most `most` realizations, their sizes differing by at most one."""
-    count = -(-len(realizations) // most)
-    bounds = [len(realizations) * i // count for i in range(count + 1)]
-    return [realizations[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-
-
 def block_sizes(vc: ValidatedConfig, cells: int) -> tuple[int, int]:
     """The most realizations a block at `cells` receiver positions draws as
     one group and realizes as one chunk, each at most `BLOCK_SIZE`.
@@ -345,10 +340,9 @@ def block_sizes(vc: ValidatedConfig, cells: int) -> tuple[int, int]:
 
 
 def _run_block(args):
-    """Run one work unit, a block of realizations, in groups and chunks
-    (`block_sizes`): per group `draw_group` does the work that depends on
-    neither the receiver nor the chunk, per chunk `realize_chunk` the rest,
-    each chunk bit for bit its part of the whole block.
+    """Run one work unit, a block of realizations, on the chunks
+    `channel.realize_chunks` yields in the groups and chunks `block_sizes`
+    gives, each chunk bit for bit its part of the whole block.
 
     Jobs "rates" and "means" rate the block at a (K, 3) stack of receiver
     positions, position i served by surface `selected[i]`, releasing each
@@ -360,18 +354,15 @@ def _run_block(args):
     """
     _keep_freed_heap()
     job, vc, realizations, positions, selected, pt_watts = args
-    group_most, chunk_most = block_sizes(vc, 1 if positions is None else len(positions))
+    sizes = block_sizes(vc, 1 if positions is None else len(positions))
     surfaces = None if positions is None else _realized_surfaces(vc, selected)
 
     def keep(channels: RealizationChannels):
         return channels if job == "channels" else rate_from_singular_values(
             _block_singular_values(vc, channels, selected), pt_watts, vc.noise_watts)
 
-    chunks = []
-    for group in realization_chunks(realizations, group_most):
-        drawn = draw_group(vc, group, surfaces, positions)
-        chunks += [keep(realize_chunk(drawn, chunk))
-                   for chunk in realization_chunks(group, chunk_most)]
+    # map, not a comprehension: its loop name would keep each chunk alive into the next
+    chunks = list(map(keep, realize_chunks(vc, realizations, surfaces, positions, sizes)))
     if job == "channels":
         return chunks
     rates = np.concatenate(chunks, axis=1)

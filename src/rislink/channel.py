@@ -7,16 +7,15 @@ surface-side leg of each path; transmitter and receiver elements are
 isotropic.  Paths leaving behind a surface's aperture get zero gain rather
 than raising an error.
 
-One engine draws every matrix (`realize_block`): a block of realizations
+One engine draws every matrix (`realize_chunks`): a block of realizations
 towards a stack of receiver positions, each matrix with its (realization,
-cell) axes (only `realize_channels` drops them), in two stages.
-`draw_group` does what does not depend on the receiver or on how the
-realizations are chunked, once for a group of realizations: it seeds each
-link's substreams and reads its draws (`_draw_link`), draws the receiver
-frames, and draws, places and contracts each Tx-surface leg.
-`realize_chunk` places (`_place_link`) and contracts the receiver-side
-legs of any consecutive chunk of the group and slices its Tx-side
-matrices; `realize_block` is one group realized as one chunk.  Placing a
+cell) axes (only `realize_channels` drops them), yielded chunk by chunk.
+Once per group of realizations it does what depends neither on the
+receiver nor on the chunks: it seeds each link's substreams and reads its
+draws (`_draw_link`), draws the receiver frames, and draws, places and
+contracts each Tx-surface leg.  Per chunk it places (`_place_link`) and
+contracts the receiver-side legs and slices the Tx-side matrices;
+`realize_block` is the block as one group and one chunk.  Placing a
 leg forms its *terms* (a LOS term one more path) in one pass on (3, P)
 component arrays: each path's deltas and lengths once (`place_clusters`),
 then each term's directions and weight (`_path_terms`).  The sum never
@@ -32,6 +31,7 @@ import bisect
 import copy
 import dataclasses
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -110,8 +110,7 @@ class _Leg(NamedTuple):
     *path set* per (realization, far point), in that (row-major) order, and
     its *terms*: its scattered paths, then its LOS term (`_path_terms`)."""
 
-    realization: np.ndarray      # (S,) block index of each path set
-    cell: np.ndarray             # (S,) its far point
+    cell: np.ndarray             # (S,) each path set's far point
     los: np.ndarray              # (S,) bool
     los_attenuation: np.ndarray  # (L,) per LOS set, in order
     los_phase: np.ndarray        # (L,)
@@ -188,8 +187,8 @@ def _draw_link(vc: ValidatedConfig, rngs: list, row: DeviceView, col: DeviceView
 def _place_link(vc: ValidatedConfig, draws: _Draws, start: int, stop: int,
                 row_frames: np.ndarray | None = None) -> _Leg:
     """Realizations start .. stop - 1 of a link's draws, mapped and placed at
-    their far points as one leg with its terms (`_path_terms`; its realization
-    indices counted from `start`); a slice places exactly as the whole."""
+    their far points as one leg with its terms (`_path_terms`); a slice
+    places exactly as the whole."""
     cfg = vc.config
     env, f_hz = cfg.environment, cfg.frequency_hz
     cells = len(draws.distance)
@@ -205,7 +204,7 @@ def _place_link(vc: ValidatedConfig, draws: _Draws, start: int, stop: int,
     units = draws.units[base:draws.first[stop]]
     drawn = np.array([len(u.normals) for u in units], dtype=int) // 3
     per_set = drawn[branch] if units else np.zeros(len(cell), dtype=int)
-    leg = _Leg(realization, cell, los, attenuation, TWO_PI * phase, ClusterSet.empty(),
+    leg = _Leg(cell, los, attenuation, TWO_PI * phase, ClusterSet.empty(),
                np.concatenate([[0], np.cumsum(per_set)]))
     lender = draws.geometry_from   # lends each set its realization's positions
     geometry = None if lender is None else dataclasses.replace(lender.clusters, positions=(
@@ -319,9 +318,8 @@ def _one_link(row: DeviceView, col: DeviceView, clusters: ClusterSet,
               link: LinkState) -> np.ndarray:
     """The matrix of one link, given its clusters and LOS state."""
     los = np.array([link.los])
-    leg = _Leg(np.zeros(1, dtype=int), np.zeros(1, dtype=int), los,
-               np.array([link.attenuation])[los], np.array([link.phase])[los], clusters,
-               np.array([0, clusters.total_paths]))
+    leg = _Leg(np.zeros(1, dtype=int), los, np.array([link.attenuation])[los],
+               np.array([link.phase])[los], clusters, np.array([0, clusters.total_paths]))
     row = dataclasses.replace(row, position=np.atleast_2d(row.position))
     return _leg_matrices(row, col, _path_terms(row, col, leg, None))[0, 0]
 
@@ -401,8 +399,8 @@ def composite_multi(channels: RealizationChannels,
 
 def realize_block(vc: ValidatedConfig, realizations: range, surfaces=None,
                   rx_position=None) -> RealizationChannels:
-    """Draw the channel matrices of a block of realizations: `realize_chunk`
-    of `draw_group` for the whole block, recording `clusters`.
+    """Draw the channel matrices of a block of realizations: `realize_chunks`
+    with the whole block as one group and one chunk, recording `clusters`.
 
     Each realization reads its own substreams, keyed by (seed, realization,
     link) and seeded for the whole block by `block_rngs`, so its index lies
@@ -419,106 +417,100 @@ def realize_block(vc: ValidatedConfig, realizations: range, surfaces=None,
     position.  `los` records each link's LOS state per (realization,
     position), `clusters` each link's placed paths.
     """
-    group = draw_group(vc, realizations, surfaces, rx_position)
-    return realize_chunk(group, realizations, record=True)
+    whole = len(realizations)
+    return next(realize_chunks(vc, realizations, surfaces, rx_position, (whole, whole),
+                               record=True))
 
 
-@dataclass(frozen=True)
-class RealizationGroup:
-    """The receiver-independent work on a group of realizations (`draw_group`),
-    which `realize_chunk` reads for any consecutive chunk of them."""
-
-    vc: ValidatedConfig
-    realization: range
-    scene: Scene                      # its receiver at the (K, 3) positions
-    surfaces: dict                    # surface -> its receiver leg's cells (None = all)
-    rx_frames: np.ndarray | None      # (G, 3, 3) receiver orientations
-    tx_legs: dict                     # surface -> its Tx-surface leg, placed
-    tx_ris: tuple                     # per surface, (G, 1, N_k, Nt); None if left out
-    ris_rx: dict                      # surface -> its surface-Rx link's draws
-    direct: _Draws | None             # None: blocked, without scattered paths
+def realization_chunks(realizations: range, most: int) -> list[range]:
+    """Split a range of realizations into the fewest consecutive chunks of
+    at most `most` realizations, their sizes differing by at most one."""
+    count = -(-len(realizations) // most)
+    bounds = [len(realizations) * i // count for i in range(count + 1)]
+    return [realizations[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def draw_group(vc: ValidatedConfig, realizations: range, surfaces=None,
-               rx_position=None) -> RealizationGroup:
-    """Everything of `realize_block` (same arguments) that does not depend on
-    how the group is chunked: the scene, the receiver frames, every link's
-    substreams and draws, and each Tx-surface leg, which does not depend on
-    the receiver, drawn, placed and contracted."""
+def realize_chunks(vc: ValidatedConfig, realizations: range, surfaces, rx_position,
+                   sizes: tuple[int, int], record=False) -> Iterator[RealizationChannels]:
+    """The channel matrices of a block (`realize_block`'s arguments), yielded
+    chunk by chunk in realization order, each chunk bit for bit its part of
+    the whole block's.  The block runs in evenly split groups of at most
+    `sizes[0]` realizations, each group in evenly split chunks of at most
+    `sizes[1]` (`realization_chunks`).
+
+    Once per group it does what depends neither on the receiver nor on the
+    chunks: it draws the receiver frames, seeds and reads every link's
+    substreams (`_draw_link`), and draws, places and contracts each
+    Tx-surface leg.  Per chunk it places (`_place_link`) and contracts the
+    receiver-side legs and slices the group's Tx-side matrices; no name
+    holds a chunk once it is yielded.  With `record` (asked only for a
+    group of one chunk, whose paths the Tx-side legs hold), `clusters`
+    keeps each link's placed paths; else they are released before the
+    contraction.
+    """
     cfg = vc.config
     seed = cfg.seed
-    rx_frames = None
-    if cfg.rx_orientation == "random-azimuth":
-        # uniform(0, 2 pi) bit for bit, mapped once for the group
-        rx_frames = azimuth_rotation_frame(TWO_PI * np.array(
-            [rng.random() for rng in block_rngs(seed, realizations, LinkTag.RX_FRAME)]))
     scene = build_scene(vc, rx_position=rx_position)
     tx = scene.tx
     rx = dataclasses.replace(scene.rx, position=np.atleast_2d(scene.rx.position))
-
-    def draw(row: DeviceView, col: DeviceView, force_los, tag: LinkTag, *extra: int,
-             geometry_from=None) -> _Draws:
-        return _draw_link(vc, block_rngs(seed, realizations, tag, *extra), row, col, force_los,
-                          geometry_from)
-
-    force = True if cfg.ris_links == "los" else None
-    tx_legs, tx_ris, ris_rx = {}, [None] * len(scene.ris), {}
     if surfaces is None:
         surfaces = dict.fromkeys(range(len(scene.ris)))
-    for k, cells in surfaces.items():
-        surface = scene.ris[k]
-        fixed = dataclasses.replace(surface, position=surface.position[None])
-        leg = _place_link(vc, draw(fixed, tx, force, LinkTag.TX_RIS, k), 0, len(realizations))
-        tx_ris[k] = _leg_matrices(fixed, tx, leg)
-        tx_legs[k] = leg = leg._replace(u_row=None, u_col=None, weights=None)   # terms spent
-        at = rx if cells is None else dataclasses.replace(rx, position=rx.position[cells])
-        ris_rx[k] = draw(at, surface, force, LinkTag.RIS_RX, k,
-                         geometry_from=leg if cfg.shared_clusters else None)
-    direct = None
-    if cfg.direct_mode != "blocked" or cfg.blocked_keeps_scatter:
-        force_d = {"blocked": False, "present": True}.get(cfg.direct_mode)
-        direct = draw(rx, tx, force_d, LinkTag.DIRECT)
-    return RealizationGroup(vc, realizations, Scene(tx, rx, scene.ris), surfaces, rx_frames,
-                            tx_legs, tuple(tx_ris), ris_rx, direct)
+    cells = {k: c for k, c in surfaces.items() if c is not None}
+    force = True if cfg.ris_links == "los" else None
+    for group in realization_chunks(realizations, sizes[0]):
+        def draw(row: DeviceView, col: DeviceView, force_los, tag: LinkTag, *extra: int,
+                 geometry_from=None) -> _Draws:
+            return _draw_link(vc, block_rngs(seed, group, tag, *extra), row, col, force_los,
+                              geometry_from)
 
+        rx_frames = None
+        if cfg.rx_orientation == "random-azimuth":
+            # uniform(0, 2 pi) bit for bit, mapped once for the group
+            rx_frames = azimuth_rotation_frame(TWO_PI * np.array(
+                [rng.random() for rng in block_rngs(seed, group, LinkTag.RX_FRAME)]))
+        tx_legs, tx_ris, rx_draws = {}, [None] * len(scene.ris), {}
+        for k, at in surfaces.items():
+            surface = scene.ris[k]
+            fixed = dataclasses.replace(surface, position=surface.position[None])
+            leg = _place_link(vc, draw(fixed, tx, force, LinkTag.TX_RIS, k), 0, len(group))
+            tx_ris[k] = _leg_matrices(fixed, tx, leg)
+            tx_legs[k] = leg = leg._replace(u_row=None, u_col=None, weights=None)   # terms spent
+            far = rx if at is None else dataclasses.replace(rx, position=rx.position[at])
+            rx_draws[k] = draw(far, surface, force, LinkTag.RIS_RX, k,
+                               geometry_from=leg if cfg.shared_clusters else None)
+        direct_draws = None   # blocked, without scattered paths
+        if cfg.direct_mode != "blocked" or cfg.blocked_keeps_scatter:
+            direct_draws = draw(rx, tx, {"blocked": False, "present": True}.get(cfg.direct_mode),
+                                LinkTag.DIRECT)
 
-def realize_chunk(group: RealizationGroup, chunk: range, record=False) -> RealizationChannels:
-    """The channel matrices of `chunk`, consecutive realizations of `group`:
-    its receiver-side legs placed and contracted, its Tx-side matrices
-    sliced from the group's.  Bit for bit the chunk's part of the whole
-    group's matrices (see `realize_block`).  With `record` (asked only for
-    the whole group, whose paths the Tx-side legs hold), `clusters` keeps each
-    link's placed paths; else they are released before the contraction."""
-    a = chunk.start - group.realization.start
-    b = a + len(chunk)
-    if chunk.step != 1 or not 0 <= a <= b <= len(group.realization):
-        raise ValueError(f"{chunk} is not a chunk of the group {group.realization}")
-    vc, rx, tx = group.vc, group.scene.rx, group.scene.tx
-    frames = None if group.rx_frames is None else group.rx_frames[a:b]
-    los, clusters = {}, {}
+        def realize(chunk: range) -> RealizationChannels:
+            a = chunk.start - group.start
+            b = a + len(chunk)
+            frames = None if rx_frames is None else rx_frames[a:b]
+            los, clusters, ris_rx = {}, {}, [None] * len(scene.ris)
 
-    def place(key: str, draws: _Draws) -> np.ndarray:
-        leg = _place_link(vc, draws, a, b, frames)
-        los[key] = leg.los
-        if record:
-            clusters[key] = leg.clusters
-        leg = leg._replace(clusters=None)   # the terms hold what the contraction reads
-        return _leg_matrices(draws.row, draws.col, leg)
+            def place(key: str, draws: _Draws) -> np.ndarray:
+                leg = _place_link(vc, draws, a, b, frames)
+                los[key] = leg.los
+                if record:
+                    clusters[key] = leg.clusters
+                leg = leg._replace(clusters=None)   # the terms hold what the contraction reads
+                return _leg_matrices(draws.row, draws.col, leg)
 
-    tx_ris, ris_rx = list(group.tx_ris), [None] * len(group.tx_ris)
-    for k in group.surfaces:
-        los[f"tx_ris_{k}"] = group.tx_legs[k].los[a:b]
-        if record:
-            clusters[f"tx_ris_{k}"] = group.tx_legs[k].clusters
-        tx_ris[k] = tx_ris[k][a:b]
-        ris_rx[k] = place(f"ris_rx_{k}", group.ris_rx[k])
-    if group.direct is None:
-        direct = np.zeros((b - a, len(rx.position), rx.count, tx.count), complex)
-        los["direct"] = np.zeros(direct.shape[0] * direct.shape[1], dtype=bool)
-    else:
-        direct = place("direct", group.direct)
-    return RealizationChannels(tuple(tx_ris), tuple(ris_rx), direct, chunk, los, clusters,
-                               {k: c for k, c in group.surfaces.items() if c is not None})
+            for k in surfaces:
+                los[f"tx_ris_{k}"] = tx_legs[k].los[a:b]
+                if record:
+                    clusters[f"tx_ris_{k}"] = tx_legs[k].clusters
+                ris_rx[k] = place(f"ris_rx_{k}", rx_draws[k])
+            if direct_draws is None:
+                direct = np.zeros((b - a, len(rx.position), rx.count, tx.count), complex)
+                los["direct"] = np.zeros((b - a) * len(rx.position), dtype=bool)
+            else:
+                direct = place("direct", direct_draws)
+            return RealizationChannels(tuple(None if m is None else m[a:b] for m in tx_ris),
+                                       tuple(ris_rx), direct, chunk, los, clusters, cells)
+
+        yield from map(realize, realization_chunks(group, sizes[1]))
 
 
 def realize_channels(vc: ValidatedConfig, realization: int, rx_position=None,

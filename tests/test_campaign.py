@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -278,21 +279,26 @@ class TestRunCampaign:
         benchmark-shaped batches (the indoor preset's 12.5 m map at 16
         realizations and a 32-realization campaign at 20/30/40 dBm) take
         under 100 minor page faults a batch on average, where a heap trimmed
-        after every chunk took ~1,700 and ~450."""
+        after every chunk took ~1,700 and ~450.  So does the campaign with a
+        256-element surface, whose arrays exceed the mmap threshold glibc
+        froze when the trim threshold alone was set (~300 faults)."""
         code = textwrap.dedent("""
             import dataclasses, resource, rislink as rl
             def coverage(seed):
                 vc = rl.validate_config(dataclasses.replace(
                     rl.scene_preset("indoor"), pt_dbm=(40.0,), realizations=16, seed=seed))
                 rl.coverage_map(rl.Campaign(vc), rl.default_grid(vc, 12.5))
-            def campaign(seed):
+            def campaign(seed, **overrides):
                 vc = rl.validate_config(dataclasses.replace(
                     rl.scene_preset("indoor"), pt_dbm=(20.0, 30.0, 40.0), realizations=32,
-                    seed=seed))
+                    seed=seed, **overrides))
                 rl.run_campaign(rl.Campaign(vc))
-            coverage(1), campaign(1)
+            def large_campaign(seed):
+                surface = rl.scene_preset("indoor").ris[0]
+                campaign(seed, ris=(dataclasses.replace(surface, count=256, shape=None),))
+            coverage(1), campaign(1), large_campaign(1)
             faults = []
-            for batch in (coverage, campaign):
+            for batch in (coverage, campaign, large_campaign):
                 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 for seed in range(2, 6):
                     batch(seed)
@@ -300,7 +306,8 @@ class TestRunCampaign:
             print(rl.campaign._keep_freed_heap(), *faults)""")
         applied, *faults = fresh_python(code).split()
         assert applied == "True"
-        assert max(map(float, faults)) < 100, f"faults per batch (map, campaign): {faults}"
+        assert max(map(float, faults)) < 100, (
+            f"faults per batch (map, campaign, 256-element campaign): {faults}")
 
     def test_siso_algorithm_requires_siso_arrays(self):
         with pytest.raises(ConfigError, match="Nt = Nr = 1"):
@@ -444,7 +451,7 @@ class TestCoverage:
     @pytest.mark.parametrize("realizations", [1, 2, 5, 16, 17, 33, 100])
     @pytest.mark.parametrize("most", [1, 2, 3, 5, 32])
     def test_realization_chunks_split_evenly(self, realizations, most):
-        chunks = campaign_module.realization_chunks(range(realizations), most)
+        chunks = channel_module.realization_chunks(range(realizations), most)
         sizes = [len(c) for c in chunks]
         assert [r for c in chunks for r in c] == list(range(realizations))
         assert len(chunks) == -(-realizations // most)
@@ -462,7 +469,7 @@ class TestCoverage:
             vc = quick_vc(realizations=16, seed=1000)
             positions = cell_positions(default_grid(vc, 12.5))
             most = min(BLOCK_SIZE, campaign_module.CHUNK_BUDGET // (24 * 4 * 64))
-            chunk = max(len(c) for c in campaign_module.realization_chunks(range(16), most))
+            chunk = max(len(c) for c in channel_module.realization_chunks(range(16), most))
             assert chunk > 2   # larger than the chunks of two the shared budget allowed
             ris_rx_bytes = chunk * 24 * 4 * 64 * 16
         else:
@@ -487,6 +494,31 @@ class TestCoverage:
         finally:
             tracemalloc.stop()
         assert peak < 6 * ris_rx_bytes
+
+    def test_each_chunk_is_released_before_the_next_is_contracted(self, monkeypatch):
+        """A "means" block of the benchmark's map (24 cells, 16 realizations
+        in 4 chunks) holds no earlier chunk's surface-Rx matrices while it
+        contracts the next one.  A name left holding the last chunk (the loop
+        name of a comprehension over the chunks) keeps one chunk more alive,
+        which the tracemalloc bound above does not see."""
+        vc = quick_vc(realizations=16, seed=1000)
+        positions = cell_positions(default_grid(vc, 12.5))
+        original, matrices, alive = channel_module._leg_matrices, [], []
+
+        def spy(row, col, leg):
+            receiver_side = len(row.position) > 1   # a Tx-surface leg has one far point
+            if receiver_side:
+                alive.append(sum(m() is not None for m in matrices))
+            matrix = original(row, col, leg)
+            if receiver_side:
+                matrices.append(weakref.ref(matrix))
+            return matrix
+
+        monkeypatch.setattr(channel_module, "_leg_matrices", spy)
+        campaign_module._run_block(("means", vc, range(16), positions,
+                                    campaign_module.serving_surface(vc, positions),
+                                    np.asarray(vc.pt_watts[:1])))
+        assert alive == [0, 0, 0, 0]
 
     def test_random_idle_surfaces_control_only_the_cells_they_serve(self, monkeypatch):
         legs = []

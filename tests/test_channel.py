@@ -429,7 +429,7 @@ def one_set(row, col, leg, s):
     first, last = term_bounds(leg)[s:s + 2]
     los_index = int(np.count_nonzero(leg.los[:s]))
     los = leg.los[s:s + 1]
-    alone = channel_module._Leg(np.zeros(1, dtype=int), np.zeros(1, dtype=int), los,
+    alone = channel_module._Leg(np.zeros(1, dtype=int), los,
                                 leg.los_attenuation[los_index:los_index + los.sum()],
                                 leg.los_phase[los_index:los_index + los.sum()], None,
                                 np.array([0, hi - lo]), leg.u_row[:, first:last],
@@ -501,7 +501,8 @@ def reference_terms(row, col, leg, row_frames):
         return 1.0 if q is None else element_gain_from_cos(u[:, 0], q)
 
     positions = np.ascontiguousarray(clusters.positions)
-    frame = row.frame if row_frames is None else row_frames[leg.realization[owner]]
+    # sets run in row-major (realization, far point) order
+    frame = row.frame if row_frames is None else row_frames[owner // len(row.position)]
     u_row = local_directions(at[owner], slots(positions, np.broadcast_to(col.position, (terms, 3))),
                              frame)[0]
     u_col = local_directions(col.position, slots(positions, at[los]), col.frame)[0]
