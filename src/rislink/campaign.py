@@ -9,14 +9,15 @@ realizations.  All randomness comes from substreams keyed by (seed,
 realization, link), never from execution order or receiver position.
 Every block runs through one driver, `_run_block`, on the chunks
 `channel.realize_chunks` yields: the block's realizations run in groups
-and each group in chunks, both sized by `block_sizes`; every link, the
-receiver frames and the Tx-surface legs are drawn once per group, the
-receiver-side legs placed and contracted per chunk.  So every rate takes
-one path, `_block_singular_values`: a chunk's channels, then
-`compute_phase_sets`, `composite_multi` and an SVD.  Processes rather than
-threads: one unit is a burst of small numpy calls that never release the
-interpreter lock long enough for threads to overlap; the pool's modules
-are imported only when a job starts one.
+and each group in chunks, both sized by `block_sizes`; every link's
+substreams are seeded, and the receiver frames and the Tx-surface legs
+drawn, once per group, the receiver-side legs drawn, placed and
+contracted per chunk.  So every rate takes one path,
+`_block_singular_values`: a chunk's channels, then `compute_phase_sets`,
+`composite_multi` and an SVD.  Processes rather than threads: one unit
+is a burst of small numpy calls that never release the interpreter lock
+long enough for threads to overlap; the pool's modules are imported only
+when a job starts one.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def default_grid(vc: ValidatedConfig, cell: float = 1.0) -> GridSpec:
 # unit (and at most per group or chunk).  Fixed, so the blocks (and the
 # output bytes) do not depend on the worker count.  A coverage block's
 # cells share each realization's receiver-free work (the draws, the
-# Tx-surface leg); `channel.realize_chunks` draws every link and the
+# Tx-surface leg); `channel.realize_chunks` seeds every link and draws the
 # Tx-surface legs once per group and yields the group's chunks, whose
 # realizations share the placement, steering, pinv and SVD calls.  Memory
 # is bounded by two budgets: `CHUNK_BUDGET` sizes every block's groups and

@@ -11,10 +11,10 @@ One engine draws every matrix (`realize_chunks`): a block of realizations
 towards a stack of receiver positions, each matrix with its (realization,
 cell) axes (only `realize_channels` drops them), yielded chunk by chunk.
 Once per group of realizations it does what depends neither on the
-receiver nor on the chunks: it seeds each link's substreams and reads its
-draws (`_draw_link`), draws the receiver frames, and draws, places and
-contracts each Tx-surface leg.  Per chunk it places (`_place_link`) and
-contracts the receiver-side legs and slices the Tx-side matrices;
+receiver nor on the chunks: it seeds each link's substreams, draws the
+receiver frames, and draws, places and contracts each Tx-surface leg.  Per
+chunk it draws and places (`_place_link`) and contracts the receiver-side
+legs from the chunk's substreams and slices the Tx-side matrices;
 `realize_block` is the block as one group and one chunk.  Placing a
 leg forms its *terms* (a LOS term one more path) in one pass on (3, P)
 component arrays: each path's deltas and lengths once (`place_clusters`),
@@ -122,39 +122,23 @@ class _Leg(NamedTuple):
     weights: np.ndarray | None = None  # (T,) complex
 
 
-class _Draws(NamedTuple):
-    """One link's unit draws for a group of realizations towards K far points
-    (`_draw_link`), in the order its substreams gave them; `_place_link`
-    places any consecutive slice of its realizations.  A realization reads
-    one *branch* of draws, or two when its LOS coin splits its far points."""
-
-    row: DeviceView              # the far device, its (K, 3) positions
-    col: DeviceView              # the near device
-    geometry_from: _Leg | None   # the leg lending each realization its cluster geometry
-    distance: np.ndarray         # (K,) near-to-far lengths, each set's placement length
-    los: np.ndarray              # (G, K) bool
-    first: np.ndarray            # (G + 1,) each realization's first branch, then the count
-    mixed: np.ndarray            # (G,) bool: the realization reads an NLOS and a LOS branch
-    los_variates: np.ndarray     # (branches, 2) LOS shadowing normal and phase uniform
-    units: list                  # ClusterUnits per branch; empty without scattered paths
-
-
-def _draw_link(vc: ValidatedConfig, rngs: list, row: DeviceView, col: DeviceView,
-               force_los: bool | None, geometry_from: _Leg | None = None) -> _Draws:
-    """The draws of the link from device `col` to each far point `row.position`
-    (K, 3), one substream per realization.
+def _place_link(vc: ValidatedConfig, rngs: list, row: DeviceView, col: DeviceView,
+                force_los: bool | None, geometry_from: _Leg | None = None,
+                row_frames: np.ndarray | None = None) -> _Leg:
+    """The link from device `col` to each far point `row.position` (K, 3),
+    one substream per realization: its draws, placed at the far points as
+    one leg with its terms (`_path_terms`).
 
     The LOS coin splits a realization's far points into an NLOS and a LOS
     branch, each reading its own variates: the NLOS branch reads on from
     the coin (from a copy of the stream when both branches exist), the LOS
     branch after the LOS variates.  Each far point so sees exactly the
-    draws it would see alone.  `geometry_from`, a leg of the same
-    realizations to one far point, lends each realization its cluster
-    geometry, so only its paths' normals are drawn.  The loop over the
-    streams only draws; `_place_link` maps the draws.
+    draws it would see alone, and any slice of the streams places exactly
+    as the whole.  `geometry_from`, a leg of the same realizations to one
+    far point, lends each realization its cluster geometry, so only its
+    paths' normals are drawn.
     """
-    cfg = vc.config
-    env = cfg.environment
+    env, f_hz = vc.config.environment, vc.config.frequency_hz
     d = np.linalg.norm(row.position - col.position, axis=-1)
     if force_los is None:   # a coin below p_los[k] puts far point k in LOS
         p_los = los_probability(d, env)
@@ -175,46 +159,28 @@ def _draw_link(vc: ValidatedConfig, rngs: list, row: DeviceView, col: DeviceView
             # the NLOS branch reads on from the coin, ahead of the LOS draws
             stream = copy.deepcopy(rng) if split and not branch else rng
             los_draws.append(draw_los_variates(stream) if branch else (0.0, 0.0))
-            if cfg.scatter_paths:
+            if vc.config.scatter_paths:
                 units.append(draw_cluster_units(env, stream, shared[i]))
-    first.append(len(los_draws))
-    los = (np.full((len(rngs), len(d)), bool(force_los)) if force_los is not None
-           else np.array(coins)[:, None] < p_los)
-    return _Draws(row, col, geometry_from, d, los, np.array(first), np.array(mixed, dtype=bool),
-                  np.array(los_draws, dtype=float).reshape(-1, 2), units)
-
-
-def _place_link(vc: ValidatedConfig, draws: _Draws, start: int, stop: int,
-                row_frames: np.ndarray | None = None) -> _Leg:
-    """Realizations start .. stop - 1 of a link's draws, mapped and placed at
-    their far points as one leg with its terms (`_path_terms`); a slice
-    places exactly as the whole."""
-    cfg = vc.config
-    env, f_hz = cfg.environment, cfg.frequency_hz
-    cells = len(draws.distance)
-    los = draws.los[start:stop].ravel()
-    base = draws.first[start]
-    # each set's branch among the slice's
-    branch = (np.repeat(draws.first[start:stop] - base, cells)
-              + (los & np.repeat(draws.mixed[start:stop], cells)))
-    realization = np.repeat(np.arange(stop - start), cells)
-    cell = np.tile(np.arange(cells), stop - start)
-    shadow, phase = draws.los_variates[base + branch[los]].T
-    attenuation = shadowed_attenuation(draws.distance[cell[los]], f_hz, env, True, shadow)
-    units = draws.units[base:draws.first[stop]]
+    cells = len(d)
+    los = (np.full(len(rngs) * cells, bool(force_los)) if force_los is not None
+           else (np.array(coins)[:, None] < p_los).ravel())
+    branch = np.repeat(first, cells) + (los & np.repeat(mixed, cells))   # each set's branch
+    cell = np.tile(np.arange(cells), len(rngs))
+    shadow, phase = np.array(los_draws, dtype=float).reshape(-1, 2)[branch[los]].T
+    attenuation = shadowed_attenuation(d[cell[los]], f_hz, env, True, shadow)
     drawn = np.array([len(u.normals) for u in units], dtype=int) // 3
     per_set = drawn[branch] if units else np.zeros(len(cell), dtype=int)
     leg = _Leg(cell, los, attenuation, TWO_PI * phase, ClusterSet.empty(),
                np.concatenate([[0], np.cumsum(per_set)]))
-    lender = draws.geometry_from   # lends each set its realization's positions
+    lender = geometry_from   # lends each set its realization's positions
     geometry = None if lender is None else dataclasses.replace(lender.clusters, positions=(
-        lender.clusters.positions[_ranges(lender.bounds[start + realization], per_set)]))
+        lender.clusters.positions[_ranges(np.repeat(lender.bounds[:-1], cells), per_set)]))
     # each set's paths: its branch's draws at its own far point (unnamed: `_path_terms` frees them)
-    return _path_terms(draws.row, draws.col, leg, row_frames, place_clusters(
-        stack_cluster_variates(env, units), draws.col.position,
-        draws.row.position.T[:, np.repeat(cell, per_set)].T, env, f_hz, draws.col.frame, geometry,
+    return _path_terms(row, col, leg, row_frames, place_clusters(
+        stack_cluster_variates(env, units), col.position,
+        row.position.T[:, np.repeat(cell, per_set)].T, env, f_hz, col.frame, geometry,
         _ranges(np.cumsum(drawn)[branch] - per_set, per_set),
-        np.repeat(draws.distance[cell], per_set)) if units else None)
+        np.repeat(d[cell], per_set)) if units else None)
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -434,20 +400,22 @@ def realize_chunks(vc: ValidatedConfig, realizations: range, surfaces, rx_positi
                    sizes: tuple[int, int], record=False) -> Iterator[RealizationChannels]:
     """The channel matrices of a block (`realize_block`'s arguments), yielded
     chunk by chunk in realization order, each chunk bit for bit its part of
-    the whole block's.  The block runs in evenly split groups of at most
-    `sizes[0]` realizations, each group in evenly split chunks of at most
-    `sizes[1]` (`realization_chunks`).
+    the whole block's.  The block, which may not be empty, runs in evenly
+    split groups of at most `sizes[0]` realizations, each group in evenly
+    split chunks of at most `sizes[1]` (`realization_chunks`).
 
     Once per group it does what depends neither on the receiver nor on the
-    chunks: it draws the receiver frames, seeds and reads every link's
-    substreams (`_draw_link`), and draws, places and contracts each
-    Tx-surface leg.  Per chunk it places (`_place_link`) and contracts the
-    receiver-side legs and slices the group's Tx-side matrices; no name
-    holds a chunk once it is yielded.  With `record` (asked only for a
-    group of one chunk, whose paths the Tx-side legs hold), `clusters`
-    keeps each link's placed paths; else they are released before the
-    contraction.
+    chunks: it seeds every link's substreams (`block_rngs`), draws the
+    receiver frames, and draws, places (`_place_link`) and contracts each
+    Tx-surface leg.  Per chunk it draws and places each receiver-side link
+    from the chunk's substreams, contracts it and slices the group's
+    Tx-side matrices; no name holds a chunk once it is yielded.  With
+    `record` (asked only for a group of one chunk, whose paths the Tx-side
+    legs hold), `clusters` keeps each link's placed paths; else they are
+    released before the contraction.
     """
+    if not realizations:
+        raise ValueError(f"a block needs at least one realization, got {realizations}")
     cfg = vc.config
     seed = cfg.seed
     scene = build_scene(vc, rx_position=rx_position)
@@ -458,30 +426,25 @@ def realize_chunks(vc: ValidatedConfig, realizations: range, surfaces, rx_positi
     cells = {k: c for k, c in surfaces.items() if c is not None}
     force = True if cfg.ris_links == "los" else None
     for group in realization_chunks(realizations, sizes[0]):
-        def draw(row: DeviceView, col: DeviceView, force_los, tag: LinkTag, *extra: int,
-                 geometry_from=None) -> _Draws:
-            return _draw_link(vc, block_rngs(seed, group, tag, *extra), row, col, force_los,
-                              geometry_from)
-
         rx_frames = None
         if cfg.rx_orientation == "random-azimuth":
             # uniform(0, 2 pi) bit for bit, mapped once for the group
             rx_frames = azimuth_rotation_frame(TWO_PI * np.array(
                 [rng.random() for rng in block_rngs(seed, group, LinkTag.RX_FRAME)]))
-        tx_legs, tx_ris, rx_draws = {}, [None] * len(scene.ris), {}
+        # each receiver-side link as (substreams, row, col, force_los), placed per chunk
+        tx_legs, tx_ris, rx_links = {}, [None] * len(scene.ris), {}
         for k, at in surfaces.items():
             surface = scene.ris[k]
             fixed = dataclasses.replace(surface, position=surface.position[None])
-            leg = _place_link(vc, draw(fixed, tx, force, LinkTag.TX_RIS, k), 0, len(group))
+            leg = _place_link(vc, block_rngs(seed, group, LinkTag.TX_RIS, k), fixed, tx, force)
             tx_ris[k] = _leg_matrices(fixed, tx, leg)
-            tx_legs[k] = leg = leg._replace(u_row=None, u_col=None, weights=None)   # terms spent
+            tx_legs[k] = leg._replace(u_row=None, u_col=None, weights=None)   # terms spent
             far = rx if at is None else dataclasses.replace(rx, position=rx.position[at])
-            rx_draws[k] = draw(far, surface, force, LinkTag.RIS_RX, k,
-                               geometry_from=leg if cfg.shared_clusters else None)
-        direct_draws = None   # blocked, without scattered paths
+            rx_links[k] = (block_rngs(seed, group, LinkTag.RIS_RX, k), far, surface, force)
+        direct_link = None   # blocked, without scattered paths
         if cfg.direct_mode != "blocked" or cfg.blocked_keeps_scatter:
-            direct_draws = draw(rx, tx, {"blocked": False, "present": True}.get(cfg.direct_mode),
-                                LinkTag.DIRECT)
+            direct_link = (block_rngs(seed, group, LinkTag.DIRECT), rx, tx,
+                           {"blocked": False, "present": True}.get(cfg.direct_mode))
 
         def realize(chunk: range) -> RealizationChannels:
             a = chunk.start - group.start
@@ -489,24 +452,27 @@ def realize_chunks(vc: ValidatedConfig, realizations: range, surfaces, rx_positi
             frames = None if rx_frames is None else rx_frames[a:b]
             los, clusters, ris_rx = {}, {}, [None] * len(scene.ris)
 
-            def place(key: str, draws: _Draws) -> np.ndarray:
-                leg = _place_link(vc, draws, a, b, frames)
+            def place(key: str, rngs: list, row: DeviceView, col: DeviceView, force_los,
+                      geometry_from: _Leg | None = None) -> np.ndarray:
+                leg = _place_link(vc, rngs[a:b], row, col, force_los, geometry_from, frames)
                 los[key] = leg.los
                 if record:
                     clusters[key] = leg.clusters
                 leg = leg._replace(clusters=None)   # the terms hold what the contraction reads
-                return _leg_matrices(draws.row, draws.col, leg)
+                return _leg_matrices(row, col, leg)
 
             for k in surfaces:
-                los[f"tx_ris_{k}"] = tx_legs[k].los[a:b]
+                leg = tx_legs[k]
+                los[f"tx_ris_{k}"] = leg.los[a:b]
                 if record:
-                    clusters[f"tx_ris_{k}"] = tx_legs[k].clusters
-                ris_rx[k] = place(f"ris_rx_{k}", rx_draws[k])
-            if direct_draws is None:
+                    clusters[f"tx_ris_{k}"] = leg.clusters
+                ris_rx[k] = place(f"ris_rx_{k}", *rx_links[k], leg._replace(
+                    bounds=leg.bounds[a:b + 1]) if cfg.shared_clusters else None)
+            if direct_link is None:
                 direct = np.zeros((b - a, len(rx.position), rx.count, tx.count), complex)
                 los["direct"] = np.zeros((b - a) * len(rx.position), dtype=bool)
             else:
-                direct = place("direct", direct_draws)
+                direct = place("direct", *direct_link)
             return RealizationChannels(tuple(None if m is None else m[a:b] for m in tx_ris),
                                        tuple(ris_rx), direct, chunk, los, clusters, cells)
 

@@ -55,6 +55,10 @@ def watts_to_dbm(watts: float) -> float:
 # to gigabytes, and factoring its count into a grid (`near_square_grid`
 # trial-divides up to the square root) would stall validation.
 MAX_ARRAY_ELEMENTS = 1 << 20
+# Entries of a realization's largest matrix (N x Nt, Nr x N or Nr x Nt) at most:
+# bounding each count alone admits a 2**40-entry (16 TiB) matrix, while one of
+# 2**24 complex entries is already 256 MiB, and a chunk holds at least one.
+MAX_MATRIX_ENTRIES = 1 << 24
 # Scatterers per cluster, mean clusters per link and phase bits at most: a link's
 # paths are held for a whole block of realizations (SimRIS draws 1-30 and ~2), and
 # a float64 phase resolves ~2**-52 of a turn, so finer phase levels quantize nothing.
@@ -319,6 +323,12 @@ def validate_config(cfg: SimConfig | ValidatedConfig) -> ValidatedConfig:
         else:
             _check_value(key, getattr(value, attr) if attr else value, key.name)
 
+    n = max((r.count for r in cfg.ris), default=1)
+    for name, rows, cols in (("Tx-surface", n, cfg.tx.count), ("surface-Rx", cfg.rx.count, n),
+                             ("direct", cfg.rx.count, cfg.tx.count)):
+        if rows * cols > MAX_MATRIX_ENTRIES:
+            raise ConfigError(f"the {rows} x {cols} {name} matrix exceeds the maximum of "
+                              f"{MAX_MATRIX_ENTRIES} entries")
     if (env := cfg.environment).scatterers_max < env.scatterers_min:
         raise NonPositiveCount(f"scatterers_max must be >= scatterers_min "
                                f"{env.scatterers_min}, got {env.scatterers_max}")

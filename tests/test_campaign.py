@@ -395,25 +395,31 @@ class TestCoverage:
 
     def test_benchmark_block_draws_once_per_group(self, monkeypatch):
         """One benchmark-shaped block (24 cells, 16 realizations, 4 chunks in
-        one group) seeds each link's substreams once and contracts its
-        Tx-surface leg once, not once per chunk."""
+        one group) seeds each link's substreams once and places and contracts
+        its Tx-surface leg once, not once per chunk."""
         vc = quick_vc(realizations=16)
         positions = cell_positions(default_grid(vc, 12.5))
         assert len(positions) == 24
         group, chunk = campaign_module.block_sizes(vc, len(positions))
         assert (group, chunk) == (BLOCK_SIZE, 5)   # so one group of 16 in 4 chunks of 4
-        seeded, legs = [], []
+        seeded, placed, legs = [], [], []
         block_rngs, leg_matrices = channel_module.block_rngs, channel_module._leg_matrices
+        place_link = channel_module._place_link
 
         def counting_rngs(seed, realizations, tag, *extra):
             seeded.append((LinkTag(tag), *extra))
             return block_rngs(seed, realizations, tag, *extra)
+
+        def counting_places(vc, rngs, row, col, *args):
+            placed.append((row.count, col.count))
+            return place_link(vc, rngs, row, col, *args)
 
         def counting_legs(row, col, leg):
             legs.append((row.count, col.count))
             return leg_matrices(row, col, leg)
 
         monkeypatch.setattr(channel_module, "block_rngs", counting_rngs)
+        monkeypatch.setattr(channel_module, "_place_link", counting_places)
         monkeypatch.setattr(channel_module, "_leg_matrices", counting_legs)
         coverage_map(Campaign(vc), default_grid(vc, 12.5))
         # the indoor preset's direct path is blocked without scattered paths
@@ -421,6 +427,8 @@ class TestCoverage:
                                   (LinkTag.RX_FRAME,)]
         assert legs.count((64, 4)) == 1   # the Tx-surface leg, once for the group
         assert legs.count((4, 64)) == 4   # the surface-Rx leg, once per chunk
+        assert placed.count((64, 4)) == 1   # placed as often as contracted
+        assert placed.count((4, 64)) == 4
 
     def test_coverage_sizes(self):
         """Chunks fill the receiver-side budget, groups the Tx-side one; a

@@ -211,6 +211,11 @@ class TestAssembly:
         assert part.tx_ris[1][:, 0].shape == (3, 64, 4) and part.ris_rx[1][:, 0].shape == (3, 4, 64)
         assert np.array_equal(part.ris_rx[1], realize_block(vc, range(3)).ris_rx[1])
 
+    def test_empty_block_rejected(self):
+        vc = validate_config(scene_preset("indoor"))
+        with pytest.raises(ValueError, match="at least one realization"):
+            realize_block(vc, range(0))
+
     @pytest.mark.parametrize("overrides", [
         {"ris_links": "auto", "direct_mode": "auto"},
         {"ris_links": "auto", "direct_mode": "present", "shared_clusters": True},
@@ -469,9 +474,9 @@ def placed_legs(vc, realizations, rx_position, monkeypatch):
     each leg as `_place_link` returns it."""
     calls, original = [], channel_module._place_link
 
-    def spy(vc, draws, start, stop, row_frames=None):
-        leg = original(vc, draws, start, stop, row_frames)
-        calls.append((draws.row, draws.col, leg, row_frames))
+    def spy(vc, rngs, row, col, force_los, geometry_from=None, row_frames=None):
+        leg = original(vc, rngs, row, col, force_los, geometry_from, row_frames)
+        calls.append((row, col, leg, row_frames))
         return leg
 
     monkeypatch.setattr(channel_module, "_place_link", spy)

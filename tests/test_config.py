@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from rislink import (ENVIRONMENTS, ArraySpec, Environment, LinkTag, PathLossTable, RisSpec,
                      SimConfig, ValidatedConfig, config_hash, parse_config_text, scene_preset,
                      serialize_config, spawn_rng, validate_config)
-from rislink.config import (MAX_ARRAY_ELEMENTS, MAX_CLUSTER_INTENSITY, MAX_PHASE_BITS,
-                            MAX_SCATTERERS, config_from_mapping, dbm_to_watts, load_config,
-                            near_square_grid, watts_to_dbm)
+from rislink.config import (MAX_ARRAY_ELEMENTS, MAX_CLUSTER_INTENSITY, MAX_MATRIX_ENTRIES,
+                            MAX_PHASE_BITS, MAX_SCATTERERS, config_from_mapping, dbm_to_watts,
+                            load_config, near_square_grid, watts_to_dbm)
 from rislink.errors import (ConfigError, EmptySweep, NearFieldViolation,
                             NearFieldWarning, NonPositiveCount, UnknownEnvironment)
 
@@ -53,6 +53,26 @@ class TestValidation:
         cfg = small_config(ris=(RisSpec(MAX_ARRAY_ELEMENTS, (40.0, 50.0, 2.0)),))
         with pytest.warns(NearFieldWarning):
             assert validate_config(cfg).config.ris[0].grid_shape == (1024, 1024)
+
+    @pytest.mark.parametrize("n, nt, nr, matrix", [
+        (MAX_ARRAY_ELEMENTS, MAX_ARRAY_ELEMENTS, 1, "Tx-surface"),
+        (MAX_ARRAY_ELEMENTS, 1, MAX_ARRAY_ELEMENTS, "surface-Rx"),
+        (1, 4096, 4097, "direct")])
+    def test_matrix_above_the_maximum_rejected(self, n, nt, nr, matrix):
+        """Each count within its bound still cannot make a matrix no machine holds."""
+        base = small_config()
+        cfg = dataclasses.replace(base, ris=(dataclasses.replace(base.ris[0], count=n),),
+                                  tx=dataclasses.replace(base.tx, count=nt),
+                                  rx=dataclasses.replace(base.rx, count=nr))
+        with pytest.raises(ConfigError, match=f"{matrix} matrix exceeds the maximum of "
+                                              f"{MAX_MATRIX_ENTRIES}"):
+            validate_config(cfg)
+
+    def test_matrix_at_the_maximum_accepted(self):
+        base = small_config()
+        vc = validate_config(dataclasses.replace(base, tx=dataclasses.replace(base.tx, count=4096),
+                                                 rx=dataclasses.replace(base.rx, count=4096)))
+        assert vc.config.rx.count * vc.config.tx.count == MAX_MATRIX_ENTRIES
 
     def test_zero_realizations_rejected(self):
         with pytest.raises(NonPositiveCount):

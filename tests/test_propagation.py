@@ -8,7 +8,7 @@ import pytest
 
 from rislink import (ENVIRONMENTS, ClusterSet, LinkTag, draw_clusters, draw_link_state,
                      los_probability, scene_preset, spawn_rng, validate_config)
-from rislink.channel import _draw_link, _place_link, build_scene
+from rislink.channel import _place_link, build_scene
 from rislink.config import PathLossTable
 from rislink.errors import ModelValidityWarning, NonPositiveDistance
 from rislink.propagation import (ClusterVariates, draw_cluster_units, draw_cluster_variates,
@@ -23,16 +23,11 @@ INH_NOSHADOW = dataclasses.replace(
     pl_nlos=dataclasses.replace(INH.pl_nlos, shadow_sigma_db=0.0))
 
 
-def draw_link(vc, rngs, near, far, geometry_from=None):
-    """The draws of the link from device `near` to the far points (K, 3), its
-    LOS coin live."""
-    return _draw_link(vc, rngs, dataclasses.replace(near, position=far), near, None,
-                      geometry_from)
-
-
 def draw_leg(vc, rngs, near, far, geometry_from=None):
-    """Every realization of `draw_link`'s draws placed as one leg."""
-    return _place_link(vc, draw_link(vc, rngs, near, far, geometry_from), 0, len(rngs))
+    """The link from device `near` to the far points (K, 3), its LOS coin
+    live, every realization of `rngs` drawn and placed as one leg."""
+    return _place_link(vc, rngs, dataclasses.replace(near, position=far), near, None,
+                       geometry_from)
 
 
 def path_loss(d, f_hz, env, los, rng):
@@ -361,10 +356,11 @@ class TestStreamContract:
         assert_same_bits(leg.los_phase, phase)
         # evaluated over the leg's LOS sets at once, as the leg evaluates it
         assert_same_bits(leg.los_attenuation, shadowed_attenuation(d, f_hz, env, True, shadow))
-        # placed in uneven slices, the draws give the whole leg's sets
-        draws = draw_link(vc, block_rngs(9, realizations, LinkTag.RIS_RX, 0), near, far,
-                          geometry_from)
-        parts = [_place_link(vc, draws, a, b) for a, b in ((0, 5), (5, 6), (6, 12))]
+        # placed in uneven slices of its substreams, the link gives the whole leg's sets
+        rngs = block_rngs(9, realizations, LinkTag.RIS_RX, 0)
+        parts = [draw_leg(vc, rngs[a:b], near, far, None if geometry_from is None else
+                          geometry_from._replace(bounds=geometry_from.bounds[a:b + 1]))
+                 for a, b in ((0, 5), (5, 6), (6, 12))]
         assert_same_bits(np.concatenate([p.los for p in parts]), leg.los)
         for name in ("positions", "gains", "attenuations"):
             assert_same_bits(np.concatenate([getattr(p.clusters, name) for p in parts]),

@@ -1,10 +1,13 @@
 """The benchmark's tracer still finds every function it wraps in rislink, and
-wraps every name rislink imports only for it; the README's examples still run;
-every config field is set, and so checked, by a config key."""
+wraps every name rislink imports only for it; the README's examples still run
+and the rislink names it cites still exist; every config field is set, and so
+checked, by a config key."""
 
 import ast
 import dataclasses
+import importlib
 import importlib.util
+import pkgutil
 import re
 import shlex
 from pathlib import Path
@@ -133,6 +136,29 @@ def test_every_config_field_is_set_by_a_key():
     fields = set(config_fields(rislink.scene_preset("indoor")))
     assert fields - keys - {"environment.name"} == {"tx.orientation", "rx.orientation"}
     assert keys - {"environment"} <= fields
+
+
+def test_readme_module_names_resolve():
+    """Every backticked `module.name` in the README whose head is a rislink
+    module names an attribute or a dataclass field there, so a renamed or
+    retired engine name cannot linger in the text."""
+    modules = {m.name for m in pkgutil.iter_modules(rislink.__path__)}
+    text = README.read_text(encoding="utf-8")
+    cited = [dotted for dotted in re.findall(r"`(\w+(?:\.\w+)+)`", text)
+             if dotted.split(".")[0] in modules]
+    assert cited
+    stale = []
+    for dotted in cited:
+        head, *names = dotted.split(".")
+        owner = importlib.import_module(f"rislink.{head}")
+        for name in names:
+            fields = ({f.name for f in dataclasses.fields(owner)}
+                      if dataclasses.is_dataclass(owner) else set())
+            if not (hasattr(owner, name) or name in fields):
+                stale.append(dotted)
+                break
+            owner = getattr(owner, name, None)
+    assert stale == []
 
 
 def test_readme_lists_commands():
