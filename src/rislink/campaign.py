@@ -11,8 +11,8 @@ Every block runs through one driver, `_run_block`, on the chunks
 `channel.realize_chunks` yields: the block's realizations run in groups
 and each group in chunks, both sized by `block_sizes`; every link's
 substreams are seeded, and the receiver frames and the Tx-surface legs
-drawn, once per group, the receiver-side legs drawn, placed and
-contracted per chunk.  So every rate takes one path,
+drawn, once per group, each chunk's links placed in one pass (the
+Tx-surface legs with the first) and contracted.  So every rate takes one path,
 `_block_singular_values`: a chunk's channels, then `compute_phase_sets`,
 `composite_multi` and an SVD.  Processes rather than threads: one unit
 is a burst of small numpy calls that never release the interpreter lock
@@ -154,11 +154,11 @@ def default_grid(vc: ValidatedConfig, cell: float = 1.0) -> GridSpec:
 # output bytes) do not depend on the worker count.  A coverage block's
 # cells share each realization's receiver-free work (the draws, the
 # Tx-surface leg); `channel.realize_chunks` seeds every link and draws the
-# Tx-surface legs once per group and yields the group's chunks, whose
-# realizations share the placement, steering, pinv and SVD calls.  Memory
-# is bounded by two budgets: `CHUNK_BUDGET` sizes every block's groups and
-# chunks (`block_sizes`), `channel.PLACEMENT_BUDGET` the path chunks each
-# leg is contracted in.
+# Tx-surface legs once per group (with its first chunk's links) and yields
+# the group's chunks, whose realizations share the placement, steering,
+# pinv and SVD calls.  Memory is bounded by two budgets: `CHUNK_BUDGET`
+# sizes every block's groups and chunks (`block_sizes`),
+# `channel.PLACEMENT_BUDGET` the path chunks each leg is contracted in.
 BLOCK_SIZE = 32
 
 # Most matrix entries (16 bytes each) a chunk realizes on the receiver side

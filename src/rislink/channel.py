@@ -11,14 +11,14 @@ One engine draws every matrix (`realize_chunks`): a block of realizations
 towards a stack of receiver positions, each matrix with its (realization,
 cell) axes (only `realize_channels` drops them), yielded chunk by chunk.
 Once per group of realizations it does what depends neither on the
-receiver nor on the chunks: it seeds each link's substreams, draws the
-receiver frames, and draws, places and contracts each Tx-surface leg.  Per
-chunk it draws and places (`_place_link`) and contracts the receiver-side
-legs from the chunk's substreams and slices the Tx-side matrices;
-`realize_block` is the block as one group and one chunk.  Placing a
-leg forms its *terms* (a LOS term one more path) in one pass on (3, P)
-component arrays: each path's deltas and lengths once (`place_clusters`),
-then each term's directions and weight (`_path_terms`).  The sum never
+receiver nor on the chunks: it seeds each link's substreams and draws the
+receiver frames.  Per chunk it draws and places (`_place_links`) in one
+pass every link drawing its own geometry (with the group's first chunk its
+Tx-surface legs), contracts each leg and slices the Tx-side matrices;
+`realize_block` is the block as one group and one chunk.  A pass forms its
+legs' *terms* (a LOS term one more path) on (3, P) component arrays: each
+path's deltas and lengths once (`place_clusters`), then each term's
+directions and weight (`_path_terms`).  The sum never
 forms an array response: each path's per-axis grid factors
 (`geometry.GridAxes`, built once per device in `build_scene`) are
 contracted in two small groups, so an 8x8 surface leg costs 8 + 32 factor
@@ -30,6 +30,7 @@ from __future__ import annotations
 import bisect
 import copy
 import dataclasses
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -122,12 +123,11 @@ class _Leg(NamedTuple):
     weights: np.ndarray | None = None  # (T,) complex
 
 
-def _place_link(vc: ValidatedConfig, rngs: list, row: DeviceView, col: DeviceView,
-                force_los: bool | None, geometry_from: _Leg | None = None,
-                row_frames: np.ndarray | None = None) -> _Leg:
-    """The link from device `col` to each far point `row.position` (K, 3),
-    one substream per realization: its draws, placed at the far points as
-    one leg with its terms (`_path_terms`).
+def _place_links(vc: ValidatedConfig, links: list[tuple]) -> list[_Leg]:
+    """Each link (substreams, row, col, force_los, geometry_from, row_frames)
+    from device `col` to each far point `row.position` (K, 3), one substream
+    per realization: its draws, placed at the far points as one leg with its
+    terms (`_path_terms`).
 
     The LOS coin splits a realization's far points into an NLOS and a LOS
     branch, each reading its own variates: the NLOS branch reads on from
@@ -136,51 +136,75 @@ def _place_link(vc: ValidatedConfig, rngs: list, row: DeviceView, col: DeviceVie
     draws it would see alone, and any slice of the streams places exactly
     as the whole.  `geometry_from`, a leg of the same realizations to one
     far point, lends each realization its cluster geometry, so only its
-    paths' normals are drawn.
+    paths' normals are drawn.  The links, all drawing or all borrowing their
+    geometry, are placed in one pass, each leg its run of it bit for bit.
     """
     env, f_hz = vc.config.environment, vc.config.frequency_hz
-    d = np.linalg.norm(row.position - col.position, axis=-1)
-    if force_los is None:   # a coin below p_los[k] puts far point k in LOS
-        p_los = los_probability(d, env)
-        p_any, p_all = float(p_los.max()), float(p_los.min())
-    shared = ([None] * len(rngs) if geometry_from is None
-              else np.diff(geometry_from.bounds).tolist())
-    coins, first, mixed, los_draws, units = [], [], [], [], []   # units per branch
-    for i, rng in enumerate(rngs):
-        if force_los is None:
-            coin = rng.random()
-            coins.append(coin)
-            any_los, split = coin < p_any, p_all <= coin < p_any
-        else:
-            any_los, split = force_los, False
-        first.append(len(los_draws))
-        mixed.append(split)
-        for branch in (False, True) if split else (any_los,):
-            # the NLOS branch reads on from the coin, ahead of the LOS draws
-            stream = copy.deepcopy(rng) if split and not branch else rng
-            los_draws.append(draw_los_variates(stream) if branch else (0.0, 0.0))
-            if vc.config.scatter_paths:
-                units.append(draw_cluster_units(env, stream, shared[i]))
-    cells = len(d)
-    los = (np.full(len(rngs) * cells, bool(force_los)) if force_los is not None
-           else (np.array(coins)[:, None] < p_los).ravel())
-    branch = np.repeat(first, cells) + (los & np.repeat(mixed, cells))   # each set's branch
-    cell = np.tile(np.arange(cells), len(rngs))
+    # per branch of every link: its LOS draws and units; per link: its sets and clusters' sizes
+    los_draws, units, runs, sizes = [], [], [], []
+    for rngs, row, col, force_los, geometry_from, _ in links:
+        d = np.linalg.norm(row.position - col.position, axis=-1)
+        if force_los is None:   # a coin below p_los[k] puts far point k in LOS
+            p_los = los_probability(d, env)
+            p_any, p_all = float(p_los.max()), float(p_los.min())
+        shared = ([None] * len(rngs) if geometry_from is None
+                  else np.diff(geometry_from.bounds).tolist())
+        coins, first, mixed, first_unit = [], [], [], len(units)
+        for i, rng in enumerate(rngs):
+            if force_los is None:
+                coin = rng.random()
+                coins.append(coin)
+                any_los, split = coin < p_any, p_all <= coin < p_any
+            else:
+                any_los, split = force_los, False
+            first.append(len(los_draws))
+            mixed.append(split)
+            for branch in (False, True) if split else (any_los,):
+                # the NLOS branch reads on from the coin, ahead of the LOS draws
+                stream = copy.deepcopy(rng) if split and not branch else rng
+                los_draws.append(draw_los_variates(stream) if branch else (0.0, 0.0))
+                if vc.config.scatter_paths:
+                    units.append(draw_cluster_units(env, stream, shared[i]))
+        cells = len(d)
+        los = (np.full(len(rngs) * cells, bool(force_los)) if force_los is not None
+               else (np.array(coins)[:, None] < p_los).ravel())
+        cell = np.tile(np.arange(cells), len(rngs))
+        # each set's LOS state, branch, link length, near and far point, and far point's index
+        runs.append((los, np.repeat(first, cells) + (los & np.repeat(mixed, cells)), d[cell],
+                     np.broadcast_to(col.position, (len(cell), 3)), row.position[cell], cell))
+        sizes.append(np.array([n for u in units[first_unit:] for n in u.sizes], dtype=int)
+                     if geometry_from is None else geometry_from.clusters.sizes)
+    los, branch, d, near, far = map(np.concatenate, list(zip(*runs))[:5])
     shadow, phase = np.array(los_draws, dtype=float).reshape(-1, 2)[branch[los]].T
-    attenuation = shadowed_attenuation(d[cell[los]], f_hz, env, True, shadow)
-    drawn = np.array([len(u.normals) for u in units], dtype=int) // 3
-    per_set = drawn[branch] if units else np.zeros(len(cell), dtype=int)
-    leg = _Leg(cell, los, attenuation, TWO_PI * phase, ClusterSet.empty(),
+    attenuation = shadowed_attenuation(d[los], f_hz, env, True, shadow)
+    unit_paths = np.array([len(u.normals) for u in units], dtype=int) // 3
+    per_set = unit_paths[branch] if units else np.zeros(len(los), dtype=int)
+    leg = _Leg(None, los, attenuation, TWO_PI * phase, None,
                np.concatenate([[0], np.cumsum(per_set)]))
-    lender = geometry_from   # lends each set its realization's positions
-    geometry = None if lender is None else dataclasses.replace(lender.clusters, positions=(
-        lender.clusters.positions[_ranges(np.repeat(lender.bounds[:-1], cells), per_set)]))
-    # each set's paths: its branch's draws at its own far point (unnamed: `_path_terms` frees them)
-    return _path_terms(row, col, leg, row_frames, place_clusters(
-        stack_cluster_variates(env, units), col.position,
-        row.position.T[:, np.repeat(cell, per_set)].T, env, f_hz, col.frame, geometry,
-        _ranges(np.cumsum(drawn)[branch] - per_set, per_set),
-        np.repeat(d[cell], per_set)) if units else None)
+    starts = np.cumsum([0] + [len(run[0]) for run in runs])   # each link's first set
+    ends = ClusterSet.empty(), (np.zeros((3, 0)), np.zeros(0), np.zeros((3, 0)), np.zeros(0))
+    if units:
+        geometry = None if links[0][4] is None else ClusterSet(   # each set its realization's
+            np.concatenate(sizes), np.concatenate([lender.clusters.positions[_ranges(
+                np.repeat(lender.bounds[:-1], len(row.position)), per_set[a:b])]
+                for (_, row, _, _, lender, _), a, b in zip(links, starts, starts[1:])]), None, None)
+        # each set's paths: its branch's draws at its own ends
+        at = np.repeat(np.arange(len(los)), per_set)
+        ends = place_clusters(stack_cluster_variates(env, units), near[at], far[at], env, f_hz,
+                              np.array([link[2].frame for link in links]), geometry,
+                              _ranges(np.cumsum(unit_paths)[branch] - per_set, per_set),
+                              d[at], [s.sum() for s in sizes])
+    leg = _path_terms([(row, col, frames, slice(a, b)) for (_, row, col, _, _, frames), a, b
+                       in zip(links, starts, starts[1:])], leg, ends, (near, far))
+    # each link's leg: its runs of sets, LOS draws, paths and terms
+    lit, paths, terms = ([slice(a, b) for a, b in zip(first, first[1:])] for first in (
+        np.concatenate([[0], np.cumsum(n)])[starts] for n in (los, per_set, per_set + los)))
+    c = leg.clusters
+    return [_Leg(run[5], run[0], leg.los_attenuation[ls], leg.los_phase[ls],
+                 ClusterSet(link_sizes, c.positions[p], c.gains[p], c.attenuations[p]),
+                 leg.bounds[a:b + 1] - p.start, leg.u_row[:, t], leg.u_col[:, t], leg.weights[t])
+            for run, link_sizes, a, b, ls, p, t
+            in zip(runs, sizes, starts, starts[1:], lit, paths, terms)]
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -189,15 +213,14 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
 
 
-def _path_terms(row: DeviceView, col: DeviceView, leg: _Leg, row_frames: np.ndarray | None,
-                placed: tuple | None = None) -> _Leg:
-    """`leg` with its paths `placed` (`place_clusters`' result, else its own and
-    their `path_ends`) and its terms: each one's local direction at the row and
-    the column device, in its frame (the row device's per realization with
-    `row_frames` (B, 3, 3)), and weight.  Coincident ends raise CoincidentPoints."""
+def _path_terms(links: list[tuple], leg: _Leg, placed: tuple, ends: tuple) -> _Leg:
+    """`leg` with its paths `placed` (`place_clusters`' result) and its terms:
+    each one's local direction at the row and the column device of its link
+    (row, col, row_frames, sets), in its frame (the row device's per
+    realization with `row_frames` (B, 3, 3)), and weight, a LOS term between
+    its set's `ends` (near, far) (S, 3).  Coincident ends raise CoincidentPoints."""
     scattered, los = np.diff(leg.bounds), leg.los
-    clusters, (u_col, out_length, u_row, back_length) = placed or (leg.clusters, path_ends(
-        leg.clusters.positions.T, col.position, row.position[np.repeat(leg.cell, scattered)]))
+    clusters, (u_col, out_length, u_row, back_length) = placed
     del placed   # each delta is released as its terms are formed, its name reused
     counts = scattered + los
     # from the scattered paths followed by the LOS terms to each set's terms in turn
@@ -208,23 +231,29 @@ def _path_terms(row: DeviceView, col: DeviceView, leg: _Leg, row_frames: np.ndar
     def slots(paths, los_terms):
         return np.concatenate([paths, los_terms], axis=-1).take(order, axis=-1)
 
-    near, far = col.position[:, None], row.position[leg.cell[los]].T   # (3, 1), (3, L)
+    near, far = (end[los].T for end in ends)   # each LOS term's, (3, L)
     length = np.linalg.norm(far - near, axis=0)
     if not (out_length.all() and back_length.all() and length.all()):
         raise CoincidentPoints("cannot take a direction between coincident points")
     u_row = slots(u_row, near - far)   # the deltas from the row end, then unit, rotated
     u_row /= slots(back_length, length)
-    u_row = rotate(u_row.T, row.frame if row_frames is None else row_frames,   # per realization
-                   None if row_frames is None else counts.reshape(len(row_frames), -1).sum(1)).T
     u_col = slots(u_col, far - near)
     u_col /= slots(out_length, length)
-    u_col = rotate(u_col.T, col.frame).T
+    gain = np.empty(total + terms)   # both devices' element patterns, per link
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    for row, col, row_frames, run in links:
+        at = slice(bounds[run.start], bounds[run.stop])
+        u_row[:, at] = rotate(u_row[:, at].T, row.frame if row_frames is None else row_frames,
+                              None if row_frames is None   # per realization
+                              else counts[run].reshape(len(row_frames), -1).sum(1)).T
+        u_col[:, at] = rotate(u_col[:, at].T, col.frame).T
+        gain[at] = _gain(row, u_row[:, at]) * _gain(col, u_col[:, at])
     # normalization keeps total scattered power independent of the path count
     amplitude = slots(clusters.gains / np.sqrt(np.repeat(scattered, scattered)),
                       np.exp(1j * leg.los_phase))
     power = slots(clusters.attenuations, leg.los_attenuation)
     return leg._replace(clusters=clusters, u_row=u_row, u_col=u_col,
-                        weights=amplitude * np.sqrt(_gain(row, u_row) * _gain(col, u_col) * power))
+                        weights=amplitude * np.sqrt(gain * power))
 
 
 def _leg_matrices(row: DeviceView, col: DeviceView, leg: _Leg) -> np.ndarray:
@@ -265,8 +294,11 @@ def _leg_matrices(row: DeviceView, col: DeviceView, leg: _Leg) -> np.ndarray:
             while hi < stop and counts[hi] == paths:
                 hi += 1
             own = slice(bounds[lo] - first, bounds[hi] - first)
-            matrix[lo:hi] = (left[:, own].reshape(prefix, hi - lo, paths).transpose(1, 0, 2)
-                             @ right[:, own].reshape(suffix, hi - lo, paths).transpose(1, 2, 0))
+            if hi - lo == 1:   # the same product, without the stacking views
+                np.matmul(left[:, own], right[:, own].T, out=matrix[lo])
+            else:
+                matrix[lo:hi] = (left[:, own].reshape(prefix, hi - lo, paths).transpose(1, 0, 2)
+                                 @ right[:, own].reshape(suffix, hi - lo, paths).transpose(1, 2, 0))
             lo = hi
         start = stop
     return matrix.reshape(-1, len(row.position), row.count, col.count)
@@ -287,7 +319,10 @@ def _one_link(row: DeviceView, col: DeviceView, clusters: ClusterSet,
     leg = _Leg(np.zeros(1, dtype=int), los, np.array([link.attenuation])[los],
                np.array([link.phase])[los], clusters, np.array([0, clusters.total_paths]))
     row = dataclasses.replace(row, position=np.atleast_2d(row.position))
-    return _leg_matrices(row, col, _path_terms(row, col, leg, None))[0, 0]
+    placed = clusters, path_ends(clusters.positions.T, col.position, row.position)
+    ends = col.position[None], row.position
+    return _leg_matrices(row, col, _path_terms([(row, col, None, slice(0, 1))], leg, placed,
+                                               ends))[0, 0]
 
 
 def assemble_link_channel(side: str, clusters: ClusterSet, link: LinkState,
@@ -406,13 +441,14 @@ def realize_chunks(vc: ValidatedConfig, realizations: range, surfaces, rx_positi
 
     Once per group it does what depends neither on the receiver nor on the
     chunks: it seeds every link's substreams (`block_rngs`), draws the
-    receiver frames, and draws, places (`_place_link`) and contracts each
-    Tx-surface leg.  Per chunk it draws and places each receiver-side link
-    from the chunk's substreams, contracts it and slices the group's
+    receiver frames, and draws, places and contracts each Tx-surface leg,
+    in the pass (`_place_links`) of its first chunk.  Per chunk that pass
+    places every receiver-side link drawing its own geometry from the
+    chunk's substreams, and a second the surface-Rx links borrowing it
+    under shared clusters; it contracts them and slices the group's
     Tx-side matrices; no name holds a chunk once it is yielded.  With
-    `record` (asked only for a group of one chunk, whose paths the Tx-side
-    legs hold), `clusters` keeps each link's placed paths; else they are
-    released before the contraction.
+    `record` (asked only for a group of one chunk), `clusters` keeps each
+    link's placed paths; else they are released before the contraction.
     """
     if not realizations:
         raise ValueError(f"a block needs at least one realization, got {realizations}")
@@ -421,6 +457,8 @@ def realize_chunks(vc: ValidatedConfig, realizations: range, surfaces, rx_positi
     scene = build_scene(vc, rx_position=rx_position)
     tx = scene.tx
     rx = dataclasses.replace(scene.rx, position=np.atleast_2d(scene.rx.position))
+    if not len(rx.position):
+        raise ValueError("a block needs at least one receiver position, got an empty stack")
     if surfaces is None:
         surfaces = dict.fromkeys(range(len(scene.ris)))
     cells = {k: c for k, c in surfaces.items() if c is not None}
@@ -431,50 +469,59 @@ def realize_chunks(vc: ValidatedConfig, realizations: range, surfaces, rx_positi
             # uniform(0, 2 pi) bit for bit, mapped once for the group
             rx_frames = azimuth_rotation_frame(TWO_PI * np.array(
                 [rng.random() for rng in block_rngs(seed, group, LinkTag.RX_FRAME)]))
-        # each receiver-side link as (substreams, row, col, force_los), placed per chunk
-        tx_legs, tx_ris, rx_links = {}, [None] * len(scene.ris), {}
+        # every link as (substreams, row, col, force_los, lender), its substreams the
+        # group's, a surface-Rx link lent its geometry by its Tx-surface link's key
+        links, rngs = {}, functools.partial(block_rngs, seed, group)
         for k, at in surfaces.items():
             surface = scene.ris[k]
             fixed = dataclasses.replace(surface, position=surface.position[None])
-            leg = _place_link(vc, block_rngs(seed, group, LinkTag.TX_RIS, k), fixed, tx, force)
-            tx_ris[k] = _leg_matrices(fixed, tx, leg)
-            tx_legs[k] = leg._replace(u_row=None, u_col=None, weights=None)   # terms spent
             far = rx if at is None else dataclasses.replace(rx, position=rx.position[at])
-            rx_links[k] = (block_rngs(seed, group, LinkTag.RIS_RX, k), far, surface, force)
-        direct_link = None   # blocked, without scattered paths
-        if cfg.direct_mode != "blocked" or cfg.blocked_keeps_scatter:
-            direct_link = (block_rngs(seed, group, LinkTag.DIRECT), rx, tx,
-                           {"blocked": False, "present": True}.get(cfg.direct_mode))
+            links[f"tx_ris_{k}"] = (rngs(LinkTag.TX_RIS, k), fixed, tx, force, None)
+            links[f"ris_rx_{k}"] = (rngs(LinkTag.RIS_RX, k), far, surface, force,
+                                    f"tx_ris_{k}" if cfg.shared_clusters else None)
+        if cfg.direct_mode != "blocked" or cfg.blocked_keeps_scatter:   # else no paths
+            links["direct"] = (rngs(LinkTag.DIRECT), rx, tx,
+                               {"blocked": False, "present": True}.get(cfg.direct_mode), None)
+        legs, matrices = {}, {}   # each leg placed, its terms spent, and its matrices
 
         def realize(chunk: range) -> RealizationChannels:
             a = chunk.start - group.start
             b = a + len(chunk)
             frames = None if rx_frames is None else rx_frames[a:b]
-            los, clusters, ris_rx = {}, {}, [None] * len(scene.ris)
 
-            def place(key: str, rngs: list, row: DeviceView, col: DeviceView, force_los,
-                      geometry_from: _Leg | None = None) -> np.ndarray:
-                leg = _place_link(vc, rngs[a:b], row, col, force_los, geometry_from, frames)
-                los[key] = leg.los
-                if record:
-                    clusters[key] = leg.clusters
-                leg = leg._replace(clusters=None)   # the terms hold what the contraction reads
-                return _leg_matrices(row, col, leg)
+            def place(keys: list[str]) -> None:
+                """Place `keys` in one pass (a Tx-surface link for the group); keep, contract."""
+                batch = [(*link[:4], None, None) if key.startswith("tx") else (
+                    link[0][a:b], *link[1:4], link[4] and legs[link[4]]._replace(
+                        bounds=legs[link[4]].bounds[a:b + 1]), frames)
+                    for key, link in zip(keys, map(links.get, keys))]
+                placed = _place_links(vc, batch)
+                for key, leg in zip(keys, placed):
+                    whole = key.startswith("tx")   # outlives the pass, which a view would pin
+                    kept = leg.clusters if record or whole and cfg.shared_clusters else None
+                    legs[key] = leg._replace(clusters=copy.deepcopy(kept) if whole else kept,
+                                             u_row=None, u_col=None, weights=None)
+                placed = [leg._replace(clusters=None) for leg in placed]   # the terms suffice
+                for key, (_, row, col, *_), leg in zip(keys, batch, placed):
+                    matrices[key] = _leg_matrices(row, col, leg)
 
-            for k in surfaces:
-                leg = tx_legs[k]
-                los[f"tx_ris_{k}"] = leg.los[a:b]
-                if record:
-                    clusters[f"tx_ris_{k}"] = leg.clusters
-                ris_rx[k] = place(f"ris_rx_{k}", *rx_links[k], leg._replace(
-                    bounds=leg.bounds[a:b + 1]) if cfg.shared_clusters else None)
-            if direct_link is None:
+            for lent in (False, True):   # the links drawing their own geometry, then the others
+                keys = [key for key, link in links.items()
+                        if bool(link[4]) == lent and not (a and key.startswith("tx"))]
+                if keys:
+                    place(keys)
+            los = {key: legs[key].los[a:b] if key.startswith("tx") else legs[key].los
+                   for key in links}
+            clusters = {key: legs[key].clusters for key in links} if record else {}
+            direct = matrices.pop("direct", None)   # the chunk's matrices leave with it
+            if direct is None:
                 direct = np.zeros((b - a, len(rx.position), rx.count, tx.count), complex)
                 los["direct"] = np.zeros((b - a) * len(rx.position), dtype=bool)
-            else:
-                direct = place("direct", *direct_link)
-            return RealizationChannels(tuple(None if m is None else m[a:b] for m in tx_ris),
-                                       tuple(ris_rx), direct, chunk, los, clusters, cells)
+            ris = range(len(scene.ris))
+            return RealizationChannels(
+                tuple(matrices[f"tx_ris_{k}"][a:b] if k in surfaces else None for k in ris),
+                tuple(matrices.pop(f"ris_rx_{k}", None) for k in ris), direct, chunk, los,
+                clusters, cells)
 
         yield from map(realize, realization_chunks(group, sizes[1]))
 

@@ -92,8 +92,10 @@ def pinv_phases(tx_ris: np.ndarray, ris_rx: np.ndarray, bits: int | None = None,
         warnings.warn(f"{n} surface elements for a {nr}x{nt} link; the pseudoinverse "
                       "target is underdetermined", stacklevel=2)
     h_h = np.swapaxes(tx_ris.conj(), -1, -2)   # H^H
-    inner = (_gram_pinv(ris_rx @ np.swapaxes(ris_rx.conj(), -1, -2)) @ np.eye(nr, nt)
-             @ _gram_pinv(h_h @ tx_ris))
+    inner = _gram_pinv(ris_rx @ np.swapaxes(ris_rx.conj(), -1, -2))[..., :nt]
+    if nr < nt:   # A M is A's first min(nr, nt) columns zero-padded to nt, bit for bit
+        inner = np.concatenate([inner, np.zeros(inner.shape[:-1] + (nt - nr,))], axis=-1)
+    inner = inner @ _gram_pinv(h_h @ tx_ris)
     # diagonal n of G^H (A M B) H^H: sum over i of (A M B H^H)[i, n] conj(G[i, n]),
     # taken in place as conj(sum(conj(A M B H^H) G)), bit for bit the same while the
     # product stays the first operand (numpy rounds complex a * b and b * a apart),
@@ -101,7 +103,7 @@ def pinv_phases(tx_ris: np.ndarray, ris_rx: np.ndarray, bits: int | None = None,
     prod = inner @ h_h
     diag = np.sum(np.multiply(np.conj(prod, out=prod), ris_rx, out=prod), axis=-2).conj()
     del prod
-    phases = quantize_phases(np.angle(diag), bits)
+    phases = _phases_of(diag) if bits is None else quantize_phases(np.angle(diag), bits)
     failed = ~(np.all(np.isfinite(diag), axis=-1) & np.any(diag, axis=-1))
     if failed.any():
         warnings.warn(f"pseudoinverse phases degenerate on {np.count_nonzero(failed)} of "
@@ -112,6 +114,11 @@ def pinv_phases(tx_ris: np.ndarray, ris_rx: np.ndarray, bits: int | None = None,
         for leg in np.flatnonzero(failed):
             phases.reshape(-1, n)[leg] = baseline_phases("random", n, fallback_rng(int(leg)), bits)
     return phases
+
+
+def _phases_of(values: np.ndarray) -> np.ndarray:
+    """`np.mod(np.angle(values), TWO_PI)` bit for bit, np.angle's [-pi, pi] shifted."""
+    return np.where((angle := np.angle(values)) < 0, angle + TWO_PI, angle + 0.0)
 
 
 def _gram_pinv(gram: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ uniforms and the normals of the gains and shadowing (`draw_cluster_units`),
 each kind in one generator call.  The maps to model values (`low + (high -
 low) * u`, which is `Generator.uniform` bit for bit, the complex gains, the
 cluster index, the phase) run once over a whole block's draws
-(`stack_cluster_variates`, `channel._place_link`).
+(`stack_cluster_variates`, `channel._place_links`).
 """
 
 from __future__ import annotations
@@ -264,10 +264,10 @@ def _runs(values: np.ndarray, lengths: np.ndarray, parts: int) -> list[np.ndarra
 
 
 def path_ends(positions: np.ndarray, near, far) -> tuple[np.ndarray, ...]:
-    """The deltas of scatterers (3, ..., P), stored by component, from the
-    point `near` (3,) and from `far` (..., 3), each with its lengths: norms
-    over the component axis, the rows' norms bit for bit (tests/test_rng.py)."""
-    out = positions - np.expand_dims(near, tuple(range(1, positions.ndim)))
+    """The deltas of scatterers (3, ..., P), stored by component, from `near`
+    (3,) or (3, P) and from `far` (..., 3), each with its lengths: norms over
+    the component axis, the rows' norms bit for bit (tests/test_rng.py)."""
+    out = positions - np.expand_dims(near, tuple(range(near.ndim, positions.ndim)))
     back = positions - np.moveaxis(np.atleast_2d(far), -1, 0)
     return out, np.linalg.norm(out, axis=0), back, np.linalg.norm(back, axis=0)
 
@@ -275,15 +275,17 @@ def path_ends(positions: np.ndarray, near, far) -> tuple[np.ndarray, ...]:
 def place_clusters(variates: ClusterVariates, near, far, env: Environment, f_hz: float,
                    near_frame: np.ndarray | None = None,
                    geometry_from: ClusterSet | None = None,
-                   paths: np.ndarray | None = None, length=None) -> tuple:
+                   paths: np.ndarray | None = None, length=None,
+                   frames: list[int] | None = None) -> tuple:
     """Place drawn clusters on the link `near` -> `far` (see `draw_clusters`);
     returns them and their `path_ends`, each delta and length taken once.
 
     `far` (..., 3) broadcasts against the (P,) paths: one point (3,) gets
     every path, a stack (K, 1, 3) gets every path at each far end, and
     (P, 3) gives each path its own far end, so that the paths of several
-    links' variates (`stack_cluster_variates`) are placed at once.  Radials
-    span the link `length`, |far - near| if not given.
+    links' variates (`stack_cluster_variates`) are placed at once, each at its
+    `near`, (3,) or (P, 3), and with `frames` (M,) the next frames[m] drawn
+    paths turned by `near_frame[m]`.  Radials span `length`, else |far - near|.
 
     `paths` (P,) picks the drawn paths to place, in order and possibly
     repeated: path i is drawn path `paths[i]`, so one link's draws are
@@ -303,15 +305,19 @@ def place_clusters(variates: ClusterVariates, near, far, env: Environment, f_hz:
         hi = np.maximum(np.linalg.norm(far - near, axis=-1) if length is None else length, 1 + 1e-9)
         rep = variates.cluster
         unit = variates.radial[rep]
-        dirs = rotate(direction_unit(variates.azimuth[rep] + variates.d_az,
-                                     variates.elevation[rep] + variates.d_el), near_frame.T).T
+        dirs = direction_unit(variates.azimuth[rep] + variates.d_az,
+                              variates.elevation[rep] + variates.d_el)
+        # each link's directions turned by its own frame, never by a per-path stack
+        parts = [dirs] if frames is None else np.split(dirs, np.cumsum(frames)[:-1])
+        dirs = np.concatenate([rotate(part, frame.T).T for frame, part
+                               in zip(np.reshape(near_frame, (-1, 3, 3)), parts)], axis=1)
         if paths is not None:
             unit, dirs = unit[paths], dirs[:, paths]
         radial = _uniform(1.0, hi, unit)
-        positions = np.stack([n + radial * d for n, d in zip(near, dirs)])
+        positions = np.stack([n + radial * d for n, d in zip(near.T, dirs)])
         positions[2] = np.abs(positions[2])
 
-    ends = path_ends(positions, near, far)
+    ends = path_ends(positions, near.T, far)
     attenuations = shadowed_attenuation(ends[1] + ends[3], f_hz, env, False, shadow)
     return ClusterSet(sizes=np.asarray(sizes, dtype=int), positions=np.moveaxis(positions, 0, -1),
                       gains=gains, attenuations=np.atleast_1d(attenuations)), ends

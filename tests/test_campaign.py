@@ -396,7 +396,9 @@ class TestCoverage:
     def test_benchmark_block_draws_once_per_group(self, monkeypatch):
         """One benchmark-shaped block (24 cells, 16 realizations, 4 chunks in
         one group) seeds each link's substreams once and places and contracts
-        its Tx-surface leg once, not once per chunk."""
+        its Tx-surface leg once, not once per chunk: one placement pass per
+        chunk, the first also placing the Tx-surface leg.  A benchmark
+        campaign block (32 realizations, one chunk) makes one pass."""
         vc = quick_vc(realizations=16)
         positions = cell_positions(default_grid(vc, 12.5))
         assert len(positions) == 24
@@ -404,22 +406,22 @@ class TestCoverage:
         assert (group, chunk) == (BLOCK_SIZE, 5)   # so one group of 16 in 4 chunks of 4
         seeded, placed, legs = [], [], []
         block_rngs, leg_matrices = channel_module.block_rngs, channel_module._leg_matrices
-        place_link = channel_module._place_link
+        place_links = channel_module._place_links
 
         def counting_rngs(seed, realizations, tag, *extra):
             seeded.append((LinkTag(tag), *extra))
             return block_rngs(seed, realizations, tag, *extra)
 
-        def counting_places(vc, rngs, row, col, *args):
-            placed.append((row.count, col.count))
-            return place_link(vc, rngs, row, col, *args)
+        def counting_passes(vc, links):
+            placed.append([(row.count, col.count) for _, row, col, *_ in links])
+            return place_links(vc, links)
 
         def counting_legs(row, col, leg):
             legs.append((row.count, col.count))
             return leg_matrices(row, col, leg)
 
         monkeypatch.setattr(channel_module, "block_rngs", counting_rngs)
-        monkeypatch.setattr(channel_module, "_place_link", counting_places)
+        monkeypatch.setattr(channel_module, "_place_links", counting_passes)
         monkeypatch.setattr(channel_module, "_leg_matrices", counting_legs)
         coverage_map(Campaign(vc), default_grid(vc, 12.5))
         # the indoor preset's direct path is blocked without scattered paths
@@ -427,8 +429,11 @@ class TestCoverage:
                                   (LinkTag.RX_FRAME,)]
         assert legs.count((64, 4)) == 1   # the Tx-surface leg, once for the group
         assert legs.count((4, 64)) == 4   # the surface-Rx leg, once per chunk
-        assert placed.count((64, 4)) == 1   # placed as often as contracted
-        assert placed.count((4, 64)) == 4
+        # placed as often as contracted, in one pass per chunk
+        assert placed == [[(64, 4), (4, 64)]] + [[(4, 64)]] * 3
+        placed.clear()
+        run_campaign(Campaign(quick_vc(realizations=32)))
+        assert placed == [[(64, 4), (4, 64)]]
 
     def test_coverage_sizes(self):
         """Chunks fill the receiver-side budget, groups the Tx-side one; a

@@ -1,5 +1,6 @@
 """Channel assembly: link matrices, surface phase response, composite channel."""
 
+import copy
 import dataclasses
 import re
 
@@ -215,6 +216,13 @@ class TestAssembly:
         vc = validate_config(scene_preset("indoor"))
         with pytest.raises(ValueError, match="at least one realization"):
             realize_block(vc, range(0))
+
+    def test_empty_receiver_stack_rejected(self):
+        vc = validate_config(scene_preset("indoor"))
+        with pytest.raises(ValueError, match="at least one receiver position"):
+            realize_block(vc, range(2), None, np.zeros((0, 3)))
+        with pytest.raises(ValueError, match="at least one receiver position"):
+            realize_channels(vc, 0, np.zeros((0, 3)))
 
     @pytest.mark.parametrize("overrides", [
         {"ris_links": "auto", "direct_mode": "auto"},
@@ -471,17 +479,18 @@ def leg_case_config(name):
 
 def placed_legs(vc, realizations, rx_position, monkeypatch):
     """Every (row, col, leg, row_frames) the engine places in one `realize_block`,
-    each leg as `_place_link` returns it."""
-    calls, original = [], channel_module._place_link
+    each leg as `_place_links` returns it."""
+    calls, original = [], channel_module._place_links
 
-    def spy(vc, rngs, row, col, force_los, geometry_from=None, row_frames=None):
-        leg = original(vc, rngs, row, col, force_los, geometry_from, row_frames)
-        calls.append((row, col, leg, row_frames))
-        return leg
+    def spy(vc, links):
+        legs = original(vc, links)
+        calls.extend((row, col, leg, row_frames)
+                     for (_, row, col, _, _, row_frames), leg in zip(links, legs))
+        return legs
 
-    monkeypatch.setattr(channel_module, "_place_link", spy)
+    monkeypatch.setattr(channel_module, "_place_links", spy)
     realize_block(vc, realizations, rx_position=rx_position)
-    monkeypatch.setattr(channel_module, "_place_link", original)
+    monkeypatch.setattr(channel_module, "_place_links", original)
     return calls
 
 
@@ -548,6 +557,69 @@ class TestPathTerms:
         assert rotated == (name != "fixed_rx")   # random-azimuth receivers
         if name == "mixed_los":
             assert split   # some realization's LOS coin splits its receiver positions
+
+
+def placement_passes(vc, realizations, rx_position, monkeypatch, sizes=None):
+    """Every placement pass of one block (`realize_block`, or `realize_chunks`
+    in `sizes`): its links on copies of their substreams as the pass found
+    them, and the legs it returned."""
+    passes, original = [], channel_module._place_links
+
+    def spy(vc, links):
+        found = copy.deepcopy(links)
+        legs = original(vc, links)
+        passes.append((found, legs))
+        return legs
+
+    monkeypatch.setattr(channel_module, "_place_links", spy)
+    if sizes is None:
+        realize_block(vc, realizations, rx_position=rx_position)
+    else:
+        list(channel_module.realize_chunks(vc, realizations, None, rx_position, sizes))
+    monkeypatch.setattr(channel_module, "_place_links", original)
+    return passes
+
+
+def assert_same_leg(got, want):
+    """Two legs equal array for array: dtype, shape and bits."""
+    pairs = [(getattr(got.clusters, f), getattr(want.clusters, f))
+             for f in ("sizes", "positions", "gains", "attenuations")]
+    pairs += [(getattr(got, f), getattr(want, f)) for f in got._fields if f != "clusters"]
+    for a, b in pairs:
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def two_surfaces_direct(shared):
+    base = two_surface_config().config
+    return validate_config(dataclasses.replace(base, direct_mode="present",
+                                               shared_clusters=shared))
+
+
+class TestPlacementPass:
+    @pytest.mark.filterwarnings("ignore::rislink.errors.NearFieldWarning")
+    @pytest.mark.parametrize("name", sorted(LEG_CASES) + ["two_surfaces", "two_surfaces_shared"])
+    def test_each_leg_of_a_pass_is_its_link_placed_alone(self, name, monkeypatch):
+        vc = (two_surfaces_direct(name.endswith("shared")) if name.startswith("two")
+              else leg_case_config(name))
+        passes = placement_passes(vc, range(4, 10), LEG_POSITIONS, monkeypatch)
+        # each surface's Tx-surface and surface-Rx (K = 6 positions) legs, then the direct link
+        expected = {"two_surfaces": [5], "two_surfaces_shared": [3, 2]}.get(name, [3])
+        assert [len(links) for links, _ in passes] == expected
+        for links, legs in passes:
+            for link, leg in zip(links, legs, strict=True):
+                (alone,) = channel_module._place_links(vc, [copy.deepcopy(link)])
+                assert_same_leg(leg, alone)
+
+    def test_a_shared_clusters_chunk_makes_two_passes(self, monkeypatch):
+        """Under shared clusters each chunk places the links drawing their own
+        geometry (with the group's first chunk, its Tx-surface legs), then the
+        surface-Rx legs, which borrow the Tx-surface legs' geometry."""
+        vc = two_surfaces_direct(shared=True)
+        passes = placement_passes(vc, range(4, 10), LEG_POSITIONS, monkeypatch, (6, 3))
+        kinds = [[(row.count, col.count, lender is not None) for _, row, col, _, lender, _ in links]
+                 for links, _ in passes]
+        tx, rx, direct = (64, 4, False), (4, 64, True), (4, 4, False)
+        assert kinds == [[tx, tx, direct], [rx, rx], [direct], [rx, rx]]
 
 
 class TestLegMatrices:

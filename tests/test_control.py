@@ -10,6 +10,7 @@ from rislink import (RisSpec, achievable_rate, baseline_phases,
                      far_field_power, pinv_phases, quantize_phases, scene_preset,
                      select_ris, siso_optimal_phases, spawn_rng, validate_config)
 from rislink.campaign import Campaign, run_campaign
+from rislink.control import TWO_PI, _gram_pinv, _phases_of
 from rislink.errors import (DimensionMismatch, EmptyList, NonFiniteEntries,
                             SingularPinv, SingularPinvWarning)
 
@@ -139,6 +140,40 @@ class TestPinvPhasesGram:
             for k in range(40):
                 assert np.array_equal(stacked[b, k], pinv_phases(h[b, 0], g[b, k]))
         assert np.all(phase_gap(stacked, svd_pinv_phases(h, g)) <= 1e-12)
+
+    @pytest.mark.filterwarnings("ignore:.*underdetermined")
+    @pytest.mark.parametrize("bits", [None, 2])
+    def test_phase_rule_is_the_padded_identity_product_bit_for_bit(self, bits):
+        """The target's product and the phase map pinned against the
+        expressions they replace: A @ eye(nr, nt) @ B and np.mod of the angle."""
+        def product_rule(h, g):
+            h_h = np.swapaxes(h.conj(), -1, -2)
+            nr, nt = g.shape[-2], h.shape[-1]
+            inner = _gram_pinv(g @ np.swapaxes(g.conj(), -1, -2)) @ np.eye(nr, nt) @ _gram_pinv(
+                h_h @ h)
+            prod = inner @ h_h
+            diag = np.sum(np.multiply(np.conj(prod, out=prod), g, out=prod), axis=-2).conj()
+            return quantize_phases(np.angle(diag), bits)
+
+        rng = np.random.default_rng(14)
+        for nr, n, nt in [(4, 64, 4), (2, 16, 4), (4, 16, 2), (1, 8, 3), (3, 8, 1), (4, 3, 2),
+                          (2, 32, 2), (8, 64, 4)]:
+            for stack in [(), (5,), (2, 3)]:
+                h = random_channel(rng, stack + (n, nt))
+                g = random_channel(rng, stack + (nr, n))
+                assert pinv_phases(h, g, bits).tobytes() == product_rule(h, g).tobytes()
+
+    def test_phase_map_is_the_modulo_bit_for_bit(self):
+        rng = np.random.default_rng(15)
+        values = np.concatenate([random_channel(rng, 200_000), [
+            complex(-1.0, -0.0), complex(-1.0, 0.0), complex(1.0, 0.0), complex(1.0, -0.0),
+            complex(1.0, -1e-300), complex(1.0, -5e-324), complex(-0.0, -0.0), 0j]])
+        angle = np.angle(values[-8:])
+        assert set(angle.tolist()) >= {-np.pi, np.pi, -1e-300, -5e-324}
+        assert np.signbit(angle).sum() >= 3   # -0.0 is among them
+        got, want = _phases_of(values), np.mod(np.angle(values), TWO_PI)
+        assert got.tobytes() == want.tobytes()
+        assert np.all((got >= 0) & (got <= TWO_PI))
 
     @pytest.mark.parametrize("dead", ["tx", "rx", "both"])
     def test_all_zero_leg_falls_back(self, dead):

@@ -8,7 +8,7 @@ import pytest
 
 from rislink import (ENVIRONMENTS, ClusterSet, LinkTag, draw_clusters, draw_link_state,
                      los_probability, scene_preset, spawn_rng, validate_config)
-from rislink.channel import _place_link, build_scene
+from rislink.channel import _place_links, build_scene
 from rislink.config import PathLossTable
 from rislink.errors import ModelValidityWarning, NonPositiveDistance
 from rislink.propagation import (ClusterVariates, draw_cluster_units, draw_cluster_variates,
@@ -26,8 +26,9 @@ INH_NOSHADOW = dataclasses.replace(
 def draw_leg(vc, rngs, near, far, geometry_from=None):
     """The link from device `near` to the far points (K, 3), its LOS coin
     live, every realization of `rngs` drawn and placed as one leg."""
-    return _place_link(vc, rngs, dataclasses.replace(near, position=far), near, None,
-                       geometry_from)
+    (leg,) = _place_links(vc, [(rngs, dataclasses.replace(near, position=far), near, None,
+                                geometry_from, None)])
+    return leg
 
 
 def path_loss(d, f_hz, env, los, rng):

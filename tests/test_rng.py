@@ -161,7 +161,7 @@ def test_repeated_frames_rotate_as_gathered_frames(seed):
 
 def test_each_far_points_length_equals_each_paths():
     """The numpy behaviour behind taking each path's link length from its far
-    point's (`channel._place_link`): the per-point row norm repeated per
+    point's (`channel._place_links`): the per-point row norm repeated per
     path is the norm of the gathered rows, by row or by component, bit for bit."""
     rng = np.random.default_rng(4)
     near = np.array([40.0, 50.0, 2.0])
