@@ -164,16 +164,17 @@ BLOCK_SIZE = 32
 # Most matrix entries (16 bytes each) a chunk realizes on the receiver side
 # (cells x Nr x N) and a group holds on the Tx side (N x Nt per surface).
 # A chunk's arrays that grow with it (the surface-Rx legs, their
-# phase-control products and cascades) are a few times this; 32768 lets
-# the 24-cell, 4x4-by-64 benchmark map realize 4 realizations a chunk where
-# 16384 allowed 2 and draw its 16 realizations as one group, and a campaign
-# block with the same arrays run its 32 realizations as one chunk.
-CHUNK_BUDGET = 32768
+# phase-control products and cascades) are a few times this; 65536 lets
+# the 24-cell, 4x4-by-64 benchmark map realize 8 realizations a chunk where
+# 32768 allowed 4 (its block's traced peak 2.5 MB against 1.9), and draw
+# its 16 realizations as one group, and a campaign block with the same
+# arrays run its 32 realizations as one chunk.
+CHUNK_BUDGET = 65536
 
 # Bytes of freed heap glibc keeps mapped (M_TRIM_THRESHOLD) and the largest
 # request it serves from that heap (M_MMAP_THRESHOLD), 8 MiB: a few times a
 # chunk's working set, so chunks stop page-faulting it back in.
-TRIM_THRESHOLD = 16 * CHUNK_BUDGET * 16
+TRIM_THRESHOLD = 8 * CHUNK_BUDGET * 16
 
 
 @functools.cache

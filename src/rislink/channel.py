@@ -182,20 +182,27 @@ def _place_links(vc: ValidatedConfig, links: list[tuple]) -> list[_Leg]:
     leg = _Leg(None, los, attenuation, TWO_PI * phase, None,
                np.concatenate([[0], np.cumsum(per_set)]))
     starts = np.cumsum([0] + [len(run[0]) for run in runs])   # each link's first set
-    ends = ClusterSet.empty(), (np.zeros((3, 0)), np.zeros(0), np.zeros((3, 0)), np.zeros(0))
-    if units:
+
+    def placed() -> tuple:
+        """Each set's paths: its branch's draws at its own ends, each link's
+        from its device (a call, so that no name here holds them, or their
+        per-path ends, while `_path_terms` spends them)."""
+        if not units:
+            return ClusterSet.empty(), (np.zeros((3, 0)), np.zeros(0), np.zeros((3, 0)),
+                                        np.zeros(0))
         geometry = None if links[0][4] is None else ClusterSet(   # each set its realization's
             np.concatenate(sizes), np.concatenate([lender.clusters.positions[_ranges(
                 np.repeat(lender.bounds[:-1], len(row.position)), per_set[a:b])]
                 for (_, row, _, _, lender, _), a, b in zip(links, starts, starts[1:])]), None, None)
-        # each set's paths: its branch's draws at its own ends
         at = np.repeat(np.arange(len(los)), per_set)
-        ends = place_clusters(stack_cluster_variates(env, units), near[at], far[at], env, f_hz,
+        return place_clusters(stack_cluster_variates(env, units),
+                              np.array([link[2].position for link in links]), far[at], env, f_hz,
                               np.array([link[2].frame for link in links]), geometry,
                               _ranges(np.cumsum(unit_paths)[branch] - per_set, per_set),
-                              d[at], [s.sum() for s in sizes])
+                              d[at], [s.sum() for s in sizes], np.diff(leg.bounds[starts]).tolist())
+
     leg = _path_terms([(row, col, frames, slice(a, b)) for (_, row, col, _, _, frames), a, b
-                       in zip(links, starts, starts[1:])], leg, ends, (near, far))
+                       in zip(links, starts, starts[1:])], leg, placed(), (near, far))
     # each link's leg: its runs of sets, LOS draws, paths and terms
     lit, paths, terms = ([slice(a, b) for a, b in zip(first, first[1:])] for first in (
         np.concatenate([[0], np.cumsum(n)])[starts] for n in (los, per_set, per_set + los)))
@@ -229,7 +236,15 @@ def _path_terms(links: list[tuple], leg: _Leg, placed: tuple, ends: tuple) -> _L
     order[np.cumsum(counts)[los] - 1] = total + np.arange(terms)
 
     def slots(paths, los_terms):
-        return np.concatenate([paths, los_terms], axis=-1).take(order, axis=-1)
+        """A (3, T) array one component at a time, so only one is ever copied
+        twice; "clip" (every index is in range) lets `take` write into the
+        result unbuffered."""
+        if paths.ndim == 1:
+            return np.concatenate([paths, los_terms]).take(order)
+        out = np.empty((len(paths), total + terms), np.result_type(paths, los_terms))
+        for row, p, q in zip(out, paths, los_terms):
+            np.concatenate([p, q]).take(order, out=row, mode="clip")
+        return out
 
     near, far = (end[los].T for end in ends)   # each LOS term's, (3, L)
     length = np.linalg.norm(far - near, axis=0)
@@ -297,8 +312,9 @@ def _leg_matrices(row: DeviceView, col: DeviceView, leg: _Leg) -> np.ndarray:
             if hi - lo == 1:   # the same product, without the stacking views
                 np.matmul(left[:, own], right[:, own].T, out=matrix[lo])
             else:
-                matrix[lo:hi] = (left[:, own].reshape(prefix, hi - lo, paths).transpose(1, 0, 2)
-                                 @ right[:, own].reshape(suffix, hi - lo, paths).transpose(1, 2, 0))
+                np.matmul(left[:, own].reshape(prefix, hi - lo, paths).transpose(1, 0, 2),
+                          right[:, own].reshape(suffix, hi - lo, paths).transpose(1, 2, 0),
+                          out=matrix[lo:hi])
             lo = hi
         start = stop
     return matrix.reshape(-1, len(row.position), row.count, col.count)
@@ -414,9 +430,9 @@ def realize_block(vc: ValidatedConfig, realizations: range, surfaces=None,
     matrix has the shapes `RealizationChannels` gives, one position a
     stack of one.  `surfaces` maps each surface to realize (others get None
     matrices) to the stack cells its receiver leg is placed at (None =
-    all), recorded in `cells`; None realizes every surface at every
-    position.  `los` records each link's LOS state per (realization,
-    position), `clusters` each link's placed paths.
+    all; an empty list is a ValueError), recorded in `cells`; None realizes
+    every surface at every position.  `los` records each link's LOS state
+    per (realization, position), `clusters` each link's placed paths.
     """
     whole = len(realizations)
     return next(realize_chunks(vc, realizations, surfaces, rx_position, (whole, whole),
@@ -462,6 +478,10 @@ def realize_chunks(vc: ValidatedConfig, realizations: range, surfaces, rx_positi
     if surfaces is None:
         surfaces = dict.fromkeys(range(len(scene.ris)))
     cells = {k: c for k, c in surfaces.items() if c is not None}
+    for k, at in cells.items():
+        if not len(at):
+            raise ValueError(f"surface {k} is realized at no cell, got an empty cell list; "
+                             "leave it out of `surfaces` instead")
     force = True if cfg.ris_links == "los" else None
     for group in realization_chunks(realizations, sizes[0]):
         rx_frames = None

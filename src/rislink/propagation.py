@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -263,29 +264,54 @@ def _runs(values: np.ndarray, lengths: np.ndarray, parts: int) -> list[np.ndarra
     return out
 
 
-def path_ends(positions: np.ndarray, near, far) -> tuple[np.ndarray, ...]:
+def path_ends(positions: np.ndarray, near, far,
+              spans: list[int] | None = None) -> tuple[np.ndarray, ...]:
     """The deltas of scatterers (3, ..., P), stored by component, from `near`
-    (3,) or (3, P) and from `far` (..., 3), each with its lengths: norms over
-    the component axis, the rows' norms bit for bit (tests/test_rng.py)."""
-    out = positions - np.expand_dims(near, tuple(range(near.ndim, positions.ndim)))
+    (3,), or with `spans` (M,) from each of M points (M, 3) its next
+    spans[m] paths, and from `far` (..., 3), each with its lengths
+    (`component_norm`)."""
+    out = positions.copy()
+    _shift_by_span(np.subtract, out, near, spans)
     back = positions - np.moveaxis(np.atleast_2d(far), -1, 0)
-    return out, np.linalg.norm(out, axis=0), back, np.linalg.norm(back, axis=0)
+    return out, component_norm(out), back, component_norm(back)
+
+
+def component_norm(delta: np.ndarray) -> np.ndarray:
+    """The lengths of deltas stored by component (3, ...): x*x + y*y + z*z
+    summed left to right, `np.linalg.norm` over the component axis and over
+    (..., 3) rows bit for bit (tests/test_rng.py), without its two copies."""
+    total = delta[0] * delta[0]
+    total += delta[1] * delta[1]
+    total += delta[2] * delta[2]
+    return np.sqrt(total, out=total)
+
+
+def _shift_by_span(op, paths: np.ndarray, near, spans) -> None:
+    """Apply `op` (np.add or np.subtract) in place to (3, ..., P) `paths` and
+    the point `near` (3,), or with `spans` (M,) to each run of spans[m]
+    paths and its point `near[m]` (M, 3)."""
+    bounds = [0, paths.shape[-1]] if spans is None else list(accumulate(spans, initial=0))
+    for point, a, b in zip(np.reshape(near, (-1, 3)), bounds, bounds[1:]):
+        run = paths[..., a:b]
+        op(run, point.reshape((3,) + (1,) * (paths.ndim - 1)), out=run)
 
 
 def place_clusters(variates: ClusterVariates, near, far, env: Environment, f_hz: float,
                    near_frame: np.ndarray | None = None,
                    geometry_from: ClusterSet | None = None,
                    paths: np.ndarray | None = None, length=None,
-                   frames: list[int] | None = None) -> tuple:
+                   frames: list[int] | None = None, spans: list[int] | None = None) -> tuple:
     """Place drawn clusters on the link `near` -> `far` (see `draw_clusters`);
     returns them and their `path_ends`, each delta and length taken once.
 
     `far` (..., 3) broadcasts against the (P,) paths: one point (3,) gets
     every path, a stack (K, 1, 3) gets every path at each far end, and
     (P, 3) gives each path its own far end, so that the paths of several
-    links' variates (`stack_cluster_variates`) are placed at once, each at its
-    `near`, (3,) or (P, 3), and with `frames` (M,) the next frames[m] drawn
-    paths turned by `near_frame[m]`.  Radials span `length`, else |far - near|.
+    links' variates (`stack_cluster_variates`) are placed at once: with
+    `spans` (M,) the next spans[m] placed paths leave from `near[m]` (M, 3),
+    else every path from `near` (3,), and with `frames` (M,) the next
+    frames[m] drawn paths are turned by `near_frame[m]`.  Radials span
+    `length`, else |far - near|.
 
     `paths` (P,) picks the drawn paths to place, in order and possibly
     repeated: path i is drawn path `paths[i]`, so one link's draws are
@@ -309,15 +335,19 @@ def place_clusters(variates: ClusterVariates, near, far, env: Environment, f_hz:
                               variates.elevation[rep] + variates.d_el)
         # each link's directions turned by its own frame, never by a per-path stack
         parts = [dirs] if frames is None else np.split(dirs, np.cumsum(frames)[:-1])
-        dirs = np.concatenate([rotate(part, frame.T).T for frame, part
-                               in zip(np.reshape(near_frame, (-1, 3, 3)), parts)], axis=1)
+        positions = np.concatenate([rotate(part, frame.T).T for frame, part
+                                    in zip(np.reshape(near_frame, (-1, 3, 3)), parts)], axis=1)
         if paths is not None:
-            unit, dirs = unit[paths], dirs[:, paths]
+            unit, positions = unit[paths], positions[:, paths]
         radial = _uniform(1.0, hi, unit)
-        positions = np.stack([n + radial * d for n, d in zip(near.T, dirs)])
-        positions[2] = np.abs(positions[2])
+        # near + radial * direction: in place, or per far end of a stack (K, 1, 3)
+        positions = (np.multiply(positions, radial, out=positions) if radial.ndim == 1
+                     else radial * positions[:, None])
+        del unit, hi, radial   # per path, and not needed past the positions
+        _shift_by_span(np.add, positions, near, spans)
+        np.abs(positions[2], out=positions[2])
 
-    ends = path_ends(positions, near.T, far)
+    ends = path_ends(positions, near, far, spans)
     attenuations = shadowed_attenuation(ends[1] + ends[3], f_hz, env, False, shadow)
     return ClusterSet(sizes=np.asarray(sizes, dtype=int), positions=np.moveaxis(positions, 0, -1),
                       gains=gains, attenuations=np.atleast_1d(attenuations)), ends

@@ -49,6 +49,22 @@ def cell_positions(grid: GridSpec) -> np.ndarray:
     return np.stack([xs.ravel(), ys.ravel(), np.full(xs.size, grid.z)], axis=-1)
 
 
+def warm_block_peak(job: str, vc, positions: np.ndarray) -> int:
+    """The traced peak bytes of a block of all of `vc`'s realizations at
+    `positions` (`_run_block`'s job `job`), run once before to warm up."""
+    args = (job, vc, range(vc.config.realizations), positions,
+            campaign_module.serving_surface(vc, positions), np.asarray(vc.pt_watts[:1]))
+    campaign_module._run_block(args)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        campaign_module._run_block(args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 class TestCampaignBlocks:
     @pytest.mark.parametrize("overrides", [
         {},
@@ -394,14 +410,18 @@ class TestCoverage:
             assert dump_files(tmp_path / f"g{group}c{chunk}") == files, (group, chunk)
 
     def test_benchmark_block_draws_once_per_group(self, monkeypatch):
-        """One benchmark-shaped block (24 cells, 16 realizations, 4 chunks in
-        one group) seeds each link's substreams once and places and contracts
-        its Tx-surface leg once, not once per chunk: one placement pass per
-        chunk, the first also placing the Tx-surface leg.  A benchmark
-        campaign block (32 realizations, one chunk) makes one pass."""
+        """One benchmark-shaped block (24 cells, 16 realizations, set to 4
+        chunks in one group) seeds each link's substreams once and places
+        and contracts its Tx-surface leg once, not once per chunk: one
+        placement pass per chunk, the first also placing the Tx-surface leg.
+        The budget runs the block as 2 chunks of 8, and a benchmark campaign
+        block (32 realizations) as one chunk: one pass."""
         vc = quick_vc(realizations=16)
         positions = cell_positions(default_grid(vc, 12.5))
         assert len(positions) == 24
+        budget_sizes = campaign_module.block_sizes
+        monkeypatch.setattr(campaign_module, "block_sizes", lambda vc, cells: (
+            (BLOCK_SIZE, 5) if cells == 24 else budget_sizes(vc, cells)))
         group, chunk = campaign_module.block_sizes(vc, len(positions))
         assert (group, chunk) == (BLOCK_SIZE, 5)   # so one group of 16 in 4 chunks of 4
         seeded, placed, legs = [], [], []
@@ -434,6 +454,15 @@ class TestCoverage:
         placed.clear()
         run_campaign(Campaign(quick_vc(realizations=32)))
         assert placed == [[(64, 4), (4, 64)]]
+        # the budget: the map's 16 realizations as one group in 2 chunks of 8 (chunks of
+        # at most 10 split evenly), so 2 passes, then the campaign's 32 as one chunk
+        monkeypatch.setattr(campaign_module, "block_sizes", budget_sizes)
+        placed.clear()
+        coverage_map(Campaign(vc), default_grid(vc, 12.5))
+        run_campaign(Campaign(quick_vc(realizations=32)))
+        assert (budget_sizes(vc, 24), budget_sizes(vc, 1), placed) == (
+            (BLOCK_SIZE, 10), (BLOCK_SIZE, BLOCK_SIZE),
+            [[(64, 4), (4, 64)], [(4, 64)], [(64, 4), (4, 64)]])
 
     def test_coverage_sizes(self):
         """Chunks fill the receiver-side budget, groups the Tx-side one; a
@@ -495,27 +524,31 @@ class TestCoverage:
                     rx=dataclasses.replace(cfg.rx, count=64)))
             positions = np.asarray(cfg.rx.position, float)[None]
             ris_rx_bytes = 64 * 4096 * 16
-        args = (job, vc, range(vc.config.realizations), positions,
-                campaign_module.serving_surface(vc, positions), np.asarray(vc.pt_watts[:1]))
-        campaign_module._run_block(args)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            campaign_module._run_block(args)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        peak = warm_block_peak(job, vc, positions)
         assert peak < 6 * ris_rx_bytes
 
+    def test_benchmark_map_block_peak_is_pinned(self):
+        """A block of the benchmark's map (24 cells, 16 realizations in 2
+        chunks of 8) peaks under 2.7 MB on seeds 1000-1007: 2.47 MB at most,
+        in the contraction of a first chunk, plus ~10%.  The bound above
+        grows with the chunk, so it does not see the chunk's arrays outlive
+        their use; held as long as their pass, its placed paths and per-path
+        ends had it peak at 2.84 MB."""
+        peaks = []
+        for seed in range(1000, 1008):
+            vc = quick_vc(realizations=16, seed=seed)
+            peaks.append(warm_block_peak("means", vc, cell_positions(default_grid(vc, 12.5))))
+        assert max(peaks) < 2_700_000, peaks
+
     def test_each_chunk_is_released_before_the_next_is_contracted(self, monkeypatch):
-        """A "means" block of the benchmark's map (24 cells, 16 realizations
-        in 4 chunks) holds no earlier chunk's surface-Rx matrices while it
+        """A "means" block of the benchmark's map (24 cells, 16 realizations,
+        set to 4 chunks) holds no earlier chunk's surface-Rx matrices while it
         contracts the next one.  A name left holding the last chunk (the loop
         name of a comprehension over the chunks) keeps one chunk more alive,
         which the tracemalloc bound above does not see."""
         vc = quick_vc(realizations=16, seed=1000)
         positions = cell_positions(default_grid(vc, 12.5))
+        monkeypatch.setattr(campaign_module, "block_sizes", lambda vc, cells: (BLOCK_SIZE, 5))
         original, matrices, alive = channel_module._leg_matrices, [], []
 
         def spy(row, col, leg):

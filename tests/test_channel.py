@@ -224,6 +224,13 @@ class TestAssembly:
         with pytest.raises(ValueError, match="at least one receiver position"):
             realize_channels(vc, 0, np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("ris_links", ["los", "auto"])
+    def test_surface_without_cells_rejected(self, ris_links):
+        vc = validate_config(dataclasses.replace(scene_preset("indoor"), ris_links=ris_links))
+        positions = np.array([[30.0, 20.0, 1.0], [40.0, 20.0, 1.0]])
+        with pytest.raises(ValueError, match="surface 0 is realized at no cell"):
+            realize_block(vc, range(2), {0: np.array([], dtype=int)}, positions)
+
     @pytest.mark.parametrize("overrides", [
         {"ris_links": "auto", "direct_mode": "auto"},
         {"ris_links": "auto", "direct_mode": "present", "shared_clusters": True},

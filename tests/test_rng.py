@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rislink.geometry import azimuth_rotation_frame, rotate
+from rislink.propagation import component_norm
 from rislink.rng import LinkTag, block_rngs, spawn_rng
 
 LAST_INDEX = 2**32 - 1
@@ -112,9 +113,9 @@ def rows_with_edge_entries(seed: int) -> np.ndarray:
 @pytest.mark.parametrize("seed", [0, 3, 11])
 def test_component_norm_equals_the_row_norm(seed):
     """The numpy behaviour behind taking path lengths on (3, P) components
-    (`propagation.path_ends`): `np.linalg.norm` over the component axis sums
-    x*x + y*y + z*z left to right, as `np.linalg.norm(axis=-1)` does on the
-    (P, 3) rows, bit for bit; and a negated delta has the same length and
+    (`propagation.component_norm`): `np.linalg.norm` over the component axis
+    sums x*x + y*y + z*z left to right, as `np.linalg.norm(axis=-1)` does on
+    the (P, 3) rows, bit for bit; and a negated delta has the same length and
     the negated unit vector.  Were a numpy release to sum either in another
     order, every path weight would move by rounding; this fails first."""
     rows = rows_with_edge_entries(seed)
@@ -123,6 +124,7 @@ def test_component_norm_equals_the_row_norm(seed):
     x, y, z = components
     assert np.linalg.norm(components, axis=0).tobytes() == norm.tobytes()
     assert np.sqrt(x * x + y * y + z * z).tobytes() == norm.tobytes()
+    assert component_norm(components).tobytes() == norm.tobytes()
     assert np.linalg.norm(-components, axis=0).tobytes() == norm.tobytes()
     assert np.linalg.norm(-rows, axis=-1).tobytes() == norm.tobytes()
     live = norm > 0
