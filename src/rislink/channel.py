@@ -98,12 +98,17 @@ def _gain(device: DeviceView, u: np.ndarray):
         u[0], device.gain_exponent)
 
 
-# A leg's paths are contracted in chunks of at most this many (factor
-# entry, path) pairs, prefix + suffix entries a path, 16-24 bytes each; a
-# path set is never split (its matrix is one product wherever it lands), so
-# one set's paths bound the workspace from below.  How many realizations a
-# block realizes at once is its own budget (`campaign.CHUNK_BUDGET`).
-PLACEMENT_BUDGET = 16384
+# A leg's paths are contracted in chunks of at most this many (entry, path)
+# pairs, 16 bytes each, counting every entry a chunk forms a path: both
+# devices' grid factors (rows + cols each) and the two Khatri-Rao sides
+# (prefix + suffix), 60 for an 8x8 surface and a 2x2 array, 819 paths a
+# chunk.  Freed chunk by chunk, the benchmark map's legs allocate 0.85-0.98
+# MB beyond their matrices against the 0.79 MB counted (`_outer`'s
+# intermediate is not).  A path set is never split (its matrix is one
+# product wherever it lands), so one set's paths bound the workspace from
+# below.  How many realizations a block realizes at once is its own budget
+# (`campaign.CHUNK_BUDGET`).
+PLACEMENT_BUDGET = 49152
 
 
 class _Leg(NamedTuple):
@@ -279,12 +284,14 @@ def _leg_matrices(row: DeviceView, col: DeviceView, leg: _Leg) -> np.ndarray:
 
     No response is formed: the four grid factors of a path (row device's vertical and
     horizontal, then the column device's), the weight folded into the
-    first, are split where prefix size + suffix size is least (8 | 32 for
-    an 8x8 surface and a 2x2 array), each side's factors are outer-multiplied
-    per path, and every set is one (prefix, P) @ (P, suffix) product.  Sets
-    with equal path counts run as one stacked product, a lone set too, so a
-    set's matrix does not depend on the run or chunk it lands in.  Chunks
-    hold at most `PLACEMENT_BUDGET` (prefix + suffix) x path entries or one set.
+    first in place, are split where prefix size + suffix size is least (8 |
+    32 for an 8x8 surface and a 2x2 array), each side's factors are
+    outer-multiplied per path, and every set is one (prefix, P) @ (P, suffix)
+    product.  Sets with equal path counts run as one stacked product, a lone
+    set too, so a set's matrix does not depend on the run or chunk it lands
+    in.  A chunk holds at most `PLACEMENT_BUDGET` entries, counting per path
+    both devices' factors and both sides (20 + 40 for those devices), or
+    one set; its arrays are released before the next chunk forms its own.
     """
     counts = (np.diff(leg.bounds) + leg.los).tolist()
 
@@ -293,15 +300,15 @@ def _leg_matrices(row: DeviceView, col: DeviceView, leg: _Leg) -> np.ndarray:
     prefix, suffix = math.prod(dims[:split]), math.prod(dims[split:])
     matrix = np.zeros((len(counts), prefix, suffix), dtype=complex)
     bounds = np.cumsum([0] + counts).tolist()
-    per_chunk = max(1, PLACEMENT_BUDGET // (prefix + suffix))
+    per_chunk = max(1, PLACEMENT_BUDGET // (sum(dims) + prefix + suffix))
     start = 0
     while start < len(counts):
         stop = max(start + 1, bisect.bisect_right(bounds, bounds[start] + per_chunk) - 1)
         first, last = bounds[start], bounds[stop]
         at_row = row.grid.factors(leg.u_row[:, first:last].T)
         at_col = col.grid.factors(leg.u_col[:, first:last].T)
-        factors = [at_row[:dims[0]] * leg.weights[first:last], at_row[dims[0]:],
-                   at_col[:dims[2]], at_col[dims[2]:]]
+        at_row[:dims[0]] *= leg.weights[first:last]
+        factors = [at_row[:dims[0]], at_row[dims[0]:], at_col[:dims[2]], at_col[dims[2]:]]
         left, right = _outer(factors[:split]), _outer(factors[split:])
         lo = start
         while lo < stop:   # each run of sets with equal path counts is one stacked product
@@ -316,6 +323,7 @@ def _leg_matrices(row: DeviceView, col: DeviceView, leg: _Leg) -> np.ndarray:
                           right[:, own].reshape(suffix, hi - lo, paths).transpose(1, 2, 0),
                           out=matrix[lo:hi])
             lo = hi
+        del at_row, at_col, factors, left, right   # before the next chunk forms its own
         start = stop
     return matrix.reshape(-1, len(row.position), row.count, col.count)
 
@@ -463,11 +471,18 @@ def realize_chunks(vc: ValidatedConfig, realizations: range, surfaces, rx_positi
     chunk's substreams, and a second the surface-Rx links borrowing it
     under shared clusters; it contracts them and slices the group's
     Tx-side matrices; no name holds a chunk once it is yielded.  With
-    `record` (asked only for a group of one chunk), `clusters` keeps each
-    link's placed paths; else they are released before the contraction.
+    `record`, `clusters` keeps each link's placed paths; else they are
+    released before the contraction.  `record` needs every group to be one
+    chunk (a chunk would else get its group's Tx-surface paths): sizes that
+    split a group are a ValueError.
     """
     if not realizations:
         raise ValueError(f"a block needs at least one realization, got {realizations}")
+    groups = realization_chunks(realizations, sizes[0])
+    largest = max(map(len, groups))
+    if record and largest > sizes[1]:
+        raise ValueError(f"`record` needs groups of one chunk, got sizes {tuple(sizes)}: "
+                         f"a group of {largest} realizations in chunks of at most {sizes[1]}")
     cfg = vc.config
     seed = cfg.seed
     scene = build_scene(vc, rx_position=rx_position)
@@ -483,7 +498,7 @@ def realize_chunks(vc: ValidatedConfig, realizations: range, surfaces, rx_positi
             raise ValueError(f"surface {k} is realized at no cell, got an empty cell list; "
                              "leave it out of `surfaces` instead")
     force = True if cfg.ris_links == "los" else None
-    for group in realization_chunks(realizations, sizes[0]):
+    for group in groups:
         rx_frames = None
         if cfg.rx_orientation == "random-azimuth":
             # uniform(0, 2 pi) bit for bit, mapped once for the group

@@ -26,6 +26,7 @@ from rislink.channel import realize_block
 from rislink.control import pinv_phases, rate_from_singular_values
 from rislink.errors import (ConfigError, EmptySweep, NearFieldViolation, NearFieldWarning,
                             SingularPinvWarning)
+from rislink.geometry import GridAxes
 
 
 def quick_vc(realizations=8, **overrides):
@@ -539,6 +540,68 @@ class TestCoverage:
             vc = quick_vc(realizations=16, seed=seed)
             peaks.append(warm_block_peak("means", vc, cell_positions(default_grid(vc, 12.5))))
         assert max(peaks) < 2_700_000, peaks
+
+    def test_contraction_workspace_is_bounded_by_the_placement_budget(self, monkeypatch):
+        """Each leg's contraction in a block of the benchmark's map (seeds
+        1000-1007) allocates beyond its matrices at most 1.5x what its path
+        chunks count (`channel.PLACEMENT_BUDGET` entries, 16 bytes each):
+        both devices' grid factors and the Khatri-Rao sides, each chunk's
+        released before the next is formed.  Counting only prefix + suffix
+        entries a path, with a chunk's arrays alive while the next chunk's
+        are formed, takes 3.3-3.5x."""
+        original, workspace = channel_module._leg_matrices, {}
+
+        def spy(row, col, leg):
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            matrix = original(row, col, leg)
+            kind = "surface-Rx" if len(row.position) > 1 else "Tx-surface"
+            workspace.setdefault(kind, []).append(
+                tracemalloc.get_traced_memory()[1] - entry - matrix.nbytes)
+            return matrix
+
+        monkeypatch.setattr(channel_module, "_leg_matrices", spy)
+        for seed in range(1000, 1008):
+            vc = quick_vc(realizations=16, seed=seed)
+            positions = cell_positions(default_grid(vc, 12.5))
+            tracemalloc.start()
+            try:
+                campaign_module._run_block(("means", vc, range(16), positions,
+                                            campaign_module.serving_surface(vc, positions),
+                                            np.asarray(vc.pt_watts[:1])))
+            finally:
+                tracemalloc.stop()
+        # a Tx-surface leg a block, a surface-Rx leg a chunk of 8
+        assert {kind: len(v) for kind, v in workspace.items()} == {"Tx-surface": 8,
+                                                                    "surface-Rx": 16}
+        bound = 1.5 * channel_module.PLACEMENT_BUDGET * 16
+        assert max(max(v) for v in workspace.values()) <= bound, workspace
+
+    def test_contraction_chunks_fill_the_placement_budget(self, monkeypatch):
+        """Every path chunk of a leg's contraction but its last holds at least
+        700 paths, in a block of the benchmark's map and one of its campaign:
+        the benchmark legs count 60 entries a path (both devices' 4 + 16
+        factors, then 40 on the Khatri-Rao sides), 819 paths to a chunk."""
+        original, factors, calls = channel_module._leg_matrices, GridAxes.factors, []
+
+        def spy(row, col, leg):
+            calls.append([])   # each chunk's row device's, then column device's factors
+            return original(row, col, leg)
+
+        def counting(grid, u):
+            calls[-1].append(len(u))
+            return factors(grid, u)
+
+        monkeypatch.setattr(channel_module, "_leg_matrices", spy)
+        monkeypatch.setattr(GridAxes, "factors", counting)
+        vc = quick_vc(realizations=16, seed=1000)
+        coverage_map(Campaign(vc), default_grid(vc, 12.5))
+        run_campaign(Campaign(quick_vc(realizations=32)))
+        chunks = [paths[::2] for paths in calls]
+        assert all(paths[::2] == paths[1::2] for paths in calls)
+        assert len(chunks) == 3 + 2   # the map's legs (2 chunks of 8), then the campaign's
+        assert max(map(len, chunks)) > 1
+        assert all(min(leg[:-1], default=700) >= 700 for leg in chunks), chunks
 
     def test_each_chunk_is_released_before_the_next_is_contracted(self, monkeypatch):
         """A "means" block of the benchmark's map (24 cells, 16 realizations,

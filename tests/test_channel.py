@@ -231,6 +231,26 @@ class TestAssembly:
         with pytest.raises(ValueError, match="surface 0 is realized at no cell"):
             realize_block(vc, range(2), {0: np.array([], dtype=int)}, positions)
 
+    def test_record_needs_groups_of_one_chunk(self):
+        """A group split into chunks would give each chunk its group's
+        Tx-surface paths, so `record` rejects the sizes; groups of one chunk
+        record each chunk's paths as `realize_block` does."""
+        vc = validate_config(scene_preset("indoor"))
+        with pytest.raises(ValueError, match=re.escape("got sizes (4, 2): a group of 4")):
+            next(channel_module.realize_chunks(vc, range(4), None, None, (4, 2), record=True))
+        with pytest.raises(ValueError, match=re.escape("got sizes (3, 2): a group of 3")):
+            next(channel_module.realize_chunks(vc, range(5), None, None, (3, 2), record=True))
+        chunks = channel_module.realize_chunks(vc, range(4), None, None, (2, 2), record=True)
+        for chunk in chunks:
+            alone = realize_block(vc, chunk.realization)
+            assert chunk.clusters.keys() == alone.clusters.keys()
+            for key, clusters in alone.clusters.items():
+                assert np.array_equal(chunk.clusters[key].sizes, clusters.sizes)
+                assert np.array_equal(chunk.clusters[key].positions, clusters.positions)
+            assert chunk.los.keys() == alone.los.keys()
+            for key, los in alone.los.items():
+                assert np.array_equal(chunk.los[key], los)
+
     @pytest.mark.parametrize("overrides", [
         {"ris_links": "auto", "direct_mode": "auto"},
         {"ris_links": "auto", "direct_mode": "present", "shared_clusters": True},

@@ -162,13 +162,16 @@ def test_readme_module_names_resolve():
 
 
 def test_readme_states_the_chunk_budget_and_kept_heap():
-    """The README's chunking paragraph gives `campaign.CHUNK_BUDGET` in
-    entries and `campaign.TRIM_THRESHOLD` in MiB as the constants are."""
+    """The README's chunking paragraph gives `campaign.CHUNK_BUDGET` and
+    `channel.PLACEMENT_BUDGET` in entries and `campaign.TRIM_THRESHOLD` in
+    MiB as the constants are."""
     text = README.read_text(encoding="utf-8")
     budgets = re.findall(r"(\d+)\s+entries\s+\(`campaign\.CHUNK_BUDGET`\)", text)
+    paths = re.findall(r"(\d+)\s+entries\s+\(`channel\.PLACEMENT_BUDGET`\)", text)
     heaps = re.findall(r"(\d+)\s+MiB\s+\(`campaign\.TRIM_THRESHOLD`", text)
-    assert budgets and heaps
+    assert budgets and paths and heaps
     assert {int(n) for n in budgets} == {rislink.campaign.CHUNK_BUDGET}
+    assert {int(n) for n in paths} == {rislink.channel.PLACEMENT_BUDGET}
     assert {int(n) << 20 for n in heaps} == {rislink.campaign.TRIM_THRESHOLD}
 
 
