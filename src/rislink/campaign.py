@@ -150,27 +150,15 @@ def default_grid(vc: ValidatedConfig, cell: float = 1.0) -> GridSpec:
 
 
 # Cells per coverage work unit and realizations per campaign or dump work
-# unit (and at most per group or chunk).  Fixed, so the blocks (and the
-# output bytes) do not depend on the worker count.  A coverage block's
-# cells share each realization's receiver-free work (the draws, the
-# Tx-surface leg); `channel.realize_chunks` seeds every link and draws the
-# Tx-surface legs once per group (with its first chunk's links) and yields
-# the group's chunks, whose realizations share the placement, steering,
-# pinv and SVD calls.  Memory is bounded by two budgets: `CHUNK_BUDGET`
-# sizes every block's groups and chunks (`block_sizes`),
-# `channel.PLACEMENT_BUDGET` the path chunks each leg is contracted in,
-# counting every factor entry a chunk forms (819 paths a chunk and
-# 0.85-0.98 MB of workspace a contraction on the benchmark map's legs).
+# unit, and the most realizations a group or chunk of one holds
+# (`channel.realize_chunks`).  Fixed, so the blocks (and the output bytes)
+# do not depend on the worker count.
 BLOCK_SIZE = 32
 
 # Most matrix entries (16 bytes each) a chunk realizes on the receiver side
-# (cells x Nr x N) and a group holds on the Tx side (N x Nt per surface).
-# A chunk's arrays that grow with it (the surface-Rx legs, their
-# phase-control products and cascades) are a few times this; 65536 lets
-# the 24-cell, 4x4-by-64 benchmark map realize 8 realizations a chunk where
-# 32768 allowed 4 (its block's traced peak 2.5 MB against 1.9), and draw
-# its 16 realizations as one group, and a campaign block with the same
-# arrays run its 32 realizations as one chunk.
+# (cells x Nr x N) and a group holds on the Tx side (N x Nt per surface),
+# as `block_sizes` splits a block; a leg's contraction is bounded apart
+# (`channel.PLACEMENT_BUDGET`).
 CHUNK_BUDGET = 65536
 
 # Bytes of freed heap glibc keeps mapped (M_TRIM_THRESHOLD) and the largest
@@ -353,8 +341,8 @@ def _run_block(args):
     chunk's channels before the next is realized: "rates" returns the
     (len(pt_watts), B, K) rates, "means" each position's mean rate at the
     first power, summed in realization order.  Job "channels" (`positions`
-    None) returns each chunk's channels, without `clusters`, every surface
-    realized at the config's receiver position.
+    None) returns each chunk's channels, every surface realized at the
+    config's receiver position.
     """
     _keep_freed_heap()
     job, vc, realizations, positions, selected, pt_watts = args

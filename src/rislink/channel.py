@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ValidatedConfig, check_positions
+from .config import ValidatedConfig, check_positions, is_count
 from .errors import CoincidentPoints, DimensionMismatch
 from .geometry import GridAxes, azimuth_rotation_frame, element_gain_from_cos, rotate
 # no caller left here; the benchmark's tracer wraps these names (ROADMAP item 5)
@@ -116,7 +116,6 @@ class _Leg(NamedTuple):
     *path set* per (realization, far point), in that (row-major) order, and
     its *terms*: its scattered paths, then its LOS term (`_path_terms`)."""
 
-    cell: np.ndarray             # (S,) each path set's far point
     los: np.ndarray              # (S,) bool
     los_attenuation: np.ndarray  # (L,) per LOS set, in order
     los_phase: np.ndarray        # (L,)
@@ -174,17 +173,17 @@ def _place_links(vc: ValidatedConfig, links: list[tuple]) -> list[_Leg]:
         los = (np.full(len(rngs) * cells, bool(force_los)) if force_los is not None
                else (np.array(coins)[:, None] < p_los).ravel())
         cell = np.tile(np.arange(cells), len(rngs))
-        # each set's LOS state, branch, link length, near and far point, and far point's index
+        # each set's LOS state, branch, link length, near and far point
         runs.append((los, np.repeat(first, cells) + (los & np.repeat(mixed, cells)), d[cell],
-                     np.broadcast_to(col.position, (len(cell), 3)), row.position[cell], cell))
+                     np.broadcast_to(col.position, (len(cell), 3)), row.position[cell]))
         sizes.append(np.array([n for u in units[first_unit:] for n in u.sizes], dtype=int)
                      if geometry_from is None else geometry_from.clusters.sizes)
-    los, branch, d, near, far = map(np.concatenate, list(zip(*runs))[:5])
+    los, branch, d, near, far = map(np.concatenate, zip(*runs))
     shadow, phase = np.array(los_draws, dtype=float).reshape(-1, 2)[branch[los]].T
     attenuation = shadowed_attenuation(d[los], f_hz, env, True, shadow)
     unit_paths = np.array([len(u.normals) for u in units], dtype=int) // 3
     per_set = unit_paths[branch] if units else np.zeros(len(los), dtype=int)
-    leg = _Leg(None, los, attenuation, TWO_PI * phase, None,
+    leg = _Leg(los, attenuation, TWO_PI * phase, None,
                np.concatenate([[0], np.cumsum(per_set)]))
     starts = np.cumsum([0] + [len(run[0]) for run in runs])   # each link's first set
 
@@ -212,7 +211,7 @@ def _place_links(vc: ValidatedConfig, links: list[tuple]) -> list[_Leg]:
     lit, paths, terms = ([slice(a, b) for a, b in zip(first, first[1:])] for first in (
         np.concatenate([[0], np.cumsum(n)])[starts] for n in (los, per_set, per_set + los)))
     c = leg.clusters
-    return [_Leg(run[5], run[0], leg.los_attenuation[ls], leg.los_phase[ls],
+    return [_Leg(run[0], leg.los_attenuation[ls], leg.los_phase[ls],
                  ClusterSet(link_sizes, c.positions[p], c.gains[p], c.attenuations[p]),
                  leg.bounds[a:b + 1] - p.start, leg.u_row[:, t], leg.u_col[:, t], leg.weights[t])
             for run, link_sizes, a, b, ls, p, t
@@ -340,7 +339,7 @@ def _one_link(row: DeviceView, col: DeviceView, clusters: ClusterSet,
               link: LinkState) -> np.ndarray:
     """The matrix of one link, given its clusters and LOS state."""
     los = np.array([link.los])
-    leg = _Leg(np.zeros(1, dtype=int), los, np.array([link.attenuation])[los],
+    leg = _Leg(los, np.array([link.attenuation])[los],
                np.array([link.phase])[los], clusters, np.array([0, clusters.total_paths]))
     row = dataclasses.replace(row, position=np.atleast_2d(row.position))
     placed = clusters, path_ends(clusters.positions.T, col.position, row.position)
@@ -381,7 +380,6 @@ class RealizationChannels:
     direct: np.ndarray                      # (B, K, Nr, Nt)
     realization: int | range
     los: dict = field(default_factory=dict)
-    clusters: dict = field(default_factory=dict)  # ClusterSet per link key, if recorded
     cells: dict = field(default_factory=dict)     # surface -> its legs' cell indices; absent = all
 
 
@@ -425,7 +423,7 @@ def composite_multi(channels: RealizationChannels,
 def realize_block(vc: ValidatedConfig, realizations: range, surfaces=None,
                   rx_position=None) -> RealizationChannels:
     """Draw the channel matrices of a block of realizations: `realize_chunks`
-    with the whole block as one group and one chunk, recording `clusters`.
+    with the whole block as one group and one chunk.
 
     Each realization reads its own substreams, keyed by (seed, realization,
     link) and seeded for the whole block by `block_rngs`, so its index lies
@@ -440,11 +438,10 @@ def realize_block(vc: ValidatedConfig, realizations: range, surfaces=None,
     matrices) to the stack cells its receiver leg is placed at (None =
     all; an empty list is a ValueError), recorded in `cells`; None realizes
     every surface at every position.  `los` records each link's LOS state
-    per (realization, position), `clusters` each link's placed paths.
+    per (realization, position).
     """
     whole = len(realizations)
-    return next(realize_chunks(vc, realizations, surfaces, rx_position, (whole, whole),
-                               record=True))
+    return next(realize_chunks(vc, realizations, surfaces, rx_position, (whole, whole)))
 
 
 def realization_chunks(realizations: range, most: int) -> list[range]:
@@ -456,7 +453,7 @@ def realization_chunks(realizations: range, most: int) -> list[range]:
 
 
 def realize_chunks(vc: ValidatedConfig, realizations: range, surfaces, rx_position,
-                   sizes: tuple[int, int], record=False) -> Iterator[RealizationChannels]:
+                   sizes: tuple[int, int]) -> Iterator[RealizationChannels]:
     """The channel matrices of a block (`realize_block`'s arguments), yielded
     chunk by chunk in realization order, each chunk bit for bit its part of
     the whole block's.  The block, which may not be empty, runs in evenly
@@ -470,19 +467,13 @@ def realize_chunks(vc: ValidatedConfig, realizations: range, surfaces, rx_positi
     places every receiver-side link drawing its own geometry from the
     chunk's substreams, and a second the surface-Rx links borrowing it
     under shared clusters; it contracts them and slices the group's
-    Tx-side matrices; no name holds a chunk once it is yielded.  With
-    `record`, `clusters` keeps each link's placed paths; else they are
-    released before the contraction.  `record` needs every group to be one
-    chunk (a chunk would else get its group's Tx-surface paths): sizes that
-    split a group are a ValueError.
+    Tx-side matrices; no name holds a chunk once it is yielded.  Placed
+    paths are released before the contraction, but for the copy a lending
+    Tx-surface leg keeps for its group.  A `surfaces` key that is not a
+    surface's index is a ValueError.
     """
     if not realizations:
         raise ValueError(f"a block needs at least one realization, got {realizations}")
-    groups = realization_chunks(realizations, sizes[0])
-    largest = max(map(len, groups))
-    if record and largest > sizes[1]:
-        raise ValueError(f"`record` needs groups of one chunk, got sizes {tuple(sizes)}: "
-                         f"a group of {largest} realizations in chunks of at most {sizes[1]}")
     cfg = vc.config
     seed = cfg.seed
     scene = build_scene(vc, rx_position=rx_position)
@@ -492,13 +483,15 @@ def realize_chunks(vc: ValidatedConfig, realizations: range, surfaces, rx_positi
         raise ValueError("a block needs at least one receiver position, got an empty stack")
     if surfaces is None:
         surfaces = dict.fromkeys(range(len(scene.ris)))
-    cells = {k: c for k, c in surfaces.items() if c is not None}
-    for k, at in cells.items():
-        if not len(at):
+    for k, at in surfaces.items():
+        if not (is_count(k) and 0 <= k < len(scene.ris)):
+            raise ValueError(f"surface key {k!r} is not a surface index in [0, {len(scene.ris)})")
+        if at is not None and not len(at):
             raise ValueError(f"surface {k} is realized at no cell, got an empty cell list; "
                              "leave it out of `surfaces` instead")
+    cells = {k: c for k, c in surfaces.items() if c is not None}
     force = True if cfg.ris_links == "los" else None
-    for group in groups:
+    for group in realization_chunks(realizations, sizes[0]):
         rx_frames = None
         if cfg.rx_orientation == "random-azimuth":
             # uniform(0, 2 pi) bit for bit, mapped once for the group
@@ -532,10 +525,10 @@ def realize_chunks(vc: ValidatedConfig, realizations: range, surfaces, rx_positi
                     for key, link in zip(keys, map(links.get, keys))]
                 placed = _place_links(vc, batch)
                 for key, leg in zip(keys, placed):
-                    whole = key.startswith("tx")   # outlives the pass, which a view would pin
-                    kept = leg.clusters if record or whole and cfg.shared_clusters else None
-                    legs[key] = leg._replace(clusters=copy.deepcopy(kept) if whole else kept,
-                                             u_row=None, u_col=None, weights=None)
+                    # a lender outlives the pass, which a view of its paths would pin
+                    lends = cfg.shared_clusters and key.startswith("tx")
+                    legs[key] = leg._replace(clusters=copy.deepcopy(leg.clusters) if lends
+                                             else None, u_row=None, u_col=None, weights=None)
                 placed = [leg._replace(clusters=None) for leg in placed]   # the terms suffice
                 for key, (_, row, col, *_), leg in zip(keys, batch, placed):
                     matrices[key] = _leg_matrices(row, col, leg)
@@ -547,7 +540,6 @@ def realize_chunks(vc: ValidatedConfig, realizations: range, surfaces, rx_positi
                     place(keys)
             los = {key: legs[key].los[a:b] if key.startswith("tx") else legs[key].los
                    for key in links}
-            clusters = {key: legs[key].clusters for key in links} if record else {}
             direct = matrices.pop("direct", None)   # the chunk's matrices leave with it
             if direct is None:
                 direct = np.zeros((b - a, len(rx.position), rx.count, tx.count), complex)
@@ -555,8 +547,7 @@ def realize_chunks(vc: ValidatedConfig, realizations: range, surfaces, rx_positi
             ris = range(len(scene.ris))
             return RealizationChannels(
                 tuple(matrices[f"tx_ris_{k}"][a:b] if k in surfaces else None for k in ris),
-                tuple(matrices.pop(f"ris_rx_{k}", None) for k in ris), direct, chunk, los,
-                clusters, cells)
+                tuple(matrices.pop(f"ris_rx_{k}", None) for k in ris), direct, chunk, los, cells)
 
         yield from map(realize, realization_chunks(group, sizes[1]))
 
@@ -580,4 +571,4 @@ def realize_channels(vc: ValidatedConfig, realization: int, rx_position=None,
 
     los = {k: v if stack else bool(v[0]) for k, v in block.los.items()}
     return RealizationChannels(first(block.tx_ris, 0), first(block.ris_rx), block.direct[0, cell],
-                               realization, los, block.clusters, block.cells if stack else {})
+                               realization, los, block.cells if stack else {})

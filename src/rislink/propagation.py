@@ -169,9 +169,10 @@ def draw_clusters(near: np.ndarray, far: np.ndarray, env: Environment,
     (shared-cluster mode) and only gains and attenuations are redrawn for
     this link.
     """
-    variates = draw_cluster_variates(
-        env, rng, None if geometry_from is None else geometry_from.total_paths)
-    return place_clusters(variates, near, far, env, f_hz, near_frame, geometry_from)[0]
+    units = draw_cluster_units(env, rng, None if geometry_from is None
+                               else geometry_from.total_paths)
+    return place_clusters(stack_cluster_variates(env, [units]), near, far, env, f_hz, near_frame,
+                          geometry_from)[0]
 
 
 class ClusterUnits(NamedTuple):
@@ -203,16 +204,6 @@ def draw_cluster_units(env: Environment, rng: np.random.Generator,
     angles = rng.random(3 * count)
     paths = sum(sizes)
     return ClusterUnits(sizes, angles, rng.random(2 * paths), rng.standard_normal(3 * paths))
-
-
-def draw_cluster_variates(env: Environment, rng: np.random.Generator,
-                          shared_paths: int | None = None) -> ClusterVariates:
-    """The draws of `draw_clusters` that do not depend on the link's ends.
-
-    With `shared_paths` (shared-cluster mode) only that many gains and
-    shadowing normals are drawn.
-    """
-    return stack_cluster_variates(env, [draw_cluster_units(env, rng, shared_paths)])
 
 
 def stack_cluster_variates(env: Environment, units: list[ClusterUnits]) -> ClusterVariates:
@@ -266,9 +257,9 @@ def _runs(values: np.ndarray, lengths: np.ndarray, parts: int) -> list[np.ndarra
 
 def path_ends(positions: np.ndarray, near, far,
               spans: list[int] | None = None) -> tuple[np.ndarray, ...]:
-    """The deltas of scatterers (3, ..., P), stored by component, from `near`
-    (3,), or with `spans` (M,) from each of M points (M, 3) its next
-    spans[m] paths, and from `far` (..., 3), each with its lengths
+    """The deltas of scatterers (3, P), stored by component, from `near` (3,),
+    or with `spans` (M,) from each of M points (M, 3) its next spans[m]
+    paths, and from `far` (3,) or (P, 3), each with its lengths
     (`component_norm`)."""
     out = positions.copy()
     _shift_by_span(np.subtract, out, near, spans)
@@ -287,13 +278,13 @@ def component_norm(delta: np.ndarray) -> np.ndarray:
 
 
 def _shift_by_span(op, paths: np.ndarray, near, spans) -> None:
-    """Apply `op` (np.add or np.subtract) in place to (3, ..., P) `paths` and
-    the point `near` (3,), or with `spans` (M,) to each run of spans[m]
-    paths and its point `near[m]` (M, 3)."""
+    """Apply `op` (np.add or np.subtract) in place to (3, P) `paths` and the
+    point `near` (3,), or with `spans` (M,) to each run of spans[m] paths
+    and its point `near[m]` (M, 3)."""
     bounds = [0, paths.shape[-1]] if spans is None else list(accumulate(spans, initial=0))
     for point, a, b in zip(np.reshape(near, (-1, 3)), bounds, bounds[1:]):
-        run = paths[..., a:b]
-        op(run, point.reshape((3,) + (1,) * (paths.ndim - 1)), out=run)
+        run = paths[:, a:b]
+        op(run, point[:, None], out=run)
 
 
 def place_clusters(variates: ClusterVariates, near, far, env: Environment, f_hz: float,
@@ -304,10 +295,9 @@ def place_clusters(variates: ClusterVariates, near, far, env: Environment, f_hz:
     """Place drawn clusters on the link `near` -> `far` (see `draw_clusters`);
     returns them and their `path_ends`, each delta and length taken once.
 
-    `far` (..., 3) broadcasts against the (P,) paths: one point (3,) gets
-    every path, a stack (K, 1, 3) gets every path at each far end, and
-    (P, 3) gives each path its own far end, so that the paths of several
-    links' variates (`stack_cluster_variates`) are placed at once: with
+    `far` is one point (3,) for every path, or (P, 3) each path's own far
+    end, so that the paths of several links' variates
+    (`stack_cluster_variates`) are placed at once: with
     `spans` (M,) the next spans[m] placed paths leave from `near[m]` (M, 3),
     else every path from `near` (3,), and with `frames` (M,) the next
     frames[m] drawn paths are turned by `near_frame[m]`.  Radials span
@@ -340,9 +330,7 @@ def place_clusters(variates: ClusterVariates, near, far, env: Environment, f_hz:
         if paths is not None:
             unit, positions = unit[paths], positions[:, paths]
         radial = _uniform(1.0, hi, unit)
-        # near + radial * direction: in place, or per far end of a stack (K, 1, 3)
-        positions = (np.multiply(positions, radial, out=positions) if radial.ndim == 1
-                     else radial * positions[:, None])
+        np.multiply(positions, radial, out=positions)   # near + radial * direction, in place
         del unit, hi, radial   # per path, and not needed past the positions
         _shift_by_span(np.add, positions, near, spans)
         np.abs(positions[2], out=positions[2])

@@ -530,8 +530,8 @@ class TestCoverage:
 
     def test_benchmark_map_block_peak_is_pinned(self):
         """A block of the benchmark's map (24 cells, 16 realizations in 2
-        chunks of 8) peaks under 2.7 MB on seeds 1000-1007: 2.47 MB at most,
-        in the contraction of a first chunk, plus ~10%.  The bound above
+        chunks of 8) peaks under 2.7 MB on seeds 1000-1007: 2.27-2.40 MB, at
+        most in the contraction of a first chunk, plus ~10%.  The bound above
         grows with the chunk, so it does not see the chunk's arrays outlive
         their use; held as long as their pass, its placed paths and per-path
         ends had it peak at 2.84 MB."""

@@ -116,16 +116,22 @@ class TestAssembly:
         assert np.array_equal(a.ris_rx[0], b.ris_rx[0])
         assert np.array_equal(a.direct, b.direct)
 
-    def test_shared_cluster_flag_reuses_geometry(self):
+    def test_shared_cluster_flag_reuses_geometry(self, monkeypatch):
         base = dataclasses.replace(scene_preset("indoor"), realizations=1)
+        positions = {}
+        for shared in (False, True):
+            vc = validate_config(dataclasses.replace(base, shared_clusters=shared))
+            calls = placed_legs(vc, range(1), None, monkeypatch)
+            # the Tx-surface leg ends at the surface, the surface-Rx leg leaves it
+            tx = next(leg for row, _, leg, _ in calls if row.gain_exponent is not None)
+            rx = next(leg for _, col, leg, _ in calls if col.gain_exponent is not None)
+            positions[shared] = tx.clusters.positions, rx.clusters.positions
+        assert not np.array_equal(*positions[False])
+        assert np.array_equal(*positions[True])
+        # the transmitter-side link is untouched by the flag
         split = realize_channels(validate_config(base), 0)
         joint = realize_channels(
             validate_config(dataclasses.replace(base, shared_clusters=True)), 0)
-        assert not np.array_equal(split.clusters["ris_rx_0"].positions,
-                                  split.clusters["tx_ris_0"].positions)
-        assert np.array_equal(joint.clusters["ris_rx_0"].positions,
-                              joint.clusters["tx_ris_0"].positions)
-        # the transmitter-side link is untouched by the flag
         assert np.array_equal(joint.tx_ris[0], split.tx_ris[0])
 
     @pytest.mark.parametrize("overrides", [
@@ -212,6 +218,15 @@ class TestAssembly:
         assert part.tx_ris[1][:, 0].shape == (3, 64, 4) and part.ris_rx[1][:, 0].shape == (3, 4, 64)
         assert np.array_equal(part.ris_rx[1], realize_block(vc, range(3)).ris_rx[1])
 
+    @pytest.mark.parametrize("key", [1, -1, True])
+    def test_surface_key_must_index_a_surface(self, key):
+        vc = validate_config(scene_preset("indoor"))
+        message = re.escape(f"surface key {key!r} is not a surface index in [0, 1)")
+        with pytest.raises(ValueError, match=message):
+            realize_channels(vc, 0, surfaces={key: None})
+        with pytest.raises(ValueError, match=message):
+            next(channel_module.realize_chunks(vc, range(4), {key: None}, None, (2, 2)))
+
     def test_empty_block_rejected(self):
         vc = validate_config(scene_preset("indoor"))
         with pytest.raises(ValueError, match="at least one realization"):
@@ -231,22 +246,19 @@ class TestAssembly:
         with pytest.raises(ValueError, match="surface 0 is realized at no cell"):
             realize_block(vc, range(2), {0: np.array([], dtype=int)}, positions)
 
-    def test_record_needs_groups_of_one_chunk(self):
-        """A group split into chunks would give each chunk its group's
-        Tx-surface paths, so `record` rejects the sizes; groups of one chunk
-        record each chunk's paths as `realize_block` does."""
-        vc = validate_config(scene_preset("indoor"))
-        with pytest.raises(ValueError, match=re.escape("got sizes (4, 2): a group of 4")):
-            next(channel_module.realize_chunks(vc, range(4), None, None, (4, 2), record=True))
-        with pytest.raises(ValueError, match=re.escape("got sizes (3, 2): a group of 3")):
-            next(channel_module.realize_chunks(vc, range(5), None, None, (3, 2), record=True))
-        chunks = channel_module.realize_chunks(vc, range(4), None, None, (2, 2), record=True)
-        for chunk in chunks:
+    @pytest.mark.parametrize("realizations, sizes, chunks", [
+        (range(4), (4, 2), [range(0, 2), range(2, 4)]),
+        (range(5), (3, 2), [range(0, 2), range(2, 3), range(3, 5)]),
+    ], ids=["one_group", "two_groups"])
+    def test_each_chunk_of_a_split_group_has_its_own_los(self, realizations, sizes, chunks):
+        """A group split into chunks gives each chunk the LOS states of that
+        chunk realized alone: its slice of the group's Tx-surface states."""
+        vc = validate_config(dataclasses.replace(scene_preset("indoor"), ris_links="auto",
+                                                 direct_mode="auto"))
+        got = list(channel_module.realize_chunks(vc, realizations, None, None, sizes))
+        assert [chunk.realization for chunk in got] == chunks
+        for chunk in got:
             alone = realize_block(vc, chunk.realization)
-            assert chunk.clusters.keys() == alone.clusters.keys()
-            for key, clusters in alone.clusters.items():
-                assert np.array_equal(chunk.clusters[key].sizes, clusters.sizes)
-                assert np.array_equal(chunk.clusters[key].positions, clusters.positions)
             assert chunk.los.keys() == alone.los.keys()
             for key, los in alone.los.items():
                 assert np.array_equal(chunk.los[key], los)
@@ -403,11 +415,6 @@ class TestBlockShape:
                 placed = len(SHAPE_SURFACES[k]) if where == "stack" else 1
                 assert channels.tx_ris[k].shape[:2] == (b, 1)
                 assert channels.ris_rx[k].shape[:2] == (b, placed)
-            if where == "channels-unit":   # a work unit records no paths
-                assert channels.clusters == {}
-            else:
-                assert set(channels.clusters) == LINKS
-                assert all(isinstance(c, ClusterSet) for c in channels.clusters.values())
 
     def test_only_realize_channels_drops_the_axes(self):
         vc = two_surface_config()
@@ -415,7 +422,7 @@ class TestBlockShape:
         assert one.direct.shape == (4, 4) and one.cells == {}
         assert all(m.shape == (64, 4) for m in one.tx_ris)
         assert all(m.shape == (4, 64) for m in one.ris_rx)
-        assert set(one.los) == set(one.clusters) == LINKS
+        assert set(one.los) == LINKS
         assert all(type(v) is bool for v in one.los.values())
         stacked = realize_channels(vc, 3, SHAPE_POSITIONS, SHAPE_SURFACES)
         assert stacked.direct.shape == (3, 4, 4) and stacked.cells == SHAPE_SURFACES
@@ -453,7 +460,7 @@ def reference_leg_matrices(row, col, leg):
         return steering_matrix(device.grid.vert, device.grid.horiz, u.T)
 
     out, bounds = [], term_bounds(leg)
-    for s in range(len(leg.cell)):
+    for s in range(len(leg.los)):
         lo, hi = bounds[s], bounds[s + 1]
         m = np.zeros((row.count, col.count), dtype=complex)
         for t in range(lo, hi):
@@ -469,12 +476,12 @@ def one_set(row, col, leg, s):
     first, last = term_bounds(leg)[s:s + 2]
     los_index = int(np.count_nonzero(leg.los[:s]))
     los = leg.los[s:s + 1]
-    alone = channel_module._Leg(np.zeros(1, dtype=int), los,
-                                leg.los_attenuation[los_index:los_index + los.sum()],
+    alone = channel_module._Leg(los, leg.los_attenuation[los_index:los_index + los.sum()],
                                 leg.los_phase[los_index:los_index + los.sum()], None,
                                 np.array([0, hi - lo]), leg.u_row[:, first:last],
                                 leg.u_col[:, first:last], leg.weights[first:last])
-    at = dataclasses.replace(row, position=row.position[leg.cell[s]][None])
+    # sets run in row-major (realization, far point) order
+    at = dataclasses.replace(row, position=row.position[s % len(row.position)][None])
     return channel_module._leg_matrices(at, col, alone)[0, 0]
 
 
@@ -527,7 +534,7 @@ def reference_terms(row, col, leg, row_frames):
     point) gathered per term, both directions by `local_directions`, the
     row device's frame gathered per term, weights as `_leg_matrices` states."""
     clusters, scattered, los = leg.clusters, np.diff(leg.bounds), leg.los
-    at = row.position[leg.cell]   # each set's row end
+    at = row.position[np.arange(len(los)) % len(row.position)]   # each set's row end
     counts = scattered + los
     owner = np.repeat(np.arange(len(los)), counts)
     total, terms = leg.bounds[-1], len(leg.los_phase)
@@ -678,7 +685,7 @@ class TestLegMatrices:
         for row, col, leg in calls:
             whole = channel_module._leg_matrices(row, col, leg)
             flat = whole.reshape(-1, *whole.shape[2:])
-            for s in range(len(leg.cell)):
+            for s in range(len(leg.los)):
                 assert np.array_equal(flat[s], one_set(row, col, leg, s))
             monkeypatch.setattr(channel_module, "PLACEMENT_BUDGET", 1)   # one set a chunk
             assert np.array_equal(whole, channel_module._leg_matrices(row, col, leg))

@@ -11,8 +11,8 @@ from rislink import (ENVIRONMENTS, ClusterSet, LinkTag, draw_clusters, draw_link
 from rislink.channel import _place_links, build_scene
 from rislink.config import PathLossTable
 from rislink.errors import ModelValidityWarning, NonPositiveDistance
-from rislink.propagation import (ClusterVariates, draw_cluster_units, draw_cluster_variates,
-                                 place_clusters, shadowed_attenuation, stack_cluster_variates)
+from rislink.propagation import (ClusterVariates, draw_cluster_units, place_clusters,
+                                 shadowed_attenuation, stack_cluster_variates)
 from rislink.rng import block_rngs
 
 INH = ENVIRONMENTS["inh"]
@@ -221,21 +221,6 @@ class TestClusters:
         assert abs(gains.mean()) < 0.02
         assert np.mean(np.abs(gains) ** 2) == pytest.approx(1.0, rel=0.05)
 
-    def test_one_draw_placed_at_many_far_ends(self):
-        near = np.array([40.0, 50.0, 2.0])
-        far = np.array([[45.0, 45.0, 1.0], [40.3, 49.6, 2.0], [10.0, 5.0, 1.5]])
-        variates = draw_cluster_variates(INH, spawn_rng(3, 1, 1))
-        placed, _ = place_clusters(variates, near, far[:, None, :], INH, 28e9)
-        assert placed.positions.shape == (3, placed.total_paths, 3)
-        assert placed.attenuations.shape == (3, placed.total_paths)
-        for i, end in enumerate(far):
-            alone = draw_clusters(near, end, INH, 28e9, spawn_rng(3, 1, 1))
-            assert np.array_equal(placed.sizes, alone.sizes)
-            assert np.array_equal(placed.gains, alone.gains)
-            assert np.array_equal(placed.positions[i], alone.positions)
-            np.testing.assert_allclose(placed.attenuations[i], alone.attenuations,
-                                       rtol=1e-12, atol=0)
-
 
 def reference_cluster_variates(env, rng, shared_paths=None) -> ClusterVariates:
     """One stream's clusters drawn with a call per variate, mapped as each call maps."""
@@ -306,7 +291,8 @@ class TestStreamContract:
             **{**dict.fromkeys(ClusterVariates._fields), **expected}))
         for rng, ref in zip(rngs, ref_rngs):
             assert rng.bit_generator.state == ref.bit_generator.state
-        assert_variates_equal(draw_cluster_variates(env, spawn_rng(5, 40, 0, 0), shared_paths[0]),
+        one = draw_cluster_units(env, spawn_rng(5, 40, 0, 0), shared_paths[0])
+        assert_variates_equal(stack_cluster_variates(env, [one]),
                               reference_cluster_variates(env, spawn_rng(5, 40, 0, 0),
                                                          shared_paths[0]))
 

@@ -67,6 +67,41 @@ def test_every_tracer_only_import_is_wrapped():
     assert not stale, f"imports kept for the tracer that it does not wrap: {stale}"
 
 
+# Names kept alive only by the tracer's entries, each in the module its caller looks it up in
+TRACER_ONLY = {"channel": ("draw_link_state", "draw_clusters", "assemble_link_channel",
+                           "assemble_direct_channel", "local_directions", "steering_matrix",
+                           "spawn_rng"),
+               "campaign": ("realize_channels", "composite_singular_values")}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"ris_links": "auto", "direct_mode": "present", "shared_clusters": True,
+     "idle_ris": "random"},
+], ids=["plain", "auto_links_direct_shared_idle"])
+def test_no_job_reaches_the_tracer_only_names(overrides, monkeypatch, tmp_path):
+    """A pt campaign, an n sweep, a two-block map and a dump call none of the
+    names that only the tracer keeps, so retiring them removes no work."""
+    def retired(name):
+        def stub(*args, **kwargs):
+            raise AssertionError(f"a job reached {name}")
+        return stub
+
+    for module, names in TRACER_ONLY.items():
+        for name in names:
+            monkeypatch.setattr(f"rislink.{module}.{name}", retired(f"{module}.{name}"))
+    base = rislink.scene_preset("indoor")
+    vc = rislink.validate_config(dataclasses.replace(
+        base, realizations=3, pt_dbm=(30.0,), **overrides,
+        ris=(base.ris[0], rislink.RisSpec(64, (60.0, 30.0, 2.0), plane="yz"))))
+    rislink.run_campaign(rislink.Campaign(vc))
+    rislink.run_campaign(rislink.Campaign(vc, sweep_axis="n", sweep_values=(16, 64)))
+    cells = rislink.coverage_map(rislink.Campaign(vc), rislink.default_grid(vc, cell=10.0))
+    assert cells.mean_rate.size > rislink.campaign.BLOCK_SIZE   # two blocks
+    rislink.dump_channels(vc, tmp_path / "dump")
+
+
 RATE_SPANS = ("campaign.phase_sets", "channel.composite", "control.pinv", "control.rate")
 
 
