@@ -10,9 +10,10 @@ realization, link), never from execution order or receiver position.
 Every block runs through one driver, `_run_block`, on the chunks
 `channel.realize_chunks` yields: the block's realizations run in groups
 and each group in chunks, both sized by `block_sizes`; every link's
-substreams are seeded, and the receiver frames and the Tx-surface legs
-drawn, once per group, each chunk's links placed in one pass (the
-Tx-surface legs with the first) and contracted.  So every rate takes one path,
+substreams are seeded and the receiver frames drawn once per group, each
+link a record (`channel._Link`), and each chunk's links are placed
+(`channel._place_chunk`, the Tx-surface legs with the group's first) and
+their legs contracted (`channel._contract_chunk`).  So every rate takes one path,
 `_block_singular_values`: a chunk's channels, then `compute_phase_sets`,
 `composite_multi` and an SVD.  Processes rather than threads: one unit
 is a burst of small numpy calls that never release the interpreter lock

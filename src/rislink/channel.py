@@ -9,16 +9,16 @@ than raising an error.
 
 One engine draws every matrix (`realize_chunks`): a block of realizations
 towards a stack of receiver positions, each matrix with its (realization,
-cell) axes (only `realize_channels` drops them), yielded chunk by chunk.
-Once per group of realizations it does what depends neither on the
-receiver nor on the chunks: it seeds each link's substreams and draws the
-receiver frames.  Per chunk it draws and places (`_place_links`) in one
-pass every link drawing its own geometry (with the group's first chunk its
-Tx-surface legs), contracts each leg and slices the Tx-side matrices;
-`realize_block` is the block as one group and one chunk.  A pass forms its
-legs' *terms* (a LOS term one more path) on (3, P) component arrays: each
-path's deltas and lengths once (`place_clusters`), then each term's
-directions and weight (`_path_terms`).  The sum never
+cell) axes (only `realize_channels` drops them), yielded chunk by chunk;
+`realize_block` is the block as one group and one chunk.  Once per group
+of realizations it seeds each link's substreams and draws the receiver
+frames, each link one record (`_Link`).  Each chunk is then placed
+(`_place_chunk`: in one pass, `_place_links`, every link drawing its own
+geometry, with the group's first chunk its Tx-surface links) and its legs
+contracted (`_contract_chunk`, the group's Tx-side matrices sliced).  A
+pass forms its legs' *terms* (a LOS term one more path) on (3, P)
+component arrays: each path's deltas and lengths once (`place_clusters`),
+then each term's directions and weight (`_path_terms`).  The sum never
 forms an array response: each path's per-axis grid factors
 (`geometry.GridAxes`, built once per device in `build_scene`) are
 contracted in two small groups, so an 8x8 surface leg costs 8 + 32 factor
@@ -127,40 +127,64 @@ class _Leg(NamedTuple):
     weights: np.ndarray | None = None  # (T,) complex
 
 
-def _place_links(vc: ValidatedConfig, links: list[tuple]) -> list[_Leg]:
-    """Each link (substreams, row, col, force_los, geometry_from, row_frames)
-    from device `col` to each far point `row.position` (K, 3), one substream
-    per realization: its draws, placed at the far points as one leg with its
-    terms (`_path_terms`).
+class _Link(NamedTuple):
+    """A link of a block from device `col` to each far point `row.position`
+    (K, 3): one substream a realization, its LOS state if forced, the
+    `lender` of its cluster geometry under shared clusters (in a group the
+    Tx-surface link's key, in a pass that link's leg over the same
+    realizations) and a randomly oriented receiver's frames (B, 3, 3)."""
+
+    role: str   # "tx_ris" (placed and contracted once per group), "ris_rx" or "direct"
+    rngs: list
+    row: DeviceView
+    col: DeviceView
+    force_los: bool | None = None
+    lender: str | _Leg | None = None
+    row_frames: np.ndarray | None = None
+
+    def matrix(self, clusters: ClusterSet, state: LinkState) -> np.ndarray:
+        """The link's matrix towards one far point, given its clusters and LOS state."""
+        los = np.array([state.los])
+        leg = _Leg(los, np.array([state.attenuation])[los],
+                   np.array([state.phase])[los], clusters, np.array([0, clusters.total_paths]))
+        row = dataclasses.replace(self.row, position=np.atleast_2d(self.row.position))
+        placed = clusters, path_ends(clusters.positions.T, self.col.position, row.position)
+        ends = self.col.position[None], row.position
+        return _leg_matrices(row, self.col, _path_terms([self], [0, 1], leg, placed, ends))[0, 0]
+
+
+def _place_links(vc: ValidatedConfig, links: list[_Link]) -> list[tuple[_Link, _Leg]]:
+    """Each link with its leg: its draws, one substream a realization,
+    placed at its far points with the leg's terms (`_path_terms`).
 
     The LOS coin splits a realization's far points into an NLOS and a LOS
     branch, each reading its own variates: the NLOS branch reads on from
     the coin (from a copy of the stream when both branches exist), the LOS
     branch after the LOS variates.  Each far point so sees exactly the
     draws it would see alone, and any slice of the streams places exactly
-    as the whole.  `geometry_from`, a leg of the same realizations to one
-    far point, lends each realization its cluster geometry, so only its
-    paths' normals are drawn.  The links, all drawing or all borrowing their
-    geometry, are placed in one pass, each leg its run of it bit for bit.
+    as the whole.  A `lender` lends each realization its cluster geometry,
+    so only its paths' normals are drawn.  The links, all drawing or all
+    borrowing their geometry, are placed in one pass, each leg its run of
+    it bit for bit.
     """
     env, f_hz = vc.config.environment, vc.config.frequency_hz
     # per branch of every link: its LOS draws and units; per link: its sets and clusters' sizes
     los_draws, units, runs, sizes = [], [], [], []
-    for rngs, row, col, force_los, geometry_from, _ in links:
-        d = np.linalg.norm(row.position - col.position, axis=-1)
-        if force_los is None:   # a coin below p_los[k] puts far point k in LOS
+    for link in links:
+        d = np.linalg.norm(link.row.position - link.col.position, axis=-1)
+        if link.force_los is None:   # a coin below p_los[k] puts far point k in LOS
             p_los = los_probability(d, env)
             p_any, p_all = float(p_los.max()), float(p_los.min())
-        shared = ([None] * len(rngs) if geometry_from is None
-                  else np.diff(geometry_from.bounds).tolist())
+        shared = ([None] * len(link.rngs) if link.lender is None
+                  else np.diff(link.lender.bounds).tolist())
         coins, first, mixed, first_unit = [], [], [], len(units)
-        for i, rng in enumerate(rngs):
-            if force_los is None:
+        for i, rng in enumerate(link.rngs):
+            if link.force_los is None:
                 coin = rng.random()
                 coins.append(coin)
                 any_los, split = coin < p_any, p_all <= coin < p_any
             else:
-                any_los, split = force_los, False
+                any_los, split = link.force_los, False
             first.append(len(los_draws))
             mixed.append(split)
             for branch in (False, True) if split else (any_los,):
@@ -170,14 +194,14 @@ def _place_links(vc: ValidatedConfig, links: list[tuple]) -> list[_Leg]:
                 if vc.config.scatter_paths:
                     units.append(draw_cluster_units(env, stream, shared[i]))
         cells = len(d)
-        los = (np.full(len(rngs) * cells, bool(force_los)) if force_los is not None
-               else (np.array(coins)[:, None] < p_los).ravel())
-        cell = np.tile(np.arange(cells), len(rngs))
+        los = (np.full(len(link.rngs) * cells, bool(link.force_los))
+               if link.force_los is not None else (np.array(coins)[:, None] < p_los).ravel())
+        cell = np.tile(np.arange(cells), len(link.rngs))
         # each set's LOS state, branch, link length, near and far point
         runs.append((los, np.repeat(first, cells) + (los & np.repeat(mixed, cells)), d[cell],
-                     np.broadcast_to(col.position, (len(cell), 3)), row.position[cell]))
+                     np.broadcast_to(link.col.position, (len(cell), 3)), link.row.position[cell]))
         sizes.append(np.array([n for u in units[first_unit:] for n in u.sizes], dtype=int)
-                     if geometry_from is None else geometry_from.clusters.sizes)
+                     if link.lender is None else link.lender.clusters.sizes)
     los, branch, d, near, far = map(np.concatenate, zip(*runs))
     shadow, phase = np.array(los_draws, dtype=float).reshape(-1, 2)[branch[los]].T
     attenuation = shadowed_attenuation(d[los], f_hz, env, True, shadow)
@@ -194,28 +218,30 @@ def _place_links(vc: ValidatedConfig, links: list[tuple]) -> list[_Leg]:
         if not units:
             return ClusterSet.empty(), (np.zeros((3, 0)), np.zeros(0), np.zeros((3, 0)),
                                         np.zeros(0))
-        geometry = None if links[0][4] is None else ClusterSet(   # each set its realization's
-            np.concatenate(sizes), np.concatenate([lender.clusters.positions[_ranges(
-                np.repeat(lender.bounds[:-1], len(row.position)), per_set[a:b])]
-                for (_, row, _, _, lender, _), a, b in zip(links, starts, starts[1:])]), None, None)
+        geometry = None if links[0].lender is None else ClusterSet(   # each set its realization's
+            np.concatenate(sizes), np.concatenate([link.lender.clusters.positions[_ranges(
+                np.repeat(link.lender.bounds[:-1], len(link.row.position)), per_set[a:b])]
+                for link, a, b in zip(links, starts, starts[1:])]), None, None)
         at = np.repeat(np.arange(len(los)), per_set)
         return place_clusters(stack_cluster_variates(env, units),
-                              np.array([link[2].position for link in links]), far[at], env, f_hz,
-                              np.array([link[2].frame for link in links]), geometry,
+                              np.array([link.col.position for link in links]), far[at], env, f_hz,
+                              np.array([link.col.frame for link in links]), geometry,
                               _ranges(np.cumsum(unit_paths)[branch] - per_set, per_set),
                               d[at], [s.sum() for s in sizes], np.diff(leg.bounds[starts]).tolist())
 
-    leg = _path_terms([(row, col, frames, slice(a, b)) for (_, row, col, _, _, frames), a, b
-                       in zip(links, starts, starts[1:])], leg, placed(), (near, far))
-    # each link's leg: its runs of sets, LOS draws, paths and terms
-    lit, paths, terms = ([slice(a, b) for a, b in zip(first, first[1:])] for first in (
-        np.concatenate([[0], np.cumsum(n)])[starts] for n in (los, per_set, per_set + los)))
-    c = leg.clusters
-    return [_Leg(run[0], leg.los_attenuation[ls], leg.los_phase[ls],
-                 ClusterSet(link_sizes, c.positions[p], c.gains[p], c.attenuations[p]),
-                 leg.bounds[a:b + 1] - p.start, leg.u_row[:, t], leg.u_col[:, t], leg.weights[t])
-            for run, link_sizes, a, b, ls, p, t
-            in zip(runs, sizes, starts, starts[1:], lit, paths, terms)]
+    leg = _path_terms(links, starts, leg, placed(), (near, far))
+    c, pairs = leg.clusters, []
+    # each link's first set, LOS draw, path and term
+    firsts = [starts] + [np.concatenate([[0], np.cumsum(n)])[starts]
+                         for n in (los, per_set, per_set + los)]
+    for i, link in enumerate(links):
+        s, ls, p, t = (slice(first[i], first[i + 1]) for first in firsts)
+        pairs.append((link, _Leg(
+            leg.los[s], leg.los_attenuation[ls], leg.los_phase[ls],
+            ClusterSet(sizes[i], c.positions[p], c.gains[p], c.attenuations[p]),
+            leg.bounds[s.start:s.stop + 1] - p.start, leg.u_row[:, t], leg.u_col[:, t],
+            leg.weights[t])))
+    return pairs
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -224,12 +250,13 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
 
 
-def _path_terms(links: list[tuple], leg: _Leg, placed: tuple, ends: tuple) -> _Leg:
+def _path_terms(links: list[_Link], starts, leg: _Leg, placed: tuple, ends: tuple) -> _Leg:
     """`leg` with its paths `placed` (`place_clusters`' result) and its terms:
     each one's local direction at the row and the column device of its link
-    (row, col, row_frames, sets), in its frame (the row device's per
-    realization with `row_frames` (B, 3, 3)), and weight, a LOS term between
-    its set's `ends` (near, far) (S, 3).  Coincident ends raise CoincidentPoints."""
+    (the sets `starts[i]:starts[i + 1]` its link `links[i]`'s), in its frame
+    (the row device's per realization with `row_frames`), and weight, a LOS
+    term between its set's `ends` (near, far) (S, 3).  Coincident ends raise
+    CoincidentPoints."""
     scattered, los = np.diff(leg.bounds), leg.los
     clusters, (u_col, out_length, u_row, back_length) = placed
     del placed   # each delta is released as its terms are formed, its name reused
@@ -260,13 +287,13 @@ def _path_terms(links: list[tuple], leg: _Leg, placed: tuple, ends: tuple) -> _L
     u_col /= slots(out_length, length)
     gain = np.empty(total + terms)   # both devices' element patterns, per link
     bounds = np.concatenate([[0], np.cumsum(counts)])
-    for row, col, row_frames, run in links:
-        at = slice(bounds[run.start], bounds[run.stop])
-        u_row[:, at] = rotate(u_row[:, at].T, row.frame if row_frames is None else row_frames,
-                              None if row_frames is None   # per realization
-                              else counts[run].reshape(len(row_frames), -1).sum(1)).T
-        u_col[:, at] = rotate(u_col[:, at].T, col.frame).T
-        gain[at] = _gain(row, u_row[:, at]) * _gain(col, u_col[:, at])
+    for link, a, b in zip(links, starts, starts[1:]):
+        at, frames = slice(bounds[a], bounds[b]), link.row_frames
+        u_row[:, at] = rotate(u_row[:, at].T, link.row.frame if frames is None else frames,
+                              None if frames is None   # per realization
+                              else counts[a:b].reshape(len(frames), -1).sum(1)).T
+        u_col[:, at] = rotate(u_col[:, at].T, link.col.frame).T
+        gain[at] = _gain(link.row, u_row[:, at]) * _gain(link.col, u_col[:, at])
     # normalization keeps total scattered power independent of the path count
     amplitude = slots(clusters.gains / np.sqrt(np.repeat(scattered, scattered)),
                       np.exp(1j * leg.los_phase))
@@ -335,34 +362,21 @@ def _outer(factors: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _one_link(row: DeviceView, col: DeviceView, clusters: ClusterSet,
-              link: LinkState) -> np.ndarray:
-    """The matrix of one link, given its clusters and LOS state."""
-    los = np.array([link.los])
-    leg = _Leg(los, np.array([link.attenuation])[los],
-               np.array([link.phase])[los], clusters, np.array([0, clusters.total_paths]))
-    row = dataclasses.replace(row, position=np.atleast_2d(row.position))
-    placed = clusters, path_ends(clusters.positions.T, col.position, row.position)
-    ends = col.position[None], row.position
-    return _leg_matrices(row, col, _path_terms([(row, col, None, slice(0, 1))], leg, placed,
-                                               ends))[0, 0]
-
-
 def assemble_link_channel(side: str, clusters: ClusterSet, link: LinkState,
                           scene: Scene, ris_index: int = 0) -> np.ndarray:
     """One surface leg: 'tx-ris' gives the (N, Nt) matrix, 'ris-rx' the (Nr, N) one."""
     surface = scene.ris[ris_index]
     if side == "tx-ris":
-        return _one_link(surface, scene.tx, clusters, link)
+        return _Link("tx_ris", [], surface, scene.tx).matrix(clusters, link)
     if side == "ris-rx":
-        return _one_link(scene.rx, surface, clusters, link)
+        return _Link("ris_rx", [], scene.rx, surface).matrix(clusters, link)
     raise ValueError(f"side must be 'tx-ris' or 'ris-rx', got {side!r}")
 
 
 def assemble_direct_channel(clusters: ClusterSet, link: LinkState,
                             scene: Scene) -> np.ndarray:
     """The (Nr, Nt) terminal-to-terminal matrix; no element pattern applies."""
-    return _one_link(scene.rx, scene.tx, clusters, link)
+    return _Link("direct", [], scene.rx, scene.tx).matrix(clusters, link)
 
 
 @dataclass(frozen=True)
@@ -460,35 +474,31 @@ def realize_chunks(vc: ValidatedConfig, realizations: range, surfaces, rx_positi
     split groups of at most `sizes[0]` realizations, each group in evenly
     split chunks of at most `sizes[1]` (`realization_chunks`).
 
-    Once per group it does what depends neither on the receiver nor on the
-    chunks: it seeds every link's substreams (`block_rngs`), draws the
-    receiver frames, and draws, places and contracts each Tx-surface leg,
-    in the pass (`_place_links`) of its first chunk.  Per chunk that pass
-    places every receiver-side link drawing its own geometry from the
-    chunk's substreams, and a second the surface-Rx links borrowing it
-    under shared clusters; it contracts them and slices the group's
-    Tx-side matrices; no name holds a chunk once it is yielded.  Placed
-    paths are released before the contraction, but for the copy a lending
-    Tx-surface leg keeps for its group.  A `surfaces` key that is not a
-    surface's index is a ValueError.
+    Once per group it seeds every link's substreams (`block_rngs`) and draws
+    the receiver frames, each link a record (`_Link`); each chunk is placed
+    (`_place_chunk`), then contracted (`_contract_chunk`), and no name holds
+    it once it is yielded.  A `surfaces` key that is not a surface's index,
+    or cells that are not strictly increasing indices into the receiver
+    stack, are a ValueError.
     """
     if not realizations:
         raise ValueError(f"a block needs at least one realization, got {realizations}")
     cfg = vc.config
-    seed = cfg.seed
     scene = build_scene(vc, rx_position=rx_position)
-    tx = scene.tx
     rx = dataclasses.replace(scene.rx, position=np.atleast_2d(scene.rx.position))
-    if not len(rx.position):
+    scene, stack = dataclasses.replace(scene, rx=rx), len(rx.position)
+    if not stack:
         raise ValueError("a block needs at least one receiver position, got an empty stack")
     if surfaces is None:
         surfaces = dict.fromkeys(range(len(scene.ris)))
     for k, at in surfaces.items():
         if not (is_count(k) and 0 <= k < len(scene.ris)):
             raise ValueError(f"surface key {k!r} is not a surface index in [0, {len(scene.ris)})")
-        if at is not None and not len(at):
-            raise ValueError(f"surface {k} is realized at no cell, got an empty cell list; "
-                             "leave it out of `surfaces` instead")
+        if at is not None and not (len(at) and all(map(is_count, at)) and 0 <= at[0]
+                                   and at[-1] < stack and (np.diff(at) > 0).all()):
+            raise ValueError(f"surface {k} is realized at no cell, or at cells that are not "
+                             f"strictly increasing whole numbers in [0, {stack}), got {at!r}; "
+                             "leave a surface realized nowhere out of `surfaces`")
     cells = {k: c for k, c in surfaces.items() if c is not None}
     force = True if cfg.ris_links == "los" else None
     for group in realization_chunks(realizations, sizes[0]):
@@ -496,60 +506,68 @@ def realize_chunks(vc: ValidatedConfig, realizations: range, surfaces, rx_positi
         if cfg.rx_orientation == "random-azimuth":
             # uniform(0, 2 pi) bit for bit, mapped once for the group
             rx_frames = azimuth_rotation_frame(TWO_PI * np.array(
-                [rng.random() for rng in block_rngs(seed, group, LinkTag.RX_FRAME)]))
-        # every link as (substreams, row, col, force_los, lender), its substreams the
-        # group's, a surface-Rx link lent its geometry by its Tx-surface link's key
-        links, rngs = {}, functools.partial(block_rngs, seed, group)
+                [rng.random() for rng in block_rngs(cfg.seed, group, LinkTag.RX_FRAME)]))
+        # every link by key, its substreams the group's
+        links, rngs = {}, functools.partial(block_rngs, cfg.seed, group)
         for k, at in surfaces.items():
             surface = scene.ris[k]
-            fixed = dataclasses.replace(surface, position=surface.position[None])
-            far = rx if at is None else dataclasses.replace(rx, position=rx.position[at])
-            links[f"tx_ris_{k}"] = (rngs(LinkTag.TX_RIS, k), fixed, tx, force, None)
-            links[f"ris_rx_{k}"] = (rngs(LinkTag.RIS_RX, k), far, surface, force,
-                                    f"tx_ris_{k}" if cfg.shared_clusters else None)
+            links[f"tx_ris_{k}"] = _Link("tx_ris", rngs(LinkTag.TX_RIS, k), dataclasses.replace(
+                surface, position=surface.position[None]), scene.tx, force)
+            links[f"ris_rx_{k}"] = _Link(
+                "ris_rx", rngs(LinkTag.RIS_RX, k),
+                rx if at is None else dataclasses.replace(rx, position=rx.position[at]), surface,
+                force, f"tx_ris_{k}" if cfg.shared_clusters else None, rx_frames)
         if cfg.direct_mode != "blocked" or cfg.blocked_keeps_scatter:   # else no paths
-            links["direct"] = (rngs(LinkTag.DIRECT), rx, tx,
-                               {"blocked": False, "present": True}.get(cfg.direct_mode), None)
-        legs, matrices = {}, {}   # each leg placed, its terms spent, and its matrices
+            links["direct"] = _Link("direct", rngs(LinkTag.DIRECT), rx, scene.tx, {
+                "blocked": False, "present": True}.get(cfg.direct_mode), None, rx_frames)
+        lenders, tx_side = {}, {}   # the group's lending Tx-surface legs; each one's channels
+        for chunk in realization_chunks(group, sizes[1]):
+            at = slice(chunk.start - group.start, chunk.stop - group.start)
+            yield _contract_chunk(scene, _place_chunk(vc, links, lenders, at), tx_side,
+                                  chunk, at, cells)
 
-        def realize(chunk: range) -> RealizationChannels:
-            a = chunk.start - group.start
-            b = a + len(chunk)
-            frames = None if rx_frames is None else rx_frames[a:b]
 
-            def place(keys: list[str]) -> None:
-                """Place `keys` in one pass (a Tx-surface link for the group); keep, contract."""
-                batch = [(*link[:4], None, None) if key.startswith("tx") else (
-                    link[0][a:b], *link[1:4], link[4] and legs[link[4]]._replace(
-                        bounds=legs[link[4]].bounds[a:b + 1]), frames)
-                    for key, link in zip(keys, map(links.get, keys))]
-                placed = _place_links(vc, batch)
-                for key, leg in zip(keys, placed):
-                    # a lender outlives the pass, which a view of its paths would pin
-                    lends = cfg.shared_clusters and key.startswith("tx")
-                    legs[key] = leg._replace(clusters=copy.deepcopy(leg.clusters) if lends
-                                             else None, u_row=None, u_col=None, weights=None)
-                placed = [leg._replace(clusters=None) for leg in placed]   # the terms suffice
-                for key, (_, row, col, *_), leg in zip(keys, batch, placed):
-                    matrices[key] = _leg_matrices(row, col, leg)
+def _place_chunk(vc: ValidatedConfig, links: dict, lenders: dict, at: slice) -> dict:
+    """A chunk's legs by key, each with the record it was placed for: the
+    realizations `at` of its group's `links`, a Tx-surface one's for the
+    whole group with its first chunk.  One pass places those drawing their
+    own geometry, a second those borrowing it from `lenders`, the group's
+    lending legs; their paths are released but for a lender's copy."""
+    legs = {}
+    for lent in (False, True):   # the links drawing their own geometry, then the others
+        batch = {key: link if link.role == "tx_ris" else link._replace(
+            rngs=link.rngs[at], row_frames=None if link.row_frames is None else link.row_frames[at],
+            lender=lenders[link.lender]._replace(bounds=lenders[link.lender].bounds[
+                at.start:at.stop + 1]) if lent else None)
+            for key, link in links.items()
+            if (link.lender is not None) == lent and not (at.start and link.role == "tx_ris")}
+        for key, (link, leg) in zip(batch, _place_links(vc, list(batch.values())) if batch else ()):
+            if link.role == "tx_ris" and vc.config.shared_clusters:
+                # a lender outlives the pass, which a view of its paths would pin
+                lenders[key] = leg._replace(clusters=copy.deepcopy(leg.clusters), u_row=None,
+                                            u_col=None, weights=None)
+            legs[key] = link, leg._replace(clusters=None)   # the terms suffice
+    return legs
 
-            for lent in (False, True):   # the links drawing their own geometry, then the others
-                keys = [key for key, link in links.items()
-                        if bool(link[4]) == lent and not (a and key.startswith("tx"))]
-                if keys:
-                    place(keys)
-            los = {key: legs[key].los[a:b] if key.startswith("tx") else legs[key].los
-                   for key in links}
-            direct = matrices.pop("direct", None)   # the chunk's matrices leave with it
-            if direct is None:
-                direct = np.zeros((b - a, len(rx.position), rx.count, tx.count), complex)
-                los["direct"] = np.zeros((b - a) * len(rx.position), dtype=bool)
-            ris = range(len(scene.ris))
-            return RealizationChannels(
-                tuple(matrices[f"tx_ris_{k}"][a:b] if k in surfaces else None for k in ris),
-                tuple(matrices.pop(f"ris_rx_{k}", None) for k in ris), direct, chunk, los, cells)
 
-        yield from map(realize, realization_chunks(group, sizes[1]))
+def _contract_chunk(scene: Scene, legs: dict, tx_side: dict, chunk: range, at: slice,
+                    cells: dict) -> RealizationChannels:
+    """A chunk's channels from its legs (`_place_chunk`) at the receiver
+    stack of `scene`: each leg's LOS states and matrices, a Tx-surface leg's
+    kept in `tx_side` for its group, which each chunk slices to `at`."""
+    channels = {key: (leg.los, _leg_matrices(link.row, link.col, leg))
+                for key, (link, leg) in legs.items()}
+    tx_side.update((key, channels[key]) for key, (link, _) in legs.items() if link.role == "tx_ris")
+    channels.update((key, (los[at], matrix[at])) for key, (los, matrix) in tx_side.items())
+    if "direct" not in channels:
+        shape = len(chunk), len(scene.rx.position)
+        channels["direct"] = (np.zeros(math.prod(shape), dtype=bool),
+                              np.zeros((*shape, scene.rx.count, scene.tx.count), complex))
+    matrices = {key: matrix for key, (_, matrix) in channels.items()}
+    ris = range(len(scene.ris))
+    return RealizationChannels(tuple(matrices.get(f"tx_ris_{k}") for k in ris),
+                               tuple(matrices.get(f"ris_rx_{k}") for k in ris), matrices["direct"],
+                               chunk, {key: los for key, (los, _) in channels.items()}, cells)
 
 
 def realize_channels(vc: ValidatedConfig, realization: int, rx_position=None,

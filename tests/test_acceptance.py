@@ -305,9 +305,9 @@ def test_criterion_10_statistical_calibration(monkeypatch):
 
     def count(vc, links):   # the scene's one link is the direct one
         nonlocal clusters
-        legs = place(vc, links)
-        clusters += sum(len(leg.clusters.sizes) for leg in legs)
-        return legs
+        pairs = place(vc, links)
+        clusters += sum(len(leg.clusters.sizes) for _, leg in pairs)
+        return pairs
 
     monkeypatch.setattr(channel_module, "_place_links", count)
     for i in range(0, n, block):

@@ -434,7 +434,7 @@ class TestCoverage:
             return block_rngs(seed, realizations, tag, *extra)
 
         def counting_passes(vc, links):
-            placed.append([(row.count, col.count) for _, row, col, *_ in links])
+            placed.append([(link.row.count, link.col.count) for link in links])
             return place_links(vc, links)
 
         def counting_legs(row, col, leg):

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rislink import (ArraySpec, RealizationChannels, RisSpec, SimConfig,
                      assemble_direct_channel, assemble_link_channel, build_scene,
@@ -246,6 +248,17 @@ class TestAssembly:
         with pytest.raises(ValueError, match="surface 0 is realized at no cell"):
             realize_block(vc, range(2), {0: np.array([], dtype=int)}, positions)
 
+    @pytest.mark.parametrize("cells", [[5], [1.5], [True], [-1], [1, 0], [0, 0]],
+                             ids=["beyond", "fractional", "boolean", "negative", "decreasing",
+                                  "repeated"])
+    def test_surface_cells_must_be_increasing_stack_indices(self, cells):
+        vc = validate_config(scene_preset("indoor"))
+        positions = np.array([[30.0, 20.0, 1.0], [40.0, 20.0, 1.0]])
+        message = "surface 0 is realized at no cell, or at cells that are not strictly " \
+                  "increasing whole numbers in [0, 2)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            realize_block(vc, range(2), {0: np.array(cells)}, positions)
+
     @pytest.mark.parametrize("realizations, sizes, chunks", [
         (range(4), (4, 2), [range(0, 2), range(2, 4)]),
         (range(5), (3, 2), [range(0, 2), range(2, 3), range(3, 5)]),
@@ -433,6 +446,72 @@ class TestBlockShape:
         assert np.array_equal(stacked.ris_rx[1], block.ris_rx[1][0])
 
 
+CONTRACT_POSITIONS = np.array([(36.0, 5.0, 1.0), (55.0, 46.0, 1.0), (70.0, 5.0, 1.0),
+                               (45.0, 45.0, 1.0), (65.0, 30.0, 1.0), (41.0, 30.0, 1.0)])
+
+
+def same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def contract_scenes(draw):
+    """A scene on the indoor preset, its receiver stack, block and (group, chunk) sizes."""
+    base = scene_preset("indoor")
+    second = RisSpec(64, (60.0, 30.0, 2.0), plane="yz")
+    vc = validate_config(dataclasses.replace(
+        base, realizations=1, ris_links=draw(st.sampled_from(["los", "auto"])),
+        direct_mode=draw(st.sampled_from(["blocked", "auto", "present"])),
+        shared_clusters=draw(st.booleans()), scatter_paths=draw(st.booleans()),
+        blocked_keeps_scatter=draw(st.booleans()),
+        rx_orientation=draw(st.sampled_from(["random-azimuth", "fixed"])),
+        ris=(base.ris[0], second) if draw(st.booleans()) else base.ris))
+    cells = draw(st.lists(st.integers(0, len(CONTRACT_POSITIONS) - 1), min_size=1, max_size=4,
+                          unique=True))
+    start, count = draw(st.integers(0, 99)), draw(st.integers(1, 9))
+    group = draw(st.integers(1, count))
+    return vc, CONTRACT_POSITIONS[cells], range(start, start + count), (
+        group, draw(st.integers(1, group)))
+
+
+class TestEngineContract:
+    @settings(max_examples=32, deadline=None, derandomize=True)
+    @given(scene=contract_scenes())
+    def test_chunks_positions_and_surfaces_draw_what_each_would_alone(self, scene):
+        """Bit for bit: a block's chunks at any sizes are the whole block;
+        each (realization, position) is that one realized alone; a second
+        surface leaves the first surface's legs and the direct matrix alone."""
+        vc, positions, block, sizes = scene
+        whole = realize_block(vc, block, rx_position=positions)
+        chunks = list(channel_module.realize_chunks(vc, block, None, positions, sizes))
+        for name in ("tx_ris", "ris_rx"):
+            for k, matrix in enumerate(getattr(whole, name)):
+                same_bits(np.concatenate([getattr(c, name)[k] for c in chunks]), matrix)
+        same_bits(np.concatenate([c.direct for c in chunks]), whole.direct)
+        assert all(c.los.keys() == whole.los.keys() for c in chunks)
+        for key, los in whole.los.items():
+            same_bits(np.concatenate([c.los[key] for c in chunks]), los)
+        for i, r in enumerate(block):
+            for c, position in enumerate(positions):
+                alone = realize_block(vc, range(r, r + 1), rx_position=position[None])
+                same_bits(whole.direct[i, c], alone.direct[0, 0])
+                for k in range(len(vc.config.ris)):
+                    same_bits(whole.tx_ris[k][i, 0], alone.tx_ris[k][0, 0])
+                    same_bits(whole.ris_rx[k][i, c], alone.ris_rx[k][0, 0])
+                for key, los in whole.los.items():
+                    at = c if len(los) > len(block) else 0
+                    assert los.reshape(len(block), -1)[i, at] == alone.los[key][0]
+        if len(vc.config.ris) == 2:
+            first = realize_block(validate_config(dataclasses.replace(
+                vc.config, ris=vc.config.ris[:1])), block, rx_position=positions)
+            for got, want in ((first.tx_ris[0], whole.tx_ris[0]),
+                              (first.ris_rx[0], whole.ris_rx[0]), (first.direct, whole.direct)):
+                same_bits(got, want)
+            for key in ("tx_ris_0", "ris_rx_0", "direct"):
+                same_bits(first.los[key], whole.los[key])
+
+
 def leg_calls(vc, realizations, rx_position, monkeypatch):
     """Every (row, col, leg) the engine assembles in one `realize_block`."""
     calls, original = [], channel_module._leg_matrices
@@ -517,10 +596,9 @@ def placed_legs(vc, realizations, rx_position, monkeypatch):
     calls, original = [], channel_module._place_links
 
     def spy(vc, links):
-        legs = original(vc, links)
-        calls.extend((row, col, leg, row_frames)
-                     for (_, row, col, _, _, row_frames), leg in zip(links, legs))
-        return legs
+        pairs = original(vc, links)
+        calls.extend((link.row, link.col, leg, link.row_frames) for link, leg in pairs)
+        return pairs
 
     monkeypatch.setattr(channel_module, "_place_links", spy)
     realize_block(vc, realizations, rx_position=rx_position)
@@ -596,14 +674,14 @@ class TestPathTerms:
 def placement_passes(vc, realizations, rx_position, monkeypatch, sizes=None):
     """Every placement pass of one block (`realize_block`, or `realize_chunks`
     in `sizes`): its links on copies of their substreams as the pass found
-    them, and the legs it returned."""
+    them, and the legs it returned, each with its link."""
     passes, original = [], channel_module._place_links
 
     def spy(vc, links):
         found = copy.deepcopy(links)
-        legs = original(vc, links)
-        passes.append((found, legs))
-        return legs
+        pairs = original(vc, links)
+        passes.append((found, pairs))
+        return pairs
 
     monkeypatch.setattr(channel_module, "_place_links", spy)
     if sizes is None:
@@ -639,9 +717,9 @@ class TestPlacementPass:
         # each surface's Tx-surface and surface-Rx (K = 6 positions) legs, then the direct link
         expected = {"two_surfaces": [5], "two_surfaces_shared": [3, 2]}.get(name, [3])
         assert [len(links) for links, _ in passes] == expected
-        for links, legs in passes:
-            for link, leg in zip(links, legs, strict=True):
-                (alone,) = channel_module._place_links(vc, [copy.deepcopy(link)])
+        for links, pairs in passes:
+            for found, (_, leg) in zip(links, pairs, strict=True):
+                ((_, alone),) = channel_module._place_links(vc, [copy.deepcopy(found)])
                 assert_same_leg(leg, alone)
 
     def test_a_shared_clusters_chunk_makes_two_passes(self, monkeypatch):
@@ -650,7 +728,7 @@ class TestPlacementPass:
         surface-Rx legs, which borrow the Tx-surface legs' geometry."""
         vc = two_surfaces_direct(shared=True)
         passes = placement_passes(vc, range(4, 10), LEG_POSITIONS, monkeypatch, (6, 3))
-        kinds = [[(row.count, col.count, lender is not None) for _, row, col, _, lender, _ in links]
+        kinds = [[(link.row.count, link.col.count, link.lender is not None) for link in links]
                  for links, _ in passes]
         tx, rx, direct = (64, 4, False), (4, 64, True), (4, 4, False)
         assert kinds == [[tx, tx, direct], [rx, rx], [direct], [rx, rx]]

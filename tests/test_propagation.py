@@ -8,7 +8,7 @@ import pytest
 
 from rislink import (ENVIRONMENTS, ClusterSet, LinkTag, draw_clusters, draw_link_state,
                      los_probability, scene_preset, spawn_rng, validate_config)
-from rislink.channel import _place_links, build_scene
+from rislink.channel import _Link, _place_links, build_scene
 from rislink.config import PathLossTable
 from rislink.errors import ModelValidityWarning, NonPositiveDistance
 from rislink.propagation import (ClusterVariates, draw_cluster_units, place_clusters,
@@ -26,8 +26,8 @@ INH_NOSHADOW = dataclasses.replace(
 def draw_leg(vc, rngs, near, far, geometry_from=None):
     """The link from device `near` to the far points (K, 3), its LOS coin
     live, every realization of `rngs` drawn and placed as one leg."""
-    (leg,) = _place_links(vc, [(rngs, dataclasses.replace(near, position=far), near, None,
-                                geometry_from, None)])
+    ((_, leg),) = _place_links(vc, [_Link("ris_rx", rngs, dataclasses.replace(near, position=far),
+                                          near, None, geometry_from)])
     return leg
 
 

@@ -10,6 +10,7 @@ import importlib.util
 import pkgutil
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,11 +22,32 @@ TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 README = TRACER.parents[1] / "README.md"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
+def load_perfbench(stem: str):
+    """A module of perfbench/, loaded by path (the benchmark is no package) and
+    registered, as its dataclasses need."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{stem}",
+                                                  TRACER.with_name(f"{stem}.py"))
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracer():
+    return load_perfbench("tracer")
+
+
+@pytest.mark.parametrize("name", ["pt_campaign", "coverage_map"])
+def test_first_pool_entries_match_the_pinned_reference(name):
+    """The first pool entries of each benchmark workload reproduce its pinned
+    reference (`perfbench/reference/`) within the benchmark's own tolerance,
+    so output drift fails here and not only as a benchmark run's batches."""
+    workloads = load_perfbench("workloads")
+    workload = workloads.WORKLOADS[name]
+    reference = workloads.load_reference(workload)
+    errors = [workloads.relative_error(
+        workloads.record(workloads.run_batch(workload, entry, workers=1)[1]),
+        workloads.reference_entry(reference, entry)) for entry in range(4)]
+    assert max(errors) <= workloads.REL_TOL, errors
 
 
 def test_every_wrapped_name_resolves_to_a_callable():
