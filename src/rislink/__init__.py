@@ -1,22 +1,52 @@
-"""Geometry-based stochastic channel simulator for surface-assisted mmWave MIMO links."""
+"""Geometry-based stochastic channel simulator for surface-assisted mmWave MIMO links.
 
-from .campaign import (Campaign, CoverageGrid, GridSpec, RateStatistics,
-                       composite_singular_values, compute_phase_sets, coverage_map,
-                       default_grid, dump_channels, export_coverage,
-                       export_statistics, load_channel_dump, read_csv_table,
-                       run_campaign)
-from .channel import (RealizationChannels, Scene, assemble_direct_channel,
-                      assemble_link_channel, build_scene, composite_multi,
-                      realize_channels)
-from .config import (ENVIRONMENTS, SCENE_PRESETS, ArraySpec, Environment, PathLossTable,
-                     RisSpec, SimConfig, ValidatedConfig, config_hash, dbm_to_watts,
-                     load_config, parse_config_text, scene_preset, serialize_config,
-                     validate_config, watts_to_dbm)
-from .control import (achievable_rate, baseline_phases, far_field_power, pinv_phases,
-                      quantize_phases, select_ris, siso_optimal_phases)
-from .geometry import azimuth_rotation_frame, element_gain, frame_from_plane
-from .propagation import (ClusterSet, LinkState, draw_clusters, draw_link_state,
-                          los_probability)
-from .rng import LinkTag, spawn_rng
+Each public name loads its module on first use (PEP 562), so `import
+rislink` and `validate_config` run only the config layer; the engine
+modules load at the first engine name a caller reads.
+"""
 
+_MODULE_NAMES = {
+    "campaign": ("Campaign", "CoverageGrid", "GridSpec", "RateStatistics",
+                 "composite_singular_values", "compute_phase_sets", "coverage_map",
+                 "default_grid", "dump_channels", "export_coverage", "export_statistics",
+                 "load_channel_dump", "read_csv_table", "run_campaign"),
+    "channel": ("RealizationChannels", "Scene", "assemble_direct_channel",
+                "assemble_link_channel", "build_scene", "composite_multi",
+                "realize_channels"),
+    "config": ("ENVIRONMENTS", "SCENE_PRESETS", "ArraySpec", "Environment", "PathLossTable",
+               "RisSpec", "SimConfig", "ValidatedConfig", "config_hash", "dbm_to_watts",
+               "load_config", "parse_config_text", "scene_preset", "serialize_config",
+               "validate_config", "watts_to_dbm"),
+    "control": ("achievable_rate", "baseline_phases", "far_field_power", "pinv_phases",
+                "quantize_phases", "select_ris", "siso_optimal_phases"),
+    "geometry": ("azimuth_rotation_frame", "element_gain", "frame_from_plane"),
+    "propagation": ("ClusterSet", "LinkState", "draw_clusters", "draw_link_state",
+                    "los_probability"),
+    "rng": ("LinkTag", "spawn_rng"),
+}
+_MODULE_OF = {name: module for module, names in _MODULE_NAMES.items() for name in names}
+_SUBMODULES = frozenset(_MODULE_NAMES) | {"cli", "errors"}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def _submodule(name: str):
+    # `__import__` rather than `importlib.import_module`: only the former
+    # shows in `python -X importtime`
+    return __import__(f"{__name__}.{name}", fromlist=["_"])
+
+
+def __getattr__(name: str):
+    """Import the module that defines `name` and keep the name here, so later
+    reads (and `setattr` on the package) see an ordinary global."""
+    if name in _MODULE_OF:
+        value = globals()[name] = getattr(_submodule(_MODULE_OF[name]), name)
+        return value
+    if name in _SUBMODULES:   # `rislink.campaign` after a bare `import rislink`
+        return _submodule(name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -201,7 +201,7 @@ def _place_links(vc: ValidatedConfig, links: list[_Link]) -> list[tuple[_Link, _
         runs.append((los, np.repeat(first, cells) + (los & np.repeat(mixed, cells)), d[cell],
                      np.broadcast_to(link.col.position, (len(cell), 3)), link.row.position[cell]))
         sizes.append(np.array([n for u in units[first_unit:] for n in u.sizes], dtype=int)
-                     if link.lender is None else link.lender.clusters.sizes)
+                     if link.lender is None else _lent_sizes(link.lender))
     los, branch, d, near, far = map(np.concatenate, zip(*runs))
     shadow, phase = np.array(los_draws, dtype=float).reshape(-1, 2)[branch[los]].T
     attenuation = shadowed_attenuation(d[los], f_hz, env, True, shadow)
@@ -242,6 +242,14 @@ def _place_links(vc: ValidatedConfig, links: list[_Link]) -> list[tuple[_Link, _
             leg.bounds[s.start:s.stop + 1] - p.start, leg.u_row[:, t], leg.u_col[:, t],
             leg.weights[t])))
     return pairs
+
+
+def _lent_sizes(lender: _Leg) -> np.ndarray:
+    """The sizes of a lender's clusters whose paths lie within its `bounds`,
+    which a chunk slices to its own realizations."""
+    sizes = lender.clusters.sizes
+    first = np.cumsum(sizes) - sizes   # each cluster's first path; no cluster is empty
+    return sizes[(first >= lender.bounds[0]) & (first < lender.bounds[-1])]
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -7,8 +7,6 @@ import dataclasses
 import os
 import sys
 
-from .campaign import (Campaign, GridSpec, coverage_map, default_grid, dump_channels,
-                       export_coverage, export_statistics, run_campaign)
 from .config import SCENE_TEXT, SimConfig, load_config, parse_config_text, validate_config
 from .errors import ConfigError
 
@@ -60,6 +58,9 @@ def _parse_sweep(text: str | None):
 
 
 def _cmd_run(args) -> int:
+    # the engine loads in its commands, so `validate` and `--help` load only the config layer
+    from .campaign import Campaign, export_statistics, run_campaign
+
     vc = validate_config(_build_config(args))
     axis, values = _parse_sweep(args.sweep)
     campaign = Campaign(vc, sweep_axis=axis, sweep_values=values, workers=args.workers)
@@ -76,6 +77,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
+    from .campaign import Campaign, GridSpec, coverage_map, default_grid, export_coverage
+
     vc = validate_config(_build_config(args))
     campaign = Campaign(vc, workers=args.workers)
     if args.extent:
@@ -100,6 +103,8 @@ def _cmd_coverage(args) -> int:
 
 
 def _cmd_dump(args) -> int:
+    from .campaign import dump_channels
+
     vc = validate_config(_build_config(args))
     manifest = dump_channels(vc, args.out_dir, workers=args.workers)
     print(f"wrote {len(manifest['files'])} matrices for {manifest['realizations']} "

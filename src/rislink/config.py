@@ -14,13 +14,12 @@ and of what a field they set holds, in a file or in a library config alike.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 import numbers
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -244,7 +243,12 @@ class ValidatedConfig:
     wavelength: float
     pt_watts: tuple[float, ...]
     noise_watts: float
-    config_hash: str
+
+    @cached_property
+    def config_hash(self) -> str:
+        """`config_hash(self.config)`, hashed on first read: validation
+        itself never hashes."""
+        return config_hash(self.config)
 
 
 def _resolve_facing(ris: RisSpec, tx_position: tuple[float, float, float]) -> RisSpec:
@@ -359,7 +363,6 @@ def validate_config(cfg: SimConfig | ValidatedConfig) -> ValidatedConfig:
         wavelength=wavelength,
         pt_watts=tuple(_power_watts("the transmit power", p) for p in cfg.pt_dbm),
         noise_watts=_power_watts("the noise power", cfg.noise_dbm),
-        config_hash=config_hash(cfg),
     )
 
 
@@ -712,5 +715,6 @@ def _leaves(obj, path: str = "", out: list | None = None) -> list:
 
 def config_hash(cfg: SimConfig) -> str:
     """Stable hash of the full scenario; changes iff any config field changes."""
+    import hashlib   # here, so that validation never loads it
     values = repr([value for _, value in _leaves(cfg)])
     return hashlib.sha256(values.encode("utf-8")).hexdigest()[:16]

@@ -1,6 +1,7 @@
 """Campaign harness: sweeps, statistics, coverage, exports, determinism."""
 
 import dataclasses
+import json
 import os
 import platform
 import re
@@ -329,6 +330,65 @@ class TestRunCampaign:
     def test_siso_algorithm_requires_siso_arrays(self):
         with pytest.raises(ConfigError, match="Nt = Nr = 1"):
             quick_vc(realizations=2, algorithm="siso")
+
+
+# rislink's public names, by the module that defines each
+PUBLIC_NAMES = {
+    "campaign": ("Campaign", "CoverageGrid", "GridSpec", "RateStatistics",
+                 "composite_singular_values", "compute_phase_sets", "coverage_map",
+                 "default_grid", "dump_channels", "export_coverage", "export_statistics",
+                 "load_channel_dump", "read_csv_table", "run_campaign"),
+    "channel": ("RealizationChannels", "Scene", "assemble_direct_channel",
+                "assemble_link_channel", "build_scene", "composite_multi", "realize_channels"),
+    "config": ("ENVIRONMENTS", "SCENE_PRESETS", "ArraySpec", "Environment", "PathLossTable",
+               "RisSpec", "SimConfig", "ValidatedConfig", "config_hash", "dbm_to_watts",
+               "load_config", "parse_config_text", "scene_preset", "serialize_config",
+               "validate_config", "watts_to_dbm"),
+    "control": ("achievable_rate", "baseline_phases", "far_field_power", "pinv_phases",
+                "quantize_phases", "select_ris", "siso_optimal_phases"),
+    "geometry": ("azimuth_rotation_frame", "element_gain", "frame_from_plane"),
+    "propagation": ("ClusterSet", "LinkState", "draw_clusters", "draw_link_state",
+                    "los_probability"),
+    "rng": ("LinkTag", "spawn_rng"),
+}
+CONFIG_LAYER = ["rislink", "rislink.config", "rislink.errors", "rislink.geometry"]
+LOADED = "print(*sorted(m for m in sys.modules if m.startswith('rislink') or m == 'hashlib'))"
+
+
+class TestLazyNames:
+    """Each public name loads its module on first use, so validating a
+    scenario, from the library or the command line, loads only the config
+    layer."""
+
+    def test_import_and_validate_load_only_the_config_layer(self):
+        code = "import sys, rislink; rislink.validate_config(rislink.scene_preset('indoor')); "
+        assert fresh_python(code + LOADED).split() == CONFIG_LAYER
+
+    def test_cli_validate_loads_only_the_config_layer(self):
+        code = "import sys, rislink.cli; rislink.cli.main(['validate', '--preset', 'indoor']); "
+        loaded = fresh_python(code + LOADED).splitlines()[-1].split()
+        assert sorted(set(loaded) - {"hashlib"}) == sorted(CONFIG_LAYER + ["rislink.cli"])
+
+    def test_every_public_name_is_its_modules_object(self):
+        """From a bare import each name resolves to the object its module
+        defines and stays in the package namespace."""
+        code = textwrap.dedent("""
+            import importlib, json, rislink
+            listed, listing = sorted(rislink.__all__), dir(rislink)
+            wrong = [name for module, name in MODULE_NAMES
+                     if not getattr(rislink, name) is vars(rislink)[name]
+                     is getattr(importlib.import_module("rislink." + module), name)]
+            print(json.dumps([listed, [n for n in listed if n not in listing], wrong]))
+            """).replace("MODULE_NAMES", repr(
+            [(module, name) for module, names in PUBLIC_NAMES.items() for name in names]))
+        listed, unlisted, wrong = json.loads(fresh_python(code))
+        assert listed == sorted(n for names in PUBLIC_NAMES.values() for n in names)
+        assert unlisted == [] and wrong == []
+
+    def test_unknown_name_raises_attribute_error(self):
+        import rislink
+        with pytest.raises(AttributeError, match="no_such_name"):
+            rislink.no_such_name
 
 
 class TestCoverage:

@@ -733,6 +733,24 @@ class TestPlacementPass:
         tx, rx, direct = (64, 4, False), (4, 64, True), (4, 4, False)
         assert kinds == [[tx, tx, direct], [rx, rx], [direct], [rx, rx]]
 
+    @pytest.mark.parametrize("sizes", [(6, 3), (6, 2)])
+    def test_a_borrowing_leg_holds_its_chunks_cluster_sizes(self, sizes, monkeypatch):
+        """A surface-Rx leg borrowing its geometry in a split group holds the
+        sizes of the lender's clusters in its chunk: they sum to its paths,
+        and the chunks' sizes run as the unsplit group's."""
+        vc = validate_config(dataclasses.replace(scene_preset("indoor"), shared_clusters=True))
+
+        def borrowers(sizes):
+            return [leg.clusters for links, pairs
+                    in placement_passes(vc, range(6), None, monkeypatch, sizes)
+                    for link, (_, leg) in zip(links, pairs) if link.lender is not None]
+
+        (whole,), split = borrowers((6, 6)), borrowers(sizes)
+        assert len(split) == 6 // sizes[1]
+        for clusters in [whole, *split]:
+            assert clusters.sizes.sum() == len(clusters.positions)
+        assert np.concatenate([c.sizes for c in split]).tolist() == whole.sizes.tolist()
+
 
 class TestLegMatrices:
     @pytest.mark.filterwarnings("ignore::rislink.errors.NearFieldWarning")

@@ -1,6 +1,7 @@
 """Configuration model: validation, derived values, RNG streams, file round-trips."""
 
 import dataclasses
+import pickle
 import re
 import warnings
 
@@ -167,6 +168,18 @@ class TestValidation:
         second = validate_config(first)
         assert second.config == first.config
         assert second.config_hash == first.config_hash
+
+    def test_hash_is_derived_from_the_config(self):
+        """A validated config's hash is its config's, also after a pickle
+        round trip (a worker's payload) and after `replace` gives it another
+        config; two validations of one config still compare equal."""
+        vc = validate_config(scene_preset("indoor"))
+        other = dataclasses.replace(vc.config, seed=vc.config.seed + 1)
+        assert vc.config_hash == config_hash(vc.config)
+        assert pickle.loads(pickle.dumps(vc)).config_hash == vc.config_hash
+        assert pickle.loads(pickle.dumps(validate_config(other))).config_hash == config_hash(other)
+        assert dataclasses.replace(vc, config=other).config_hash == config_hash(other)
+        assert validate_config(scene_preset("indoor")) == vc
 
     def test_near_field_warns_then_raises(self):
         # 1024 elements put the Fraunhofer distance beyond a 2 m link

@@ -1,22 +1,25 @@
-"""The benchmark's tracer still finds every function it wraps in rislink, and
-wraps every name rislink imports only for it; the README's examples still run
-and the rislink names it cites still exist; every config field is set, and so
-checked, by a config key."""
+"""The benchmark's tracer still finds every function it wraps in rislink,
+wraps every name rislink imports only for it and the package's lazily loaded
+top-level calls; the README's examples still run and the rislink names it
+cites still exist; every config field is set, and so checked, by a config key."""
 
 import ast
 import dataclasses
 import importlib
 import importlib.util
+import json
 import pkgutil
 import re
 import shlex
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 import rislink
 from rislink.cli import build_parser
+from test_campaign import fresh_python
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 README = TRACER.parents[1] / "README.md"
@@ -146,6 +149,38 @@ def test_traced_rates_record_every_rate_layer(job):
         t.remove()
     assert not [name for name in RATE_SPANS if t.counts[name] == 0]
     assert t.counts["campaign.phase_sets"] == t.counts["channel.composite"]
+
+
+def test_tracer_wraps_the_top_level_calls_after_a_bare_import():
+    """The tracer wraps `validate_config`, `run_campaign` and `coverage_map`
+    on the package namespace, whose names load on first use: after a bare
+    import in a fresh interpreter their top-level spans are recorded, and
+    `remove()` puts the originals back."""
+    code = textwrap.dedent(f"""
+        import dataclasses, importlib.util, json, sys
+        import rislink
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", {str(TRACER)!r})
+        tracer = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        names = ("validate_config", "run_campaign", "coverage_map")
+        originals = [getattr(rislink, name) for name in names]
+        t = tracer.Tracer()
+        t.install()
+        try:
+            vc = rislink.validate_config(dataclasses.replace(
+                rislink.scene_preset("indoor"), realizations=2, pt_dbm=(30.0,)))
+            rislink.run_campaign(rislink.Campaign(vc))
+            rislink.coverage_map(rislink.Campaign(vc),
+                                 rislink.GridSpec(30.0, 50.0, 10.0, 30.0, cell=10.0, z=1.0))
+        finally:
+            t.remove()
+        top = sorted({{t.names[span[0]] for span in t.spans if span[3] == -1}})
+        print(json.dumps([top, all(getattr(rislink, name) is original
+                                   for name, original in zip(names, originals))]))
+        """)
+    top, restored = json.loads(fresh_python(code))
+    assert top == ["campaign.coverage", "campaign.run", "config.validate"]
+    assert restored
 
 
 def readme_block(heading: str) -> str:
