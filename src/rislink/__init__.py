@@ -5,6 +5,8 @@ rislink` and `validate_config` run only the config layer; the engine
 modules load at the first engine name a caller reads.
 """
 
+import importlib
+
 _MODULE_NAMES = {
     "campaign": ("Campaign", "CoverageGrid", "GridSpec", "RateStatistics",
                  "composite_singular_values", "compute_phase_sets", "coverage_map",
@@ -25,26 +27,21 @@ _MODULE_NAMES = {
     "rng": ("LinkTag", "spawn_rng"),
 }
 _MODULE_OF = {name: module for module, names in _MODULE_NAMES.items() for name in names}
-_SUBMODULES = frozenset(_MODULE_NAMES) | {"cli", "errors"}
+_SUBMODULES = frozenset(_MODULE_NAMES) | {"errors"}
 
 __all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
-
-
-def _submodule(name: str):
-    # `__import__` rather than `importlib.import_module`: only the former
-    # shows in `python -X importtime`
-    return __import__(f"{__name__}.{name}", fromlist=["_"])
 
 
 def __getattr__(name: str):
     """Import the module that defines `name` and keep the name here, so later
     reads (and `setattr` on the package) see an ordinary global."""
     if name in _MODULE_OF:
-        value = globals()[name] = getattr(_submodule(_MODULE_OF[name]), name)
+        module = importlib.import_module(f"{__name__}.{_MODULE_OF[name]}")
+        value = globals()[name] = getattr(module, name)
         return value
     if name in _SUBMODULES:   # `rislink.campaign` after a bare `import rislink`
-        return _submodule(name)
+        return importlib.import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -281,6 +281,18 @@ class TestRunCampaign:
                 "rislink.campaign._keep_freed_heap.cache_info().currsize)")
         assert fresh_python(code) == "[] 0"
 
+    def test_loading_the_engine_starts_no_process_pool(self):
+        """Importing every engine module and validating a config still leaves
+        `concurrent.futures` and `multiprocessing` unloaded: the public names
+        load their modules on first use, so a bare import alone would not
+        show a pool import at module level."""
+        code = ("import sys, rislink.campaign, rislink.channel, rislink.control, "
+                "rislink.propagation, rislink.rng; "
+                "rislink.validate_config(rislink.scene_preset('indoor')); "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+        assert fresh_python(code) == "[]"
+
     def test_trim_threshold_is_a_no_op_off_glibc(self, monkeypatch):
         def no_libc(name):
             raise AssertionError("the C library was loaded")
